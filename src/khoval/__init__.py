@@ -71,7 +71,6 @@ from .errors import (
 )
 from .homology import (
     HomologyGroup,
-    IntegerMatrix,
     LaurentPoly,
     graded_euler,
     homology,

@@ -68,6 +68,9 @@ class TPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 

@@ -8,8 +8,8 @@ Commands
     verify     run the built-in invariant suites
 
 Diagram inputs are PD text (or a path to a file containing it); movie inputs
-are JSON files.  Defaults can be overridden with KHOVAL_THEORY, KHOVAL_FORMAT,
-KHOVAL_CAP and KHOVAL_WORKERS.
+are JSON files.  Defaults can be overridden with KHOVAL_THEORY, KHOVAL_FORMAT
+and KHOVAL_CAP.
 
 Exit codes: 2 parse failure, 3 theory guard, 4 cap exceeded, 5 movie
 validation failure, 1 any other engine error.
@@ -25,7 +25,7 @@ import sys
 from .algebra import Label, Theory
 from .cobordism import (
     Movie,
-    bn_invariant,
+    bn_and_kj,
     kj_number,
     lee_value,
     movie_from_json,
@@ -62,9 +62,6 @@ def _add_common(p: argparse.ArgumentParser, theory_default: str) -> None:
         default=_env_default("FORMAT", "human"),
     )
     p.add_argument("--cap", type=int, default=int(_env_default("CAP", DEFAULT_CAP)))
-    p.add_argument(
-        "--workers", type=int, default=int(_env_default("WORKERS", 1))
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,7 +194,7 @@ def _cmd_homology(args) -> int:
     if theory is Theory.BAR_NATAN:
         raise TheoryError("homology needs --theory khovanov or lee")
     d = _load_diagram(args.input)
-    cube = build_cube(d, theory, cap=args.cap, workers=args.workers)
+    cube = build_cube(d, theory, cap=args.cap)
     groups = homology(cube)
     rows = _homology_rows(groups, graded=theory is Theory.KHOVANOV)
     print(_render_homology(rows, theory, args.format))
@@ -206,7 +203,7 @@ def _cmd_homology(args) -> int:
 
 def _cmd_jones(args) -> int:
     d = _load_diagram(args.input)
-    cube = build_cube(d, Theory.KHOVANOV, cap=args.cap, workers=args.workers)
+    cube = build_cube(d, Theory.KHOVANOV, cap=args.cap)
     euler = graded_euler(cube)
     oracle = kauffman_jones(d, cap=max(args.cap, 12))
     print(_render_jones(euler, oracle, args.format))
@@ -236,16 +233,15 @@ def _cmd_movie(args) -> int:
         return 0
     lines: list[str]
     if theory is Theory.BAR_NATAN:
-        bn = bn_invariant(m, cap=args.cap, workers=args.workers)
-        kj = kj_number(m, cap=args.cap, workers=args.workers)
+        bn, kj = bn_and_kj(m, cap=args.cap)
         payload = {"BN": str(bn), "KJ": kj}
         lines = [f"BN = {bn}", f"KJ = {kj}"]
     elif theory is Theory.KHOVANOV:
-        kj = kj_number(m, cap=args.cap, workers=args.workers)
+        kj = kj_number(m, cap=args.cap)
         payload = {"KJ": kj}
         lines = [f"KJ = {kj}"]
     else:
-        lee = lee_value(m, cap=args.cap, workers=args.workers)
+        lee = lee_value(m, cap=args.cap)
         payload = {"Lee": lee}
         lines = [f"Lee = {lee}"]
     if args.format == "json":

@@ -44,6 +44,7 @@ __all__ = [
     "r3_equivalence",
     "eval_movie",
     "bn_invariant",
+    "bn_and_kj",
     "kj_number",
     "punctured_eval",
     "connected_sum",
@@ -579,14 +580,13 @@ def eval_movie(
     th: Theory = Theory.BAR_NATAN,
     start_label: Label | None = None,
     cap: int = 16,
-    workers: int = 1,
 ) -> CochainElement:
     """Thread the initial element through all ESI chain maps."""
     report = m.validate()
     if not report.ok:
         raise ValidationError(report.index, report.reason)
     stills = m.stills()
-    cube = build_cube(stills[0], th, cap=cap, workers=workers)
+    cube = build_cube(stills[0], th, cap=cap)
     if m.initial == "empty":
         if start_label is not None:
             raise KhovalError("a movie from the empty diagram starts at 1")
@@ -595,22 +595,22 @@ def eval_movie(
         label = start_label or Label.PLUS
         x = cube.basis_element(Generator(0, (label,)))
     for event, still in zip(m.events, stills[1:]):
-        nxt = build_cube(still, th, cap=cap, workers=workers)
+        nxt = build_cube(still, th, cap=cap)
         x = esi_chain_map(event, cube, nxt, th).apply(x)
         cube = nxt
     return x
 
 
-def _closed_value(m: Movie, th: Theory, cap: int = 16, workers: int = 1) -> TPoly:
+def _closed_value(m: Movie, th: Theory, cap: int = 16) -> TPoly:
     if not m.is_closed() or m.initial != "empty":
         raise MoveError("movie is not a closed empty-to-empty movie")
-    x = eval_movie(m, th, cap=cap, workers=workers)
+    x = eval_movie(m, th, cap=cap)
     return x.terms.get(Generator(0, ()), TPoly(0))
 
 
-def bn_invariant(m: Movie, cap: int = 16, workers: int = 1) -> TPoly:
+def bn_invariant(m: Movie, cap: int = 16) -> TPoly:
     """The deformed invariant: |closed-movie evaluation|, a monomial in t."""
-    value = _closed_value(m, Theory.BAR_NATAN, cap, workers)
+    value = _closed_value(m, Theory.BAR_NATAN, cap)
     if value.is_zero():
         return TPoly(0)
     if not value.is_monomial():
@@ -619,20 +619,28 @@ def bn_invariant(m: Movie, cap: int = 16, workers: int = 1) -> TPoly:
     return TPoly({exp: abs(coeff)})
 
 
-def kj_number(m: Movie, cap: int = 16, workers: int = 1) -> int:
-    """The undeformed integer invariant; cross-checked against t = 0."""
-    plain = abs(_closed_value(m, Theory.KHOVANOV, cap, workers).coefficient(0))
-    from_deformed = abs(bn_invariant(m, cap, workers).specialize(0))
-    if plain != from_deformed:
+def bn_and_kj(m: Movie, cap: int = 16) -> tuple[TPoly, int]:
+    """BN and KJ from one deformed and one plain evaluation.
+
+    KJ is the plain evaluation, cross-checked against BN at t = 0.
+    """
+    bn = bn_invariant(m, cap)
+    plain = abs(_closed_value(m, Theory.KHOVANOV, cap).coefficient(0))
+    if plain != abs(bn.specialize(0)):
         raise KhovalError(
             "internal error: t=0 specialization disagrees with the plain evaluation"
         )
-    return plain
+    return bn, plain
 
 
-def lee_value(m: Movie, cap: int = 16, workers: int = 1) -> int:
+def kj_number(m: Movie, cap: int = 16) -> int:
+    """The undeformed integer invariant; cross-checked against t = 0."""
+    return bn_and_kj(m, cap)[1]
+
+
+def lee_value(m: Movie, cap: int = 16) -> int:
     """Closed-movie evaluation at t = 1."""
-    return _closed_value(m, Theory.LEE, cap, workers).coefficient(0)
+    return _closed_value(m, Theory.LEE, cap).coefficient(0)
 
 
 def _is_unknot_still(d: LinkDiagram) -> bool:

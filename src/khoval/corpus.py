@@ -40,21 +40,26 @@ PD_CODES = {
 def torus2_pd(n: int) -> str:
     """PD code of the closure of the positive 2-braid with n crossings.
 
-    Arcs are numbered along the knot; for odd n this is the (2, n) torus knot
-    (n = 3 gives the same code as the trefoil entry up to relabeling).
+    For odd n this is the (2, n) torus knot, its 2n arcs numbered along the
+    knot (n = 3 gives the same code as the trefoil entry up to relabeling).
+    For even n it is the (2, n) torus link: each of the two components has n
+    arcs, numbered along it.
     """
     if n < 1:
         raise KhovalError("need at least one crossing")
 
-    def arc(k: int) -> int:
-        return (k - 1) % (2 * n) + 1
+    def arc(k: int, strand: int) -> int:
+        if n % 2:
+            return (k + strand * n - 1) % (2 * n) + 1
+        return strand * n + (k - 1) % n + 1
 
     toks = []
     for c in range(1, n + 1):
+        a0, b0, a1, b1 = arc(c, 0), arc(c, 1), arc(c + 1, 0), arc(c + 1, 1)
         if c % 2 == 1:
-            toks.append(f"X({arc(c+n)},{arc(c)},{arc(c+n+1)},{arc(c+1)})")
+            toks.append(f"X({b0},{a0},{b1},{a1})")
         else:
-            toks.append(f"X({arc(c)},{arc(c+n)},{arc(c+1)},{arc(c+n+1)})")
+            toks.append(f"X({a0},{b0},{a1},{b1})")
     return " ".join(toks)
 
 

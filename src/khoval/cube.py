@@ -15,7 +15,6 @@ t^k lowers q by 4k.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -73,7 +72,6 @@ class CubeComplex:
         diagram: LinkDiagram,
         theory: Theory = Theory.KHOVANOV,
         cap: int = DEFAULT_CAP,
-        workers: int = 1,
     ):
         if diagram.n > cap:
             raise CapExceededError(
@@ -84,12 +82,7 @@ class CubeComplex:
         self.n = diagram.n
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
-        masks = range(1 << self.n)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                self.resolutions = list(pool.map(lambda m: resolve(diagram, m), masks))
-        else:
-            self.resolutions = [resolve(diagram, m) for m in masks]
+        self.resolutions = [resolve(diagram, m) for m in range(1 << self.n)]
         self._edges: dict[tuple[int, int], Merge | Split] = {}
 
     # -- structure ---------------------------------------------------------
@@ -302,9 +295,8 @@ def build_cube(
     d: LinkDiagram,
     th: Theory = Theory.KHOVANOV,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> CubeComplex:
-    return CubeComplex(d, th, cap=cap, workers=workers)
+    return CubeComplex(d, th, cap=cap)
 
 
 def differential(c: CubeComplex, x: CochainElement) -> CochainElement:

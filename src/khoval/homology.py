@@ -1,10 +1,12 @@
 """Integral cohomology via Smith normal form, plus the Jones-polynomial oracle.
 
-Homology is computed blockwise: for the undeformed theory each (i, q) block is
-a finitely generated abelian group ker/im presented by integer matrices; at
-t = 1 the q-grading collapses and blocks are keyed by i alone.  Smith normal
-form over arbitrary-precision integers gives ranks and invariant factors;
-pivots are chosen by minimal absolute value to limit coefficient growth.
+`homology` builds the whole cube complex once with integer coefficients and
+cancels every +-1 entry with the unit-pivot kernel of `reduce.eliminate`.
+The residual complex is homotopy equivalent to the original and has only
+non-unit entries; Smith normal form over arbitrary-precision integers of
+each residual block gives ranks and invariant factors.  For the undeformed
+theory the blocks are keyed by (i, q); at t = 1 the q-grading collapses and
+blocks are keyed by i alone.
 
 `kauffman_jones` is an independent computation path for the graded Euler
 characteristic: a Kauffman bracket state sum in the variable A with writhe
@@ -18,13 +20,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .algebra import Theory
-from .cube import CubeComplex, Generator
+from .cube import CubeComplex
 from .diagram import LinkDiagram
 from .errors import CapExceededError, KhovalError, TheoryError
+from .reduce import eliminate
 
 __all__ = [
     "LaurentPoly",
-    "IntegerMatrix",
     "HomologyGroup",
     "smith_normal_form",
     "homology",
@@ -103,38 +105,6 @@ class LaurentPoly:
         return f"LaurentPoly({self._terms!r})"
 
 
-class IntegerMatrix:
-    """A sparse integer matrix (no stored zeros)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], int] = ()):
-        self.rows = rows
-        self.cols = cols
-        self.entries: dict[tuple[int, int], int] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for (r, c), v in items:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise KhovalError(f"entry ({r},{c}) out of range")
-            if v:
-                self.entries[(r, c)] = int(v)
-
-    @classmethod
-    def from_dense(cls, dense: list[list[int]]) -> "IntegerMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        return cls(
-            rows, cols,
-            {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v},
-        )
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-
 @dataclass(frozen=True)
 class HomologyGroup:
     """Z^free_rank plus cyclic torsion in invariant-factor order."""
@@ -158,216 +128,52 @@ class HomologyGroup:
 # -- Smith normal form ----------------------------------------------------------
 
 
-def _identity(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+def smith_normal_form(dense: list[list[int]]) -> tuple[tuple[int, ...], int]:
+    """Invariant factors d1 | d2 | ... and the rank, in exact arithmetic.
 
-
-def _sparse_unit_eliminate(dense: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Pivot away +-1 entries by unimodular operations, sparsely.
-
-    Returns (number of unit invariant factors, dense residual matrix).  Each
-    unit pivot contributes an invariant factor 1 and strictly shrinks the
-    matrix, so only the (typically tiny) non-unit core reaches the dense
-    Smith routine.  Pivots are chosen by Markowitz cost to limit fill-in.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for r, row in enumerate(dense):
-        entries = {c: v for c, v in enumerate(row) if v}
-        if entries:
-            rows[r] = entries
-            for c in entries:
-                col_rows.setdefault(c, set()).add(r)
-    unit_count = 0
-    while True:
-        best = None
-        best_cost = None
-        for r, row in rows.items():
-            r_nnz = len(row)
-            for c, v in row.items():
-                if v in (1, -1):
-                    cost = (r_nnz - 1) * (len(col_rows[c]) - 1)
-                    if best_cost is None or cost < best_cost:
-                        best, best_cost = (r, c, v), cost
-                        if cost == 0:
-                            break
-            if best_cost == 0:
-                break
-        if best is None:
-            break
-        pr, pc, pv = best
-        pivot_row = rows.pop(pr)
-        for c in pivot_row:
-            col_rows[c].discard(pr)
-        others = [r for r in col_rows.get(pc, ()) if r in rows]
-        for r in others:
-            factor = rows[r].pop(pc) * pv  # pv is its own inverse
-            col_rows[pc].discard(r)
-            if not factor:
-                continue
-            target = rows[r]
-            for c, v in pivot_row.items():
-                if c == pc:
-                    continue
-                new = target.get(c, 0) - factor * v
-                if new:
-                    if c not in target:
-                        col_rows.setdefault(c, set()).add(r)
-                    target[c] = new
-                else:
-                    target.pop(c, None)
-                    col_rows[c].discard(r)
-            if not target:
-                del rows[r]
-        col_rows.pop(pc, None)
-        unit_count += 1
-    live_rows = sorted(rows)
-    live_cols = sorted({c for row in rows.values() for c in row})
-    col_index = {c: j for j, c in enumerate(live_cols)}
-    residual = [[0] * len(live_cols) for _ in live_rows]
-    for i, r in enumerate(live_rows):
-        for c, v in rows[r].items():
-            residual[i][col_index[c]] = v
-    return unit_count, residual
-
-
-def _snf_dense(dense: list[list[int]], want_transforms: bool = False):
-    """Diagonalize by unimodular row/column operations.
-
-    Returns (diagonal factors d1 | d2 | ..., U, V) with  U * A * V  diagonal;
-    U, V are None unless requested.
+    Diagonalizes a copy of the matrix by unimodular row and column
+    operations, pivoting on an entry of minimal absolute value.
     """
     A = [row[:] for row in dense]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = _identity(m) if want_transforms else None
-    V = _identity(n) if want_transforms else None
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        Ai, Aj = A[i], A[j]
-        for k in range(n):
-            Ai[k] += q * Aj[k]
-        if U is not None:
-            Ui, Uj = U[i], U[j]
-            for k in range(m):
-                Ui[k] += q * Uj[k]
-
-    def add_col(i, j, q):
-        for row in A:
-            row[i] += q * row[j]
-        if V is not None:
-            for row in V:
-                row[i] += q * row[j]
-
     t = 0
     while t < min(m, n):
         # minimal-absolute-value pivot in the trailing submatrix
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = A[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
+        entries = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not entries:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        _, pi, pj = min(entries)
+        A[t], A[pi] = A[pi], A[t]
+        for row in A:
+            row[t], row[pj] = row[pj], row[t]
+        p = A[t][t]
         # clear row and column t; remainders force a re-pivot
         dirty = False
         for i in range(t + 1, m):
-            if A[i][t]:
-                q = A[i][t] // A[t][t]
-                if q:
-                    add_row(i, t, -q)
-                if A[i][t]:
-                    dirty = True
+            q = A[i][t] // p
+            if q:
+                A[i] = [a - q * b for a, b in zip(A[i], A[t])]
+            dirty = dirty or bool(A[i][t])
         for j in range(t + 1, n):
-            if A[t][j]:
-                q = A[t][j] // A[t][t]
-                if q:
-                    add_col(j, t, -q)
-                if A[t][j]:
-                    dirty = True
+            q = A[t][j] // p
+            if q:
+                for row in A:
+                    row[j] -= q * row[t]
+            dirty = dirty or bool(A[t][j])
         if dirty:
             continue
         # divisibility: the pivot must divide every remaining entry
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (i for i in range(t + 1, m) if any(A[i][j] % p for j in range(t + 1, n))),
+            None,
+        )
         if offender is not None:
-            add_row(t, offender, 1)
+            A[t] = [a + b for a, b in zip(A[t], A[offender])]
             continue
-        if A[t][t] < 0:
-            add_row(t, t, -2)  # negate row t
         t += 1
-
-    factors = [A[i][i] for i in range(min(m, n)) if A[i][i]]
-    return factors, U, V
-
-
-def smith_normal_form(
-    m: "IntegerMatrix | list[list[int]]",
-) -> tuple[tuple[int, ...], int]:
-    """Invariant factors d1 | d2 | ... and the rank, in exact arithmetic.
-
-    Unit entries are pivoted away sparsely first; the dense minimal-pivot
-    routine diagonalizes the remaining core.
-    """
-    dense = m.to_dense() if isinstance(m, IntegerMatrix) else m
-    units, residual = _sparse_unit_eliminate(dense)
-    factors, _, _ = _snf_dense(residual)
-    all_factors = (1,) * units + tuple(factors)
-    return all_factors, len(all_factors)
-
-
-def kernel_basis(dense: list[list[int]]) -> list[list[int]]:
-    """An integral basis of ker(A), as column vectors."""
-    m = len(dense)
-    n = len(dense[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    factors, _, V = _snf_dense(dense, want_transforms=True)
-    rank = len(factors)
-    return [[V[i][j] for i in range(n)] for j in range(rank, n)]
-
-
-def in_image(dense: list[list[int]], vector: list[int]) -> bool:
-    """Whether an integer vector lies in the column span of A over Z."""
-    m = len(dense)
-    if m == 0:
-        return all(v == 0 for v in vector)
-    factors, U, _ = _snf_dense(dense, want_transforms=True)
-    rank = len(factors)
-    w = [sum(U[i][k] * vector[k] for k in range(m)) for i in range(m)]
-    for i in range(m):
-        if i < rank:
-            if w[i] % factors[i]:
-                return False
-        elif w[i]:
-            return False
-    return True
+    factors = tuple(abs(A[i][i]) for i in range(min(m, n)) if A[i][i])
+    return factors, len(factors)
 
 
 # -- homology --------------------------------------------------------------------
@@ -380,32 +186,6 @@ def _int_coefficient(poly) -> int:
     return terms.get(0, 0)
 
 
-def block_basis(c: CubeComplex) -> dict:
-    """Basis generators per block: keyed (i, q) graded, or i for Lee."""
-    graded = c.theory is Theory.KHOVANOV
-    blocks: dict = {}
-    for g in c.generators():
-        i, q = c.degrees(g)
-        key = (i, q) if graded else i
-        blocks.setdefault(key, []).append(g)
-    for basis in blocks.values():
-        basis.sort()
-    return blocks
-
-
-def block_matrix(
-    c: CubeComplex, source: list[Generator], target: list[Generator]
-) -> list[list[int]]:
-    index = {g: r for r, g in enumerate(target)}
-    dense = [[0] * len(source) for _ in range(len(target))]
-    for col, g in enumerate(source):
-        for tgt, poly in c.differential_of(g).terms.items():
-            r = index.get(tgt)
-            if r is not None:
-                dense[r][col] = _int_coefficient(poly)
-    return dense
-
-
 def homology(c: CubeComplex) -> dict:
     """Blockwise integral cohomology: {(i, q): group} or {i: group} for Lee."""
     if c.theory is Theory.BAR_NATAN:
@@ -413,30 +193,42 @@ def homology(c: CubeComplex) -> dict:
             "homology over Z[t] is not supported; use theory khovanov or lee"
         )
     graded = c.theory is Theory.KHOVANOV
-    blocks = block_basis(c)
+    index = {g: k for k, g in enumerate(c.generators())}
+    degrees = {k: c.degrees(g) for g, k in index.items()}
+    diff = {
+        k: {index[h]: _int_coefficient(p) for h, p in c.differential_of(g).terms.items()}
+        for g, k in index.items()
+    }
+    eliminate(degrees, diff)
 
-    def succ(key):
-        return (key[0] + 1, key[1]) if graded else key + 1
+    def succ(k):
+        return (k[0] + 1, k[1]) if graded else k + 1
 
-    def pred(key):
-        return (key[0] - 1, key[1]) if graded else key - 1
+    def pred(k):
+        return (k[0] - 1, k[1]) if graded else k - 1
 
+    blocks: dict = {}
+    for g, (i, q) in degrees.items():
+        blocks.setdefault((i, q) if graded else i, []).append(g)
     ranks: dict = {}
     torsions: dict = {}
-    for key, basis in blocks.items():
-        nxt = blocks.get(succ(key), [])
-        dense = block_matrix(c, basis, nxt)
-        factors, rank = smith_normal_form(dense) if nxt else ((), 0)
-        ranks[key] = rank
-        torsions[succ(key)] = tuple(f for f in factors if f > 1)
+    for k, basis in blocks.items():
+        targets = {h: r for r, h in enumerate(sorted({h for g in basis for h in diff[g]}))}
+        if not targets:
+            continue
+        dense = [[0] * len(basis) for _ in targets]
+        for col, g in enumerate(basis):
+            for h, v in diff[g].items():
+                dense[targets[h]][col] = v
+        factors, ranks[k] = smith_normal_form(dense)
+        torsions[succ(k)] = tuple(f for f in factors if f > 1)
 
     out: dict = {}
-    for key, basis in blocks.items():
-        free = len(basis) - ranks.get(key, 0) - ranks.get(pred(key), 0)
-        tors = torsions.get(key, ())
-        group = HomologyGroup(free, tors)
+    for k, basis in blocks.items():
+        free = len(basis) - ranks.get(k, 0) - ranks.get(pred(k), 0)
+        group = HomologyGroup(free, torsions.get(k, ()))
         if not group.is_zero():
-            out[key] = group
+            out[k] = group
     return out
 
 

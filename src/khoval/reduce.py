@@ -1,13 +1,21 @@
-"""Gaussian elimination of based chain complexes with tracked equivalences.
+"""Gaussian elimination of based chain complexes: one unit-pivot kernel.
 
-Cancelling a differential entry of coefficient +-1 (a unit of Z[t]) between
-two basis generators yields a smaller complex homotopy equivalent to the
-original; the projection and inclusion maps of the equivalence are maintained
-through repeated cancellations.  The projection is a strict retraction:
-project o include = identity on the reduced complex.
+`eliminate` is the Gaussian elimination lemma of Bar-Natan, "Fast Khovanov
+homology computations" (math/0606318).  Cancelling a differential entry of
+coefficient +-1 between two basis generators yields a smaller complex
+homotopy equivalent to the original.  The kernel works on column-sparse
+differentials {g: {h: c}} with `int` or `TPoly` coefficients and keeps a row
+index (for each h, the columns that hit it), so a cancellation touches only
+the columns it changes.  Generators are visited in (degree, generator)
+order; each column cancels its unit entry whose row has the fewest hits, and
+passes repeat until no unit entry is left.
 
-This is used to construct triangle-move chain maps: reduce both cubes, match
-the reduced complexes by a signed block bijection, and conjugate.
+`homology` runs the kernel on the whole cube and hands the non-unit residue
+to the Smith normal form.  `reduce_complex` also tracks the projection and
+inclusion maps of the equivalence; the projection is a strict retraction:
+project o include = identity on the reduced complex.  This is used to
+construct triangle-move chain maps: reduce both cubes, match the reduced
+complexes by a signed block bijection, and conjugate.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from itertools import permutations, product
 from .algebra import TPoly
 from .cube import CubeComplex, Generator
 
-__all__ = ["BasedComplex", "Reduction", "reduce_cube", "match_reduced"]
+__all__ = ["BasedComplex", "Reduction", "eliminate", "reduce_cube", "match_reduced"]
 
 Element = dict[Generator, TPoly]
 
@@ -65,13 +73,91 @@ class Reduction:
     include: dict[Generator, Element]  # reduced generator -> original element
 
 
-def _unit_entry(poly: TPoly) -> int | None:
-    terms = poly.terms
-    if terms == {0: 1}:
-        return 1
-    if terms == {0: -1}:
-        return -1
-    return None
+def _add_scaled(target: dict, source: dict, scale, key=None, index=None) -> None:
+    """target += scale * source, dropping zeros; `index[k]` tracks `key` in k's row."""
+    for k, v in source.items():
+        cur = target.get(k)
+        total = scale * v if cur is None else cur + scale * v
+        if total:
+            target[k] = total
+            if cur is None and index is not None:
+                index[k].add(key)
+        elif cur is not None:
+            del target[k]
+            if index is not None:
+                index[k].discard(key)
+
+
+def eliminate(degrees: dict, diff: dict, track: bool = False):
+    """Cancel unit entries of the complex (degrees, diff), in place, until none is left.
+
+    `diff` maps every generator to its column {target: coefficient}; the
+    residual complex is left in `degrees` and `diff`.  With `track`, returns
+    (project, include) as in `Reduction`, with `TPoly` coefficients;
+    otherwise (None, None).
+    """
+    rows: dict = {g: set() for g in degrees}
+    for g, col in diff.items():
+        for h in col:
+            rows[h].add(g)
+    if track:
+        one = TPoly(1)
+        originals = list(degrees)
+        project_rows = {g: {g: one} for g in degrees}  # reduced h -> {original: coeff}
+        include = {g: {g: one} for g in degrees}
+
+    def cancel(g, h, lam) -> None:
+        # g -> h with coefficient lam = +-1, its own inverse; rho = d(g) - lam*h
+        rho = diff.pop(g)
+        del rho[h]
+        for k in rho:
+            rows[k].discard(g)
+        for k in diff.pop(h):
+            rows[k].discard(h)
+        for y in rows.pop(g):
+            del diff[y][g]
+        hitters = rows.pop(h)
+        hitters.discard(g)
+        del degrees[g], degrees[h]
+        if track:
+            g_image = include.pop(g)
+            del include[h]
+        for x in hitters:
+            col = diff[x]
+            scale = -lam * col.pop(h)
+            _add_scaled(col, rho, scale, x, rows)
+            if track:
+                _add_scaled(include[x], g_image, scale)
+        if track:
+            h_row = project_rows.pop(h)
+            del project_rows[g]
+            for k, v in rho.items():
+                _add_scaled(project_rows[k], h_row, -lam * v)
+
+    order = sorted(diff, key=lambda g: (degrees[g], g))
+    while order:
+        for g in order:
+            col = diff.get(g)
+            if not col:
+                continue
+            best = lam = None
+            for h, c in col.items():
+                if (c == 1 or c == -1) and (best is None or len(rows[h]) < len(rows[best])):
+                    best, lam = h, c
+            if best is not None:
+                cancel(g, best, lam)
+        survivors = [g for g in order if g in diff]
+        if len(survivors) == len(order):
+            break
+        order = survivors
+
+    if not track:
+        return None, None
+    project: dict = {g: {} for g in originals}
+    for k, row in project_rows.items():
+        for o, c in row.items():
+            project[o][k] = c
+    return project, include
 
 
 def reduce_cube(cube: CubeComplex) -> Reduction:
@@ -80,61 +166,8 @@ def reduce_cube(cube: CubeComplex) -> Reduction:
 
 def reduce_complex(cx: BasedComplex) -> Reduction:
     degrees = dict(cx.degrees)
-    diff: dict[Generator, Element] = {g: dict(col) for g, col in cx.diff.items()}
-    project: dict[Generator, Element] = {g: {g: TPoly(1)} for g in degrees}
-    include: dict[Generator, Element] = {g: {g: TPoly(1)} for g in degrees}
-
-    def find_pivot():
-        for g in sorted(diff, key=lambda x: (degrees[x], x)):
-            for h in sorted(diff[g], key=lambda x: (degrees[x], x)):
-                lam = _unit_entry(diff[g][h])
-                if lam is not None:
-                    return g, h, lam
-        return None
-
-    while True:
-        pivot = find_pivot()
-        if pivot is None:
-            break
-        g, h, lam = pivot
-        # rho = d(g) with the h-component removed
-        rho = {k: v for k, v in diff[g].items() if k != h}
-        inv = lam  # lam in {1,-1} is its own inverse
-        # columns hitting h receive the correction, lose their h-component
-        hitters = [
-            x
-            for x, col in diff.items()
-            if x != g and h in col
-        ]
-        corrections = {}
-        for x in hitters:
-            c = diff[x].pop(h)
-            corrections[x] = c
-            scale = c * TPoly(-inv)
-            diff[x] = elem_add(diff[x], rho, scale)
-            if not diff[x]:
-                diff[x] = {}
-        # drop the pair
-        del degrees[g], degrees[h]
-        del diff[g]
-        diff.pop(h, None)
-        for col in diff.values():
-            col.pop(g, None)  # entries into g from one degree lower
-        # update projection: h -> -inv * rho, g -> 0
-        h_image = {k: v * TPoly(-inv) for k, v in rho.items()}
-        for o, elem in project.items():
-            if g in elem or h in elem:
-                new = {k: v for k, v in elem.items() if k not in (g, h)}
-                if h in elem:
-                    new = elem_add(new, h_image, elem[h])
-                project[o] = new
-        # update inclusion: survivors x with a (removed) h-component gain -inv*c(x)*G[g]
-        g_image = include.pop(g)
-        include.pop(h, None)
-        for x, c in corrections.items():
-            if x in include:
-                include[x] = elem_add(include[x], g_image, c * TPoly(-inv))
-
+    diff = {g: dict(col) for g, col in cx.diff.items()}
+    project, include = eliminate(degrees, diff, track=True)
     return Reduction(BasedComplex(degrees, diff), project, include)
 
 

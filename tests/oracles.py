@@ -1,9 +1,11 @@
 """Independent test oracles: brute-force circle tracing and field-rank homology.
 
-These deliberately avoid the library's union-find and Smith-normal-form code
+These deliberately avoid the library's union-find and elimination code
 paths: circles are counted by breadth-first search on an adjacency structure,
 and ranks are computed by Gaussian elimination over the rationals or a prime
-field.  Universal coefficients then cross-validate integral torsion.
+field from dense block matrices.  Universal coefficients then cross-validate
+integral torsion.  A dense Smith normal form with its transforms gives
+integral kernels and image membership.
 """
 
 from __future__ import annotations
@@ -12,8 +14,131 @@ from collections import defaultdict
 from fractions import Fraction
 
 from khoval.algebra import Theory
-from khoval.cube import CubeComplex
-from khoval.homology import block_basis, block_matrix
+from khoval.cube import CubeComplex, Generator
+
+
+def block_basis(c: CubeComplex) -> dict:
+    """Basis generators per block: keyed (i, q) graded, or i for Lee."""
+    graded = c.theory is Theory.KHOVANOV
+    blocks: dict = {}
+    for g in c.generators():
+        i, q = c.degrees(g)
+        blocks.setdefault((i, q) if graded else i, []).append(g)
+    for basis in blocks.values():
+        basis.sort()
+    return blocks
+
+
+def block_matrix(
+    c: CubeComplex, source: list[Generator], target: list[Generator]
+) -> list[list[int]]:
+    """The dense integer matrix of the differential from `source` to `target`."""
+    index = {g: r for r, g in enumerate(target)}
+    dense = [[0] * len(source) for _ in range(len(target))]
+    for col, g in enumerate(source):
+        for tgt, poly in c.differential_of(g).terms.items():
+            r = index.get(tgt)
+            if r is not None:
+                assert set(poly.terms) <= {0}, "non-constant coefficient"
+                dense[r][col] = poly.coefficient(0)
+    return dense
+
+
+def snf_with_transforms(dense: list[list[int]]):
+    """Diagonalize by unimodular row/column operations.
+
+    Returns (diagonal factors d1 | d2 | ..., U, V) with  U * A * V  diagonal.
+    """
+    A = [row[:] for row in dense]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A + V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, q):
+        # row_i += q * row_j
+        for M in (A, U):
+            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+
+    def add_col(i, j, q):
+        for row in A + V:
+            row[i] += q * row[j]
+
+    t = 0
+    while t < min(m, n):
+        # minimal-absolute-value pivot in the trailing submatrix
+        entries = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        # clear row and column t; remainders force a re-pivot
+        dirty = False
+        for i in range(t + 1, m):
+            q = A[i][t] // A[t][t]
+            if q:
+                add_row(i, t, -q)
+            dirty = dirty or bool(A[i][t])
+        for j in range(t + 1, n):
+            q = A[t][j] // A[t][t]
+            if q:
+                add_col(j, t, -q)
+            dirty = dirty or bool(A[t][j])
+        if dirty:
+            continue
+        # divisibility: the pivot must divide every remaining entry
+        offender = next(
+            (i for i in range(t + 1, m) if any(A[i][j] % A[t][t] for j in range(t + 1, n))),
+            None,
+        )
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        if A[t][t] < 0:
+            add_row(t, t, -2)  # negate row t
+        t += 1
+
+    factors = [A[i][i] for i in range(min(m, n)) if A[i][i]]
+    return factors, U, V
+
+
+def kernel_basis(dense: list[list[int]]) -> list[list[int]]:
+    """An integral basis of ker(A), as column vectors."""
+    m = len(dense)
+    n = len(dense[0]) if m else 0
+    if n == 0:
+        return []
+    if m == 0:
+        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    factors, _, V = snf_with_transforms(dense)
+    rank = len(factors)
+    return [[V[i][j] for i in range(n)] for j in range(rank, n)]
+
+
+def in_image(dense: list[list[int]], vector: list[int]) -> bool:
+    """Whether an integer vector lies in the column span of A over Z."""
+    m = len(dense)
+    if m == 0:
+        return all(v == 0 for v in vector)
+    factors, U, _ = snf_with_transforms(dense)
+    rank = len(factors)
+    w = [sum(U[i][k] * vector[k] for k in range(m)) for i in range(m)]
+    for i in range(m):
+        if i < rank:
+            if w[i] % factors[i]:
+                return False
+        elif w[i]:
+            return False
+    return True
 
 
 def bfs_circle_count(d, bits) -> int:

@@ -89,10 +89,22 @@ def test_jones_trefoil_agreement(capsys):
 # -- movie ------------------------------------------------------------------------
 
 
-def test_movie_torus_file(capsys):
+def test_movie_torus_file(capsys, monkeypatch):
+    import khoval.cobordism as cobordism
+
+    evaluated = []
+    eval_movie = cobordism.eval_movie
+
+    def counting_eval(m, th, **kwargs):
+        evaluated.append(th.value)
+        return eval_movie(m, th, **kwargs)
+
+    monkeypatch.setattr(cobordism, "eval_movie", counting_eval)
     code, out, _ = run(capsys, "movie", str(MOVIES_DIR / "torus.json"))
     assert code == 0
     assert out.splitlines() == ["BN = 2", "KJ = 2"]
+    # BN and KJ come from one deformed and one plain evaluation
+    assert sorted(evaluated) == ["bar_natan", "khovanov"]
 
 
 def test_movie_genus3(capsys):
@@ -213,11 +225,6 @@ def test_shipped_movies_match_builders():
         path = MOVIES_DIR / f"{name}.json"
         assert path.is_file(), name
         assert json.loads(path.read_text()) == movie_to_json(movie), name
-
-
-def test_workers_flag(capsys):
-    code, out, _ = run(capsys, "homology", PD_CODES["figure8"], "--workers", "3")
-    assert code == 0
 
 
 def test_verify_command(capsys):

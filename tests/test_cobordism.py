@@ -32,8 +32,9 @@ from khoval.errors import (
     NonMonomialError,
     ValidationError,
 )
-from khoval.homology import block_basis, block_matrix, in_image, kernel_basis
 from khoval.moves import ESI, apply_esi, apply_esi_info
+
+from oracles import block_basis, block_matrix, in_image, kernel_basis
 
 P, M = Label.PLUS, Label.MINUS
 ALL_THEORIES = list(Theory)

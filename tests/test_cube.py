@@ -151,13 +151,6 @@ def test_element_homogeneous_degree():
     assert plus.scale(TPoly({1: 2})).degree() == (0, -3)
 
 
-def test_workers_build_matches_serial():
-    d = parse_pd(PD_CODES["figure8"])
-    c1 = build_cube(d, Theory.KHOVANOV, workers=1)
-    c2 = build_cube(d, Theory.KHOVANOV, workers=4)
-    assert [r.circles for r in c1.resolutions] == [r.circles for r in c2.resolutions]
-
-
 def test_debug_json_is_serializable():
     import json
 

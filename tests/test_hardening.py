@@ -168,6 +168,18 @@ def test_torus_knot_family_tables():
         assert sum(g.free_rank for g in lee.values()) == 2, n
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_torus_link_family_is_planar(n):
+    # for even n the closed 2-braid is a two-component link; its code once
+    # numbered the arcs as one component and failed as non-planar
+    from khoval.corpus import torus2_pd
+
+    d = parse_pd(torus2_pd(n))
+    assert graded_euler(build_cube(d, Theory.KHOVANOV)) == kauffman_jones(d)
+    lee = homology(build_cube(d, Theory.LEE))
+    assert sum(g.free_rank for g in lee.values()) == 4
+
+
 def test_torus2_three_is_the_trefoil():
     from khoval.corpus import torus2_pd
 
