@@ -32,7 +32,7 @@ from .cobordism import (
     punctured_eval,
 )
 from .corpus import verify_all
-from .cube import build_cube
+from .cube import DEFAULT_CAP, build_cube
 from .diagram import parse_pd, serialize_pd
 from .errors import (
     CapExceededError,
@@ -42,8 +42,6 @@ from .errors import (
     ValidationError,
 )
 from .homology import graded_euler, homology, kauffman_jones
-
-DEFAULT_CAP = 16
 
 
 def _env_default(name: str, fallback):

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import Label, TPoly, Theory, comultiply, counit, multiply, xmult
-from .cube import CochainElement, CubeComplex, Generator, build_cube
+from .cube import (
+    DEFAULT_CAP, CochainElement, CubeComplex, Generator, _accumulate, build_cube
+)
 from .diagram import LinkDiagram, ResolvedDiagram
 from .errors import (
     KhovalError,
@@ -63,7 +65,10 @@ ESI_Q_DEGREE = {"birth": 1, "death": 1, "saddle": -1, "r1": 0, "r2": 0, "r3": 0}
 
 
 class ChainMapRep:
-    """A chain map between two cube complexes, applied generator by generator."""
+    """A chain map between two cube complexes, applied generator by generator.
+
+    Images are memoized, and only the cube vertices they reach are resolved.
+    """
 
     def __init__(
         self,
@@ -88,10 +93,12 @@ class ChainMapRep:
     def apply(self, x: CochainElement) -> CochainElement:
         if x.cube is not self.source:
             raise KhovalError("element does not live on the map's source")
-        acc = self.target.element()
+        theory = self.target.theory
+        acc: dict[Generator, TPoly] = {}
         for g, coeff in x.terms.items():
-            acc = acc + self.of_generator(g).scale(coeff)
-        return acc
+            for h, poly in self.of_generator(g).terms.items():
+                _accumulate(acc, h, poly * coeff, theory)
+        return CochainElement(self.target, acc)
 
 
 # -- circle bookkeeping across a move ------------------------------------------
@@ -246,14 +253,7 @@ def esi_chain_map(
 def _element(tgt: CubeComplex, mask: int, terms) -> CochainElement:
     acc: dict[Generator, TPoly] = {}
     for labels, poly in terms:
-        g = Generator(mask, labels)
-        cur = acc.get(g)
-        total = poly if cur is None else cur + poly
-        reduced = tgt.theory.reduce(total)
-        if reduced.is_zero():
-            acc.pop(g, None)
-        else:
-            acc[g] = reduced
+        _accumulate(acc, Generator(mask, labels), poly, tgt.theory)
     return CochainElement(tgt, acc)
 
 
@@ -261,10 +261,10 @@ def _birth_fn(src, tgt, info: MoveInfo):
     born = info.created_arcs[0]
 
     def fn(g: Generator) -> CochainElement:
-        tgt_res = tgt.resolutions[g.mask]
+        tgt_res = tgt.circles(g.mask)
         fixed = {tgt_res.circle_of[born]: Label.PLUS}
         terms = _local_transfer(
-            src.resolutions[g.mask], tgt_res, {}, g.labels, tgt.theory, fixed
+            src.circles(g.mask), tgt_res, {}, g.labels, tgt.theory, fixed
         )
         return _element(tgt, g.mask, terms)
 
@@ -274,8 +274,8 @@ def _birth_fn(src, tgt, info: MoveInfo):
 def _death_fn(src, tgt, info: MoveInfo):
     def fn(g: Generator) -> CochainElement:
         terms = _local_transfer(
-            src.resolutions[g.mask],
-            tgt.resolutions[g.mask],
+            src.circles(g.mask),
+            tgt.circles(g.mask),
             {},
             g.labels,
             tgt.theory,
@@ -291,8 +291,8 @@ def _saddle_fn(src, tgt, info: MoveInfo):
 
     def fn(g: Generator) -> CochainElement:
         terms = _local_transfer(
-            src.resolutions[g.mask],
-            tgt.resolutions[g.mask],
+            src.circles(g.mask),
+            tgt.circles(g.mask),
             hints,
             g.labels,
             tgt.theory,
@@ -326,10 +326,10 @@ def _r1_add_fn(src, tgt, info: MoveInfo):
     strand_arc = info.strand_arc
 
     def fn(g: Generator) -> CochainElement:
-        src_res = src.resolutions[g.mask]
+        src_res = src.circles(g.mask)
         if positive:
             mask = g.mask << 1  # kink bit 0
-            tgt_res = tgt.resolutions[mask]
+            tgt_res = tgt.circles(mask)
             kink = tgt_res.circle_of[loop_arc]
             base = _local_transfer(
                 src_res, tgt_res, hints, g.labels, tgt.theory,
@@ -343,7 +343,7 @@ def _r1_add_fn(src, tgt, info: MoveInfo):
             terms = base + _xmult_target(plus, strand, tgt.theory, factor=-1)
         else:
             mask = (g.mask << 1) | 1
-            tgt_res = tgt.resolutions[mask]
+            tgt_res = tgt.circles(mask)
             kink = tgt_res.circle_of[loop_arc]
             terms = _local_transfer(
                 src_res, tgt_res, hints, g.labels, tgt.theory,
@@ -365,7 +365,7 @@ def _r1_remove_fn(src, tgt, info: MoveInfo):
         rmask, sign = _koszul_to_front(g.mask, (idx,), src.n)
         bit = rmask & 1
         mask = rmask >> 1
-        src_res = src.resolutions[g.mask]
+        src_res = src.circles(g.mask)
         kink = src_res.circle_of[loop_arc]
         kink_label = g.labels[kink]
 
@@ -376,19 +376,19 @@ def _r1_remove_fn(src, tgt, info: MoveInfo):
             if bit != 0 or kink_label is not Label.MINUS:
                 return tgt.element()
             terms = _local_transfer(
-                src_res, tgt.resolutions[mask], hints, g.labels, tgt.theory,
+                src_res, tgt.circles(mask), hints, g.labels, tgt.theory,
                 death_coeff=consumed,
             )
             return _element(tgt, mask, _scaled(terms, sign))
         if bit != 1:
             return tgt.element()
         terms = _local_transfer(
-            src_res, tgt.resolutions[mask], hints, g.labels, tgt.theory,
+            src_res, tgt.circles(mask), hints, g.labels, tgt.theory,
             death_coeff=consumed,
         )
         if kink_label is Label.PLUS:
             return _element(tgt, mask, _scaled(terms, sign))
-        strand = tgt.resolutions[mask].circle_of[strand_arc]
+        strand = tgt.circles(mask).circle_of[strand_arc]
         terms = _xmult_target(terms, strand, tgt.theory, factor=-1)
         return _element(tgt, mask, _scaled(terms, sign))
 
@@ -411,17 +411,17 @@ def _r2_add_fn(src, tgt, info: MoveInfo):
             raise KhovalError("unexpected r2 hint")
 
     def fn(g: Generator) -> CochainElement:
-        src_res = src.resolutions[g.mask]
+        src_res = src.circles(g.mask)
         # through slice: first crossing 0-smoothed, second 1-smoothed
         mask_through = (g.mask << 2) | 0b10
         through = _local_transfer(
-            src_res, tgt.resolutions[mask_through], through_hints,
+            src_res, tgt.circles(mask_through), through_hints,
             g.labels, tgt.theory,
         )
         out = _element(tgt, mask_through, through)
         # circle slice: first crossing 1-smoothed, second 0-smoothed
         mask_circle = (g.mask << 2) | 0b01
-        tgt_res = tgt.resolutions[mask_circle]
+        tgt_res = tgt.circles(mask_circle)
         mid = tgt_res.circle_of[p["u2"]]
         circle_terms = _local_transfer(
             src_res, tgt_res, side_hints, g.labels, tgt.theory,
@@ -442,10 +442,10 @@ def _r2_remove_fn(src, tgt, info: MoveInfo):
         b_a = rmask & 1
         b_b = (rmask >> 1) & 1
         mask = rmask >> 2
-        src_res = src.resolutions[g.mask]
+        src_res = src.circles(g.mask)
         if (b_a, b_b) == (0, 1):
             terms = _local_transfer(
-                src_res, tgt.resolutions[mask], hints, g.labels, tgt.theory
+                src_res, tgt.circles(mask), hints, g.labels, tgt.theory
             )
             return _element(tgt, mask, _scaled(terms, sign))
         if (b_a, b_b) == (1, 0):
@@ -454,7 +454,7 @@ def _r2_remove_fn(src, tgt, info: MoveInfo):
                 return tgt.element()
             reduced_labels = g.labels
             terms = _local_transfer(
-                src_res, tgt.resolutions[mask], hints, reduced_labels,
+                src_res, tgt.circles(mask), hints, reduced_labels,
                 tgt.theory,
                 death_coeff=lambda lbl: TPoly(1),  # the mid circle is consumed
             )
@@ -470,13 +470,7 @@ def _conjugated_fn(reduction_in, pairing, reduction_out, tgt):
         for r, c1 in reduction_in.project.get(g, {}).items():
             tr, sign = pairing[r]
             for h, c2 in reduction_out.include[tr].items():
-                poly = tgt.theory.reduce(c1 * c2 * sign)
-                cur = acc.get(h)
-                total = poly if cur is None else cur + poly
-                if total.is_zero():
-                    acc.pop(h, None)
-                else:
-                    acc[h] = total
+                _accumulate(acc, h, c1 * c2 * sign, tgt.theory)
         return CochainElement(tgt, acc)
 
     return fn
@@ -579,7 +573,7 @@ def eval_movie(
     m: Movie,
     th: Theory = Theory.BAR_NATAN,
     start_label: Label | None = None,
-    cap: int = 16,
+    cap: int = DEFAULT_CAP,
 ) -> CochainElement:
     """Thread the initial element through all ESI chain maps."""
     report = m.validate()
@@ -601,14 +595,14 @@ def eval_movie(
     return x
 
 
-def _closed_value(m: Movie, th: Theory, cap: int = 16) -> TPoly:
+def _closed_value(m: Movie, th: Theory, cap: int = DEFAULT_CAP) -> TPoly:
     if not m.is_closed() or m.initial != "empty":
         raise MoveError("movie is not a closed empty-to-empty movie")
     x = eval_movie(m, th, cap=cap)
     return x.terms.get(Generator(0, ()), TPoly(0))
 
 
-def bn_invariant(m: Movie, cap: int = 16) -> TPoly:
+def bn_invariant(m: Movie, cap: int = DEFAULT_CAP) -> TPoly:
     """The deformed invariant: |closed-movie evaluation|, a monomial in t."""
     value = _closed_value(m, Theory.BAR_NATAN, cap)
     if value.is_zero():
@@ -619,7 +613,7 @@ def bn_invariant(m: Movie, cap: int = 16) -> TPoly:
     return TPoly({exp: abs(coeff)})
 
 
-def bn_and_kj(m: Movie, cap: int = 16) -> tuple[TPoly, int]:
+def bn_and_kj(m: Movie, cap: int = DEFAULT_CAP) -> tuple[TPoly, int]:
     """BN and KJ from one deformed and one plain evaluation.
 
     KJ is the plain evaluation, cross-checked against BN at t = 0.
@@ -633,12 +627,12 @@ def bn_and_kj(m: Movie, cap: int = 16) -> tuple[TPoly, int]:
     return bn, plain
 
 
-def kj_number(m: Movie, cap: int = 16) -> int:
+def kj_number(m: Movie, cap: int = DEFAULT_CAP) -> int:
     """The undeformed integer invariant; cross-checked against t = 0."""
     return bn_and_kj(m, cap)[1]
 
 
-def lee_value(m: Movie, cap: int = 16) -> int:
+def lee_value(m: Movie, cap: int = DEFAULT_CAP) -> int:
     """Closed-movie evaluation at t = 1."""
     return _closed_value(m, Theory.LEE, cap).coefficient(0)
 

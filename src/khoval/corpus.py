@@ -18,7 +18,7 @@ from .cobordism import (
     punctured_eval,
     punctured_to_empty,
 )
-from .cube import build_cube, check_d_squared, check_faces
+from .cube import DEFAULT_CAP, build_cube, check_d_squared, check_faces
 from .diagram import LinkDiagram, parse_pd, serialize_pd
 from .errors import KhovalError
 from .homology import graded_euler, kauffman_jones
@@ -166,7 +166,7 @@ def _suite_movies(cap: int) -> tuple[bool, str]:
     return True, "closed and punctured surface values"
 
 
-def verify_all(cap: int = 16) -> list[tuple[str, bool, str]]:
+def verify_all(cap: int = DEFAULT_CAP) -> list[tuple[str, bool, str]]:
     suites = [
         ("complex-laws", _suite_complex_laws),
         ("jones-oracle", _suite_jones),

@@ -1,6 +1,7 @@
 """The cube of modules: cochain groups, gradings, and the signed differential.
 
-Vertices of the cube are bitmasks (bit j = smoothing of crossing j).  A
+Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
+on first use, so a movie pays only for the vertices its element reaches.  A
 generator is a vertex together with one label per circle of its resolution,
 circles being listed in canonical order (increasing smallest arc id).  The
 differential applies the merge/split maps along edges with the sign
@@ -65,7 +66,7 @@ class CheckReport:
 
 
 class CubeComplex:
-    """All resolutions of a diagram with the theory's cube of modules."""
+    """The theory's cube of modules on a diagram; `circles` resolves on first use."""
 
     def __init__(
         self,
@@ -82,7 +83,7 @@ class CubeComplex:
         self.n = diagram.n
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
-        self.resolutions = [resolve(diagram, m) for m in range(1 << self.n)]
+        self._circles: dict[int, ResolvedDiagram] = {}
         self._edges: dict[tuple[int, int], Merge | Split] = {}
 
     # -- structure ---------------------------------------------------------
@@ -95,7 +96,7 @@ class CubeComplex:
         data = self._edges.get(key)
         if data is None:
             data = edge_effect_from_resolutions(
-                self.resolutions[mask], self.resolutions[mask | (1 << j)]
+                self.circles(mask), self.circles(mask | (1 << j))
             )
             self._edges[key] = data
         return data
@@ -105,12 +106,18 @@ class CubeComplex:
         return -1 if (mask >> (j + 1)).bit_count() & 1 else 1
 
     def circles(self, mask: int) -> ResolvedDiagram:
-        return self.resolutions[mask]
+        """The resolution at a vertex, computed on first use."""
+        res = self._circles.get(mask)
+        if res is None:
+            if mask < 0 or mask >> self.n:
+                raise KhovalError(f"vertex {mask} is not on this cube")
+            res = self._circles[mask] = resolve(self.diagram, mask)
+        return res
 
     # -- generators and degrees ---------------------------------------------
 
     def generators_at(self, mask: int) -> Iterator[Generator]:
-        k = self.resolutions[mask].count
+        k = self.circles(mask).count
         for labels in itertools.product((Label.PLUS, Label.MINUS), repeat=k):
             yield Generator(mask, labels)
 
@@ -120,7 +127,7 @@ class CubeComplex:
 
     def degrees(self, g: Generator) -> tuple[int, int]:
         """(cohomological degree, q-degree) of a generator."""
-        if len(g.labels) != self.resolutions[g.mask].count:
+        if len(g.labels) != self.circles(g.mask).count:
             raise KhovalError("generator does not live on this cube")
         i = g.mask.bit_count() - self.n_minus
         q = sum(l.q_degree for l in g.labels) + i + (self.n_plus - self.n_minus)
@@ -135,7 +142,7 @@ class CubeComplex:
             {
                 "mask": mask,
                 "bits": list(Generator(mask, ()).bits(self.n)),
-                "circles": [list(c) for c in self.resolutions[mask].circles],
+                "circles": [list(c) for c in self.circles(mask).circles],
             }
             for mask in range(1 << self.n)
         ]
@@ -171,21 +178,19 @@ class CubeComplex:
         """Unsigned edge map on one generator."""
         data = self.edge(g.mask, j)
         tgt_mask = g.mask | (1 << j)
-        tgt_count = self.resolutions[tgt_mask].count
+        merge = isinstance(data, Merge)
+        # a merge leaves one circle fewer, a split one more
+        base: list[Label | None] = [None] * (len(g.labels) + (-1 if merge else 1))
+        for s, t in data.correspondence.items():
+            base[t] = g.labels[s]
         out = []
-        if isinstance(data, Merge):
-            base: list[Label | None] = [None] * tgt_count
-            for s, t in data.correspondence.items():
-                base[t] = g.labels[s]
+        if merge:
             i1, i2 = data.sources
             for lbl, poly in multiply(g.labels[i1], g.labels[i2], self.theory).items():
                 labels = list(base)
                 labels[data.target] = lbl
                 out.append((Generator(tgt_mask, tuple(labels)), poly))
         else:
-            base = [None] * tgt_count
-            for s, t in data.correspondence.items():
-                base[t] = g.labels[s]
             t1, t2 = sorted(data.targets)
             for (l1, l2), poly in comultiply(g.labels[data.source], self.theory).items():
                 labels = list(base)

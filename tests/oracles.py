@@ -5,7 +5,9 @@ paths: circles are counted by breadth-first search on an adjacency structure,
 and ranks are computed by Gaussian elimination over the rationals or a prime
 field from dense block matrices.  Universal coefficients then cross-validate
 integral torsion.  A dense Smith normal form with its transforms gives
-integral kernels and image membership.
+integral kernels and image membership.  A chain map applied term by term,
+one `CochainElement` sum per generator, is the reference for
+`ChainMapRep.apply`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,14 @@ from fractions import Fraction
 
 from khoval.algebra import Theory
 from khoval.cube import CubeComplex, Generator
+
+
+def apply_termwise(f, x):
+    """A chain map applied as a sum of scaled images, one element per term."""
+    acc = f.target.element()
+    for g, coeff in x.terms.items():
+        acc = acc + f.of_generator(g).scale(coeff)
+    return acc
 
 
 def block_basis(c: CubeComplex) -> dict:

@@ -5,7 +5,7 @@ import pytest
 from khoval.algebra import Label, TPoly, Theory
 from khoval.cube import Generator, build_cube, check_d_squared, check_faces
 from khoval.corpus import PD_CODES
-from khoval.diagram import parse_pd
+from khoval.diagram import parse_pd, resolve
 from khoval.errors import CapExceededError, KhovalError
 from khoval.moves import ESI, apply_esi
 
@@ -29,11 +29,11 @@ def test_unknot_cube_two_generators():
 def test_trefoil_cube_shape():
     d = parse_pd(PD_CODES["trefoil"])
     c = build_cube(d, Theory.KHOVANOV)
-    assert len(c.resolutions) == 8
+    assert 1 << c.n == 8
     edges = sum(1 for m in range(8) for j in range(3) if not (m >> j) & 1)
     assert edges == 12
     for mask in range(8):
-        k = c.resolutions[mask].count
+        k = c.circles(mask).count
         assert sum(1 for g in c.generators_at(mask)) == 2 ** k
 
 
@@ -41,6 +41,39 @@ def test_crossing_cap():
     d = parse_pd(PD_CODES["trefoil"])
     with pytest.raises(CapExceededError):
         build_cube(d, Theory.KHOVANOV, cap=2)
+
+
+# -- lazy resolutions ------------------------------------------------------------
+
+
+def test_circles_equal_resolve_on_corpus(corpus):
+    for name, d in corpus.items():
+        c = build_cube(d, Theory.KHOVANOV)
+        for mask in range(1 << c.n):
+            assert c.circles(mask) == resolve(d, mask), (name, mask)
+
+
+def test_circles_are_cached(resolve_calls):
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
+    first = c.circles(5)
+    assert c.circles(5) is first
+    assert resolve_calls == [1]
+
+
+def test_build_resolves_nothing(resolve_calls, corpus):
+    for d in corpus.values():
+        build_cube(d, Theory.BAR_NATAN)
+    assert resolve_calls == [0]
+    with pytest.raises(CapExceededError):
+        build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV, cap=2)
+    assert resolve_calls == [0]
+
+
+def test_circles_rejects_vertex_off_the_cube():
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
+    for mask in (-1, 8):
+        with pytest.raises(KhovalError):
+            c.circles(mask)
 
 
 # -- gradings -----------------------------------------------------------------
@@ -51,7 +84,7 @@ def test_degrees_positive_kink():
     # bidegree (0, 3); on the 1-resolution v+ sits in (1, 3)
     d = apply_esi(parse_pd("L0"), ESI("r1", variant="add_pos", arc=1))
     c = build_cube(d, Theory.KHOVANOV)
-    assert c.resolutions[0].count == 2
+    assert c.circles(0).count == 2
     assert c.degrees(Generator(0, (P, P))) == (0, 3)
     assert c.degrees(Generator(1, (P,))) == (1, 3)
 
