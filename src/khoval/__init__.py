@@ -7,13 +7,15 @@ independent Kauffman-bracket oracle for the graded Euler characteristic.
 """
 
 from .algebra import (
-    Label,
+    LABELS,
+    MINUS,
+    PLUS,
+    LaurentPoly,
     Theory,
     TPoly,
     comultiply,
     counit,
     multiply,
-    specialize,
     tube,
     unit,
 )
@@ -71,7 +73,6 @@ from .errors import (
 )
 from .homology import (
     HomologyGroup,
-    LaurentPoly,
     graded_euler,
     homology,
     kauffman_jones,

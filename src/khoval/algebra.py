@@ -9,54 +9,69 @@ v+ = 1, v- = X.  Structure maps:
     m(v-,v-) = t * v+
     unit: 1 -> v+        counit: v+ -> 0, v- -> 1
 
+A circle label is an int: PLUS = 0 for v+ and MINUS = 1 for v-, so v+ sorts
+first and a label l has q-degree 1 - 2*l.
+
 Setting t = 0 recovers the undeformed theory; t = 1 gives the Lee deformation.
-A single implementation over Z[t] serves all three: a `Theory` is just a
-coefficient normalization applied after each operation.
+Both are ring maps, so the Z[t] tables are reduced once per `Theory` at import
+and the structure maps are lookups into them: sums and products of reduced
+coefficients stay reduced, and `Theory.reduce` is needed only where a caller's
+coefficient enters.
 """
 
 from __future__ import annotations
 
 import enum
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import TheoryError
 
 __all__ = [
     "TPoly",
-    "Label",
+    "LaurentPoly",
+    "PLUS",
+    "MINUS",
+    "LABELS",
+    "LABEL_NAMES",
     "Theory",
     "multiply",
     "comultiply",
     "unit",
     "counit",
     "tube",
-    "specialize",
+    "xmult",
 ]
+
+PLUS = 0
+MINUS = 1
+LABELS = (PLUS, MINUS)
+LABEL_NAMES = ("v+", "v-")
 
 
 class TPoly:
     """A polynomial in t with integer coefficients, stored sparsely.
 
     Immutable; zero coefficients are never stored.  Exponents are
-    non-negative (the ring is Z[t], not Laurent).
+    non-negative (the ring is Z[t], not Laurent).  Arithmetic returns the
+    operand's own class, and polynomials of different classes never compare
+    equal.
     """
 
     __slots__ = ("_terms",)
+    VAR = "t"
+    LAURENT = False
 
     def __init__(self, terms: Mapping[int, int] | int = 0):
         if isinstance(terms, int):
             terms = {0: terms} if terms else {}
         clean = {}
         for exp, coeff in terms.items():
-            if exp < 0:
-                raise ValueError(f"negative t-exponent {exp}")
+            if exp < 0 and not self.LAURENT:
+                raise ValueError(f"negative {self.VAR}-exponent {exp}")
             if coeff:
                 clean[int(exp)] = int(coeff)
         self._terms = clean
-
-    @classmethod
-    def t_power(cls, exp: int, coeff: int = 1) -> "TPoly":
-        return cls({exp: coeff})
 
     @property
     def terms(self) -> dict[int, int]:
@@ -81,44 +96,38 @@ class TPoly:
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
             terms[exp] = terms.get(exp, 0) + coeff
-        return TPoly(terms)
+        return type(self)(terms)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         return self + (-other)
 
     def __neg__(self) -> "TPoly":
-        return TPoly({e: -c for e, c in self._terms.items()})
+        return type(self)({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: "TPoly | int") -> "TPoly":
         if isinstance(other, int):
-            return TPoly({e: c * other for e, c in self._terms.items()})
+            return type(self)({e: c * other for e, c in self._terms.items()})
         terms: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
-        return TPoly(terms)
+        return type(self)(terms)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = TPoly(other)
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, TPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return type(self) is type(other) and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
     def specialize(self, t_value: int) -> int:
-        """Evaluate at an integer value of t."""
+        """Evaluate at an integer value of the variable."""
         return sum(c * t_value ** e for e, c in self._terms.items())
-
-    def min_q_shift(self) -> int:
-        """Most negative q-contribution of any term (deg t = -4)."""
-        if not self._terms:
-            return 0
-        return -4 * max(self._terms)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -129,7 +138,7 @@ class TPoly:
                 body = str(abs(coeff))
             else:
                 mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
-                body = f"{mag}t" if exp == 1 else f"{mag}t^{exp}"
+                body = f"{mag}{self.VAR}" if exp == 1 else f"{mag}{self.VAR}^{exp}"
             if not parts:
                 parts.append(f"-{body}" if coeff < 0 else body)
             else:
@@ -137,31 +146,15 @@ class TPoly:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"TPoly({self._terms!r})"
+        return f"{type(self).__name__}({self._terms!r})"
 
 
-TPOLY_ZERO = TPoly(0)
-TPOLY_ONE = TPoly(1)
-TPOLY_T = TPoly.t_power(1)
+class LaurentPoly(TPoly):
+    """Sparse Laurent polynomial in q with integer coefficients."""
 
-
-class Label(enum.Enum):
-    """Basis label of a circle: v+ or v-.  The enum value is the q-degree."""
-
-    PLUS = 1
-    MINUS = -1
-
-    @property
-    def q_degree(self) -> int:
-        return self.value
-
-    def __lt__(self, other: "Label") -> bool:
-        if not isinstance(other, Label):
-            return NotImplemented
-        return self.value > other.value  # v+ sorts first
-
-    def __str__(self) -> str:
-        return "v+" if self is Label.PLUS else "v-"
+    __slots__ = ()
+    VAR = "q"
+    LAURENT = True
 
 
 class Theory(enum.Enum):
@@ -188,77 +181,72 @@ class Theory(enum.Enum):
         return TPoly(p.specialize(1))  # Lee: t = 1
 
 
-# Structure maps are returned as sparse dicts with TPoly coefficients:
-# multiply/tube map to {Label: TPoly}, comultiply to {(Label, Label): TPoly}.
+# -- the structure tables, reduced once per theory -----------------------------
+#
+# multiply/xmult/tube map to {label: TPoly}, comultiply to {(label, label): TPoly};
+# the returned mappings are shared and read-only.
 
-def multiply(x: Label, y: Label, th: Theory = Theory.BAR_NATAN) -> dict[Label, TPoly]:
+_ONE = TPoly(1)
+_T = TPoly({1: 1})
+_ZT_MULTIPLY = (
+    ({PLUS: _ONE}, {MINUS: _ONE}),
+    ({MINUS: _ONE}, {PLUS: _T}),
+)
+_ZT_COMULTIPLY = (
+    {(PLUS, MINUS): _ONE, (MINUS, PLUS): _ONE},
+    {(MINUS, MINUS): _ONE, (PLUS, PLUS): _T},
+)
+
+
+def _reduced(raw: dict, th: Theory) -> Mapping:
+    return MappingProxyType(
+        {key: r for key, poly in raw.items() if (r := th.reduce(poly))}
+    )
+
+
+def _tube_table(th: Theory, x: int) -> Mapping:
+    out: dict[int, TPoly] = {}  # m o Delta, summed from the reduced tables
+    for (a, b), c1 in _COMULTIPLY[th][x].items():
+        for lbl, c2 in _MULTIPLY[th][a][b].items():
+            out[lbl] = out.get(lbl, TPoly(0)) + c1 * c2
+    return _reduced(out, th)
+
+
+_MULTIPLY = {
+    th: tuple(tuple(_reduced(raw, th) for raw in row) for row in _ZT_MULTIPLY)
+    for th in Theory
+}
+_COMULTIPLY = {th: tuple(_reduced(raw, th) for raw in _ZT_COMULTIPLY) for th in Theory}
+_TUBE = {th: tuple(_tube_table(th, x) for x in LABELS) for th in Theory}
+_UNIT = MappingProxyType({PLUS: _ONE})
+_COUNIT = (TPoly(0), _ONE)
+
+
+def multiply(x: int, y: int, th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
     """Product of two circle labels (the merge map)."""
-    if x is Label.PLUS and y is Label.PLUS:
-        raw = {Label.PLUS: TPOLY_ONE}
-    elif x is Label.MINUS and y is Label.MINUS:
-        raw = {Label.PLUS: TPOLY_T}
-    else:
-        raw = {Label.MINUS: TPOLY_ONE}
-    return _reduce_map(raw, th)
+    return _MULTIPLY[th][x][y]
 
 
-def comultiply(x: Label, th: Theory = Theory.BAR_NATAN) -> dict[tuple[Label, Label], TPoly]:
+def comultiply(x: int, th: Theory = Theory.BAR_NATAN) -> Mapping[tuple[int, int], TPoly]:
     """Coproduct of a circle label (the split map)."""
-    if x is Label.PLUS:
-        raw = {
-            (Label.PLUS, Label.MINUS): TPOLY_ONE,
-            (Label.MINUS, Label.PLUS): TPOLY_ONE,
-        }
-    else:
-        raw = {
-            (Label.MINUS, Label.MINUS): TPOLY_ONE,
-            (Label.PLUS, Label.PLUS): TPOLY_T,
-        }
-    return _reduce_map(raw, th)
+    return _COMULTIPLY[th][x]
 
 
-def unit(th: Theory = Theory.BAR_NATAN) -> dict[Label, TPoly]:
+def unit(th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
     """Image of 1 under the unit map (a birth)."""
-    return {Label.PLUS: TPOLY_ONE}
+    return _UNIT
 
 
-def counit(x: Label, th: Theory = Theory.BAR_NATAN) -> TPoly:
+def counit(x: int, th: Theory = Theory.BAR_NATAN) -> TPoly:
     """Counit (a death): v+ -> 0, v- -> 1."""
-    return TPOLY_ONE if x is Label.MINUS else TPOLY_ZERO
+    return _COUNIT[x]
 
 
-def tube(x: Label, th: Theory = Theory.BAR_NATAN) -> dict[Label, TPoly]:
+def tube(x: int, th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
     """The genus-adding map m o Delta: v+ -> 2v-, v- -> 2t v+."""
-    out: dict[Label, TPoly] = {}
-    for (a, b), c1 in comultiply(x, th).items():
-        for lbl, c2 in multiply(a, b, th).items():
-            _accumulate(out, lbl, c1 * c2)
-    return _reduce_map(out, th)
+    return _TUBE[th][x]
 
 
-def xmult(x: Label, th: Theory = Theory.BAR_NATAN) -> dict[Label, TPoly]:
+def xmult(x: int, th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
     """Multiplication by X = v-:  v+ -> v-,  v- -> t v+."""
-    return multiply(x, Label.MINUS, th)
-
-
-def specialize(p: TPoly, t_value: int) -> int:
-    """Polynomial evaluation at an integer t."""
-    return p.specialize(t_value)
-
-
-def _accumulate(mapping: dict, key, poly: TPoly) -> None:
-    cur = mapping.get(key)
-    total = poly if cur is None else cur + poly
-    if total.is_zero():
-        mapping.pop(key, None)
-    else:
-        mapping[key] = total
-
-
-def _reduce_map(raw: dict, th: Theory) -> dict:
-    out = {}
-    for key, poly in raw.items():
-        reduced = th.reduce(poly)
-        if not reduced.is_zero():
-            out[key] = reduced
-    return out
+    return _MULTIPLY[th][x][MINUS]

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .algebra import Label, Theory
+from .algebra import LABEL_NAMES, Theory
 from .cobordism import (
     Movie,
     bn_and_kj,
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="movie JSON file (or inline JSON)")
     p.add_argument("--punctured", action="store_true",
                    help="evaluate as a punctured movie instead of a closed one")
-    p.add_argument("--label", choices=("v+", "v-"), default="v-",
+    p.add_argument("--label", choices=LABEL_NAMES, default="v-",
                    help="starting label for a punctured unknot-to-empty movie")
     _add_common(p, "bar-natan")
 
@@ -180,7 +180,7 @@ def _render_element(element) -> str:
     parts = []
     for g in sorted(element.terms, key=lambda g: g.labels):
         (label,) = g.labels
-        parts.append(f"({element.terms[g]})*{label}")
+        parts.append(f"({element.terms[g]})*{LABEL_NAMES[label]}")
     return " + ".join(parts)
 
 
@@ -216,7 +216,7 @@ def _cmd_movie(args) -> int:
         raise ValidationError(report.index, report.reason)
     if args.punctured:
         if m.initial == "unknot":
-            label = Label.PLUS if args.label == "v+" else Label.MINUS
+            label = LABEL_NAMES.index(args.label)
             value = punctured_eval(m, label, "to_empty", theory)
             payload = {"direction": "to_empty", "label": args.label, "value": str(value)}
             human = f"psi({args.label}) = {value}"

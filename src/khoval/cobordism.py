@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import Label, TPoly, Theory, comultiply, counit, multiply, xmult
+from .algebra import MINUS, PLUS, TPoly, Theory, comultiply, counit, multiply, xmult
 from .cube import (
     DEFAULT_CAP, CochainElement, CubeComplex, Generator, _accumulate, build_cube
 )
@@ -93,11 +93,10 @@ class ChainMapRep:
     def apply(self, x: CochainElement) -> CochainElement:
         if x.cube is not self.source:
             raise KhovalError("element does not live on the map's source")
-        theory = self.target.theory
         acc: dict[Generator, TPoly] = {}
         for g, coeff in x.terms.items():
             for h, poly in self.of_generator(g).terms.items():
-                _accumulate(acc, h, poly * coeff, theory)
+                _accumulate(acc, h, poly * coeff)
         return CochainElement(self.target, acc)
 
 
@@ -129,11 +128,11 @@ def _local_transfer(
     src_res: ResolvedDiagram,
     tgt_res: ResolvedDiagram,
     hints: dict[int, tuple[int, ...]],
-    labels: tuple[Label, ...],
+    labels: tuple[int, ...],
     theory: Theory,
-    fixed: dict[int, Label] | None = None,
-    death_coeff: Callable[[Label], TPoly] | None = None,
-) -> list[tuple[tuple[Label, ...], TPoly]]:
+    fixed: dict[int, int] | None = None,
+    death_coeff: Callable[[int], TPoly] | None = None,
+) -> list[tuple[tuple[int, ...], TPoly]]:
     """Transport labels across a move, applying at most one merge or split.
 
     `fixed` pre-assigns labels to target circles not hit by the matching
@@ -141,7 +140,7 @@ def _local_transfer(
     no surviving arcs must be sanctioned by `death_coeff`.
     """
     targets = _circle_targets(src_res, tgt_res, hints)
-    assignment: dict[int, Label] = dict(fixed or {})
+    assignment: dict[int, int] = dict(fixed or {})
     coeff = TPoly(1)
     merge_at: dict[int, list[int]] = {}
     split_src: list[int] = []
@@ -163,7 +162,7 @@ def _local_transfer(
     if n_merges + len(split_src) > 1:
         raise KhovalError("circle transfer is not a single merge or split")
 
-    results: list[tuple[dict[int, Label], TPoly]] = [(assignment, coeff)]
+    results: list[tuple[dict[int, int], TPoly]] = [(assignment, coeff)]
     for t, srcs in merge_at.items():
         if len(srcs) == 1:
             for asg, _ in results:
@@ -253,7 +252,7 @@ def esi_chain_map(
 def _element(tgt: CubeComplex, mask: int, terms) -> CochainElement:
     acc: dict[Generator, TPoly] = {}
     for labels, poly in terms:
-        _accumulate(acc, Generator(mask, labels), poly, tgt.theory)
+        _accumulate(acc, Generator(mask, labels), poly)
     return CochainElement(tgt, acc)
 
 
@@ -262,7 +261,7 @@ def _birth_fn(src, tgt, info: MoveInfo):
 
     def fn(g: Generator) -> CochainElement:
         tgt_res = tgt.circles(g.mask)
-        fixed = {tgt_res.circle_of[born]: Label.PLUS}
+        fixed = {tgt_res.circle_of[born]: PLUS}
         terms = _local_transfer(
             src.circles(g.mask), tgt_res, {}, g.labels, tgt.theory, fixed
         )
@@ -333,11 +332,11 @@ def _r1_add_fn(src, tgt, info: MoveInfo):
             kink = tgt_res.circle_of[loop_arc]
             base = _local_transfer(
                 src_res, tgt_res, hints, g.labels, tgt.theory,
-                fixed={kink: Label.MINUS},
+                fixed={kink: MINUS},
             )
             plus = _local_transfer(
                 src_res, tgt_res, hints, g.labels, tgt.theory,
-                fixed={kink: Label.PLUS},
+                fixed={kink: PLUS},
             )
             strand = tgt_res.circle_of[strand_arc]
             terms = base + _xmult_target(plus, strand, tgt.theory, factor=-1)
@@ -347,7 +346,7 @@ def _r1_add_fn(src, tgt, info: MoveInfo):
             kink = tgt_res.circle_of[loop_arc]
             terms = _local_transfer(
                 src_res, tgt_res, hints, g.labels, tgt.theory,
-                fixed={kink: Label.PLUS},
+                fixed={kink: PLUS},
             )
         return _element(tgt, mask, terms)
 
@@ -369,11 +368,11 @@ def _r1_remove_fn(src, tgt, info: MoveInfo):
         kink = src_res.circle_of[loop_arc]
         kink_label = g.labels[kink]
 
-        def consumed(_lbl: Label) -> TPoly:
+        def consumed(_lbl: int) -> TPoly:
             return TPoly(1)  # the kink circle is handled by the branch below
 
         if positive:
-            if bit != 0 or kink_label is not Label.MINUS:
+            if bit != 0 or kink_label != MINUS:
                 return tgt.element()
             terms = _local_transfer(
                 src_res, tgt.circles(mask), hints, g.labels, tgt.theory,
@@ -386,7 +385,7 @@ def _r1_remove_fn(src, tgt, info: MoveInfo):
             src_res, tgt.circles(mask), hints, g.labels, tgt.theory,
             death_coeff=consumed,
         )
-        if kink_label is Label.PLUS:
+        if kink_label == PLUS:
             return _element(tgt, mask, _scaled(terms, sign))
         strand = tgt.circles(mask).circle_of[strand_arc]
         terms = _xmult_target(terms, strand, tgt.theory, factor=-1)
@@ -425,7 +424,7 @@ def _r2_add_fn(src, tgt, info: MoveInfo):
         mid = tgt_res.circle_of[p["u2"]]
         circle_terms = _local_transfer(
             src_res, tgt_res, side_hints, g.labels, tgt.theory,
-            fixed={mid: Label.PLUS},
+            fixed={mid: PLUS},
         )
         return out + _element(tgt, mask_circle, circle_terms)
 
@@ -450,7 +449,7 @@ def _r2_remove_fn(src, tgt, info: MoveInfo):
             return _element(tgt, mask, _scaled(terms, sign))
         if (b_a, b_b) == (1, 0):
             mid = src_res.circle_of[p["u2"]]
-            if g.labels[mid] is not Label.MINUS:
+            if g.labels[mid] != MINUS:
                 return tgt.element()
             reduced_labels = g.labels
             terms = _local_transfer(
@@ -470,7 +469,7 @@ def _conjugated_fn(reduction_in, pairing, reduction_out, tgt):
         for r, c1 in reduction_in.project.get(g, {}).items():
             tr, sign = pairing[r]
             for h, c2 in reduction_out.include[tr].items():
-                _accumulate(acc, h, c1 * c2 * sign, tgt.theory)
+                _accumulate(acc, h, c1 * c2 * sign)
         return CochainElement(tgt, acc)
 
     return fn
@@ -572,7 +571,7 @@ def validate_movie(m: Movie) -> MovieReport:
 def eval_movie(
     m: Movie,
     th: Theory = Theory.BAR_NATAN,
-    start_label: Label | None = None,
+    start_label: int | None = None,
     cap: int = DEFAULT_CAP,
 ) -> CochainElement:
     """Thread the initial element through all ESI chain maps."""
@@ -586,7 +585,7 @@ def eval_movie(
             raise KhovalError("a movie from the empty diagram starts at 1")
         x = cube.basis_element(Generator(0, ()))
     else:
-        label = start_label or Label.PLUS
+        label = PLUS if start_label is None else start_label
         x = cube.basis_element(Generator(0, (label,)))
     for event, still in zip(m.events, stills[1:]):
         nxt = build_cube(still, th, cap=cap)
@@ -643,7 +642,7 @@ def _is_unknot_still(d: LinkDiagram) -> bool:
 
 def punctured_eval(
     m: Movie,
-    x: Label | None = None,
+    x: int | None = None,
     direction: str = "to_empty",
     th: Theory = Theory.BAR_NATAN,
 ):

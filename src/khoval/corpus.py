@@ -9,7 +9,7 @@ instance of every implemented move, and the closed-surface values.
 
 from __future__ import annotations
 
-from .algebra import Label, TPoly, Theory
+from .algebra import MINUS, TPoly, Theory
 from .cobordism import (
     bn_invariant,
     canonical_movies,
@@ -25,16 +25,6 @@ from .homology import graded_euler, kauffman_jones
 from .moves import ESI, apply_esi, apply_esi_info
 
 __all__ = ["PD_CODES", "torus2_pd", "corpus_diagrams", "corpus_movies", "verify_all"]
-
-PD_CODES = {
-    "empty": "",
-    "unknot": "L0",
-    "two_unknots": "L0 L1",
-    "hopf": "X(1,3,2,4) X(4,2,3,1)",
-    "trefoil": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)",
-    "figure8": "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)",
-    "braid_closure": "X(2,1,4,5) X(3,5,6,3) X(6,4,1,2)",
-}
 
 
 def torus2_pd(n: int) -> str:
@@ -61,6 +51,18 @@ def torus2_pd(n: int) -> str:
         else:
             toks.append(f"X({a0},{b0},{a1},{b1})")
     return " ".join(toks)
+
+
+PD_CODES = {
+    "empty": "",
+    "unknot": "L0",
+    "two_unknots": "L0 L1",
+    "hopf": "X(1,3,2,4) X(4,2,3,1)",
+    "trefoil": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)",
+    "figure8": "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)",
+    "braid_closure": "X(2,1,4,5) X(3,5,6,3) X(6,4,1,2)",
+    "torus_link_2_4": torus2_pd(4),
+}
 
 
 def corpus_diagrams(include_movie_stills: bool = True) -> dict[str, LinkDiagram]:
@@ -159,7 +161,7 @@ def _suite_movies(cap: int) -> tuple[bool, str]:
     if bn_invariant(torus_with_detour_movie()) != TPoly(2):
         return False, "detour torus BN != 2"
     for m_half in range(3):
-        got = punctured_eval(punctured_to_empty(2 * m_half), Label.MINUS, "to_empty")
+        got = punctured_eval(punctured_to_empty(2 * m_half), MINUS, "to_empty")
         want = TPoly({m_half: 4 ** m_half})
         if got != want and got != -want:
             return False, f"punctured genus {2*m_half}: {got}"

@@ -2,15 +2,20 @@
 
 Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
 on first use, so a movie pays only for the vertices its element reaches.  A
-generator is a vertex together with one label per circle of its resolution,
-circles being listed in canonical order (increasing smallest arc id).  The
-differential applies the merge/split maps along edges with the sign
-(-1)^(number of 1-bits after the flipped position), which makes every square
-face anticommute.
+generator is a vertex together with one int label (PLUS = 0 for v+, MINUS = 1
+for v-) per circle of its resolution, circles being listed in canonical order
+(increasing smallest arc id).  The differential applies the merge/split maps
+along edges with the sign (-1)^(number of 1-bits after the flipped position),
+which makes every square face anticommute.
+
+Coefficients are kept in the cube's theory: the structure tables are already
+reduced per theory, and t -> 0 and t -> 1 are ring maps, so sums and products
+of their entries stay reduced.  A caller's coefficient is reduced where it
+enters, in `CubeComplex.element` and `CochainElement.scale`.
 
 Cohomological degree of a generator is |v| - n_minus; its q-degree is the sum
-of label degrees plus (|v| - n_minus) + (n_plus - n_minus), and a coefficient
-t^k lowers q by 4k.
+of label degrees (1 - 2*l for label l) plus (|v| - n_minus) + (n_plus -
+n_minus), and a coefficient t^k lowers q by 4k.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import Label, TPoly, Theory, comultiply, multiply
+from .algebra import LABEL_NAMES, LABELS, TPoly, Theory, comultiply, multiply
 from .diagram import (
     LinkDiagram,
     Merge,
@@ -49,13 +54,13 @@ class Generator(NamedTuple):
     """A cube vertex (bitmask) with a labeling of its circles."""
 
     mask: int
-    labels: tuple[Label, ...]
+    labels: tuple[int, ...]
 
     def bits(self, n: int) -> tuple[int, ...]:
         return tuple((self.mask >> j) & 1 for j in range(n))
 
     def __str__(self) -> str:
-        lab = "(x)".join(str(l) for l in self.labels) or "1"
+        lab = "(x)".join(LABEL_NAMES[l] for l in self.labels) or "1"
         return f"[{self.mask:b}|{lab}]"
 
 
@@ -118,7 +123,7 @@ class CubeComplex:
 
     def generators_at(self, mask: int) -> Iterator[Generator]:
         k = self.circles(mask).count
-        for labels in itertools.product((Label.PLUS, Label.MINUS), repeat=k):
+        for labels in itertools.product(LABELS, repeat=k):
             yield Generator(mask, labels)
 
     def generators(self) -> Iterator[Generator]:
@@ -127,14 +132,17 @@ class CubeComplex:
 
     def degrees(self, g: Generator) -> tuple[int, int]:
         """(cohomological degree, q-degree) of a generator."""
-        if len(g.labels) != self.circles(g.mask).count:
+        k = len(g.labels)
+        if k != self.circles(g.mask).count:
             raise KhovalError("generator does not live on this cube")
         i = g.mask.bit_count() - self.n_minus
-        q = sum(l.q_degree for l in g.labels) + i + (self.n_plus - self.n_minus)
+        q = k - 2 * sum(g.labels) + i + (self.n_plus - self.n_minus)
         return i, q
 
     def element(self, terms: dict[Generator, TPoly] | None = None) -> "CochainElement":
-        return CochainElement(self, terms or {})
+        """An element with the given Z[t] coefficients, reduced into the theory."""
+        reduce = self.theory.reduce
+        return CochainElement(self, {g: reduce(p) for g, p in (terms or {}).items()})
 
     def debug_json(self) -> dict:
         """A JSON-friendly dump of vertices, circle counts and edge effects."""
@@ -180,7 +188,7 @@ class CubeComplex:
         tgt_mask = g.mask | (1 << j)
         merge = isinstance(data, Merge)
         # a merge leaves one circle fewer, a split one more
-        base: list[Label | None] = [None] * (len(g.labels) + (-1 if merge else 1))
+        base: list[int | None] = [None] * (len(g.labels) + (-1 if merge else 1))
         for s, t in data.correspondence.items():
             base[t] = g.labels[s]
         out = []
@@ -209,7 +217,7 @@ class CubeComplex:
                 continue
             sign = sign_fn(g.mask, j)
             for tgt, poly in self.apply_edge(g, j):
-                _accumulate(acc, tgt, poly * sign, self.theory)
+                _accumulate(acc, tgt, poly * sign)
         return CochainElement(self, acc)
 
     def differential(
@@ -220,7 +228,7 @@ class CubeComplex:
         acc: dict[Generator, TPoly] = {}
         for g, coeff in x.terms.items():
             for tgt, poly in self.differential_of(g, sign_fn).terms.items():
-                _accumulate(acc, tgt, poly * coeff, self.theory)
+                _accumulate(acc, tgt, poly * coeff)
         return CochainElement(self, acc)
 
 
@@ -241,19 +249,18 @@ class CochainElement:
             raise KhovalError("cannot add elements on different cubes")
         acc = dict(self.terms)
         for g, p in other.terms.items():
-            _accumulate(acc, g, p, self.cube.theory)
+            _accumulate(acc, g, p)
         return CochainElement(self.cube, acc)
 
     def __sub__(self, other: "CochainElement") -> "CochainElement":
         return self + other.scale(-1)
 
     def scale(self, factor: TPoly | int) -> "CochainElement":
+        """The element times a Z[t] factor, reduced into the cube's theory."""
         if isinstance(factor, int):
             factor = TPoly(factor)
-        acc = {}
-        for g, p in self.terms.items():
-            _accumulate(acc, g, p * factor, self.cube.theory)
-        return CochainElement(self.cube, acc)
+        factor = self.cube.theory.reduce(factor)
+        return CochainElement(self.cube, {g: p * factor for g, p in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CochainElement):
@@ -283,8 +290,8 @@ class CochainElement:
         return " + ".join(bits)
 
 
-def _accumulate(acc: dict, key, poly: TPoly, theory: Theory) -> None:
-    poly = theory.reduce(poly)
+def _accumulate(acc: dict, key, poly: TPoly) -> None:
+    """acc[key] += poly, dropping the key when the sum is zero."""
     cur = acc.get(key)
     total = poly if cur is None else cur + poly
     if total.is_zero():
@@ -340,11 +347,11 @@ def check_faces(c: CubeComplex) -> CheckReport:
                     path1: dict[Generator, TPoly] = {}
                     for mid, p1 in c.apply_edge(g, j):
                         for tgt, p2 in c.apply_edge(mid, k):
-                            _accumulate(path1, tgt, p1 * p2, c.theory)
+                            _accumulate(path1, tgt, p1 * p2)
                     path2: dict[Generator, TPoly] = {}
                     for mid, p1 in c.apply_edge(g, k):
                         for tgt, p2 in c.apply_edge(mid, j):
-                            _accumulate(path2, tgt, p1 * p2, c.theory)
+                            _accumulate(path2, tgt, p1 * p2)
                     if path1 != path2:
                         return CheckReport(
                             False,

@@ -17,9 +17,8 @@ with the cohomology path except the parsed diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
-from .algebra import Theory
+from .algebra import LaurentPoly, Theory
 from .cube import CubeComplex
 from .diagram import LinkDiagram
 from .errors import CapExceededError, KhovalError, TheoryError
@@ -33,76 +32,6 @@ __all__ = [
     "graded_euler",
     "kauffman_jones",
 ]
-
-
-class LaurentPoly:
-    """Sparse Laurent polynomial in q with integer coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, int] | int = 0):
-        if isinstance(terms, int):
-            terms = {0: terms} if terms else {}
-        self._terms = {int(e): int(c) for e, c in terms.items() if c}
-
-    @property
-    def terms(self) -> dict[int, int]:
-        return dict(self._terms)
-
-    def coefficient(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return LaurentPoly(terms)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
-        terms: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exp, coeff in sorted(self._terms.items()):
-            if exp == 0:
-                body = str(abs(coeff))
-            else:
-                mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
-                body = f"{mag}q" if exp == 1 else f"{mag}q^{exp}"
-            if not parts:
-                parts.append(f"-{body}" if coeff < 0 else body)
-            else:
-                parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self._terms!r})"
 
 
 @dataclass(frozen=True)

@@ -24,24 +24,11 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .algebra import TPoly
-from .cube import CubeComplex, Generator
+from .cube import CubeComplex, Generator, _accumulate
 
 __all__ = ["BasedComplex", "Reduction", "eliminate", "reduce_cube", "match_reduced"]
 
 Element = dict[Generator, TPoly]
-
-
-def elem_add(a: Element, b: Element, scale: TPoly | None = None) -> Element:
-    out = dict(a)
-    for g, p in b.items():
-        q = p if scale is None else p * scale
-        cur = out.get(g)
-        total = q if cur is None else cur + q
-        if total.is_zero():
-            out.pop(g, None)
-        else:
-            out[g] = total
-    return out
 
 
 @dataclass
@@ -215,7 +202,7 @@ def match_reduced(
             lhs: Element = {}
             for h, p in src.diff.get(g, {}).items():
                 th, s2 = u[h]
-                lhs = elem_add(lhs, {th: p * s2})
+                _accumulate(lhs, th, p * s2)
             rhs = {k: v * sign for k, v in tgt.diff.get(tg, {}).items()}
             if lhs != rhs:
                 return False

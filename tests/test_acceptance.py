@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from khoval.algebra import Label, TPoly, Theory, tube
+from khoval.algebra import MINUS, PLUS, TPoly, Theory, tube
 from khoval.cobordism import (
     bn_invariant,
     canonical_movies,
@@ -33,7 +33,7 @@ from khoval.moves import ESI, apply_esi
 
 from test_cobordism import _induces_identity, move_instances
 
-P, M = Label.PLUS, Label.MINUS
+P, M = PLUS, MINUS
 
 
 def _report(criterion: str, detail: str):

@@ -5,19 +5,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from khoval.algebra import (
-    Label,
+    LABELS,
+    LaurentPoly,
+    MINUS,
+    PLUS,
     TPoly,
     Theory,
     comultiply,
     counit,
     multiply,
-    specialize,
     tube,
     unit,
+    xmult,
 )
 
-P, M = Label.PLUS, Label.MINUS
+P, M = PLUS, MINUS
 ALL_THEORIES = list(Theory)
+
+
+def qdeg(label):
+    return 1 - 2 * label
 
 
 def tp(*pairs):
@@ -60,18 +67,32 @@ def test_tube_values():
     assert tube(M, Theory.LEE) == {P: TPoly(2)}
 
 
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_structure_tables_are_reduced(th):
+    # each theory's tables are reduced once, so every entry is already reduced
+    coeffs = [counit(a, th) for a in LABELS]
+    for a in LABELS:
+        for table in (comultiply(a, th), xmult(a, th), tube(a, th)):
+            coeffs.extend(table.values())
+        for b in LABELS:
+            coeffs.extend(multiply(a, b, th).values())
+    assert len(coeffs) >= 10
+    for c in coeffs:
+        assert th.reduce(c) == c, (th, c)
+
+
 def test_specialize():
-    assert specialize(TPoly(2), 0) == 2
-    assert specialize(tp((1, 8)), 0) == 0
-    assert specialize(tp((1, 8)), 1) == 8
-    assert specialize(tp((0, 3), (2, -5)), 2) == 3 - 20
+    assert TPoly(2).specialize(0) == 2
+    assert tp((1, 8)).specialize(0) == 0
+    assert tp((1, 8)).specialize(1) == 8
+    assert tp((0, 3), (2, -5)).specialize(2) == 3 - 20
 
 
 # -- algebra laws on all basis inputs ------------------------------------------
 
 
 def _mul_elem(x, th):
-    """Multiply a {Label: TPoly} element by extending the basis table."""
+    """Multiply a {label: TPoly} element by extending the basis table."""
 
     def on_pair(a, b):
         return multiply(a, b, th)
@@ -81,9 +102,9 @@ def _mul_elem(x, th):
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
 def test_associativity(th):
-    for a in Label:
-        for b in Label:
-            for c in Label:
+    for a in LABELS:
+        for b in LABELS:
+            for c in LABELS:
                 left = {}
                 for lbl, p1 in multiply(a, b, th).items():
                     for lbl2, p2 in multiply(lbl, c, th).items():
@@ -99,7 +120,7 @@ def test_associativity(th):
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
 def test_coassociativity(th):
-    for a in Label:
+    for a in LABELS:
         left = {}
         for (x, y), p1 in comultiply(a, th).items():
             for (u, v), p2 in comultiply(x, th).items():
@@ -118,8 +139,8 @@ def test_coassociativity(th):
 @pytest.mark.parametrize("th", ALL_THEORIES)
 def test_frobenius_relation(th):
     # Delta o m == (m (x) id) o (id (x) Delta) on every basis pair
-    for a in Label:
-        for b in Label:
+    for a in LABELS:
+        for b in LABELS:
             left = {}
             for lbl, p1 in multiply(a, b, th).items():
                 for (x, y), p2 in comultiply(lbl, th).items():
@@ -136,7 +157,7 @@ def test_frobenius_relation(th):
 @pytest.mark.parametrize("th", ALL_THEORIES)
 def test_unit_counit_laws(th):
     # m o (unit (x) id) = id  and  (counit (x) id) o Delta = id
-    for a in Label:
+    for a in LABELS:
         out = {}
         for lbl, p1 in unit(th).items():
             for lbl2, p2 in multiply(lbl, a, th).items():
@@ -153,7 +174,7 @@ def _q_of_output(mapping, arity: int) -> set[int]:
     degs = set()
     for key, poly in mapping.items():
         labels = key if isinstance(key, tuple) else (key,)
-        base = sum(l.q_degree for l in labels)
+        base = sum(qdeg(l) for l in labels)
         for exp, _ in poly.items():
             degs.add(base - 4 * exp)
     return degs
@@ -162,23 +183,23 @@ def _q_of_output(mapping, arity: int) -> set[int]:
 @pytest.mark.parametrize("th", [Theory.BAR_NATAN, Theory.KHOVANOV])
 def test_degree_law(th):
     # homogeneous theories: m and Delta have degree -1, unit and counit +1
-    for a in Label:
-        for b in Label:
+    for a in LABELS:
+        for b in LABELS:
             out = _q_of_output(multiply(a, b, th), 2)
-            assert out <= {a.q_degree + b.q_degree - 1}
+            assert out <= {qdeg(a) + qdeg(b) - 1}
         out = _q_of_output(comultiply(a, th), 1)
-        assert out <= {a.q_degree - 1}
+        assert out <= {qdeg(a) - 1}
     assert _q_of_output(unit(th), 0) == {1}
-    for a in Label:
+    for a in LABELS:
         eps = counit(a, th)
         for exp, _ in eps.items():
-            assert a.q_degree + (1 - 4 * exp) == 0 or eps.is_zero()
+            assert qdeg(a) + (1 - 4 * exp) == 0 or eps.is_zero()
 
 
 def test_deformed_specializes_to_plain():
     # setting t = 0 in every deformed structure map gives the plain theory
-    for a in Label:
-        for b in Label:
+    for a in LABELS:
+        for b in LABELS:
             bn = multiply(a, b, Theory.BAR_NATAN)
             kh = multiply(a, b, Theory.KHOVANOV)
             assert {k: TPoly(v.coefficient(0)) for k, v in bn.items()
@@ -225,3 +246,18 @@ def test_tpoly_str():
 def test_tpoly_rejects_negative_exponent():
     with pytest.raises(ValueError):
         TPoly({-1: 2})
+
+
+def test_laurent_poly_is_tpoly_in_q():
+    q_inv = LaurentPoly({-1: 1})
+    assert str(q_inv) == "q^-1"
+    assert repr(q_inv) == "LaurentPoly({-1: 1})"
+    assert TPoly(1) != LaurentPoly(1)
+    assert LaurentPoly(1) != TPoly(1)
+    assert LaurentPoly(3) == 3
+    for value in (q_inv + q_inv, q_inv - q_inv, -q_inv, q_inv * 2, 2 * q_inv,
+                  q_inv * LaurentPoly({1: 1})):
+        assert type(value) is LaurentPoly
+    assert q_inv * LaurentPoly({1: 1}) == LaurentPoly(1)
+    for value in (TPoly(1) + TPoly(2), TPoly(2) * TPoly({1: 1}), -TPoly(1)):
+        assert type(value) is TPoly

@@ -157,6 +157,17 @@ def test_movie_punctured_from_empty(capsys, tmp_path):
     assert out.strip() == "psi(1) = (2)*v-"
 
 
+def test_movie_punctured_v_plus_on_torus(capsys, tmp_path):
+    # with test_movie_punctured_from_empty, pins which label --label v+ selects
+    from khoval.cobordism import punctured_to_empty
+
+    p = tmp_path / "punctured.json"
+    p.write_text(json.dumps(movie_to_json(punctured_to_empty(1))))
+    code, out, _ = run(capsys, "movie", str(p), "--punctured", "--label", "v+")
+    assert code == 0
+    assert out.strip() == "psi(v+) = 2"
+
+
 def test_stills_torus(capsys):
     code, out, _ = run(capsys, "stills", str(MOVIES_DIR / "torus.json"))
     assert code == 0

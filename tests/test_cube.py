@@ -2,14 +2,14 @@
 
 import pytest
 
-from khoval.algebra import Label, TPoly, Theory
+from khoval.algebra import MINUS, PLUS, TPoly, Theory
 from khoval.cube import Generator, build_cube, check_d_squared, check_faces
 from khoval.corpus import PD_CODES
 from khoval.diagram import parse_pd, resolve
 from khoval.errors import CapExceededError, KhovalError
 from khoval.moves import ESI, apply_esi
 
-P, M = Label.PLUS, Label.MINUS
+P, M = PLUS, MINUS
 ALL_THEORIES = list(Theory)
 
 
@@ -182,6 +182,35 @@ def test_element_homogeneous_degree():
     with pytest.raises(KhovalError):
         shifted.degree()
     assert plus.scale(TPoly({1: 2})).degree() == (0, -3)
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_caller_coefficients_are_reduced_on_entry(th):
+    c = build_cube(parse_pd("L0"), th)
+    g = Generator(0, (M,))
+    t = TPoly({1: 1})
+    x = c.element({g: t})
+    if th is Theory.KHOVANOV:
+        assert x.is_zero()
+    elif th is Theory.LEE:
+        assert x == c.element({g: TPoly(1)})
+    else:
+        assert x.terms == {g: t}
+    assert c.basis_element(g).scale(t) == x
+    for p in x.terms.values():
+        assert th.reduce(p) == p
+
+
+def test_generator_order_and_format_pin_v_plus_as_zero():
+    # v+ sorts first: generator order, pivot order and printed output rely on it
+    c = build_cube(parse_pd(PD_CODES["two_unknots"]), Theory.KHOVANOV)
+    assert c.circles(0).count == 2
+    assert list(c.generators_at(0)) == [
+        Generator(0, labels) for labels in ((P, P), (P, M), (M, P), (M, M))
+    ]
+    assert (P, M) == (0, 1)
+    assert str(Generator(5, (P, M))) == "[101|v+(x)v-]"
+    assert c.degrees(Generator(0, (P, P))) == (0, 2)
 
 
 def test_debug_json_is_serializable():
