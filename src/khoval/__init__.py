@@ -52,13 +52,13 @@ from .cube import (
 from .diagram import (
     Crossing,
     LinkDiagram,
-    Merge,
     ResolvedDiagram,
-    Split,
+    Transfer,
     edge_effect,
     parse_pd,
     resolve,
     serialize_pd,
+    transfer,
 )
 from .errors import (
     CapExceededError,

@@ -9,10 +9,10 @@ Commands
 
 Diagram inputs are PD text (or a path to a file containing it); movie inputs
 are JSON files.  Defaults can be overridden with KHOVAL_THEORY, KHOVAL_FORMAT
-and KHOVAL_CAP.
+and KHOVAL_CAP, which are checked like the flags.
 
-Exit codes: 2 parse failure, 3 theory guard, 4 cap exceeded, 5 movie
-validation failure, 1 any other engine error.
+Exit codes: 2 parse failure or usage error, 3 theory guard, 4 cap exceeded,
+5 movie validation failure, 1 any other engine error.
 """
 
 from __future__ import annotations
@@ -48,18 +48,29 @@ def _env_default(name: str, fallback):
     return os.environ.get(f"KHOVAL_{name}", fallback)
 
 
+FORMATS = ("human", "csv", "json")
+
+
+def _format(value: str) -> str:
+    # argparse checks `choices` on flags only; `type` sees the default too
+    if value not in FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(map(repr, FORMATS))})"
+        )
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, theory_default: str) -> None:
+    # string defaults (the KHOVAL_* variables) go through `type` like a flag
     p.add_argument(
         "--theory",
         default=_env_default("THEORY", theory_default),
         help="khovanov | bar-natan | lee",
     )
     p.add_argument(
-        "--format",
-        choices=("human", "csv", "json"),
-        default=_env_default("FORMAT", "human"),
+        "--format", type=_format, choices=FORMATS, default=_env_default("FORMAT", "human")
     )
-    p.add_argument("--cap", type=int, default=int(_env_default("CAP", DEFAULT_CAP)))
+    p.add_argument("--cap", type=int, default=_env_default("CAP", str(DEFAULT_CAP)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,11 +228,11 @@ def _cmd_movie(args) -> int:
     if args.punctured:
         if m.initial == "unknot":
             label = LABEL_NAMES.index(args.label)
-            value = punctured_eval(m, label, "to_empty", theory)
+            value = punctured_eval(m, label, "to_empty", theory, cap=args.cap)
             payload = {"direction": "to_empty", "label": args.label, "value": str(value)}
             human = f"psi({args.label}) = {value}"
         else:
-            element = punctured_eval(m, direction="from_empty", th=theory)
+            element = punctured_eval(m, direction="from_empty", th=theory, cap=args.cap)
             payload = {"direction": "from_empty", "value": _render_element(element)}
             human = f"psi(1) = {payload['value']}"
         if args.format == "json":

@@ -13,6 +13,13 @@ event induces a chain map between the cube complexes of consecutive stills:
   (-1)^(inversions among 1-bits).  The R3 map is assembled at runtime from
   Gaussian-elimination equivalences of the two cubes.
 
+The birth, death, saddle, R1 and R2 maps move labels with the same
+circle-transfer plan as a cube edge (`diagram.transfer`, applied by
+`cube.transfer_labels`), read through the move's arc hints.  Each map
+computes its plans, target mask and Koszul sign once per source vertex.
+`eval_movie` reuses the rewrites that `Movie.replay` recorded; the public
+`esi_chain_map` redoes the rewrite and checks it against the target cube.
+
 Evaluating a closed movie on 1 gives the endomorphism of the ground ring:
 its absolute value is the deformed invariant (a polynomial in t), whose
 value at t = 0 is the undeformed integer invariant.
@@ -21,13 +28,20 @@ value at t = 0 is the undeformed integer invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
-from .algebra import MINUS, PLUS, TPoly, Theory, comultiply, counit, multiply, xmult
+from .algebra import MINUS, PLUS, TPoly, Theory, counit, xmult
 from .cube import (
-    DEFAULT_CAP, CochainElement, CubeComplex, Generator, _accumulate, build_cube
+    DEFAULT_CAP,
+    CochainElement,
+    CubeComplex,
+    Generator,
+    _accumulate,
+    build_cube,
+    transfer_labels,
 )
-from .diagram import LinkDiagram, ResolvedDiagram
+from .diagram import LinkDiagram, ResolvedDiagram, Transfer, transfer
 from .errors import (
     KhovalError,
     MoveError,
@@ -107,95 +121,17 @@ def _hint_tuples(arc_map: dict[int, int]) -> dict[int, tuple[int, ...]]:
     return {a: (b,) for a, b in arc_map.items()}
 
 
-def _circle_targets(
+def _plan(
     src_res: ResolvedDiagram,
     tgt_res: ResolvedDiagram,
-    hints: dict[int, tuple[int, ...]],
-) -> list[tuple[int, ...]]:
-    out = []
-    for circ in src_res.circles:
-        targets: set[int] = set()
-        for a in circ:
-            for na in hints.get(a, (a,)):
-                t = tgt_res.circle_of.get(na)
-                if t is not None:
-                    targets.add(t)
-        out.append(tuple(sorted(targets)))
-    return out
-
-
-def _local_transfer(
-    src_res: ResolvedDiagram,
-    tgt_res: ResolvedDiagram,
-    hints: dict[int, tuple[int, ...]],
-    labels: tuple[int, ...],
-    theory: Theory,
-    fixed: dict[int, int] | None = None,
-    death_coeff: Callable[[int], TPoly] | None = None,
-) -> list[tuple[tuple[int, ...], TPoly]]:
-    """Transport labels across a move, applying at most one merge or split.
-
-    `fixed` pre-assigns labels to target circles not hit by the matching
-    (newly born circles, the middle circle of an R2).  A source circle with
-    no surviving arcs must be sanctioned by `death_coeff`.
-    """
-    targets = _circle_targets(src_res, tgt_res, hints)
-    assignment: dict[int, int] = dict(fixed or {})
-    coeff = TPoly(1)
-    merge_at: dict[int, list[int]] = {}
-    split_src: list[int] = []
-    for i, ts in enumerate(targets):
-        if len(ts) == 0:
-            if death_coeff is None:
-                raise KhovalError("a circle vanished without a death rule")
-            coeff = coeff * death_coeff(labels[i])
-            if coeff.is_zero():
-                return []
-        elif len(ts) == 1:
-            merge_at.setdefault(ts[0], []).append(i)
-        elif len(ts) == 2:
-            split_src.append(i)
-        else:
-            raise KhovalError("circle transfer is not a single merge or split")
-
-    n_merges = sum(1 for srcs in merge_at.values() if len(srcs) > 1)
-    if n_merges + len(split_src) > 1:
-        raise KhovalError("circle transfer is not a single merge or split")
-
-    results: list[tuple[dict[int, int], TPoly]] = [(assignment, coeff)]
-    for t, srcs in merge_at.items():
-        if len(srcs) == 1:
-            for asg, _ in results:
-                asg[t] = labels[srcs[0]]
-        elif len(srcs) == 2:
-            branched = []
-            for asg, c in results:
-                for lbl, poly in multiply(
-                    labels[srcs[0]], labels[srcs[1]], theory
-                ).items():
-                    asg2 = dict(asg)
-                    asg2[t] = lbl
-                    branched.append((asg2, c * poly))
-            results = branched
-        else:
-            raise KhovalError("more than two circles merged at once")
-    for i in split_src:
-        t1, t2 = targets[i]
-        branched = []
-        for asg, c in results:
-            for (l1, l2), poly in comultiply(labels[i], theory).items():
-                asg2 = dict(asg)
-                asg2[t1] = l1
-                asg2[t2] = l2
-                branched.append((asg2, c * poly))
-        results = branched
-
-    out = []
-    for asg, c in results:
-        if len(asg) != tgt_res.count:
-            raise KhovalError("circle transfer left target circles unlabeled")
-        out.append((tuple(asg[k] for k in range(tgt_res.count)), c))
-    return out
+    hints: dict[int, tuple[int, ...]] | None = None,
+    deaths: bool = False,
+) -> Transfer:
+    """The transfer plan of one source vertex; `deaths` sanctions dead circles."""
+    plan = transfer(src_res, tgt_res, hints)
+    if plan.dead and not deaths:
+        raise KhovalError("a circle vanished without a death rule")
+    return plan
 
 
 def _koszul_to_front(mask: int, front: tuple[int, ...], n: int) -> tuple[int, int]:
@@ -231,6 +167,11 @@ def esi_chain_map(
     rewritten, info = apply_esi_info(src.diagram, event)
     if rewritten != tgt.diagram:
         raise MoveError("target cube was not built from the rewritten diagram")
+    return _event_map(event, info, src, tgt)
+
+
+def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex) -> ChainMapRep:
+    """The chain map of an event whose rewrite `info` is already known."""
     kind = event.kind
     if kind == "birth":
         fn = _birth_fn(src, tgt, info)
@@ -259,28 +200,32 @@ def _element(tgt: CubeComplex, mask: int, terms) -> CochainElement:
 def _birth_fn(src, tgt, info: MoveInfo):
     born = info.created_arcs[0]
 
+    @cache
+    def vertex(mask: int):
+        tgt_res = tgt.circles(mask)
+        return _plan(src.circles(mask), tgt_res), {tgt_res.circle_of[born]: PLUS}
+
     def fn(g: Generator) -> CochainElement:
-        tgt_res = tgt.circles(g.mask)
-        fixed = {tgt_res.circle_of[born]: PLUS}
-        terms = _local_transfer(
-            src.circles(g.mask), tgt_res, {}, g.labels, tgt.theory, fixed
-        )
-        return _element(tgt, g.mask, terms)
+        plan, fixed = vertex(g.mask)
+        return _element(tgt, g.mask, transfer_labels(plan, g.labels, tgt.theory, fixed))
 
     return fn
 
 
 def _death_fn(src, tgt, info: MoveInfo):
+    @cache
+    def vertex(mask: int) -> Transfer:
+        return _plan(src.circles(mask), tgt.circles(mask), deaths=True)
+
     def fn(g: Generator) -> CochainElement:
-        terms = _local_transfer(
-            src.circles(g.mask),
-            tgt.circles(g.mask),
-            {},
-            g.labels,
-            tgt.theory,
-            death_coeff=lambda lbl: counit(lbl, tgt.theory),
-        )
-        return _element(tgt, g.mask, terms)
+        plan = vertex(g.mask)
+        coeff = TPoly(1)
+        for s in plan.dead:
+            coeff = coeff * counit(g.labels[s], tgt.theory)
+        if coeff.is_zero():
+            return tgt.element()
+        terms = transfer_labels(plan, g.labels, tgt.theory)
+        return _element(tgt, g.mask, _scaled(terms, coeff))
 
     return fn
 
@@ -288,14 +233,12 @@ def _death_fn(src, tgt, info: MoveInfo):
 def _saddle_fn(src, tgt, info: MoveInfo):
     hints = _hint_tuples(info.arc_map)
 
+    @cache
+    def vertex(mask: int) -> Transfer:
+        return _plan(src.circles(mask), tgt.circles(mask), hints)
+
     def fn(g: Generator) -> CochainElement:
-        terms = _local_transfer(
-            src.circles(g.mask),
-            tgt.circles(g.mask),
-            hints,
-            g.labels,
-            tgt.theory,
-        )
+        terms = transfer_labels(vertex(g.mask), g.labels, tgt.theory)
         return _element(tgt, g.mask, terms)
 
     return fn
@@ -321,33 +264,24 @@ def _xmult_target(terms, circle: int, theory: Theory, factor: int = 1):
 def _r1_add_fn(src, tgt, info: MoveInfo):
     hints = _hint_tuples(info.arc_map)
     positive = info.positive
-    loop_arc = info.loop_arc
-    strand_arc = info.strand_arc
+
+    @cache
+    def vertex(mask: int):
+        # the kink crossing is bit 0: 0-smoothed when positive, 1-smoothed when negative
+        tgt_mask = mask << 1 if positive else (mask << 1) | 1
+        tgt_res = tgt.circles(tgt_mask)
+        plan = _plan(src.circles(mask), tgt_res, hints)
+        kink, strand = tgt_res.circle_of[info.loop_arc], tgt_res.circle_of[info.strand_arc]
+        return tgt_mask, plan, kink, strand
 
     def fn(g: Generator) -> CochainElement:
-        src_res = src.circles(g.mask)
+        mask, plan, kink, strand = vertex(g.mask)
         if positive:
-            mask = g.mask << 1  # kink bit 0
-            tgt_res = tgt.circles(mask)
-            kink = tgt_res.circle_of[loop_arc]
-            base = _local_transfer(
-                src_res, tgt_res, hints, g.labels, tgt.theory,
-                fixed={kink: MINUS},
-            )
-            plus = _local_transfer(
-                src_res, tgt_res, hints, g.labels, tgt.theory,
-                fixed={kink: PLUS},
-            )
-            strand = tgt_res.circle_of[strand_arc]
+            base = transfer_labels(plan, g.labels, tgt.theory, {kink: MINUS})
+            plus = transfer_labels(plan, g.labels, tgt.theory, {kink: PLUS})
             terms = base + _xmult_target(plus, strand, tgt.theory, factor=-1)
         else:
-            mask = (g.mask << 1) | 1
-            tgt_res = tgt.circles(mask)
-            kink = tgt_res.circle_of[loop_arc]
-            terms = _local_transfer(
-                src_res, tgt_res, hints, g.labels, tgt.theory,
-                fixed={kink: PLUS},
-            )
+            terms = transfer_labels(plan, g.labels, tgt.theory, {kink: PLUS})
         return _element(tgt, mask, terms)
 
     return fn
@@ -356,39 +290,32 @@ def _r1_add_fn(src, tgt, info: MoveInfo):
 def _r1_remove_fn(src, tgt, info: MoveInfo):
     hints = _hint_tuples(info.arc_map)
     positive = info.positive
-    loop_arc = info.loop_arc
-    strand_arc = info.strand_arc
     idx = info.positions[0]
 
+    @cache
+    def vertex(mask: int):
+        rmask, sign = _koszul_to_front(mask, (idx,), src.n)
+        # a positive kink maps from its 0-smoothing, a negative one from its 1-smoothing
+        if rmask & 1 != (0 if positive else 1):
+            return None
+        tgt_mask = rmask >> 1
+        src_res = src.circles(mask)
+        # the kink circle is consumed by the label rule in `fn`
+        plan = _plan(src_res, tgt.circles(tgt_mask), hints, deaths=True)
+        strand = None if positive else tgt.circles(tgt_mask).circle_of[info.strand_arc]
+        return tgt_mask, sign, plan, src_res.circle_of[info.loop_arc], strand
+
     def fn(g: Generator) -> CochainElement:
-        rmask, sign = _koszul_to_front(g.mask, (idx,), src.n)
-        bit = rmask & 1
-        mask = rmask >> 1
-        src_res = src.circles(g.mask)
-        kink = src_res.circle_of[loop_arc]
-        kink_label = g.labels[kink]
-
-        def consumed(_lbl: int) -> TPoly:
-            return TPoly(1)  # the kink circle is handled by the branch below
-
-        if positive:
-            if bit != 0 or kink_label != MINUS:
-                return tgt.element()
-            terms = _local_transfer(
-                src_res, tgt.circles(mask), hints, g.labels, tgt.theory,
-                death_coeff=consumed,
-            )
-            return _element(tgt, mask, _scaled(terms, sign))
-        if bit != 1:
+        data = vertex(g.mask)
+        if data is None:
             return tgt.element()
-        terms = _local_transfer(
-            src_res, tgt.circles(mask), hints, g.labels, tgt.theory,
-            death_coeff=consumed,
-        )
-        if kink_label == PLUS:
-            return _element(tgt, mask, _scaled(terms, sign))
-        strand = tgt.circles(mask).circle_of[strand_arc]
-        terms = _xmult_target(terms, strand, tgt.theory, factor=-1)
+        mask, sign, plan, kink, strand = data
+        kink_label = g.labels[kink]
+        if positive and kink_label != MINUS:
+            return tgt.element()
+        terms = transfer_labels(plan, g.labels, tgt.theory)
+        if not positive and kink_label != PLUS:
+            terms = _xmult_target(terms, strand, tgt.theory, factor=-1)
         return _element(tgt, mask, _scaled(terms, sign))
 
     return fn
@@ -409,56 +336,55 @@ def _r2_add_fn(src, tgt, info: MoveInfo):
         else:
             raise KhovalError("unexpected r2 hint")
 
-    def fn(g: Generator) -> CochainElement:
-        src_res = src.circles(g.mask)
+    @cache
+    def vertex(mask: int):
+        src_res = src.circles(mask)
         # through slice: first crossing 0-smoothed, second 1-smoothed
-        mask_through = (g.mask << 2) | 0b10
-        through = _local_transfer(
-            src_res, tgt.circles(mask_through), through_hints,
-            g.labels, tgt.theory,
-        )
-        out = _element(tgt, mask_through, through)
+        mask_through = (mask << 2) | 0b10
+        through = _plan(src_res, tgt.circles(mask_through), through_hints)
         # circle slice: first crossing 1-smoothed, second 0-smoothed
-        mask_circle = (g.mask << 2) | 0b01
+        mask_circle = (mask << 2) | 0b01
         tgt_res = tgt.circles(mask_circle)
-        mid = tgt_res.circle_of[p["u2"]]
-        circle_terms = _local_transfer(
-            src_res, tgt_res, side_hints, g.labels, tgt.theory,
-            fixed={mid: PLUS},
-        )
+        circle = _plan(src_res, tgt_res, side_hints)
+        mid = {tgt_res.circle_of[p["u2"]]: PLUS}
+        return mask_through, through, mask_circle, circle, mid
+
+    def fn(g: Generator) -> CochainElement:
+        mask_through, through, mask_circle, circle, mid = vertex(g.mask)
+        out = _element(tgt, mask_through, transfer_labels(through, g.labels, tgt.theory))
+        circle_terms = transfer_labels(circle, g.labels, tgt.theory, mid)
         return out + _element(tgt, mask_circle, circle_terms)
 
     return fn
 
 
 def _r2_remove_fn(src, tgt, info: MoveInfo):
-    p = info.pieces
     hints = _hint_tuples(info.arc_map)
     ia, ib = info.positions
 
+    @cache
+    def vertex(mask: int):
+        rmask, sign = _koszul_to_front(mask, (ia, ib), src.n)
+        bits = rmask & 0b11
+        if bits not in (0b10, 0b01):
+            return None
+        tgt_mask = rmask >> 2
+        src_res = src.circles(mask)
+        if bits == 0b10:  # (0, 1): the through slice
+            return tgt_mask, sign, _plan(src_res, tgt.circles(tgt_mask), hints), None
+        # (1, 0): the circle slice; its middle circle is consumed when labeled v-
+        plan = _plan(src_res, tgt.circles(tgt_mask), hints, deaths=True)
+        return tgt_mask, -sign, plan, src_res.circle_of[info.pieces["u2"]]
+
     def fn(g: Generator) -> CochainElement:
-        rmask, sign = _koszul_to_front(g.mask, (ia, ib), src.n)
-        b_a = rmask & 1
-        b_b = (rmask >> 1) & 1
-        mask = rmask >> 2
-        src_res = src.circles(g.mask)
-        if (b_a, b_b) == (0, 1):
-            terms = _local_transfer(
-                src_res, tgt.circles(mask), hints, g.labels, tgt.theory
-            )
-            return _element(tgt, mask, _scaled(terms, sign))
-        if (b_a, b_b) == (1, 0):
-            mid = src_res.circle_of[p["u2"]]
-            if g.labels[mid] != MINUS:
-                return tgt.element()
-            reduced_labels = g.labels
-            terms = _local_transfer(
-                src_res, tgt.circles(mask), hints, reduced_labels,
-                tgt.theory,
-                death_coeff=lambda lbl: TPoly(1),  # the mid circle is consumed
-            )
-            return _element(tgt, mask, _scaled(terms, -sign))
-        return tgt.element()
+        data = vertex(g.mask)
+        if data is None:
+            return tgt.element()
+        mask, sign, plan, mid = data
+        if mid is not None and g.labels[mid] != MINUS:
+            return tgt.element()
+        terms = transfer_labels(plan, g.labels, tgt.theory)
+        return _element(tgt, mask, _scaled(terms, sign))
 
     return fn
 
@@ -575,10 +501,9 @@ def eval_movie(
     cap: int = DEFAULT_CAP,
 ) -> CochainElement:
     """Thread the initial element through all ESI chain maps."""
-    report = m.validate()
+    stills, infos, report = m.replay()
     if not report.ok:
         raise ValidationError(report.index, report.reason)
-    stills = m.stills()
     cube = build_cube(stills[0], th, cap=cap)
     if m.initial == "empty":
         if start_label is not None:
@@ -587,9 +512,9 @@ def eval_movie(
     else:
         label = PLUS if start_label is None else start_label
         x = cube.basis_element(Generator(0, (label,)))
-    for event, still in zip(m.events, stills[1:]):
+    for event, info, still in zip(m.events, infos, stills[1:]):
         nxt = build_cube(still, th, cap=cap)
-        x = esi_chain_map(event, cube, nxt, th).apply(x)
+        x = _event_map(event, info, cube, nxt).apply(x)
         cube = nxt
     return x
 
@@ -645,6 +570,7 @@ def punctured_eval(
     x: int | None = None,
     direction: str = "to_empty",
     th: Theory = Theory.BAR_NATAN,
+    cap: int = DEFAULT_CAP,
 ):
     """Evaluate a punctured movie: unknot -> empty on a label, or empty -> unknot on 1."""
     if direction == "to_empty":
@@ -652,25 +578,27 @@ def punctured_eval(
             raise MoveError("to_empty movie must run from the unknot to the empty diagram")
         if x is None:
             raise MoveError("to_empty evaluation needs a starting label")
-        out = eval_movie(m, th, start_label=x)
+        out = eval_movie(m, th, start_label=x, cap=cap)
         return out.terms.get(Generator(0, ()), TPoly(0))
     if direction == "from_empty":
         if m.initial != "empty" or not _is_unknot_still(m.stills()[-1]):
             raise MoveError("from_empty movie must run from the empty diagram to the unknot")
-        return eval_movie(m, th)
+        return eval_movie(m, th, cap=cap)
     raise MoveError(f"unknown punctured direction {direction!r}")
 
 
-def connected_sum(m1: Movie, m2: Movie, th: Theory = Theory.BAR_NATAN) -> TPoly:
+def connected_sum(
+    m1: Movie, m2: Movie, th: Theory = Theory.BAR_NATAN, cap: int = DEFAULT_CAP
+) -> TPoly:
     """Compose punctured evaluations: m1 (empty->unknot) then m2 (unknot->empty)."""
-    element = punctured_eval(m1, direction="from_empty", th=th)
+    element = punctured_eval(m1, direction="from_empty", th=th, cap=cap)
     final = m1.stills()[-1]
     if not _is_unknot_still(final):
         raise MoveError("m1 must end at a trivial-knot still")
     total = TPoly(0)
     for g, coeff in element.terms.items():
         (label,) = g.labels
-        total = total + coeff * punctured_eval(m2, label, "to_empty", th)
+        total = total + coeff * punctured_eval(m2, label, "to_empty", th, cap)
     if total.is_zero():
         return TPoly(0)
     if not total.is_monomial():

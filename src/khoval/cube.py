@@ -4,9 +4,11 @@ Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
 on first use, so a movie pays only for the vertices its element reaches.  A
 generator is a vertex together with one int label (PLUS = 0 for v+, MINUS = 1
 for v-) per circle of its resolution, circles being listed in canonical order
-(increasing smallest arc id).  The differential applies the merge/split maps
-along edges with the sign (-1)^(number of 1-bits after the flipped position),
-which makes every square face anticommute.
+(increasing smallest arc id).  Each edge caches its circle-transfer plan
+(`diagram.edge_transfer`: one merge or one split), and the differential
+applies it with `transfer_labels`, the one label applier that the movie chain
+maps use too, and the sign (-1)^(number of 1-bits after the flipped
+position), which makes every square face anticommute.
 
 Coefficients are kept in the cube's theory: the structure tables are already
 reduced per theory, and t -> 0 and t -> 1 are ring maps, so sums and products
@@ -22,17 +24,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import LABEL_NAMES, LABELS, TPoly, Theory, comultiply, multiply
-from .diagram import (
-    LinkDiagram,
-    Merge,
-    ResolvedDiagram,
-    Split,
-    edge_effect_from_resolutions,
-    resolve,
-)
+from .diagram import LinkDiagram, ResolvedDiagram, Transfer, edge_transfer, resolve
 from .errors import CapExceededError, KhovalError
 
 __all__ = [
@@ -40,6 +35,7 @@ __all__ = [
     "CochainElement",
     "CubeComplex",
     "CheckReport",
+    "transfer_labels",
     "build_cube",
     "differential",
     "degrees",
@@ -89,22 +85,21 @@ class CubeComplex:
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
         self._circles: dict[int, ResolvedDiagram] = {}
-        self._edges: dict[tuple[int, int], Merge | Split] = {}
+        self._edges: dict[tuple[int, int], Transfer] = {}
 
     # -- structure ---------------------------------------------------------
 
-    def edge(self, mask: int, j: int) -> Merge | Split:
-        """Merge/split data for the edge flipping crossing j at `mask`."""
+    def edge(self, mask: int, j: int) -> Transfer:
+        """The merge or split plan of the edge flipping crossing j at `mask`."""
         if (mask >> j) & 1:
             raise KhovalError("edge must start at a 0-bit")
         key = (mask, j)
-        data = self._edges.get(key)
-        if data is None:
-            data = edge_effect_from_resolutions(
+        plan = self._edges.get(key)
+        if plan is None:
+            plan = self._edges[key] = edge_transfer(
                 self.circles(mask), self.circles(mask | (1 << j))
             )
-            self._edges[key] = data
-        return data
+        return plan
 
     def edge_sign(self, mask: int, j: int) -> int:
         """(-1)^(sum of vertex coordinates after position j)."""
@@ -159,13 +154,11 @@ class CubeComplex:
             for j in range(self.n):
                 if (mask >> j) & 1:
                     continue
-                data = self.edge(mask, j)
-                kind = "merge" if isinstance(data, Merge) else "split"
                 edges.append(
                     {
                         "from": mask,
                         "crossing": j,
-                        "kind": kind,
+                        "kind": "merge" if self.edge(mask, j).merge else "split",
                         "sign": self.edge_sign(mask, j),
                     }
                 )
@@ -184,50 +177,30 @@ class CubeComplex:
 
     def apply_edge(self, g: Generator, j: int) -> list[tuple[Generator, TPoly]]:
         """Unsigned edge map on one generator."""
-        data = self.edge(g.mask, j)
         tgt_mask = g.mask | (1 << j)
-        merge = isinstance(data, Merge)
-        # a merge leaves one circle fewer, a split one more
-        base: list[int | None] = [None] * (len(g.labels) + (-1 if merge else 1))
-        for s, t in data.correspondence.items():
-            base[t] = g.labels[s]
-        out = []
-        if merge:
-            i1, i2 = data.sources
-            for lbl, poly in multiply(g.labels[i1], g.labels[i2], self.theory).items():
-                labels = list(base)
-                labels[data.target] = lbl
-                out.append((Generator(tgt_mask, tuple(labels)), poly))
-        else:
-            t1, t2 = sorted(data.targets)
-            for (l1, l2), poly in comultiply(g.labels[data.source], self.theory).items():
-                labels = list(base)
-                labels[t1] = l1
-                labels[t2] = l2
-                out.append((Generator(tgt_mask, tuple(labels)), poly))
-        return out
+        return [
+            (Generator(tgt_mask, labels), poly)
+            for labels, poly in transfer_labels(self.edge(g.mask, j), g.labels, self.theory)
+        ]
 
-    def differential_of(
-        self, g: Generator, sign_fn: Callable[[int, int], int] | None = None
-    ) -> "CochainElement":
-        sign_fn = sign_fn or self.edge_sign
+    def differential_of(self, g: Generator) -> "CochainElement":
         acc: dict[Generator, TPoly] = {}
         for j in range(self.n):
             if (g.mask >> j) & 1:
                 continue
-            sign = sign_fn(g.mask, j)
-            for tgt, poly in self.apply_edge(g, j):
-                _accumulate(acc, tgt, poly * sign)
+            sign = self.edge_sign(g.mask, j)
+            # `apply_edge` inlined: no list of generators per edge on the homology hot path
+            tgt_mask = g.mask | (1 << j)
+            for labels, poly in transfer_labels(self.edge(g.mask, j), g.labels, self.theory):
+                _accumulate(acc, Generator(tgt_mask, labels), poly * sign)
         return CochainElement(self, acc)
 
-    def differential(
-        self, x: "CochainElement", sign_fn: Callable[[int, int], int] | None = None
-    ) -> "CochainElement":
+    def differential(self, x: "CochainElement") -> "CochainElement":
         if x.cube is not self:
             raise KhovalError("cochain element lives on a different cube")
         acc: dict[Generator, TPoly] = {}
         for g, coeff in x.terms.items():
-            for tgt, poly in self.differential_of(g, sign_fn).terms.items():
+            for tgt, poly in self.differential_of(g).terms.items():
                 _accumulate(acc, tgt, poly * coeff)
         return CochainElement(self, acc)
 
@@ -290,6 +263,47 @@ class CochainElement:
         return " + ".join(bits)
 
 
+_ONE = TPoly(1)
+
+
+def transfer_labels(
+    plan: Transfer,
+    labels: tuple[int, ...],
+    theory: Theory,
+    fixed: dict[int, int] | None = None,
+) -> list[tuple[tuple[int, ...], TPoly]]:
+    """Carry a labeling along a circle-transfer plan: [(target labels, coeff)].
+
+    Copied circles keep their label, a merge multiplies and a split
+    comultiplies.  `fixed` labels the plan's new target circles; labels of
+    dead source circles are dropped, so the caller accounts for them.
+    """
+    base: list[int | None] = [None] * plan.count
+    for s, t in plan.copies:
+        base[t] = labels[s]
+    if plan.new:
+        if fixed is None or any(t not in fixed for t in plan.new):
+            raise KhovalError("circle transfer left target circles unlabeled")
+        for t in plan.new:
+            base[t] = fixed[t]
+    if plan.merge is not None:
+        (s1, s2), t = plan.merge
+        out = []
+        for lbl, poly in multiply(labels[s1], labels[s2], theory).items():
+            base[t] = lbl
+            out.append((tuple(base), poly))
+        return out
+    if plan.split is not None:
+        s, (t1, t2) = plan.split
+        out = []
+        for (l1, l2), poly in comultiply(labels[s], theory).items():
+            base[t1] = l1
+            base[t2] = l2
+            out.append((tuple(base), poly))
+        return out
+    return [(tuple(base), _ONE)]
+
+
 def _accumulate(acc: dict, key, poly: TPoly) -> None:
     """acc[key] += poly, dropping the key when the sum is zero."""
     cur = acc.get(key)
@@ -319,12 +333,10 @@ def degrees(g: Generator, c: CubeComplex) -> tuple[int, int]:
     return c.degrees(g)
 
 
-def check_d_squared(
-    c: CubeComplex, sign_fn: Callable[[int, int], int] | None = None
-) -> CheckReport:
+def check_d_squared(c: CubeComplex) -> CheckReport:
     """Evaluate d o d on every basis generator; report the first violation."""
     for g in c.generators():
-        dd = c.differential(c.differential_of(g, sign_fn), sign_fn)
+        dd = c.differential(c.differential_of(g))
         if not dd.is_zero():
             return CheckReport(False, f"d(d({g})) = {dd}")
     return CheckReport(True, "d o d = 0 on all basis generators")

@@ -30,11 +30,12 @@ __all__ = [
     "Crossing",
     "LinkDiagram",
     "ResolvedDiagram",
-    "Merge",
-    "Split",
+    "Transfer",
     "parse_pd",
     "serialize_pd",
     "resolve",
+    "transfer",
+    "edge_transfer",
     "edge_effect",
 ]
 
@@ -214,17 +215,22 @@ class ResolvedDiagram:
 
 
 @dataclass(frozen=True)
-class Merge:
-    sources: tuple[int, int]
-    target: int
-    correspondence: dict[int, int]
+class Transfer:
+    """How the circles of one resolution become the circles of another.
 
+    `copies` pairs each carried-over source circle with its target circle;
+    `merge` is ((s1, s2), t) and `split` is (s, (t1, t2)), at most one of
+    them set; `dead` lists the source circles that reach no target circle
+    and `new` the target circles that no source circle reaches.  `count` is
+    the number of target circles.
+    """
 
-@dataclass(frozen=True)
-class Split:
-    source: int
-    targets: tuple[int, int]
-    correspondence: dict[int, int]
+    copies: tuple[tuple[int, int], ...]
+    merge: tuple[tuple[int, int], int] | None
+    split: tuple[int, tuple[int, int]] | None
+    dead: tuple[int, ...]
+    new: tuple[int, ...]
+    count: int
 
 
 # -- parsing -----------------------------------------------------------------
@@ -420,12 +426,71 @@ def _as_bits(v: Sequence[int] | int, n: int) -> tuple[int, ...]:
     return bits
 
 
-def edge_effect(d: LinkDiagram, e: Sequence) -> Merge | Split:
-    """Classify the circle rewiring along a cube edge.
+def transfer(
+    src: ResolvedDiagram,
+    tgt: ResolvedDiagram,
+    hints: dict[int, tuple[int, ...]] | None = None,
+) -> Transfer:
+    """The circle-transfer plan from `src` to `tgt`.
 
-    `e` is a sequence over {0, 1, '*'} with exactly one star.  Returns which
-    circles of the star=0 endpoint merge, or which one splits, plus the
-    index correspondence for untouched circles.
+    A source circle reaches the target circles that contain its arcs, each
+    arc read through `hints` (arc -> the arcs that replace it; an arc without
+    a hint stands for itself).  A target reached from two source circles is
+    a merge, a source reaching two targets a split; more than one of these
+    is refused.
+    """
+    circle_of = tgt.circle_of
+    hits: list[list[int]] = [[] for _ in range(tgt.count)]
+    dead = []
+    split = None
+    for s, circ in enumerate(src.circles):
+        if hints:
+            reached = {circle_of.get(b) for a in circ for b in hints.get(a, (a,))}
+        else:
+            reached = {circle_of.get(a) for a in circ}
+        reached.discard(None)
+        if not reached:
+            dead.append(s)
+            continue
+        if len(reached) > 2 or (len(reached) == 2 and split is not None):
+            raise KhovalError("circle transfer is not a single merge or split")
+        if len(reached) == 2:
+            split = (s, tuple(sorted(reached)))
+        for t in reached:
+            hits[t].append(s)
+    copies = []
+    merge = None
+    new = []
+    for t, srcs in enumerate(hits):
+        if not srcs:
+            new.append(t)
+        elif len(srcs) > 2:
+            raise KhovalError("more than two circles merged at once")
+        elif len(srcs) == 2:
+            if merge is not None or split is not None:
+                raise KhovalError("circle transfer is not a single merge or split")
+            merge = ((srcs[0], srcs[1]), t)
+        elif split is None or srcs[0] != split[0]:
+            copies.append((srcs[0], t))
+    return Transfer(tuple(copies), merge, split, tuple(dead), tuple(new), tgt.count)
+
+
+def edge_transfer(src: ResolvedDiagram, tgt: ResolvedDiagram) -> Transfer:
+    """The plan along a cube edge: exactly one merge or one split."""
+    plan = transfer(src, tgt)
+    if (plan.merge is None) == (plan.split is None):
+        raise MoveError(
+            "crossing change neither merges two circles nor splits one "
+            "(the PD code is not planar)"
+        )
+    return plan
+
+
+def edge_effect(d: LinkDiagram, e: Sequence) -> Transfer:
+    """The circle-transfer plan along a cube edge.
+
+    `e` is a sequence over {0, 1, '*'} with exactly one star; the plan goes
+    from the star=0 endpoint to the star=1 endpoint.
     """
     e = list(e)
     stars = [i for i, b in enumerate(e) if b in ("*", "star")]
@@ -435,29 +500,4 @@ def edge_effect(d: LinkDiagram, e: Sequence) -> Merge | Split:
     bits0 = [int(b) for b in e[:j]] + [0] + [int(b) for b in e[j + 1 :]]
     bits1 = list(bits0)
     bits1[j] = 1
-    return edge_effect_from_resolutions(resolve(d, bits0), resolve(d, bits1))
-
-
-def edge_effect_from_resolutions(
-    src: ResolvedDiagram, tgt: ResolvedDiagram
-) -> Merge | Split:
-    """Edge effect computed from two precomputed resolutions."""
-    tgt_index = {circ: i for i, circ in enumerate(tgt.circles)}
-    corr: dict[int, int] = {}
-    unmatched_src = []
-    for i, circ in enumerate(src.circles):
-        t = tgt_index.get(circ)
-        if t is None:
-            unmatched_src.append(i)
-        else:
-            corr[i] = t
-    matched_tgt = set(corr.values())
-    unmatched_tgt = [i for i in range(tgt.count) if i not in matched_tgt]
-    if len(unmatched_src) == 2 and len(unmatched_tgt) == 1:
-        return Merge(tuple(unmatched_src), unmatched_tgt[0], corr)
-    if len(unmatched_src) == 1 and len(unmatched_tgt) == 2:
-        return Split(unmatched_src[0], tuple(unmatched_tgt), corr)
-    raise MoveError(
-        "crossing change neither merges two circles nor splits one "
-        "(the PD code is not planar)"
-    )
+    return edge_transfer(resolve(d, bits0), resolve(d, bits1))

@@ -30,6 +30,9 @@ __all__ = ["BasedComplex", "Reduction", "eliminate", "reduce_cube", "match_reduc
 
 Element = dict[Generator, TPoly]
 
+# Signed block bijections `match_reduced` tries before giving up.
+MAX_TRIES = 200000
+
 
 @dataclass
 class BasedComplex:
@@ -164,7 +167,6 @@ def reduce_complex(cx: BasedComplex) -> Reduction:
 def match_reduced(
     src: BasedComplex,
     tgt: BasedComplex,
-    max_tries: int = 200000,
     degree_key=None,
 ) -> dict[Generator, tuple[Generator, int]] | None:
     """A signed bijection u with u o d = d o u, or None if none is found.
@@ -221,7 +223,7 @@ def match_reduced(
     tries = 0
     for combo in product(*block_options):
         tries += 1
-        if tries > max_tries:
+        if tries > MAX_TRIES:
             return None
         u: dict[Generator, tuple[Generator, int]] = {}
         for key, choice in zip(keys, combo):

@@ -168,6 +168,37 @@ def test_movie_punctured_v_plus_on_torus(capsys, tmp_path):
     assert out.strip() == "psi(v+) = 2"
 
 
+def test_movie_punctured_respects_the_cap(capsys, monkeypatch):
+    from test_cobordism import kink_to_empty
+
+    kinked = json.dumps(movie_to_json(kink_to_empty()))
+    code, out, _ = run(capsys, "movie", kinked, "--punctured", "--cap", "1")
+    assert code == 0 and out.strip() == "psi(v-) = 1"
+    code, _, err = run(capsys, "movie", kinked, "--punctured", "--cap", "0")
+    assert code == 4 and "cap is 0" in err
+    monkeypatch.setenv("KHOVAL_CAP", "0")
+    code, _, err = run(capsys, "movie", kinked, "--punctured")
+    assert code == 4 and "cap is 0" in err
+
+
+def test_movie_applies_each_event_once(capsys, monkeypatch):
+    import khoval.cobordism as cobordism
+
+    applied = []
+    apply_esi_info = cobordism.apply_esi_info
+
+    def counting(d, event):
+        applied.append(event)
+        return apply_esi_info(d, event)
+
+    monkeypatch.setattr(cobordism, "apply_esi_info", counting)
+    path = MOVIES_DIR / "torus_r2_detour.json"
+    code, out, _ = run(capsys, "movie", str(path))
+    assert code == 0 and out.splitlines() == ["BN = 2", "KJ = 2"]
+    # the replay rewrites each still once; both evaluations reuse its move data
+    assert len(applied) == len(json.loads(path.read_text())["movie"])
+
+
 def test_stills_torus(capsys):
     code, out, _ = run(capsys, "stills", str(MOVIES_DIR / "torus.json"))
     assert code == 0
@@ -228,6 +259,16 @@ def test_env_format_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "homology", "L1")
     assert code == 0
     json.loads(out)
+
+
+@pytest.mark.parametrize("name,value", [("CAP", "abc"), ("FORMAT", "xml")])
+def test_env_default_is_validated_like_a_flag(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(f"KHOVAL_{name}", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "L0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument --{name.lower()}: invalid" in err and repr(value) in err
 
 
 def test_shipped_movies_match_builders():

@@ -30,6 +30,7 @@ from khoval.corpus import PD_CODES
 from khoval.cube import Generator, build_cube
 from khoval.diagram import LinkDiagram, parse_pd
 from khoval.errors import (
+    CapExceededError,
     KhovalError,
     MoveError,
     NonMonomialError,
@@ -445,6 +446,15 @@ def kinked_detour_movie(genus: int, kinks: int) -> Movie:
     return Movie(events)
 
 
+def kink_to_empty() -> Movie:
+    """unknot -> positive kink -> unknot -> empty: a punctured movie through R1."""
+    events = [ESI("r1", variant="add_pos", arc=1), ESI("r1", variant="remove", crossing=1)]
+    d = LinkDiagram([], [(1, 2)])
+    for event in events:
+        d = apply_esi(d, event)
+    return Movie(events + [ESI("death", circle=min(d.loops[0]))], initial="unknot")
+
+
 @pytest.mark.parametrize("genus,expected", [(1, TPoly(2)), (3, TPoly({1: 8}))])
 def test_sixteen_crossing_detour_resolves_only_reached_vertices(
     resolve_calls, genus, expected
@@ -458,6 +468,58 @@ def test_sixteen_crossing_detour_resolves_only_reached_vertices(
     assert abs(lee) == bn.specialize(1)
     # three evaluations; resolving whole stills would cost 2^16 per still
     assert resolve_calls[0] <= 3 * 4 * len(m.events)
+
+
+@pytest.mark.parametrize("genus", [1, 3])
+def test_sixteen_crossing_detour_plans_once_per_source_vertex(monkeypatch, genus):
+    import khoval.cobordism as cobordism
+    from khoval.diagram import transfer
+
+    plans = []  # (source resolution, target resolution) of every transfer call
+
+    def counting(src_res, tgt_res, hints=None):
+        plans.append((src_res, tgt_res))
+        return transfer(src_res, tgt_res, hints)
+
+    applied = []  # (map, generator) of every generator a map is applied to
+    of_generator = cobordism.ChainMapRep.of_generator
+
+    def recording(rep, g):
+        applied.append((rep, g))
+        return of_generator(rep, g)
+
+    monkeypatch.setattr(cobordism, "transfer", counting)
+    monkeypatch.setattr(cobordism.ChainMapRep, "of_generator", recording)
+    bn_and_kj(kinked_detour_movie(genus, 14))
+    # one plan per source vertex and target slice (two slices for an R2 addition)
+    assert len({(id(s), id(t)) for s, t in plans}) == len(plans)
+    per_source: dict[int, int] = {}
+    for s, _ in plans:
+        per_source[id(s)] = per_source.get(id(s), 0) + 1
+    assert max(per_source.values()) <= 2
+    vertices = {(id(rep.source), g.mask) for rep, g in applied}
+    assert len(per_source) <= len(vertices) < len(applied)
+    assert len(plans) < len(applied)
+
+
+def test_plan_refuses_a_circle_vanishing_without_a_death_rule():
+    from khoval.cobordism import _plan
+    from khoval.diagram import ResolvedDiagram
+
+    src = ResolvedDiagram(((1, 2), (3, 4)), {1: 0, 2: 0, 3: 1, 4: 1})
+    tgt = ResolvedDiagram(((3, 4),), {3: 0, 4: 0})
+    assert _plan(src, tgt, deaths=True).dead == (0,)
+    with pytest.raises(KhovalError, match="vanished without a death rule"):
+        _plan(src, tgt)
+
+
+def test_punctured_and_connected_sum_respect_the_cap():
+    kinked = kink_to_empty()
+    assert punctured_eval(kinked, M, "to_empty") == TPoly(1)
+    with pytest.raises(CapExceededError):
+        punctured_eval(kinked, M, "to_empty", cap=0)
+    with pytest.raises(CapExceededError):
+        connected_sum(punctured_from_empty(1), kinked, cap=0)
 
 
 def test_punctured_sphere_counit():

@@ -3,9 +3,15 @@
 import pytest
 
 from khoval.algebra import MINUS, PLUS, TPoly, Theory
-from khoval.cube import Generator, build_cube, check_d_squared, check_faces
+from khoval.cube import (
+    Generator,
+    build_cube,
+    check_d_squared,
+    check_faces,
+    transfer_labels,
+)
 from khoval.corpus import PD_CODES
-from khoval.diagram import parse_pd, resolve
+from khoval.diagram import parse_pd, resolve, transfer
 from khoval.errors import CapExceededError, KhovalError
 from khoval.moves import ESI, apply_esi
 
@@ -158,11 +164,24 @@ def test_corrupted_edge_sign_breaks_d_squared():
     d = parse_pd(PD_CODES["trefoil"])
     c = build_cube(d, Theory.KHOVANOV)
 
+    edge_sign = c.edge_sign
+
     def corrupted(mask, j):
-        sign = c.edge_sign(mask, j)
+        sign = edge_sign(mask, j)
         return -sign if (mask, j) == (0, 1) else sign
 
-    assert not check_d_squared(c, corrupted).ok
+    c.edge_sign = corrupted
+    assert not check_d_squared(c).ok
+
+
+def test_transfer_labels_needs_a_label_for_every_new_circle():
+    # the circle (3,4) of the target is new
+    plan = transfer(resolve(parse_pd("L0"), 0), resolve(parse_pd("L0 L1"), 0))
+    assert plan.new == (1,)
+    for th in ALL_THEORIES:
+        assert transfer_labels(plan, (M,), th, {1: P}) == [((M, P), TPoly(1))]
+        with pytest.raises(KhovalError, match="unlabeled"):
+            transfer_labels(plan, (M,), th)
 
 
 # -- elements --------------------------------------------------------------------

@@ -6,14 +6,14 @@ import pytest
 
 from khoval.diagram import (
     LinkDiagram,
-    Merge,
-    Split,
+    ResolvedDiagram,
     edge_effect,
     parse_pd,
     resolve,
     serialize_pd,
+    transfer,
 )
-from khoval.errors import MoveError, OrientationError, ParseError
+from khoval.errors import KhovalError, MoveError, OrientationError, ParseError
 from khoval.corpus import PD_CODES
 
 from oracles import bfs_circle_count
@@ -147,8 +147,8 @@ def test_edge_effect_trefoil_first_crossing():
     # (*,0,0): both circles of the oriented resolution merge into one
     d = parse_pd(TREFOIL)
     eff = edge_effect(d, ("*", 0, 0))
-    assert isinstance(eff, Merge)
-    assert eff.sources == (0, 1)
+    assert eff.merge is not None and eff.split is None
+    assert eff.merge[0] == (0, 1)
     assert resolve(d, (1, 0, 0)).count == 1
 
 
@@ -159,9 +159,9 @@ def test_edge_effect_split():
     tgt = resolve(d, (1, 1, 1)).count
     eff = edge_effect(d, (1, 1, "*"))
     if tgt == base + 1:
-        assert isinstance(eff, Split)
+        assert eff.split is not None and eff.merge is None
     else:
-        assert isinstance(eff, Merge)
+        assert eff.merge is not None and eff.split is None
 
 
 def test_edge_effect_classification_matches_counts(corpus):
@@ -177,10 +177,11 @@ def test_edge_effect_classification_matches_counts(corpus):
                     resolve(d, tuple(bits[:j]) + (1,) + tuple(bits[j + 1 :])).count
                     - resolve(d, bits).count
                 )
-                assert isinstance(eff, Split if delta == 1 else Merge)
+                assert (eff.split if delta == 1 else eff.merge) is not None
+                assert (eff.merge if delta == 1 else eff.split) is None
                 # untouched circles correspond bijectively
-                assert len(eff.correspondence) == resolve(d, bits).count - (
-                    2 if isinstance(eff, Merge) else 1
+                assert len(eff.copies) == resolve(d, bits).count - (
+                    2 if eff.merge is not None else 1
                 )
 
 
@@ -190,6 +191,48 @@ def test_edge_effect_malformed():
         edge_effect(d, (0, 0, 0))  # no star
     with pytest.raises(MoveError):
         edge_effect(d, ("*", "*", 0))
+
+
+def _resolved(*circles):
+    circles = tuple(sorted(tuple(sorted(c)) for c in circles))
+    return ResolvedDiagram(circles, {a: i for i, c in enumerate(circles) for a in c})
+
+
+def test_transfer_plan_fields():
+    # (1,2) dies, (3,4) is copied, (5,6) and (7,8) merge, (9,10) is born
+    plan = transfer(
+        _resolved((1, 2), (3, 4), (5, 6), (7, 8)),
+        _resolved((13, 14), (5, 6, 7, 8), (9, 10)),
+        {3: (13,), 4: (14,)},
+    )
+    # target order: (5,6,7,8), (9,10), (13,14)
+    assert plan.copies == ((1, 2),)
+    assert plan.merge == ((2, 3), 0)
+    assert plan.split is None
+    assert plan.dead == (0,)
+    assert plan.new == (1,)
+    assert plan.count == 3
+    # a hint naming two arcs on different target circles is a split
+    plan = transfer(_resolved((1, 2)), _resolved((3,), (4,)), {1: (3, 4)})
+    assert plan.split == (0, (0, 1)) and plan.copies == () and plan.merge is None
+
+
+def test_transfer_refuses_two_surgeries():
+    two_merges = (_resolved((1,), (2,), (3,), (4,)), _resolved((1, 2), (3, 4)))
+    merge_and_split = (_resolved((1,), (2,), (3, 4)), _resolved((1, 2), (3,), (4,)))
+    three_way = (_resolved((1,), (2,), (3,)), _resolved((1, 2, 3),))
+    for src, tgt in (two_merges, merge_and_split):
+        with pytest.raises(KhovalError, match="not a single merge or split"):
+            transfer(src, tgt)
+    with pytest.raises(KhovalError, match="more than two circles merged"):
+        transfer(*three_way)
+
+
+def test_edge_effect_refuses_a_non_planar_edge():
+    # a self-crossing circle X(a,b,a,b): one circle stays one circle
+    d = parse_pd("X(1,2,1,2)")
+    with pytest.raises(MoveError, match="not planar"):
+        edge_effect(d, ("*",))
 
 
 def test_diagram_rejects_loop_arc_reuse():
