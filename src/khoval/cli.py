@@ -18,6 +18,7 @@ Exit codes: 2 parse failure or usage error, 3 theory guard, 4 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,10 +45,6 @@ from .errors import (
 from .homology import graded_euler, homology, kauffman_jones
 
 
-def _env_default(name: str, fallback):
-    return os.environ.get(f"KHOVAL_{name}", fallback)
-
-
 FORMATS = ("human", "csv", "json")
 
 
@@ -60,20 +57,21 @@ def _format(value: str) -> str:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, theory_default: str) -> None:
-    # string defaults (the KHOVAL_* variables) go through `type` like a flag
-    p.add_argument(
-        "--theory",
-        default=_env_default("THEORY", theory_default),
-        help="khovanov | bar-natan | lee",
-    )
-    p.add_argument(
-        "--format", type=_format, choices=FORMATS, default=_env_default("FORMAT", "human")
-    )
-    p.add_argument("--cap", type=int, default=_env_default("CAP", str(DEFAULT_CAP)))
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for the current KHOVAL_THEORY, KHOVAL_FORMAT and KHOVAL_CAP."""
+    return _parser(*(os.environ.get(f"KHOVAL_{name}") for name in ("THEORY", "FORMAT", "CAP")))
+
+
+@functools.cache
+def _parser(theory: str | None, fmt: str | None, cap: str | None) -> argparse.ArgumentParser:
+    # argparse converts string defaults with `type` on every parse: still checked per call
+    def _add_common(p: argparse.ArgumentParser, theory_default: str) -> None:
+        p.add_argument("--theory", default=theory_default if theory is None else theory,
+                       help="khovanov | bar-natan | lee")
+        p.add_argument("--format", type=_format, choices=FORMATS,
+                       default="human" if fmt is None else fmt)
+        p.add_argument("--cap", type=int, default=str(DEFAULT_CAP) if cap is None else cap)
+
     parser = argparse.ArgumentParser(
         prog="khoval",
         description="Exact link homology and surface-knot invariants from movies.",

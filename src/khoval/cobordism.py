@@ -10,13 +10,14 @@ event induces a chain map between the cube complexes of consecutive stills:
 * Reidemeister moves: degree-0 homotopy equivalences.  The R1 and R2 maps
   are local formulas valid when the active crossings sit first in the
   crossing order, so removals conjugate by the Koszul reordering sign
-  (-1)^(inversions among 1-bits).  The R3 map is assembled at runtime from
-  Gaussian-elimination equivalences of the two cubes.
+  (-1)^(inversions among 1-bits).  The R3 map is Bar-Natan's cone formula
+  on the triangle crossings (`r3.triangle_map`); kinks on the triangle's
+  sides come off by R1 before it and go back on after.
 
-The birth, death, saddle, R1 and R2 maps move labels with the same
-circle-transfer plan as a cube edge (`diagram.transfer`, applied by
-`cube.transfer_labels`), read through the move's arc hints.  Each map
-computes its plans, target mask and Koszul sign once per source vertex.
+Every map moves labels with the same circle-transfer plan as a cube edge
+(`diagram.transfer`, applied by `cube.transfer_labels`), read through the
+move's arc hints, and computes its plans, target masks and signs once per
+source vertex; no map resolves more of a cube than the vertices it reaches.
 `eval_movie` reuses the rewrites that `Movie.replay` recorded; the public
 `esi_chain_map` redoes the rewrite and checks it against the target cube.
 
@@ -27,6 +28,7 @@ value at t = 0 is the undeformed integer invariant.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -38,7 +40,9 @@ from .cube import (
     CubeComplex,
     Generator,
     _accumulate,
+    _scaled,
     build_cube,
+    koszul_to_front,
     transfer_labels,
 )
 from .diagram import LinkDiagram, ResolvedDiagram, Transfer, transfer
@@ -46,11 +50,9 @@ from .errors import (
     KhovalError,
     MoveError,
     NonMonomialError,
-    UnsupportedMoveError,
     ValidationError,
 )
 from .moves import ESI, MoveInfo, apply_esi, apply_esi_info
-from .reduce import match_reduced, reduce_cube
 
 __all__ = [
     "ChainMapRep",
@@ -134,23 +136,6 @@ def _plan(
     return plan
 
 
-def _koszul_to_front(mask: int, front: tuple[int, ...], n: int) -> tuple[int, int]:
-    """Reorder crossings so `front` comes first; return (new mask, Koszul sign)."""
-    order = list(front) + [j for j in range(n) if j not in front]
-    pos = {old: p for p, old in enumerate(order)}
-    new_mask = 0
-    for p, old in enumerate(order):
-        if (mask >> old) & 1:
-            new_mask |= 1 << p
-    ones = [j for j in range(n) if (mask >> j) & 1]
-    inv = 0
-    for a in range(len(ones)):
-        for b in range(a + 1, len(ones)):
-            if pos[ones[a]] > pos[ones[b]]:
-                inv += 1
-    return new_mask, (-1 if inv & 1 else 1)
-
-
 # -- the chain maps -------------------------------------------------------------
 
 
@@ -179,12 +164,15 @@ def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex) -
         fn = _death_fn(src, tgt, info)
     elif kind == "saddle":
         fn = _saddle_fn(src, tgt, info)
+    elif kind == "r1" and info.variant == "remove":
+        fn = _r1_remove_fn(src, tgt, info)
     elif kind == "r1":
-        fn = _r1_add_fn(src, tgt, info) if info.variant != "remove" else _r1_remove_fn(src, tgt, info)
+        hints = _hint_tuples(info.arc_map)
+        fn = _r1_add_fn(src, tgt, hints, info.loop_arc, info.strand_arc, info.positive)
     elif kind == "r2":
         fn = _r2_add_fn(src, tgt, info) if info.variant == "add" else _r2_remove_fn(src, tgt, info)
     elif kind == "r3":
-        fn = _r3_fn(src, tgt)
+        fn = _r3_fn(src, tgt, info)
     else:
         raise MoveError(f"unknown ESI kind {kind!r}")
     return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], fn)
@@ -244,12 +232,6 @@ def _saddle_fn(src, tgt, info: MoveInfo):
     return fn
 
 
-def _scaled(terms, factor: TPoly | int):
-    if isinstance(factor, int):
-        factor = TPoly(factor)
-    return [(labels, poly * factor) for labels, poly in terms]
-
-
 def _xmult_target(terms, circle: int, theory: Theory, factor: int = 1):
     """Multiply the label of one target circle by X = v- in every term."""
     out = []
@@ -261,28 +243,29 @@ def _xmult_target(terms, circle: int, theory: Theory, factor: int = 1):
     return out
 
 
-def _r1_add_fn(src, tgt, info: MoveInfo):
-    hints = _hint_tuples(info.arc_map)
-    positive = info.positive
+def _r1_add_fn(src, tgt, hints, loop_arc: int, strand_arc: int, positive: bool, position: int = 0):
+    """The R1 addition of a kink that becomes crossing `position` of the target."""
 
     @cache
     def vertex(mask: int):
-        # the kink crossing is bit 0: 0-smoothed when positive, 1-smoothed when negative
-        tgt_mask = mask << 1 if positive else (mask << 1) | 1
+        # the kink is 0-smoothed when positive, 1-smoothed when negative
+        low = mask & ((1 << position) - 1)
+        tgt_mask = low | (0 if positive else 1 << position) | (mask ^ low) << 1
+        sign = koszul_to_front(tgt_mask, (position,), tgt.n)[1] if position else 1
         tgt_res = tgt.circles(tgt_mask)
         plan = _plan(src.circles(mask), tgt_res, hints)
-        kink, strand = tgt_res.circle_of[info.loop_arc], tgt_res.circle_of[info.strand_arc]
-        return tgt_mask, plan, kink, strand
+        kink, strand = tgt_res.circle_of[loop_arc], tgt_res.circle_of[strand_arc]
+        return tgt_mask, sign, plan, kink, strand
 
     def fn(g: Generator) -> CochainElement:
-        mask, plan, kink, strand = vertex(g.mask)
+        mask, sign, plan, kink, strand = vertex(g.mask)
         if positive:
             base = transfer_labels(plan, g.labels, tgt.theory, {kink: MINUS})
             plus = transfer_labels(plan, g.labels, tgt.theory, {kink: PLUS})
             terms = base + _xmult_target(plus, strand, tgt.theory, factor=-1)
         else:
             terms = transfer_labels(plan, g.labels, tgt.theory, {kink: PLUS})
-        return _element(tgt, mask, terms)
+        return _element(tgt, mask, terms if sign == 1 else _scaled(terms, sign))
 
     return fn
 
@@ -294,7 +277,7 @@ def _r1_remove_fn(src, tgt, info: MoveInfo):
 
     @cache
     def vertex(mask: int):
-        rmask, sign = _koszul_to_front(mask, (idx,), src.n)
+        rmask, sign = koszul_to_front(mask, (idx,), src.n)
         # a positive kink maps from its 0-smoothing, a negative one from its 1-smoothing
         if rmask & 1 != (0 if positive else 1):
             return None
@@ -364,7 +347,7 @@ def _r2_remove_fn(src, tgt, info: MoveInfo):
 
     @cache
     def vertex(mask: int):
-        rmask, sign = _koszul_to_front(mask, (ia, ib), src.n)
+        rmask, sign = koszul_to_front(mask, (ia, ib), src.n)
         bits = rmask & 0b11
         if bits not in (0b10, 0b01):
             return None
@@ -389,39 +372,57 @@ def _r2_remove_fn(src, tgt, info: MoveInfo):
     return fn
 
 
-def _conjugated_fn(reduction_in, pairing, reduction_out, tgt):
+# -- the R3 map -------------------------------------------------------------------
+
+
+def _r3_fn(src: CubeComplex, tgt: CubeComplex, info: MoveInfo, back: bool = False):
+    """The R3 map of a move, or with `back` the same rule from its target to its source.
+
+    Kinks on the sides come off by R1, the bare triangle moves by
+    `r3.triangle_map`, and the kinks go back on by R1.
+    """
+    from .r3 import triangle_map  # loaded with the first r3 move, as in `moves`
+
+    first = [info.pieces[k] for k in ("top", "middle", "bottom")]
+    arcs = [first, [info.arc_map[a] for a in first]][::-1 if back else 1]
+    maps, cubes, k = [], [src, tgt], len(info.kinks)
+    for side, cid in itertools.product((0, 1), info.kinks):
+        d, step = apply_esi_info(cubes[side].diagram, ESI("r1", variant="remove", crossing=cid))
+        bare = CubeComplex(d, src.theory, cap=src.n)
+        arcs[side] = [step.arc_map.get(a, a) for a in arcs[side]]
+        if side == 0:
+            maps.append(ChainMapRep(cubes[0], bare, 0, _r1_remove_fn(cubes[0], bare, step)))
+        else:  # the addition that undoes this removal, applied last
+            hints: dict[int, list[int]] = {}
+            for old, new in step.arc_map.items():
+                hints.setdefault(new, []).append(old)
+            add = _r1_add_fn(bare, cubes[1], hints, step.loop_arc, min(step.arc_map),
+                             step.positive, step.positions[0])
+            maps.insert(k, ChainMapRep(bare, cubes[1], 0, add))
+        cubes[side] = bare
+    *positions, c = (cubes[0].diagram.crossing_by_id(src.diagram.crossings[p].cid)[0]
+                     for p in (*info.positions, info.pieces["c"]))
+    triangle = triangle_map(cubes[0], cubes[1], positions, c, set(arcs[0]), set(arcs[1]))
+    if not k:
+        return triangle
+    maps.insert(k, ChainMapRep(cubes[0], cubes[1], 0, triangle))
+
     def fn(g: Generator) -> CochainElement:
-        acc: dict[Generator, TPoly] = {}
-        for r, c1 in reduction_in.project.get(g, {}).items():
-            tr, sign = pairing[r]
-            for h, c2 in reduction_out.include[tr].items():
-                _accumulate(acc, h, c1 * c2 * sign)
-        return CochainElement(tgt, acc)
+        x = maps[0].of_generator(g)
+        for m in maps[1:]:
+            x = m.apply(x)
+        return x
 
     return fn
 
 
-def r3_equivalence(
-    src: CubeComplex, tgt: CubeComplex
-) -> tuple[ChainMapRep, ChainMapRep]:
-    """Both directions of the triangle-move homotopy equivalence."""
-    red_src = reduce_cube(src)
-    red_tgt = reduce_cube(tgt)
-    # q is not a grading once t = 1 has been specialized
-    key = (lambda deg: deg[0]) if src.theory is Theory.LEE else None
-    u = match_reduced(red_src.reduced, red_tgt.reduced, degree_key=key)
-    if u is None:
-        raise UnsupportedMoveError(
-            "no chain-level identification found for this r3 configuration"
-        )
-    u_inv = {t: (s, sign) for s, (t, sign) in u.items()}
-    fwd = ChainMapRep(src, tgt, 0, _conjugated_fn(red_src, u, red_tgt, tgt))
-    bwd = ChainMapRep(tgt, src, 0, _conjugated_fn(red_tgt, u_inv, red_src, src))
-    return fwd, bwd
-
-
-def _r3_fn(src, tgt):
-    return r3_equivalence(src, tgt)[0].of_generator
+def r3_equivalence(event: ESI, src: CubeComplex, tgt: CubeComplex) -> tuple[ChainMapRep, ...]:
+    """The triangle move's map and the same rule run back from the target."""
+    rewritten, info = apply_esi_info(src.diagram, event)
+    if event.kind != "r3" or rewritten != tgt.diagram:
+        raise MoveError("target cube was not built from the r3-rewritten diagram")
+    fwd, bwd = _r3_fn(src, tgt, info), _r3_fn(tgt, src, info, back=True)
+    return ChainMapRep(src, tgt, 0, fwd), ChainMapRep(tgt, src, 0, bwd)
 
 
 # -- movies ----------------------------------------------------------------------

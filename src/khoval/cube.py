@@ -304,6 +304,11 @@ def transfer_labels(
     return [(tuple(base), _ONE)]
 
 
+def _scaled(terms, factor: TPoly | int) -> list:
+    """[(key, poly * factor)] for a list of (key, poly)."""
+    return [(key, poly * factor) for key, poly in terms]
+
+
 def _accumulate(acc: dict, key, poly: TPoly) -> None:
     """acc[key] += poly, dropping the key when the sum is zero."""
     cur = acc.get(key)
@@ -312,6 +317,23 @@ def _accumulate(acc: dict, key, poly: TPoly) -> None:
         acc.pop(key, None)
     else:
         acc[key] = total
+
+
+def koszul_to_front(mask: int, front: tuple[int, ...], n: int) -> tuple[int, int]:
+    """Reorder crossings so `front` comes first; return (new mask, Koszul sign)."""
+    order = list(front) + [j for j in range(n) if j not in front]
+    pos = {old: p for p, old in enumerate(order)}
+    new_mask = 0
+    for p, old in enumerate(order):
+        if (mask >> old) & 1:
+            new_mask |= 1 << p
+    ones = [j for j in range(n) if (mask >> j) & 1]
+    inv = 0
+    for a in range(len(ones)):
+        for b in range(a + 1, len(ones)):
+            if pos[ones[a]] > pos[ones[b]]:
+                inv += 1
+    return new_mask, (-1 if inv & 1 else 1)
 
 
 # -- module-level operation wrappers -------------------------------------------

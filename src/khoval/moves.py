@@ -15,12 +15,14 @@ Conventions baked into the rewrites:
   the negative kink is X(p,r,l,l).
 * An R2 poke of arc `o` over arc `u` creates X(u1,o1,u2,o2), X(u2,o3,u3,o2)
   with pieces u -> u1,u2,u3 and o -> o1,o2,o3 (closed loops alias u1 = u3).
-* The braid-like R3 rewires the three triangle arcs by reversing, for each of
-  the three strands, the order of its two crossings; signs are preserved.
+* The braid-like R3 reverses, for each of the three strands of a triangle
+  face, the order of its two crossings; signs are preserved.  The R1 kinks
+  on a side stay on its strand, between the two crossings.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -130,8 +132,10 @@ class MoveInfo:
     strand_arc: int | None = None
     positive: bool | None = None
     positions: tuple[int, ...] = ()
-    # r2: piece arcs in template roles (aliases allowed)
+    # r2: piece arcs in template roles (aliases allowed); r3: triangle roles
+    # (see `r3.triangle`) and the ids of the R1 kinks its sides carry
     pieces: dict[str, int] = field(default_factory=dict)
+    kinks: tuple[int, ...] = ()
 
 
 def apply_esi(d: LinkDiagram, event: ESI) -> LinkDiagram:
@@ -536,94 +540,37 @@ def _apply_r2_remove(
 # -- Reidemeister 3 ------------------------------------------------------------
 
 
-def _over_slots(sign: int) -> tuple[int, int]:
-    """(in, out) over-strand slots for a crossing of the given sign."""
-    return (1, 3) if sign > 0 else (3, 1)
-
-
 def _apply_r3(
     d: LinkDiagram, cids: tuple[int, int, int], variant: str | None
 ) -> tuple[LinkDiagram, MoveInfo]:
     if variant not in (None, "braid"):
         raise UnsupportedMoveError(f"r3 variant {variant!r} is not implemented")
-    picked = [d.crossing_by_id(c) for c in cids]
-    indices = {c.cid: idx for idx, c in picked}
-    crossings = {c.cid: c for _, c in picked}
-    if len(crossings) != 3:
-        raise MoveError("r3 needs three distinct crossings")
+    from .r3 import triangle  # loaded by the first triangle move, not by every import
 
-    # triangle arcs: arcs whose two occurrences both lie in the chosen crossings
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for cid, c in crossings.items():
-        for slot, a in enumerate(c.arcs):
-            occ.setdefault(a, []).append((cid, slot))
-    inner = {a: places for a, places in occ.items() if len(places) == 2}
-    inner = {
-        a: places
-        for a, places in inner.items()
-        if places[0][0] != places[1][0]
-    }
-    if len(inner) != 3:
-        raise MoveError("the three crossings do not form a triangle")
-    pairs = {frozenset((p[0][0], p[1][0])) for p in inner.values()}
-    if len(pairs) != 3:
-        raise MoveError("the three crossings do not form a triangle")
-
-    def is_over(slot: int) -> bool:
-        return slot in (1, 3)
-
-    # classify the three strands by their height pattern
-    strands = []  # (inner arc, [(cid, over?)] at its two ends)
-    for a, places in inner.items():
-        levels = [(cid, is_over(slot)) for cid, slot in places]
-        strands.append((a, levels))
-    over_counts = sorted(sum(1 for _, ov in lv if ov) for _, lv in strands)
-    if over_counts != [0, 1, 2]:
-        raise MoveError("triangle is not braid-like (no top/middle/bottom strand)")
-
-    new_arcs = {cid: list(c.arcs) for cid, c in crossings.items()}
-    base = d.max_arc_id()
+    sides, roles = triangle(d, cids)
+    new_arcs = [list(c.arcs) for c in d.crossings]
+    fresh = itertools.count(d.max_arc_id() + 1)
     arc_map: dict[int, int] = {}
-    created: list[int] = []
-    for k, (a, levels) in enumerate(sorted(strands)):
-        # orient the inner arc: P is the crossing it leaves, Q the one it enters
-        (cid1, slot1), (cid2, slot2) = occ[a]
-        inc1 = crossings[cid1].slot_incoming(slot1)
-        p_cid, q_cid = (cid2, cid1) if inc1 else (cid1, cid2)
+    kinks: list[int] = []
+    for p, s, q, t, arcs, side_kinks in sides:
+        # the strand leaves P by slot s, passes its kinks and enters Q by slot
+        # t; it now runs through Q first, then its kinks, then P
+        x = next(fresh)
+        y = next(fresh) if side_kinks else x
+        arc_map[arcs[0]], arc_map[arcs[-1]] = x, y
+        new_arcs[q][t] = d.crossings[p].arcs[s ^ 2]
+        new_arcs[q][t ^ 2] = x
+        new_arcs[p][s ^ 2] = y
+        new_arcs[p][s] = d.crossings[q].arcs[t ^ 2]
+        if side_kinks:
+            new_arcs[side_kinks[0]][d.crossings[side_kinks[0]].arcs.index(arcs[0])] = x
+            new_arcs[side_kinks[-1]][d.crossings[side_kinks[-1]].arcs.index(arcs[-1])] = y
+            kinks.extend(d.crossings[k].cid for k in side_kinks)
 
-        def level_slots(cid: int) -> tuple[int, int]:
-            c = crossings[cid]
-            slot = next(s for loc, s in occ[a] if loc == cid)
-            if is_over(slot):
-                oin, oout = _over_slots(c.sign)
-                return oin, oout
-            return 0, 2
-
-        p_in, p_out = level_slots(p_cid)
-        q_in, q_out = level_slots(q_cid)
-        s_in = crossings[p_cid].arcs[p_in]
-        s_out = crossings[q_cid].arcs[q_out]
-        fresh = base + k + 1
-        created.append(fresh)
-        arc_map[a] = fresh
-        # the strand now runs through Q first, then P
-        new_arcs[q_cid][q_in] = s_in
-        new_arcs[q_cid][q_out] = fresh
-        new_arcs[p_cid][p_in] = fresh
-        new_arcs[p_cid][p_out] = s_out
-
-    raw = []
-    for cid, arcs in _raw(d):
-        raw.append((cid, new_arcs[cid]) if cid in new_arcs else (cid, arcs))
-    new = _build(raw, list(d.loops))
-    for cid in cids:
-        if new.crossings[indices[cid]].sign != crossings[cid].sign:
-            raise MoveError("r3 rewiring changed a crossing sign; not a valid move")
-    info = MoveInfo(
-        "r3",
-        "braid",
-        arc_map,
-        created_arcs=created,
-        positions=tuple(indices[c] for c in cids),
-    )
-    return new, info
+    new = _build([(c.cid, arcs) for c, arcs in zip(d.crossings, new_arcs)], list(d.loops))
+    if any(a.sign != b.sign for a, b in zip(new.crossings, d.crossings)):
+        raise MoveError("r3 rewiring changed a crossing sign; not a valid move")
+    positions = tuple(d.crossing_by_id(cid)[0] for cid in cids)
+    created = sorted(set(arc_map.values()))
+    return new, MoveInfo("r3", "braid", arc_map, created_arcs=created, positions=positions,
+                         pieces=roles, kinks=tuple(kinks))

@@ -1,0 +1,207 @@
+"""The R3 triangle: finding its face, and its chain map by Bar-Natan's cone formula.
+
+Bar-Natan (math/0410495, section 4.3) builds R3 from the cone on one
+triangle crossing and the R2 equivalence of the bigon one of its smoothings
+leaves.  That equivalence is the Gaussian elimination lemma (math/0606318)
+on the bigon's two unit edges, read off the cube's own signed edges, one
+source vertex at a time.  `moves` rewrites the diagram along `triangle`;
+`cobordism` adds the R1 moves for kinks on the sides.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import cache
+
+from .algebra import MINUS, PLUS, TPoly
+from .cube import (CochainElement, CubeComplex, Generator, _ONE, _accumulate, _scaled,
+                   koszul_to_front, transfer_labels)
+from .diagram import SMOOTHING_JOINS, LinkDiagram, Transfer, transfer
+from .errors import MoveError
+
+
+def _sides(d: LinkDiagram, tri: set[int]) -> list[tuple]:
+    """Every strand segment from one triangle crossing to another, across R1 kinks.
+
+    Each is (start position, start slot, end position, end slot, its arcs in
+    order, the positions of its kinks), oriented along the strand.
+    """
+    out = []
+    for p, slot in itertools.product(tri, range(4)):
+        if d.crossings[p].slot_incoming(slot):
+            continue
+        arcs, kinks, (q, t) = [], [], (p, slot)
+        while True:
+            arcs.append(d.crossings[q].arcs[t])
+            (q, t), = [x for x in d.crossing_arc_slots(arcs[-1]) if x != (q, t)] or [(q, t)]
+            c = d.crossings[q].arcs
+            loop = [s for s in range(4) if c.count(c[s]) == 2]
+            if q in tri or len(loop) != 2 or t in loop:
+                break
+            kinks.append(q)  # an R1 kink: leave it by its fourth slot, past the loop
+            t = 6 - t - sum(loop)
+        if q in tri and q != p:
+            out.append((p, slot, q, t, arcs, kinks))
+    return out
+
+
+def triangle(d: LinkDiagram, cids) -> tuple[list[tuple], dict[str, int]]:
+    """The braid-like triangle face on three crossings: its sides and roles.
+
+    A side may pass R1 kinks, which the move carries along; two bare arcs
+    joining one pair of crossings are refused as ambiguous.  Roles: "top",
+    "middle" and "bottom" are the first arcs of the sides that pass over at
+    two, one and none of their ends, "c" the position of the crossing off
+    the top strand.
+    """
+    tri = {d.crossing_by_id(c)[0] for c in cids}
+    if len(tri) != 3:
+        raise MoveError("r3 needs three distinct crossings")
+    by_pair: dict[frozenset, list[tuple]] = {}
+    for side in _sides(d, tri):
+        by_pair.setdefault(frozenset((side[0], side[2])), []).append(side)
+    if len(by_pair) != 3 or any(sum(not side[5] for side in v) > 1 for v in by_pair.values()):
+        raise MoveError("the three crossings do not form a triangle")
+
+    def is_face(sides) -> bool:
+        slots = {p: 0 for p in tri}
+        for p, s, q, t, _, _ in sides:
+            slots[p] += s
+            slots[q] += t
+        # at each end of a side, (other slot - its slot) mod 4 tells on which
+        # side of it the corner opens; a face opens to one side: 1 and 3
+        return all({(slots[p] - 2 * s) % 4, (slots[q] - 2 * t) % 4} == {1, 3}
+                   for p, s, q, t, _, _ in sides)
+
+    faces = [sides for sides in itertools.product(*by_pair.values()) if is_face(sides)]
+    if len(faces) != 1:
+        raise MoveError("the three crossings do not bound a triangle face")
+    by_level = {(side[1] % 2) + (side[3] % 2): side for side in faces[0]}
+    if sorted(by_level) != [0, 1, 2]:
+        raise MoveError("triangle is not braid-like (no top/middle/bottom strand)")
+    (c,) = tri - {by_level[2][0], by_level[2][2]}
+    roles = {"c": c, **{k: by_level[n][4][0] for n, k in enumerate(("bottom", "middle", "top"))}}
+    return sorted(faces[0], key=lambda side: side[4][0]), roles
+
+
+def _closing_bits(d: LinkDiagram, positions, inner: set[int]) -> int:
+    """The smoothings (bits at `positions`) that close the triangle into a circle."""
+    bits = 0
+    for p in positions:
+        slots = {s for s, a in enumerate(d.crossings[p].arcs) if a in inner}
+        bits |= next(bit for bit, joins in SMOOTHING_JOINS.items() if slots in map(set, joins)) << p
+    return bits
+
+
+def _then(terms, op) -> list[tuple[Generator, TPoly]]:
+    """Apply a linear map, given on generators, to a list of (generator, coefficient)."""
+    return [(h, p * q) for g, p in terms for h, q in op(g)]
+
+
+def _edge_op(cube: CubeComplex, j: int):
+    """The signed component of the differential along crossing j."""
+    return lambda g: _scaled(cube.apply_edge(g, j), cube.edge_sign(g.mask, j))
+
+
+def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
+    """Gaussian elimination of an R2 bigon's two unit edges: (f, g, h).
+
+    The circle slice (zi 1-smoothed, wi 0-smoothed) carries the bigon's
+    circle O of `inner` arcs; the edges into and out of it are units on
+    O = v- and O = v+.  h inverts both, with their signs; f projects onto
+    the through slice (wi 1-smoothed), g includes it back: f g = 1 and
+    1 - g f = d h + h d.  Each maps a generator to [(generator, coeff)].
+    """
+    hints = {a: () for a in inner}
+    arc, z, w = next(iter(inner)), 1 << zi, 1 << wi
+
+    @cache
+    def vertex(mask: int):
+        if mask & (z | w) == z:  # circle slice -> lower slice, on O = v-
+            res = cube.circles(mask)
+            plan = transfer(res, cube.circles(mask ^ z), hints)
+            return mask ^ z, cube.edge_sign(mask ^ z, zi), plan, res.circle_of[arc], None
+        if mask & (z | w) == z | w:  # upper slice -> circle slice, with O = v+
+            res = cube.circles(mask ^ w)
+            plan = transfer(cube.circles(mask), res, hints)
+            return mask ^ w, cube.edge_sign(mask ^ w, wi), plan, None, {res.circle_of[arc]: PLUS}
+
+    def h(g: Generator):
+        data = vertex(g.mask)
+        if data is None or data[3] is not None and g.labels[data[3]] != MINUS:
+            return []
+        low, sign, plan, _, fixed = data
+        terms = transfer_labels(plan, g.labels, cube.theory, fixed)
+        return [(Generator(low, labels), poly * sign) for labels, poly in terms]
+
+    into_through, out_of_through = _edge_op(cube, wi), _edge_op(cube, zi)
+
+    def f(g: Generator):
+        xy = g.mask & (z | w)
+        if xy == z:
+            return _scaled(_then(h(g), into_through), -1)
+        return [(g, _ONE)] if xy == w else []
+
+    def g_(t: Generator):
+        return [(t, _ONE)] + _scaled(_then(out_of_through(t), h), -1)
+
+    return f, g_, h
+
+
+def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[int]):
+    """Bar-Natan's R3 map on a bare triangle (math/0410495, section 4.3).
+
+    Smoothing c, the crossing off the top strand, splits each cube into
+    faces A and B.  On B, c joins two sides into an R2 bigon with the top
+    strand, reduced by (f, g, h) to the same diagram on both sides; A is the
+    same tangle on both sides with the bigon crossings exchanged (a -> a',
+    with the exchange's Koszul sign, negated when B is the 1-face: the sign
+    that makes f Psi = f' Psi', Psi the signed edge along c).  The cone lemma
+    gives a -> a' - h'(Psi' a'), b -> g'(f b) when B is the 1-face, and
+    a -> a', b -> g'(f b) - (Psi h b)' when it is the 0-face.
+    """
+    # the target's triangle sits in the opposite quadrants: the same smoothings close it
+    close = _closing_bits(src.diagram, positions, inner)
+    bc = 1 << c
+    b_face = close & bc
+    z = close & ~bc  # the bigon crossing 1-smoothed on the circle slice
+    w = sum(1 << p for p in positions) & ~bc & ~z
+    zi, wi = z.bit_length() - 1, w.bit_length() - 1
+    hints = {a: () for a in inner}
+
+    @cache
+    def carry_plan(mask: int) -> tuple[int, int, Transfer]:
+        tgt_mask, sign = mask, 1
+        if mask & bc != b_face:
+            tgt_mask = mask & ~(z | w) | (z if mask & w else 0) | (w if mask & z else 0)
+            sign = koszul_to_front(mask, (zi, wi), src.n)[1]
+            sign *= koszul_to_front(tgt_mask, (wi, zi), src.n)[1] * (-1 if b_face else 1)
+        plan = transfer(src.circles(mask), tgt.circles(tgt_mask), hints)
+        if plan.merge is not None or plan.split is not None or plan.new or plan.dead:
+            raise MoveError("the r3 rewrite changed the circles of a resolution")
+        return tgt_mask, sign, plan
+
+    def carry(g: Generator):
+        tgt_mask, sign, plan = carry_plan(g.mask)
+        terms = transfer_labels(plan, g.labels, tgt.theory)
+        return [(Generator(tgt_mask, labels), poly * sign) for labels, poly in terms]
+
+    f_src, _, h_src = _bigon_reduction(src, inner, zi, wi)
+    _, g_tgt, h_tgt = _bigon_reduction(tgt, tgt_inner, zi, wi)
+    psi_src, psi_tgt = _edge_op(src, c), _edge_op(tgt, c)
+
+    def fn(g: Generator) -> CochainElement:
+        if g.mask & bc != b_face:  # face A
+            image = carry(g)
+            if b_face:
+                image += _scaled(_then(_then(image, psi_tgt), h_tgt), -1)
+        else:  # face B: f onto the through slice, carried over, then g'
+            image = _then(_then(f_src(g), carry), g_tgt)
+            if not b_face:
+                image += _scaled(_then(_then(h_src(g), psi_src), carry), -1)
+        acc: dict[Generator, TPoly] = {}
+        for h, poly in image:
+            _accumulate(acc, h, poly)
+        return CochainElement(tgt, acc)
+
+    return fn

@@ -271,6 +271,34 @@ def test_env_default_is_validated_like_a_flag(capsys, monkeypatch, name, value):
     assert f"argument --{name.lower()}: invalid" in err and repr(value) in err
 
 
+def test_parser_follows_the_environment_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("KHOVAL_FORMAT", "json")
+    code, out, _ = run(capsys, "homology", "L1")
+    assert code == 0
+    json.loads(out)
+    monkeypatch.setenv("KHOVAL_FORMAT", "human")
+    code, out, _ = run(capsys, "homology", "L1")
+    assert code == 0
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+    # a bad value is refused on every call, also once its parser is built
+    monkeypatch.setenv("KHOVAL_FORMAT", "xml")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["homology", "L0"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_per_environment(monkeypatch):
+    from khoval import cli
+
+    monkeypatch.delenv("KHOVAL_FORMAT", raising=False)
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("KHOVAL_FORMAT", "csv")
+    assert cli.build_parser().parse_args(["verify"]).format == "csv"
+
+
 def test_shipped_movies_match_builders():
     movies = canonical_movies()
     for name, movie in movies.items():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from khoval.algebra import MINUS, PLUS, TPoly, Theory
+from khoval.algebra import MINUS, PLUS, TPoly, Theory, xmult
 from khoval.cobordism import (
     Movie,
     bn_and_kj,
@@ -27,7 +27,7 @@ from khoval.cobordism import (
     validate_movie,
 )
 from khoval.corpus import PD_CODES
-from khoval.cube import Generator, build_cube
+from khoval.cube import CochainElement, Generator, _accumulate, build_cube
 from khoval.diagram import LinkDiagram, parse_pd
 from khoval.errors import (
     CapExceededError,
@@ -39,6 +39,7 @@ from khoval.errors import (
 from khoval.moves import ESI, apply_esi, apply_esi_info
 
 from oracles import apply_termwise, block_basis, block_matrix, in_image, kernel_basis
+from test_hardening import TREFOIL_BRAID
 
 P, M = PLUS, MINUS
 ALL_THEORIES = list(Theory)
@@ -137,6 +138,8 @@ def move_instances():
     d1 = apply_esi(base, ESI("r1", variant="add_pos", arc=1))
     d2 = apply_esi(d1, ESI("r1", variant="add_neg", arc=2))
     out.append(("r3 braid", d2, ESI("r3", crossings=(1, 2, 3), variant="braid")))
+    knotted = parse_pd(TREFOIL_BRAID)
+    out.append(("r3 knotted", knotted, ESI("r3", crossings=(1, 2, 3), variant="braid")))
     return out
 
 
@@ -168,8 +171,6 @@ def test_apply_matches_termwise_sum(th):
     rng = random.Random(11)
     cancelled = 0
     for name, d, event in move_instances():
-        if event.kind not in ("r1", "r2"):
-            continue
         src = build_cube(d, th)
         f = esi_chain_map(event, src, build_cube(apply_esi(d, event), th), th)
         gens = list(src.generators())
@@ -324,7 +325,7 @@ def test_r3_equivalence_mutually_inverse_on_homology():
     d3 = apply_esi(d2, ESI("r3", crossings=(1, 2, 3), variant="braid"))
     src = build_cube(d2, th)
     tgt = build_cube(d3, th)
-    f, g = r3_equivalence(src, tgt)
+    f, g = r3_equivalence(ESI("r3", crossings=(1, 2, 3), variant="braid"), src, tgt)
     # both are chain maps
     for h in src.generators():
         assert f.apply(src.differential_of(h)) == tgt.differential(f.of_generator(h))
@@ -332,6 +333,173 @@ def test_r3_equivalence_mutually_inverse_on_homology():
         assert g.apply(tgt.differential_of(h)) == src.differential(g.of_generator(h))
     assert _induces_identity(lambda x: g.apply(f.apply(x)), src)
     assert _induces_identity(lambda x: f.apply(g.apply(x)), tgt)
+
+
+BRAID_R3 = ESI("r3", crossings=(1, 2, 3), variant="braid")
+
+
+def braid_kinked_on(arcs, variants, extra_loops=0) -> LinkDiagram:
+    """The closed braid s1 s2 s1 with R1 kinks on two of its arcs from crossing 1 to 3.
+
+    With the kinks on arcs 1 and 2 the triangle's sides are bare; arc 4 is
+    a side, so a kink there is carried by the move (the r3 benchmark's
+    seeds give all three choices).
+    """
+    d = parse_pd(PD_CODES["braid_closure"])
+    for arc, variant in zip(arcs, variants):
+        d = apply_esi(d, ESI("r1", variant=variant, arc=arc))
+    top = d.max_arc_id()
+    loops = [(top + 2 * k + 1, top + 2 * k + 2) for k in range(extra_loops)]
+    return LinkDiagram([(c.cid, c.arcs) for c in d.crossings], [*d.loops, *loops])
+
+
+@pytest.mark.parametrize("arcs", [(1, 2), (1, 4), (2, 4)])
+@pytest.mark.parametrize("variants", [("add_pos", "add_neg"), ("add_neg", "add_pos")])
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_r3_benchmark_triangles_are_degree_zero_chain_maps(arcs, variants, th):
+    d = braid_kinked_on(arcs, variants)
+    src = build_cube(d, th)
+    tgt = build_cube(apply_esi(d, BRAID_R3), th)
+    f, g = r3_equivalence(BRAID_R3, src, tgt)
+    for rep, a, b in ((f, src, tgt), (g, tgt, src)):
+        for x in a.generators():
+            image = rep.of_generator(x)
+            assert rep.apply(a.differential_of(x)) == b.differential(image), (th, x)
+            i, q = a.degrees(x)
+            for y, poly in image.terms.items():
+                yi, yq = b.degrees(y)
+                assert yi == i, (th, x)
+                assert th is Theory.LEE or all(yq - 4 * e == q for e, _ in poly.items())
+
+
+def test_r3_with_a_carried_kink_is_inverse_on_homology():
+    d = braid_kinked_on((1, 4), ("add_pos", "add_neg"))
+    src = build_cube(d, Theory.KHOVANOV)
+    tgt = build_cube(apply_esi(d, BRAID_R3), Theory.KHOVANOV)
+    f, g = r3_equivalence(BRAID_R3, src, tgt)
+    assert _induces_identity(lambda x: g.apply(f.apply(x)), src)
+    assert _induces_identity(lambda x: f.apply(g.apply(x)), tgt)
+
+
+def _x_action(cube, arc: int):
+    """Multiplication by X on the circle through `arc`."""
+
+    def act(x):
+        acc = {}
+        for gen, coeff in x.terms.items():
+            k = cube.circles(gen.mask).circle_of[arc]
+            for label, poly in xmult(gen.labels[k], cube.theory).items():
+                labels = gen.labels[:k] + (label,) + gen.labels[k + 1 :]
+                _accumulate(acc, Generator(gen.mask, labels), poly * coeff)
+        return CochainElement(cube, acc)
+
+    return act
+
+
+def _is_boundary(cube, x, blocks) -> bool:
+    if x.is_zero():
+        return True
+    ((i, q),) = {cube.degrees(g) for g in x.terms}
+    basis = blocks[(i, q)]
+    index = {g: k for k, g in enumerate(basis)}
+    vec = [0] * len(basis)
+    for g, poly in x.terms.items():
+        vec[index[g]] = poly.coefficient(0)
+    prev = blocks.get((i - 1, q), [])
+    return in_image(block_matrix(cube, prev, basis), vec) if prev else not any(vec)
+
+
+def _commutes_with_x(fmap, src, tgt, arc: int) -> bool:
+    """Whether f X = X f on Khovanov homology, X acting at `arc` on both sides."""
+    x_src, x_tgt = _x_action(src, arc), _x_action(tgt, arc)
+    src_blocks, tgt_blocks = block_basis(src), block_basis(tgt)
+    for key, basis in src_blocks.items():
+        succ = src_blocks.get((key[0] + 1, key[1]), [])
+        if succ:
+            cycles = kernel_basis(block_matrix(src, basis, succ))
+        else:
+            cycles = [[int(i == j) for i in range(len(basis))] for j in range(len(basis))]
+        for vec in cycles:
+            z = src.element({g: TPoly(c) for g, c in zip(basis, vec) if c})
+            if not _is_boundary(tgt, fmap(x_src(z)) - x_tgt(fmap(z)), tgt_blocks):
+                return False
+    return True
+
+
+def _components(d: LinkDiagram) -> list[set[int]]:
+    """The arcs of each component."""
+    parent = {a: a for a in d.arc_ids()}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for c in d.crossings:
+        for s, t in ((0, 2), (1, 3)):
+            parent[find(c.arcs[s])] = find(c.arcs[t])
+    for lp in d.loops:
+        for a in lp:
+            parent[find(a)] = find(lp[0])
+    out: dict[int, set[int]] = {}
+    for a in d.arc_ids():
+        out.setdefault(find(a), set()).add(a)
+    return list(out.values())
+
+
+def test_r3_commutes_with_the_x_action_on_homology():
+    # two disjoint circles make rank-2 blocks; X acts at an arc outside the
+    # triangle on each component
+    d = braid_kinked_on((1, 2), ("add_pos", "add_neg"), extra_loops=2)
+    d2, info = apply_esi_info(d, BRAID_R3)
+    src, tgt = build_cube(d, Theory.KHOVANOV), build_cube(d2, Theory.KHOVANOV)
+    f = esi_chain_map(BRAID_R3, src, tgt)
+    kept = (d.arc_ids() & d2.arc_ids()) - set(info.arc_map)
+    components = _components(d)
+    assert len(components) == 4
+    for arcs in components:
+        arc = min(arcs & kept)
+        assert _commutes_with_x(f.apply, src, tgt, arc), arc
+    # a map that swaps two generators of a rank-2 block (the labels of the
+    # two disjoint circles) is caught
+    o1, o2 = d.loops[-2][0], d.loops[-1][0]
+
+    def swapped(x):
+        acc = {}
+        for gen, coeff in f.apply(x).terms.items():
+            res = tgt.circles(gen.mask)
+            k1, k2 = res.circle_of[o1], res.circle_of[o2]
+            labels = list(gen.labels)
+            labels[k1], labels[k2] = labels[k2], labels[k1]
+            acc[Generator(gen.mask, tuple(labels))] = coeff
+        return CochainElement(tgt, acc)
+
+    assert not _commutes_with_x(swapped, src, tgt, o1)
+
+
+def test_sixteen_crossing_r3_resolves_only_reached_vertices(resolve_calls):
+    d = braid_kinked_on((1, 2), ("add_pos", "add_neg"))
+    for k in range(11):
+        # kinks away from the triangle, whose sides are arcs 4, 5 and 6
+        arcs = sorted(d.arc_ids() - {4, 5, 6})
+        variant = ("add_pos", "add_neg")[k % 2]
+        d = apply_esi(d, ESI("r1", variant=variant, arc=arcs[3 * k % len(arcs)]))
+    assert d.n == 16
+    d2, info = apply_esi_info(d, BRAID_R3)
+    assert not info.kinks
+    src, tgt = build_cube(d, Theory.BAR_NATAN), build_cube(d2, Theory.BAR_NATAN)
+    f = esi_chain_map(BRAID_R3, src, tgt)
+    # every smoothing of the triangle, each kink smoothed so that its loop
+    # merges into the strand (positive kinks 1-smoothed, negative 0-smoothed)
+    rest = sum(1 << j for j, c in enumerate(d.crossings) if c.sign > 0 and j not in info.positions)
+    masks = [rest | sum(((t >> k) & 1) << p for k, p in enumerate(info.positions)) for t in range(8)]
+    resolve_calls[0] = 0
+    for mask in masks:
+        for x in src.generators_at(mask):
+            assert f.apply(src.differential_of(x)) == tgt.differential(f.of_generator(x))
+    # the map moves only the three triangle bits and the law adds one edge:
+    # at most 8 * 17 vertices around each chosen one, on each cube
+    assert resolve_calls[0] <= 2 * len(masks) * 8 * 17
 
 
 def test_r1_remove_after_add_is_strict_identity():

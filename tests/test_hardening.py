@@ -68,8 +68,8 @@ def test_knotted_braid_closure_is_trefoil():
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
 def test_r3_on_knotted_closure(th):
-    # the reduced complexes here keep torsion/deformation differentials, so
-    # this exercises the signed-permutation matching rather than the free case
+    # a knotted closure: the triangle's bigon face B and face A both carry
+    # differentials into the rest of the cube
     d = parse_pd(TREFOIL_BRAID)
     event = ESI("r3", crossings=(1, 2, 3), variant="braid")
     d2 = apply_esi(d, event)

@@ -191,6 +191,38 @@ def test_r3_reapplies_after_disambiguation():
     assert [c.sign for c in d4.crossings] == [c.sign for c in d3.crossings]
 
 
+def test_r3_records_triangle_roles():
+    d = braid_with_kinked_closure()
+    _, info = apply_esi_info(d, ESI("r3", crossings=(1, 2, 3), variant="braid"))
+    # arc 5 passes over at both ends, arc 6 under at both; crossing 3 is off arc 5
+    assert info.pieces == {"c": d.crossing_by_id(3)[0], "top": 5, "middle": 4, "bottom": 6}
+    assert info.kinks == ()
+
+
+def test_r3_carries_the_kinks_on_its_sides():
+    # a kink on arc 4, a side of the triangle, rides along with its strand
+    d = apply_esi(parse_pd(PD_CODES["braid_closure"]), ESI("r1", variant="add_pos", arc=1))
+    d, kink = apply_esi_info(d, ESI("r1", variant="add_neg", arc=4))
+    (cid,) = kink.created_crossings
+    d2, info = apply_esi_info(d, ESI("r3", crossings=(1, 2, 3), variant="braid"))
+    assert info.kinks == (cid,)
+    idx, before = d.crossing_by_id(cid)
+    after = d2.crossings[idx]
+    assert after.cid == cid and after.sign == before.sign
+    assert after.arcs[2:] == before.arcs[2:]  # the same loop, in the same slots
+    assert [c.sign for c in d2.crossings] == [c.sign for c in d.crossings]
+
+
+def test_r3_refuses_a_triangle_that_is_not_a_face():
+    # with arc 2 kinked and arc 4 poked by a finger, only arc 1 joins
+    # crossings 1 and 3 directly, and arcs 1, 5, 6 do not bound a face
+    d = apply_esi(parse_pd(PD_CODES["braid_closure"]), ESI("r1", variant="add_pos", arc=2))
+    d = LinkDiagram([(c.cid, c.arcs) for c in d.crossings], [(20, 21)])
+    d = apply_esi(d, ESI("r2", variant="add", arcs=(4, 20)))
+    with pytest.raises(MoveError, match="face"):
+        apply_esi(d, ESI("r3", crossings=(1, 2, 3), variant="braid"))
+
+
 def test_r3_rejects_non_triangle():
     with pytest.raises(MoveError):
         apply_esi(trefoil(), ESI("r3", crossings=(1, 2, 3), variant="braid"))

@@ -1,26 +1,16 @@
-"""Gaussian elimination of complexes: equivalences are strict retractions."""
+"""Gaussian elimination: the unit-pivot kernel and the R2 bigon reduction of R3."""
 
 import pytest
 
-from khoval.algebra import TPoly, Theory
+from khoval.algebra import Theory
 from khoval.corpus import PD_CODES
-from khoval.cube import build_cube
-from khoval.diagram import parse_pd
+from khoval.cobordism import esi_chain_map
+from khoval.cube import CochainElement, Generator, _accumulate, build_cube, transfer_labels
+from khoval.diagram import LinkDiagram, parse_pd, transfer
 from khoval.homology import homology
-from khoval.moves import ESI, apply_esi
-from khoval.reduce import BasedComplex, match_reduced, reduce_cube
-
-
-def elem_apply(mapping, element):
-    out = {}
-    for g, c in element.items():
-        for h, c2 in mapping.get(g, {}).items():
-            cur = out.get(h, TPoly(0)) + c * c2
-            if cur.is_zero():
-                out.pop(h, None)
-            else:
-                out[h] = cur
-    return out
+from khoval.moves import ESI, apply_esi, apply_esi_info
+from khoval.r3 import _bigon_reduction, _then
+from khoval.reduce import eliminate
 
 
 def diagram(name):
@@ -31,57 +21,97 @@ def diagram(name):
     return apply_esi(d, ESI("r1", variant="add_neg", arc=4))
 
 
+def finger(name):
+    """The diagram next to a circle, and the R2 finger that pokes the circle over it."""
+    d = diagram(name)
+    top = d.max_arc_id()
+    d = LinkDiagram([(c.cid, c.arcs) for c in d.crossings], [*d.loops, (top + 1, top + 2)])
+    return d, ESI("r2", variant="add", arcs=(min(d.arc_ids()), top + 1))
+
+
+def poked(name, th):
+    """The poked diagram's cube and its bigon reduction."""
+    d, add = finger(name)
+    d, info = apply_esi_info(d, add)
+    cube = build_cube(d, th)
+    # the finger's crossings come first; the circle slice 1-smoothes the first
+    return cube, _bigon_reduction(cube, {info.pieces["u2"], info.pieces["o2"]}, 0, 1)
+
+
+def element(cube, terms):
+    acc = {}
+    for g, p in terms:
+        _accumulate(acc, g, p)
+    return CochainElement(cube, acc)
+
+
 @pytest.mark.parametrize("name", ["unknot", "hopf", "trefoil", "figure8", "trefoil_kinked"])
 @pytest.mark.parametrize("th", [Theory.KHOVANOV, Theory.BAR_NATAN, Theory.LEE])
 def test_reduction_is_strict_retraction(name, th):
-    cube = build_cube(diagram(name), th)
-    red = reduce_cube(cube)
-    # the reduced differential stays inside the reduced basis
-    for col in red.reduced.diff.values():
-        assert set(col) <= set(red.reduced.degrees)
-    # project o include = identity on the reduced complex
-    for g in red.reduced.degrees:
-        assert elem_apply(red.project, red.include[g]) == {g: TPoly(1)}
+    # f g = 1 on the through slice; f h = 0, h g = 0 and h h = 0 everywhere
+    cube, (f, g, h) = poked(name, th)
+    zero = cube.element()
+    for x in cube.generators():
+        if x.mask & 0b11 == 0b10:
+            assert element(cube, _then(g(x), f)) == cube.basis_element(x), (th, x)
+            assert element(cube, _then(g(x), h)) == zero, (th, x)
+        assert element(cube, _then(h(x), f)) == zero, (th, x)
+        assert element(cube, _then(h(x), h)) == zero, (th, x)
 
 
 @pytest.mark.parametrize("name", ["hopf", "trefoil"])
 def test_reduction_maps_are_chain_maps(name):
+    # 1 - g f = d h + h d, so g f commutes with d
     for th in Theory:
-        cube = build_cube(parse_pd(PD_CODES[name]), th)
-        red = reduce_cube(cube)
-        full = BasedComplex.from_cube(cube)
-        # include commutes: d_full o G = G o d_reduced
-        for g in red.reduced.degrees:
-            lhs = elem_apply(full.diff, red.include[g])
-            rhs = elem_apply(red.include, red.reduced.diff.get(g, {}))
-            assert lhs == rhs, (th, g)
-        # project commutes: d_reduced o F = F o d_full
-        for g in full.degrees:
-            lhs = elem_apply(red.reduced.diff, red.project.get(g, {}))
-            rhs = elem_apply(red.project, full.diff.get(g, {}))
-            assert lhs == rhs, (th, g)
+        cube, (f, g, h) = poked(name, th)
+        for x in cube.generators():
+            gf = element(cube, _then(f(x), g))
+            dh = cube.differential(element(cube, h(x)))
+            hd = element(cube, _then(list(cube.differential_of(x).terms.items()), h))
+            assert cube.basis_element(x) - gf == dh + hd, (th, x)
+
+
+@pytest.mark.parametrize("name", ["hopf", "trefoil", "figure8"])
+def test_bigon_reduction_is_the_r2_equivalence(name):
+    # f and g agree with the R2 removal and addition maps, read through the
+    # identification of the through slice with the diagram without the bigon
+    d, add = finger(name)
+    poked_d, info = apply_esi_info(d, add)
+    remove = ESI("r2", variant="remove", crossings=tuple(info.created_crossings))
+    back, back_info = apply_esi_info(poked_d, remove)
+    for th in Theory:
+        before, cube, after = (build_cube(x, th) for x in (d, poked_d, back))
+        f, g, _ = _bigon_reduction(cube, {info.pieces["u2"], info.pieces["o2"]}, 0, 1)
+        r2_remove = esi_chain_map(remove, cube, after, th)
+        r2_add = esi_chain_map(add, before, cube, th)
+
+        def carry(x, a, b, mask, arc_map):
+            plan = transfer(a.circles(x.mask), b.circles(mask), {k: (v,) for k, v in arc_map.items()})
+            return [(Generator(mask, lab), p) for lab, p in transfer_labels(plan, x.labels, th)]
+
+        for x in cube.generators():
+            image = _then(f(x), lambda t: carry(t, cube, after, t.mask >> 2, back_info.arc_map))
+            assert element(after, image) == r2_remove.of_generator(x), (th, x)
+        for e in before.generators():
+            through = carry(e, before, cube, e.mask << 2 | 0b10, info.arc_map)
+            assert element(cube, _then(through, g)) == r2_add.of_generator(e), (th, e)
 
 
 def test_reduction_preserves_free_rank():
     # the undeformed reduced complex of the trefoil has the homology ranks
     cube = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
-    red = reduce_cube(cube)
+    degrees = {g: cube.degrees(g) for g in cube.generators()}
+    diff = {
+        g: {h: p.coefficient(0) for h, p in cube.differential_of(g).terms.items()}
+        for g in degrees
+    }
+    eliminate(degrees, diff)
     groups = homology(cube)
     free = sum(g.free_rank for g in groups.values())
     torsion_pairs = sum(len(g.torsion) for g in groups.values())
     # survivors = free generators plus one pair per torsion factor
-    assert len(red.reduced.degrees) == free + 2 * torsion_pairs
-
-
-def test_match_reduced_identity_case():
-    cube = build_cube(parse_pd(PD_CODES["unknot"]), Theory.BAR_NATAN)
-    red = reduce_cube(cube)
-    u = match_reduced(red.reduced, red.reduced)
-    assert u is not None
-    assert all(s == t and sign == 1 for s, (t, sign) in u.items())
-
-
-def test_match_reduced_rejects_shape_mismatch():
-    a = reduce_cube(build_cube(parse_pd("L0"), Theory.BAR_NATAN)).reduced
-    b = reduce_cube(build_cube(parse_pd("L0 L1"), Theory.BAR_NATAN)).reduced
-    assert match_reduced(a, b) is None
+    assert len(degrees) == free + 2 * torsion_pairs
+    # the residual differential stays inside the residual basis, without units
+    for col in diff.values():
+        assert set(col) <= set(degrees)
+        assert all(c not in (1, -1) for c in col.values())
