@@ -57,6 +57,17 @@ def _format(value: str) -> str:
     return value
 
 
+def _cap(value: str) -> int:
+    # a `type`, like `_format`, so a KHOVAL_CAP default is refused like the flag
+    try:
+        cap = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"invalid value: {value!r} (a cap is at least 0)")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for the current KHOVAL_THEORY, KHOVAL_FORMAT and KHOVAL_CAP."""
     return _parser(*(os.environ.get(f"KHOVAL_{name}") for name in ("THEORY", "FORMAT", "CAP")))
@@ -70,7 +81,7 @@ def _parser(theory: str | None, fmt: str | None, cap: str | None) -> argparse.Ar
                        help="khovanov | bar-natan | lee")
         p.add_argument("--format", type=_format, choices=FORMATS,
                        default="human" if fmt is None else fmt)
-        p.add_argument("--cap", type=int, default=str(DEFAULT_CAP) if cap is None else cap)
+        p.add_argument("--cap", type=_cap, default=str(DEFAULT_CAP) if cap is None else cap)
 
     parser = argparse.ArgumentParser(
         prog="khoval",
@@ -90,8 +101,8 @@ def _parser(theory: str | None, fmt: str | None, cap: str | None) -> argparse.Ar
     p.add_argument("input", help="movie JSON file (or inline JSON)")
     p.add_argument("--punctured", action="store_true",
                    help="evaluate as a punctured movie instead of a closed one")
-    p.add_argument("--label", choices=LABEL_NAMES, default="v-",
-                   help="starting label for a punctured unknot-to-empty movie")
+    p.add_argument("--label", choices=LABEL_NAMES,
+                   help="starting label for a punctured unknot-to-empty movie (default v-)")
     _add_common(p, "bar-natan")
 
     p = sub.add_parser("stills", help="dump the stills of a movie with their ids")
@@ -225,11 +236,13 @@ def _cmd_movie(args) -> int:
         raise ValidationError(report.index, report.reason)
     if args.punctured:
         if m.initial == "unknot":
-            label = LABEL_NAMES.index(args.label)
-            value = punctured_eval(m, label, "to_empty", theory, cap=args.cap)
-            payload = {"direction": "to_empty", "label": args.label, "value": str(value)}
-            human = f"psi({args.label}) = {value}"
+            name = args.label or "v-"
+            value = punctured_eval(m, LABEL_NAMES.index(name), "to_empty", theory, cap=args.cap)
+            payload = {"direction": "to_empty", "label": name, "value": str(value)}
+            human = f"psi({name}) = {value}"
         else:
+            if args.label is not None:
+                raise ParseError("--label applies only to a movie that starts at the unknot")
             element = punctured_eval(m, direction="from_empty", th=theory, cap=args.cap)
             payload = {"direction": "from_empty", "value": _render_element(element)}
             human = f"psi(1) = {payload['value']}"

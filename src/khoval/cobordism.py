@@ -3,21 +3,21 @@
 A movie is a sequence of elementary string interactions starting from the
 empty diagram (or from a trivial knot, for punctured evaluations).  Each
 event induces a chain map between the cube complexes of consecutive stills:
+birth and death have q-degree +1, a saddle -1, and the Reidemeister moves
+are degree-0 homotopy equivalences.
 
-* birth / death: tensor with the unit on the new circle / apply the counit
-  to the dying circle (degree +1);
-* saddle: merge or split per resolution (degree -1);
-* Reidemeister moves: degree-0 homotopy equivalences.  The R1 and R2 maps
-  are local formulas valid when the active crossings sit first in the
-  crossing order, so removals conjugate by the Koszul reordering sign
-  (-1)^(inversions among 1-bits).  The R3 map is Bar-Natan's cone formula
-  on the triangle crossings (`r3.triangle_map`); kinks on the triangle's
-  sides come off by R1 before it and go back on after.
-
-Every map moves labels with the same circle-transfer plan as a cube edge
-(`diagram.transfer`, applied by `cube.transfer_labels`), read through the
-move's arc hints, and computes its plans, target masks and signs once per
-source vertex; no map resolves more of a cube than the vertices it reaches.
+Every map but R3 is a table `vertex(mask) -> pieces`, computed once per
+source vertex: a signed sum of dotted cobordisms (`cube.Piece`: a
+circle-transfer plan read through the move's arc hints, with cups, caps and
+dots), applied by `cube.apply_pieces`.  Birth, death and saddle share one
+Morse table.  The R1 and R2 tables act on crossings moved to the front of
+the crossing order, so they carry the Koszul sign of that reordering:
+positive R1 addition is a dotted cup minus a cup with a dot on the strand,
+negative R1 removal a dotted cap minus a cap with a dot on the strand, and
+R2 removal caps the bigon's circle with sign -1.  The R3 map is Bar-Natan's
+cone formula on the triangle crossings (`r3.triangle_map`, itself built from
+pieces); kinks on the triangle's sides come off by R1 before it and go back
+on after.  No map resolves more of a cube than the vertices it reaches.
 `eval_movie` reuses the rewrites that `Movie.replay` recorded; the public
 `esi_chain_map` redoes the rewrite and checks it against the target cube.
 
@@ -33,19 +33,23 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
-from .algebra import MINUS, PLUS, TPoly, Theory, counit, xmult
+from .algebra import PLUS, TPoly, Theory
 from .cube import (
+    CAP,
+    CUP,
     DEFAULT_CAP,
+    DOTTED_CAP,
+    DOTTED_CUP,
     CochainElement,
     CubeComplex,
     Generator,
+    Piece,
     _accumulate,
-    _scaled,
+    apply_pieces,
     build_cube,
     koszul_to_front,
-    transfer_labels,
 )
-from .diagram import LinkDiagram, ResolvedDiagram, Transfer, transfer
+from .diagram import LinkDiagram, transfer
 from .errors import (
     KhovalError,
     MoveError,
@@ -116,27 +120,11 @@ class ChainMapRep:
         return CochainElement(self.target, acc)
 
 
-# -- circle bookkeeping across a move ------------------------------------------
+# -- the chain maps: a table of pieces per source vertex ------------------------
 
 
 def _hint_tuples(arc_map: dict[int, int]) -> dict[int, tuple[int, ...]]:
     return {a: (b,) for a, b in arc_map.items()}
-
-
-def _plan(
-    src_res: ResolvedDiagram,
-    tgt_res: ResolvedDiagram,
-    hints: dict[int, tuple[int, ...]] | None = None,
-    deaths: bool = False,
-) -> Transfer:
-    """The transfer plan of one source vertex; `deaths` sanctions dead circles."""
-    plan = transfer(src_res, tgt_res, hints)
-    if plan.dead and not deaths:
-        raise KhovalError("a circle vanished without a death rule")
-    return plan
-
-
-# -- the chain maps -------------------------------------------------------------
 
 
 def esi_chain_map(
@@ -158,153 +146,96 @@ def esi_chain_map(
 def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex) -> ChainMapRep:
     """The chain map of an event whose rewrite `info` is already known."""
     kind = event.kind
-    if kind == "birth":
-        fn = _birth_fn(src, tgt, info)
-    elif kind == "death":
-        fn = _death_fn(src, tgt, info)
-    elif kind == "saddle":
-        fn = _saddle_fn(src, tgt, info)
+    if kind == "r3":
+        return ChainMapRep(src, tgt, 0, _r3_fn(src, tgt, info))
+    if kind in ("birth", "death", "saddle"):
+        vertex = _morse(src, tgt, info)
     elif kind == "r1" and info.variant == "remove":
-        fn = _r1_remove_fn(src, tgt, info)
+        vertex = _r1_remove(src, tgt, info)
     elif kind == "r1":
         hints = _hint_tuples(info.arc_map)
-        fn = _r1_add_fn(src, tgt, hints, info.loop_arc, info.strand_arc, info.positive)
+        vertex = _r1_add(src, tgt, hints, info.loop_arc, info.strand_arc, info.positive)
     elif kind == "r2":
-        fn = _r2_add_fn(src, tgt, info) if info.variant == "add" else _r2_remove_fn(src, tgt, info)
-    elif kind == "r3":
-        fn = _r3_fn(src, tgt, info)
+        vertex = (_r2_add if info.variant == "add" else _r2_remove)(src, tgt, info)
     else:
         raise MoveError(f"unknown ESI kind {kind!r}")
-    return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], fn)
+    return _piece_map(src, tgt, ESI_Q_DEGREE[kind], vertex)
 
 
-def _element(tgt: CubeComplex, mask: int, terms) -> CochainElement:
-    acc: dict[Generator, TPoly] = {}
-    for labels, poly in terms:
-        _accumulate(acc, Generator(mask, labels), poly)
-    return CochainElement(tgt, acc)
-
-
-def _birth_fn(src, tgt, info: MoveInfo):
-    born = info.created_arcs[0]
-
-    @cache
-    def vertex(mask: int):
-        tgt_res = tgt.circles(mask)
-        return _plan(src.circles(mask), tgt_res), {tgt_res.circle_of[born]: PLUS}
+def _piece_map(src: CubeComplex, tgt: CubeComplex, q_degree: int, vertex) -> ChainMapRep:
+    """The chain map sending a generator through the pieces `vertex(mask)` of its vertex."""
+    vertex = cache(vertex)
 
     def fn(g: Generator) -> CochainElement:
-        plan, fixed = vertex(g.mask)
-        return _element(tgt, g.mask, transfer_labels(plan, g.labels, tgt.theory, fixed))
+        return CochainElement(tgt, apply_pieces(vertex(g.mask), g.labels, tgt.theory))
 
-    return fn
-
-
-def _death_fn(src, tgt, info: MoveInfo):
-    @cache
-    def vertex(mask: int) -> Transfer:
-        return _plan(src.circles(mask), tgt.circles(mask), deaths=True)
-
-    def fn(g: Generator) -> CochainElement:
-        plan = vertex(g.mask)
-        coeff = TPoly(1)
-        for s in plan.dead:
-            coeff = coeff * counit(g.labels[s], tgt.theory)
-        if coeff.is_zero():
-            return tgt.element()
-        terms = transfer_labels(plan, g.labels, tgt.theory)
-        return _element(tgt, g.mask, _scaled(terms, coeff))
-
-    return fn
+    return ChainMapRep(src, tgt, q_degree, fn)
 
 
-def _saddle_fn(src, tgt, info: MoveInfo):
+def _morse(src, tgt, info: MoveInfo):
+    """Birth, death or saddle: a cup, a cap or a saddle at every vertex."""
     hints = _hint_tuples(info.arc_map)
 
-    @cache
-    def vertex(mask: int) -> Transfer:
-        return _plan(src.circles(mask), tgt.circles(mask), hints)
+    def vertex(mask: int) -> tuple[Piece, ...]:
+        src_res, tgt_res = src.circles(mask), tgt.circles(mask)
+        births = {tgt_res.circle_of[info.created_arcs[0]]: CUP} if info.kind == "birth" else None
+        deaths = {src_res.circle_of[info.victim_arcs[0]]: CAP} if info.kind == "death" else None
+        return (Piece(mask, 1, transfer(src_res, tgt_res, hints), births, deaths),)
 
-    def fn(g: Generator) -> CochainElement:
-        terms = transfer_labels(vertex(g.mask), g.labels, tgt.theory)
-        return _element(tgt, g.mask, terms)
-
-    return fn
+    return vertex
 
 
-def _xmult_target(terms, circle: int, theory: Theory, factor: int = 1):
-    """Multiply the label of one target circle by X = v- in every term."""
-    out = []
-    for labels, poly in terms:
-        for lbl, extra in xmult(labels[circle], theory).items():
-            new_labels = list(labels)
-            new_labels[circle] = lbl
-            out.append((tuple(new_labels), poly * extra * factor))
-    return out
+def _r1_add(src, tgt, hints, loop_arc: int, strand_arc: int, positive: bool, position: int = 0):
+    """The R1 addition of a kink that becomes crossing `position` of the target.
 
+    A negative kink is 1-smoothed and born by a cup; a positive one is
+    0-smoothed: a dotted cup minus a cup with a dot on the strand.
+    """
 
-def _r1_add_fn(src, tgt, hints, loop_arc: int, strand_arc: int, positive: bool, position: int = 0):
-    """The R1 addition of a kink that becomes crossing `position` of the target."""
-
-    @cache
-    def vertex(mask: int):
-        # the kink is 0-smoothed when positive, 1-smoothed when negative
+    def vertex(mask: int) -> tuple[Piece, ...]:
         low = mask & ((1 << position) - 1)
         tgt_mask = low | (0 if positive else 1 << position) | (mask ^ low) << 1
         sign = koszul_to_front(tgt_mask, (position,), tgt.n)[1] if position else 1
         tgt_res = tgt.circles(tgt_mask)
-        plan = _plan(src.circles(mask), tgt_res, hints)
-        kink, strand = tgt_res.circle_of[loop_arc], tgt_res.circle_of[strand_arc]
-        return tgt_mask, sign, plan, kink, strand
+        plan = transfer(src.circles(mask), tgt_res, hints)
+        kink = tgt_res.circle_of[loop_arc]
+        if not positive:
+            return (Piece(tgt_mask, sign, plan, {kink: CUP}),)
+        strand = tgt_res.circle_of[strand_arc]
+        return (Piece(tgt_mask, sign, plan, {kink: DOTTED_CUP}),
+                Piece(tgt_mask, -sign, plan, {kink: CUP}, dots=(strand,)))
 
-    def fn(g: Generator) -> CochainElement:
-        mask, sign, plan, kink, strand = vertex(g.mask)
-        if positive:
-            base = transfer_labels(plan, g.labels, tgt.theory, {kink: MINUS})
-            plus = transfer_labels(plan, g.labels, tgt.theory, {kink: PLUS})
-            terms = base + _xmult_target(plus, strand, tgt.theory, factor=-1)
-        else:
-            terms = transfer_labels(plan, g.labels, tgt.theory, {kink: PLUS})
-        return _element(tgt, mask, terms if sign == 1 else _scaled(terms, sign))
-
-    return fn
+    return vertex
 
 
-def _r1_remove_fn(src, tgt, info: MoveInfo):
+def _r1_remove(src, tgt, info: MoveInfo):
+    """The R1 removal, from the kink's 0-smoothing when positive, else its 1-smoothing.
+
+    A positive kink dies by a cap; a negative one by a dotted cap minus a
+    cap with a dot on the strand.
+    """
     hints = _hint_tuples(info.arc_map)
-    positive = info.positive
-    idx = info.positions[0]
+    positive, idx = info.positive, info.positions[0]
 
-    @cache
-    def vertex(mask: int):
+    def vertex(mask: int) -> tuple[Piece, ...]:
         rmask, sign = koszul_to_front(mask, (idx,), src.n)
-        # a positive kink maps from its 0-smoothing, a negative one from its 1-smoothing
         if rmask & 1 != (0 if positive else 1):
-            return None
+            return ()
         tgt_mask = rmask >> 1
-        src_res = src.circles(mask)
-        # the kink circle is consumed by the label rule in `fn`
-        plan = _plan(src_res, tgt.circles(tgt_mask), hints, deaths=True)
-        strand = None if positive else tgt.circles(tgt_mask).circle_of[info.strand_arc]
-        return tgt_mask, sign, plan, src_res.circle_of[info.loop_arc], strand
+        src_res, tgt_res = src.circles(mask), tgt.circles(tgt_mask)
+        plan = transfer(src_res, tgt_res, hints)
+        kink = src_res.circle_of[info.loop_arc]
+        if positive:
+            return (Piece(tgt_mask, sign, plan, deaths={kink: CAP}),)
+        strand = tgt_res.circle_of[info.strand_arc]
+        return (Piece(tgt_mask, sign, plan, deaths={kink: DOTTED_CAP}),
+                Piece(tgt_mask, -sign, plan, deaths={kink: CAP}, dots=(strand,)))
 
-    def fn(g: Generator) -> CochainElement:
-        data = vertex(g.mask)
-        if data is None:
-            return tgt.element()
-        mask, sign, plan, kink, strand = data
-        kink_label = g.labels[kink]
-        if positive and kink_label != MINUS:
-            return tgt.element()
-        terms = transfer_labels(plan, g.labels, tgt.theory)
-        if not positive and kink_label != PLUS:
-            terms = _xmult_target(terms, strand, tgt.theory, factor=-1)
-        return _element(tgt, mask, _scaled(terms, sign))
-
-    return fn
+    return vertex
 
 
-def _r2_add_fn(src, tgt, info: MoveInfo):
+def _r2_add(src, tgt, info: MoveInfo):
+    """The R2 addition: onto the through slice, and by a cup onto the circle slice."""
     p = info.pieces
     through_hints = _hint_tuples(info.arc_map)
     # on the circle-side slice both cut ends of each poked strand serve as hints
@@ -319,57 +250,38 @@ def _r2_add_fn(src, tgt, info: MoveInfo):
         else:
             raise KhovalError("unexpected r2 hint")
 
-    @cache
-    def vertex(mask: int):
+    def vertex(mask: int) -> tuple[Piece, ...]:
         src_res = src.circles(mask)
-        # through slice: first crossing 0-smoothed, second 1-smoothed
-        mask_through = (mask << 2) | 0b10
-        through = _plan(src_res, tgt.circles(mask_through), through_hints)
-        # circle slice: first crossing 1-smoothed, second 0-smoothed
-        mask_circle = (mask << 2) | 0b01
-        tgt_res = tgt.circles(mask_circle)
-        circle = _plan(src_res, tgt_res, side_hints)
-        mid = {tgt_res.circle_of[p["u2"]]: PLUS}
-        return mask_through, through, mask_circle, circle, mid
+        # through slice: first crossing 0-smoothed, second 1-smoothed; circle slice: reversed
+        through, circle = mask << 2 | 0b10, mask << 2 | 0b01
+        through_plan = transfer(src_res, tgt.circles(through), through_hints)
+        tgt_res = tgt.circles(circle)
+        circle_plan = transfer(src_res, tgt_res, side_hints)
+        return (Piece(through, 1, through_plan),
+                Piece(circle, 1, circle_plan, {tgt_res.circle_of[p["u2"]]: CUP}))
 
-    def fn(g: Generator) -> CochainElement:
-        mask_through, through, mask_circle, circle, mid = vertex(g.mask)
-        out = _element(tgt, mask_through, transfer_labels(through, g.labels, tgt.theory))
-        circle_terms = transfer_labels(circle, g.labels, tgt.theory, mid)
-        return out + _element(tgt, mask_circle, circle_terms)
-
-    return fn
+    return vertex
 
 
-def _r2_remove_fn(src, tgt, info: MoveInfo):
+def _r2_remove(src, tgt, info: MoveInfo):
+    """The R2 removal: off the through slice, and off the circle slice by a cap with sign -1."""
     hints = _hint_tuples(info.arc_map)
     ia, ib = info.positions
 
-    @cache
-    def vertex(mask: int):
+    def vertex(mask: int) -> tuple[Piece, ...]:
         rmask, sign = koszul_to_front(mask, (ia, ib), src.n)
         bits = rmask & 0b11
         if bits not in (0b10, 0b01):
-            return None
+            return ()
         tgt_mask = rmask >> 2
         src_res = src.circles(mask)
+        plan = transfer(src_res, tgt.circles(tgt_mask), hints)
         if bits == 0b10:  # (0, 1): the through slice
-            return tgt_mask, sign, _plan(src_res, tgt.circles(tgt_mask), hints), None
-        # (1, 0): the circle slice; its middle circle is consumed when labeled v-
-        plan = _plan(src_res, tgt.circles(tgt_mask), hints, deaths=True)
-        return tgt_mask, -sign, plan, src_res.circle_of[info.pieces["u2"]]
+            return (Piece(tgt_mask, sign, plan),)
+        mid = src_res.circle_of[info.pieces["u2"]]  # (1, 0): the circle slice
+        return (Piece(tgt_mask, -sign, plan, deaths={mid: CAP}),)
 
-    def fn(g: Generator) -> CochainElement:
-        data = vertex(g.mask)
-        if data is None:
-            return tgt.element()
-        mask, sign, plan, mid = data
-        if mid is not None and g.labels[mid] != MINUS:
-            return tgt.element()
-        terms = transfer_labels(plan, g.labels, tgt.theory)
-        return _element(tgt, mask, _scaled(terms, sign))
-
-    return fn
+    return vertex
 
 
 # -- the R3 map -------------------------------------------------------------------
@@ -391,14 +303,14 @@ def _r3_fn(src: CubeComplex, tgt: CubeComplex, info: MoveInfo, back: bool = Fals
         bare = CubeComplex(d, src.theory, cap=src.n)
         arcs[side] = [step.arc_map.get(a, a) for a in arcs[side]]
         if side == 0:
-            maps.append(ChainMapRep(cubes[0], bare, 0, _r1_remove_fn(cubes[0], bare, step)))
+            maps.append(_piece_map(cubes[0], bare, 0, _r1_remove(cubes[0], bare, step)))
         else:  # the addition that undoes this removal, applied last
             hints: dict[int, list[int]] = {}
             for old, new in step.arc_map.items():
                 hints.setdefault(new, []).append(old)
-            add = _r1_add_fn(bare, cubes[1], hints, step.loop_arc, min(step.arc_map),
-                             step.positive, step.positions[0])
-            maps.insert(k, ChainMapRep(bare, cubes[1], 0, add))
+            add = _r1_add(bare, cubes[1], hints, step.loop_arc, min(step.arc_map),
+                          step.positive, step.positions[0])
+            maps.insert(k, _piece_map(bare, cubes[1], 0, add))
         cubes[side] = bare
     *positions, c = (cubes[0].diagram.crossing_by_id(src.diagram.crossings[p].cid)[0]
                      for p in (*info.positions, info.pieces["c"]))
@@ -584,6 +496,8 @@ def punctured_eval(
     if direction == "from_empty":
         if m.initial != "empty" or not _is_unknot_still(m.stills()[-1]):
             raise MoveError("from_empty movie must run from the empty diagram to the unknot")
+        if x is not None:
+            raise MoveError("a from_empty movie starts at 1 and takes no label")
         return eval_movie(m, th, cap=cap)
     raise MoveError(f"unknown punctured direction {direction!r}")
 

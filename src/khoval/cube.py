@@ -6,9 +6,10 @@ generator is a vertex together with one int label (PLUS = 0 for v+, MINUS = 1
 for v-) per circle of its resolution, circles being listed in canonical order
 (increasing smallest arc id).  Each edge caches its circle-transfer plan
 (`diagram.edge_transfer`: one merge or one split), and the differential
-applies it with `transfer_labels`, the one label applier that the movie chain
-maps use too, and the sign (-1)^(number of 1-bits after the flipped
-position), which makes every square face anticommute.
+applies it with `transfer_labels` and the sign (-1)^(number of 1-bits after
+the flipped position), which makes every square face anticommute.  The movie
+chain maps are sums of `Piece`s, signed dotted cobordisms that run the same
+`transfer_labels` with births, deaths and dots; `apply_pieces` applies them.
 
 Coefficients are kept in the cube's theory: the structure tables are already
 reduced per theory, and t -> 0 and t -> 1 are ring maps, so sums and products
@@ -26,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .algebra import LABEL_NAMES, LABELS, TPoly, Theory, comultiply, multiply
+from .algebra import LABEL_NAMES, LABELS, MINUS, PLUS, TPoly, Theory, comultiply, multiply, xmult
 from .diagram import LinkDiagram, ResolvedDiagram, Transfer, edge_transfer, resolve
 from .errors import CapExceededError, KhovalError
 
@@ -36,6 +37,12 @@ __all__ = [
     "CubeComplex",
     "CheckReport",
     "transfer_labels",
+    "Piece",
+    "CUP",
+    "DOTTED_CUP",
+    "CAP",
+    "DOTTED_CAP",
+    "apply_pieces",
     "build_cube",
     "differential",
     "degrees",
@@ -109,8 +116,6 @@ class CubeComplex:
         """The resolution at a vertex, computed on first use."""
         res = self._circles.get(mask)
         if res is None:
-            if mask < 0 or mask >> self.n:
-                raise KhovalError(f"vertex {mask} is not on this cube")
             res = self._circles[mask] = resolve(self.diagram, mask)
         return res
 
@@ -302,6 +307,53 @@ def transfer_labels(
             out.append((tuple(base), poly))
         return out
     return [(tuple(base), _ONE)]
+
+
+# A cup gives its new circle v+ and a dotted cup X.v+ = v-.  A cap weighs
+# eps(l) and a dotted cap eps(X.l); in every theory each is 1 on one label and
+# 0 on the other, so a death keeps the terms whose dying circle has that label.
+CUP, DOTTED_CUP = PLUS, MINUS
+CAP, DOTTED_CAP = MINUS, PLUS  # eps(v-) = eps(X.v+) = 1, eps(v+) = eps(X.v-) = 0
+
+
+class Piece:
+    """One signed dotted cobordism from a source vertex to the vertex `mask`.
+
+    Circles move along `plan`; `births` labels its new target circles (CUP or
+    DOTTED_CUP), `deaths` gives each dead source circle the label it keeps
+    (CAP or DOTTED_CAP), and `dots` lists the target circles multiplied by X.
+    """
+
+    __slots__ = ("mask", "sign", "plan", "births", "deaths", "dots")
+
+    def __init__(
+        self,
+        mask: int,
+        sign: int,
+        plan: Transfer,
+        births: dict[int, int] | None = None,
+        deaths: dict[int, int] | None = None,
+        dots: tuple[int, ...] = (),
+    ):
+        if plan.dead and not set(plan.dead) <= (deaths or {}).keys():
+            raise KhovalError("a circle vanished without a death rule")
+        self.mask, self.sign, self.plan = mask, sign, plan
+        self.births, self.deaths, self.dots = births, deaths, dots
+
+
+def apply_pieces(pieces, labels: tuple[int, ...], theory: Theory) -> dict[Generator, TPoly]:
+    """The image of the labels of a source vertex under the sum of its pieces."""
+    acc: dict[Generator, TPoly] = {}
+    for p in pieces:
+        if p.deaths and any(labels[s] != keep for s, keep in p.deaths.items()):
+            continue
+        terms = transfer_labels(p.plan, labels, theory, p.births)
+        for c in p.dots:
+            terms = [(lbls[:c] + (x,) + lbls[c + 1:], poly * extra)
+                     for lbls, poly in terms for x, extra in xmult(lbls[c], theory).items()]
+        for lbls, poly in terms:
+            _accumulate(acc, Generator(p.mask, lbls), poly if p.sign == 1 else -poly)
+    return acc
 
 
 def _scaled(terms, factor: TPoly | int) -> list:

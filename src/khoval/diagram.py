@@ -417,6 +417,8 @@ def resolve(d: LinkDiagram, v: Sequence[int] | int) -> ResolvedDiagram:
 
 def _as_bits(v: Sequence[int] | int, n: int) -> tuple[int, ...]:
     if isinstance(v, int):
+        if v < 0 or v >> n:
+            raise KhovalError(f"vertex {v} is not on the cube of {n} crossings")
         return tuple((v >> j) & 1 for j in range(n))
     bits = tuple(int(b) for b in v)
     if len(bits) != n:

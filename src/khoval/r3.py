@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .algebra import MINUS, PLUS, TPoly
-from .cube import (CochainElement, CubeComplex, Generator, _ONE, _accumulate, _scaled,
-                   koszul_to_front, transfer_labels)
-from .diagram import SMOOTHING_JOINS, LinkDiagram, Transfer, transfer
+from .algebra import TPoly
+from .cube import (CAP, CUP, CochainElement, CubeComplex, Generator, Piece, _ONE, _accumulate,
+                   _scaled, apply_pieces, koszul_to_front)
+from .diagram import SMOOTHING_JOINS, LinkDiagram, transfer
 from .errors import MoveError
 
 
@@ -108,7 +108,8 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
 
     The circle slice (zi 1-smoothed, wi 0-smoothed) carries the bigon's
     circle O of `inner` arcs; the edges into and out of it are units on
-    O = v- and O = v+.  h inverts both, with their signs; f projects onto
+    O = v- and O = v+.  h inverts both with their signs, by a cap on O and
+    by a cup giving O = v+ (one piece per vertex); f projects onto
     the through slice (wi 1-smoothed), g includes it back: f g = 1 and
     1 - g f = d h + h d.  Each maps a generator to [(generator, coeff)].
     """
@@ -116,23 +117,21 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
     arc, z, w = next(iter(inner)), 1 << zi, 1 << wi
 
     @cache
-    def vertex(mask: int):
-        if mask & (z | w) == z:  # circle slice -> lower slice, on O = v-
+    def vertex(mask: int) -> tuple[Piece, ...]:
+        if mask & (z | w) == z:  # circle slice -> lower slice: a cap on O
             res = cube.circles(mask)
             plan = transfer(res, cube.circles(mask ^ z), hints)
-            return mask ^ z, cube.edge_sign(mask ^ z, zi), plan, res.circle_of[arc], None
-        if mask & (z | w) == z | w:  # upper slice -> circle slice, with O = v+
+            sign = cube.edge_sign(mask ^ z, zi)
+            return (Piece(mask ^ z, sign, plan, deaths={res.circle_of[arc]: CAP}),)
+        if mask & (z | w) == z | w:  # upper slice -> circle slice: a cup on O
             res = cube.circles(mask ^ w)
             plan = transfer(cube.circles(mask), res, hints)
-            return mask ^ w, cube.edge_sign(mask ^ w, wi), plan, None, {res.circle_of[arc]: PLUS}
+            sign = cube.edge_sign(mask ^ w, wi)
+            return (Piece(mask ^ w, sign, plan, {res.circle_of[arc]: CUP}),)
+        return ()
 
     def h(g: Generator):
-        data = vertex(g.mask)
-        if data is None or data[3] is not None and g.labels[data[3]] != MINUS:
-            return []
-        low, sign, plan, _, fixed = data
-        terms = transfer_labels(plan, g.labels, cube.theory, fixed)
-        return [(Generator(low, labels), poly * sign) for labels, poly in terms]
+        return apply_pieces(vertex(g.mask), g.labels, cube.theory).items()
 
     into_through, out_of_through = _edge_op(cube, wi), _edge_op(cube, zi)
 
@@ -170,7 +169,7 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     hints = {a: () for a in inner}
 
     @cache
-    def carry_plan(mask: int) -> tuple[int, int, Transfer]:
+    def carry_pieces(mask: int) -> tuple[Piece, ...]:
         tgt_mask, sign = mask, 1
         if mask & bc != b_face:
             tgt_mask = mask & ~(z | w) | (z if mask & w else 0) | (w if mask & z else 0)
@@ -179,12 +178,10 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
         plan = transfer(src.circles(mask), tgt.circles(tgt_mask), hints)
         if plan.merge is not None or plan.split is not None or plan.new or plan.dead:
             raise MoveError("the r3 rewrite changed the circles of a resolution")
-        return tgt_mask, sign, plan
+        return (Piece(tgt_mask, sign, plan),)
 
     def carry(g: Generator):
-        tgt_mask, sign, plan = carry_plan(g.mask)
-        terms = transfer_labels(plan, g.labels, tgt.theory)
-        return [(Generator(tgt_mask, labels), poly * sign) for labels, poly in terms]
+        return apply_pieces(carry_pieces(g.mask), g.labels, tgt.theory).items()
 
     f_src, _, h_src = _bigon_reduction(src, inner, zi, wi)
     _, g_tgt, h_tgt = _bigon_reduction(tgt, tgt_inner, zi, wi)
@@ -192,7 +189,7 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
 
     def fn(g: Generator) -> CochainElement:
         if g.mask & bc != b_face:  # face A
-            image = carry(g)
+            image = list(carry(g))
             if b_face:
                 image += _scaled(_then(_then(image, psi_tgt), h_tgt), -1)
         else:  # face B: f onto the through slice, carried over, then g'

@@ -12,7 +12,7 @@ passes repeat until no unit entry is left.
 
 `homology` runs the kernel on the whole cube and hands the non-unit residue
 to the Smith normal form.  The same lemma, on the two unit edges of an R2
-bigon, gives the R3 chain map in `cobordism`.
+bigon, gives the R3 chain map in `khoval.r3`.
 """
 
 from __future__ import annotations

@@ -157,6 +157,19 @@ def test_movie_punctured_from_empty(capsys, tmp_path):
     assert out.strip() == "psi(1) = (2)*v-"
 
 
+def test_movie_punctured_from_empty_refuses_a_label(capsys, tmp_path):
+    from khoval.cobordism import punctured_from_empty, punctured_to_empty
+
+    p = tmp_path / "punctured.json"
+    p.write_text(json.dumps(movie_to_json(punctured_from_empty(1))))
+    code, out, err = run(capsys, "movie", str(p), "--punctured", "--label", "v-")
+    assert code == 2 and not out and "--label" in err
+    # without --label an unknot-to-empty movie starts at v-
+    p.write_text(json.dumps(movie_to_json(punctured_to_empty(2))))
+    code, out, _ = run(capsys, "movie", str(p), "--punctured")
+    assert code == 0 and out.strip() == "psi(v-) = 4*t"
+
+
 def test_movie_punctured_v_plus_on_torus(capsys, tmp_path):
     # with test_movie_punctured_from_empty, pins which label --label v+ selects
     from khoval.cobordism import punctured_to_empty
@@ -261,7 +274,7 @@ def test_env_format_override(capsys, monkeypatch):
     json.loads(out)
 
 
-@pytest.mark.parametrize("name,value", [("CAP", "abc"), ("FORMAT", "xml")])
+@pytest.mark.parametrize("name,value", [("CAP", "abc"), ("CAP", "-1"), ("FORMAT", "xml")])
 def test_env_default_is_validated_like_a_flag(capsys, monkeypatch, name, value):
     monkeypatch.setenv(f"KHOVAL_{name}", value)
     with pytest.raises(SystemExit) as exc:
@@ -269,6 +282,18 @@ def test_env_default_is_validated_like_a_flag(capsys, monkeypatch, name, value):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"argument --{name.lower()}: invalid" in err and repr(value) in err
+
+
+def test_negative_cap_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "", "--cap", "-1"])
+    assert exc.value.code == 2
+    assert "argument --cap: invalid value: '-1'" in capsys.readouterr().err
+    # 0 is a cap: it refuses any crossing
+    code, _, _ = run(capsys, "homology", "", "--cap", "0")
+    assert code == 0
+    code, _, err = run(capsys, "homology", PD_CODES["trefoil"], "--cap", "0")
+    assert code == 4 and "cap is 0" in err
 
 
 def test_parser_follows_the_environment_between_calls(capsys, monkeypatch):

@@ -670,17 +670,6 @@ def test_sixteen_crossing_detour_plans_once_per_source_vertex(monkeypatch, genus
     assert len(plans) < len(applied)
 
 
-def test_plan_refuses_a_circle_vanishing_without_a_death_rule():
-    from khoval.cobordism import _plan
-    from khoval.diagram import ResolvedDiagram
-
-    src = ResolvedDiagram(((1, 2), (3, 4)), {1: 0, 2: 0, 3: 1, 4: 1})
-    tgt = ResolvedDiagram(((3, 4),), {3: 0, 4: 0})
-    assert _plan(src, tgt, deaths=True).dead == (0,)
-    with pytest.raises(KhovalError, match="vanished without a death rule"):
-        _plan(src, tgt)
-
-
 def test_punctured_and_connected_sum_respect_the_cap():
     kinked = kink_to_empty()
     assert punctured_eval(kinked, M, "to_empty") == TPoly(1)
@@ -778,6 +767,13 @@ def test_punctured_shape_checks():
         punctured_eval(trivial_surface_movie(1), M, "to_empty")
     with pytest.raises(MoveError):
         punctured_eval(punctured_to_empty(1), direction="from_empty")
+
+
+def test_punctured_from_empty_refuses_a_label():
+    m = punctured_from_empty(1)
+    for label in (P, M):
+        with pytest.raises(MoveError, match="takes no label"):
+            punctured_eval(m, label, "from_empty")
 
 
 def test_movie_json_roundtrip():

@@ -2,16 +2,22 @@
 
 import pytest
 
-from khoval.algebra import MINUS, PLUS, TPoly, Theory
+from khoval.algebra import MINUS, PLUS, TPoly, Theory, counit, xmult
 from khoval.cube import (
+    CAP,
+    CUP,
+    DOTTED_CAP,
+    DOTTED_CUP,
     Generator,
+    Piece,
+    apply_pieces,
     build_cube,
     check_d_squared,
     check_faces,
     transfer_labels,
 )
 from khoval.corpus import PD_CODES
-from khoval.diagram import parse_pd, resolve, transfer
+from khoval.diagram import ResolvedDiagram, parse_pd, resolve, transfer
 from khoval.errors import CapExceededError, KhovalError
 from khoval.moves import ESI, apply_esi
 
@@ -182,6 +188,43 @@ def test_transfer_labels_needs_a_label_for_every_new_circle():
         assert transfer_labels(plan, (M,), th, {1: P}) == [((M, P), TPoly(1))]
         with pytest.raises(KhovalError, match="unlabeled"):
             transfer_labels(plan, (M,), th)
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_death_weights_and_dotted_births(th):
+    # eps(v+) = 0, eps(v-) = 1, eps(X.v+) = 1, eps(X.v-) = 0, read off the
+    # structure tables and through a piece that caps the only circle
+    def eps(label, dotted):
+        image = xmult(label, th) if dotted else {label: TPoly(1)}
+        return sum((counit(l, th) * c for l, c in image.items()), TPoly(0))
+
+    weights = {(P, False): 0, (M, False): 1, (P, True): 1, (M, True): 0}
+    unknot, empty = resolve(parse_pd("L0"), 0), resolve(parse_pd(""), 0)
+    death = transfer(unknot, empty)
+    for (label, dotted), weight in weights.items():
+        assert eps(label, dotted) == weight
+        cap = Piece(0, 1, death, deaths={0: DOTTED_CAP if dotted else CAP})
+        image = apply_pieces((cap,), (label,), th)
+        assert image == ({Generator(0, ()): TPoly(1)} if weight else {})
+    # a cup gives v+, a dotted cup X.v+ = v-, and a dot then acts by X
+    birth = transfer(empty, unknot)
+    assert xmult(P, th) == {M: TPoly(1)}
+    assert apply_pieces((Piece(0, 1, birth, {0: CUP}),), (), th) == {Generator(0, (P,)): TPoly(1)}
+    assert apply_pieces((Piece(0, -1, birth, {0: DOTTED_CUP}),), (), th) == {
+        Generator(0, (M,)): TPoly(-1)
+    }
+    dotted = apply_pieces((Piece(0, 1, birth, {0: DOTTED_CUP}, dots=(0,)),), (), th)
+    assert dotted == {Generator(0, (l,)): c for l, c in xmult(M, th).items()}
+
+
+def test_piece_refuses_a_circle_vanishing_without_a_death_rule():
+    src = ResolvedDiagram(((1, 2), (3, 4)), {1: 0, 2: 0, 3: 1, 4: 1})
+    tgt = ResolvedDiagram(((3, 4),), {3: 0, 4: 0})
+    plan = transfer(src, tgt)
+    assert plan.dead == (0,)
+    assert Piece(0, 1, plan, deaths={0: CAP}).plan is plan
+    with pytest.raises(KhovalError, match="vanished without a death rule"):
+        Piece(0, 1, plan)
 
 
 # -- elements --------------------------------------------------------------------

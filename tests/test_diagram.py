@@ -122,6 +122,17 @@ def test_resolve_vertex_length_mismatch():
         resolve(d, (0, 0))
 
 
+def test_resolve_refuses_an_int_vertex_off_the_cube():
+    d = parse_pd(TREFOIL)
+    assert resolve(d, 0b111).count == 3
+    for mask in (-1, 1 << 3, 1 << 10):
+        with pytest.raises(KhovalError, match="not on the cube"):
+            resolve(d, mask)
+    assert resolve(parse_pd("L0"), 0).count == 1
+    with pytest.raises(KhovalError):
+        resolve(parse_pd("L0"), 1)
+
+
 def test_single_bit_flip_changes_circles_by_one(corpus):
     for name, d in corpus.items():
         for bits in itertools.product((0, 1), repeat=d.n):
