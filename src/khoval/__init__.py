@@ -54,7 +54,6 @@ from .diagram import (
     LinkDiagram,
     ResolvedDiagram,
     Transfer,
-    edge_effect,
     parse_pd,
     resolve,
     serialize_pd,

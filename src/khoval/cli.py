@@ -229,6 +229,8 @@ def _cmd_jones(args) -> int:
 
 
 def _cmd_movie(args) -> int:
+    if args.label is not None and not args.punctured:
+        raise ParseError("--label applies only to a punctured movie (--punctured)")
     theory = Theory.from_name(args.theory)
     m = _load_movie(args.input)
     report = m.validate()

@@ -44,7 +44,7 @@ from .cube import (
     CubeComplex,
     Generator,
     Piece,
-    _accumulate,
+    apply_linear,
     apply_pieces,
     build_cube,
     koszul_to_front,
@@ -113,11 +113,9 @@ class ChainMapRep:
     def apply(self, x: CochainElement) -> CochainElement:
         if x.cube is not self.source:
             raise KhovalError("element does not live on the map's source")
-        acc: dict[Generator, TPoly] = {}
-        for g, coeff in x.terms.items():
-            for h, poly in self.of_generator(g).terms.items():
-                _accumulate(acc, h, poly * coeff)
-        return CochainElement(self.target, acc)
+        return CochainElement(
+            self.target, apply_linear(x.terms.items(), lambda g: self.of_generator(g).terms.items())
+        )
 
 
 # -- the chain maps: a table of pieces per source vertex ------------------------

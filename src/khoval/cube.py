@@ -4,12 +4,14 @@ Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
 on first use, so a movie pays only for the vertices its element reaches.  A
 generator is a vertex together with one int label (PLUS = 0 for v+, MINUS = 1
 for v-) per circle of its resolution, circles being listed in canonical order
-(increasing smallest arc id).  Each edge caches its circle-transfer plan
-(`diagram.edge_transfer`: one merge or one split), and the differential
-applies it with `transfer_labels` and the sign (-1)^(number of 1-bits after
-the flipped position), which makes every square face anticommute.  The movie
-chain maps are sums of `Piece`s, signed dotted cobordisms that run the same
-`transfer_labels` with births, deaths and dots; `apply_pieces` applies them.
+(increasing smallest arc id).  Every map on a cube is a sum of `Piece`s,
+signed dotted cobordisms that carry labels along a circle-transfer plan with
+`transfer_labels`, and `apply_pieces` applies them.  The differential is one
+such table: the edge flipping crossing j at a vertex is a saddle piece (its
+`diagram.edge_transfer` plan: one merge or one split) with the sign
+(-1)^(number of 1-bits after the flipped position), which makes every square
+face anticommute.  The movie chain maps add births, deaths and dots.
+`apply_linear` extends a map given on generators linearly to a sum of terms.
 
 Coefficients are kept in the cube's theory: the structure tables are already
 reduced per theory, and t -> 0 and t -> 1 are ring maps, so sums and products
@@ -43,6 +45,7 @@ __all__ = [
     "CAP",
     "DOTTED_CAP",
     "apply_pieces",
+    "apply_linear",
     "build_cube",
     "differential",
     "degrees",
@@ -92,21 +95,21 @@ class CubeComplex:
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
         self._circles: dict[int, ResolvedDiagram] = {}
-        self._edges: dict[tuple[int, int], Transfer] = {}
+        self._edges: dict[tuple[int, int], Piece] = {}
 
     # -- structure ---------------------------------------------------------
 
-    def edge(self, mask: int, j: int) -> Transfer:
-        """The merge or split plan of the edge flipping crossing j at `mask`."""
+    def edge(self, mask: int, j: int) -> "Piece":
+        """The signed saddle piece of the differential flipping crossing j at `mask`."""
         if (mask >> j) & 1:
             raise KhovalError("edge must start at a 0-bit")
         key = (mask, j)
-        plan = self._edges.get(key)
-        if plan is None:
-            plan = self._edges[key] = edge_transfer(
-                self.circles(mask), self.circles(mask | (1 << j))
-            )
-        return plan
+        piece = self._edges.get(key)
+        if piece is None:
+            tgt = mask | (1 << j)
+            plan = edge_transfer(self.circles(mask), self.circles(tgt))
+            piece = self._edges[key] = Piece(tgt, self.edge_sign(mask, j), plan)
+        return piece
 
     def edge_sign(self, mask: int, j: int) -> int:
         """(-1)^(sum of vertex coordinates after position j)."""
@@ -142,10 +145,10 @@ class CubeComplex:
     def element(self, terms: dict[Generator, TPoly] | None = None) -> "CochainElement":
         """An element with the given Z[t] coefficients, reduced into the theory."""
         reduce = self.theory.reduce
-        return CochainElement(self, {g: reduce(p) for g, p in (terms or {}).items()})
+        return CochainElement(self, _nonzero({g: reduce(p) for g, p in (terms or {}).items()}))
 
     def debug_json(self) -> dict:
-        """A JSON-friendly dump of vertices, circle counts and edge effects."""
+        """A JSON-friendly dump of vertices, circle counts and edge pieces."""
         vertices = [
             {
                 "mask": mask,
@@ -157,16 +160,10 @@ class CubeComplex:
         edges = []
         for mask in range(1 << self.n):
             for j in range(self.n):
-                if (mask >> j) & 1:
-                    continue
-                edges.append(
-                    {
-                        "from": mask,
-                        "crossing": j,
-                        "kind": "merge" if self.edge(mask, j).merge else "split",
-                        "sign": self.edge_sign(mask, j),
-                    }
-                )
+                if not (mask >> j) & 1:
+                    piece = self.edge(mask, j)
+                    kind = "merge" if piece.plan.merge else "split"
+                    edges.append({"from": mask, "crossing": j, "kind": kind, "sign": piece.sign})
         return {
             "theory": self.theory.value,
             "n_plus": self.n_plus,
@@ -180,34 +177,17 @@ class CubeComplex:
 
     # -- differential --------------------------------------------------------
 
-    def apply_edge(self, g: Generator, j: int) -> list[tuple[Generator, TPoly]]:
-        """Unsigned edge map on one generator."""
-        tgt_mask = g.mask | (1 << j)
-        return [
-            (Generator(tgt_mask, labels), poly)
-            for labels, poly in transfer_labels(self.edge(g.mask, j), g.labels, self.theory)
-        ]
-
     def differential_of(self, g: Generator) -> "CochainElement":
-        acc: dict[Generator, TPoly] = {}
-        for j in range(self.n):
-            if (g.mask >> j) & 1:
-                continue
-            sign = self.edge_sign(g.mask, j)
-            # `apply_edge` inlined: no list of generators per edge on the homology hot path
-            tgt_mask = g.mask | (1 << j)
-            for labels, poly in transfer_labels(self.edge(g.mask, j), g.labels, self.theory):
-                _accumulate(acc, Generator(tgt_mask, labels), poly * sign)
-        return CochainElement(self, acc)
+        mask = g.mask
+        edges = [self.edge(mask, j) for j in range(self.n) if not (mask >> j) & 1]
+        return CochainElement(self, apply_pieces(edges, g.labels, self.theory))
 
     def differential(self, x: "CochainElement") -> "CochainElement":
         if x.cube is not self:
             raise KhovalError("cochain element lives on a different cube")
-        acc: dict[Generator, TPoly] = {}
-        for g, coeff in x.terms.items():
-            for tgt, poly in self.differential_of(g).terms.items():
-                _accumulate(acc, tgt, poly * coeff)
-        return CochainElement(self, acc)
+        return CochainElement(
+            self, apply_linear(x.terms.items(), lambda g: self.differential_of(g).terms.items())
+        )
 
 
 class CochainElement:
@@ -216,8 +196,9 @@ class CochainElement:
     __slots__ = ("cube", "terms")
 
     def __init__(self, cube: CubeComplex, terms: dict[Generator, TPoly]):
+        """`terms` holds no zero coefficient: sums drop them in `_accumulate`."""
         self.cube = cube
-        self.terms = {g: p for g, p in terms.items() if not p.is_zero()}
+        self.terms = terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -225,10 +206,7 @@ class CochainElement:
     def __add__(self, other: "CochainElement") -> "CochainElement":
         if other.cube is not self.cube:
             raise KhovalError("cannot add elements on different cubes")
-        acc = dict(self.terms)
-        for g, p in other.terms.items():
-            _accumulate(acc, g, p)
-        return CochainElement(self.cube, acc)
+        return CochainElement(self.cube, apply_linear([*self.terms.items(), *other.terms.items()]))
 
     def __sub__(self, other: "CochainElement") -> "CochainElement":
         return self + other.scale(-1)
@@ -238,7 +216,7 @@ class CochainElement:
         if isinstance(factor, int):
             factor = TPoly(factor)
         factor = self.cube.theory.reduce(factor)
-        return CochainElement(self.cube, {g: p * factor for g, p in self.terms.items()})
+        return CochainElement(self.cube, _nonzero({g: p * factor for g, p in self.terms.items()}))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CochainElement):
@@ -356,9 +334,27 @@ def apply_pieces(pieces, labels: tuple[int, ...], theory: Theory) -> dict[Genera
     return acc
 
 
-def _scaled(terms, factor: TPoly | int) -> list:
-    """[(key, poly * factor)] for a list of (key, poly)."""
-    return [(key, poly * factor) for key, poly in terms]
+def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
+    """Terms [(generator, coeff)] carried through each op in turn, then summed.
+
+    An op maps a generator to [(generator, coeff)] and acts by its linear
+    extension; with no op the terms are only summed.
+    """
+    for op in ops:
+        terms = [(h, poly * coeff) for g, coeff in terms for h, poly in op(g)]
+    acc: dict[Generator, TPoly] = {}
+    for g, coeff in terms:
+        _accumulate(acc, g, coeff)
+    return acc
+
+
+def _piece_op(cube: CubeComplex, vertex):
+    """The op (for `apply_linear`) sending a generator through the pieces `vertex(mask)`."""
+    return lambda g: apply_pieces(vertex(g.mask), g.labels, cube.theory).items()
+
+
+def _nonzero(terms: dict[Generator, TPoly]) -> dict[Generator, TPoly]:
+    return {g: p for g, p in terms.items() if not p.is_zero()}
 
 
 def _accumulate(acc: dict, key, poly: TPoly) -> None:
@@ -417,31 +413,26 @@ def check_d_squared(c: CubeComplex) -> CheckReport:
 
 
 def check_faces(c: CubeComplex) -> CheckReport:
-    """Check every 2-face: unsigned composites commute, signed ones cancel."""
+    """Check every 2-face: edge signs anticommute and the two signed paths cancel."""
+
+    def along(j: int):
+        return _piece_op(c, lambda mask: (c.edge(mask, j),))
+
     for mask in range(1 << c.n):
         free = [j for j in range(c.n) if not (mask >> j) & 1]
-        for a_idx in range(len(free)):
-            for b_idx in range(a_idx + 1, len(free)):
-                j, k = free[a_idx], free[b_idx]
-                sign_jk = c.edge_sign(mask, j) * c.edge_sign(mask | (1 << j), k)
-                sign_kj = c.edge_sign(mask, k) * c.edge_sign(mask | (1 << k), j)
-                if sign_jk != -sign_kj:
+        for j, k in itertools.combinations(free, 2):
+            sign_jk = c.edge_sign(mask, j) * c.edge_sign(mask | (1 << j), k)
+            sign_kj = c.edge_sign(mask, k) * c.edge_sign(mask | (1 << k), j)
+            if sign_jk != -sign_kj:
+                return CheckReport(
+                    False, f"edge signs fail to anticommute at {mask:b},{j},{k}"
+                )
+            for g in c.generators_at(mask):
+                jk, kj = (apply_linear([(g, _ONE)], along(a), along(b)) for a, b in ((j, k), (k, j)))
+                if jk != {h: -p for h, p in kj.items()}:
                     return CheckReport(
-                        False, f"edge signs fail to anticommute at {mask:b},{j},{k}"
+                        False,
+                        f"face at vertex {mask:b}, crossings {j},{k} does not "
+                        f"anticommute on {g}",
                     )
-                for g in c.generators_at(mask):
-                    path1: dict[Generator, TPoly] = {}
-                    for mid, p1 in c.apply_edge(g, j):
-                        for tgt, p2 in c.apply_edge(mid, k):
-                            _accumulate(path1, tgt, p1 * p2)
-                    path2: dict[Generator, TPoly] = {}
-                    for mid, p1 in c.apply_edge(g, k):
-                        for tgt, p2 in c.apply_edge(mid, j):
-                            _accumulate(path2, tgt, p1 * p2)
-                    if path1 != path2:
-                        return CheckReport(
-                            False,
-                            f"face at vertex {mask:b}, crossings {j},{k} does not "
-                            f"commute on {g}",
-                        )
-    return CheckReport(True, "all 2-faces commute and anticommute after signs")
+    return CheckReport(True, "all 2-faces anticommute")

@@ -36,7 +36,6 @@ __all__ = [
     "resolve",
     "transfer",
     "edge_transfer",
-    "edge_effect",
 ]
 
 # Slot pairs joined by each smoothing.
@@ -486,20 +485,3 @@ def edge_transfer(src: ResolvedDiagram, tgt: ResolvedDiagram) -> Transfer:
             "(the PD code is not planar)"
         )
     return plan
-
-
-def edge_effect(d: LinkDiagram, e: Sequence) -> Transfer:
-    """The circle-transfer plan along a cube edge.
-
-    `e` is a sequence over {0, 1, '*'} with exactly one star; the plan goes
-    from the star=0 endpoint to the star=1 endpoint.
-    """
-    e = list(e)
-    stars = [i for i, b in enumerate(e) if b in ("*", "star")]
-    if len(stars) != 1 or len(e) != d.n:
-        raise MoveError("edge must have exactly one star and full length")
-    j = stars[0]
-    bits0 = [int(b) for b in e[:j]] + [0] + [int(b) for b in e[j + 1 :]]
-    bits1 = list(bits0)
-    bits1[j] = 1
-    return edge_transfer(resolve(d, bits0), resolve(d, bits1))

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .algebra import TPoly
-from .cube import (CAP, CUP, CochainElement, CubeComplex, Generator, Piece, _ONE, _accumulate,
-                   _scaled, apply_pieces, koszul_to_front)
+from .cube import (CAP, CUP, CochainElement, CubeComplex, Generator, Piece, _ONE, _piece_op,
+                   apply_linear, koszul_to_front)
 from .diagram import SMOOTHING_JOINS, LinkDiagram, transfer
 from .errors import MoveError
 
@@ -93,14 +92,8 @@ def _closing_bits(d: LinkDiagram, positions, inner: set[int]) -> int:
     return bits
 
 
-def _then(terms, op) -> list[tuple[Generator, TPoly]]:
-    """Apply a linear map, given on generators, to a list of (generator, coefficient)."""
-    return [(h, p * q) for g, p in terms for h, q in op(g)]
-
-
-def _edge_op(cube: CubeComplex, j: int):
-    """The signed component of the differential along crossing j."""
-    return lambda g: _scaled(cube.apply_edge(g, j), cube.edge_sign(g.mask, j))
+def _negated(terms: dict) -> list:
+    return [(g, -p) for g, p in terms.items()]
 
 
 def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
@@ -130,19 +123,18 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
             return (Piece(mask ^ w, sign, plan, {res.circle_of[arc]: CUP}),)
         return ()
 
-    def h(g: Generator):
-        return apply_pieces(vertex(g.mask), g.labels, cube.theory).items()
-
-    into_through, out_of_through = _edge_op(cube, wi), _edge_op(cube, zi)
+    h = _piece_op(cube, vertex)
+    into_through = _piece_op(cube, lambda mask: (cube.edge(mask, wi),))
+    out_of_through = _piece_op(cube, lambda mask: (cube.edge(mask, zi),))
 
     def f(g: Generator):
         xy = g.mask & (z | w)
         if xy == z:
-            return _scaled(_then(h(g), into_through), -1)
+            return _negated(apply_linear(h(g), into_through))
         return [(g, _ONE)] if xy == w else []
 
     def g_(t: Generator):
-        return [(t, _ONE)] + _scaled(_then(out_of_through(t), h), -1)
+        return [(t, _ONE), *_negated(apply_linear(out_of_through(t), h))]
 
     return f, g_, h
 
@@ -180,25 +172,21 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
             raise MoveError("the r3 rewrite changed the circles of a resolution")
         return (Piece(tgt_mask, sign, plan),)
 
-    def carry(g: Generator):
-        return apply_pieces(carry_pieces(g.mask), g.labels, tgt.theory).items()
-
+    carry = _piece_op(tgt, carry_pieces)
     f_src, _, h_src = _bigon_reduction(src, inner, zi, wi)
     _, g_tgt, h_tgt = _bigon_reduction(tgt, tgt_inner, zi, wi)
-    psi_src, psi_tgt = _edge_op(src, c), _edge_op(tgt, c)
+    psi_src = _piece_op(src, lambda mask: (src.edge(mask, c),))
+    psi_tgt = _piece_op(tgt, lambda mask: (tgt.edge(mask, c),))
 
     def fn(g: Generator) -> CochainElement:
         if g.mask & bc != b_face:  # face A
             image = list(carry(g))
             if b_face:
-                image += _scaled(_then(_then(image, psi_tgt), h_tgt), -1)
+                image += _negated(apply_linear(image, psi_tgt, h_tgt))
         else:  # face B: f onto the through slice, carried over, then g'
-            image = _then(_then(f_src(g), carry), g_tgt)
+            image = list(apply_linear(f_src(g), carry, g_tgt).items())
             if not b_face:
-                image += _scaled(_then(_then(h_src(g), psi_src), carry), -1)
-        acc: dict[Generator, TPoly] = {}
-        for h, poly in image:
-            _accumulate(acc, h, poly)
-        return CochainElement(tgt, acc)
+                image += _negated(apply_linear(h_src(g), psi_src, carry))
+        return CochainElement(tgt, apply_linear(image))
 
     return fn

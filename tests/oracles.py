@@ -7,7 +7,8 @@ field from dense block matrices.  Universal coefficients then cross-validate
 integral torsion.  A dense Smith normal form with its transforms gives
 integral kernels and image membership.  A chain map applied term by term,
 one `CochainElement` sum per generator, is the reference for
-`ChainMapRep.apply`.
+`ChainMapRep.apply`, and the differential summed edge by edge from fresh
+resolutions is the reference for `CubeComplex.differential_of`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from khoval.algebra import Theory
-from khoval.cube import CubeComplex, Generator
+from khoval.algebra import Theory, TPoly
+from khoval.cube import CubeComplex, Generator, transfer_labels
+from khoval.diagram import resolve, transfer
 
 
 def apply_termwise(f, x):
@@ -25,6 +27,24 @@ def apply_termwise(f, x):
     for g, coeff in x.terms.items():
         acc = acc + f.of_generator(g).scale(coeff)
     return acc
+
+
+def differential_termwise(c: CubeComplex, g: Generator) -> dict[Generator, TPoly]:
+    """d(g) summed edge by edge, without the cube's edge pieces.
+
+    Each crossing j that is 0-smoothed at g carries the labels along the
+    plan between the two resolutions, times (-1)^(1-bits after position j).
+    """
+    acc: dict[Generator, TPoly] = defaultdict(TPoly)
+    for j in range(c.n):
+        if (g.mask >> j) & 1:
+            continue
+        tgt = g.mask | (1 << j)
+        plan = transfer(resolve(c.diagram, g.mask), resolve(c.diagram, tgt))
+        sign = (-1) ** bin(g.mask >> (j + 1)).count("1")
+        for labels, poly in transfer_labels(plan, g.labels, c.theory):
+            acc[Generator(tgt, labels)] += poly * sign
+    return {h: p for h, p in acc.items() if not p.is_zero()}
 
 
 def block_basis(c: CubeComplex) -> dict:

@@ -170,6 +170,14 @@ def test_movie_punctured_from_empty_refuses_a_label(capsys, tmp_path):
     assert code == 0 and out.strip() == "psi(v-) = 4*t"
 
 
+def test_movie_label_needs_punctured(capsys):
+    path = str(MOVIES_DIR / "torus.json")
+    code, out, err = run(capsys, "movie", path, "--label", "v+")
+    assert code == 2 and not out and "--punctured" in err
+    code, out, _ = run(capsys, "movie", path)
+    assert code == 0 and out.strip() == "BN = 2\nKJ = 2"
+
+
 def test_movie_punctured_v_plus_on_torus(capsys, tmp_path):
     # with test_movie_punctured_from_empty, pins which label --label v+ selects
     from khoval.cobordism import punctured_to_empty

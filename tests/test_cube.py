@@ -1,5 +1,8 @@
 """Cube of modules: gradings, the signed differential, and its structural laws."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from khoval.algebra import MINUS, PLUS, TPoly, Theory, counit, xmult
@@ -18,8 +21,10 @@ from khoval.cube import (
 )
 from khoval.corpus import PD_CODES
 from khoval.diagram import ResolvedDiagram, parse_pd, resolve, transfer
-from khoval.errors import CapExceededError, KhovalError
+from khoval.errors import CapExceededError, KhovalError, MoveError
 from khoval.moves import ESI, apply_esi
+
+from oracles import differential_termwise
 
 P, M = PLUS, MINUS
 ALL_THEORIES = list(Theory)
@@ -180,6 +185,94 @@ def test_corrupted_edge_sign_breaks_d_squared():
     assert not check_d_squared(c).ok
 
 
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_differential_matches_the_termwise_oracle(corpus, th):
+    for name, d in corpus.items():
+        c = build_cube(d, th)
+        for g in c.generators():
+            assert c.differential_of(g).terms == differential_termwise(c, g), (name, g)
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_check_faces_fails_on_a_corrupted_edge(th):
+    d = parse_pd(PD_CODES["figure8"])
+    c = build_cube(d, th)
+    edge_sign = c.edge_sign
+    c.edge_sign = lambda mask, j: -edge_sign(mask, j) if (mask, j) == (0, 1) else edge_sign(mask, j)
+    assert "signs fail to anticommute" in check_faces(c).detail
+
+    # the same sign error inside one edge piece, and a plan that sends the
+    # copied circle where the merged one goes
+    piece = build_cube(d, th).edge(0, 0)
+    assert piece.plan.copies == ((2, 1),) and piece.plan.merge == ((0, 1), 0)
+    wrong_plan = replace(piece.plan, copies=((2, 0),), merge=((0, 1), 1))
+    for bad in (Piece(piece.mask, -piece.sign, piece.plan), Piece(piece.mask, piece.sign, wrong_plan)):
+        c = build_cube(d, th)
+        edge = c.edge
+        c.edge = lambda mask, j: bad if (mask, j) == (0, 0) else edge(mask, j)
+        rep = check_faces(c)
+        assert not rep.ok and "does not anticommute" in rep.detail
+
+
+def test_edge_piece_resolves_only_its_endpoints(resolve_calls):
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
+    piece = c.edge(0b010, 0)
+    assert (piece.mask, piece.sign) == (0b011, -1)
+    assert c.edge(0b010, 0) is piece
+    assert resolve_calls == [2]
+
+
+# -- edge pieces: the plan of each edge ------------------------------------------
+
+
+def test_edge_piece_trefoil_first_crossing():
+    # from vertex 000, crossing 0: both circles of the oriented resolution merge into one
+    d = parse_pd(PD_CODES["trefoil"])
+    eff = build_cube(d, Theory.KHOVANOV).edge(0, 0).plan
+    assert eff.merge is not None and eff.split is None
+    assert eff.merge[0] == (0, 1)
+    assert resolve(d, (1, 0, 0)).count == 1
+
+
+def test_edge_piece_split():
+    d = parse_pd(PD_CODES["trefoil"])
+    # from (1,1,0): flipping the last crossing goes 2 -> 3 circles
+    base = resolve(d, (1, 1, 0)).count
+    tgt = resolve(d, (1, 1, 1)).count
+    eff = build_cube(d, Theory.KHOVANOV).edge(0b011, 2).plan
+    if tgt == base + 1:
+        assert eff.split is not None and eff.merge is None
+    else:
+        assert eff.merge is not None and eff.split is None
+
+
+def test_edge_piece_classification_matches_counts(corpus):
+    for name, d in corpus.items():
+        c = build_cube(d, Theory.KHOVANOV)
+        for bits in itertools.product((0, 1), repeat=d.n):
+            for j in range(d.n):
+                if bits[j] == 1:
+                    continue
+                eff = c.edge(sum(b << i for i, b in enumerate(bits)), j).plan
+                delta = (
+                    resolve(d, tuple(bits[:j]) + (1,) + tuple(bits[j + 1 :])).count
+                    - resolve(d, bits).count
+                )
+                assert (eff.split if delta == 1 else eff.merge) is not None
+                assert (eff.merge if delta == 1 else eff.split) is None
+                # untouched circles correspond bijectively
+                assert len(eff.copies) == resolve(d, bits).count - (
+                    2 if eff.merge is not None else 1
+                )
+
+
+def test_edge_piece_refuses_a_non_planar_edge():
+    # a self-crossing circle X(a,b,a,b): one circle stays one circle
+    d = parse_pd("X(1,2,1,2)")
+    with pytest.raises(MoveError, match="not planar"):
+        build_cube(d, Theory.KHOVANOV).edge(0, 0)
+
+
 def test_transfer_labels_needs_a_label_for_every_new_circle():
     # the circle (3,4) of the target is new
     plan = transfer(resolve(parse_pd("L0"), 0), resolve(parse_pd("L0 L1"), 0))
@@ -261,6 +354,9 @@ def test_caller_coefficients_are_reduced_on_entry(th):
     assert c.basis_element(g).scale(t) == x
     for p in x.terms.values():
         assert th.reduce(p) == p
+    assert c.basis_element(g).scale(0).terms == {}
+    if th is Theory.KHOVANOV:
+        assert c.basis_element(g).scale(t).terms == {}
 
 
 def test_generator_order_and_format_pin_v_plus_as_zero():

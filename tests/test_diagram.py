@@ -1,4 +1,4 @@
-"""PD parsing, orientation/sign conventions, resolutions, and edge effects."""
+"""PD parsing, orientation/sign conventions, resolutions, and circle-transfer plans."""
 
 import itertools
 
@@ -7,13 +7,12 @@ import pytest
 from khoval.diagram import (
     LinkDiagram,
     ResolvedDiagram,
-    edge_effect,
     parse_pd,
     resolve,
     serialize_pd,
     transfer,
 )
-from khoval.errors import KhovalError, MoveError, OrientationError, ParseError
+from khoval.errors import KhovalError, OrientationError, ParseError
 from khoval.corpus import PD_CODES
 
 from oracles import bfs_circle_count
@@ -151,59 +150,6 @@ def test_resolution_partitions_arcs(corpus):
         assert len(set(seen)) == len(seen)
 
 
-# -- edge effects ------------------------------------------------------------------
-
-
-def test_edge_effect_trefoil_first_crossing():
-    # (*,0,0): both circles of the oriented resolution merge into one
-    d = parse_pd(TREFOIL)
-    eff = edge_effect(d, ("*", 0, 0))
-    assert eff.merge is not None and eff.split is None
-    assert eff.merge[0] == (0, 1)
-    assert resolve(d, (1, 0, 0)).count == 1
-
-
-def test_edge_effect_split():
-    d = parse_pd(TREFOIL)
-    # from (1,1,0): flipping the last crossing goes 2 -> 3 circles
-    base = resolve(d, (1, 1, 0)).count
-    tgt = resolve(d, (1, 1, 1)).count
-    eff = edge_effect(d, (1, 1, "*"))
-    if tgt == base + 1:
-        assert eff.split is not None and eff.merge is None
-    else:
-        assert eff.merge is not None and eff.split is None
-
-
-def test_edge_effect_classification_matches_counts(corpus):
-    for name, d in corpus.items():
-        for bits in itertools.product((0, 1), repeat=d.n):
-            for j in range(d.n):
-                if bits[j] == 1:
-                    continue
-                edge = list(bits)
-                edge[j] = "*"
-                eff = edge_effect(d, edge)
-                delta = (
-                    resolve(d, tuple(bits[:j]) + (1,) + tuple(bits[j + 1 :])).count
-                    - resolve(d, bits).count
-                )
-                assert (eff.split if delta == 1 else eff.merge) is not None
-                assert (eff.merge if delta == 1 else eff.split) is None
-                # untouched circles correspond bijectively
-                assert len(eff.copies) == resolve(d, bits).count - (
-                    2 if eff.merge is not None else 1
-                )
-
-
-def test_edge_effect_malformed():
-    d = parse_pd(TREFOIL)
-    with pytest.raises(MoveError):
-        edge_effect(d, (0, 0, 0))  # no star
-    with pytest.raises(MoveError):
-        edge_effect(d, ("*", "*", 0))
-
-
 def _resolved(*circles):
     circles = tuple(sorted(tuple(sorted(c)) for c in circles))
     return ResolvedDiagram(circles, {a: i for i, c in enumerate(circles) for a in c})
@@ -237,13 +183,6 @@ def test_transfer_refuses_two_surgeries():
             transfer(src, tgt)
     with pytest.raises(KhovalError, match="more than two circles merged"):
         transfer(*three_way)
-
-
-def test_edge_effect_refuses_a_non_planar_edge():
-    # a self-crossing circle X(a,b,a,b): one circle stays one circle
-    d = parse_pd("X(1,2,1,2)")
-    with pytest.raises(MoveError, match="not planar"):
-        edge_effect(d, ("*",))
 
 
 def test_diagram_rejects_loop_arc_reuse():
