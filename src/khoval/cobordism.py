@@ -6,18 +6,20 @@ event induces a chain map between the cube complexes of consecutive stills:
 birth and death have q-degree +1, a saddle -1, and the Reidemeister moves
 are degree-0 homotopy equivalences.
 
-Every map but R3 is a table `vertex(mask) -> pieces`, computed once per
+Morse and R1 maps are tables `vertex(mask) -> pieces`, computed once per
 source vertex: a signed sum of dotted cobordisms (`cube.Piece`: a
 circle-transfer plan read through the move's arc hints, with cups, caps and
 dots), applied by `cube.apply_pieces`.  Birth, death and saddle share one
-Morse table.  The R1 and R2 tables act on crossings moved to the front of
-the crossing order, so they carry the Koszul sign of that reordering:
-positive R1 addition is a dotted cup minus a cup with a dot on the strand,
-negative R1 removal a dotted cap minus a cap with a dot on the strand, and
-R2 removal caps the bigon's circle with sign -1.  The R3 map is Bar-Natan's
-cone formula on the triangle crossings (`r3.triangle_map`, itself built from
-pieces); kinks on the triangle's sides come off by R1 before it and go back
-on after.  No map resolves more of a cube than the vertices it reaches.
+Morse table.  The R1 tables act on a crossing moved to the front of the
+crossing order, so they carry the Koszul sign of that reordering: positive
+R1 addition is a dotted cup minus a cup with a dot on the strand, negative
+R1 removal a dotted cap minus a cap with a dot on the strand.  R2 is the
+Gaussian elimination of the poked cube's bigon (`cube._bigon_reduction`)
+and one carry table between its through slice and the cube without the
+pair, again with the Koszul sign.  The R3 map is Bar-Natan's cone formula
+on the triangle crossings (`r3.triangle_map`, built from the same
+reduction); kinks on the triangle's sides come off by R1 before it and go
+back on after.  No map resolves more of a cube than the vertices it reaches.
 `eval_movie` reuses the rewrites that `Movie.replay` recorded; the public
 `esi_chain_map` redoes the rewrite and checks it against the target cube.
 
@@ -40,10 +42,13 @@ from .cube import (
     DEFAULT_CAP,
     DOTTED_CAP,
     DOTTED_CUP,
+    _ONE,
     CochainElement,
     CubeComplex,
     Generator,
     Piece,
+    _bigon_reduction,
+    _piece_op,
     apply_linear,
     apply_pieces,
     build_cube,
@@ -144,8 +149,8 @@ def esi_chain_map(
 def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex) -> ChainMapRep:
     """The chain map of an event whose rewrite `info` is already known."""
     kind = event.kind
-    if kind == "r3":
-        return ChainMapRep(src, tgt, 0, _r3_fn(src, tgt, info))
+    if kind in ("r2", "r3"):
+        return ChainMapRep(src, tgt, 0, (_r2_fn if kind == "r2" else _r3_fn)(src, tgt, info))
     if kind in ("birth", "death", "saddle"):
         vertex = _morse(src, tgt, info)
     elif kind == "r1" and info.variant == "remove":
@@ -153,8 +158,6 @@ def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex) -
     elif kind == "r1":
         hints = _hint_tuples(info.arc_map)
         vertex = _r1_add(src, tgt, hints, info.loop_arc, info.strand_arc, info.positive)
-    elif kind == "r2":
-        vertex = (_r2_add if info.variant == "add" else _r2_remove)(src, tgt, info)
     else:
         raise MoveError(f"unknown ESI kind {kind!r}")
     return _piece_map(src, tgt, ESI_Q_DEGREE[kind], vertex)
@@ -232,54 +235,31 @@ def _r1_remove(src, tgt, info: MoveInfo):
     return vertex
 
 
-def _r2_add(src, tgt, info: MoveInfo):
-    """The R2 addition: onto the through slice, and by a cup onto the circle slice."""
-    p = info.pieces
-    through_hints = _hint_tuples(info.arc_map)
-    # on the circle-side slice both cut ends of each poked strand serve as hints
-    u_pair = tuple(sorted({p["u1"], p["u3"]}))
-    o_pair = tuple(sorted({p["o1"], p["o3"]}))
-    side_hints = {}
-    for old, rep in info.arc_map.items():
-        if rep == p["u1"]:
-            side_hints[old] = u_pair
-        elif rep == p["o1"]:
-            side_hints[old] = o_pair
-        else:
-            raise KhovalError("unexpected r2 hint")
+def _r2_fn(src: CubeComplex, tgt: CubeComplex, info: MoveInfo):
+    """The R2 map by the Gaussian elimination of the poked cube's bigon.
 
-    def vertex(mask: int) -> tuple[Piece, ...]:
-        src_res = src.circles(mask)
-        # through slice: first crossing 0-smoothed, second 1-smoothed; circle slice: reversed
-        through, circle = mask << 2 | 0b10, mask << 2 | 0b01
-        through_plan = transfer(src_res, tgt.circles(through), through_hints)
-        tgt_res = tgt.circles(circle)
-        circle_plan = transfer(src_res, tgt_res, side_hints)
-        return (Piece(through, 1, through_plan),
-                Piece(circle, 1, circle_plan, {tgt_res.circle_of[p["u2"]]: CUP}))
-
-    return vertex
-
-
-def _r2_remove(src, tgt, info: MoveInfo):
-    """The R2 removal: off the through slice, and off the circle slice by a cap with sign -1."""
+    The carry takes a vertex of the bare cube to the poked cube's through
+    slice (the pair's first crossing 0-smoothed, its second 1-smoothed) or
+    back, along the arc hints, with the Koszul sign of moving the pair to
+    the front.  Addition (the pair at positions 0, 1) is g after the carry,
+    removal the carry after f (`cube._bigon_reduction`).
+    """
     hints = _hint_tuples(info.arc_map)
-    ia, ib = info.positions
+    add = info.variant == "add"
+    zi, wi = (0, 1) if add else info.positions
+    f, g, _ = _bigon_reduction(tgt if add else src, {info.pieces["u2"], info.pieces["o2"]}, zi, wi)
 
-    def vertex(mask: int) -> tuple[Piece, ...]:
-        rmask, sign = koszul_to_front(mask, (ia, ib), src.n)
-        bits = rmask & 0b11
-        if bits not in (0b10, 0b01):
-            return ()
-        tgt_mask = rmask >> 2
-        src_res = src.circles(mask)
-        plan = transfer(src_res, tgt.circles(tgt_mask), hints)
-        if bits == 0b10:  # (0, 1): the through slice
-            return (Piece(tgt_mask, sign, plan),)
-        mid = src_res.circle_of[info.pieces["u2"]]  # (1, 0): the circle slice
-        return (Piece(tgt_mask, -sign, plan, deaths={mid: CAP}),)
+    @cache
+    def carry(mask: int) -> tuple[Piece, ...]:
+        if add:
+            tgt_mask, sign = mask << 2 | 0b10, 1
+        else:
+            tgt_mask, sign = koszul_to_front(mask, info.positions, src.n)
+            tgt_mask >>= 2
+        return (Piece(tgt_mask, sign, transfer(src.circles(mask), tgt.circles(tgt_mask), hints)),)
 
-    return vertex
+    ops = (_piece_op(tgt, carry), g) if add else (f, _piece_op(tgt, carry))
+    return lambda x: CochainElement(tgt, apply_linear([(x, _ONE)], *ops))
 
 
 # -- the R3 map -------------------------------------------------------------------
@@ -679,7 +659,7 @@ def movie_to_json(m: Movie) -> dict:
 def movie_from_json(obj: dict) -> Movie:
     from .errors import ParseError
 
-    if not isinstance(obj, dict) or "movie" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("movie"), list):
         raise ParseError("movie file must be an object with a 'movie' list")
     events = [ESI.from_json(e) for e in obj["movie"]]
     initial = obj.get("initial", "empty")

@@ -12,6 +12,9 @@ such table: the edge flipping crossing j at a vertex is a saddle piece (its
 (-1)^(number of 1-bits after the flipped position), which makes every square
 face anticommute.  The movie chain maps add births, deaths and dots.
 `apply_linear` extends a map given on generators linearly to a sum of terms.
+`_bigon_reduction` is Bar-Natan's Gaussian elimination lemma (math/0606318)
+on an R2 bigon's two unit edges, read off the cube's own edges: the R2 maps
+in `cobordism` and the R3 cone in `r3` are built from it.
 
 Coefficients are kept in the cube's theory: the structure tables are already
 reduced per theory, and t -> 0 and t -> 1 are ring maps, so sums and products
@@ -27,10 +30,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, NamedTuple
 
 from .algebra import LABEL_NAMES, LABELS, MINUS, PLUS, TPoly, Theory, comultiply, multiply, xmult
-from .diagram import LinkDiagram, ResolvedDiagram, Transfer, edge_transfer, resolve
+from .diagram import LinkDiagram, ResolvedDiagram, Transfer, edge_transfer, resolve, transfer
 from .errors import CapExceededError, KhovalError
 
 __all__ = [
@@ -351,6 +355,53 @@ def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
 def _piece_op(cube: CubeComplex, vertex):
     """The op (for `apply_linear`) sending a generator through the pieces `vertex(mask)`."""
     return lambda g: apply_pieces(vertex(g.mask), g.labels, cube.theory).items()
+
+
+def _negated(terms: dict) -> list:
+    return [(g, -p) for g, p in terms.items()]
+
+
+def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
+    """Gaussian elimination of an R2 bigon's two unit edges: (f, g, h).
+
+    The circle slice (zi 1-smoothed, wi 0-smoothed) carries the bigon's
+    circle O of `inner` arcs; the edges into and out of it are units on
+    O = v- and O = v+.  h inverts both with their signs, by a cap on O and
+    by a cup giving O = v+ (one piece per vertex); f projects onto
+    the through slice (wi 1-smoothed), g includes it back: f g = 1 and
+    1 - g f = d h + h d.  Each maps a generator to [(generator, coeff)].
+    """
+    hints = {a: () for a in inner}
+    arc, z, w = next(iter(inner)), 1 << zi, 1 << wi
+
+    @cache
+    def vertex(mask: int) -> tuple[Piece, ...]:
+        if mask & (z | w) == z:  # circle slice -> lower slice: a cap on O
+            res = cube.circles(mask)
+            plan = transfer(res, cube.circles(mask ^ z), hints)
+            sign = cube.edge_sign(mask ^ z, zi)
+            return (Piece(mask ^ z, sign, plan, deaths={res.circle_of[arc]: CAP}),)
+        if mask & (z | w) == z | w:  # upper slice -> circle slice: a cup on O
+            res = cube.circles(mask ^ w)
+            plan = transfer(cube.circles(mask), res, hints)
+            sign = cube.edge_sign(mask ^ w, wi)
+            return (Piece(mask ^ w, sign, plan, {res.circle_of[arc]: CUP}),)
+        return ()
+
+    h = _piece_op(cube, vertex)
+    into_through = _piece_op(cube, lambda mask: (cube.edge(mask, wi),))
+    out_of_through = _piece_op(cube, lambda mask: (cube.edge(mask, zi),))
+
+    def f(g: Generator):
+        xy = g.mask & (z | w)
+        if xy == z:
+            return _negated(apply_linear(h(g), into_through))
+        return [(g, _ONE)] if xy == w else []
+
+    def g_(t: Generator):
+        return [(t, _ONE), *_negated(apply_linear(out_of_through(t), h))]
+
+    return f, g_, h
 
 
 def _nonzero(terms: dict[Generator, TPoly]) -> dict[Generator, TPoly]:

@@ -15,6 +15,8 @@ Conventions baked into the rewrites:
   the negative kink is X(p,r,l,l).
 * An R2 poke of arc `o` over arc `u` creates X(u1,o1,u2,o2), X(u2,o3,u3,o2)
   with pieces u -> u1,u2,u3 and o -> o1,o2,o3 (closed loops alias u1 = u3).
+  Two arcs of one crossing-free circle are refused: the template's code
+  for them is never planar.
 * The braid-like R3 reverses, for each of the three strands of a triangle
   face, the order of its two crossings; signs are preserved.  The R1 kinks
   on a side stay on its strand, between the two crossings.
@@ -32,6 +34,13 @@ from .errors import MoveError, ParseError, UnsupportedMoveError
 __all__ = ["ESI", "MoveInfo", "apply_esi", "apply_esi_info"]
 
 ESI_KINDS = ("birth", "death", "saddle", "r1", "r2", "r3")
+
+
+def _json_id(value, event: dict) -> int:
+    """An arc, crossing or circle id of a movie event: a JSON integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"malformed movie event {event!r}: id {value!r} is not an integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -59,32 +68,33 @@ class ESI:
             if op == "birth":
                 return cls("birth")
             if op == "death":
-                return cls("death", circle=int(obj["circle"]))
+                return cls("death", circle=_json_id(obj["circle"], obj))
             if op == "saddle":
                 a, b = obj["arcs"]
-                return cls("saddle", arcs=(int(a), int(b)))
+                return cls("saddle", arcs=(_json_id(a, obj), _json_id(b, obj)))
             if op == "r1":
                 variant = obj["variant"]
                 if variant in ("add_pos", "add_neg"):
-                    return cls("r1", variant=variant, arc=int(obj["arc"]))
+                    return cls("r1", variant=variant, arc=_json_id(obj["arc"], obj))
                 if variant == "remove":
-                    return cls("r1", variant="remove", crossing=int(obj["crossing"]))
+                    return cls("r1", variant="remove", crossing=_json_id(obj["crossing"], obj))
                 raise ParseError(f"unknown r1 variant {variant!r}")
             if op == "r2":
                 variant = obj["variant"]
                 if variant == "add":
                     a, b = obj["arcs"]
-                    return cls("r2", variant="add", arcs=(int(a), int(b)))
+                    return cls("r2", variant="add", arcs=(_json_id(a, obj), _json_id(b, obj)))
                 if variant == "remove":
                     c1, c2 = obj["crossings"]
-                    return cls("r2", variant="remove", crossings=(int(c1), int(c2)))
+                    crossings = (_json_id(c1, obj), _json_id(c2, obj))
+                    return cls("r2", variant="remove", crossings=crossings)
                 raise ParseError(f"unknown r2 variant {variant!r}")
             if op == "r3":
                 c1, c2, c3 = obj["crossings"]
                 return cls(
                     "r3",
                     variant=obj.get("variant", "braid"),
-                    crossings=(int(c1), int(c2), int(c3)),
+                    crossings=tuple(_json_id(c, obj) for c in (c1, c2, c3)),
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed movie event {obj!r}: {exc}") from exc
@@ -399,6 +409,8 @@ def _apply_r2_add(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
     _require_arc(d, a)
     _require_arc(d, b)
     la, lb = d.loop_of_arc(a), d.loop_of_arc(b)
+    if la is not None and la == lb:
+        raise MoveError("r2 arcs on one crossing-free circle give no planar poke")
     raw = _raw(d)
     loops = list(d.loops)
     fresh_pool = _fresh_arcs(d, 6)
@@ -406,34 +418,13 @@ def _apply_r2_add(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
     def fresh(k: int) -> list[int]:
         return [fresh_pool.pop(0) for _ in range(k)]
 
-    arc_map: dict[int, int] = {}
-    slot_updates = []
-    if la is not None and lb is not None and la == lb:
-        # both feet on one crossing-free circle: the two chains between the
-        # cut points become the shared pieces Q1 = u3 = o1 and Q2 = u1 = o3.
-        lp = _rotate(d.loops[la], a)
-        j = lp.index(b)
-        q2, q1, u2, o2 = fresh(4)
-        u1, u3 = q2, q1
-        o1, o3 = q1, q2
-        for z in lp[1:j]:
-            arc_map[z] = q1
-        for z in lp[j + 1 :]:
-            arc_map[z] = q2
-        arc_map[a] = q2
-        arc_map[b] = q1
-        loops = [x for i, x in enumerate(loops) if i != la]
-        created = [q2, q1, u2, o2]
-    else:
-        u1, u2, u3, upd_u, cons_u = _r2_pieces(d, a, la, fresh)
-        o1, o2, o3, upd_o, cons_o = _r2_pieces(d, b, lb, fresh)
-        slot_updates = upd_u + upd_o
-        arc_map.update(cons_u)
-        arc_map.update(cons_o)
-        for li in sorted({x for x in (la, lb) if x is not None}, reverse=True):
-            del loops[li]
-        created = sorted({u1, u2, u3, o1, o2, o3})
-    for idx, slot, new_arc in slot_updates:
+    u1, u2, u3, upd_u, cons_u = _r2_pieces(d, a, la, fresh)
+    o1, o2, o3, upd_o, cons_o = _r2_pieces(d, b, lb, fresh)
+    arc_map = {**cons_u, **cons_o}
+    for li in sorted({x for x in (la, lb) if x is not None}, reverse=True):
+        del loops[li]
+    created = sorted({u1, u2, u3, o1, o2, o3})
+    for idx, slot, new_arc in upd_u + upd_o:
         raw[idx][1][slot] = new_arc
     cid_a = d.max_crossing_id() + 1
     cid_b = cid_a + 1

@@ -2,9 +2,9 @@
 
 Bar-Natan (math/0410495, section 4.3) builds R3 from the cone on one
 triangle crossing and the R2 equivalence of the bigon one of its smoothings
-leaves.  That equivalence is the Gaussian elimination lemma (math/0606318)
-on the bigon's two unit edges, read off the cube's own signed edges, one
-source vertex at a time.  `moves` rewrites the diagram along `triangle`;
+leaves.  That equivalence is `cube._bigon_reduction`, the Gaussian
+elimination lemma (math/0606318) on the bigon's two unit edges, which also
+gives the R2 maps.  `moves` rewrites the diagram along `triangle`;
 `cobordism` adds the R1 moves for kinks on the sides.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from .cube import (CAP, CUP, CochainElement, CubeComplex, Generator, Piece, _ONE, _piece_op,
+from .cube import (CochainElement, Generator, Piece, _bigon_reduction, _negated, _piece_op,
                    apply_linear, koszul_to_front)
 from .diagram import SMOOTHING_JOINS, LinkDiagram, transfer
 from .errors import MoveError
@@ -90,53 +90,6 @@ def _closing_bits(d: LinkDiagram, positions, inner: set[int]) -> int:
         slots = {s for s, a in enumerate(d.crossings[p].arcs) if a in inner}
         bits |= next(bit for bit, joins in SMOOTHING_JOINS.items() if slots in map(set, joins)) << p
     return bits
-
-
-def _negated(terms: dict) -> list:
-    return [(g, -p) for g, p in terms.items()]
-
-
-def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
-    """Gaussian elimination of an R2 bigon's two unit edges: (f, g, h).
-
-    The circle slice (zi 1-smoothed, wi 0-smoothed) carries the bigon's
-    circle O of `inner` arcs; the edges into and out of it are units on
-    O = v- and O = v+.  h inverts both with their signs, by a cap on O and
-    by a cup giving O = v+ (one piece per vertex); f projects onto
-    the through slice (wi 1-smoothed), g includes it back: f g = 1 and
-    1 - g f = d h + h d.  Each maps a generator to [(generator, coeff)].
-    """
-    hints = {a: () for a in inner}
-    arc, z, w = next(iter(inner)), 1 << zi, 1 << wi
-
-    @cache
-    def vertex(mask: int) -> tuple[Piece, ...]:
-        if mask & (z | w) == z:  # circle slice -> lower slice: a cap on O
-            res = cube.circles(mask)
-            plan = transfer(res, cube.circles(mask ^ z), hints)
-            sign = cube.edge_sign(mask ^ z, zi)
-            return (Piece(mask ^ z, sign, plan, deaths={res.circle_of[arc]: CAP}),)
-        if mask & (z | w) == z | w:  # upper slice -> circle slice: a cup on O
-            res = cube.circles(mask ^ w)
-            plan = transfer(cube.circles(mask), res, hints)
-            sign = cube.edge_sign(mask ^ w, wi)
-            return (Piece(mask ^ w, sign, plan, {res.circle_of[arc]: CUP}),)
-        return ()
-
-    h = _piece_op(cube, vertex)
-    into_through = _piece_op(cube, lambda mask: (cube.edge(mask, wi),))
-    out_of_through = _piece_op(cube, lambda mask: (cube.edge(mask, zi),))
-
-    def f(g: Generator):
-        xy = g.mask & (z | w)
-        if xy == z:
-            return _negated(apply_linear(h(g), into_through))
-        return [(g, _ONE)] if xy == w else []
-
-    def g_(t: Generator):
-        return [(t, _ONE), *_negated(apply_linear(out_of_through(t), h))]
-
-    return f, g_, h
 
 
 def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[int]):

@@ -12,7 +12,8 @@ passes repeat until no unit entry is left.
 
 `homology` runs the kernel on the whole cube and hands the non-unit residue
 to the Smith normal form.  The same lemma, on the two unit edges of an R2
-bigon, gives the R3 chain map in `khoval.r3`.
+bigon (`cube._bigon_reduction`), gives the R2 chain maps and the R3 cone in
+`khoval.r3`.
 """
 
 from __future__ import annotations

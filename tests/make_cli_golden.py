@@ -20,12 +20,26 @@ sys.path.insert(0, str(ROOT / "tests"))
 from khoval.cli import main  # noqa: E402
 from khoval.cobordism import (  # noqa: E402
     Movie,
+    movie_from_json,
     movie_to_json,
     punctured_from_empty,
     punctured_to_empty,
 )
 from khoval.corpus import PD_CODES, torus2_pd  # noqa: E402
 from test_cobordism import kink_to_empty, kinked_detour_movie  # noqa: E402
+
+
+# the torus with an R2 pair removed from behind a kink, at crossing positions (1, 2)
+TORUS_R2_BEHIND_A_KINK = movie_from_json({"movie": [
+    {"op": "birth"},
+    {"op": "saddle", "arcs": [1, 2]},
+    {"op": "r2", "variant": "add", "arcs": [3, 4]},
+    {"op": "r1", "variant": "add_pos", "arc": 7},
+    {"op": "r2", "variant": "remove", "crossings": [1, 2]},
+    {"op": "r1", "variant": "remove", "crossing": 3},
+    {"op": "saddle", "arcs": [12, 15]},
+    {"op": "death", "circle": 13},
+]})
 
 
 def _inline(m: Movie) -> str:
@@ -39,7 +53,8 @@ def golden_commands() -> list[list[str]]:
         for th in ("khovanov", "lee"):
             cmds.append(["homology", code, "--theory", th, "--format", "json"])
     movies = [str(p.relative_to(ROOT)) for p in sorted((ROOT / "movies").glob("*.json"))]
-    movies += [_inline(kinked_detour_movie(1, 6)), _inline(kinked_detour_movie(3, 4))]
+    movies += [_inline(kinked_detour_movie(1, 6)), _inline(kinked_detour_movie(3, 4)),
+               _inline(TORUS_R2_BEHIND_A_KINK)]
     for movie in movies:
         cmds.append(["movie", movie, "--format", "json"])
         cmds.append(["movie", movie, "--theory", "khovanov", "--format", "json"])

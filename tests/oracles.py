@@ -7,8 +7,10 @@ field from dense block matrices.  Universal coefficients then cross-validate
 integral torsion.  A dense Smith normal form with its transforms gives
 integral kernels and image membership.  A chain map applied term by term,
 one `CochainElement` sum per generator, is the reference for
-`ChainMapRep.apply`, and the differential summed edge by edge from fresh
-resolutions is the reference for `CubeComplex.differential_of`.
+`ChainMapRep.apply`, the differential summed edge by edge from fresh
+resolutions is the reference for `CubeComplex.differential_of`, and the R2
+maps in closed form, also from fresh resolutions, are the reference for the
+R2 maps that `khoval.cobordism` builds from the bigon's Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from khoval.algebra import Theory, TPoly
+from khoval.algebra import MINUS, PLUS, Theory, TPoly
 from khoval.cube import CubeComplex, Generator, transfer_labels
 from khoval.diagram import resolve, transfer
+from khoval.moves import apply_esi_info
 
 
 def apply_termwise(f, x):
@@ -45,6 +48,51 @@ def differential_termwise(c: CubeComplex, g: Generator) -> dict[Generator, TPoly
         for labels, poly in transfer_labels(plan, g.labels, c.theory):
             acc[Generator(tgt, labels)] += poly * sign
     return {h: p for h, p in acc.items() if not p.is_zero()}
+
+
+def r2_termwise(event, src: CubeComplex, tgt: CubeComplex, g: Generator) -> dict[Generator, TPoly]:
+    """The R2 map on g in closed form, without pieces or the bigon reduction.
+
+    The pair is crossings (ia, ib) of the poked diagram, (0, 1) for an
+    addition.  Its through slice (ia 0-smoothed, ib 1-smoothed) is the
+    diagram without the pair: a copy along the arc map, with the Koszul
+    sign of moving the pair to the front.  Its circle slice (ia 1-smoothed,
+    ib 0-smoothed) holds the bigon's circle: an addition gives it v+ by a
+    cup, and a removal caps it (keeping v-) with sign -1.
+    """
+    _, info = apply_esi_info(src.diagram, event)
+    p, th = info.pieces, src.theory
+    hints = {a: (b,) for a, b in info.arc_map.items()}
+    src_res = resolve(src.diagram, g.mask)
+    acc: dict[Generator, TPoly] = defaultdict(TPoly)
+    if info.variant == "add":
+        # on the circle slice each poked strand reaches both of its cut ends
+        ends = {p["u1"]: (p["u1"], p["u3"]), p["o1"]: (p["o1"], p["o3"])}
+        side_hints = {a: ends[b] for a, b in info.arc_map.items()}
+        for bits, slice_hints in ((0b10, hints), (0b01, side_hints)):
+            mask = g.mask << 2 | bits
+            tgt_res = resolve(tgt.diagram, mask)
+            cup = {tgt_res.circle_of[p["u2"]]: PLUS} if bits == 0b01 else None
+            plan = transfer(src_res, tgt_res, slice_hints)
+            for labels, poly in transfer_labels(plan, g.labels, th, cup):
+                acc[Generator(mask, labels)] += poly
+    else:
+        ia, ib = info.positions
+        bits = ((g.mask >> ia) & 1, (g.mask >> ib) & 1)
+        if bits == (0, 1):  # the through slice
+            sign, one = 1, ib
+        elif bits == (1, 0) and g.labels[src_res.circle_of[p["u2"]]] == MINUS:  # capped
+            sign, one = -1, ia
+        else:
+            return {}
+        # moving the pair to the front passes the 1-bits below its one 1-bit
+        sign *= (-1) ** bin(g.mask & ((1 << one) - 1)).count("1")
+        rest = [j for j in range(src.n) if j not in (ia, ib)]
+        mask = sum(((g.mask >> j) & 1) << k for k, j in enumerate(rest))
+        plan = transfer(src_res, resolve(tgt.diagram, mask), hints)
+        for labels, poly in transfer_labels(plan, g.labels, th):
+            acc[Generator(mask, labels)] += poly * sign
+    return {h: q for h, q in acc.items() if not q.is_zero()}
 
 
 def block_basis(c: CubeComplex) -> dict:

@@ -260,6 +260,34 @@ def test_exit_movie_validation(capsys, tmp_path):
     assert code == 5 and "event 1" in err
 
 
+def test_same_circle_poke_fails_validation(capsys):
+    # both feet of the poke on one crossing-free circle: no planar diagram
+    movie = {"movie": [
+        {"op": "birth"},
+        {"op": "r2", "variant": "add", "arcs": [1, 2]},
+        {"op": "r2", "variant": "remove", "crossings": [1, 2]},
+        {"op": "saddle", "arcs": [7, 8]},
+        {"op": "saddle", "arcs": [9, 10]},
+        {"op": "death", "circle": 11},
+    ]}
+    code, out, err = run(capsys, "movie", json.dumps(movie))
+    assert (code, out) == (5, "") and "event 2" in err and "planar" in err
+
+
+@pytest.mark.parametrize("movie", [
+    '{"movie": 5}',
+    '{"movie": null}',
+    '{"movie": [{"op": "birth"}, {"op": "death", "circle": 1e400}]}',
+    '{"movie": [{"op": "birth"}, {"op": "death", "circle": 1.5}]}',
+    '{"movie": [{"op": "birth"}, {"op": "saddle", "arcs": "12"}]}',
+    '{"movie": [{"op": "birth"}, {"op": "r1", "variant": "add_pos", "arc": true}]}',
+])
+def test_malformed_movie_json_is_a_parse_error(capsys, movie):
+    # an id is a JSON integer: no float, string or bool is coerced into one
+    code, out, err = run(capsys, "movie", movie)
+    assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
+
+
 def test_unknown_theory_is_theory_error(capsys):
     code, _, _ = run(capsys, "homology", "L0", "--theory", "quantum")
     assert code == 3

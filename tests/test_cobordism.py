@@ -38,7 +38,14 @@ from khoval.errors import (
 )
 from khoval.moves import ESI, apply_esi, apply_esi_info
 
-from oracles import apply_termwise, block_basis, block_matrix, in_image, kernel_basis
+from oracles import (
+    apply_termwise,
+    block_basis,
+    block_matrix,
+    in_image,
+    kernel_basis,
+    r2_termwise,
+)
 from test_hardening import TREFOIL_BRAID
 
 P, M = PLUS, MINUS
@@ -141,6 +148,26 @@ def move_instances():
     knotted = parse_pd(TREFOIL_BRAID)
     out.append(("r3 knotted", knotted, ESI("r3", crossings=(1, 2, 3), variant="braid")))
     return out
+
+
+def removal_behind_a_kink():
+    """Two poked loops with a kink outside the bigon: the pair sits at positions (1, 2)."""
+    poked, info = apply_esi_info(parse_pd("L0 L1"), ESI("r2", variant="add", arcs=(1, 3)))
+    kinked = apply_esi(poked, ESI("r1", variant="add_pos", arc=info.pieces["u1"]))
+    return kinked, ESI("r2", variant="remove", crossings=tuple(info.created_crossings))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_r2_maps_match_the_closed_form(th):
+    cases = [(name, d, event) for name, d, event in move_instances() if event.kind == "r2"]
+    d, event = removal_behind_a_kink()
+    assert apply_esi_info(d, event)[1].positions == (1, 2)
+    cases.append(("r2 rm behind a kink", d, event))
+    for name, d, event in cases:
+        src, tgt = build_cube(d, th), build_cube(apply_esi(d, event), th)
+        f = esi_chain_map(event, src, tgt, th)
+        for g in src.generators():
+            assert f.of_generator(g).terms == r2_termwise(event, src, tgt, g), (name, th, g)
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
