@@ -417,15 +417,19 @@ def _closed_value(m: Movie, th: Theory, cap: int = DEFAULT_CAP) -> TPoly:
     return x.terms.get(Generator(0, ()), TPoly(0))
 
 
-def bn_invariant(m: Movie, cap: int = DEFAULT_CAP) -> TPoly:
-    """The deformed invariant: |closed-movie evaluation|, a monomial in t."""
-    value = _closed_value(m, Theory.BAR_NATAN, cap)
+def _abs_monomial(value: TPoly, what: str) -> TPoly:
+    """|value| of a value that must be a monomial in t (or zero)."""
     if value.is_zero():
         return TPoly(0)
     if not value.is_monomial():
-        raise NonMonomialError(f"closed movie evaluated to a non-monomial: {value}")
+        raise NonMonomialError(f"{what} evaluated to a non-monomial: {value}")
     ((exp, coeff),) = value.items()
     return TPoly({exp: abs(coeff)})
+
+
+def bn_invariant(m: Movie, cap: int = DEFAULT_CAP) -> TPoly:
+    """The deformed invariant: |closed-movie evaluation|, a monomial in t."""
+    return _abs_monomial(_closed_value(m, Theory.BAR_NATAN, cap), "closed movie")
 
 
 def bn_and_kj(m: Movie, cap: int = DEFAULT_CAP) -> tuple[TPoly, int]:
@@ -492,42 +496,10 @@ def connected_sum(
     for g, coeff in element.terms.items():
         (label,) = g.labels
         total = total + coeff * punctured_eval(m2, label, "to_empty", th, cap)
-    if total.is_zero():
-        return TPoly(0)
-    if not total.is_monomial():
-        raise NonMonomialError(f"connected sum evaluated to a non-monomial: {total}")
-    ((exp, coeff),) = total.items()
-    return TPoly({exp: abs(coeff)})
+    return _abs_monomial(total, "connected sum")
 
 
 # -- concatenation -----------------------------------------------------------------
-
-
-def _translate_event(e: ESI, arc_map: dict[int, int], cross_map: dict[int, int]) -> ESI:
-    def arcs(t):
-        return tuple(arc_map[a] for a in t)
-
-    def crossings(t):
-        return tuple(cross_map[c] for c in t)
-
-    try:
-        if e.kind == "death":
-            return ESI("death", circle=arc_map[e.circle])
-        if e.kind == "saddle":
-            return ESI("saddle", arcs=arcs(e.arcs))
-        if e.kind == "r1":
-            if e.variant == "remove":
-                return ESI("r1", variant="remove", crossing=cross_map[e.crossing])
-            return ESI("r1", variant=e.variant, arc=arc_map[e.arc])
-        if e.kind == "r2":
-            if e.variant == "remove":
-                return ESI("r2", variant="remove", crossings=crossings(e.crossings))
-            return ESI("r2", variant="add", arcs=arcs(e.arcs))
-        if e.kind == "r3":
-            return ESI("r3", variant=e.variant, crossings=crossings(e.crossings))
-    except KeyError as exc:
-        raise MoveError(f"cannot translate event {e}: unknown id {exc}") from exc
-    return e  # birth needs no ids
 
 
 def concatenate(m1: Movie, m2: Movie) -> Movie:
@@ -546,7 +518,10 @@ def concatenate(m1: Movie, m2: Movie) -> Movie:
     d_solo = m2.initial_diagram()
     events = list(m1.events)
     for e in m2.events:
-        e_t = _translate_event(e, arc_map, cross_map)
+        try:
+            e_t = e.renamed(arc_map, cross_map)
+        except KeyError as exc:
+            raise MoveError(f"cannot translate event {e}: unknown id {exc}") from exc
         d_concat, info_c = apply_esi_info(d_concat, e_t)
         d_solo, info_s = apply_esi_info(d_solo, e)
         if len(info_c.created_arcs) != len(info_s.created_arcs):
@@ -562,52 +537,45 @@ def concatenate(m1: Movie, m2: Movie) -> Movie:
 # -- canonical movies ----------------------------------------------------------------
 
 
-def _tube_events(d: LinkDiagram) -> tuple[list[ESI], LinkDiagram]:
-    """Split the unique free loop into two circles and merge them back."""
-    lp = d.loops[0]
-    if len(lp) < 2:
-        raise MoveError("tube needs a circle with two addressable arcs")
-    split = ESI("saddle", arcs=(lp[0], lp[1]))
-    d = apply_esi(d, split)
-    a = d.loops[-2][0]
-    b = d.loops[-1][0]
-    merge = ESI("saddle", arcs=(a, b))
-    d = apply_esi(d, merge)
-    return [split, merge], d
+def _tubes(d: LinkDiagram, genus: int) -> tuple[list[ESI], LinkDiagram]:
+    """`genus` tubes on the unique free loop of `d`, each a split and a merge back."""
+    events: list[ESI] = []
+    for _ in range(genus):
+        lp = d.loops[0]
+        if len(lp) < 2:
+            raise MoveError("tube needs a circle with two addressable arcs")
+        split = ESI("saddle", arcs=(lp[0], lp[1]))
+        d = apply_esi(d, split)
+        merge = ESI("saddle", arcs=(d.loops[-2][0], d.loops[-1][0]))
+        d = apply_esi(d, merge)
+        events += [split, merge]
+    return events, d
+
+
+def _from_empty(genus: int) -> tuple[list[ESI], LinkDiagram]:
+    """The events of `punctured_from_empty(genus)` and the unknot they end at."""
+    if genus < 0:
+        raise KhovalError("genus must be non-negative")
+    birth = ESI("birth")
+    events, d = _tubes(apply_esi(LinkDiagram(), birth), genus)
+    return [birth, *events], d
 
 
 def trivial_surface_movie(genus: int) -> Movie:
     """The standard closed surface of a given genus: birth, tubes, death."""
-    if genus < 0:
-        raise KhovalError("genus must be non-negative")
-    events = [ESI("birth")]
-    d = apply_esi(LinkDiagram(), events[0])
-    for _ in range(genus):
-        tube, d = _tube_events(d)
-        events.extend(tube)
-    events.append(ESI("death", circle=min(d.loops[0])))
-    return Movie(events)
+    events, d = _from_empty(genus)
+    return Movie([*events, ESI("death", circle=min(d.loops[0]))])
 
 
 def punctured_from_empty(genus: int) -> Movie:
     """Trivial genus-g surface with the puncture at the end: empty -> unknot."""
-    events = [ESI("birth")]
-    d = apply_esi(LinkDiagram(), events[0])
-    for _ in range(genus):
-        tube, d = _tube_events(d)
-        events.extend(tube)
-    return Movie(events)
+    return Movie(_from_empty(genus)[0])
 
 
 def punctured_to_empty(genus: int) -> Movie:
     """Trivial genus-g surface with the puncture at the start: unknot -> empty."""
-    events: list[ESI] = []
-    d = LinkDiagram([], [(1, 2)])
-    for _ in range(genus):
-        tube, d = _tube_events(d)
-        events.extend(tube)
-    events.append(ESI("death", circle=min(d.loops[0])))
-    return Movie(events, initial="unknot")
+    events, d = _tubes(LinkDiagram([], [(1, 2)]), genus)
+    return Movie([*events, ESI("death", circle=min(d.loops[0]))], initial="unknot")
 
 
 def torus_with_detour_movie() -> Movie:

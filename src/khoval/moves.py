@@ -6,17 +6,27 @@ keep their ids, and consumed arcs point at a representative arc of the circle
 they land in.  Fresh ids are assigned deterministically (max existing id + 1,
 in creation order), so replaying a movie always produces the same ids.
 
+Every (kind, variant) of event is one row of the table `_FORMS`: the `ESI`
+field that holds its ids, whether they are arc or crossing ids, how many it
+takes, and its rewrite.  Checking an event, reading and writing its JSON,
+renaming its ids and applying it all read that table.
+
 Conventions baked into the rewrites:
 
 * Reidemeister moves prepend their new crossings, so the active crossings of
   an `add` move occupy the first positions of the crossing order (the local
   chain-map formulas assume this).
+* R1 and R2 additions cut an arc into pieces (p, m, r) (`_cut`); on a
+  crossing-free circle the rest of the circle is one piece, p = r.  Their
+  removals fuse the pieces that meet again (`_fuse`); a chain of pieces that
+  no remaining crossing holds closes into a crossing-free circle.
 * A positive kink on arc a with pieces p, l, r is the crossing X(p,l,l,r);
   the negative kink is X(p,r,l,l).
 * An R2 poke of arc `o` over arc `u` creates X(u1,o1,u2,o2), X(u2,o3,u3,o2)
-  with pieces u -> u1,u2,u3 and o -> o1,o2,o3 (closed loops alias u1 = u3).
-  Two arcs of one crossing-free circle are refused: the template's code
-  for them is never planar.
+  with pieces u -> u1,u2,u3 and o -> o1,o2,o3.  The finger runs in the face
+  on the right of `u`, which must be on the left of `o` when both are
+  crossing arcs of one piece of the diagram; two arcs of one crossing-free
+  circle are refused.  Otherwise the template's code is not planar.
 * The braid-like R3 reverses, for each of the three strands of a triangle
   face, the order of its two crossings; signs are preserved.  The R1 kinks
   on a side stay on its strand, between the two crossings.
@@ -25,27 +35,48 @@ Conventions baked into the rewrites:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from .diagram import LinkDiagram
 from .errors import MoveError, ParseError, UnsupportedMoveError
 
 __all__ = ["ESI", "MoveInfo", "apply_esi", "apply_esi_info"]
 
-ESI_KINDS = ("birth", "death", "saddle", "r1", "r2", "r3")
+
+class _Form(NamedTuple):
+    """How one (kind, variant) of event names its ids, and its rewrite."""
+
+    field: str | None  # the `ESI` field that holds the ids; a birth takes none
+    crossing_ids: bool  # crossing ids, else arc ids (a death's circle is an arc id)
+    count: int  # one id is an int in its field, more are a tuple
+    rewrite: Callable[..., tuple[LinkDiagram, "MoveInfo"]]  # (still, *ids)
+
+    def keywords(self, ids) -> dict[str, Any]:
+        """The `ESI` keyword that holds these ids."""
+        if self.field is None:
+            return {}
+        return {self.field: ids[0] if self.count == 1 else tuple(ids)}
 
 
-def _json_id(value, event: dict) -> int:
-    """An arc, crossing or circle id of a movie event: a JSON integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"malformed movie event {event!r}: id {value!r} is not an integer")
-    return value
+def _form(kind, variant) -> _Form:
+    """The row of an event's (kind, variant); an unknown kind is a `ParseError`."""
+    form = _FORMS.get((kind, variant))
+    if form is None:
+        if all(k != kind for k, _ in _FORMS):
+            raise ParseError(f"unknown ESI kind {kind!r}")
+        raise UnsupportedMoveError(f"{kind} variant {variant!r} is not implemented")
+    return form
 
 
 @dataclass(frozen=True)
 class ESI:
-    """One elementary string interaction, addressing ids in the current still."""
+    """One elementary string interaction, addressing ids in the current still.
+
+    Its (kind, variant) is a row of `_FORMS`, which names the one id field it
+    fills; a missing, stray or malformed id field is a `ParseError`.
+    """
 
     kind: str
     variant: str | None = None
@@ -54,73 +85,53 @@ class ESI:
     crossing: int | None = None
     crossings: tuple[int, ...] | None = None
     circle: int | None = None
+    # the ids, in the order the rewrite takes them; set from the id field
+    ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ESI_KINDS:
-            raise ParseError(f"unknown ESI kind {self.kind!r}")
+        form = _form(self.kind, self.variant)
+        value = getattr(self, form.field) if form.field else ()
+        ids = (value,) if form.count == 1 else value
+        filled = 5 - (self.arc, self.arcs, self.crossing, self.crossings, self.circle).count(None)
+        if (
+            filled != (form.field is not None)  # the form's id field, and no other
+            or type(ids) is not tuple
+            or len(ids) != form.count
+            or not set(map(type, ids)) <= {int}  # an id is an int, not a bool
+        ):
+            where = f" in {form.field!r}" if form.field else ""
+            raise ParseError(
+                f"malformed movie event {self}: it takes {form.count} integer ids{where}"
+            )
+        object.__setattr__(self, "ids", ids)
+
+    def renamed(self, arc_map: dict[int, int], crossing_map: dict[int, int]) -> "ESI":
+        """The same event on other ids, read through `arc_map` or `crossing_map`."""
+        form = _FORMS[self.kind, self.variant]
+        names = crossing_map if form.crossing_ids else arc_map
+        return replace(self, **form.keywords([names[x] for x in self.ids]))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ESI":
         if not isinstance(obj, dict) or "op" not in obj:
             raise ParseError(f"malformed movie event {obj!r}")
-        op = obj["op"]
+        kind = obj["op"]
         try:
-            if op == "birth":
-                return cls("birth")
-            if op == "death":
-                return cls("death", circle=_json_id(obj["circle"], obj))
-            if op == "saddle":
-                a, b = obj["arcs"]
-                return cls("saddle", arcs=(_json_id(a, obj), _json_id(b, obj)))
-            if op == "r1":
-                variant = obj["variant"]
-                if variant in ("add_pos", "add_neg"):
-                    return cls("r1", variant=variant, arc=_json_id(obj["arc"], obj))
-                if variant == "remove":
-                    return cls("r1", variant="remove", crossing=_json_id(obj["crossing"], obj))
-                raise ParseError(f"unknown r1 variant {variant!r}")
-            if op == "r2":
-                variant = obj["variant"]
-                if variant == "add":
-                    a, b = obj["arcs"]
-                    return cls("r2", variant="add", arcs=(_json_id(a, obj), _json_id(b, obj)))
-                if variant == "remove":
-                    c1, c2 = obj["crossings"]
-                    crossings = (_json_id(c1, obj), _json_id(c2, obj))
-                    return cls("r2", variant="remove", crossings=crossings)
-                raise ParseError(f"unknown r2 variant {variant!r}")
-            if op == "r3":
-                c1, c2, c3 = obj["crossings"]
-                return cls(
-                    "r3",
-                    variant=obj.get("variant", "braid"),
-                    crossings=tuple(_json_id(c, obj) for c in (c1, c2, c3)),
-                )
-        except (KeyError, TypeError, ValueError) as exc:
+            variant = obj.get("variant", _ONLY_VARIANT.get(kind))
+            form = _form(kind, variant)
+            value = obj.get(form.field)
+            return cls(kind, variant, **form.keywords((value,) if form.count == 1 else value))
+        except (TypeError, UnsupportedMoveError) as exc:
             raise ParseError(f"malformed movie event {obj!r}: {exc}") from exc
-        raise ParseError(f"unknown ESI op {op!r}")
 
     def to_json(self) -> dict:
+        form = _FORMS[self.kind, self.variant]
         out: dict[str, Any] = {"op": self.kind}
-        if self.kind == "death":
-            out["circle"] = self.circle
-        elif self.kind == "saddle":
-            out["arcs"] = list(self.arcs)
-        elif self.kind == "r1":
+        if self.variant is not None:
             out["variant"] = self.variant
-            if self.variant == "remove":
-                out["crossing"] = self.crossing
-            else:
-                out["arc"] = self.arc
-        elif self.kind == "r2":
-            out["variant"] = self.variant
-            if self.variant == "remove":
-                out["crossings"] = list(self.crossings)
-            else:
-                out["arcs"] = list(self.arcs)
-        elif self.kind == "r3":
-            out["crossings"] = list(self.crossings)
-            out["variant"] = self.variant
+        if form.field:
+            ids = self.ids
+            out[form.field] = list(ids) if form.count > 1 else ids[0]
         return out
 
 
@@ -135,7 +146,6 @@ class MoveInfo:
     created_crossings: list[int] = field(default_factory=list)
     # birth: created loop arcs are in created_arcs
     victim_arcs: tuple[int, ...] = ()  # death: arcs of the dying circle
-    saddle_arcs: tuple[int, int] | None = None
     # r1: the kink loop arc, the strand representative in the new diagram,
     # kink sign, and (for removals) the position of the crossing.
     loop_arc: int | None = None
@@ -154,33 +164,8 @@ def apply_esi(d: LinkDiagram, event: ESI) -> LinkDiagram:
 
 
 def apply_esi_info(d: LinkDiagram, event: ESI) -> tuple[LinkDiagram, MoveInfo]:
-    kind = event.kind
-    if kind == "birth":
-        return _apply_birth(d)
-    if kind == "death":
-        return _apply_death(d, event.circle)
-    if kind == "saddle":
-        a, b = event.arcs
-        return _apply_saddle(d, a, b)
-    if kind == "r1":
-        if event.variant == "add_pos":
-            return _apply_r1_add(d, event.arc, positive=True)
-        if event.variant == "add_neg":
-            return _apply_r1_add(d, event.arc, positive=False)
-        if event.variant == "remove":
-            return _apply_r1_remove(d, event.crossing)
-        raise MoveError(f"unknown r1 variant {event.variant!r}")
-    if kind == "r2":
-        if event.variant == "add":
-            a, b = event.arcs
-            return _apply_r2_add(d, a, b)
-        if event.variant == "remove":
-            c1, c2 = event.crossings
-            return _apply_r2_remove(d, c1, c2)
-        raise MoveError(f"unknown r2 variant {event.variant!r}")
-    if kind == "r3":
-        return _apply_r3(d, event.crossings, event.variant)
-    raise MoveError(f"unknown ESI kind {kind!r}")
+    """The rewritten diagram and what a chain map needs to know about the move."""
+    return _FORMS[event.kind, event.variant].rewrite(d, *event.ids)
 
 
 # -- helpers -------------------------------------------------------------------
@@ -290,47 +275,77 @@ def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
         created = [w]
 
     new = _build(raw, loops)
-    info = MoveInfo("saddle", None, arc_map, created_arcs=created, saddle_arcs=(a, b))
+    info = MoveInfo("saddle", None, arc_map, created_arcs=created)
     return new, info
 
 
-# -- Reidemeister 1 ------------------------------------------------------------
+# -- Reidemeister 1 and 2: cutting arcs and fusing pieces -------------------------
 
 
-def _apply_r1_add(
-    d: LinkDiagram, a: int, positive: bool
-) -> tuple[LinkDiagram, MoveInfo]:
+def _cut(d: LinkDiagram, raw, arc: int, fresh) -> tuple[int, int, int, dict[int, int]]:
+    """Cut `arc` into pieces (p, m, r) for a new local picture, with its arc map.
+
+    p takes the arc's tail slot in `raw`, r its head slot, and m is the new
+    middle piece.  On a crossing-free circle the rest of the circle is one
+    piece, p = r, and every arc of the circle maps to it; the caller drops
+    the circle from the loops.
+    """
+    li = d.loop_of_arc(arc)
+    if li is None:
+        p, m, r = next(fresh), next(fresh), next(fresh)
+        (t, st), (h, sh) = d.arc_tail(arc), d.arc_head(arc)
+        raw[t][1][st], raw[h][1][sh] = p, r
+        return p, m, r, {arc: p}
+    p, m = next(fresh), next(fresh)
+    return p, m, p, dict.fromkeys(d.loops[li], p)
+
+
+def _fuse(d: LinkDiagram, raw, loops: list, relations) -> tuple[dict[int, int], list[int]]:
+    """Fuse the pieces that a removed local picture left open; returns (arc map, fresh arcs).
+
+    Each relation (x, y) makes pieces x and y one arc.  A chain of related
+    pieces becomes one fresh arc in the remaining crossings `raw`; a chain
+    that none of them holds closes into a crossing-free circle of two fresh
+    arcs, appended to `loops`.
+    """
+    fresh = itertools.count(d.max_arc_id() + 1)
+    chains: list[set[int]] = []
+    for pair in relations:
+        chain = set(pair).union(*(c for c in chains if not c.isdisjoint(pair)))
+        chains = [c for c in chains if c.isdisjoint(chain)] + [chain]
+    arc_map: dict[int, int] = {}
+    created: list[int] = []
+    for chain in sorted(chains, key=min):
+        f = next(fresh)
+        held = False
+        for _, arcs in raw:
+            for s, x in enumerate(arcs):
+                if x in chain:
+                    arcs[s], held = f, True
+        if held:
+            created.append(f)
+        else:
+            loops.append((f, next(fresh)))
+            created.extend(loops[-1])
+        arc_map.update(dict.fromkeys(chain, f))
+    return arc_map, created
+
+
+def _apply_r1_add(d: LinkDiagram, a: int, positive: bool) -> tuple[LinkDiagram, MoveInfo]:
     _require_arc(d, a)
-    la = d.loop_of_arc(a)
-    cid = d.max_crossing_id() + 1
     raw = _raw(d)
-    loops = [lp for lp in d.loops]
-    if la is None:
-        p, loop_arc, r = _fresh_arcs(d, 3)
-        ta, sa = d.arc_tail(a)
-        ha, sha = d.arc_head(a)
-        raw[ta][1][sa] = p
-        raw[ha][1][sha] = r
-        arc_map = {a: p}
-        created = [p, loop_arc, r]
-        strand = p
-    else:
-        strand, loop_arc = _fresh_arcs(d, 2)
-        arc_map = {z: strand for z in d.loops[la]}
-        loops = [lp for i, lp in enumerate(loops) if i != la]
-        created = [strand, loop_arc]
-        p, r = strand, strand
-    arcs = (p, loop_arc, loop_arc, r) if positive else (p, r, loop_arc, loop_arc)
-    raw.insert(0, (cid, list(arcs)))
-    new = _build(raw, loops)
+    p, loop_arc, r, arc_map = _cut(d, raw, a, itertools.count(d.max_arc_id() + 1))
+    cid = d.max_crossing_id() + 1
+    raw.insert(0, (cid, [p, loop_arc, loop_arc, r] if positive else [p, r, loop_arc, loop_arc]))
+    new = _build(raw, [lp for lp in d.loops if lp[0] not in arc_map])
     info = MoveInfo(
         "r1",
         "add_pos" if positive else "add_neg",
         arc_map,
-        created_arcs=created,
+        created_arcs=sorted({p, loop_arc, r}),
         created_crossings=[cid],
         loop_arc=loop_arc,
-        strand_arc=strand,
+        strand_arc=p,
         positive=positive,
     )
     return new, info
@@ -354,52 +369,54 @@ def _apply_r1_remove(d: LinkDiagram, cid: int) -> tuple[LinkDiagram, MoveInfo]:
             break
     else:
         raise MoveError(f"crossing {cid} is not a kink")
-    p, r = c.arcs[p_slot], c.arcs[r_slot]
     raw = [(ci, arcs) for ci, arcs in _raw(d) if ci != cid]
-    loops = [lp for lp in d.loops]
-    if p == r:
-        f1, f2 = _fresh_arcs(d, 2)
-        loops.append((f1, f2))
-        arc_map = {p: f1}
-        created = [f1, f2]
-        strand = f1
-    else:
-        (f,) = _fresh_arcs(d, 1)
-        for _, arcs in raw:
-            for s, x in enumerate(arcs):
-                if x in (p, r):
-                    arcs[s] = f
-        arc_map = {p: f, r: f}
-        created = [f]
-        strand = f
-    new = _build(raw, loops)
+    loops = list(d.loops)
+    # on a kinked unknot p = r, and the strand closes into a circle
+    arc_map, created = _fuse(d, raw, loops, [(c.arcs[p_slot], c.arcs[r_slot])])
     info = MoveInfo(
         "r1",
         "remove",
         arc_map,
         created_arcs=created,
         loop_arc=loop_arc,
-        strand_arc=strand,
+        strand_arc=created[0],
         positive=positive,
         positions=(idx,),
     )
-    return new, info
+    return _build(raw, loops), info
 
 
-# -- Reidemeister 2 ------------------------------------------------------------
+def _can_poke(d: LinkDiagram, a: int, b: int) -> bool:
+    """Whether crossing arc b can poke over crossing arc a in the plane.
 
+    It can when b lies in another connected piece of the diagram, or on the
+    face to the right of a with that face on its own left.  A face is walked
+    corner by corner with the face on the right: leave a crossing by the arc
+    in some slot, and at that arc's far end leave by the next slot
+    counterclockwise.
+    """
 
-def _r2_pieces(d, arc, loop_idx, fresh):
-    """Cut one strand for an R2 poke: returns (p1, p2, p3, slot updates, consumed)."""
-    if loop_idx is None:
-        p1, p2, p3 = fresh(3)
-        t, st = d.arc_tail(arc)
-        h, sh = d.arc_head(arc)
-        return p1, p2, p3, [(t, st, p1), (h, sh, p3)], {arc: p1}
-    # closed: the long way around is a single piece
-    pw, p2 = fresh(2)
-    consumed = {z: pw for z in d.loops[loop_idx]}
-    return pw, p2, pw, [], consumed
+    def far(i: int, s: int) -> tuple[int, int]:
+        return next(e for e in d.crossing_arc_slots(d.crossings[i].arcs[s]) if e != (i, s))
+
+    start = d.arc_tail(a)
+    piece, frontier = {start[0]}, [start[0]]
+    while frontier:
+        i = frontier.pop()
+        for j, _ in (far(i, s) for s in range(4)):
+            if j not in piece:
+                piece.add(j)
+                frontier.append(j)
+    if d.arc_head(b)[0] not in piece:
+        return True
+    i, s = start
+    while True:
+        i, t = far(i, s)
+        s = (t + 1) % 4
+        if (i, s) == start:
+            return False
+        if d.crossings[i].arcs[s] == b and d.crossings[i].slot_incoming(s):
+            return True
 
 
 def _apply_r2_add(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo]:
@@ -411,31 +428,24 @@ def _apply_r2_add(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
     la, lb = d.loop_of_arc(a), d.loop_of_arc(b)
     if la is not None and la == lb:
         raise MoveError("r2 arcs on one crossing-free circle give no planar poke")
+    if la is None and lb is None and not _can_poke(d, a, b):
+        raise MoveError(
+            f"r2 arcs {a}, {b} give no planar poke: the face right of {a} is not left of {b}"
+        )
     raw = _raw(d)
-    loops = list(d.loops)
-    fresh_pool = _fresh_arcs(d, 6)
-
-    def fresh(k: int) -> list[int]:
-        return [fresh_pool.pop(0) for _ in range(k)]
-
-    u1, u2, u3, upd_u, cons_u = _r2_pieces(d, a, la, fresh)
-    o1, o2, o3, upd_o, cons_o = _r2_pieces(d, b, lb, fresh)
-    arc_map = {**cons_u, **cons_o}
-    for li in sorted({x for x in (la, lb) if x is not None}, reverse=True):
-        del loops[li]
-    created = sorted({u1, u2, u3, o1, o2, o3})
-    for idx, slot, new_arc in upd_u + upd_o:
-        raw[idx][1][slot] = new_arc
+    fresh = itertools.count(d.max_arc_id() + 1)
+    u1, u2, u3, cut_u = _cut(d, raw, a, fresh)
+    o1, o2, o3, cut_o = _cut(d, raw, b, fresh)
+    arc_map = {**cut_u, **cut_o}
     cid_a = d.max_crossing_id() + 1
     cid_b = cid_a + 1
-    raw.insert(0, (cid_b, [u2, o3, u3, o2]))
-    raw.insert(0, (cid_a, [u1, o1, u2, o2]))
-    new = _build(raw, loops)
+    raw[:0] = [(cid_a, [u1, o1, u2, o2]), (cid_b, [u2, o3, u3, o2])]
+    new = _build(raw, [lp for lp in d.loops if lp[0] not in arc_map])
     info = MoveInfo(
         "r2",
         "add",
         arc_map,
-        created_arcs=created,
+        created_arcs=sorted({u1, u2, u3, o1, o2, o3}),
         created_crossings=[cid_a, cid_b],
         pieces={"u1": u1, "u2": u2, "u3": u3, "o1": o1, "o2": o2, "o3": o3},
     )
@@ -466,57 +476,8 @@ def _apply_r2_remove(
     _, o3, u3, _ = cb.arcs
     raw = [(ci, arcs) for ci, arcs in _raw(d) if ci not in (ca.cid, cb.cid)]
     loops = list(d.loops)
-    arc_map: dict[int, int] = {}
-    created: list[int] = []
-
-    # Chain-fuse the four outer pieces along the relations u1~u3 and o1~o3.
-    # A piece aliased across the two relations sits in the middle of a chain;
-    # a chain that closes up becomes a crossing-free circle.
-    next_id = d.max_arc_id()
-    links: dict[int, set[int]] = {}
-    for x, y in ((u1, u3), (o1, o3)):
-        links.setdefault(x, set()).add(y)
-        links.setdefault(y, set()).add(x)
-    seen: set[int] = set()
-    for start in sorted(links):
-        if start in seen:
-            continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            z = frontier.pop()
-            for nxt in links[z]:
-                if nxt not in component:
-                    component.add(nxt)
-                    frontier.append(nxt)
-        seen |= component
-        # a chain closes into a circle iff every piece has both occurrences
-        # inside the removed pair, i.e. none survives in the remaining crossings
-        outer_ends = [
-            z
-            for z in component
-            if any(z in arcs for _, arcs in raw)
-        ]
-        if not outer_ends:
-            next_id += 1
-            f1 = next_id
-            next_id += 1
-            f2 = next_id
-            loops.append((f1, f2))
-            for z in component:
-                arc_map[z] = f1
-            created.extend([f1, f2])
-        else:
-            next_id += 1
-            f = next_id
-            for _, arcs in raw:
-                for s, x in enumerate(arcs):
-                    if x in component:
-                        arcs[s] = f
-            for z in component:
-                arc_map[z] = f
-            created.append(f)
-    new = _build(raw, loops)
+    # a piece aliased across the two relations sits in the middle of a chain
+    arc_map, created = _fuse(d, raw, loops, [(u1, u3), (o1, o3)])
     info = MoveInfo(
         "r2",
         "remove",
@@ -525,17 +486,13 @@ def _apply_r2_remove(
         positions=(ia, ib),
         pieces={"u1": u1, "u2": u2, "u3": u3, "o1": o1, "o2": o2, "o3": o3},
     )
-    return new, info
+    return _build(raw, loops), info
 
 
 # -- Reidemeister 3 ------------------------------------------------------------
 
 
-def _apply_r3(
-    d: LinkDiagram, cids: tuple[int, int, int], variant: str | None
-) -> tuple[LinkDiagram, MoveInfo]:
-    if variant not in (None, "braid"):
-        raise UnsupportedMoveError(f"r3 variant {variant!r} is not implemented")
+def _apply_r3(d: LinkDiagram, *cids: int) -> tuple[LinkDiagram, MoveInfo]:
     from .r3 import triangle  # loaded by the first triangle move, not by every import
 
     sides, roles = triangle(d, cids)
@@ -565,3 +522,21 @@ def _apply_r3(
     created = sorted(set(arc_map.values()))
     return new, MoveInfo("r3", "braid", arc_map, created_arcs=created, positions=positions,
                          pieces=roles, kinks=tuple(kinks))
+
+
+# -- the event table ---------------------------------------------------------------
+
+_FORMS: dict[tuple[str, str | None], _Form] = {
+    ("birth", None): _Form(None, False, 0, _apply_birth),
+    ("death", None): _Form("circle", False, 1, _apply_death),
+    ("saddle", None): _Form("arcs", False, 2, _apply_saddle),
+    ("r1", "add_pos"): _Form("arc", False, 1, partial(_apply_r1_add, positive=True)),
+    ("r1", "add_neg"): _Form("arc", False, 1, partial(_apply_r1_add, positive=False)),
+    ("r1", "remove"): _Form("crossing", True, 1, _apply_r1_remove),
+    ("r2", "add"): _Form("arcs", False, 2, _apply_r2_add),
+    ("r2", "remove"): _Form("crossings", True, 2, _apply_r2_remove),
+    ("r3", "braid"): _Form("crossings", True, 3, _apply_r3),
+}
+
+# a kind with a single variant may leave it out of its JSON (an r3 is braid-like)
+_ONLY_VARIANT = {k: v for k, v in _FORMS if sum(k == kk for kk, _ in _FORMS) == 1}

@@ -11,6 +11,8 @@ one `CochainElement` sum per generator, is the reference for
 resolutions is the reference for `CubeComplex.differential_of`, and the R2
 maps in closed form, also from fresh resolutions, are the reference for the
 R2 maps that `khoval.cobordism` builds from the bigon's Gaussian elimination.
+Euler's formula over the crossing slots, without the library's face walk,
+tells whether a PD code can be drawn in the plane.
 """
 
 from __future__ import annotations
@@ -319,3 +321,42 @@ def uct_dims_from_integral(groups: dict, p: int, graded: bool) -> dict:
         prev = (key[0] - 1, key[1]) if graded else key - 1
         dims[prev] += tors_p
     return {k: v for k, v in dims.items() if v}
+
+
+def is_planar(d) -> bool:
+    """Whether the crossings of `d` embed in the plane in their slot order, by Euler's formula.
+
+    The darts are the crossing slots.  A face is an orbit of the step "go to
+    the far end of the dart's arc, then to the next slot counterclockwise";
+    a connected piece with n crossings (4-valent, so 2n edges) is planar
+    exactly when it has n + 2 faces.
+    """
+    ends = defaultdict(list)
+    for i, c in enumerate(d.crossings):
+        for s, a in enumerate(c.arcs):
+            ends[a].append((i, s))
+    other = {}
+    for x, y in ends.values():
+        other[x], other[y] = y, x
+    unseen, faces = set(other), 0
+    while unseen:
+        faces += 1
+        dart = unseen.pop()
+        while True:
+            i, s = other[dart]
+            dart = (i, (s + 1) % 4)
+            if dart not in unseen:
+                break
+            unseen.remove(dart)
+    pieces, todo = 0, set(range(d.n))
+    while todo:
+        pieces += 1
+        frontier = [todo.pop()]
+        while frontier:
+            i = frontier.pop()
+            for s in range(4):
+                j = other[(i, s)][0]
+                if j in todo:
+                    todo.remove(j)
+                    frontier.append(j)
+    return faces == d.n + 2 * pieces

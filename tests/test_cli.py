@@ -274,6 +274,22 @@ def test_same_circle_poke_fails_validation(capsys):
     assert (code, out) == (5, "") and "event 2" in err and "planar" in err
 
 
+def test_poke_without_a_shared_face_fails_validation(capsys):
+    # arcs 5 and 7 of the twice-kinked unknot bound no common face the poke can run in
+    movie = {"movie": [
+        {"op": "birth"},
+        {"op": "r1", "variant": "add_pos", "arc": 1},
+        {"op": "r1", "variant": "add_neg", "arc": 3},
+        {"op": "r2", "variant": "add", "arcs": [5, 7]},
+        {"op": "r2", "variant": "remove", "crossings": [3, 4]},
+        {"op": "r1", "variant": "remove", "crossing": 2},
+        {"op": "r1", "variant": "remove", "crossing": 1},
+        {"op": "death", "circle": 17},
+    ]}
+    code, out, err = run(capsys, "movie", json.dumps(movie))
+    assert (code, out) == (5, "") and "event 4" in err and "planar" in err
+
+
 @pytest.mark.parametrize("movie", [
     '{"movie": 5}',
     '{"movie": null}',
@@ -281,9 +297,12 @@ def test_same_circle_poke_fails_validation(capsys):
     '{"movie": [{"op": "birth"}, {"op": "death", "circle": 1.5}]}',
     '{"movie": [{"op": "birth"}, {"op": "saddle", "arcs": "12"}]}',
     '{"movie": [{"op": "birth"}, {"op": "r1", "variant": "add_pos", "arc": true}]}',
+    '{"movie": [{"op": "birth", "variant": "add"}]}',
+    '{"movie": [{"op": "r3", "variant": "cyclic", "crossings": [1, 2, 3]}]}',
 ])
 def test_malformed_movie_json_is_a_parse_error(capsys, movie):
-    # an id is a JSON integer: no float, string or bool is coerced into one
+    # an id is a JSON integer: no float, string or bool is coerced into one;
+    # an event's (kind, variant) must exist
     code, out, err = run(capsys, "movie", movie)
     assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
 
@@ -365,7 +384,7 @@ def test_shipped_movies_match_builders():
     for name, movie in movies.items():
         path = MOVIES_DIR / f"{name}.json"
         assert path.is_file(), name
-        assert json.loads(path.read_text()) == movie_to_json(movie), name
+        assert path.read_text() == json.dumps(movie_to_json(movie), indent=1) + "\n", name
 
 
 def test_verify_command(capsys):

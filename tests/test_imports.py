@@ -1,6 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses.
+
+Importing the package and its command line leaves `khoval.r3` unloaded.
+"""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +51,13 @@ def test_guard_sees_an_unused_import():
         "    return sys.argv\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: apply_pieces", "line 6: triangle_map"]
+
+
+def test_importing_the_package_and_cli_leaves_r3_unloaded():
+    # `khoval.r3` loads with the first triangle move, so a command without
+    # one does not pay its import
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, khoval, khoval.cli; print('khoval.r3' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert run.stdout.strip() == "False"

@@ -1,13 +1,21 @@
-"""Every chain-map image of `make_map_digest` against `tests/data/map_digest.txt`."""
+"""Chain-map images and move rewrites against their digests in `tests/data/`."""
 
 import hashlib
 from pathlib import Path
 
 from make_map_digest import map_lines
+from make_rewrite_digest import rewrite_lines
 
-DIGEST = Path(__file__).resolve().parent / "data" / "map_digest.txt"
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
 def test_chain_map_images_match_the_digest():
-    text = "".join(line + "\n" for line in map_lines())
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGEST.read_text().strip()
+    assert _digest(map_lines()) == (DATA / "map_digest.txt").read_text().strip()
+
+
+def test_rewrites_match_the_digest():
+    assert _digest(rewrite_lines()) == (DATA / "rewrite_digest.txt").read_text().strip()

@@ -1,11 +1,18 @@
 """Rewriting rules for the six elementary string interactions."""
 
+import itertools
+
 import pytest
 
+from khoval import moves
+from khoval.algebra import Theory
 from khoval.corpus import PD_CODES
+from khoval.cube import build_cube, check_d_squared
 from khoval.diagram import LinkDiagram, parse_pd, resolve
-from khoval.errors import MoveError, UnsupportedMoveError
+from khoval.errors import MoveError, ParseError, UnsupportedMoveError
 from khoval.moves import ESI, apply_esi, apply_esi_info
+
+from oracles import is_planar
 
 
 def unknot():
@@ -249,16 +256,84 @@ def test_fresh_ids_are_deterministic():
     assert d1 == d2 and i1.created_arcs == i2.created_arcs == [1, 2]
 
 
-def test_esi_json_roundtrip():
-    events = [
-        ESI("birth"),
-        ESI("death", circle=3),
-        ESI("saddle", arcs=(1, 2)),
-        ESI("r1", variant="add_pos", arc=4),
-        ESI("r1", variant="remove", crossing=2),
-        ESI("r2", variant="add", arcs=(5, 6)),
-        ESI("r2", variant="remove", crossings=(1, 2)),
-        ESI("r3", crossings=(1, 2, 3), variant="braid"),
-    ]
-    for e in events:
-        assert ESI.from_json(e.to_json()) == e
+# every (kind, variant): the event, its JSON, and the event with arc ids
+# renamed by +100 and crossing ids by +200 (a death's circle is an arc id)
+EVERY_FORM = [
+    (ESI("birth"), {"op": "birth"}, ESI("birth")),
+    (ESI("death", circle=3), {"op": "death", "circle": 3}, ESI("death", circle=103)),
+    (ESI("saddle", arcs=(1, 2)), {"op": "saddle", "arcs": [1, 2]},
+     ESI("saddle", arcs=(101, 102))),
+    (ESI("r1", variant="add_pos", arc=4), {"op": "r1", "variant": "add_pos", "arc": 4},
+     ESI("r1", variant="add_pos", arc=104)),
+    (ESI("r1", variant="add_neg", arc=5), {"op": "r1", "variant": "add_neg", "arc": 5},
+     ESI("r1", variant="add_neg", arc=105)),
+    (ESI("r1", variant="remove", crossing=2), {"op": "r1", "variant": "remove", "crossing": 2},
+     ESI("r1", variant="remove", crossing=202)),
+    (ESI("r2", variant="add", arcs=(5, 6)), {"op": "r2", "variant": "add", "arcs": [5, 6]},
+     ESI("r2", variant="add", arcs=(105, 106))),
+    (ESI("r2", variant="remove", crossings=(1, 2)),
+     {"op": "r2", "variant": "remove", "crossings": [1, 2]},
+     ESI("r2", variant="remove", crossings=(201, 202))),
+    (ESI("r3", crossings=(1, 2, 3), variant="braid"),
+     {"op": "r3", "variant": "braid", "crossings": [1, 2, 3]},
+     ESI("r3", crossings=(201, 202, 203), variant="braid")),
+]
+
+
+def test_esi_schema_covers_every_form():
+    assert {(e.kind, e.variant) for e, _, _ in EVERY_FORM} == set(moves._FORMS)
+    arc_map = {k: 100 + k for k in range(1, 10)}
+    crossing_map = {k: 200 + k for k in range(1, 10)}
+    for event, obj, renamed in EVERY_FORM:
+        assert event.to_json() == obj
+        assert ESI.from_json(obj) == event
+        assert event.renamed(arc_map, crossing_map) == renamed
+    # an r3 may leave out its only variant
+    assert ESI.from_json({"op": "r3", "crossings": [1, 2, 3]}) == EVERY_FORM[-1][0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ESI("saddle"),
+    lambda: ESI("death"),
+    lambda: ESI("r2", variant="add", arcs=(1,)),
+    lambda: ESI("r2", variant="add", arcs=[1, 3]),
+    lambda: ESI("r3", crossings=(1, 2), variant="braid"),
+    lambda: ESI("r1", variant="add_pos", arc=(1,)),
+    lambda: ESI("r1", variant="remove", arc=1),
+    lambda: ESI("saddle", arcs=(1, True)),
+    lambda: ESI("birth", circle=1),
+], ids=["saddle", "death", "r2-one-arc", "r2-list", "r3-two", "r1-tuple", "r1rm-arc",
+        "bool-id", "birth-id"])
+def test_malformed_events_are_parse_errors(build):
+    with pytest.raises(ParseError):
+        apply_esi(parse_pd("L0 L1"), build())
+
+
+# a Hopf link beside a kinked unknot: pokes between the pieces need no shared face
+SPLIT = PD_CODES["hopf"] + " X(5,6,6,5)"
+
+
+def test_r2_poke_is_refused_exactly_when_it_cannot_be_drawn(monkeypatch):
+    cases = []
+    for code in [*PD_CODES.values(), SPLIT]:
+        d = parse_pd(code)
+        for a, b in itertools.permutations(sorted(d.arc_ids()), 2):
+            event = ESI("r2", variant="add", arcs=(a, b))
+            try:
+                cases.append((d, event, apply_esi(d, event)))
+            except MoveError:
+                cases.append((d, event, None))
+    accepted = sum(poked is not None for _, _, poked in cases)
+    monkeypatch.setattr(moves, "_can_poke", lambda d, a, b: True)
+    for d, event, poked in cases:
+        try:
+            template = apply_esi(d, event)
+        except MoveError:  # two arcs of one crossing-free circle
+            assert poked is None
+            continue
+        if poked is None:
+            assert not is_planar(template), (d, event)
+        else:
+            assert poked == template and is_planar(poked), (d, event)
+            assert check_d_squared(build_cube(poked, Theory.KHOVANOV)).ok, (d, event)
+    assert 0 < accepted < len(cases)
