@@ -16,18 +16,24 @@ slot 1.  With this convention the standard right-trefoil code
 Smoothings: the 0-smoothing of a crossing joins slots (0,3) and (1,2) --- the
 orientation-respecting smoothing at a positive crossing --- and the
 1-smoothing joins (0,1) and (2,3).
+
+Faces are data: `LinkDiagram.faces()` gives every arc its right face, its
+left face and its connected piece.  `parse_pd` refuses a code whose n
+crossings in p pieces do not have n + 2p faces (Euler's formula), and the
+saddle, R2 and R3 moves read their planarity rules from the same table.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import KhovalError, MoveError, OrientationError, ParseError
 
 __all__ = [
     "Crossing",
+    "Faces",
     "LinkDiagram",
     "ResolvedDiagram",
     "Transfer",
@@ -71,7 +77,7 @@ class LinkDiagram:
     are always derived, never trusted from the caller.
     """
 
-    __slots__ = ("crossings", "loops", "n_plus", "n_minus", "_arc_ids")
+    __slots__ = ("crossings", "loops", "n_plus", "n_minus", "_arc_ids", "_faces")
 
     def __init__(
         self,
@@ -94,6 +100,7 @@ class LinkDiagram:
         for lp in loop_list:
             arc_ids.update(lp)
         self._arc_ids = frozenset(arc_ids)
+        self._faces: Faces | None = None  # built by the first `faces()` call
 
     @staticmethod
     def _validate_ids(raw, loop_list) -> None:
@@ -151,33 +158,50 @@ class LinkDiagram:
                 return idx, c
         raise MoveError(f"no crossing with id {cid}")
 
-    def crossing_arc_slots(self, arc: int) -> list[tuple[int, int]]:
-        """All (crossing index, slot) occurrences of a crossing arc."""
-        out = []
-        for idx, c in enumerate(self.crossings):
-            for slot, a in enumerate(c.arcs):
-                if a == arc:
-                    out.append((idx, slot))
-        return out
+    def faces(self) -> Faces:
+        """The face table (see `Faces`), built on first request and kept."""
+        if self._faces is not None:
+            return self._faces
+        ends: dict[int, list[tuple[int, int]]] = {}
+        for i, c in enumerate(self.crossings):
+            for s, a in enumerate(c.arcs):
+                ends.setdefault(a, []).append((i, s))
+        far, pieces = {}, _DSU()
+        for x, y in ends.values():
+            far[x], far[y] = y, x
+            pieces.union(x[0], y[0])
+        # a face is an orbit of the darts (crossing, slot) under "go to the far
+        # end of the dart's arc, then to the next slot counterclockwise"
+        face: dict[tuple[int, int], tuple[int, int]] = {}  # dart -> its face's first dart
+        for start in far:
+            dart = start
+            while dart not in face:
+                face[dart] = start
+                i, s = far[dart]
+                dart = (i, (s + 1) % 4)
+        right, left, piece = {}, {}, {}
+        for a, (tail, head) in ends.items():
+            if self.crossings[tail[0]].slot_incoming(tail[1]):
+                tail, head = head, tail
+            # the walk from the tail dart runs along the arc with its face on the right
+            right[a], left[a], piece[a] = face[tail], face[head], pieces.find(tail[0])
+        for k, lp in enumerate(self.loops):
+            for a in lp:
+                right[a], left[a], piece[a] = (~k, 0), (~k, 1), ~k
+        self._faces = Faces(right, left, piece)
+        return self._faces
+
+    def arc_ends(self, arc: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The (crossing index, slot) where a crossing arc leaves, then where it enters."""
+        x, y = [(i, s) for i, c in enumerate(self.crossings)
+                for s, a in enumerate(c.arcs) if a == arc]
+        return (y, x) if self.crossings[x[0]].slot_incoming(x[1]) else (x, y)
 
     def loop_of_arc(self, arc: int) -> int | None:
         for i, lp in enumerate(self.loops):
             if arc in lp:
                 return i
         return None
-
-    def arc_tail(self, arc: int) -> tuple[int, int]:
-        """(crossing index, slot) where a crossing arc leaves its crossing."""
-        for idx, slot in self.crossing_arc_slots(arc):
-            if not self.crossings[idx].slot_incoming(slot):
-                return idx, slot
-        raise KhovalError(f"arc {arc} has no tail slot")
-
-    def arc_head(self, arc: int) -> tuple[int, int]:
-        for idx, slot in self.crossing_arc_slots(arc):
-            if self.crossings[idx].slot_incoming(slot):
-                return idx, slot
-        raise KhovalError(f"arc {arc} has no head slot")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkDiagram):
@@ -195,6 +219,29 @@ class LinkDiagram:
 
     def __repr__(self) -> str:
         return f"LinkDiagram({serialize_pd(self)!r})"
+
+
+class Faces(NamedTuple):
+    """A diagram's faces as data: each arc's right and left face and its piece.
+
+    A face is named by one of its darts (crossing index, slot); the k-th
+    crossing-free circle is piece ~k with faces (~k, 0) and (~k, 1).  Arcs of
+    two pieces can always meet, as one piece can be drawn inside any face of
+    the other.
+    """
+
+    right: dict[int, tuple[int, int]]  # arc -> the face on its right, along its orientation
+    left: dict[int, tuple[int, int]]  # arc -> the face on its left
+    piece: dict[int, int]  # arc -> its connected piece
+
+    def can_band(self, a: int, b: int) -> bool:
+        """Whether an oriented band can join arcs a and b: through a face on one side of both."""
+        return self.piece[a] != self.piece[b] or (
+            self.right[a] == self.right[b] or self.left[a] == self.left[b])
+
+    def can_poke(self, a: int, b: int) -> bool:
+        """Whether arc b can poke over arc a: through the face right of a and left of b."""
+        return self.piece[a] != self.piece[b] or self.right[a] == self.left[b]
 
 
 @dataclass(frozen=True)
@@ -242,7 +289,8 @@ def parse_pd(text: str) -> LinkDiagram:
     """Parse PD notation: `X(a,b,c,d)` tokens plus `L<k>` loop tokens.
 
     Each `L<k>` token declares one crossing-free loop (k is a label and must
-    be unique).  The empty string is the empty diagram.
+    be unique).  The empty string is the empty diagram.  A code that cannot
+    be drawn in the plane in its slot order is a `ParseError`.
     """
     crossings = []
     loop_labels = []
@@ -265,7 +313,12 @@ def parse_pd(text: str) -> LinkDiagram:
     for _ in loop_labels:
         loops.append((next_arc, next_arc + 1))
         next_arc += 2
-    return LinkDiagram(raw, loops)
+    d = LinkDiagram(raw, loops)
+    faces = d.faces()
+    count = len({*faces.right.values(), *faces.left.values()})
+    if count != d.n + 2 * len(set(faces.piece.values())):
+        raise ParseError(f"the PD code is not planar: {count} faces, not n + 2 * pieces")
+    return d
 
 
 def serialize_pd(d: LinkDiagram) -> str:

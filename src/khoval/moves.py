@@ -22,11 +22,12 @@ Conventions baked into the rewrites:
   no remaining crossing holds closes into a crossing-free circle.
 * A positive kink on arc a with pieces p, l, r is the crossing X(p,l,l,r);
   the negative kink is X(p,r,l,l).
+* Every still stays planar, by the still's face table (`LinkDiagram.faces`):
+  a saddle joins two arcs of one piece only through a face on one side of both.
 * An R2 poke of arc `o` over arc `u` creates X(u1,o1,u2,o2), X(u2,o3,u3,o2)
   with pieces u -> u1,u2,u3 and o -> o1,o2,o3.  The finger runs in the face
-  on the right of `u`, which must be on the left of `o` when both are
-  crossing arcs of one piece of the diagram; two arcs of one crossing-free
-  circle are refused.  Otherwise the template's code is not planar.
+  on the right of `u`, which must be on the left of `o` when both arcs lie
+  in one piece; so two arcs of one crossing-free circle are refused.
 * The braid-like R3 reverses, for each of the three strands of a triangle
   face, the order of its two crossings; signs are preserved.  The R1 kinks
   on a side stay on its strand, between the two crossings.
@@ -187,11 +188,6 @@ def _build(raw, loops) -> LinkDiagram:
     )
 
 
-def _rotate(lp: tuple[int, ...], a: int) -> list[int]:
-    k = lp.index(a)
-    return list(lp[k:]) + list(lp[:k])
-
-
 def _require_arc(d: LinkDiagram, a: int) -> None:
     if a not in d.arc_ids():
         raise MoveError(f"arc {a} does not exist in the current still")
@@ -224,59 +220,40 @@ def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
         raise MoveError("saddle arcs must be distinct")
     _require_arc(d, a)
     _require_arc(d, b)
+    if not d.faces().can_band(a, b):
+        raise MoveError(
+            f"saddle arcs {a}, {b} give no planar band: they share no face on the same side"
+        )
     la, lb = d.loop_of_arc(a), d.loop_of_arc(b)
-    raw = _raw(d)
-    loops = [lp for lp in d.loops]
-    arc_map: dict[int, int] = {}
-
+    raw, loops = _raw(d), list(d.loops)
     if la is None and lb is None:
-        ta, sa = d.arc_tail(a)
-        ha, sha = d.arc_head(a)
-        tb, sb = d.arc_tail(b)
-        hb, shb = d.arc_head(b)
-        u, w = _fresh_arcs(d, 2)
-        raw[ta][1][sa] = u  # tail of a -> u -> head of b
-        raw[hb][1][shb] = u
-        raw[tb][1][sb] = w  # tail of b -> w -> head of a
-        raw[ha][1][sha] = w
+        u, w = created = _fresh_arcs(d, 2)
+        (ta, sa), (ha, sha) = d.arc_ends(a)
+        (tb, sb), (hb, shb) = d.arc_ends(b)
+        raw[ta][1][sa] = raw[hb][1][shb] = u  # tail of a -> u -> head of b
+        raw[tb][1][sb] = raw[ha][1][sha] = w  # tail of b -> w -> head of a
         arc_map = {a: u, b: w}
-        created = [u, w]
     elif la is not None and lb is not None:
-        if la == lb:
-            lp = _rotate(d.loops[la], a)
-            j = lp.index(b)
-            alpha, beta = _fresh_arcs(d, 2)
-            circle1 = [alpha] + lp[j + 1 :]
-            circle2 = [beta] + lp[1:j]
-            loops = [x for i, x in enumerate(loops) if i != la]
-            loops.extend([tuple(circle1), tuple(circle2)])
-            arc_map = {a: alpha, b: beta}
-            created = [alpha, beta]
-        else:
-            lpa = _rotate(d.loops[la], a)
-            lpb = _rotate(d.loops[lb], b)
-            alpha, beta = _fresh_arcs(d, 2)
-            merged = [alpha] + lpb[1:] + [beta] + lpa[1:]
-            loops = [x for i, x in enumerate(loops) if i not in (la, lb)]
-            loops.append(tuple(merged))
-            arc_map = {a: alpha, b: beta}
-            created = [alpha, beta]
-    else:
-        x, y, ly = (a, b, lb) if la is None else (b, a, la)
-        tx, sx = d.arc_tail(x)
-        hx, shx = d.arc_head(x)
-        (w,) = _fresh_arcs(d, 1)
-        raw[tx][1][sx] = w
-        raw[hx][1][shx] = w
-        arc_map = {x: w}
-        for z in d.loops[ly]:
-            arc_map[z] = w
-        loops = [lp for i, lp in enumerate(loops) if i != ly]
-        created = [w]
-
-    new = _build(raw, loops)
-    info = MoveInfo("saddle", None, arc_map, created_arcs=created)
-    return new, info
+        # u and w replace a and b on their circles, and each runs on where the other did
+        u, w = created = _fresh_arcs(d, 2)
+        arc_map = {a: u, b: w}
+        succ = {arc_map.get(x, x): arc_map.get(y, y)
+                for lp in (d.loops[la], d.loops[lb]) for x, y in zip(lp, lp[1:] + lp[:1])}
+        succ[u], succ[w] = succ[w], succ[u]
+        loops = [lp for lp in loops if a not in lp and b not in lp]
+        for start in (u, w) if la == lb else (u,):  # one circle splits, two merge
+            cycle = [start]
+            while succ[cycle[-1]] != start:
+                cycle.append(succ[cycle[-1]])
+            loops.append(tuple(cycle))
+    else:  # the crossing arc x absorbs the circle
+        x, ly = (a, lb) if la is None else (b, la)
+        (tx, sx), (hx, shx) = d.arc_ends(x)
+        (w,) = created = _fresh_arcs(d, 1)
+        raw[tx][1][sx] = raw[hx][1][shx] = w
+        arc_map = dict.fromkeys((x, *d.loops[ly]), w)
+        del loops[ly]
+    return _build(raw, loops), MoveInfo("saddle", None, arc_map, created_arcs=created)
 
 
 # -- Reidemeister 1 and 2: cutting arcs and fusing pieces -------------------------
@@ -293,7 +270,7 @@ def _cut(d: LinkDiagram, raw, arc: int, fresh) -> tuple[int, int, int, dict[int,
     li = d.loop_of_arc(arc)
     if li is None:
         p, m, r = next(fresh), next(fresh), next(fresh)
-        (t, st), (h, sh) = d.arc_tail(arc), d.arc_head(arc)
+        (t, st), (h, sh) = d.arc_ends(arc)
         raw[t][1][st], raw[h][1][sh] = p, r
         return p, m, r, {arc: p}
     p, m = next(fresh), next(fresh)
@@ -386,49 +363,13 @@ def _apply_r1_remove(d: LinkDiagram, cid: int) -> tuple[LinkDiagram, MoveInfo]:
     return _build(raw, loops), info
 
 
-def _can_poke(d: LinkDiagram, a: int, b: int) -> bool:
-    """Whether crossing arc b can poke over crossing arc a in the plane.
-
-    It can when b lies in another connected piece of the diagram, or on the
-    face to the right of a with that face on its own left.  A face is walked
-    corner by corner with the face on the right: leave a crossing by the arc
-    in some slot, and at that arc's far end leave by the next slot
-    counterclockwise.
-    """
-
-    def far(i: int, s: int) -> tuple[int, int]:
-        return next(e for e in d.crossing_arc_slots(d.crossings[i].arcs[s]) if e != (i, s))
-
-    start = d.arc_tail(a)
-    piece, frontier = {start[0]}, [start[0]]
-    while frontier:
-        i = frontier.pop()
-        for j, _ in (far(i, s) for s in range(4)):
-            if j not in piece:
-                piece.add(j)
-                frontier.append(j)
-    if d.arc_head(b)[0] not in piece:
-        return True
-    i, s = start
-    while True:
-        i, t = far(i, s)
-        s = (t + 1) % 4
-        if (i, s) == start:
-            return False
-        if d.crossings[i].arcs[s] == b and d.crossings[i].slot_incoming(s):
-            return True
-
-
 def _apply_r2_add(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo]:
     """Poke arc b over arc a (parallel finger template)."""
     if a == b:
         raise MoveError("r2 arcs must be distinct")
     _require_arc(d, a)
     _require_arc(d, b)
-    la, lb = d.loop_of_arc(a), d.loop_of_arc(b)
-    if la is not None and la == lb:
-        raise MoveError("r2 arcs on one crossing-free circle give no planar poke")
-    if la is None and lb is None and not _can_poke(d, a, b):
+    if not d.faces().can_poke(a, b):
         raise MoveError(
             f"r2 arcs {a}, {b} give no planar poke: the face right of {a} is not left of {b}"
         )

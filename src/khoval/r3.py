@@ -32,7 +32,7 @@ def _sides(d: LinkDiagram, tri: set[int]) -> list[tuple]:
         arcs, kinks, (q, t) = [], [], (p, slot)
         while True:
             arcs.append(d.crossings[q].arcs[t])
-            (q, t), = [x for x in d.crossing_arc_slots(arcs[-1]) if x != (q, t)] or [(q, t)]
+            q, t = d.arc_ends(arcs[-1])[1]
             c = d.crossings[q].arcs
             loop = [s for s in range(4) if c.count(c[s]) == 2]
             if q in tri or len(loop) != 2 or t in loop:
@@ -62,25 +62,25 @@ def triangle(d: LinkDiagram, cids) -> tuple[list[tuple], dict[str, int]]:
     if len(by_pair) != 3 or any(sum(not side[5] for side in v) > 1 for v in by_pair.values()):
         raise MoveError("the three crossings do not form a triangle")
 
-    def is_face(sides) -> bool:
-        slots = {p: 0 for p in tri}
-        for p, s, q, t, _, _ in sides:
-            slots[p] += s
-            slots[q] += t
-        # at each end of a side, (other slot - its slot) mod 4 tells on which
-        # side of it the corner opens; a face opens to one side: 1 and 3
-        return all({(slots[p] - 2 * s) % 4, (slots[q] - 2 * t) % 4} == {1, 3}
-                   for p, s, q, t, _, _ in sides)
-
-    faces = [sides for sides in itertools.product(*by_pair.values()) if is_face(sides)]
+    # the face: one side of each pair and the kinks on them bound it, nothing else
+    table = d.faces()
+    side_of = {a: (pair, k) for pair, v in by_pair.items()
+               for k, (*_, arcs, kinks) in enumerate(v)
+               for a in [*arcs, *(a for q in kinks for a in d.crossings[q].arcs)]}
+    around: dict[tuple, set] = {}
+    for on in (table.right, table.left):
+        for a, f in on.items():
+            around.setdefault(f, set()).add(side_of.get(a))
+    faces = [v for v in around.values() if None not in v and len(dict(v)) == 3 == len(v)]
     if len(faces) != 1:
         raise MoveError("the three crossings do not bound a triangle face")
-    by_level = {(side[1] % 2) + (side[3] % 2): side for side in faces[0]}
+    sides = [by_pair[pair][k] for pair, k in faces[0]]
+    by_level = {(side[1] % 2) + (side[3] % 2): side for side in sides}
     if sorted(by_level) != [0, 1, 2]:
         raise MoveError("triangle is not braid-like (no top/middle/bottom strand)")
     (c,) = tri - {by_level[2][0], by_level[2][2]}
     roles = {"c": c, **{k: by_level[n][4][0] for n, k in enumerate(("bottom", "middle", "top"))}}
-    return sorted(faces[0], key=lambda side: side[4][0]), roles
+    return sorted(sides, key=lambda side: side[4][0]), roles
 
 
 def _closing_bits(d: LinkDiagram, positions, inner: set[int]) -> int:

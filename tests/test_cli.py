@@ -243,6 +243,13 @@ def test_exit_parse_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_exit_parse_error_for_a_code_that_is_not_planar(capsys):
+    # the trefoil with arc 2 poked over arc 1 through no shared face
+    pd = "X(7,10,8,11) X(8,12,9,11) X(9,4,10,5) X(3,6,4,7) X(5,12,6,3)"
+    code, out, err = run(capsys, "homology", pd)
+    assert (code, out) == (2, "") and "not planar" in err
+
+
 def test_exit_theory_guard(capsys):
     code, _, err = run(capsys, "homology", "L0", "--theory", "bar-natan")
     assert code == 3
@@ -288,6 +295,24 @@ def test_poke_without_a_shared_face_fails_validation(capsys):
     ]}
     code, out, err = run(capsys, "movie", json.dumps(movie))
     assert (code, out) == (5, "") and "event 4" in err and "planar" in err
+
+
+def test_saddle_without_a_shared_face_fails_validation(capsys):
+    # three kinks and two saddles make a trefoil still; its arcs 7 and 12 share
+    # no face on the same side, so no band joins them in the plane
+    movie = {"movie": [
+        {"op": "birth"},
+        {"op": "r1", "variant": "add_pos", "arc": 1},
+        {"op": "r1", "variant": "add_pos", "arc": 3},
+        {"op": "r1", "variant": "add_pos", "arc": 5},
+        {"op": "saddle", "arcs": [4, 6]},
+        {"op": "saddle", "arcs": [9, 11]},
+        {"op": "saddle", "arcs": [7, 12]},
+    ]}
+    code, out, _ = run(capsys, "stills", json.dumps({"movie": movie["movie"][:6]}))
+    assert code == 0 and "X(8,14,13,10) X(10,13,12,7) X(7,12,14,8)" in out
+    code, out, err = run(capsys, "movie", json.dumps(movie))
+    assert (code, out) == (5, "") and "event 7" in err and "planar" in err
 
 
 @pytest.mark.parametrize("movie", [

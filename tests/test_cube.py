@@ -20,7 +20,7 @@ from khoval.cube import (
     transfer_labels,
 )
 from khoval.corpus import PD_CODES
-from khoval.diagram import ResolvedDiagram, parse_pd, resolve, transfer
+from khoval.diagram import LinkDiagram, ResolvedDiagram, parse_pd, resolve, transfer
 from khoval.errors import CapExceededError, KhovalError, MoveError
 from khoval.moves import ESI, apply_esi
 
@@ -268,7 +268,8 @@ def test_edge_piece_classification_matches_counts(corpus):
 
 def test_edge_piece_refuses_a_non_planar_edge():
     # a self-crossing circle X(a,b,a,b): one circle stays one circle
-    d = parse_pd("X(1,2,1,2)")
+    # (`parse_pd` refuses the code, so it is built directly)
+    d = LinkDiagram([(1, (1, 2, 1, 2))])
     with pytest.raises(MoveError, match="not planar"):
         build_cube(d, Theory.KHOVANOV).edge(0, 0)
 

@@ -15,7 +15,7 @@ from khoval.diagram import (
 from khoval.errors import KhovalError, OrientationError, ParseError
 from khoval.corpus import PD_CODES
 
-from oracles import bfs_circle_count
+from oracles import bfs_circle_count, is_planar
 
 TREFOIL = PD_CODES["trefoil"]
 
@@ -66,6 +66,44 @@ def test_parse_orientation_inconsistency():
     # arc 1 is the incoming under-strand of both crossings: two heads
     with pytest.raises(OrientationError):
         parse_pd("X(1,3,2,4) X(1,4,2,3)")
+
+
+# the trefoil with arc 2 poked over arc 1 through no shared face: 5 faces, not 7
+NON_PLANAR = "X(7,10,8,11) X(8,12,9,11) X(9,4,10,5) X(3,6,4,7) X(5,12,6,3)"
+
+
+def test_parse_refuses_a_code_that_is_not_planar():
+    with pytest.raises(ParseError, match="not planar"):
+        parse_pd(NON_PLANAR)
+    with pytest.raises(ParseError, match="not planar"):
+        parse_pd("X(1,2,1,2) L0")  # a self-crossing circle with one face
+    d = LinkDiagram([(i + 1, x) for i, x in enumerate(
+        [(7, 10, 8, 11), (8, 12, 9, 11), (9, 4, 10, 5), (3, 6, 4, 7), (5, 12, 6, 3)])])
+    assert not is_planar(d)  # the constructor itself takes the code at face value
+
+
+def test_face_table_is_built_on_first_request(corpus):
+    for name, d in corpus.items():
+        rebuilt = LinkDiagram([(c.cid, c.arcs) for c in d.crossings], d.loops)
+        assert rebuilt._faces is None
+        faces = rebuilt.faces()
+        assert rebuilt.faces() is faces
+        count = len({*faces.right.values(), *faces.left.values()})
+        assert count == d.n + 2 * len(set(faces.piece.values())) and is_planar(d), name
+        assert set(faces.right) == set(faces.left) == set(faces.piece) == d.arc_ids()
+
+
+def test_face_table_counts_a_loop_as_a_piece():
+    faces = parse_pd(TREFOIL + " L0 L1").faces()
+    assert len({*faces.right.values(), *faces.left.values()}) == 9
+    assert len(set(faces.piece.values())) == 3
+    loop_arcs = [a for a in faces.piece if a > 6]
+    assert len({faces.piece[a] for a in loop_arcs}) == 2
+    for a in loop_arcs:
+        partner = next(b for b in loop_arcs if b != a and faces.piece[b] == faces.piece[a])
+        assert faces.right[a] == faces.right[partner] != faces.left[partner]
+        assert faces.can_band(a, partner) and not faces.can_poke(a, partner)
+        assert all(faces.can_band(a, b) and faces.can_poke(a, b) for b in range(1, 7))
 
 
 def test_roundtrip_serialization(corpus):

@@ -15,12 +15,12 @@ from khoval.cobordism import (
     trivial_surface_movie,
 )
 from khoval.cube import build_cube, check_d_squared
-from khoval.diagram import LinkDiagram, parse_pd, resolve, serialize_pd
+from khoval.diagram import Faces, LinkDiagram, parse_pd, resolve, serialize_pd
 from khoval.errors import KhovalError, MoveError
 from khoval.homology import HomologyGroup, graded_euler, homology, kauffman_jones
 from khoval.moves import ESI, apply_esi, apply_esi_info
 
-from oracles import bfs_circle_count
+from oracles import bfs_circle_count, is_planar
 
 ALL_THEORIES = list(Theory)
 
@@ -226,39 +226,25 @@ def random_movies(draw):
         elif kind == "death":
             lp = draw(st.sampled_from(sorted(min(x) for x in d.loops)))
             e = ESI("death", circle=lp)
-        elif kind == "saddle":
+        elif kind in ("saddle", "r2add"):
             a = draw(st.sampled_from(arcs))
             b = draw(st.sampled_from([x for x in arcs if x != a]))
-            e = ESI("saddle", arcs=(a, b))
+            if kind == "saddle":
+                e = ESI("saddle", arcs=(a, b))
+            else:
+                e = ESI("r2", variant="add", arcs=(a, b))
         elif kind == "r1add":
             a = draw(st.sampled_from(arcs))
             variant = draw(st.sampled_from(["add_pos", "add_neg"]))
             e = ESI("r1", variant=variant, arc=a)
-        elif kind == "r1rm":
-            e = ESI("r1", variant="remove", crossing=draw(st.sampled_from(kinks)))
         else:
-            # r2add with at least one foot on a crossing-free loop: such a
-            # circle never shares a resolution circle with the other arc, so
-            # the parallel poke template is planar-sane at every vertex
-            loop_arcs = sorted(a for lp in d.loops for a in lp)
-            pairs = sorted(
-                (a, b)
-                for a in arcs
-                for b in arcs
-                if a != b
-                and (a in loop_arcs or b in loop_arcs)
-                and (
-                    d.loop_of_arc(a) is None
-                    or d.loop_of_arc(a) != d.loop_of_arc(b)
-                )
-            )
-            if not pairs:
-                e = ESI("birth")
-            else:
-                a, b = draw(st.sampled_from(pairs))
-                e = ESI("r2", variant="add", arcs=(a, b))
+            e = ESI("r1", variant="remove", crossing=draw(st.sampled_from(kinks)))
+        try:
+            d = apply_esi(d, e)
+        except MoveError:  # a saddle or poke that cannot be drawn in the plane
+            e = ESI("birth")
+            d = apply_esi(d, e)
         events.append(e)
-        d = apply_esi(d, e)
     return Movie(events)
 
 
@@ -267,6 +253,7 @@ def random_movies(draw):
 def test_random_movie_stills_are_sane(m):
     assert m.validate().ok
     for still in m.stills():
+        assert is_planar(still)
         # parse/serialize round trip preserves incidence and signs
         d2 = parse_pd(serialize_pd(still))
         assert [c.arcs for c in d2.crossings] == [c.arcs for c in still.crossings]
@@ -282,22 +269,16 @@ def test_random_movie_stills_are_sane(m):
 @given(random_movies())
 @settings(max_examples=15, deadline=None)
 def test_random_movie_complexes_are_complexes(m):
-    # abstract saddles may leave the planar world; such codes are rejected
-    # when the cube is built, and every code that survives is a complex
+    # every still is planar, so every cube along the movie is a complex
     still = m.stills()[-1]
     if still.n <= 4:
-        try:
-            cube = build_cube(still, Theory.BAR_NATAN)
-            report = check_d_squared(cube)
-        except KhovalError as exc:
-            assert "not planar" in str(exc)
-            return
-        assert report.ok
+        assert check_d_squared(build_cube(still, Theory.BAR_NATAN)).ok
 
 
-def test_nonplanar_saddle_chain_is_rejected_at_cube_time():
-    # a self-crossing circle code X(a,b,a,b) produced by twisted saddles has a
-    # count-preserving crossing change; the cube build reports it
+def test_nonplanar_saddle_chain_is_rejected_at_cube_time(monkeypatch):
+    # twisted saddles make a self-crossing circle code X(a,b,a,b); validation
+    # refuses the first saddle that cannot be drawn, and with that rule off the
+    # cube build still reports the count-preserving crossing change
     events = [
         ESI("birth"),
         ESI("saddle", arcs=(2, 1)),
@@ -307,8 +288,11 @@ def test_nonplanar_saddle_chain_is_rejected_at_cube_time():
         ESI("saddle", arcs=(9, 7)),
         ESI("saddle", arcs=(11, 10)),
     ]
-    m = Movie(events)
-    assert m.validate().ok  # replay succeeds: codes are taken at face value
-    still = m.stills()[-1]
+    report = Movie(events).validate()
+    assert (report.ok, report.index) == (False, 4) and "planar" in report.reason
+    monkeypatch.setattr(Faces, "can_band", lambda faces, a, b: True)
+    stills = Movie(events).stills()
+    first = next(k for k, d in enumerate(stills) if not is_planar(d))
+    assert first == report.index and events[first - 1].kind == "saddle"
     with pytest.raises(KhovalError, match="not planar"):
-        check_d_squared(build_cube(still, Theory.BAR_NATAN))
+        check_d_squared(build_cube(stills[-1], Theory.BAR_NATAN))

@@ -8,7 +8,7 @@ from khoval import moves
 from khoval.algebra import Theory
 from khoval.corpus import PD_CODES
 from khoval.cube import build_cube, check_d_squared
-from khoval.diagram import LinkDiagram, parse_pd, resolve
+from khoval.diagram import Faces, LinkDiagram, parse_pd, resolve
 from khoval.errors import MoveError, ParseError, UnsupportedMoveError
 from khoval.moves import ESI, apply_esi, apply_esi_info
 
@@ -324,16 +324,37 @@ def test_r2_poke_is_refused_exactly_when_it_cannot_be_drawn(monkeypatch):
             except MoveError:
                 cases.append((d, event, None))
     accepted = sum(poked is not None for _, _, poked in cases)
-    monkeypatch.setattr(moves, "_can_poke", lambda d, a, b: True)
+    monkeypatch.setattr(Faces, "can_poke", lambda faces, a, b: True)
     for d, event, poked in cases:
-        try:
-            template = apply_esi(d, event)
-        except MoveError:  # two arcs of one crossing-free circle
-            assert poked is None
+        a, b = event.arcs
+        if d.loop_of_arc(a) is not None and d.loop_of_arc(a) == d.loop_of_arc(b):
+            assert poked is None  # the template cannot cut one crossing-free circle twice
             continue
+        template = apply_esi(d, event)
         if poked is None:
             assert not is_planar(template), (d, event)
         else:
             assert poked == template and is_planar(poked), (d, event)
             assert check_d_squared(build_cube(poked, Theory.KHOVANOV)).ok, (d, event)
+    assert 0 < accepted < len(cases)
+
+
+def test_saddle_is_refused_exactly_when_it_cannot_be_drawn(monkeypatch):
+    cases = []
+    for code in [*PD_CODES.values(), SPLIT, PD_CODES["trefoil"] + " L0"]:
+        d = parse_pd(code)
+        for a, b in itertools.permutations(sorted(d.arc_ids()), 2):
+            event = ESI("saddle", arcs=(a, b))
+            try:
+                cases.append((d, event, apply_esi(d, event)))
+            except MoveError:
+                cases.append((d, event, None))
+    accepted = sum(banded is not None for _, _, banded in cases)
+    monkeypatch.setattr(Faces, "can_band", lambda faces, a, b: True)
+    for d, event, banded in cases:
+        unchecked = apply_esi(d, event)
+        if banded is None:
+            assert not is_planar(unchecked), (d, event)
+        else:
+            assert banded == unchecked and is_planar(banded), (d, event)
     assert 0 < accepted < len(cases)
