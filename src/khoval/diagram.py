@@ -179,20 +179,24 @@ class LinkDiagram:
                 face[dart] = start
                 i, s = far[dart]
                 dart = (i, (s + 1) % 4)
-        right, left, piece = {}, {}, {}
+        right, left, piece, darts = {}, {}, {}, {}
         for a, (tail, head) in ends.items():
             if self.crossings[tail[0]].slot_incoming(tail[1]):
                 tail, head = head, tail
             # the walk from the tail dart runs along the arc with its face on the right
             right[a], left[a], piece[a] = face[tail], face[head], pieces.find(tail[0])
+            darts[a] = tail, head
         for k, lp in enumerate(self.loops):
             for a in lp:
                 right[a], left[a], piece[a] = (~k, 0), (~k, 1), ~k
-        self._faces = Faces(right, left, piece)
+        self._faces = Faces(right, left, piece, darts)
         return self._faces
 
     def arc_ends(self, arc: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The (crossing index, slot) where a crossing arc leaves, then where it enters."""
+        """The (crossing index, slot) where a crossing arc leaves, then where it enters.
+
+        One scan, cheaper than `faces()` for one arc; `Faces.ends` has every arc's.
+        """
         x, y = [(i, s) for i, c in enumerate(self.crossings)
                 for s, a in enumerate(c.arcs) if a == arc]
         return (y, x) if self.crossings[x[0]].slot_incoming(x[1]) else (x, y)
@@ -233,6 +237,7 @@ class Faces(NamedTuple):
     right: dict[int, tuple[int, int]]  # arc -> the face on its right, along its orientation
     left: dict[int, tuple[int, int]]  # arc -> the face on its left
     piece: dict[int, int]  # arc -> its connected piece
+    ends: dict[int, tuple[tuple[int, int], tuple[int, int]]]  # crossing arc -> (tail, head) darts
 
     def can_band(self, a: int, b: int) -> bool:
         """Whether an oriented band can join arcs a and b: through a face on one side of both."""

@@ -220,7 +220,8 @@ def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
         raise MoveError("saddle arcs must be distinct")
     _require_arc(d, a)
     _require_arc(d, b)
-    if not d.faces().can_band(a, b):
+    table = d.faces()
+    if not table.can_band(a, b):
         raise MoveError(
             f"saddle arcs {a}, {b} give no planar band: they share no face on the same side"
         )
@@ -228,8 +229,8 @@ def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
     raw, loops = _raw(d), list(d.loops)
     if la is None and lb is None:
         u, w = created = _fresh_arcs(d, 2)
-        (ta, sa), (ha, sha) = d.arc_ends(a)
-        (tb, sb), (hb, shb) = d.arc_ends(b)
+        (ta, sa), (ha, sha) = table.ends[a]
+        (tb, sb), (hb, shb) = table.ends[b]
         raw[ta][1][sa] = raw[hb][1][shb] = u  # tail of a -> u -> head of b
         raw[tb][1][sb] = raw[ha][1][sha] = w  # tail of b -> w -> head of a
         arc_map = {a: u, b: w}
@@ -248,7 +249,7 @@ def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
             loops.append(tuple(cycle))
     else:  # the crossing arc x absorbs the circle
         x, ly = (a, lb) if la is None else (b, la)
-        (tx, sx), (hx, shx) = d.arc_ends(x)
+        (tx, sx), (hx, shx) = table.ends[x]
         (w,) = created = _fresh_arcs(d, 1)
         raw[tx][1][sx] = raw[hx][1][shx] = w
         arc_map = dict.fromkeys((x, *d.loops[ly]), w)

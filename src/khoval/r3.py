@@ -10,7 +10,6 @@ gives the R2 maps.  `moves` rewrites the diagram along `triangle`;
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 
 from .cube import (CochainElement, Generator, Piece, _bigon_reduction, _negated, _piece_op,
@@ -25,20 +24,19 @@ def _sides(d: LinkDiagram, tri: set[int]) -> list[tuple]:
     Each is (start position, start slot, end position, end slot, its arcs in
     order, the positions of its kinks), oriented along the strand.
     """
-    out = []
-    for p, slot in itertools.product(tri, range(4)):
-        if d.crossings[p].slot_incoming(slot):
+    out, ends = [], d.faces().ends
+    for first, ((p, slot), (q, t)) in ends.items():
+        if p not in tri:
             continue
-        arcs, kinks, (q, t) = [], [], (p, slot)
-        while True:
-            arcs.append(d.crossings[q].arcs[t])
-            q, t = d.arc_ends(arcs[-1])[1]
+        arcs, kinks = [first], []
+        while q not in tri:
             c = d.crossings[q].arcs
             loop = [s for s in range(4) if c.count(c[s]) == 2]
-            if q in tri or len(loop) != 2 or t in loop:
+            if len(loop) != 2 or t in loop:
                 break
             kinks.append(q)  # an R1 kink: leave it by its fourth slot, past the loop
-            t = 6 - t - sum(loop)
+            arcs.append(c[6 - t - sum(loop)])
+            q, t = ends[arcs[-1]][1]
         if q in tri and q != p:
             out.append((p, slot, q, t, arcs, kinks))
     return out

@@ -233,17 +233,17 @@ def random_movies(draw):
                 e = ESI("saddle", arcs=(a, b))
             else:
                 e = ESI("r2", variant="add", arcs=(a, b))
+            try:
+                apply_esi(d, e)
+            except MoveError:  # a saddle or poke that cannot be drawn in the plane
+                e = ESI("birth")
         elif kind == "r1add":
             a = draw(st.sampled_from(arcs))
             variant = draw(st.sampled_from(["add_pos", "add_neg"]))
             e = ESI("r1", variant=variant, arc=a)
         else:
             e = ESI("r1", variant="remove", crossing=draw(st.sampled_from(kinks)))
-        try:
-            d = apply_esi(d, e)
-        except MoveError:  # a saddle or poke that cannot be drawn in the plane
-            e = ESI("birth")
-            d = apply_esi(d, e)
+        d = apply_esi(d, e)
         events.append(e)
     return Movie(events)
 
