@@ -5,10 +5,14 @@ detour movies at genus 1-3 with 0-4 kinks, the twelve kink placements of
 the R3 benchmark triangle (the braid closure, its two R1 kinks, then the
 triangle move), the single moves of `move_instances`, and the punctured
 `kink_to_empty`, which kinks and unkinks a crossing-free circle.  Each line
-is `instance | event k | still | loops | fields`: the still is `serialize_pd`
-of the rewritten diagram, the loops its crossing-free circles with their arc
-ids, and the fields every `MoveInfo` field in declaration order (a dict as
-its sorted items, since nothing reads its order).
+is `instance | event k | still | loops | signs | faces | fields`: the still is
+`serialize_pd` of the rewritten diagram, the loops its crossing-free circles
+with their arc ids, the signs its crossings' signs in crossing order, the
+faces each face as (the sorted arcs that have it on their right, the sorted
+arcs that have it on their left), sorted, since a face's name is one of its
+darts and may change with the walk that finds it, and the fields every
+`MoveInfo` field in declaration order (a dict as its sorted items, since
+nothing reads its order).
 `tests/data/rewrite_digest.txt` holds the sha256 of this output; when the
 rewrites are meant to change, regenerate it with
 
@@ -63,15 +67,27 @@ def _sorted(value):
     return sorted(value.items()) if isinstance(value, dict) else value
 
 
+def _faces(d):
+    """Each face of `d` as (arcs with it on their right, arcs with it on their left)."""
+    table = d.faces()
+    sides: dict = {}
+    for k, on in enumerate((table.right, table.left)):
+        for a, f in on.items():
+            sides.setdefault(f, ([], []))[k].append(a)
+    return sorted((sorted(r), sorted(l)) for r, l in sides.values())
+
+
 def rewrite_lines():
-    """Every rewrite, as `instance | event k | still | loops | fields`."""
+    """Every rewrite, as `instance | event k | still | loops | signs | faces | fields`."""
     for name, d, events in instances():
         for k, event in enumerate(events):
             d, info = apply_esi_info(d, event)
             fields = " ".join(
                 f"{f.name}={_sorted(getattr(info, f.name))!r}" for f in dataclasses.fields(info)
             )
-            yield f"{name} | event {k + 1} | {serialize_pd(d)} | {d.loops} | {fields}"
+            signs = [c.sign for c in d.crossings]
+            yield (f"{name} | event {k + 1} | {serialize_pd(d)} | {d.loops} | {signs}"
+                   f" | {_faces(d)} | {fields}")
 
 
 if __name__ == "__main__":
