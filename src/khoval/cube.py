@@ -345,7 +345,11 @@ def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
     extension; with no op the terms are only summed.
     """
     for op in ops:
-        terms = [(h, poly * coeff) for g, coeff in terms for h, poly in op(g)]
+        carried = []
+        for g, coeff in terms:
+            image = op(g)  # most coefficients are 1, whose products cost more than the test
+            carried.extend(image if coeff == 1 else [(h, poly * coeff) for h, poly in image])
+        terms = carried
     acc: dict[Generator, TPoly] = {}
     for g, coeff in terms:
         _accumulate(acc, g, coeff)

@@ -7,11 +7,16 @@ cannot be expressed by crossings, so they are stored as cyclic tuples of
 synthetic arc ids (at least one arc each); this makes them addressable by
 saddle and death events.
 
-Orientation is not stored: it is solved from the PD structure (slot 0 is
-always incoming, slot 2 outgoing, and the over-strand direction is propagated
-globally).  The crossing sign is +1 exactly when the over-strand enters at
-slot 1.  With this convention the standard right-trefoil code
-``X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)`` has three positive crossings.
+Orientation is not stored in the code: the constructor walks every strand
+once.  A strand that enters a crossing by slot s leaves it by slot s ^ 2, and
+slot 0 is always entered, so walking out of every slot 2 orients each strand
+that passes under somewhere; a strand that only passes over is walked last,
+entering the last of its crossings (in crossing order) by slot 1.  The walk
+records each crossing arc's tail and head dart (`LinkDiagram.ends`), which
+the face table and the moves read.  The crossing sign is +1 exactly when the
+over-strand enters at slot 1.  With this convention the standard
+right-trefoil code ``X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)`` has three positive
+crossings.
 
 Smoothings: the 0-smoothing of a crossing joins slots (0,3) and (1,2) --- the
 orientation-respecting smoothing at a positive crossing --- and the
@@ -59,25 +64,17 @@ class Crossing:
     arcs: tuple[int, int, int, int]
     sign: int
 
-    def slot_incoming(self, slot: int) -> bool:
-        """Whether the arc at `slot` points into this crossing."""
-        if slot == 0:
-            return True
-        if slot == 2:
-            return False
-        if slot == 1:
-            return self.sign > 0
-        return self.sign < 0
-
 
 class LinkDiagram:
     """An oriented link diagram: crossings plus crossing-free loops.
 
-    Construction validates arc incidences and solves the orientation; signs
-    are always derived, never trusted from the caller.
+    Construction validates arc incidences and walks every strand; signs are
+    always derived, never trusted from the caller.  `ends[arc]` is a crossing
+    arc's (tail, head) darts, each a (crossing index, slot): the arc leaves
+    its tail and enters its head.
     """
 
-    __slots__ = ("crossings", "loops", "n_plus", "n_minus", "_arc_ids", "_faces")
+    __slots__ = ("crossings", "loops", "n_plus", "n_minus", "ends", "_arc_ids", "_faces")
 
     def __init__(
         self,
@@ -86,39 +83,35 @@ class LinkDiagram:
     ):
         raw = [(int(cid), tuple(int(a) for a in arcs)) for cid, arcs in crossings]
         loop_list = tuple(tuple(int(a) for a in lp) for lp in loops)
-        self._validate_ids(raw, loop_list)
-        signs = _solve_orientation(raw)
+        darts = self._validate_ids(raw, loop_list)
+        signs, self.ends = _walk(raw, darts)
         self.crossings: tuple[Crossing, ...] = tuple(
             Crossing(cid, arcs, signs[idx]) for idx, (cid, arcs) in enumerate(raw)
         )
         self.loops: tuple[tuple[int, ...], ...] = loop_list
         self.n_plus = sum(1 for c in self.crossings if c.sign > 0)
         self.n_minus = len(self.crossings) - self.n_plus
-        arc_ids = set()
-        for _, arcs in raw:
-            arc_ids.update(arcs)
-        for lp in loop_list:
-            arc_ids.update(lp)
-        self._arc_ids = frozenset(arc_ids)
+        self._arc_ids = frozenset(darts).union(*loop_list)
         self._faces: Faces | None = None  # built by the first `faces()` call
 
     @staticmethod
-    def _validate_ids(raw, loop_list) -> None:
-        counts: dict[int, int] = {}
+    def _validate_ids(raw, loop_list) -> dict[int, list[tuple[int, int]]]:
+        """Check the ids; return each crossing arc's two darts."""
+        darts: dict[int, list[tuple[int, int]]] = {}
         cids = set()
-        for cid, arcs in raw:
+        for i, (cid, arcs) in enumerate(raw):
             if len(arcs) != 4:
                 raise ParseError(f"crossing {cid} does not have 4 arcs")
             if cid in cids:
                 raise ParseError(f"duplicate crossing id {cid}")
             cids.add(cid)
-            for a in arcs:
+            for s, a in enumerate(arcs):
                 if a < 1:
                     raise ParseError(f"arc id {a} is not a positive integer")
-                counts[a] = counts.get(a, 0) + 1
-        for a, k in counts.items():
-            if k != 2:
-                raise ParseError(f"arc {a} appears {k} times (expected 2)")
+                darts.setdefault(a, []).append((i, s))
+        for a, at in darts.items():
+            if len(at) != 2:
+                raise ParseError(f"arc {a} appears {len(at)} times (expected 2)")
         seen_loop_arcs = set()
         for lp in loop_list:
             if not lp:
@@ -126,9 +119,10 @@ class LinkDiagram:
             for a in lp:
                 if a < 1:
                     raise ParseError(f"arc id {a} is not a positive integer")
-                if a in counts or a in seen_loop_arcs:
+                if a in darts or a in seen_loop_arcs:
                     raise ParseError(f"loop arc {a} reused")
                 seen_loop_arcs.add(a)
+        return darts
 
     # -- basic queries ---------------------------------------------------
 
@@ -162,14 +156,10 @@ class LinkDiagram:
         """The face table (see `Faces`), built on first request and kept."""
         if self._faces is not None:
             return self._faces
-        ends: dict[int, list[tuple[int, int]]] = {}
-        for i, c in enumerate(self.crossings):
-            for s, a in enumerate(c.arcs):
-                ends.setdefault(a, []).append((i, s))
         far, pieces = {}, _DSU()
-        for x, y in ends.values():
-            far[x], far[y] = y, x
-            pieces.union(x[0], y[0])
+        for tail, head in self.ends.values():
+            far[tail], far[head] = head, tail
+            pieces.union(tail[0], head[0])
         # a face is an orbit of the darts (crossing, slot) under "go to the far
         # end of the dart's arc, then to the next slot counterclockwise"
         face: dict[tuple[int, int], tuple[int, int]] = {}  # dart -> its face's first dart
@@ -179,27 +169,15 @@ class LinkDiagram:
                 face[dart] = start
                 i, s = far[dart]
                 dart = (i, (s + 1) % 4)
-        right, left, piece, darts = {}, {}, {}, {}
-        for a, (tail, head) in ends.items():
-            if self.crossings[tail[0]].slot_incoming(tail[1]):
-                tail, head = head, tail
+        right, left, piece = {}, {}, {}
+        for a, (tail, head) in self.ends.items():
             # the walk from the tail dart runs along the arc with its face on the right
             right[a], left[a], piece[a] = face[tail], face[head], pieces.find(tail[0])
-            darts[a] = tail, head
         for k, lp in enumerate(self.loops):
             for a in lp:
                 right[a], left[a], piece[a] = (~k, 0), (~k, 1), ~k
-        self._faces = Faces(right, left, piece, darts)
+        self._faces = Faces(right, left, piece)
         return self._faces
-
-    def arc_ends(self, arc: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The (crossing index, slot) where a crossing arc leaves, then where it enters.
-
-        One scan, cheaper than `faces()` for one arc; `Faces.ends` has every arc's.
-        """
-        x, y = [(i, s) for i, c in enumerate(self.crossings)
-                for s, a in enumerate(c.arcs) if a == arc]
-        return (y, x) if self.crossings[x[0]].slot_incoming(x[1]) else (x, y)
 
     def loop_of_arc(self, arc: int) -> int | None:
         for i, lp in enumerate(self.loops):
@@ -237,7 +215,6 @@ class Faces(NamedTuple):
     right: dict[int, tuple[int, int]]  # arc -> the face on its right, along its orientation
     left: dict[int, tuple[int, int]]  # arc -> the face on its left
     piece: dict[int, int]  # arc -> its connected piece
-    ends: dict[int, tuple[tuple[int, int], tuple[int, int]]]  # crossing arc -> (tail, head) darts
 
     def can_band(self, a: int, b: int) -> bool:
         """Whether an oriented band can join arcs a and b: through a face on one side of both."""
@@ -333,93 +310,34 @@ def serialize_pd(d: LinkDiagram) -> str:
     return " ".join(parts)
 
 
-# -- orientation solving ------------------------------------------------------
+# -- the strand walk ------------------------------------------------------------
 
-def _solve_orientation(raw: list[tuple[int, tuple[int, int, int, int]]]) -> list[int]:
-    """Assign a consistent direction to every arc; return crossing signs.
+def _walk(raw, darts) -> tuple[list[int], dict[int, tuple[tuple[int, int], tuple[int, int]]]]:
+    """Orient every strand by walking it: (crossing signs, arc -> (tail, head) darts).
 
-    Slot 0 is incoming and slot 2 outgoing by convention.  Each crossing has
-    one boolean x: x=0 means slot 1 incoming / slot 3 outgoing (sign +1),
-    x=1 the reverse (sign -1).  Arcs must be incoming at exactly one of their
-    two occurrences, which yields unary and parity constraints on the x's.
-    Components without any constraint default to x=0.
+    A strand entering a crossing by slot s leaves it by slot s ^ 2.  Every
+    strand through a slot 2 is walked out of it first; a strand that only
+    passes over is walked out of the slot 3 of its last crossing.  A strand
+    that would enter a crossing by slot 2 is an `OrientationError`.
     """
     n = len(raw)
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for idx, (_, arcs) in enumerate(raw):
-        for slot, a in enumerate(arcs):
-            occurrences.setdefault(a, []).append((idx, slot))
-
-    x: list[int | None] = [None] * n
-    # parity[i] relative to component root; DSU with parity.
-    parent = list(range(n))
-    parity = [0] * n
-
-    def find(i: int) -> tuple[int, int]:
-        p = 0
-        while parent[i] != i:
-            p ^= parity[i]
-            i = parent[i]
-        return i, p
-
-    def union(i: int, j: int, rel: int) -> None:
-        ri, pi = find(i)
-        rj, pj = find(j)
-        if ri == rj:
-            if pi ^ pj != rel:
-                raise OrientationError("orientation inconsistency in PD code")
-            return
-        parent[ri] = rj
-        parity[ri] = pi ^ pj ^ rel
-
-    def head_expr(idx: int, slot: int):
-        """Incoming-ness as (constant) or ('x', idx, flip)."""
-        if slot == 0:
-            return 1
-        if slot == 2:
-            return 0
-        if slot == 1:
-            return ("x", idx, 1)  # incoming iff x=0
-        return ("x", idx, 0)  # slot 3: incoming iff x=1
-
-    pending: list[tuple[int, int]] = []  # unary assignments (idx, value)
-    for a, occ in occurrences.items():
-        (i1, s1), (i2, s2) = occ
-        e1, e2 = head_expr(i1, s1), head_expr(i2, s2)
-        if isinstance(e1, int) and isinstance(e2, int):
-            if e1 + e2 != 1:
-                raise OrientationError(f"arc {a} oriented inconsistently")
-        elif isinstance(e1, int) or isinstance(e2, int):
-            const, var = (e1, e2) if isinstance(e1, int) else (e2, e1)
-            _, idx, flip = var
-            # head(var) must be 1 - const;  head = flip XOR x ... with
-            # flip=1: head iff x=0, so head = 1 ^ x;  flip=0: head = x.
-            want_head = 1 - const
-            value = want_head ^ flip
-            pending.append((idx, value))
-        else:
-            _, i, f1 = e1
-            _, j, f2 = e2
-            if i == j:
-                # (1^x)+(x)=1 holds identically when flips differ; otherwise
-                # the same slot-kind twice at one crossing cannot sum to 1.
-                if f1 == f2:
-                    raise OrientationError(f"arc {a} oriented inconsistently")
-                continue
-            # head1 + head2 = 1  =>  (f1^xi) + (f2^xj) = 1
-            rel = 1 ^ f1 ^ f2
-            union(i, j, rel)
-
-    root_value: dict[int, int] = {}
-    for idx, value in pending:
-        r, p = find(idx)
-        want_root = value ^ p
-        if root_value.setdefault(r, want_root) != want_root:
-            raise OrientationError("orientation inconsistency in PD code")
-    for i in range(n):
-        r, p = find(i)
-        x[i] = root_value.get(r, 0) ^ p
-    return [1 if xi == 0 else -1 for xi in x]
+    signs = [0] * n
+    ends: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+    for i, s in [(i, 2) for i in range(n)] + [(i, 3) for i in reversed(range(n))]:
+        # leave crossing i by slot s, and on until the strand closes
+        while (a := raw[i][1][s]) not in ends:
+            x, y = darts[a]
+            j, t = head = y if x == (i, s) else x
+            if t == 2:
+                raise OrientationError(
+                    f"arc {a} oriented inconsistently: its strand enters crossing "
+                    f"{raw[j][0]} by slot 2"
+                )
+            ends[a] = (i, s), head
+            if t & 1:
+                signs[j] = 2 - t  # the over-strand enters by slot 1: +1, by slot 3: -1
+            i, s = j, t ^ 2
+    return signs, ends
 
 
 # -- resolutions ---------------------------------------------------------------

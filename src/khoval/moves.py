@@ -220,17 +220,17 @@ def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
         raise MoveError("saddle arcs must be distinct")
     _require_arc(d, a)
     _require_arc(d, b)
-    table = d.faces()
-    if not table.can_band(a, b):
-        raise MoveError(
-            f"saddle arcs {a}, {b} give no planar band: they share no face on the same side"
-        )
     la, lb = d.loop_of_arc(a), d.loop_of_arc(b)
     raw, loops = _raw(d), list(d.loops)
     if la is None and lb is None:
+        # a band from a crossing-free circle can always be drawn: only here is a face needed
+        if not d.faces().can_band(a, b):
+            raise MoveError(
+                f"saddle arcs {a}, {b} give no planar band: they share no face on the same side"
+            )
         u, w = created = _fresh_arcs(d, 2)
-        (ta, sa), (ha, sha) = table.ends[a]
-        (tb, sb), (hb, shb) = table.ends[b]
+        (ta, sa), (ha, sha) = d.ends[a]
+        (tb, sb), (hb, shb) = d.ends[b]
         raw[ta][1][sa] = raw[hb][1][shb] = u  # tail of a -> u -> head of b
         raw[tb][1][sb] = raw[ha][1][sha] = w  # tail of b -> w -> head of a
         arc_map = {a: u, b: w}
@@ -249,7 +249,7 @@ def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
             loops.append(tuple(cycle))
     else:  # the crossing arc x absorbs the circle
         x, ly = (a, lb) if la is None else (b, la)
-        (tx, sx), (hx, shx) = table.ends[x]
+        (tx, sx), (hx, shx) = d.ends[x]
         (w,) = created = _fresh_arcs(d, 1)
         raw[tx][1][sx] = raw[hx][1][shx] = w
         arc_map = dict.fromkeys((x, *d.loops[ly]), w)
@@ -271,7 +271,7 @@ def _cut(d: LinkDiagram, raw, arc: int, fresh) -> tuple[int, int, int, dict[int,
     li = d.loop_of_arc(arc)
     if li is None:
         p, m, r = next(fresh), next(fresh), next(fresh)
-        (t, st), (h, sh) = d.arc_ends(arc)
+        (t, st), (h, sh) = d.ends[arc]
         raw[t][1][st], raw[h][1][sh] = p, r
         return p, m, r, {arc: p}
     p, m = next(fresh), next(fresh)

@@ -24,7 +24,7 @@ def _sides(d: LinkDiagram, tri: set[int]) -> list[tuple]:
     Each is (start position, start slot, end position, end slot, its arcs in
     order, the positions of its kinks), oriented along the strand.
     """
-    out, ends = [], d.faces().ends
+    out, ends = [], d.ends
     for first, ((p, slot), (q, t)) in ends.items():
         if p not in tri:
             continue

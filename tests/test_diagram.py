@@ -68,6 +68,35 @@ def test_parse_orientation_inconsistency():
         parse_pd("X(1,3,2,4) X(1,4,2,3)")
 
 
+def test_dart_table_orients_every_crossing_arc(corpus):
+    for name, d in corpus.items():
+        darts = {(i, s): a for i, c in enumerate(d.crossings) for s, a in enumerate(c.arcs)}
+        assert set(d.ends) == set(darts.values()), name
+        tails = {tail: a for a, (tail, _) in d.ends.items()}
+        heads = {head: a for a, (_, head) in d.ends.items()}
+        # each arc leaves one of its two darts and enters the other
+        assert tails.keys() | heads.keys() == darts.keys() == tails.keys() ^ heads.keys(), name
+        assert all(darts[x] == a for x, a in [*tails.items(), *heads.items()]), name
+        for i, c in enumerate(d.crossings):
+            assert (i, 0) in heads and (i, 2) in tails, (name, i)
+            for s in range(4):
+                # the strand entering by slot s leaves by slot s ^ 2
+                assert ((i, s) in heads) == ((i, s ^ 2) in tails), (name, i, s)
+            assert (c.sign == 1) == (d.ends[c.arcs[1]][1] == (i, 1)), (name, i)
+
+
+@pytest.mark.parametrize("code, signs", [
+    ("X(13,15,14,16) X(14,17,13,16) X(5,7,6,17) X(6,7,5,15)", [1, -1, -1, 1]),
+    # the same crossings in another order: the strand's last crossing is X(5,7,6,17)
+    ("X(13,15,14,16) X(6,7,5,15) X(14,17,13,16) X(5,7,6,17)", [-1, -1, 1, 1]),
+])
+def test_a_strand_that_only_passes_over_enters_its_last_crossing_by_slot_1(code, signs):
+    # arcs 7, 15, 16, 17 pass over at all four crossings and never under
+    d = parse_pd(code)
+    assert d.ends[7][1] == (3, 1)
+    assert [c.sign for c in d.crossings] == signs
+
+
 # the trefoil with arc 2 poked over arc 1 through no shared face: 5 faces, not 7
 NON_PLANAR = "X(7,10,8,11) X(8,12,9,11) X(9,4,10,5) X(3,6,4,7) X(5,12,6,3)"
 

@@ -80,6 +80,19 @@ def test_saddle_between_loop_and_crossing_arc():
     assert d2.n == 3
 
 
+def test_saddle_on_a_crossing_free_circle_builds_no_face_table():
+    # a band from a crossing-free circle can always be drawn, so only a saddle
+    # between two crossing arcs reads the face table
+    trefoil_arcs = [(c.cid, c.arcs) for c in trefoil().crossings]
+    for arcs in ((7, 9), (7, 8), (1, 7), (9, 2)):
+        d = LinkDiagram(trefoil_arcs, [(7, 8), (9, 10)])
+        apply_esi(d, ESI("saddle", arcs=arcs))
+        assert d._faces is None, arcs
+    d = LinkDiagram(trefoil_arcs, [(7, 8)])
+    apply_esi(d, ESI("saddle", arcs=(1, 3)))
+    assert d._faces is not None
+
+
 # -- Reidemeister 1 -------------------------------------------------------------
 
 
