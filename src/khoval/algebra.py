@@ -17,6 +17,12 @@ Both are ring maps, so the Z[t] tables are reduced once per `Theory` at import
 and the structure maps are lookups into them: sums and products of reduced
 coefficients stay reduced, and `Theory.reduce` is needed only where a caller's
 coefficient enters.
+
+A `Ring` bundles one theory's multiply and comultiply tables with the ring's
+`one`.  `RINGS[th]` holds the reduced `TPoly` tables of all three theories.
+Over Z (Khovanov and Lee) every reduced entry is a constant, so
+`INT_RINGS[th]` holds the same tables with `int` coefficients, built once at
+import by `Ring.integral`, which refuses an entry that still involves t.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import enum
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import TheoryError
+from .errors import KhovalError, TheoryError
 
 __all__ = [
     "TPoly",
@@ -35,6 +41,9 @@ __all__ = [
     "LABELS",
     "LABEL_NAMES",
     "Theory",
+    "Ring",
+    "RINGS",
+    "INT_RINGS",
     "multiply",
     "comultiply",
     "unit",
@@ -181,6 +190,27 @@ class Theory(enum.Enum):
         return TPoly(p.specialize(1))  # Lee: t = 1
 
 
+class Ring:
+    """One theory's structure tables: `multiply[x][y]` maps a label, and
+    `comultiply[x]` a label pair, to its coefficient; `one` is the ring's 1."""
+
+    __slots__ = ("multiply", "comultiply", "one")
+
+    def __init__(self, multiply: tuple, comultiply: tuple, one: TPoly | int):
+        self.multiply, self.comultiply, self.one = multiply, comultiply, one
+
+    def integral(self) -> "Ring":
+        """The same tables over `int`; a coefficient that involves t is an error."""
+
+        def table(raw: Mapping) -> Mapping:
+            if bad := [p for p in raw.values() if p != p.coefficient(0)]:
+                raise KhovalError(f"coefficient {bad[0]} is not an integer")
+            return MappingProxyType({key: p.coefficient(0) for key, p in raw.items()})
+
+        return Ring(tuple(tuple(map(table, row)) for row in self.multiply),
+                    tuple(map(table, self.comultiply)), 1)
+
+
 # -- the structure tables, reduced once per theory -----------------------------
 #
 # multiply/xmult/tube map to {label: TPoly}, comultiply to {(label, label): TPoly};
@@ -206,17 +236,15 @@ def _reduced(raw: dict, th: Theory) -> Mapping:
 
 def _tube_table(th: Theory, x: int) -> Mapping:
     out: dict[int, TPoly] = {}  # m o Delta, summed from the reduced tables
-    for (a, b), c1 in _COMULTIPLY[th][x].items():
-        for lbl, c2 in _MULTIPLY[th][a][b].items():
+    for (a, b), c1 in RINGS[th].comultiply[x].items():
+        for lbl, c2 in RINGS[th].multiply[a][b].items():
             out[lbl] = out.get(lbl, TPoly(0)) + c1 * c2
     return _reduced(out, th)
 
 
-_MULTIPLY = {
-    th: tuple(tuple(_reduced(raw, th) for raw in row) for row in _ZT_MULTIPLY)
-    for th in Theory
-}
-_COMULTIPLY = {th: tuple(_reduced(raw, th) for raw in _ZT_COMULTIPLY) for th in Theory}
+RINGS = {th: Ring(tuple(tuple(_reduced(raw, th) for raw in row) for row in _ZT_MULTIPLY),
+                  tuple(_reduced(raw, th) for raw in _ZT_COMULTIPLY), _ONE) for th in Theory}
+INT_RINGS = {th: RINGS[th].integral() for th in (Theory.KHOVANOV, Theory.LEE)}
 _TUBE = {th: tuple(_tube_table(th, x) for x in LABELS) for th in Theory}
 _UNIT = MappingProxyType({PLUS: _ONE})
 _COUNIT = (TPoly(0), _ONE)
@@ -224,12 +252,12 @@ _COUNIT = (TPoly(0), _ONE)
 
 def multiply(x: int, y: int, th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
     """Product of two circle labels (the merge map)."""
-    return _MULTIPLY[th][x][y]
+    return RINGS[th].multiply[x][y]
 
 
 def comultiply(x: int, th: Theory = Theory.BAR_NATAN) -> Mapping[tuple[int, int], TPoly]:
     """Coproduct of a circle label (the split map)."""
-    return _COMULTIPLY[th][x]
+    return RINGS[th].comultiply[x]
 
 
 def unit(th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
@@ -249,4 +277,4 @@ def tube(x: int, th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
 
 def xmult(x: int, th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
     """Multiplication by X = v-:  v+ -> v-,  v- -> t v+."""
-    return _MULTIPLY[th][x][MINUS]
+    return RINGS[th].multiply[x][MINUS]

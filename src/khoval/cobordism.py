@@ -168,7 +168,7 @@ def _piece_map(src: CubeComplex, tgt: CubeComplex, q_degree: int, vertex) -> Cha
     vertex = cache(vertex)
 
     def fn(g: Generator) -> CochainElement:
-        return CochainElement(tgt, apply_pieces(vertex(g.mask), g.labels, tgt.theory))
+        return CochainElement(tgt, apply_pieces(vertex(g.mask), g.labels, tgt.ring))
 
     return ChainMapRep(src, tgt, q_degree, fn)
 

@@ -16,10 +16,14 @@ face anticommute.  The movie chain maps add births, deaths and dots.
 on an R2 bigon's two unit edges, read off the cube's own edges: the R2 maps
 in `cobordism` and the R3 cone in `r3` are built from it.
 
-Coefficients are kept in the cube's theory: the structure tables are already
-reduced per theory, and t -> 0 and t -> 1 are ring maps, so sums and products
-of their entries stay reduced.  A caller's coefficient is reduced where it
-enters, in `CubeComplex.element` and `CochainElement.scale`.
+Coefficients are kept in the cube's ring, `CubeComplex.ring =
+algebra.RINGS[theory]`: its structure tables are already reduced, and t -> 0
+and t -> 1 are ring maps, so sums and products of their entries stay
+reduced.  A caller's coefficient is reduced where it enters, in
+`CubeComplex.element` and `CochainElement.scale`.  `transfer_labels` and
+`apply_pieces` take the ring, not the theory, so the same pieces also run
+over `algebra.INT_RINGS`, the integer tables that `homology` builds its
+columns from.
 
 Cohomological degree of a generator is |v| - n_minus; its q-degree is the sum
 of label degrees (1 - 2*l for label l) plus (|v| - n_minus) + (n_plus -
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from .algebra import LABEL_NAMES, LABELS, MINUS, PLUS, TPoly, Theory, comultiply, multiply, xmult
+from .algebra import LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
 from .diagram import LinkDiagram, ResolvedDiagram, Transfer, edge_transfer, resolve, transfer
 from .errors import CapExceededError, KhovalError
 
@@ -95,6 +99,7 @@ class CubeComplex:
             )
         self.diagram = diagram
         self.theory = theory
+        self.ring = RINGS[theory]
         self.n = diagram.n
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
@@ -184,7 +189,7 @@ class CubeComplex:
     def differential_of(self, g: Generator) -> "CochainElement":
         mask = g.mask
         edges = [self.edge(mask, j) for j in range(self.n) if not (mask >> j) & 1]
-        return CochainElement(self, apply_pieces(edges, g.labels, self.theory))
+        return CochainElement(self, apply_pieces(edges, g.labels, self.ring))
 
     def differential(self, x: "CochainElement") -> "CochainElement":
         if x.cube is not self:
@@ -256,14 +261,14 @@ _ONE = TPoly(1)
 def transfer_labels(
     plan: Transfer,
     labels: tuple[int, ...],
-    theory: Theory,
+    ring: Ring,
     fixed: dict[int, int] | None = None,
-) -> list[tuple[tuple[int, ...], TPoly]]:
+) -> list[tuple[tuple[int, ...], TPoly | int]]:
     """Carry a labeling along a circle-transfer plan: [(target labels, coeff)].
 
     Copied circles keep their label, a merge multiplies and a split
-    comultiplies.  `fixed` labels the plan's new target circles; labels of
-    dead source circles are dropped, so the caller accounts for them.
+    comultiplies in `ring`.  `fixed` labels the plan's new target circles;
+    labels of dead source circles are dropped, so the caller accounts for them.
     """
     base: list[int | None] = [None] * plan.count
     for s, t in plan.copies:
@@ -276,19 +281,19 @@ def transfer_labels(
     if plan.merge is not None:
         (s1, s2), t = plan.merge
         out = []
-        for lbl, poly in multiply(labels[s1], labels[s2], theory).items():
+        for lbl, poly in ring.multiply[labels[s1]][labels[s2]].items():
             base[t] = lbl
             out.append((tuple(base), poly))
         return out
     if plan.split is not None:
         s, (t1, t2) = plan.split
         out = []
-        for (l1, l2), poly in comultiply(labels[s], theory).items():
+        for (l1, l2), poly in ring.comultiply[labels[s]].items():
             base[t1] = l1
             base[t2] = l2
             out.append((tuple(base), poly))
         return out
-    return [(tuple(base), _ONE)]
+    return [(tuple(base), ring.one)]
 
 
 # A cup gives its new circle v+ and a dotted cup X.v+ = v-.  A cap weighs
@@ -323,16 +328,16 @@ class Piece:
         self.births, self.deaths, self.dots = births, deaths, dots
 
 
-def apply_pieces(pieces, labels: tuple[int, ...], theory: Theory) -> dict[Generator, TPoly]:
-    """The image of the labels of a source vertex under the sum of its pieces."""
+def apply_pieces(pieces, labels: tuple[int, ...], ring: Ring) -> dict[Generator, TPoly | int]:
+    """The image of the labels of a source vertex under the sum of its pieces, in `ring`."""
     acc: dict[Generator, TPoly] = {}
     for p in pieces:
         if p.deaths and any(labels[s] != keep for s, keep in p.deaths.items()):
             continue
-        terms = transfer_labels(p.plan, labels, theory, p.births)
-        for c in p.dots:
-            terms = [(lbls[:c] + (x,) + lbls[c + 1:], poly * extra)
-                     for lbls, poly in terms for x, extra in xmult(lbls[c], theory).items()]
+        terms = transfer_labels(p.plan, labels, ring, p.births)
+        for c in p.dots:  # X acts by multiplication with v-
+            terms = [(lbls[:c] + (x,) + lbls[c + 1:], _times(poly, extra))
+                     for lbls, poly in terms for x, extra in ring.multiply[lbls[c]][MINUS].items()]
         for lbls, poly in terms:
             _accumulate(acc, Generator(p.mask, lbls), poly if p.sign == 1 else -poly)
     return acc
@@ -347,8 +352,8 @@ def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
     for op in ops:
         carried = []
         for g, coeff in terms:
-            image = op(g)  # most coefficients are 1, whose products cost more than the test
-            carried.extend(image if coeff == 1 else [(h, poly * coeff) for h, poly in image])
+            image = op(g)
+            carried.extend(image if coeff == 1 else [(h, _times(poly, coeff)) for h, poly in image])
         terms = carried
     acc: dict[Generator, TPoly] = {}
     for g, coeff in terms:
@@ -356,9 +361,14 @@ def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
     return acc
 
 
+def _times(a, b):
+    """a * b; most factors are 1, whose products cost more than the test."""
+    return b if a == 1 else a if b == 1 else a * b
+
+
 def _piece_op(cube: CubeComplex, vertex):
     """The op (for `apply_linear`) sending a generator through the pieces `vertex(mask)`."""
-    return lambda g: apply_pieces(vertex(g.mask), g.labels, cube.theory).items()
+    return lambda g: apply_pieces(vertex(g.mask), g.labels, cube.ring).items()
 
 
 def _negated(terms: dict) -> list:
@@ -409,14 +419,14 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
 
 
 def _nonzero(terms: dict[Generator, TPoly]) -> dict[Generator, TPoly]:
-    return {g: p for g, p in terms.items() if not p.is_zero()}
+    return {g: p for g, p in terms.items() if p}
 
 
-def _accumulate(acc: dict, key, poly: TPoly) -> None:
+def _accumulate(acc: dict, key, poly: TPoly | int) -> None:
     """acc[key] += poly, dropping the key when the sum is zero."""
     cur = acc.get(key)
     total = poly if cur is None else cur + poly
-    if total.is_zero():
+    if not total:
         acc.pop(key, None)
     else:
         acc[key] = total

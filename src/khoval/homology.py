@@ -1,7 +1,11 @@
 """Integral cohomology via Smith normal form, plus the Jones-polynomial oracle.
 
-`homology` builds the whole cube complex once with integer coefficients and
-cancels every +-1 entry with the unit-pivot kernel of `reduce.eliminate`.
+`homology` builds the whole cube complex once with `int` coefficients,
+one vertex at a time: `integer_differential` numbers the generators in
+`CubeComplex.generators` order and takes each column from the cube's own
+edge pieces, applied by `cube.apply_pieces` over the integer structure
+tables `algebra.INT_RINGS`, so no `TPoly` is built.  It then cancels every
++-1 entry with the unit-pivot kernel of `reduce.eliminate`.
 The residual complex is homotopy equivalent to the original and has only
 non-unit entries; Smith normal form over arbitrary-precision integers of
 each residual block gives ranks and invariant factors.  For the undeformed
@@ -16,10 +20,11 @@ with the cohomology path except the parsed diagram.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .algebra import LaurentPoly, Theory
-from .cube import CubeComplex
+from .algebra import INT_RINGS, LABELS, PLUS, LaurentPoly, Theory
+from .cube import CubeComplex, Generator, apply_pieces
 from .diagram import LinkDiagram
 from .errors import CapExceededError, KhovalError, TheoryError
 from .reduce import eliminate
@@ -28,6 +33,7 @@ __all__ = [
     "LaurentPoly",
     "HomologyGroup",
     "smith_normal_form",
+    "integer_differential",
     "homology",
     "graded_euler",
     "kauffman_jones",
@@ -108,11 +114,28 @@ def smith_normal_form(dense: list[list[int]]) -> tuple[tuple[int, ...], int]:
 # -- homology --------------------------------------------------------------------
 
 
-def _int_coefficient(poly) -> int:
-    terms = poly.terms
-    if any(e != 0 for e in terms):
-        raise KhovalError("non-constant coefficient where an integer was expected")
-    return terms.get(0, 0)
+def integer_differential(c: CubeComplex) -> tuple[dict, dict]:
+    """The cube's degrees {k: (i, q)} and integer columns {k: {h: coeff}}.
+
+    Generators are numbered by their position in `c.generators()`: the
+    labelling of a vertex's circles, read as a binary number (v+ = 0), plus
+    the vertex's offset.  Khovanov and Lee only.
+    """
+    ring = INT_RINGS[c.theory]
+    counts = [c.circles(mask).count for mask in range(1 << c.n)]
+    offsets = list(itertools.accumulate((1 << k for k in counts), initial=0))
+    position = {labels: pos for k in set(counts)
+                for pos, labels in enumerate(itertools.product(LABELS, repeat=k))}
+    degrees: dict[int, tuple[int, int]] = {}
+    diff: dict[int, dict[int, int]] = {}
+    for mask, k in enumerate(counts):
+        edges = [c.edge(mask, j) for j in range(c.n) if not (mask >> j) & 1]
+        i, top = c.degrees(Generator(mask, (PLUS,) * k))
+        for index, labels in enumerate(itertools.product(LABELS, repeat=k), offsets[mask]):
+            degrees[index] = (i, top - 2 * sum(labels))
+            diff[index] = {offsets[h.mask] + position[h.labels]: v
+                           for h, v in apply_pieces(edges, labels, ring).items()}
+    return degrees, diff
 
 
 def homology(c: CubeComplex) -> dict:
@@ -122,12 +145,7 @@ def homology(c: CubeComplex) -> dict:
             "homology over Z[t] is not supported; use theory khovanov or lee"
         )
     graded = c.theory is Theory.KHOVANOV
-    index = {g: k for k, g in enumerate(c.generators())}
-    degrees = {k: c.degrees(g) for g, k in index.items()}
-    diff = {
-        k: {index[h]: _int_coefficient(p) for h, p in c.differential_of(g).terms.items()}
-        for g, k in index.items()
-    }
+    degrees, diff = integer_differential(c)
     eliminate(degrees, diff)
 
     def succ(k):

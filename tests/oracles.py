@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from khoval.algebra import MINUS, PLUS, Theory, TPoly
+from khoval.algebra import MINUS, PLUS, RINGS, Theory, TPoly
 from khoval.cube import CubeComplex, Generator, transfer_labels
 from khoval.diagram import resolve, transfer
 from khoval.moves import apply_esi_info
@@ -47,7 +47,7 @@ def differential_termwise(c: CubeComplex, g: Generator) -> dict[Generator, TPoly
         tgt = g.mask | (1 << j)
         plan = transfer(resolve(c.diagram, g.mask), resolve(c.diagram, tgt))
         sign = (-1) ** bin(g.mask >> (j + 1)).count("1")
-        for labels, poly in transfer_labels(plan, g.labels, c.theory):
+        for labels, poly in transfer_labels(plan, g.labels, RINGS[c.theory]):
             acc[Generator(tgt, labels)] += poly * sign
     return {h: p for h, p in acc.items() if not p.is_zero()}
 
@@ -76,7 +76,7 @@ def r2_termwise(event, src: CubeComplex, tgt: CubeComplex, g: Generator) -> dict
             tgt_res = resolve(tgt.diagram, mask)
             cup = {tgt_res.circle_of[p["u2"]]: PLUS} if bits == 0b01 else None
             plan = transfer(src_res, tgt_res, slice_hints)
-            for labels, poly in transfer_labels(plan, g.labels, th, cup):
+            for labels, poly in transfer_labels(plan, g.labels, RINGS[th], cup):
                 acc[Generator(mask, labels)] += poly
     else:
         ia, ib = info.positions
@@ -92,7 +92,7 @@ def r2_termwise(event, src: CubeComplex, tgt: CubeComplex, g: Generator) -> dict
         rest = [j for j in range(src.n) if j not in (ia, ib)]
         mask = sum(((g.mask >> j) & 1) << k for k, j in enumerate(rest))
         plan = transfer(src_res, resolve(tgt.diagram, mask), hints)
-        for labels, poly in transfer_labels(plan, g.labels, th):
+        for labels, poly in transfer_labels(plan, g.labels, RINGS[th]):
             acc[Generator(mask, labels)] += poly * sign
     return {h: q for h, q in acc.items() if not q.is_zero()}
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from khoval.algebra import MINUS, PLUS, TPoly, Theory, counit, xmult
+from khoval.algebra import MINUS, PLUS, RINGS, TPoly, Theory, counit, xmult
 from khoval.cube import (
     CAP,
     CUP,
@@ -279,9 +279,9 @@ def test_transfer_labels_needs_a_label_for_every_new_circle():
     plan = transfer(resolve(parse_pd("L0"), 0), resolve(parse_pd("L0 L1"), 0))
     assert plan.new == (1,)
     for th in ALL_THEORIES:
-        assert transfer_labels(plan, (M,), th, {1: P}) == [((M, P), TPoly(1))]
+        assert transfer_labels(plan, (M,), RINGS[th], {1: P}) == [((M, P), TPoly(1))]
         with pytest.raises(KhovalError, match="unlabeled"):
-            transfer_labels(plan, (M,), th)
+            transfer_labels(plan, (M,), RINGS[th])
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
@@ -298,16 +298,16 @@ def test_death_weights_and_dotted_births(th):
     for (label, dotted), weight in weights.items():
         assert eps(label, dotted) == weight
         cap = Piece(0, 1, death, deaths={0: DOTTED_CAP if dotted else CAP})
-        image = apply_pieces((cap,), (label,), th)
+        image = apply_pieces((cap,), (label,), RINGS[th])
         assert image == ({Generator(0, ()): TPoly(1)} if weight else {})
     # a cup gives v+, a dotted cup X.v+ = v-, and a dot then acts by X
     birth = transfer(empty, unknot)
     assert xmult(P, th) == {M: TPoly(1)}
-    assert apply_pieces((Piece(0, 1, birth, {0: CUP}),), (), th) == {Generator(0, (P,)): TPoly(1)}
-    assert apply_pieces((Piece(0, -1, birth, {0: DOTTED_CUP}),), (), th) == {
+    assert apply_pieces((Piece(0, 1, birth, {0: CUP}),), (), RINGS[th]) == {Generator(0, (P,)): TPoly(1)}
+    assert apply_pieces((Piece(0, -1, birth, {0: DOTTED_CUP}),), (), RINGS[th]) == {
         Generator(0, (M,)): TPoly(-1)
     }
-    dotted = apply_pieces((Piece(0, 1, birth, {0: DOTTED_CUP}, dots=(0,)),), (), th)
+    dotted = apply_pieces((Piece(0, 1, birth, {0: DOTTED_CUP}, dots=(0,)),), (), RINGS[th])
     assert dotted == {Generator(0, (l,)): c for l, c in xmult(M, th).items()}
 
 

@@ -7,22 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khoval.algebra import Theory
-from khoval.corpus import PD_CODES
+from khoval.algebra import INT_RINGS, MINUS, PLUS, RINGS, Ring, Theory, TPoly
+from khoval.corpus import PD_CODES, torus2_pd
 from khoval.cube import build_cube
 from khoval.diagram import parse_pd
-from khoval.errors import CapExceededError, TheoryError
+from khoval.errors import CapExceededError, KhovalError, TheoryError
 from khoval.homology import (
     HomologyGroup,
     LaurentPoly,
     graded_euler,
     homology,
+    integer_differential,
     kauffman_jones,
     smith_normal_form,
 )
 from khoval.moves import ESI, apply_esi
 
 from oracles import (
+    differential_termwise,
     field_homology_dims,
     in_image,
     kernel_basis,
@@ -174,6 +176,65 @@ def test_homology_against_field_rank_oracle(name):
         assert field_homology_dims(cube, p=p) == uct_dims_from_integral(
             groups, p, graded=True
         )
+
+
+INTEGRAL = [Theory.KHOVANOV, Theory.LEE]
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
+def test_integer_columns_match_the_termwise_oracle(corpus, th):
+    # the constant terms of the Z[t] differential summed edge by edge,
+    # keyed by position in c.generators()
+    for name, d in corpus.items():
+        c = build_cube(d, th)
+        gens = list(c.generators())
+        position = {g: k for k, g in enumerate(gens)}
+        degrees, diff = integer_differential(c)
+        assert degrees == {k: c.degrees(g) for k, g in enumerate(gens)}, name
+        assert diff == {
+            k: {position[h]: p.coefficient(0) for h, p in differential_termwise(c, g).items()}
+            for k, g in enumerate(gens)
+        }, name
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
+def test_integer_rings_reduce_the_zt_tables(th):
+    def reduced(table):
+        return {key: r for key, p in table.items() if (r := th.reduce(p))}
+
+    zt, ints = RINGS[Theory.BAR_NATAN], INT_RINGS[th]
+    assert ints.one == 1
+    for x in (PLUS, MINUS):
+        assert {k: TPoly(v) for k, v in ints.comultiply[x].items()} == reduced(zt.comultiply[x])
+        for y in (PLUS, MINUS):
+            product = ints.multiply[x][y]
+            assert all(type(v) is int for v in product.values())
+            assert {k: TPoly(v) for k, v in product.items()} == reduced(zt.multiply[x][y])
+
+
+def test_integer_ring_refuses_a_coefficient_in_t():
+    with pytest.raises(KhovalError, match="not an integer"):
+        Ring((({PLUS: TPoly({1: 1})},),), (), 1).integral()
+    with pytest.raises(KhovalError, match="not an integer"):
+        RINGS[Theory.BAR_NATAN].integral()
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
+@pytest.mark.parametrize("pd", [PD_CODES["trefoil"], torus2_pd(5)], ids=["trefoil", "T(2,5)"])
+def test_homology_builds_no_polynomial(monkeypatch, pd, th):
+    # the columns come straight from the integer tables, not through
+    # `differential_of` and a `TPoly` per term
+    c = build_cube(parse_pd(pd), th)
+    calls = [0]
+    init = TPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TPoly, "__init__", counting)
+    assert homology(c)
+    assert calls[0] == 0
 
 
 def test_homology_rejects_deformed_theory():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from khoval.algebra import Theory
+from khoval.algebra import RINGS, Theory
 from khoval.corpus import PD_CODES
 from khoval.cube import (CochainElement, Generator, _bigon_reduction, apply_linear, build_cube,
                          transfer_labels)
@@ -85,7 +85,7 @@ def test_bigon_reduction_is_the_r2_equivalence(name):
 
         def carry(x, a, b, mask, arc_map):
             plan = transfer(a.circles(x.mask), b.circles(mask), {k: (v,) for k, v in arc_map.items()})
-            return [(Generator(mask, lab), p) for lab, p in transfer_labels(plan, x.labels, th)]
+            return [(Generator(mask, lab), p) for lab, p in transfer_labels(plan, x.labels, RINGS[th])]
 
         for x in cube.generators():
             image = element(after, f(x), lambda t: carry(t, cube, after, t.mask >> 2, back_info.arc_map))
