@@ -8,8 +8,10 @@ Commands
     verify     run the built-in invariant suites
 
 Diagram inputs are PD text (or a path to a file containing it); movie inputs
-are JSON files.  Defaults can be overridden with KHOVAL_THEORY, KHOVAL_FORMAT
-and KHOVAL_CAP, which are checked like the flags.
+are JSON files.  Each command takes only the flags it reads: `homology` and
+`movie` --theory, --format and --cap, `jones` --format and --cap, `verify`
+--cap, `stills` none.  Defaults can be overridden with KHOVAL_THEORY,
+KHOVAL_FORMAT and KHOVAL_CAP, which are checked like the flags.
 
 Exit codes: 2 parse failure or usage error, 3 theory guard, 4 cap exceeded,
 5 movie validation failure, 1 any other engine error.
@@ -76,11 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser(theory: str | None, fmt: str | None, cap: str | None) -> argparse.ArgumentParser:
     # argparse converts string defaults with `type` on every parse: still checked per call
-    def _add_common(p: argparse.ArgumentParser, theory_default: str) -> None:
-        p.add_argument("--theory", default=theory_default if theory is None else theory,
+    def _add_theory(p: argparse.ArgumentParser, default: str) -> None:
+        p.add_argument("--theory", default=default if theory is None else theory,
                        help="khovanov | bar-natan | lee")
+
+    def _add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", type=_format, choices=FORMATS,
                        default="human" if fmt is None else fmt)
+
+    def _add_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cap", type=_cap, default=str(DEFAULT_CAP) if cap is None else cap)
 
     parser = argparse.ArgumentParser(
@@ -91,11 +97,14 @@ def _parser(theory: str | None, fmt: str | None, cap: str | None) -> argparse.Ar
 
     p = sub.add_parser("homology", help="bigraded integral homology table")
     p.add_argument("input", help="PD text or a file containing it")
-    _add_common(p, "khovanov")
+    _add_theory(p, "khovanov")
+    _add_format(p)
+    _add_cap(p)
 
     p = sub.add_parser("jones", help="graded Euler characteristic vs bracket oracle")
     p.add_argument("input", help="PD text or a file containing it")
-    _add_common(p, "khovanov")
+    _add_format(p)
+    _add_cap(p)
 
     p = sub.add_parser("movie", help="evaluate a movie file")
     p.add_argument("input", help="movie JSON file (or inline JSON)")
@@ -103,14 +112,15 @@ def _parser(theory: str | None, fmt: str | None, cap: str | None) -> argparse.Ar
                    help="evaluate as a punctured movie instead of a closed one")
     p.add_argument("--label", choices=LABEL_NAMES,
                    help="starting label for a punctured unknot-to-empty movie (default v-)")
-    _add_common(p, "bar-natan")
+    _add_theory(p, "bar-natan")
+    _add_format(p)
+    _add_cap(p)
 
     p = sub.add_parser("stills", help="dump the stills of a movie with their ids")
     p.add_argument("input", help="movie JSON file (or inline JSON)")
-    _add_common(p, "bar-natan")
 
     p = sub.add_parser("verify", help="run the built-in invariant suites")
-    _add_common(p, "khovanov")
+    _add_cap(p)
     return parser
 
 
@@ -118,10 +128,13 @@ def _parser(theory: str | None, fmt: str | None, cap: str | None) -> argparse.Ar
 
 
 def _read_text(value: str) -> str:
-    if os.path.isfile(value):
+    if not os.path.isfile(value):
+        return value
+    try:
         with open(value, "r", encoding="utf-8") as fh:
             return fh.read()
-    return value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {value}: {exc}") from exc
 
 
 def _load_diagram(value: str):
@@ -134,6 +147,8 @@ def _load_movie(value: str) -> Movie:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"movie input is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("movie input is nested too deeply") from None
     return movie_from_json(obj)
 
 
@@ -241,20 +256,14 @@ def _cmd_movie(args) -> int:
             name = args.label or "v-"
             value = punctured_eval(m, LABEL_NAMES.index(name), "to_empty", theory, cap=args.cap)
             payload = {"direction": "to_empty", "label": name, "value": str(value)}
-            human = f"psi({name}) = {value}"
+            lines = [f"psi({name}) = {value}"]
         else:
             if args.label is not None:
                 raise ParseError("--label applies only to a movie that starts at the unknot")
             element = punctured_eval(m, direction="from_empty", th=theory, cap=args.cap)
             payload = {"direction": "from_empty", "value": _render_element(element)}
-            human = f"psi(1) = {payload['value']}"
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(human)
-        return 0
-    lines: list[str]
-    if theory is Theory.BAR_NATAN:
+            lines = [f"psi(1) = {payload['value']}"]
+    elif theory is Theory.BAR_NATAN:
         bn, kj = bn_and_kj(m, cap=args.cap)
         payload = {"BN": str(bn), "KJ": kj}
         lines = [f"BN = {bn}", f"KJ = {kj}"]

@@ -6,20 +6,22 @@ event induces a chain map between the cube complexes of consecutive stills:
 birth and death have q-degree +1, a saddle -1, and the Reidemeister moves
 are degree-0 homotopy equivalences.
 
-Morse and R1 maps are tables `vertex(mask) -> pieces`, computed once per
+Every map is a chain of ops (`cube`: a generator to its summed image) that
+`ChainMapRep` composes.  Morse and R1 maps are one op each, made by
+`cube._piece_op` from a table `vertex(mask) -> pieces`, computed once per
 source vertex: a signed sum of dotted cobordisms (`cube.Piece`: a
 circle-transfer plan read through the move's arc hints, with cups, caps and
-dots), applied by `cube.apply_pieces`.  Birth, death and saddle share one
-Morse table.  The R1 tables act on a crossing moved to the front of the
-crossing order, so they carry the Koszul sign of that reordering: positive
-R1 addition is a dotted cup minus a cup with a dot on the strand, negative
-R1 removal a dotted cap minus a cap with a dot on the strand.  R2 is the
-Gaussian elimination of the poked cube's bigon (`cube._bigon_reduction`)
-and one carry table between its through slice and the cube without the
-pair, again with the Koszul sign.  The R3 map is Bar-Natan's cone formula
-on the triangle crossings (`r3.triangle_map`, built from the same
-reduction); kinks on the triangle's sides come off by R1 before it and go
-back on after.  No map resolves more of a cube than the vertices it reaches.
+dots).  Birth, death and saddle share one Morse table.  The R1 tables act
+on a crossing moved to the front of the crossing order, so they carry the
+Koszul sign of that reordering: positive R1 addition is a dotted cup minus
+a cup with a dot on the strand, negative R1 removal a dotted cap minus a
+cap with a dot on the strand.  R2 is two ops: the Gaussian elimination of
+the poked cube's bigon (`cube._bigon_reduction`) and one carry table
+between its through slice and the cube without the pair, again with the
+Koszul sign.  The R3 map is Bar-Natan's cone formula on the triangle
+crossings (`r3.triangle_map`, one op built from the same reduction); kinks
+on the triangle's sides come off by R1 ops before it and go back on by R1
+ops after.  No map resolves more of a cube than the vertices it reaches.
 `eval_movie` reuses the rewrites that `Movie.replay` recorded; the public
 `esi_chain_map` redoes the rewrite and checks it against the target cube.
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 from .algebra import PLUS, TPoly, Theory
 from .cube import (
@@ -42,7 +43,6 @@ from .cube import (
     DEFAULT_CAP,
     DOTTED_CAP,
     DOTTED_CUP,
-    _ONE,
     CochainElement,
     CubeComplex,
     Generator,
@@ -50,7 +50,6 @@ from .cube import (
     _bigon_reduction,
     _piece_op,
     apply_linear,
-    apply_pieces,
     build_cube,
     koszul_to_front,
 )
@@ -90,40 +89,39 @@ ESI_Q_DEGREE = {"birth": 1, "death": 1, "saddle": -1, "r1": 0, "r2": 0, "r3": 0}
 
 
 class ChainMapRep:
-    """A chain map between two cube complexes, applied generator by generator.
+    """A chain map between two cube complexes: its ops (see `cube`) applied in turn.
 
-    Images are memoized, and only the cube vertices they reach are resolved.
+    Each generator's image is memoized, and so is every op after the first,
+    whose inputs recur across images; only the cube vertices the images
+    reach are resolved.
     """
 
-    def __init__(
-        self,
-        source: CubeComplex,
-        target: CubeComplex,
-        q_degree: int,
-        fn: Callable[[Generator], CochainElement],
-    ):
+    def __init__(self, source: CubeComplex, target: CubeComplex, q_degree: int, *ops):
         self.source = source
         self.target = target
         self.q_degree = q_degree
-        self._fn = fn
+        self._first = ops[0]
+        self._rest = list(map(cache, ops[1:]))
         self._memo: dict[Generator, CochainElement] = {}
 
     def of_generator(self, g: Generator) -> CochainElement:
         out = self._memo.get(g)
         if out is None:
-            out = self._fn(g)
-            self._memo[g] = out
+            image = self._first(g)
+            if self._rest:  # a one-op image is summed already
+                image = apply_linear(image.items(), *self._rest)
+            out = self._memo[g] = CochainElement(self.target, image)
         return out
 
     def apply(self, x: CochainElement) -> CochainElement:
         if x.cube is not self.source:
             raise KhovalError("element does not live on the map's source")
         return CochainElement(
-            self.target, apply_linear(x.terms.items(), lambda g: self.of_generator(g).terms.items())
+            self.target, apply_linear(x.terms.items(), lambda g: self.of_generator(g).terms)
         )
 
 
-# -- the chain maps: a table of pieces per source vertex ------------------------
+# -- the chain maps: ops, most of them a table of pieces per source vertex ---------
 
 
 def _hint_tuples(arc_map: dict[int, int]) -> dict[int, tuple[int, ...]]:
@@ -150,7 +148,7 @@ def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex) -
     """The chain map of an event whose rewrite `info` is already known."""
     kind = event.kind
     if kind in ("r2", "r3"):
-        return ChainMapRep(src, tgt, 0, (_r2_fn if kind == "r2" else _r3_fn)(src, tgt, info))
+        return ChainMapRep(src, tgt, 0, *(_r2_ops if kind == "r2" else _r3_ops)(src, tgt, info))
     if kind in ("birth", "death", "saddle"):
         vertex = _morse(src, tgt, info)
     elif kind == "r1" and info.variant == "remove":
@@ -160,17 +158,7 @@ def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex) -
         vertex = _r1_add(src, tgt, hints, info.loop_arc, info.strand_arc, info.positive)
     else:
         raise MoveError(f"unknown ESI kind {kind!r}")
-    return _piece_map(src, tgt, ESI_Q_DEGREE[kind], vertex)
-
-
-def _piece_map(src: CubeComplex, tgt: CubeComplex, q_degree: int, vertex) -> ChainMapRep:
-    """The chain map sending a generator through the pieces `vertex(mask)` of its vertex."""
-    vertex = cache(vertex)
-
-    def fn(g: Generator) -> CochainElement:
-        return CochainElement(tgt, apply_pieces(vertex(g.mask), g.labels, tgt.ring))
-
-    return ChainMapRep(src, tgt, q_degree, fn)
+    return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], _piece_op(tgt, vertex))
 
 
 def _morse(src, tgt, info: MoveInfo):
@@ -235,8 +223,8 @@ def _r1_remove(src, tgt, info: MoveInfo):
     return vertex
 
 
-def _r2_fn(src: CubeComplex, tgt: CubeComplex, info: MoveInfo):
-    """The R2 map by the Gaussian elimination of the poked cube's bigon.
+def _r2_ops(src: CubeComplex, tgt: CubeComplex, info: MoveInfo):
+    """The two ops of the R2 map, by the Gaussian elimination of the poked cube's bigon.
 
     The carry takes a vertex of the bare cube to the poked cube's through
     slice (the pair's first crossing 0-smoothed, its second 1-smoothed) or
@@ -249,7 +237,6 @@ def _r2_fn(src: CubeComplex, tgt: CubeComplex, info: MoveInfo):
     zi, wi = (0, 1) if add else info.positions
     f, g, _ = _bigon_reduction(tgt if add else src, {info.pieces["u2"], info.pieces["o2"]}, zi, wi)
 
-    @cache
     def carry(mask: int) -> tuple[Piece, ...]:
         if add:
             tgt_mask, sign = mask << 2 | 0b10, 1
@@ -258,52 +245,41 @@ def _r2_fn(src: CubeComplex, tgt: CubeComplex, info: MoveInfo):
             tgt_mask >>= 2
         return (Piece(tgt_mask, sign, transfer(src.circles(mask), tgt.circles(tgt_mask), hints)),)
 
-    ops = (_piece_op(tgt, carry), g) if add else (f, _piece_op(tgt, carry))
-    return lambda x: CochainElement(tgt, apply_linear([(x, _ONE)], *ops))
+    return (_piece_op(tgt, carry), g) if add else (f, _piece_op(tgt, carry))
 
 
 # -- the R3 map -------------------------------------------------------------------
 
 
-def _r3_fn(src: CubeComplex, tgt: CubeComplex, info: MoveInfo, back: bool = False):
-    """The R3 map of a move, or with `back` the same rule from its target to its source.
+def _r3_ops(src: CubeComplex, tgt: CubeComplex, info: MoveInfo, back: bool = False) -> list:
+    """The ops of the R3 map of a move, or with `back` of the same rule run back.
 
     Kinks on the sides come off by R1, the bare triangle moves by
-    `r3.triangle_map`, and the kinks go back on by R1.
+    `r3.triangle_map`, and the kinks go back on by R1, the last removed first.
     """
     from .r3 import triangle_map  # loaded with the first r3 move, as in `moves`
 
     first = [info.pieces[k] for k in ("top", "middle", "bottom")]
     arcs = [first, [info.arc_map[a] for a in first]][::-1 if back else 1]
-    maps, cubes, k = [], [src, tgt], len(info.kinks)
+    removals, additions, cubes = [], [], [src, tgt]
     for side, cid in itertools.product((0, 1), info.kinks):
         d, step = apply_esi_info(cubes[side].diagram, ESI("r1", variant="remove", crossing=cid))
         bare = CubeComplex(d, src.theory, cap=src.n)
         arcs[side] = [step.arc_map.get(a, a) for a in arcs[side]]
         if side == 0:
-            maps.append(_piece_map(cubes[0], bare, 0, _r1_remove(cubes[0], bare, step)))
-        else:  # the addition that undoes this removal, applied last
+            removals.append(_piece_op(bare, _r1_remove(cubes[0], bare, step)))
+        else:  # the addition that undoes this removal
             hints: dict[int, list[int]] = {}
             for old, new in step.arc_map.items():
                 hints.setdefault(new, []).append(old)
-            add = _r1_add(bare, cubes[1], hints, step.loop_arc, min(step.arc_map),
-                          step.positive, step.positions[0])
-            maps.insert(k, _piece_map(bare, cubes[1], 0, add))
+            additions.append(_piece_op(cubes[1], _r1_add(bare, cubes[1], hints, step.loop_arc,
+                                                         min(step.arc_map), step.positive,
+                                                         step.positions[0])))
         cubes[side] = bare
     *positions, c = (cubes[0].diagram.crossing_by_id(src.diagram.crossings[p].cid)[0]
                      for p in (*info.positions, info.pieces["c"]))
     triangle = triangle_map(cubes[0], cubes[1], positions, c, set(arcs[0]), set(arcs[1]))
-    if not k:
-        return triangle
-    maps.insert(k, ChainMapRep(cubes[0], cubes[1], 0, triangle))
-
-    def fn(g: Generator) -> CochainElement:
-        x = maps[0].of_generator(g)
-        for m in maps[1:]:
-            x = m.apply(x)
-        return x
-
-    return fn
+    return [*removals, triangle, *additions[::-1]]
 
 
 def r3_equivalence(event: ESI, src: CubeComplex, tgt: CubeComplex) -> tuple[ChainMapRep, ...]:
@@ -311,8 +287,8 @@ def r3_equivalence(event: ESI, src: CubeComplex, tgt: CubeComplex) -> tuple[Chai
     rewritten, info = apply_esi_info(src.diagram, event)
     if event.kind != "r3" or rewritten != tgt.diagram:
         raise MoveError("target cube was not built from the r3-rewritten diagram")
-    fwd, bwd = _r3_fn(src, tgt, info), _r3_fn(tgt, src, info, back=True)
-    return ChainMapRep(src, tgt, 0, fwd), ChainMapRep(tgt, src, 0, bwd)
+    return (ChainMapRep(src, tgt, 0, *_r3_ops(src, tgt, info)),
+            ChainMapRep(tgt, src, 0, *_r3_ops(tgt, src, info, back=True)))
 
 
 # -- movies ----------------------------------------------------------------------

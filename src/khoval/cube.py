@@ -4,17 +4,22 @@ Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
 on first use, so a movie pays only for the vertices its element reaches.  A
 generator is a vertex together with one int label (PLUS = 0 for v+, MINUS = 1
 for v-) per circle of its resolution, circles being listed in canonical order
-(increasing smallest arc id).  Every map on a cube is a sum of `Piece`s,
-signed dotted cobordisms that carry labels along a circle-transfer plan with
-`transfer_labels`, and `apply_pieces` applies them.  The differential is one
-such table: the edge flipping crossing j at a vertex is a saddle piece (its
-`diagram.edge_transfer` plan: one merge or one split) with the sign
-(-1)^(number of 1-bits after the flipped position), which makes every square
-face anticommute.  The movie chain maps add births, deaths and dots.
-`apply_linear` extends a map given on generators linearly to a sum of terms.
-`_bigon_reduction` is Bar-Natan's Gaussian elimination lemma (math/0606318)
-on an R2 bigon's two unit edges, read off the cube's own edges: the R2 maps
-in `cobordism` and the R3 cone in `r3` are built from it.
+(increasing smallest arc id).
+
+A linear map on a cube is an op: a function from a generator to its summed
+image {generator: coeff}, with no zero coefficient.  Most ops are sums of
+`Piece`s, signed dotted cobordisms that carry labels along a circle-transfer
+plan with `transfer_labels`; `apply_pieces` applies them and `_piece_op`
+makes the op of a table `vertex(mask) -> pieces`, computed once per vertex.
+The differential is one such table: the edge flipping crossing j at a vertex
+is a saddle piece (its `diagram.edge_transfer` plan: one merge or one split)
+with the sign (-1)^(number of 1-bits after the flipped position), which
+makes every square face anticommute.  The movie chain maps add births,
+deaths and dots.  `apply_linear` carries terms through ops in turn and sums
+them once at the end; `cobordism.ChainMapRep` composes a chain map's ops
+with it.  `_bigon_reduction` is Bar-Natan's Gaussian elimination lemma
+(math/0606318) on an R2 bigon's two unit edges, read off the cube's own
+edges: the R2 maps in `cobordism` and the R3 cone in `r3` are built from it.
 
 Coefficients are kept in the cube's ring, `CubeComplex.ring =
 algebra.RINGS[theory]`: its structure tables are already reduced, and t -> 0
@@ -195,7 +200,7 @@ class CubeComplex:
         if x.cube is not self:
             raise KhovalError("cochain element lives on a different cube")
         return CochainElement(
-            self, apply_linear(x.terms.items(), lambda g: self.differential_of(g).terms.items())
+            self, apply_linear(x.terms.items(), lambda g: self.differential_of(g).terms)
         )
 
 
@@ -346,13 +351,13 @@ def apply_pieces(pieces, labels: tuple[int, ...], ring: Ring) -> dict[Generator,
 def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
     """Terms [(generator, coeff)] carried through each op in turn, then summed.
 
-    An op maps a generator to [(generator, coeff)] and acts by its linear
-    extension; with no op the terms are only summed.
+    An op maps a generator to its image {generator: coeff} and acts by its
+    linear extension; with no op the terms are only summed.
     """
     for op in ops:
         carried = []
         for g, coeff in terms:
-            image = op(g)
+            image = op(g).items()
             carried.extend(image if coeff == 1 else [(h, _times(poly, coeff)) for h, poly in image])
         terms = carried
     acc: dict[Generator, TPoly] = {}
@@ -367,8 +372,9 @@ def _times(a, b):
 
 
 def _piece_op(cube: CubeComplex, vertex):
-    """The op (for `apply_linear`) sending a generator through the pieces `vertex(mask)`."""
-    return lambda g: apply_pieces(vertex(g.mask), g.labels, cube.ring).items()
+    """The op sending a generator through the pieces `vertex(mask)`, computed once per mask."""
+    vertex = cache(vertex)
+    return lambda g: apply_pieces(vertex(g.mask), g.labels, cube.ring)
 
 
 def _negated(terms: dict) -> list:
@@ -383,12 +389,11 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
     O = v- and O = v+.  h inverts both with their signs, by a cap on O and
     by a cup giving O = v+ (one piece per vertex); f projects onto
     the through slice (wi 1-smoothed), g includes it back: f g = 1 and
-    1 - g f = d h + h d.  Each maps a generator to [(generator, coeff)].
+    1 - g f = d h + h d.  Each is an op.
     """
     hints = {a: () for a in inner}
     arc, z, w = next(iter(inner)), 1 << zi, 1 << wi
 
-    @cache
     def vertex(mask: int) -> tuple[Piece, ...]:
         if mask & (z | w) == z:  # circle slice -> lower slice: a cap on O
             res = cube.circles(mask)
@@ -409,11 +414,13 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
     def f(g: Generator):
         xy = g.mask & (z | w)
         if xy == z:
-            return _negated(apply_linear(h(g), into_through))
-        return [(g, _ONE)] if xy == w else []
+            return apply_linear(_negated(h(g)), into_through)
+        return {g: _ONE} if xy == w else {}
 
     def g_(t: Generator):
-        return [(t, _ONE), *_negated(apply_linear(out_of_through(t), h))]
+        image = apply_linear(_negated(out_of_through(t)), h)
+        image[t] = _ONE  # t is on the through slice, the rest on the circle slice
+        return image
 
     return f, g_, h
 
@@ -480,9 +487,7 @@ def check_d_squared(c: CubeComplex) -> CheckReport:
 def check_faces(c: CubeComplex) -> CheckReport:
     """Check every 2-face: edge signs anticommute and the two signed paths cancel."""
 
-    def along(j: int):
-        return _piece_op(c, lambda mask: (c.edge(mask, j),))
-
+    along = [_piece_op(c, lambda mask, j=j: (c.edge(mask, j),)) for j in range(c.n)]
     for mask in range(1 << c.n):
         free = [j for j in range(c.n) if not (mask >> j) & 1]
         for j, k in itertools.combinations(free, 2):
@@ -493,7 +498,7 @@ def check_faces(c: CubeComplex) -> CheckReport:
                     False, f"edge signs fail to anticommute at {mask:b},{j},{k}"
                 )
             for g in c.generators_at(mask):
-                jk, kj = (apply_linear([(g, _ONE)], along(a), along(b)) for a, b in ((j, k), (k, j)))
+                jk, kj = (apply_linear([(g, _ONE)], along[a], along[b]) for a, b in ((j, k), (k, j)))
                 if jk != {h: -p for h, p in kj.items()}:
                     return CheckReport(
                         False,

@@ -4,16 +4,15 @@ Bar-Natan (math/0410495, section 4.3) builds R3 from the cone on one
 triangle crossing and the R2 equivalence of the bigon one of its smoothings
 leaves.  That equivalence is `cube._bigon_reduction`, the Gaussian
 elimination lemma (math/0606318) on the bigon's two unit edges, which also
-gives the R2 maps.  `moves` rewrites the diagram along `triangle`;
-`cobordism` adds the R1 moves for kinks on the sides.
+gives the R2 maps.  `triangle_map` is one op (see `cube`): a generator's
+summed image.  `moves` rewrites the diagram along `triangle`; `cobordism`
+chains the R1 moves for kinks on the sides before and after it.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
-from .cube import (CochainElement, Generator, Piece, _bigon_reduction, _negated, _piece_op,
-                   apply_linear, koszul_to_front)
+from .cube import (Generator, Piece, _bigon_reduction, _negated, _piece_op, apply_linear,
+                   koszul_to_front)
 from .diagram import SMOOTHING_JOINS, LinkDiagram, transfer
 from .errors import MoveError
 
@@ -100,7 +99,9 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     with the exchange's Koszul sign, negated when B is the 1-face: the sign
     that makes f Psi = f' Psi', Psi the signed edge along c).  The cone lemma
     gives a -> a' - h'(Psi' a'), b -> g'(f b) when B is the 1-face, and
-    a -> a', b -> g'(f b) - (Psi h b)' when it is the 0-face.
+    a -> a', b -> g'(f b) - (Psi h b)' when it is the 0-face.  Psi moves a
+    term to the other face and f, g, h and the carry keep it on its face, so
+    the two parts of an image are summed apart and never meet.
     """
     # the target's triangle sits in the opposite quadrants: the same smoothings close it
     close = _closing_bits(src.diagram, positions, inner)
@@ -111,7 +112,6 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     zi, wi = z.bit_length() - 1, w.bit_length() - 1
     hints = {a: () for a in inner}
 
-    @cache
     def carry_pieces(mask: int) -> tuple[Piece, ...]:
         tgt_mask, sign = mask, 1
         if mask & bc != b_face:
@@ -129,15 +129,15 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     psi_src = _piece_op(src, lambda mask: (src.edge(mask, c),))
     psi_tgt = _piece_op(tgt, lambda mask: (tgt.edge(mask, c),))
 
-    def fn(g: Generator) -> CochainElement:
+    def op(g: Generator) -> dict:
         if g.mask & bc != b_face:  # face A
-            image = list(carry(g))
+            image = carry(g)
             if b_face:
-                image += _negated(apply_linear(image, psi_tgt, h_tgt))
+                image.update(apply_linear(_negated(image), psi_tgt, h_tgt))
         else:  # face B: f onto the through slice, carried over, then g'
-            image = list(apply_linear(f_src(g), carry, g_tgt).items())
+            image = apply_linear(f_src(g).items(), carry, g_tgt)
             if not b_face:
-                image += _negated(apply_linear(h_src(g), psi_src, carry))
-        return CochainElement(tgt, apply_linear(image))
+                image.update(apply_linear(_negated(h_src(g)), psi_src, carry))
+        return image
 
-    return fn
+    return op

@@ -189,6 +189,20 @@ def test_movie_punctured_v_plus_on_torus(capsys, tmp_path):
     assert out.strip() == "psi(v+) = 2"
 
 
+@pytest.mark.parametrize("genus,argv,lines", [
+    (2, ["--label", "v-"], ["direction,label,value", "to_empty,v-,4*t"]),
+    (1, [], ["direction,value", "from_empty,(2)*v-"]),
+])
+def test_movie_punctured_csv(capsys, tmp_path, genus, argv, lines):
+    from khoval.cobordism import punctured_from_empty, punctured_to_empty
+
+    build = punctured_to_empty if argv else punctured_from_empty
+    p = tmp_path / "punctured.json"
+    p.write_text(json.dumps(movie_to_json(build(genus))))
+    code, out, _ = run(capsys, "movie", str(p), "--punctured", *argv, "--format", "csv")
+    assert code == 0 and out.splitlines() == lines
+
+
 def test_movie_punctured_respects_the_cap(capsys, monkeypatch):
     from test_cobordism import kink_to_empty
 
@@ -332,6 +346,43 @@ def test_malformed_movie_json_is_a_parse_error(capsys, movie):
     assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
 
 
+def _refuse_reading(*args, **kwargs):
+    raise PermissionError("permission denied")
+
+
+@pytest.mark.parametrize("command,content,unreadable", [
+    ("homology", b"X(1,2,3,4)\xff", False),
+    ("movie", b"[" * 200000 + b"]" * 200000, False),
+    ("movie", b'{"movie": []}', True),
+], ids=["not_utf8", "nested_too_deeply", "os_error"])
+def test_unreadable_input_is_a_parse_error(capsys, monkeypatch, tmp_path,
+                                           command, content, unreadable):
+    # a file that is not UTF-8, JSON nested past the recursion limit, an OSError on reading
+    from khoval import cli
+
+    p = tmp_path / "input"
+    p.write_bytes(content)
+    if unreadable:
+        monkeypatch.setattr(cli, "open", _refuse_reading, raising=False)
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jones", "L0", "--theory", "nonsense"],
+    ["stills", str(MOVIES_DIR / "torus.json"), "--theory", "lee"],
+    ["stills", str(MOVIES_DIR / "torus.json"), "--format", "json"],
+    ["stills", str(MOVIES_DIR / "torus.json"), "--cap", "3"],
+    ["verify", "--theory", "lee"],
+    ["verify", "--format", "json"],
+])
+def test_commands_refuse_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 def test_unknown_theory_is_theory_error(capsys):
     code, _, _ = run(capsys, "homology", "L0", "--theory", "quantum")
     assert code == 3
@@ -401,7 +452,7 @@ def test_parser_is_built_once_per_environment(monkeypatch):
     monkeypatch.delenv("KHOVAL_FORMAT", raising=False)
     assert cli.build_parser() is cli.build_parser()
     monkeypatch.setenv("KHOVAL_FORMAT", "csv")
-    assert cli.build_parser().parse_args(["verify"]).format == "csv"
+    assert cli.build_parser().parse_args(["homology", "L0"]).format == "csv"
 
 
 def test_shipped_movies_match_builders():

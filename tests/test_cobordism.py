@@ -408,6 +408,35 @@ def test_r3_with_a_carried_kink_is_inverse_on_homology():
     assert _induces_identity(lambda x: f.apply(g.apply(x)), tgt)
 
 
+def test_r3_kink_chain_reaches_the_triangle_once_per_bare_generator(monkeypatch):
+    # the r3 benchmark triangle with a kink carried on arc 4: images of many
+    # source generators share bare generators, and the memo of each op after
+    # the first sends each of those through the triangle once
+    import khoval.r3 as r3
+
+    triangle_map = r3.triangle_map
+    calls = []
+
+    def counting(*args):
+        op = triangle_map(*args)
+
+        def counted(g):
+            calls.append(g)
+            return op(g)
+
+        return counted
+
+    monkeypatch.setattr(r3, "triangle_map", counting)
+    d = braid_kinked_on((1, 4), ("add_pos", "add_neg"))
+    for th in ALL_THEORIES:
+        calls.clear()
+        src, tgt = build_cube(d, th), build_cube(apply_esi(d, BRAID_R3), th)
+        f = esi_chain_map(BRAID_R3, src, tgt, th)
+        for g in src.generators():
+            f.of_generator(g)
+        assert len(calls) == len(set(calls)) == 108, th
+
+
 def _x_action(cube, arc: int):
     """Multiplication by X on the circle through `arc`."""
 

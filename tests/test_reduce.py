@@ -52,10 +52,10 @@ def test_reduction_is_strict_retraction(name, th):
     zero = cube.element()
     for x in cube.generators():
         if x.mask & 0b11 == 0b10:
-            assert element(cube, g(x), f) == cube.basis_element(x), (th, x)
-            assert element(cube, g(x), h) == zero, (th, x)
-        assert element(cube, h(x), f) == zero, (th, x)
-        assert element(cube, h(x), h) == zero, (th, x)
+            assert element(cube, g(x).items(), f) == cube.basis_element(x), (th, x)
+            assert element(cube, g(x).items(), h) == zero, (th, x)
+        assert element(cube, h(x).items(), f) == zero, (th, x)
+        assert element(cube, h(x).items(), h) == zero, (th, x)
 
 
 @pytest.mark.parametrize("name", ["hopf", "trefoil"])
@@ -64,8 +64,8 @@ def test_reduction_maps_are_chain_maps(name):
     for th in Theory:
         cube, (f, g, h) = poked(name, th)
         for x in cube.generators():
-            gf = element(cube, f(x), g)
-            dh = cube.differential(element(cube, h(x)))
+            gf = element(cube, f(x).items(), g)
+            dh = cube.differential(element(cube, h(x).items()))
             hd = element(cube, cube.differential_of(x).terms.items(), h)
             assert cube.basis_element(x) - gf == dh + hd, (th, x)
 
@@ -85,14 +85,16 @@ def test_bigon_reduction_is_the_r2_equivalence(name):
 
         def carry(x, a, b, mask, arc_map):
             plan = transfer(a.circles(x.mask), b.circles(mask), {k: (v,) for k, v in arc_map.items()})
-            return [(Generator(mask, lab), p) for lab, p in transfer_labels(plan, x.labels, RINGS[th])]
+            return {Generator(mask, lab): p for lab, p in transfer_labels(plan, x.labels, RINGS[th])}
 
         for x in cube.generators():
-            image = element(after, f(x), lambda t: carry(t, cube, after, t.mask >> 2, back_info.arc_map))
+            image = element(after, f(x).items(),
+                            lambda t: carry(t, cube, after, t.mask >> 2, back_info.arc_map))
             assert image.terms == r2_termwise(remove, cube, after, x), (th, x)
         for e in before.generators():
             through = carry(e, before, cube, e.mask << 2 | 0b10, info.arc_map)
-            assert element(cube, through, g).terms == r2_termwise(add, before, cube, e), (th, e)
+            image = element(cube, through.items(), g)
+            assert image.terms == r2_termwise(add, before, cube, e), (th, e)
 
 
 def test_reduction_preserves_free_rank():
