@@ -26,9 +26,9 @@ algebra.RINGS[theory]`: its structure tables are already reduced, and t -> 0
 and t -> 1 are ring maps, so sums and products of their entries stay
 reduced.  A caller's coefficient is reduced where it enters, in
 `CubeComplex.element` and `CochainElement.scale`.  `transfer_labels` and
-`apply_pieces` take the ring, not the theory, so the same pieces also run
-over `algebra.INT_RINGS`, the integer tables that `homology` builds its
-columns from.
+`apply_pieces` take the ring, not the theory, so the cube's edge plans also
+run over `algebra.INT_RINGS`, the integer tables that `homology` builds its
+label tables from.
 
 Cohomological degree of a generator is |v| - n_minus; its q-degree is the sum
 of label degrees (1 - 2*l for label l) plus (|v| - n_minus) + (n_plus -

@@ -1,10 +1,10 @@
 """Integral cohomology via Smith normal form, plus the Jones-polynomial oracle.
 
-`homology` builds the whole cube complex once with `int` coefficients,
-one vertex at a time: `integer_differential` numbers the generators in
-`CubeComplex.generators` order and takes each column from the cube's own
-edge pieces, applied by `cube.apply_pieces` over the integer structure
-tables `algebra.INT_RINGS`, so no `TPoly` is built.  It then cancels every
+`homology` builds the whole cube complex once with `int` coefficients:
+`integer_differential` carries each labelling along each distinct edge plan
+once, by `cube.transfer_labels` over the integer tables `algebra.INT_RINGS`,
+and reads every column as integer offsets into these label tables, so no
+`TPoly` and no per-generator `Generator` is built.  It then cancels every
 +-1 entry with the unit-pivot kernel of `reduce.eliminate`.
 The residual complex is homotopy equivalent to the original and has only
 non-unit entries; Smith normal form over arbitrary-precision integers of
@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import INT_RINGS, LABELS, PLUS, LaurentPoly, Theory
-from .cube import CubeComplex, Generator, apply_pieces
-from .diagram import LinkDiagram
+from .algebra import INT_RINGS, LABELS, PLUS, LaurentPoly, Ring, Theory
+from .cube import CubeComplex, Generator, transfer_labels
+from .diagram import LinkDiagram, Transfer
 from .errors import CapExceededError, KhovalError, TheoryError
 from .reduce import eliminate
 
@@ -119,23 +119,36 @@ def integer_differential(c: CubeComplex) -> tuple[dict, dict]:
 
     Generators are numbered by their position in `c.generators()`: the
     labelling of a vertex's circles, read as a binary number (v+ = 0), plus
-    the vertex's offset.  Khovanov and Lee only.
+    the vertex's offset.  A column is its labelling's signed images in the
+    label tables of its vertex's edges (ascending crossing order, one table
+    per distinct plan), each shifted by the target's offset.  Khovanov and Lee only.
     """
     ring = INT_RINGS[c.theory]
     counts = [c.circles(mask).count for mask in range(1 << c.n)]
     offsets = list(itertools.accumulate((1 << k for k in counts), initial=0))
-    position = {labels: pos for k in set(counts)
-                for pos, labels in enumerate(itertools.product(LABELS, repeat=k))}
+    tables: dict[Transfer, list] = {}
     degrees: dict[int, tuple[int, int]] = {}
     diff: dict[int, dict[int, int]] = {}
     for mask, k in enumerate(counts):
         edges = [c.edge(mask, j) for j in range(c.n) if not (mask >> j) & 1]
+        for e in edges:
+            if e.plan not in tables:
+                tables[e.plan] = _label_table(e.plan, k, ring)
+        rows = [(offsets[e.mask], e.sign, tables[e.plan]) for e in edges]
         i, top = c.degrees(Generator(mask, (PLUS,) * k))
-        for index, labels in enumerate(itertools.product(LABELS, repeat=k), offsets[mask]):
-            degrees[index] = (i, top - 2 * sum(labels))
-            diff[index] = {offsets[h.mask] + position[h.labels]: v
-                           for h, v in apply_pieces(edges, labels, ring).items()}
+        for idx, index in enumerate(range(offsets[mask], offsets[mask + 1])):
+            degrees[index] = (i, top - 2 * idx.bit_count())
+            diff[index] = {off + t: sign * v for off, sign, table in rows for t, v in table[idx]}
     return degrees, diff
+
+
+def _label_table(plan: Transfer, k: int, ring: Ring) -> list[tuple[tuple[int, int], ...]]:
+    """Each labelling of k source circles (by local index) to its ((target index, coeff), ...)."""
+    return [
+        tuple((int("".join(map(str, lbls)), 2), v)
+              for lbls, v in transfer_labels(plan, labels, ring))
+        for labels in itertools.product(LABELS, repeat=k)
+    ]
 
 
 def homology(c: CubeComplex) -> dict:

@@ -260,14 +260,17 @@ def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
 # -- Reidemeister 1 and 2: cutting arcs and fusing pieces -------------------------
 
 
-def _cut(d: LinkDiagram, raw, arc: int, fresh) -> tuple[int, int, int, dict[int, int]]:
+def _cut(d: LinkDiagram, raw, arc: int, fresh, done=()) -> tuple[int, int, int, dict[int, int]]:
     """Cut `arc` into pieces (p, m, r) for a new local picture, with its arc map.
 
     p takes the arc's tail slot in `raw`, r its head slot, and m is the new
     middle piece.  On a crossing-free circle the rest of the circle is one
     piece, p = r, and every arc of the circle maps to it; the caller drops
-    the circle from the loops.
+    the circle from the loops.  An arc in `done`, the arcs this move has
+    already cut, is refused: one circle cannot be cut twice.
     """
+    if arc in done:
+        raise MoveError(f"arc {arc} was already cut by this move: a circle is cut once")
     li = d.loop_of_arc(arc)
     if li is None:
         p, m, r = next(fresh), next(fresh), next(fresh)
@@ -377,7 +380,7 @@ def _apply_r2_add(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
     raw = _raw(d)
     fresh = itertools.count(d.max_arc_id() + 1)
     u1, u2, u3, cut_u = _cut(d, raw, a, fresh)
-    o1, o2, o3, cut_o = _cut(d, raw, b, fresh)
+    o1, o2, o3, cut_o = _cut(d, raw, b, fresh, done=cut_u)
     arc_map = {**cut_u, **cut_o}
     cid_a = d.max_crossing_id() + 1
     cid_b = cid_a + 1

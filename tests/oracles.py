@@ -12,7 +12,9 @@ resolutions is the reference for `CubeComplex.differential_of`, and the R2
 maps in closed form, also from fresh resolutions, are the reference for the
 R2 maps that `khoval.cobordism` builds from the bigon's Gaussian elimination.
 Euler's formula over the crossing slots, without the library's face walk,
-tells whether a PD code can be drawn in the plane.
+tells whether a PD code can be drawn in the plane.  Khovanov's closed form
+for the (2, n) torus knots is the reference for `homology` beyond the
+golden file's sizes.
 """
 
 from __future__ import annotations
@@ -321,6 +323,24 @@ def uct_dims_from_integral(groups: dict, p: int, graded: bool) -> dict:
         prev = (key[0] - 1, key[1]) if graded else key - 1
         dims[prev] += tors_p
     return {k: v for k, v in dims.items() if v}
+
+
+def torus2_khovanov(n: int) -> dict:
+    """Khovanov homology of the positive (2, n) torus knot, n odd, in closed form.
+
+    {(i, q): (free rank, torsion)} from Khovanov (math/9908171, section
+    6.2): Z at (0, n - 2) and (0, n); Z at (i, n + 2i - 2) for even i in
+    2..n-1; Z/2 at (i, n + 2i - 2) and Z at (i, n + 2i) for odd i in 3..n.
+    """
+    assert n % 2 == 1 and n >= 3
+    groups = {(0, n - 2): (1, ()), (0, n): (1, ())}
+    for i in range(2, n + 1):
+        if i % 2 == 0:
+            groups[i, n + 2 * i - 2] = (1, ())
+        else:
+            groups[i, n + 2 * i - 2] = (0, (2,))
+            groups[i, n + 2 * i] = (1, ())
+    return groups
 
 
 def is_planar(d) -> bool:

@@ -1,5 +1,6 @@
 """Smith normal form, integral homology with its dual-path oracle, and Jones."""
 
+import importlib
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from oracles import (
     kernel_basis,
     rank_over_field,
     snf_with_transforms,
+    torus2_khovanov,
     uct_dims_from_integral,
 )
 
@@ -235,6 +237,39 @@ def test_homology_builds_no_polynomial(monkeypatch, pd, th):
     monkeypatch.setattr(TPoly, "__init__", counting)
     assert homology(c)
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_torus_knot_homology_matches_the_closed_form(n):
+    groups = homology(build_cube(parse_pd(torus2_pd(n)), Theory.KHOVANOV))
+    assert {k: (g.free_rank, g.torsion) for k, g in groups.items()} == torus2_khovanov(n)
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
+def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th):
+    # each distinct edge plan carries each labelling of its source circles
+    # once; the columns are offsets into those tables, with no applier of pieces
+    c = build_cube(parse_pd(torus2_pd(7)), th)
+    sources = {c.edge(mask, j).plan: c.circles(mask).count
+               for mask in range(1 << c.n) for j in range(c.n) if not (mask >> j) & 1}
+    calls = {"transfer_labels": 0, "apply_pieces": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the package's `homology` attribute is the function, not the module
+    cube_module, homology_module = map(importlib.import_module, ("khoval.cube", "khoval.homology"))
+    wrapped = {name: counting(name, getattr(cube_module, name)) for name in calls}
+    for module in (cube_module, homology_module):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped[name])
+    integer_differential(c)
+    assert calls == {"transfer_labels": sum(2 ** k for k in sources.values()), "apply_pieces": 0}
+    assert len(sources) == 27
 
 
 def test_homology_rejects_deformed_theory():

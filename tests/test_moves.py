@@ -341,7 +341,9 @@ def test_r2_poke_is_refused_exactly_when_it_cannot_be_drawn(monkeypatch):
     for d, event, poked in cases:
         a, b = event.arcs
         if d.loop_of_arc(a) is not None and d.loop_of_arc(a) == d.loop_of_arc(b):
-            assert poked is None  # the template cannot cut one crossing-free circle twice
+            assert poked is None
+            with pytest.raises(MoveError, match="already cut"):  # one circle, cut twice
+                apply_esi(d, event)
             continue
         template = apply_esi(d, event)
         if poked is None:
