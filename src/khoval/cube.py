@@ -25,10 +25,10 @@ Coefficients are kept in the cube's ring, `CubeComplex.ring =
 algebra.RINGS[theory]`: its structure tables are already reduced, and t -> 0
 and t -> 1 are ring maps, so sums and products of their entries stay
 reduced.  A caller's coefficient is reduced where it enters, in
-`CubeComplex.element` and `CochainElement.scale`.  `transfer_labels` and
-`apply_pieces` take the ring, not the theory, so the cube's edge plans also
-run over `algebra.INT_RINGS`, the integer tables that `homology` builds its
-label tables from.
+`CubeComplex.element` and `CochainElement.scale`.  `apply_pieces` reads the
+cube's ring; `transfer_labels` takes the ring, not the theory, so the
+cube's edge plans also run over `algebra.INT_RINGS`, the integer tables
+that `homology` builds its label tables from.
 
 Cohomological degree of a generator is |v| - n_minus; its q-degree is the sum
 of label degrees (1 - 2*l for label l) plus (|v| - n_minus) + (n_plus -
@@ -194,7 +194,7 @@ class CubeComplex:
     def differential_of(self, g: Generator) -> "CochainElement":
         mask = g.mask
         edges = [self.edge(mask, j) for j in range(self.n) if not (mask >> j) & 1]
-        return CochainElement(self, apply_pieces(edges, g.labels, self.ring))
+        return CochainElement(self, apply_pieces(self, edges, g.labels))
 
     def differential(self, x: "CochainElement") -> "CochainElement":
         if x.cube is not self:
@@ -333,16 +333,16 @@ class Piece:
         self.births, self.deaths, self.dots = births, deaths, dots
 
 
-def apply_pieces(pieces, labels: tuple[int, ...], ring: Ring) -> dict[Generator, TPoly | int]:
-    """The image of the labels of a source vertex under the sum of its pieces, in `ring`."""
+def apply_pieces(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> dict[Generator, TPoly]:
+    """The image of the labels of a source vertex under the sum of its pieces, in `cube.ring`."""
     acc: dict[Generator, TPoly] = {}
     for p in pieces:
         if p.deaths and any(labels[s] != keep for s, keep in p.deaths.items()):
             continue
-        terms = transfer_labels(p.plan, labels, ring, p.births)
+        terms = transfer_labels(p.plan, labels, cube.ring, p.births)
         for c in p.dots:  # X acts by multiplication with v-
-            terms = [(lbls[:c] + (x,) + lbls[c + 1:], _times(poly, extra))
-                     for lbls, poly in terms for x, extra in ring.multiply[lbls[c]][MINUS].items()]
+            terms = [(lbls[:c] + (x,) + lbls[c + 1:], _times(poly, extra)) for lbls, poly in terms
+                     for x, extra in cube.ring.multiply[lbls[c]][MINUS].items()]
         for lbls, poly in terms:
             _accumulate(acc, Generator(p.mask, lbls), poly if p.sign == 1 else -poly)
     return acc
@@ -374,7 +374,7 @@ def _times(a, b):
 def _piece_op(cube: CubeComplex, vertex):
     """The op sending a generator through the pieces `vertex(mask)`, computed once per mask."""
     vertex = cache(vertex)
-    return lambda g: apply_pieces(vertex(g.mask), g.labels, cube.ring)
+    return lambda g: apply_pieces(cube, vertex(g.mask), g.labels)
 
 
 def _negated(terms: dict) -> list:

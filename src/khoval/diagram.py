@@ -7,14 +7,20 @@ cannot be expressed by crossings, so they are stored as cyclic tuples of
 synthetic arc ids (at least one arc each); this makes them addressable by
 saddle and death events.
 
+A dart is a crossing slot, numbered 4 * crossing index + slot, and
+`LinkDiagram.far` maps each dart to the other dart of its arc.  Strands,
+faces and the circles of a resolution are orbits of one rule, "go to the far
+end of the arc, then turn at that crossing" (`_orbit`): a strand turns to
+slot s ^ 2, a face to slot s + 1, a circle to the slot its smoothing joins
+to s.
+
 Orientation is not stored in the code: the constructor walks every strand
-once.  A strand that enters a crossing by slot s leaves it by slot s ^ 2, and
-slot 0 is always entered, so walking out of every slot 2 orients each strand
-that passes under somewhere; a strand that only passes over is walked last,
-entering the last of its crossings (in crossing order) by slot 1.  The walk
-records each crossing arc's tail and head dart (`LinkDiagram.ends`), which
-the face table and the moves read.  The crossing sign is +1 exactly when the
-over-strand enters at slot 1.  With this convention the standard
+once.  Slot 0 is always entered, so walking out of every slot 2 orients each
+strand that passes under somewhere; a strand that only passes over is walked
+last, entering the last of its crossings (in crossing order) by slot 1.  The
+walk records each crossing arc's tail and head dart (`LinkDiagram.ends`),
+which the face table and the moves read.  The crossing sign is +1 exactly
+when the over-strand enters at slot 1.  With this convention the standard
 right-trefoil code ``X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)`` has three positive
 crossings.
 
@@ -49,11 +55,8 @@ __all__ = [
     "edge_transfer",
 ]
 
-# Slot pairs joined by each smoothing.
-SMOOTHING_JOINS = {
-    0: ((0, 3), (1, 2)),
-    1: ((0, 1), (2, 3)),
-}
+# SMOOTHING_PARTNER[bit][s]: the slot that smoothing `bit` joins to slot s.
+SMOOTHING_PARTNER = ((3, 2, 1, 0), (1, 0, 3, 2))
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,13 @@ class LinkDiagram:
     """An oriented link diagram: crossings plus crossing-free loops.
 
     Construction validates arc incidences and walks every strand; signs are
-    always derived, never trusted from the caller.  `ends[arc]` is a crossing
-    arc's (tail, head) darts, each a (crossing index, slot): the arc leaves
-    its tail and enters its head.
+    always derived, never trusted from the caller.  `far[x]` is the other
+    dart of dart x's arc (darts 4 * crossing index + slot).  `ends[arc]` is a
+    crossing arc's (tail, head) darts, each a (crossing index, slot): the arc
+    leaves its tail and enters its head.
     """
 
-    __slots__ = ("crossings", "loops", "n_plus", "n_minus", "ends", "_arc_ids", "_faces")
+    __slots__ = ("crossings", "loops", "n_plus", "n_minus", "far", "ends", "_arc_ids", "_faces")
 
     def __init__(
         self,
@@ -84,20 +88,23 @@ class LinkDiagram:
         raw = [(int(cid), tuple(int(a) for a in arcs)) for cid, arcs in crossings]
         loop_list = tuple(tuple(int(a) for a in lp) for lp in loops)
         darts = self._validate_ids(raw, loop_list)
-        signs, self.ends = _walk(raw, darts)
+        self.far = far = [0] * (4 * len(raw))
+        for x, y in darts.values():
+            far[x], far[y] = y, x
+        signs, self.ends = _walk(raw, far)
         self.crossings: tuple[Crossing, ...] = tuple(
             Crossing(cid, arcs, signs[idx]) for idx, (cid, arcs) in enumerate(raw)
         )
         self.loops: tuple[tuple[int, ...], ...] = loop_list
         self.n_plus = sum(1 for c in self.crossings if c.sign > 0)
         self.n_minus = len(self.crossings) - self.n_plus
-        self._arc_ids = frozenset(darts).union(*loop_list)
+        self._arc_ids = frozenset([*darts, *(a for lp in loop_list for a in lp)])
         self._faces: Faces | None = None  # built by the first `faces()` call
 
     @staticmethod
-    def _validate_ids(raw, loop_list) -> dict[int, list[tuple[int, int]]]:
+    def _validate_ids(raw, loop_list) -> dict[int, list[int]]:
         """Check the ids; return each crossing arc's two darts."""
-        darts: dict[int, list[tuple[int, int]]] = {}
+        darts: dict[int, list[int]] = {}
         cids = set()
         for i, (cid, arcs) in enumerate(raw):
             if len(arcs) != 4:
@@ -108,7 +115,7 @@ class LinkDiagram:
             for s, a in enumerate(arcs):
                 if a < 1:
                     raise ParseError(f"arc id {a} is not a positive integer")
-                darts.setdefault(a, []).append((i, s))
+                darts.setdefault(a, []).append(4 * i + s)
         for a, at in darts.items():
             if len(at) != 2:
                 raise ParseError(f"arc {a} appears {len(at)} times (expected 2)")
@@ -156,23 +163,28 @@ class LinkDiagram:
         """The face table (see `Faces`), built on first request and kept."""
         if self._faces is not None:
             return self._faces
-        far, pieces = {}, _DSU()
-        for tail, head in self.ends.values():
-            far[tail], far[head] = head, tail
-            pieces.union(tail[0], head[0])
-        # a face is an orbit of the darts (crossing, slot) under "go to the far
-        # end of the dart's arc, then to the next slot counterclockwise"
-        face: dict[tuple[int, int], tuple[int, int]] = {}  # dart -> its face's first dart
-        for start in far:
-            dart = start
-            while dart not in face:
-                face[dart] = start
-                i, s = far[dart]
-                dart = (i, (s + 1) % 4)
+        far = self.far
+        # a face is an orbit of "go to the far end of the dart's arc, then to
+        # the next slot counterclockwise", named by its first dart
+        turn = [x - x % 4 + (x + 1) % 4 for x in range(len(far))]
+        face: list[tuple[int, int] | None] = [None] * len(far)
+        for start in range(len(far)):
+            if face[start] is None:
+                name = divmod(start, 4)
+                for x in _orbit(far, turn, start):
+                    face[x] = name
+        # a piece is the crossings reached along arcs, named by its first crossing
+        pieces = [-1] * self.n
+        for first in range(self.n):
+            todo = [first] * (pieces[first] < 0)
+            while todo:
+                if pieces[i := todo.pop()] < 0:
+                    pieces[i] = first
+                    todo.extend(x >> 2 for x in far[4 * i:4 * i + 4])
         right, left, piece = {}, {}, {}
-        for a, (tail, head) in self.ends.items():
+        for a, ((i, s), (j, t)) in self.ends.items():
             # the walk from the tail dart runs along the arc with its face on the right
-            right[a], left[a], piece[a] = face[tail], face[head], pieces.find(tail[0])
+            right[a], left[a], piece[a] = face[4 * i + s], face[4 * j + t], pieces[i]
         for k, lp in enumerate(self.loops):
             for a in lp:
                 right[a], left[a], piece[a] = (~k, 0), (~k, 1), ~k
@@ -310,97 +322,85 @@ def serialize_pd(d: LinkDiagram) -> str:
     return " ".join(parts)
 
 
-# -- the strand walk ------------------------------------------------------------
+# -- orbits of darts -------------------------------------------------------------
 
-def _walk(raw, darts) -> tuple[list[int], dict[int, tuple[tuple[int, int], tuple[int, int]]]]:
+def _orbit(far: list[int], turn: list[int], start: int) -> list[int]:
+    """The darts from `start` on under "go to the far end of the arc, then turn".
+
+    Each dart is left along its arc; `turn[x]` is the dart that a curve
+    arriving at dart x leaves by.  The walk ends back at `start`.
+    """
+    out = [start]
+    while (x := turn[far[out[-1]]]) != start:
+        out.append(x)
+    return out
+
+
+def _walk(raw, far) -> tuple[list[int], dict[int, tuple[tuple[int, int], tuple[int, int]]]]:
     """Orient every strand by walking it: (crossing signs, arc -> (tail, head) darts).
 
-    A strand entering a crossing by slot s leaves it by slot s ^ 2.  Every
-    strand through a slot 2 is walked out of it first; a strand that only
-    passes over is walked out of the slot 3 of its last crossing.  A strand
-    that would enter a crossing by slot 2 is an `OrientationError`.
+    A strand is an orbit that turns from slot s to slot s ^ 2.  Every strand
+    through a slot 2 is walked out of it first; a strand that only passes
+    over is walked out of the slot 3 of its last crossing.  A strand that
+    would enter a crossing by slot 2 is an `OrientationError`.
     """
     n = len(raw)
     signs = [0] * n
     ends: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    for i, s in [(i, 2) for i in range(n)] + [(i, 3) for i in reversed(range(n))]:
-        # leave crossing i by slot s, and on until the strand closes
-        while (a := raw[i][1][s]) not in ends:
-            x, y = darts[a]
-            j, t = head = y if x == (i, s) else x
+    turn = [x ^ 2 for x in range(4 * n)]
+    for start in [4 * i + 2 for i in range(n)] + [4 * i + 3 for i in reversed(range(n))]:
+        if raw[start >> 2][1][start & 3] in ends:
+            continue
+        for x in _orbit(far, turn, start):
+            i, s, j, t = x >> 2, x & 3, far[x] >> 2, far[x] & 3
             if t == 2:
                 raise OrientationError(
-                    f"arc {a} oriented inconsistently: its strand enters crossing "
-                    f"{raw[j][0]} by slot 2"
+                    f"arc {raw[i][1][s]} oriented inconsistently: its strand enters "
+                    f"crossing {raw[j][0]} by slot 2"
                 )
-            ends[a] = (i, s), head
+            ends[raw[i][1][s]] = (i, s), (j, t)
             if t & 1:
                 signs[j] = 2 - t  # the over-strand enters by slot 1: +1, by slot 3: -1
-            i, s = j, t ^ 2
     return signs, ends
 
 
 # -- resolutions ---------------------------------------------------------------
 
-class _DSU:
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = parent.setdefault(a, a)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def resolve(d: LinkDiagram, v: Sequence[int] | int) -> ResolvedDiagram:
     """Compute the circles of the complete resolution selected by `v`.
 
-    `v` is a bit per crossing in crossing order (or an int bitmask with bit j
-    for crossing j).
+    `v` is an int bitmask with bit j for crossing j (or a bit per crossing in
+    crossing order).  Each circle through a crossing is an orbit that turns
+    from a slot to the slot its smoothing joins it to; a circle is walked
+    once, from its first dart, and its other direction is skipped.
     """
-    bits = _as_bits(v, d.n)
-    dsu = _DSU()
-    for a in d.arc_ids():
-        dsu.find(a)
-    for c, bit in zip(d.crossings, bits):
-        for s1, s2 in SMOOTHING_JOINS[bit]:
-            dsu.union(c.arcs[s1], c.arcs[s2])
-    for lp in d.loops:
-        for i in range(len(lp) - 1):
-            dsu.union(lp[i], lp[i + 1])
-    groups: dict[int, list[int]] = {}
-    for a in d.arc_ids():
-        groups.setdefault(dsu.find(a), []).append(a)
-    circles = tuple(sorted((tuple(sorted(g)) for g in groups.values())))
-    circle_of = {}
-    for i, circ in enumerate(circles):
-        for a in circ:
-            circle_of[a] = i
-    return ResolvedDiagram(circles, circle_of)
+    mask = _as_mask(v, d.n)
+    far, arcs = d.far, [a for c in d.crossings for a in c.arcs]
+    turn = [4 * j + t for j in range(d.n) for t in SMOOTHING_PARTNER[(mask >> j) & 1]]
+    seen = [False] * len(far)
+    circles = [tuple(sorted(lp)) for lp in d.loops]
+    for start in range(len(far)):
+        if not seen[start]:
+            orbit = _orbit(far, turn, start)
+            for x in orbit:
+                seen[x] = seen[far[x]] = True
+            circles.append(tuple(sorted([arcs[x] for x in orbit])))
+    circles.sort()
+    circle_of = {a: i for i, circ in enumerate(circles) for a in circ}
+    return ResolvedDiagram(tuple(circles), circle_of)
 
 
-def _as_bits(v: Sequence[int] | int, n: int) -> tuple[int, ...]:
+def _as_mask(v: Sequence[int] | int, n: int) -> int:
     if isinstance(v, int):
         if v < 0 or v >> n:
             raise KhovalError(f"vertex {v} is not on the cube of {n} crossings")
-        return tuple((v >> j) & 1 for j in range(n))
+        return v
     bits = tuple(int(b) for b in v)
     if len(bits) != n:
         raise KhovalError(f"vertex length {len(bits)} != crossing count {n}")
     if any(b not in (0, 1) for b in bits):
         raise KhovalError("vertex bits must be 0 or 1")
-    return bits
+    return sum(b << j for j, b in enumerate(bits))
 
 
 def transfer(

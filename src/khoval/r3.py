@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .cube import (Generator, Piece, _bigon_reduction, _negated, _piece_op, apply_linear,
                    koszul_to_front)
-from .diagram import SMOOTHING_JOINS, LinkDiagram, transfer
+from .diagram import SMOOTHING_PARTNER, LinkDiagram, transfer
 from .errors import MoveError
 
 
@@ -81,11 +81,11 @@ def triangle(d: LinkDiagram, cids) -> tuple[list[tuple], dict[str, int]]:
 
 
 def _closing_bits(d: LinkDiagram, positions, inner: set[int]) -> int:
-    """The smoothings (bits at `positions`) that close the triangle into a circle."""
+    """The smoothings (bits at `positions`) that join each corner's two inner slots."""
     bits = 0
     for p in positions:
-        slots = {s for s, a in enumerate(d.crossings[p].arcs) if a in inner}
-        bits |= next(bit for bit, joins in SMOOTHING_JOINS.items() if slots in map(set, joins)) << p
+        s, t = (s for s, a in enumerate(d.crossings[p].arcs) if a in inner)
+        bits |= (SMOOTHING_PARTNER[1][s] == t) << p
     return bits
 
 

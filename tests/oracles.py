@@ -1,9 +1,11 @@
 """Independent test oracles: brute-force circle tracing and field-rank homology.
 
-These deliberately avoid the library's union-find and elimination code
-paths: circles are counted by breadth-first search on an adjacency structure,
-and ranks are computed by Gaussian elimination over the rationals or a prime
-field from dense block matrices.  Universal coefficients then cross-validate
+These deliberately avoid the library's dart walks and elimination code
+paths: circles are counted by breadth-first search on an adjacency structure
+or found by a union-find over the arcs each smoothing joins, connected
+pieces by a union-find over the crossings each arc joins, and ranks are
+computed by Gaussian elimination over the rationals or a prime field from
+dense block matrices.  Universal coefficients then cross-validate
 integral torsion.  A dense Smith normal form with its transforms gives
 integral kernels and image membership.  A chain map applied term by term,
 one `CochainElement` sum per generator, is the reference for
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from khoval.algebra import MINUS, PLUS, RINGS, Theory, TPoly
 from khoval.cube import CubeComplex, Generator, transfer_labels
-from khoval.diagram import resolve, transfer
+from khoval.diagram import ResolvedDiagram, resolve, transfer
 from khoval.moves import apply_esi_info
 
 
@@ -223,13 +225,70 @@ def in_image(dense: list[list[int]], vector: list[int]) -> bool:
     return True
 
 
+# the slot pairs each smoothing joins
+SMOOTHING_JOINS = {0: ((0, 3), (1, 2)), 1: ((0, 1), (2, 3))}
+
+
+class _DSU:
+    __slots__ = ("parent",)
+
+    def __init__(self):
+        self.parent: dict[int, int] = {}
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        root = parent.setdefault(a, a)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def resolve_union_find(d, mask: int) -> ResolvedDiagram:
+    """The resolution at `mask` by a union-find over the arcs each smoothing joins."""
+    dsu = _DSU()
+    for a in d.arc_ids():
+        dsu.find(a)
+    for j, c in enumerate(d.crossings):
+        for s1, s2 in SMOOTHING_JOINS[(mask >> j) & 1]:
+            dsu.union(c.arcs[s1], c.arcs[s2])
+    for lp in d.loops:
+        for a, b in zip(lp, lp[1:]):
+            dsu.union(a, b)
+    groups: dict[int, list[int]] = {}
+    for a in d.arc_ids():
+        groups.setdefault(dsu.find(a), []).append(a)
+    circles = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    return ResolvedDiagram(circles, {a: i for i, circ in enumerate(circles) for a in circ})
+
+
+def pieces_union_find(d) -> set[frozenset[int]]:
+    """The connected pieces of `d` as sets of arcs, by a union-find over `ends`.
+
+    Each crossing arc joins the crossings of its tail and head darts; a
+    crossing-free circle is a piece of its own.
+    """
+    dsu = _DSU()
+    for (i, _), (j, _) in d.ends.values():
+        dsu.union(i, j)
+    groups: dict[int, set[int]] = {}
+    for a, ((i, _), _) in d.ends.items():
+        groups.setdefault(dsu.find(i), set()).add(a)
+    return {frozenset(g) for g in groups.values()} | {frozenset(lp) for lp in d.loops}
+
+
 def bfs_circle_count(d, bits) -> int:
     """Count circles of a resolution by BFS over arc adjacency."""
     adj: dict[int, set[int]] = defaultdict(set)
     arcs = set(d.arc_ids())
-    joins_by_bit = {0: ((0, 3), (1, 2)), 1: ((0, 1), (2, 3))}
     for c, bit in zip(d.crossings, bits):
-        for s1, s2 in joins_by_bit[bit]:
+        for s1, s2 in SMOOTHING_JOINS[bit]:
             a, b = c.arcs[s1], c.arcs[s2]
             adj[a].add(b)
             adj[b].add(a)

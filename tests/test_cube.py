@@ -293,21 +293,21 @@ def test_death_weights_and_dotted_births(th):
         return sum((counit(l, th) * c for l, c in image.items()), TPoly(0))
 
     weights = {(P, False): 0, (M, False): 1, (P, True): 1, (M, True): 0}
-    unknot, empty = resolve(parse_pd("L0"), 0), resolve(parse_pd(""), 0)
-    death = transfer(unknot, empty)
+    unknot, empty = build_cube(parse_pd("L0"), th), build_cube(parse_pd(""), th)
+    death = transfer(unknot.circles(0), empty.circles(0))
     for (label, dotted), weight in weights.items():
         assert eps(label, dotted) == weight
         cap = Piece(0, 1, death, deaths={0: DOTTED_CAP if dotted else CAP})
-        image = apply_pieces((cap,), (label,), RINGS[th])
+        image = apply_pieces(unknot, (cap,), (label,))
         assert image == ({Generator(0, ()): TPoly(1)} if weight else {})
     # a cup gives v+, a dotted cup X.v+ = v-, and a dot then acts by X
-    birth = transfer(empty, unknot)
+    birth = transfer(empty.circles(0), unknot.circles(0))
     assert xmult(P, th) == {M: TPoly(1)}
-    assert apply_pieces((Piece(0, 1, birth, {0: CUP}),), (), RINGS[th]) == {Generator(0, (P,)): TPoly(1)}
-    assert apply_pieces((Piece(0, -1, birth, {0: DOTTED_CUP}),), (), RINGS[th]) == {
+    assert apply_pieces(empty, (Piece(0, 1, birth, {0: CUP}),), ()) == {Generator(0, (P,)): TPoly(1)}
+    assert apply_pieces(empty, (Piece(0, -1, birth, {0: DOTTED_CUP}),), ()) == {
         Generator(0, (M,)): TPoly(-1)
     }
-    dotted = apply_pieces((Piece(0, 1, birth, {0: DOTTED_CUP}, dots=(0,)),), (), RINGS[th])
+    dotted = apply_pieces(empty, (Piece(0, 1, birth, {0: DOTTED_CUP}, dots=(0,)),), ())
     assert dotted == {Generator(0, (l,)): c for l, c in xmult(M, th).items()}
 
 

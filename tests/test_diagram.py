@@ -13,9 +13,9 @@ from khoval.diagram import (
     transfer,
 )
 from khoval.errors import KhovalError, OrientationError, ParseError
-from khoval.corpus import PD_CODES
+from khoval.corpus import PD_CODES, torus2_pd
 
-from oracles import bfs_circle_count, is_planar
+from oracles import bfs_circle_count, is_planar, pieces_union_find, resolve_union_find
 
 TREFOIL = PD_CODES["trefoil"]
 
@@ -180,6 +180,44 @@ def test_resolve_against_bfs_oracle(corpus):
             got = resolve(d, bits).count
             want = bfs_circle_count(d, bits)
             assert got == want, (name, bits)
+
+
+def assert_resolutions_match_the_union_find(d, name):
+    """`resolve` equals the union-find resolution on every vertex of `d`."""
+    for mask in range(1 << d.n):
+        got, want = resolve(d, mask), resolve_union_find(d, mask)
+        assert got.circles == want.circles, (name, mask)
+        assert got.circle_of == want.circle_of, (name, mask)
+
+
+def test_resolve_matches_the_union_find_oracle(corpus):
+    # the kinked unknots have one arc with both darts on their one crossing
+    assert {"unknot_pos_kink", "unknot_neg_kink"} <= corpus.keys()
+    diagrams = {**corpus, **{f"T(2,{n})": parse_pd(torus2_pd(n)) for n in range(1, 8)}}
+    for name, d in diagrams.items():
+        assert_resolutions_match_the_union_find(d, name)
+
+
+def test_resolve_reads_a_bit_sequence_as_its_mask(corpus):
+    for name, d in corpus.items():
+        for bits in itertools.product((0, 1), repeat=d.n):
+            mask = sum(b << j for j, b in enumerate(bits))
+            assert resolve(d, bits) == resolve(d, mask), (name, bits)
+
+
+def assert_pieces_match_the_union_find(d, name):
+    """The face table's pieces partition the arcs as a union-find over `ends` does."""
+    groups: dict[int, set[int]] = {}
+    for a, p in d.faces().piece.items():
+        groups.setdefault(p, set()).add(a)
+    assert {frozenset(g) for g in groups.values()} == pieces_union_find(d), name
+
+
+def test_face_pieces_match_the_union_find_oracle(corpus):
+    split = parse_pd(TREFOIL + " X(11,13,12,14) X(14,12,13,11) X(21,21,22,22) L0")
+    assert len(set(split.faces().piece.values())) == 4
+    for name, d in {**corpus, "split": split}.items():
+        assert_pieces_match_the_union_find(d, name)
 
 
 def test_resolve_vertex_length_mismatch():

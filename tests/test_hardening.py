@@ -21,6 +21,7 @@ from khoval.homology import HomologyGroup, graded_euler, homology, kauffman_jone
 from khoval.moves import ESI, apply_esi, apply_esi_info
 
 from oracles import bfs_circle_count, is_planar
+from test_diagram import assert_pieces_match_the_union_find, assert_resolutions_match_the_union_find
 
 ALL_THEORIES = list(Theory)
 
@@ -264,6 +265,15 @@ def test_random_movie_stills_are_sane(m):
 
             for bits in itertools.product((0, 1), repeat=still.n):
                 assert resolve(still, bits).count == bfs_circle_count(still, bits)
+
+
+@given(random_movies())
+@settings(max_examples=25, deadline=None)
+def test_random_movie_stills_match_the_union_find_oracles(m):
+    for k, still in enumerate(m.stills()):
+        assert_pieces_match_the_union_find(still, k)
+        if still.n <= 6:
+            assert_resolutions_match_the_union_find(still, k)
 
 
 @given(random_movies())
