@@ -12,9 +12,10 @@ image {generator: coeff}, with no zero coefficient.  Most ops are sums of
 plan with `transfer_labels`; `apply_pieces` applies them and `_piece_op`
 makes the op of a table `vertex(mask) -> pieces`, computed once per vertex.
 The differential is one such table: the edge flipping crossing j at a vertex
-is a saddle piece (its `diagram.edge_transfer` plan: one merge or one split)
-with the sign (-1)^(number of 1-bits after the flipped position), which
-makes every square face anticommute.  The movie chain maps add births,
+is a saddle piece (its `diagram.edge_transfer` plan, one merge or one split,
+read off the circles of crossing j's arcs at both ends of the edge) with
+the sign (-1)^(number of 1-bits after the flipped position), which makes
+every square face anticommute.  The movie chain maps add births,
 deaths and dots.  `apply_linear` carries terms through ops in turn and sums
 them once at the end; `cobordism.ChainMapRep` composes a chain map's ops
 with it.  `_bigon_reduction` is Bar-Natan's Gaussian elimination lemma
@@ -121,7 +122,8 @@ class CubeComplex:
         piece = self._edges.get(key)
         if piece is None:
             tgt = mask | (1 << j)
-            plan = edge_transfer(self.circles(mask), self.circles(tgt))
+            crossing = self.diagram.crossings[j]
+            plan = edge_transfer(self.circles(mask), self.circles(tgt), crossing, mask)
             piece = self._edges[key] = Piece(tgt, self.edge_sign(mask, j), plan)
         return piece
 

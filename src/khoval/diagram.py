@@ -414,7 +414,8 @@ def transfer(
     arc read through `hints` (arc -> the arcs that replace it; an arc without
     a hint stands for itself).  A target reached from two source circles is
     a merge, a source reaching two targets a split; more than one of these
-    is refused.
+    is refused.  The movie maps use this general plan; a cube edge reads its
+    plan at the flipped crossing (`edge_transfer`).
     """
     circle_of = tgt.circle_of
     hits: list[list[int]] = [[] for _ in range(tgt.count)]
@@ -452,12 +453,33 @@ def transfer(
     return Transfer(tuple(copies), merge, split, tuple(dead), tuple(new), tgt.count)
 
 
-def edge_transfer(src: ResolvedDiagram, tgt: ResolvedDiagram) -> Transfer:
-    """The plan along a cube edge: exactly one merge or one split."""
-    plan = transfer(src, tgt)
-    if (plan.merge is None) == (plan.split is None):
+def edge_transfer(
+    src: ResolvedDiagram, tgt: ResolvedDiagram, crossing: Crossing, mask: int
+) -> Transfer:
+    """The plan along the cube edge from vertex `mask` that flips `crossing`'s 0-smoothing to 1.
+
+    It is read at the crossing: the 0-smoothing joins slots 0-3 and 1-2, so
+    the source circles of arcs a0 and a1 merge when they differ; the
+    1-smoothing joins 0-1 and 2-3, so the target circles of a0 and a2 split
+    off one source circle when they differ.  Every other circle keeps its
+    arcs, so it is copied to the target circle of its first arc, in the same
+    order.  The plan equals `transfer(src, tgt)`; an edge that neither merges
+    nor splits is a `MoveError`.
+    """
+    a0, a1, a2, _ = crossing.arcs
+    s1, s2 = src.circle_of[a0], src.circle_of[a1]
+    t1, t2 = tgt.circle_of[a0], tgt.circle_of[a2]
+    merge = split = None
+    if s1 != s2:
+        merge = ((min(s1, s2), max(s1, s2)), t1)
+    elif t1 != t2:
+        split = (s1, (min(t1, t2), max(t1, t2)))
+    else:
         raise MoveError(
-            "crossing change neither merges two circles nor splits one "
-            "(the PD code is not planar)"
+            f"crossing {crossing.cid} at vertex {mask} neither merges two circles "
+            "nor splits one (the PD code is not planar)"
         )
-    return plan
+    circle_of = tgt.circle_of
+    copies = tuple((s, circle_of[circ[0]]) for s, circ in enumerate(src.circles)
+                   if s != s1 and s != s2)
+    return Transfer(copies, merge, split, (), (), tgt.count)

@@ -3,9 +3,11 @@
 `homology` builds the whole cube complex once with `int` coefficients:
 `integer_differential` carries each labelling along each distinct edge plan
 once, by `cube.transfer_labels` over the integer tables `algebra.INT_RINGS`,
-and reads every column as integer offsets into these label tables, so no
-`TPoly` and no per-generator `Generator` is built.  It then cancels every
-+-1 entry with the unit-pivot kernel of `reduce.eliminate`.
+into a label table of target local indices (one labelling -> index dict per
+circle count), and reads every column as integer offsets into these tables,
+so no `TPoly` and no per-generator `Generator` is built.  It then cancels
+every +-1 entry with the unit-pivot kernel of `reduce.eliminate`, visiting
+the columns in cube order.
 The residual complex is homotopy equivalent to the original and has only
 non-unit entries; Smith normal form over arbitrary-precision integers of
 each residual block gives ranks and invariant factors.  For the undeformed
@@ -121,20 +123,25 @@ def integer_differential(c: CubeComplex) -> tuple[dict, dict]:
     labelling of a vertex's circles, read as a binary number (v+ = 0), plus
     the vertex's offset.  A column is its labelling's signed images in the
     label tables of its vertex's edges (ascending crossing order, one table
-    per distinct plan), each shifted by the target's offset.  Khovanov and Lee only.
+    per distinct plan), each shifted by the target's offset; columns are
+    inserted in cube order.  Khovanov and Lee only.
     """
     ring = INT_RINGS[c.theory]
     counts = [c.circles(mask).count for mask in range(1 << c.n)]
     offsets = list(itertools.accumulate((1 << k for k in counts), initial=0))
+    local: dict[int, dict[tuple[int, ...], int]] = {}
     tables: dict[Transfer, list] = {}
     degrees: dict[int, tuple[int, int]] = {}
     diff: dict[int, dict[int, int]] = {}
     for mask, k in enumerate(counts):
-        edges = [c.edge(mask, j) for j in range(c.n) if not (mask >> j) & 1]
-        for e in edges:
-            if e.plan not in tables:
-                tables[e.plan] = _label_table(e.plan, k, ring)
-        rows = [(offsets[e.mask], e.sign, tables[e.plan]) for e in edges]
+        rows = []
+        for j in range(c.n):
+            if not (mask >> j) & 1:
+                e = c.edge(mask, j)
+                table = tables.get(e.plan)
+                if table is None:
+                    table = tables[e.plan] = _label_table(e.plan, k, ring, local)
+                rows.append((offsets[e.mask], e.sign, table))
         i, top = c.degrees(Generator(mask, (PLUS,) * k))
         for idx, index in enumerate(range(offsets[mask], offsets[mask + 1])):
             degrees[index] = (i, top - 2 * idx.bit_count())
@@ -142,11 +149,20 @@ def integer_differential(c: CubeComplex) -> tuple[dict, dict]:
     return degrees, diff
 
 
-def _label_table(plan: Transfer, k: int, ring: Ring) -> list[tuple[tuple[int, int], ...]]:
-    """Each labelling of k source circles (by local index) to its ((target index, coeff), ...)."""
+def _label_table(
+    plan: Transfer, k: int, ring: Ring, local: dict[int, dict[tuple[int, ...], int]]
+) -> list[tuple[tuple[int, int], ...]]:
+    """Each labelling of k source circles (by local index) to its ((target index, coeff), ...).
+
+    `local[count]` maps each labelling of `count` circles to its local index,
+    made on first use and shared by every table of one call.
+    """
+    index = local.get(plan.count)
+    if index is None:
+        labellings = itertools.product(LABELS, repeat=plan.count)
+        index = local[plan.count] = {lbls: t for t, lbls in enumerate(labellings)}
     return [
-        tuple((int("".join(map(str, lbls)), 2), v)
-              for lbls, v in transfer_labels(plan, labels, ring))
+        tuple((index[lbls], v) for lbls, v in transfer_labels(plan, labels, ring))
         for labels in itertools.product(LABELS, repeat=k)
     ]
 

@@ -6,9 +6,10 @@ coefficient +-1 between two basis generators yields a smaller complex
 homotopy equivalent to the original.  The kernel works on column-sparse
 differentials {g: {h: c}} with `int` or `TPoly` coefficients and keeps a row
 index (for each h, the columns that hit it), so a cancellation touches only
-the columns it changes.  Generators are visited in (degree, generator)
-order; each column cancels its unit entry whose row has the fewest hits, and
-passes repeat until no unit entry is left.
+the columns it changes.  Columns are visited in the caller's insertion
+order (cube order, for homology); each cancels its first unit entry, and
+passes repeat until no unit entry is left.  The pivots depend on that order,
+the homology of the residue does not.
 
 `homology` runs the kernel on the whole cube and hands the non-unit residue
 to the Smith normal form.  The same lemma, on the two unit edges of an R2
@@ -39,7 +40,8 @@ def eliminate(degrees: dict, diff: dict) -> None:
     """Cancel unit entries of the complex (degrees, diff), in place, until none is left.
 
     `diff` maps every generator to its column {target: coefficient}; the
-    residual complex is left in `degrees` and `diff`.
+    columns are visited in its insertion order, each cancelling its first
+    unit entry.  The residual complex is left in `degrees` and `diff`.
     """
     rows: dict = {g: set() for g in degrees}
     for g, col in diff.items():
@@ -63,18 +65,16 @@ def eliminate(degrees: dict, diff: dict) -> None:
             col = diff[x]
             _add_scaled(col, rho, -lam * col.pop(h), x, rows)
 
-    order = sorted(diff, key=lambda g: (degrees[g], g))
+    order = list(diff)
     while order:
         for g in order:
             col = diff.get(g)
             if not col:
                 continue
-            best = lam = None
             for h, c in col.items():
-                if (c == 1 or c == -1) and (best is None or len(rows[h]) < len(rows[best])):
-                    best, lam = h, c
-            if best is not None:
-                cancel(g, best, lam)
+                if c == 1 or c == -1:
+                    cancel(g, h, c)
+                    break
         survivors = [g for g in order if g in diff]
         if len(survivors) == len(order):
             break

@@ -19,12 +19,13 @@ from khoval.cube import (
     check_faces,
     transfer_labels,
 )
-from khoval.corpus import PD_CODES
-from khoval.diagram import LinkDiagram, ResolvedDiagram, parse_pd, resolve, transfer
+from khoval.corpus import PD_CODES, torus2_pd
+from khoval.diagram import LinkDiagram, ResolvedDiagram, parse_pd, resolve, serialize_pd, transfer
 from khoval.errors import CapExceededError, KhovalError, MoveError
 from khoval.moves import ESI, apply_esi
 
 from oracles import differential_termwise
+from test_reduce import diagram
 
 P, M = PLUS, MINUS
 ALL_THEORIES = list(Theory)
@@ -266,12 +267,34 @@ def test_edge_piece_classification_matches_counts(corpus):
                 )
 
 
+def assert_edge_plans_match_the_general_plan(d):
+    """Every edge plan, read at its crossing, is the general plan of its two resolutions."""
+    c = build_cube(d, Theory.KHOVANOV)
+    for mask in range(1 << c.n):
+        for j in range(c.n):
+            if not (mask >> j) & 1:
+                general = transfer(c.circles(mask), c.circles(mask | 1 << j))
+                assert c.edge(mask, j).plan == general, (serialize_pd(d), mask, j)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [parse_pd(text) for text in PD_CODES.values()]
+    + [parse_pd(torus2_pd(n)) for n in range(1, 9)]
+    + [diagram("trefoil_kinked")],
+    ids=[*PD_CODES, *(f"T(2,{n})" for n in range(1, 9)), "trefoil_kinked"],
+)
+def test_edge_plans_match_the_general_plan(d):
+    assert_edge_plans_match_the_general_plan(d)
+
+
 def test_edge_piece_refuses_a_non_planar_edge():
     # a self-crossing circle X(a,b,a,b): one circle stays one circle
     # (`parse_pd` refuses the code, so it is built directly)
     d = LinkDiagram([(1, (1, 2, 1, 2))])
-    with pytest.raises(MoveError, match="not planar"):
+    with pytest.raises(MoveError, match="not planar") as refused:
         build_cube(d, Theory.KHOVANOV).edge(0, 0)
+    assert "crossing 1 at vertex 0" in str(refused.value)
 
 
 def test_transfer_labels_needs_a_label_for_every_new_circle():

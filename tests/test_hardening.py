@@ -21,6 +21,7 @@ from khoval.homology import HomologyGroup, graded_euler, homology, kauffman_jone
 from khoval.moves import ESI, apply_esi, apply_esi_info
 
 from oracles import bfs_circle_count, is_planar
+from test_cube import assert_edge_plans_match_the_general_plan
 from test_diagram import assert_pieces_match_the_union_find, assert_resolutions_match_the_union_find
 
 ALL_THEORIES = list(Theory)
@@ -283,6 +284,14 @@ def test_random_movie_complexes_are_complexes(m):
     still = m.stills()[-1]
     if still.n <= 4:
         assert check_d_squared(build_cube(still, Theory.BAR_NATAN)).ok
+
+
+@given(random_movies())
+@settings(max_examples=25, deadline=None)
+def test_random_movie_edge_plans_match_the_general_plan(m):
+    for still in m.stills():
+        if still.n <= 6:
+            assert_edge_plans_match_the_general_plan(still)
 
 
 def test_nonplanar_saddle_chain_is_rejected_at_cube_time(monkeypatch):

@@ -23,6 +23,7 @@ from khoval.homology import (
     smith_normal_form,
 )
 from khoval.moves import ESI, apply_esi
+from khoval.reduce import eliminate
 
 from oracles import (
     differential_termwise,
@@ -270,6 +271,47 @@ def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th):
     integer_differential(c)
     assert calls == {"transfer_labels": sum(2 ** k for k in sources.values()), "apply_pieces": 0}
     assert len(sources) == 27
+
+
+def shuffle_diagram(name):
+    """A corpus diagram, T(2,5), or the figure-eight with a positive and a negative kink."""
+    if name == "T(2,5)":
+        return parse_pd(torus2_pd(5))
+    if name == "figure8_kinked":
+        d = apply_esi(parse_pd(PD_CODES["figure8"]), ESI("r1", variant="add_pos", arc=2))
+        return apply_esi(d, ESI("r1", variant="add_neg", arc=7))
+    return parse_pd(PD_CODES[name])
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
+@pytest.mark.parametrize("name", sorted(PD_CODES) + ["T(2,5)", "figure8_kinked"])
+def test_homology_does_not_depend_on_the_elimination_order(monkeypatch, name, th):
+    # the columns re-inserted in a seeded shuffled order change the pivots,
+    # not the groups; the residue has no unit entry and stays in its basis
+    c = build_cube(shuffle_diagram(name), th)
+    expected = homology(c)
+    rng = random.Random(f"{name} {th.value}")
+    homology_module = importlib.import_module("khoval.homology")
+    residues = []
+
+    def shuffled(cube):
+        degrees, diff = integer_differential(cube)
+        order = list(diff)
+        rng.shuffle(order)
+        return degrees, {g: diff[g] for g in order}
+
+    def recording(degrees, diff):
+        eliminate(degrees, diff)
+        residues.append((degrees, diff))
+
+    monkeypatch.setattr(homology_module, "integer_differential", shuffled)
+    monkeypatch.setattr(homology_module, "eliminate", recording)
+    assert homology(c) == expected
+    [(degrees, diff)] = residues
+    assert set(diff) == set(degrees)
+    for col in diff.values():
+        assert set(col) <= set(degrees)
+        assert all(v not in (1, -1) for v in col.values())
 
 
 def test_homology_rejects_deformed_theory():
