@@ -1,18 +1,22 @@
 """Integral cohomology via Smith normal form, plus the Jones-polynomial oracle.
 
-`homology` builds the whole cube complex once with `int` coefficients:
-`integer_differential` carries each labelling along each distinct edge plan
-once, by `cube.transfer_labels` over the integer tables `algebra.INT_RINGS`,
-into a label table of target local indices (one labelling -> index dict per
-circle count), and reads every column as integer offsets into these tables,
-so no `TPoly` and no per-generator `Generator` is built.  It then cancels
-every +-1 entry with the unit-pivot kernel of `reduce.eliminate`, visiting
-the columns in cube order.
+`homology` reduces the cube complex one layer at a time (`reduced_complex`):
+layer p is the vertices with p bits set, and both the Khovanov and the Lee
+differential go from layer p to layer p + 1.  A cancelled pair changes only
+the map out of its source's layer (Bar-Natan, math/0606318, Lemma 3.2), so
+only layer p's generators that layer p - 1's pivots left standing get `int`
+columns, `reduce.eliminate` cancels their +-1 entries against layer p + 1
+in cube order, and the row index spans two layers.  `integer_differential`
+reads a layer's columns as integer offsets into one label table per
+distinct edge plan, which its `CubeIndex` builds once per call by
+`cube.transfer_labels` over `algebra.INT_RINGS`, so no `TPoly` and no
+per-generator `Generator` is built.
 The residual complex is homotopy equivalent to the original and has only
 non-unit entries; Smith normal form over arbitrary-precision integers of
 each residual block gives ranks and invariant factors.  For the undeformed
 theory the blocks are keyed by (i, q); at t = 1 the q-grading collapses and
-blocks are keyed by i alone.
+blocks are keyed by i alone.  `graded_euler` counts each vertex's
+generators by binomials from the same per-vertex (i, top q, circle count).
 
 `kauffman_jones` is an independent computation path for the graded Euler
 characteristic: a Kauffman bracket state sum in the variable A with writhe
@@ -23,10 +27,11 @@ with the cohomology path except the parsed diagram.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .algebra import INT_RINGS, LABELS, PLUS, LaurentPoly, Ring, Theory
-from .cube import CubeComplex, Generator, transfer_labels
+from .algebra import INT_RINGS, LABELS, LaurentPoly, Theory
+from .cube import CubeComplex, transfer_labels
 from .diagram import LinkDiagram, Transfer
 from .errors import CapExceededError, KhovalError, TheoryError
 from .reduce import eliminate
@@ -35,7 +40,9 @@ __all__ = [
     "LaurentPoly",
     "HomologyGroup",
     "smith_normal_form",
+    "CubeIndex",
     "integer_differential",
+    "reduced_complex",
     "homology",
     "graded_euler",
     "kauffman_jones",
@@ -116,55 +123,111 @@ def smith_normal_form(dense: list[list[int]]) -> tuple[tuple[int, ...], int]:
 # -- homology --------------------------------------------------------------------
 
 
-def integer_differential(c: CubeComplex) -> tuple[dict, dict]:
-    """The cube's degrees {k: (i, q)} and integer columns {k: {h: coeff}}.
+class CubeIndex:
+    """One cube's vertices, generator numbering and the label tables shared by all its layers.
 
-    Generators are numbered by their position in `c.generators()`: the
-    labelling of a vertex's circles, read as a binary number (v+ = 0), plus
-    the vertex's offset.  A column is its labelling's signed images in the
-    label tables of its vertex's edges (ascending crossing order, one table
-    per distinct plan), each shifted by the target's offset; columns are
-    inserted in cube order.  Khovanov and Lee only.
+    `vertices[mask]` is the vertex's (i, top, k): its cohomological degree,
+    the q-degree of its all-v+ generator and its circle count; a labelling
+    with m v- labels sits at q = top - 2m.  Generators are numbered by their
+    position in `c.generators()`: the labelling read as a binary number
+    (v+ = 0) plus the vertex's offset.  `layers[p]` lists the masks with p
+    bits set (layer n + 1 is empty).  Each distinct edge plan's label table
+    and each circle count's labelling-to-index dict are built on first use,
+    once per index.
     """
-    ring = INT_RINGS[c.theory]
-    counts = [c.circles(mask).count for mask in range(1 << c.n)]
-    offsets = list(itertools.accumulate((1 << k for k in counts), initial=0))
-    local: dict[int, dict[tuple[int, ...], int]] = {}
-    tables: dict[Transfer, list] = {}
+
+    def __init__(self, c: CubeComplex):
+        self.cube = c
+        self.vertices: list[tuple[int, int, int]] = []
+        self.layers: list[list[int]] = [[] for _ in range(c.n + 2)]
+        shift = c.n_plus - 2 * c.n_minus
+        for mask in range(1 << c.n):
+            p, k = mask.bit_count(), c.circles(mask).count
+            self.vertices.append((p - c.n_minus, k + p + shift, k))
+            self.layers[p].append(mask)
+        self.offsets = list(itertools.accumulate((1 << k for _, _, k in self.vertices), initial=0))
+        self.tables: dict[Transfer, list] = {}
+        self.local: dict[int, dict[tuple[int, ...], int]] = {}
+
+    def table(self, plan: Transfer, k: int) -> list[tuple[tuple[int, int], ...]]:
+        """Each labelling of k source circles (by local index) to its ((target index, coeff), ...)."""
+        table = self.tables.get(plan)
+        if table is None:
+            index = self.local.get(plan.count)
+            if index is None:
+                labellings = itertools.product(LABELS, repeat=plan.count)
+                index = self.local[plan.count] = {lbls: t for t, lbls in enumerate(labellings)}
+            ring = INT_RINGS[self.cube.theory]
+            table = self.tables[plan] = [
+                tuple((index[lbls], v) for lbls, v in transfer_labels(plan, labels, ring))
+                for labels in itertools.product(LABELS, repeat=k)
+            ]
+        return table
+
+
+def layer_degrees(index: CubeIndex, p: int, skip=()) -> dict[int, tuple[int, int]]:
+    """{g: (i, q)} for layer p's generators not in `skip`, in cube order."""
     degrees: dict[int, tuple[int, int]] = {}
+    gradings: dict[tuple[int, int, int], list] = {}  # one list of degrees per (i, top, k)
+    for mask in index.layers[p]:
+        i, top, k = vertex = index.vertices[mask]
+        if vertex not in gradings:
+            gradings[vertex] = [(i, top - 2 * m.bit_count()) for m in range(1 << k)]
+        degrees.update(zip(range(index.offsets[mask], index.offsets[mask + 1]), gradings[vertex]))
+    for g in skip:
+        degrees.pop(g, None)
+    return degrees
+
+
+def integer_differential(index: CubeIndex, p: int, skip=()) -> tuple[dict, dict]:
+    """Layer p's degrees {g: (i, q)} and integer columns {g: {h: coeff}}, skipping `skip`.
+
+    A column is its labelling's signed images in the label tables of its
+    vertex's edges (ascending crossing order), each shifted by the target's
+    offset; columns are inserted in cube order.
+    """
+    c, offsets = index.cube, index.offsets
+    degrees = layer_degrees(index, p, skip)
     diff: dict[int, dict[int, int]] = {}
-    for mask, k in enumerate(counts):
+    for mask in index.layers[p]:
+        k = index.vertices[mask][2]
         rows = []
         for j in range(c.n):
             if not (mask >> j) & 1:
                 e = c.edge(mask, j)
-                table = tables.get(e.plan)
-                if table is None:
-                    table = tables[e.plan] = _label_table(e.plan, k, ring, local)
-                rows.append((offsets[e.mask], e.sign, table))
-        i, top = c.degrees(Generator(mask, (PLUS,) * k))
-        for idx, index in enumerate(range(offsets[mask], offsets[mask + 1])):
-            degrees[index] = (i, top - 2 * idx.bit_count())
-            diff[index] = {off + t: sign * v for off, sign, table in rows for t, v in table[idx]}
+                rows.append((offsets[e.mask], e.sign, index.table(e.plan, k)))
+        for idx, g in enumerate(range(offsets[mask], offsets[mask + 1])):
+            if g in degrees:
+                diff[g] = {off + t: sign * v for off, sign, table in rows for t, v in table[idx]}
     return degrees, diff
 
 
-def _label_table(
-    plan: Transfer, k: int, ring: Ring, local: dict[int, dict[tuple[int, ...], int]]
-) -> list[tuple[tuple[int, int], ...]]:
-    """Each labelling of k source circles (by local index) to its ((target index, coeff), ...).
+def reduced_complex(c: CubeComplex) -> tuple[dict, dict]:
+    """The cube complex with every unit entry cancelled: degrees {g: (i, q)} and columns.
 
-    `local[count]` maps each labelling of `count` circles to its local index,
-    made on first use and shared by every table of one call.
+    `eliminate` runs on each layer's columns with the next layer's
+    generators as targets.  Its pivots' sources also leave the residue of
+    the layer below, which then moves into the result.
     """
-    index = local.get(plan.count)
-    if index is None:
-        labellings = itertools.product(LABELS, repeat=plan.count)
-        index = local[plan.count] = {lbls: t for t, lbls in enumerate(labellings)}
-    return [
-        tuple((index[lbls], v) for lbls, v in transfer_labels(plan, labels, ring))
-        for labels in itertools.product(LABELS, repeat=k)
-    ]
+    index = CubeIndex(c)
+    degrees: dict = {}
+    diff: dict = {}
+    residue: dict = {}  # layer p - 1's residual columns, into layer p
+    skip: set = set()  # layer p's generators cancelled as targets
+    for p in range(c.n + 1):
+        sources, columns = integer_differential(index, p, skip)
+        targets = layer_degrees(index, p + 1)
+        block = sources | targets
+        eliminate(block, columns)
+        for col in residue.values():
+            for h in [h for h in col if h not in block]:
+                del col[h]
+        diff.update(residue)
+        residue = columns
+        degrees.update((g, block[g]) for g in columns)
+        skip = {h for h in targets if h not in block}
+    diff.update(residue)
+    return degrees, diff
 
 
 def homology(c: CubeComplex) -> dict:
@@ -174,8 +237,7 @@ def homology(c: CubeComplex) -> dict:
             "homology over Z[t] is not supported; use theory khovanov or lee"
         )
     graded = c.theory is Theory.KHOVANOV
-    degrees, diff = integer_differential(c)
-    eliminate(degrees, diff)
+    degrees, diff = reduced_complex(c)
 
     def succ(k):
         return (k[0] + 1, k[1]) if graded else k + 1
@@ -209,13 +271,17 @@ def homology(c: CubeComplex) -> dict:
 
 
 def graded_euler(c: CubeComplex) -> LaurentPoly:
-    """Alternating sum of graded cochain ranks (no homology computation)."""
+    """Alternating sum of graded cochain ranks (no homology computation).
+
+    A vertex with k circles has C(k, m) generators at q = top - 2m.
+    """
     if c.theory is not Theory.KHOVANOV:
         raise TheoryError("graded Euler characteristic needs theory khovanov")
     terms: dict[int, int] = {}
-    for g in c.generators():
-        i, q = c.degrees(g)
-        terms[q] = terms.get(q, 0) + (1 if i % 2 == 0 else -1)
+    for i, top, k in CubeIndex(c).vertices:
+        sign = -1 if i % 2 else 1
+        for m in range(k + 1):
+            terms[top - 2 * m] = terms.get(top - 2 * m, 0) + sign * math.comb(k, m)
     return LaurentPoly(terms)
 
 

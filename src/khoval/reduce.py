@@ -5,15 +5,17 @@ homology computations" (math/0606318).  Cancelling a differential entry of
 coefficient +-1 between two basis generators yields a smaller complex
 homotopy equivalent to the original.  The kernel works on column-sparse
 differentials {g: {h: c}} with `int` or `TPoly` coefficients and keeps a row
-index (for each h, the columns that hit it), so a cancellation touches only
-the columns it changes.  Columns are visited in the caller's insertion
-order (cube order, for homology); each cancels its first unit entry, and
-passes repeat until no unit entry is left.  The pivots depend on that order,
-the homology of the residue does not.
+index (for each h that some column hits, the columns that hit it), so a
+cancellation touches only the columns it changes.  A target may have no
+column: `homology` hands it one layer of the cube at a time, that layer's
+columns with the next layer's generators as targets, and passes the
+non-unit residue to the Smith normal form.  Columns are visited in the
+caller's insertion order (cube order, for homology); each cancels its
+first unit entry, and passes repeat until no unit entry is left.  The
+pivots depend on that order, the homology of the residue does not.
 
-`homology` runs the kernel on the whole cube and hands the non-unit residue
-to the Smith normal form.  The same lemma, on the two unit edges of an R2
-bigon (`cube._bigon_reduction`), gives the R2 chain maps and the R3 cone in
+The same lemma, on the two unit edges of an R2 bigon
+(`cube._bigon_reduction`), gives the R2 chain maps and the R3 cone in
 `khoval.r3`.
 """
 
@@ -39,14 +41,19 @@ def _add_scaled(target: dict, source: dict, scale, key, index) -> None:
 def eliminate(degrees: dict, diff: dict) -> None:
     """Cancel unit entries of the complex (degrees, diff), in place, until none is left.
 
-    `diff` maps every generator to its column {target: coefficient}; the
-    columns are visited in its insertion order, each cancelling its first
+    `degrees` holds every generator; `diff` maps generators to their columns
+    {target: coefficient}, and a target without a column has a zero one.
+    The columns are visited in insertion order, each cancelling its first
     unit entry.  The residual complex is left in `degrees` and `diff`.
     """
-    rows: dict = {g: set() for g in degrees}
+    rows: dict = {}
     for g, col in diff.items():
         for h in col:
-            rows[h].add(g)
+            hit = rows.get(h)
+            if hit is None:
+                rows[h] = {g}
+            else:
+                hit.add(g)
 
     def cancel(g, h, lam) -> None:
         # g -> h with coefficient lam = +-1, its own inverse; rho = d(g) - lam*h
@@ -54,9 +61,9 @@ def eliminate(degrees: dict, diff: dict) -> None:
         del rho[h]
         for k in rho:
             rows[k].discard(g)
-        for k in diff.pop(h):
+        for k in diff.pop(h, ()):
             rows[k].discard(h)
-        for y in rows.pop(g):
+        for y in rows.pop(g, ()):
             del diff[y][g]
         hitters = rows.pop(h)
         hitters.discard(g)

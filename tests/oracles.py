@@ -16,7 +16,8 @@ R2 maps that `khoval.cobordism` builds from the bigon's Gaussian elimination.
 Euler's formula over the crossing slots, without the library's face walk,
 tells whether a PD code can be drawn in the plane.  Khovanov's closed form
 for the (2, n) torus knots is the reference for `homology` beyond the
-golden file's sizes.
+golden file's sizes, and the graded Euler characteristic summed generator
+by generator is the reference for `graded_euler`'s binomial counts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from khoval.algebra import MINUS, PLUS, RINGS, Theory, TPoly
+from khoval.algebra import MINUS, PLUS, RINGS, LaurentPoly, Theory, TPoly
 from khoval.cube import CubeComplex, Generator, transfer_labels
 from khoval.diagram import ResolvedDiagram, resolve, transfer
 from khoval.moves import apply_esi_info
@@ -382,6 +383,15 @@ def uct_dims_from_integral(groups: dict, p: int, graded: bool) -> dict:
         prev = (key[0] - 1, key[1]) if graded else key - 1
         dims[prev] += tors_p
     return {k: v for k, v in dims.items() if v}
+
+
+def graded_euler_termwise(c: CubeComplex) -> LaurentPoly:
+    """The graded Euler characteristic summed generator by generator, from `c.degrees`."""
+    terms: dict[int, int] = {}
+    for g in c.generators():
+        i, q = c.degrees(g)
+        terms[q] = terms.get(q, 0) + (1 if i % 2 == 0 else -1)
+    return LaurentPoly(terms)
 
 
 def torus2_khovanov(n: int) -> dict:

@@ -14,12 +14,14 @@ from khoval.cube import build_cube
 from khoval.diagram import parse_pd
 from khoval.errors import CapExceededError, KhovalError, TheoryError
 from khoval.homology import (
+    CubeIndex,
     HomologyGroup,
     LaurentPoly,
     graded_euler,
     homology,
     integer_differential,
     kauffman_jones,
+    reduced_complex,
     smith_normal_form,
 )
 from khoval.moves import ESI, apply_esi
@@ -28,6 +30,7 @@ from khoval.reduce import eliminate
 from oracles import (
     differential_termwise,
     field_homology_dims,
+    graded_euler_termwise,
     in_image,
     kernel_basis,
     rank_over_field,
@@ -184,6 +187,17 @@ def test_homology_against_field_rank_oracle(name):
 INTEGRAL = [Theory.KHOVANOV, Theory.LEE]
 
 
+def whole_complex(c):
+    """The cube's degrees and integer columns, assembled from its layers."""
+    index = CubeIndex(c)
+    degrees, diff = {}, {}
+    for p in range(c.n + 1):
+        layer_degrees, columns = integer_differential(index, p)
+        degrees.update(layer_degrees)
+        diff.update(columns)
+    return degrees, diff
+
+
 @pytest.mark.parametrize("th", INTEGRAL)
 def test_integer_columns_match_the_termwise_oracle(corpus, th):
     # the constant terms of the Z[t] differential summed edge by edge,
@@ -192,7 +206,7 @@ def test_integer_columns_match_the_termwise_oracle(corpus, th):
         c = build_cube(d, th)
         gens = list(c.generators())
         position = {g: k for k, g in enumerate(gens)}
-        degrees, diff = integer_differential(c)
+        degrees, diff = whole_complex(c)
         assert degrees == {k: c.degrees(g) for k, g in enumerate(gens)}, name
         assert diff == {
             k: {position[h]: p.coefficient(0) for h, p in differential_termwise(c, g).items()}
@@ -246,11 +260,26 @@ def test_torus_knot_homology_matches_the_closed_form(n):
     assert {k: (g.free_rank, g.torsion) for k, g in groups.items()} == torus2_khovanov(n)
 
 
+def test_integer_columns_skip_the_given_generators():
+    # a skipped generator gets neither a degree nor a column; the others are unchanged
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
+    index = CubeIndex(c)
+    degrees, diff = integer_differential(index, 1)
+    skip = set(list(degrees)[::2])
+    kept_degrees, kept = integer_differential(index, 1, skip)
+    assert kept_degrees == {g: q for g, q in degrees.items() if g not in skip}
+    assert kept == {g: col for g, col in diff.items() if g not in skip}
+    assert list(kept) == sorted(kept)
+
+
 @pytest.mark.parametrize("th", INTEGRAL)
-def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th):
+@pytest.mark.parametrize("diagram, plans, carried", [("T(2,7)", 27, 770), ("figure8_kinked", 27, 362)])
+def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th, diagram, plans, carried):
     # each distinct edge plan carries each labelling of its source circles
-    # once; the columns are offsets into those tables, with no applier of pieces
-    c = build_cube(parse_pd(torus2_pd(7)), th)
+    # once over one whole `homology` call, its layers sharing the tables (19
+    # of the kinked figure-eight's plans sit on edges of two or more layers);
+    # the columns are offsets into those tables, with no applier of pieces
+    c = build_cube(shuffle_diagram(diagram), th)
     sources = {c.edge(mask, j).plan: c.circles(mask).count
                for mask in range(1 << c.n) for j in range(c.n) if not (mask >> j) & 1}
     calls = {"transfer_labels": 0, "apply_pieces": 0}
@@ -268,50 +297,95 @@ def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped[name])
-    integer_differential(c)
+    homology(c)
     assert calls == {"transfer_labels": sum(2 ** k for k in sources.values()), "apply_pieces": 0}
-    assert len(sources) == 27
+    assert calls["transfer_labels"] == carried
+    assert len(sources) == plans
 
 
 def shuffle_diagram(name):
-    """A corpus diagram, T(2,5), or the figure-eight with a positive and a negative kink."""
-    if name == "T(2,5)":
-        return parse_pd(torus2_pd(5))
+    """A corpus diagram, T(2,5), T(2,7), or the figure-eight with a positive and a negative kink."""
+    if name.startswith("T(2,"):
+        return parse_pd(torus2_pd(int(name[4:-1])))
     if name == "figure8_kinked":
         d = apply_esi(parse_pd(PD_CODES["figure8"]), ESI("r1", variant="add_pos", arc=2))
         return apply_esi(d, ESI("r1", variant="add_neg", arc=7))
     return parse_pd(PD_CODES[name])
 
 
+def assert_reduced(degrees, diff):
+    """Every column entry is a generator of `degrees`, and none is a unit."""
+    for col in diff.values():
+        assert set(col) <= set(degrees)
+        assert all(v not in (1, -1) for v in col.values())
+
+
 @pytest.mark.parametrize("th", INTEGRAL)
 @pytest.mark.parametrize("name", sorted(PD_CODES) + ["T(2,5)", "figure8_kinked"])
 def test_homology_does_not_depend_on_the_elimination_order(monkeypatch, name, th):
-    # the columns re-inserted in a seeded shuffled order change the pivots,
-    # not the groups; the residue has no unit entry and stays in its basis
+    # each layer's columns re-inserted in a seeded shuffled order change the
+    # pivots, not the groups; each block's residue and the final residue have
+    # no unit entry and stay in the surviving basis (a generator a later
+    # layer cancels as a source leaves the residue of the layer below)
     c = build_cube(shuffle_diagram(name), th)
     expected = homology(c)
     rng = random.Random(f"{name} {th.value}")
     homology_module = importlib.import_module("khoval.homology")
-    residues = []
+    blocks, residues = [], []
 
-    def shuffled(cube):
-        degrees, diff = integer_differential(cube)
+    def shuffled(index, p, skip=()):
+        degrees, diff = integer_differential(index, p, skip)
         order = list(diff)
         rng.shuffle(order)
         return degrees, {g: diff[g] for g in order}
 
     def recording(degrees, diff):
         eliminate(degrees, diff)
-        residues.append((degrees, diff))
+        assert_reduced(degrees, diff)
+        blocks.append(degrees)
+
+    def final(cube):
+        residues.append(reduced_complex(cube))
+        return residues[-1]
 
     monkeypatch.setattr(homology_module, "integer_differential", shuffled)
     monkeypatch.setattr(homology_module, "eliminate", recording)
+    monkeypatch.setattr(homology_module, "reduced_complex", final)
     assert homology(c) == expected
+    assert len(blocks) == c.n + 1
     [(degrees, diff)] = residues
     assert set(diff) == set(degrees)
-    for col in diff.values():
-        assert set(col) <= set(degrees)
-        assert all(v not in (1, -1) for v in col.values())
+    assert_reduced(degrees, diff)
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
+def test_homology_streams_the_cube_by_layers(monkeypatch, th):
+    # every block handed to `eliminate` holds one layer's columns and the
+    # next layer's generators; exactly the generators that no pivot of the
+    # layer below cancels as a target get a column (both theories leave 14
+    # of T(2,7)'s generators, so both build 2190 - (2190 - 14) / 2 columns)
+    c = build_cube(parse_pd(torus2_pd(7)), th)
+    total = sum(1 for _ in c.generators())
+    homology_module = importlib.import_module("khoval.homology")
+    built, cancelled, spans = set(), set(), []
+
+    def recording(degrees, diff):
+        targets = set(degrees) - set(diff)
+        built.update(diff)
+        spans.append({i for i, _ in degrees.values()})
+        eliminate(degrees, diff)
+        cancelled.update(targets - set(degrees))
+
+    monkeypatch.setattr(homology_module, "eliminate", recording)
+    degrees, _ = reduced_complex(c)
+    assert total == 2190
+    assert len(spans) == c.n + 1
+    for p, span in enumerate(spans):
+        i = p - c.n_minus
+        assert span <= {i, i + 1}
+    assert built == set(range(total)) - cancelled
+    assert len(built) == 1102
+    assert len(degrees) == 14
 
 
 def test_homology_rejects_deformed_theory():
@@ -391,6 +465,13 @@ def test_jones_equals_euler_on_corpus(corpus):
     for name, d in corpus.items():
         cube = build_cube(d, Theory.KHOVANOV)
         assert graded_euler(cube) == kauffman_jones(d), name
+
+
+@pytest.mark.parametrize("pd", list(PD_CODES.values()) + [torus2_pd(n) for n in range(1, 10)],
+                         ids=list(PD_CODES) + [f"T(2,{n})" for n in range(1, 10)])
+def test_graded_euler_counts_match_the_generator_sum(pd):
+    cube = build_cube(parse_pd(pd), Theory.KHOVANOV)
+    assert graded_euler(cube) == graded_euler_termwise(cube)
 
 
 def test_jones_cap():
