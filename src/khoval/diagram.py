@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import KhovalError, MoveError, OrientationError, ParseError
@@ -414,8 +415,8 @@ def transfer(
     arc read through `hints` (arc -> the arcs that replace it; an arc without
     a hint stands for itself).  A target reached from two source circles is
     a merge, a source reaching two targets a split; more than one of these
-    is refused.  The movie maps use this general plan; a cube edge reads its
-    plan at the flipped crossing (`edge_transfer`).
+    is refused.  The movie maps use this general plan; a cube edge's plan is
+    a function of four circle ids at the flipped crossing (`edge_transfer`).
     """
     circle_of = tgt.circle_of
     hits: list[list[int]] = [[] for _ in range(tgt.count)]
@@ -458,28 +459,28 @@ def edge_transfer(
 ) -> Transfer:
     """The plan along the cube edge from vertex `mask` that flips `crossing`'s 0-smoothing to 1.
 
-    It is read at the crossing: the 0-smoothing joins slots 0-3 and 1-2, so
-    the source circles of arcs a0 and a1 merge when they differ; the
-    1-smoothing joins 0-1 and 2-3, so the target circles of a0 and a2 split
-    off one source circle when they differ.  Every other circle keeps its
-    arcs, so it is copied to the target circle of its first arc, in the same
-    order.  The plan equals `transfer(src, tgt)`; an edge that neither merges
-    nor splits is a `MoveError`.
+    The 0-smoothing joins slots 0-3 and 1-2, so the source circles s1, s2 of
+    arcs a0 and a1 merge when they differ; the 1-smoothing joins 0-1 and 2-3,
+    so the target circles t1, t2 of a0 and a2 split off one source circle
+    when they differ.  The plan equals `transfer(src, tgt)`, memoized by
+    (src.count, s1, s2, t1, t2); an edge that does neither is a `MoveError`.
     """
     a0, a1, a2, _ = crossing.arcs
     s1, s2 = src.circle_of[a0], src.circle_of[a1]
     t1, t2 = tgt.circle_of[a0], tgt.circle_of[a2]
-    merge = split = None
+    if s1 == s2 and t1 == t2:
+        raise MoveError(f"crossing {crossing.cid} at vertex {mask} neither merges two "
+                        "circles nor splits one (the PD code is not planar)")
+    return _edge_plan(src.count, s1, s2, t1, t2)
+
+
+@cache
+def _edge_plan(k: int, s1: int, s2: int, t1: int, t2: int) -> Transfer:
+    """Merge s1, s2 into t1, else split s1 into t1, t2; the other circles keep arcs and order."""
     if s1 != s2:
-        merge = ((min(s1, s2), max(s1, s2)), t1)
-    elif t1 != t2:
-        split = (s1, (min(t1, t2), max(t1, t2)))
+        merge, split, count = ((min(s1, s2), max(s1, s2)), t1), None, k - 1
     else:
-        raise MoveError(
-            f"crossing {crossing.cid} at vertex {mask} neither merges two circles "
-            "nor splits one (the PD code is not planar)"
-        )
-    circle_of = tgt.circle_of
-    copies = tuple((s, circle_of[circ[0]]) for s, circ in enumerate(src.circles)
-                   if s != s1 and s != s2)
-    return Transfer(copies, merge, split, (), (), tgt.count)
+        merge, split, count = None, (s1, (min(t1, t2), max(t1, t2))), k + 1
+    copies = zip([s for s in range(k) if s != s1 and s != s2],
+                 [t for t in range(count) if t != t1 and t != t2])
+    return Transfer(tuple(copies), merge, split, (), (), count)

@@ -5,8 +5,8 @@ layer p is the vertices with p bits set, and both the Khovanov and the Lee
 differential go from layer p to layer p + 1.  A cancelled pair changes only
 the map out of its source's layer (Bar-Natan, math/0606318, Lemma 3.2), so
 only layer p's generators that layer p - 1's pivots left standing get `int`
-columns, `reduce.eliminate` cancels their +-1 entries against layer p + 1
-in cube order, and the row index spans two layers.  `integer_differential`
+columns, and `reduce.eliminate` reduces them left to right in cube order,
+cancelling their +-1 entries against layer p + 1.  `integer_differential`
 reads a layer's columns as integer offsets into one label table per
 distinct edge plan, which its `CubeIndex` builds once per call by
 `cube.transfer_labels` over `algebra.INT_RINGS`, so no `TPoly` and no

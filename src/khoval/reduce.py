@@ -4,15 +4,18 @@
 homology computations" (math/0606318).  Cancelling a differential entry of
 coefficient +-1 between two basis generators yields a smaller complex
 homotopy equivalent to the original.  The kernel works on column-sparse
-differentials {g: {h: c}} with `int` or `TPoly` coefficients and keeps a row
-index (for each h that some column hits, the columns that hit it), so a
-cancellation touches only the columns it changes.  A target may have no
-column: `homology` hands it one layer of the cube at a time, that layer's
-columns with the next layer's generators as targets, and passes the
-non-unit residue to the Smith normal form.  Columns are visited in the
-caller's insertion order (cube order, for homology); each cancels its
-first unit entry, and passes repeat until no unit entry is left.  The
-pivots depend on that order, the homology of the residue does not.
+differentials {g: {h: c}} with `int` or `TPoly` coefficients.  A target may
+have no column: `homology` hands it one layer of the cube at a time, that
+layer's columns with the next layer's generators as targets, and passes the
+non-unit residue to the Smith normal form.  Columns are reduced left to
+right, as in persistent homology, with no row index: visited in the
+caller's insertion order (cube order, for homology), each first takes the
+updates of the pivots chosen before it, in pivot order, then cancels its
+first unit entry.  A pass ends by updating its survivors and dropping the
+cancelled generators; passes repeat until no unit entry is left.  Each
+column gets the updates that eager elimination gives it, in the same order,
+so the residue and its insertion order are the same.  The pivots depend on
+the visiting order, the homology of the residue does not.
 
 The same lemma, on the two unit edges of an R2 bigon
 (`cube._bigon_reduction`), gives the R2 chain maps and the R3 cone in
@@ -21,21 +24,9 @@ The same lemma, on the two unit edges of an R2 bigon
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 __all__ = ["eliminate"]
-
-
-def _add_scaled(target: dict, source: dict, scale, key, index) -> None:
-    """target += scale * source, dropping zeros; `index[k]` tracks `key` in k's row."""
-    for k, v in source.items():
-        cur = target.get(k)
-        total = scale * v if cur is None else cur + scale * v
-        if total:
-            target[k] = total
-            if cur is None:
-                index[k].add(key)
-        elif cur is not None:
-            del target[k]
-            index[k].discard(key)
 
 
 def eliminate(degrees: dict, diff: dict) -> None:
@@ -43,46 +34,54 @@ def eliminate(degrees: dict, diff: dict) -> None:
 
     `degrees` holds every generator; `diff` maps generators to their columns
     {target: coefficient}, and a target without a column has a zero one.
-    The columns are visited in insertion order, each cancelling its first
-    unit entry.  The residual complex is left in `degrees` and `diff`.
     """
-    rows: dict = {}
-    for g, col in diff.items():
-        for h in col:
-            hit = rows.get(h)
-            if hit is None:
-                rows[h] = {g}
-            else:
-                hit.add(g)
-
-    def cancel(g, h, lam) -> None:
-        # g -> h with coefficient lam = +-1, its own inverse; rho = d(g) - lam*h
-        rho = diff.pop(g)
-        del rho[h]
-        for k in rho:
-            rows[k].discard(g)
-        for k in diff.pop(h, ()):
-            rows[k].discard(h)
-        for y in rows.pop(g, ()):
-            del diff[y][g]
-        hitters = rows.pop(h)
-        hitters.discard(g)
-        del degrees[g], degrees[h]
-        for x in hitters:
-            col = diff[x]
-            _add_scaled(col, rho, -lam * col.pop(h), x, rows)
-
     order = list(diff)
-    while order:
+    while True:
+        pivots: list = []  # (g, h, -lam, rho) in the order chosen; rho = d(g) - lam*h
+        number: dict = {}  # the cancelled generators, sources and targets, to their pivot's number
         for g in order:
-            col = diff.get(g)
-            if not col:
+            col = diff[g]
+            if not col or g in number:
                 continue
+            _reduce(col, pivots, number)
             for h, c in col.items():
-                if c == 1 or c == -1:
-                    cancel(g, h, c)
+                if c == 1 or c == -1:  # lam = +-1 is its own inverse
+                    del col[h]
+                    number[g] = number[h] = len(pivots)
+                    pivots.append((g, h, -c, col))
                     break
-        survivors = [g for g in order if g in diff]
-        if len(survivors) == len(order):
-            break
-        order = survivors
+        if not pivots:
+            return
+        order = [g for g in order if g not in number]
+        for g in order:
+            _reduce(diff[g], pivots, number)
+        for g in number:
+            del degrees[g]
+            diff.pop(g, None)
+
+
+def _reduce(col: dict, pivots: list, number: dict) -> None:
+    """Apply to `col` each pivot (g, h, -lam, rho) that hits it, in pivot order.
+
+    A pivot drops the entry at g and trades the entry c at h for -lam * c * rho.
+    An entry that a pivot brings in belongs to a later pivot or to none, so a
+    heap of pivot numbers visits the hits in order (a repeat finds them gone).
+    """
+    heap = sorted(number[k] for k in col if k in number)
+    while heap:
+        g, h, scale, rho = pivots[heappop(heap)]
+        col.pop(g, None)
+        c = col.pop(h, None)
+        if c is None:
+            continue
+        scale *= c
+        for k, v in rho.items():
+            cur = col.get(k)
+            if cur is None:
+                col[k] = scale * v
+                if k in number:
+                    heappush(heap, number[k])
+            elif total := cur + scale * v:
+                col[k] = total
+            else:
+                del col[k]

@@ -18,6 +18,9 @@ tells whether a PD code can be drawn in the plane.  Khovanov's closed form
 for the (2, n) torus knots is the reference for `homology` beyond the
 golden file's sizes, and the graded Euler characteristic summed generator
 by generator is the reference for `graded_euler`'s binomial counts.
+Eager unit-pivot elimination through a row index, each pivot cancelled at
+once in every column that hits it, is the reference for the pivots,
+residue and insertion order of `reduce.eliminate`'s column reduction.
 """
 
 from __future__ import annotations
@@ -449,3 +452,60 @@ def is_planar(d) -> bool:
                     todo.remove(j)
                     frontier.append(j)
     return faces == d.n + 2 * pieces
+
+
+def eliminate_row_index(degrees: dict, diff: dict) -> None:
+    """Unit-pivot elimination with a row index, cancelling each pivot at once everywhere.
+
+    The reference for `reduce.eliminate`: columns are visited in insertion
+    order, each cancels its first unit entry, and the cancellation updates
+    every column that hits the pivot's target on the spot, found through a
+    row index (each hit generator to the columns that hit it).  Passes
+    repeat until no unit entry is left.
+    """
+    rows: dict = defaultdict(set)
+    for g, col in diff.items():
+        for h in col:
+            rows[h].add(g)
+
+    def add_scaled(x: dict, source: dict, scale) -> None:
+        col = diff[x]
+        for k, v in source.items():
+            cur = col.get(k)
+            total = scale * v if cur is None else cur + scale * v
+            if total:
+                col[k] = total
+                rows[k].add(x)
+            elif cur is not None:
+                del col[k]
+                rows[k].discard(x)
+
+    def cancel(g, h, lam) -> None:
+        rho = diff.pop(g)
+        del rho[h]
+        for k in rho:
+            rows[k].discard(g)
+        for k in diff.pop(h, ()):
+            rows[k].discard(h)
+        for y in rows.pop(g, ()):
+            del diff[y][g]
+        hitters = rows.pop(h)
+        hitters.discard(g)
+        del degrees[g], degrees[h]
+        for x in hitters:
+            add_scaled(x, rho, -lam * diff[x].pop(h))
+
+    order = list(diff)
+    while order:
+        for g in order:
+            col = diff.get(g)
+            if not col:
+                continue
+            for h, c in col.items():
+                if c == 1 or c == -1:
+                    cancel(g, h, c)
+                    break
+        survivors = [g for g in order if g in diff]
+        if len(survivors) == len(order):
+            break
+        order = survivors

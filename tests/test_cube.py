@@ -20,7 +20,8 @@ from khoval.cube import (
     transfer_labels,
 )
 from khoval.corpus import PD_CODES, torus2_pd
-from khoval.diagram import LinkDiagram, ResolvedDiagram, parse_pd, resolve, serialize_pd, transfer
+from khoval.diagram import (LinkDiagram, ResolvedDiagram, _edge_plan, parse_pd, resolve, serialize_pd,
+                            transfer)
 from khoval.errors import CapExceededError, KhovalError, MoveError
 from khoval.moves import ESI, apply_esi
 
@@ -268,33 +269,46 @@ def test_edge_piece_classification_matches_counts(corpus):
 
 
 def assert_edge_plans_match_the_general_plan(d):
-    """Every edge plan, read at its crossing, is the general plan of its two resolutions."""
+    """Every edge plan is the general plan of its two resolutions, one object per key.
+
+    The key is the source circle count and the circles of the flipped
+    crossing's arcs: the source circles of slots 0 and 1, the target
+    circles of slots 0 and 2.
+    """
     c = build_cube(d, Theory.KHOVANOV)
+    plans = {}
     for mask in range(1 << c.n):
         for j in range(c.n):
             if not (mask >> j) & 1:
-                general = transfer(c.circles(mask), c.circles(mask | 1 << j))
-                assert c.edge(mask, j).plan == general, (serialize_pd(d), mask, j)
+                src, tgt = c.circles(mask), c.circles(mask | 1 << j)
+                plan = c.edge(mask, j).plan
+                assert plan == transfer(src, tgt), (serialize_pd(d), mask, j)
+                a0, a1, a2, _ = d.crossings[j].arcs
+                key = (src.count, src.circle_of[a0], src.circle_of[a1],
+                       tgt.circle_of[a0], tgt.circle_of[a2])
+                assert plans.setdefault(key, plan) is plan, (serialize_pd(d), mask, j)
 
 
-@pytest.mark.parametrize(
-    "d",
-    [parse_pd(text) for text in PD_CODES.values()]
-    + [parse_pd(torus2_pd(n)) for n in range(1, 9)]
-    + [diagram("trefoil_kinked")],
-    ids=[*PD_CODES, *(f"T(2,{n})" for n in range(1, 9)), "trefoil_kinked"],
-)
-def test_edge_plans_match_the_general_plan(d):
-    assert_edge_plans_match_the_general_plan(d)
+EDGE_PLAN_DIAGRAMS = [*PD_CODES, *(f"T(2,{n})" for n in range(1, 10)), "trefoil_kinked",
+                      "figure8_kinked"]
+
+
+@pytest.mark.parametrize("name", EDGE_PLAN_DIAGRAMS)
+def test_edge_plans_match_the_general_plan(name):
+    assert_edge_plans_match_the_general_plan(diagram(name))
 
 
 def test_edge_piece_refuses_a_non_planar_edge():
     # a self-crossing circle X(a,b,a,b): one circle stays one circle
-    # (`parse_pd` refuses the code, so it is built directly)
+    # (`parse_pd` refuses the code, so it is built directly); the edge is
+    # refused every time, before any plan is looked up or stored
     d = LinkDiagram([(1, (1, 2, 1, 2))])
-    with pytest.raises(MoveError, match="not planar") as refused:
-        build_cube(d, Theory.KHOVANOV).edge(0, 0)
-    assert "crossing 1 at vertex 0" in str(refused.value)
+    stored = _edge_plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(MoveError, match="not planar") as refused:
+            build_cube(d, Theory.KHOVANOV).edge(0, 0)
+        assert "crossing 1 at vertex 0" in str(refused.value)
+    assert _edge_plan.cache_info().currsize == stored
 
 
 def test_transfer_labels_needs_a_label_for_every_new_circle():

@@ -1,25 +1,33 @@
 """Gaussian elimination: the unit-pivot kernel and the R2 bigon reduction of R2 and R3."""
 
+import importlib
+import random
+
 import pytest
 
 from khoval.algebra import RINGS, Theory
-from khoval.corpus import PD_CODES
+from khoval.corpus import PD_CODES, torus2_pd
 from khoval.cube import (CochainElement, Generator, _bigon_reduction, apply_linear, build_cube,
                          transfer_labels)
 from khoval.diagram import LinkDiagram, parse_pd, transfer
-from khoval.homology import homology
+from khoval.homology import homology, reduced_complex
 from khoval.moves import ESI, apply_esi, apply_esi_info
 from khoval.reduce import eliminate
 
-from oracles import r2_termwise
+from oracles import eliminate_row_index, r2_termwise
 
 
 def diagram(name):
-    """A corpus diagram, or the trefoil with a positive and a negative kink."""
-    if name != "trefoil_kinked":
-        return parse_pd(PD_CODES[name])
-    d = apply_esi(parse_pd(PD_CODES["trefoil"]), ESI("r1", variant="add_pos", arc=1))
-    return apply_esi(d, ESI("r1", variant="add_neg", arc=4))
+    """A corpus diagram, T(2,n), or the trefoil or figure-eight with a positive and a negative kink."""
+    if name.startswith("T(2,"):
+        return parse_pd(torus2_pd(int(name[4:-1])))
+    if name == "trefoil_kinked":
+        d = apply_esi(parse_pd(PD_CODES["trefoil"]), ESI("r1", variant="add_pos", arc=1))
+        return apply_esi(d, ESI("r1", variant="add_neg", arc=4))
+    if name == "figure8_kinked":
+        d = apply_esi(parse_pd(PD_CODES["figure8"]), ESI("r1", variant="add_pos", arc=2))
+        return apply_esi(d, ESI("r1", variant="add_neg", arc=7))
+    return parse_pd(PD_CODES[name])
 
 
 def finger(name):
@@ -98,14 +106,16 @@ def test_bigon_reduction_is_the_r2_equivalence(name):
 
 
 def test_reduction_preserves_free_rank():
-    # the undeformed reduced complex of the trefoil has the homology ranks
+    # the undeformed reduced complex of the trefoil has the homology ranks;
+    # every target has a column, and the kernel leaves what the row-index
+    # oracle leaves, in the same insertion order
     cube = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
     degrees = {g: cube.degrees(g) for g in cube.generators()}
     diff = {
         g: {h: p.coefficient(0) for h, p in cube.differential_of(g).terms.items()}
         for g in degrees
     }
-    eliminate(degrees, diff)
+    assert_eliminates_like_the_oracle(degrees, diff)
     groups = homology(cube)
     free = sum(g.free_rank for g in groups.values())
     torsion_pairs = sum(len(g.torsion) for g in groups.values())
@@ -115,3 +125,43 @@ def test_reduction_preserves_free_rank():
     for col in diff.values():
         assert set(col) <= set(degrees)
         assert all(c not in (1, -1) for c in col.values())
+
+
+@pytest.mark.parametrize("th", [Theory.KHOVANOV, Theory.LEE])
+@pytest.mark.parametrize("name", sorted(PD_CODES) + ["T(2,5)", "T(2,9)", "figure8_kinked"])
+def test_eliminate_matches_the_row_index_oracle_on_every_layer_block(monkeypatch, name, th):
+    # each layer block that homology hands the kernel (targets without
+    # columns) comes out as the oracle leaves it
+    c = build_cube(diagram(name), th)
+    blocks = []
+
+    def both(degrees, diff):
+        assert_eliminates_like_the_oracle(degrees, diff)
+        blocks.append(degrees)
+
+    # the package's `homology` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("khoval.homology"), "eliminate", both)
+    reduced_complex(c)
+    assert len(blocks) == c.n + 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_eliminate_matches_the_row_index_oracle_on_random_graded_matrices(seed):
+    # sparse columns from degree i into degree i + 1, with no d o d = 0, so
+    # the pivots' updates reach each other's columns in many orders
+    rng = random.Random(seed)
+    degrees = {g: rng.randrange(4) for g in rng.sample(range(200), 60)}
+    diff = {g: {h: rng.choice((-2, -1, 1, 1, 2, 3)) for h in degrees
+                if degrees[h] == i + 1 and rng.random() < 0.3}
+            for g, i in degrees.items()}
+    assert_eliminates_like_the_oracle(degrees, diff)
+
+
+def assert_eliminates_like_the_oracle(degrees: dict, diff: dict) -> None:
+    """Run `eliminate` in place; the row-index oracle on a copy leaves equal dicts in equal order."""
+    want_degrees, want_diff = dict(degrees), {g: dict(col) for g, col in diff.items()}
+    eliminate_row_index(want_degrees, want_diff)
+    eliminate(degrees, diff)
+    assert list(degrees.items()) == list(want_degrees.items())
+    assert [(g, list(col.items())) for g, col in diff.items()] == \
+        [(g, list(col.items())) for g, col in want_diff.items()]
