@@ -12,8 +12,8 @@ image {generator: coeff}, with no zero coefficient.  Most ops are sums of
 plan with `transfer_labels`; `apply_pieces` applies them and `_piece_op`
 makes the op of a table `vertex(mask) -> pieces`, computed once per vertex.
 The differential is one such table: the edge flipping crossing j at a vertex
-is a saddle piece (its `diagram.edge_transfer` plan, one merge or one split,
-memoized by four circle ids of crossing j's arcs at both ends of the edge)
+is a saddle piece (its plan, one merge or one split, memoized by its
+`diagram.edge_key`: four circle ids of crossing j's arcs at both ends)
 with the sign (-1)^(number of 1-bits after the flipped position), which
 makes every square face anticommute.  The movie chain maps add births,
 deaths and dots.  `apply_linear` carries terms through ops in turn and sums
@@ -27,9 +27,9 @@ algebra.RINGS[theory]`: its structure tables are already reduced, and t -> 0
 and t -> 1 are ring maps, so sums and products of their entries stay
 reduced.  A caller's coefficient is reduced where it enters, in
 `CubeComplex.element` and `CochainElement.scale`.  `apply_pieces` reads the
-cube's ring; `transfer_labels` takes the ring, not the theory, so the
-cube's edge plans also run over `algebra.INT_RINGS`, the integer tables
-that `homology` builds its label tables from.
+cube's ring; `transfer_labels` takes the ring, not the theory.  `homology`
+builds no piece: it reads each edge's `diagram.edge_key` and carries labels
+by bit arithmetic over `algebra.INT_RINGS`.
 
 Cohomological degree of a generator is |v| - n_minus; its q-degree is the sum
 of label degrees (1 - 2*l for label l) plus (|v| - n_minus) + (n_plus -
@@ -44,7 +44,7 @@ from functools import cache
 from typing import Iterator, NamedTuple
 
 from .algebra import LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
-from .diagram import LinkDiagram, ResolvedDiagram, Transfer, edge_transfer, resolve, transfer
+from .diagram import LinkDiagram, ResolvedDiagram, Transfer, _edge_plan, edge_key, resolve, transfer
 from .errors import CapExceededError, KhovalError
 
 __all__ = [
@@ -116,14 +116,15 @@ class CubeComplex:
 
     def edge(self, mask: int, j: int) -> "Piece":
         """The signed saddle piece of the differential flipping crossing j at `mask`."""
-        if (mask >> j) & 1:
-            raise KhovalError("edge must start at a 0-bit")
         key = (mask, j)
         piece = self._edges.get(key)
         if piece is None:
-            tgt = mask | (1 << j)
-            crossing = self.diagram.crossings[j]
-            plan = edge_transfer(self.circles(mask), self.circles(tgt), crossing, mask)
+            if not (0 <= j < self.n and 0 <= mask < 1 << self.n):
+                raise KhovalError(f"edge ({mask}, {j}) is not on the cube of {self.n} crossings")
+            if (mask >> j) & 1:
+                raise KhovalError("edge must start at a 0-bit")
+            tgt, crossing = mask | (1 << j), self.diagram.crossings[j]
+            plan = _edge_plan(*edge_key(self.circles(mask), self.circles(tgt), crossing, mask))
             piece = self._edges[key] = Piece(tgt, self.edge_sign(mask, j), plan)
         return piece
 

@@ -10,9 +10,9 @@ saddle and death events.
 A dart is a crossing slot, numbered 4 * crossing index + slot, and
 `LinkDiagram.far` maps each dart to the other dart of its arc.  Strands,
 faces and the circles of a resolution are orbits of one rule, "go to the far
-end of the arc, then turn at that crossing" (`_orbit`): a strand turns to
-slot s ^ 2, a face to slot s + 1, a circle to the slot its smoothing joins
-to s.
+end of the arc, then turn at that crossing": a strand turns to slot s ^ 2
+and a face to slot s + 1 (`_orbit`), a circle to slot s ^ 3 at a 0-smoothed
+and s ^ 1 at a 1-smoothed crossing (`resolve`, by the mask bit itself).
 
 Orientation is not stored in the code: the constructor walks every strand
 once.  Slot 0 is always entered, so walking out of every slot 2 orients each
@@ -53,7 +53,7 @@ __all__ = [
     "serialize_pd",
     "resolve",
     "transfer",
-    "edge_transfer",
+    "edge_key",
 ]
 
 # SMOOTHING_PARTNER[bit][s]: the slot that smoothing `bit` joins to slot s.
@@ -372,20 +372,23 @@ def resolve(d: LinkDiagram, v: Sequence[int] | int) -> ResolvedDiagram:
 
     `v` is an int bitmask with bit j for crossing j (or a bit per crossing in
     crossing order).  Each circle through a crossing is an orbit that turns
-    from a slot to the slot its smoothing joins it to; a circle is walked
-    once, from its first dart, and its other direction is skipped.
+    from slot s to s ^ 3 at a 0-smoothed and s ^ 1 at a 1-smoothed crossing
+    (the rows of `SMOOTHING_PARTNER`), walked once from its first dart.  Not
+    `_orbit`: a turn table per call costs more at 2^n calls per cube.
     """
     mask = _as_mask(v, d.n)
     far, arcs = d.far, [a for c in d.crossings for a in c.arcs]
-    turn = [4 * j + t for j in range(d.n) for t in SMOOTHING_PARTNER[(mask >> j) & 1]]
     seen = [False] * len(far)
     circles = [tuple(sorted(lp)) for lp in d.loops]
     for start in range(len(far)):
         if not seen[start]:
-            orbit = _orbit(far, turn, start)
-            for x in orbit:
-                seen[x] = seen[far[x]] = True
-            circles.append(tuple(sorted([arcs[x] for x in orbit])))
+            circle, x = [], start
+            while not seen[x]:  # of the darts it leaves by, only start is marked before
+                y = far[x]
+                seen[x] = seen[y] = True
+                circle.append(arcs[x])
+                x = y ^ 1 if mask >> (y >> 2) & 1 else y ^ 3
+            circles.append(tuple(sorted(circle)))
     circles.sort()
     circle_of = {a: i for i, circ in enumerate(circles) for a in circ}
     return ResolvedDiagram(tuple(circles), circle_of)
@@ -416,7 +419,7 @@ def transfer(
     a hint stands for itself).  A target reached from two source circles is
     a merge, a source reaching two targets a split; more than one of these
     is refused.  The movie maps use this general plan; a cube edge's plan is
-    a function of four circle ids at the flipped crossing (`edge_transfer`).
+    a function of four circle ids at the flipped crossing (`edge_key`).
     """
     circle_of = tgt.circle_of
     hits: list[list[int]] = [[] for _ in range(tgt.count)]
@@ -454,33 +457,34 @@ def transfer(
     return Transfer(tuple(copies), merge, split, tuple(dead), tuple(new), tgt.count)
 
 
-def edge_transfer(
+def edge_key(
     src: ResolvedDiagram, tgt: ResolvedDiagram, crossing: Crossing, mask: int
-) -> Transfer:
-    """The plan along the cube edge from vertex `mask` that flips `crossing`'s 0-smoothing to 1.
+) -> tuple[int, int, int, int, int]:
+    """The key (src.count, s1, s2, t1, t2) of the cube edge from vertex `mask` that flips `crossing`.
 
-    The 0-smoothing joins slots 0-3 and 1-2, so the source circles s1, s2 of
-    arcs a0 and a1 merge when they differ; the 1-smoothing joins 0-1 and 2-3,
-    so the target circles t1, t2 of a0 and a2 split off one source circle
-    when they differ.  The plan equals `transfer(src, tgt)`, memoized by
-    (src.count, s1, s2, t1, t2); an edge that does neither is a `MoveError`.
+    The 0-smoothing joins slots 0-3 and 1-2, so the source circles s1 <= s2
+    of arcs a0 and a1 merge when they differ; the 1-smoothing joins 0-1 and
+    2-3, so the target circles t1 <= t2 of a0 and a2 split off one source
+    circle when they differ.  The edge's plan, `transfer(src, tgt)`, is the
+    memoized `_edge_plan` of its key; an edge that does neither is a `MoveError`.
     """
     a0, a1, a2, _ = crossing.arcs
-    s1, s2 = src.circle_of[a0], src.circle_of[a1]
-    t1, t2 = tgt.circle_of[a0], tgt.circle_of[a2]
+    s1, s2 = sorted((src.circle_of[a0], src.circle_of[a1]))
+    t1, t2 = sorted((tgt.circle_of[a0], tgt.circle_of[a2]))
     if s1 == s2 and t1 == t2:
         raise MoveError(f"crossing {crossing.cid} at vertex {mask} neither merges two "
                         "circles nor splits one (the PD code is not planar)")
-    return _edge_plan(src.count, s1, s2, t1, t2)
+    return src.count, s1, s2, t1, t2
+
 
 
 @cache
 def _edge_plan(k: int, s1: int, s2: int, t1: int, t2: int) -> Transfer:
-    """Merge s1, s2 into t1, else split s1 into t1, t2; the other circles keep arcs and order."""
+    """Merge s1 < s2 into t1, else split s1 into t1 < t2; the other circles keep arcs and order."""
     if s1 != s2:
-        merge, split, count = ((min(s1, s2), max(s1, s2)), t1), None, k - 1
+        merge, split, count = ((s1, s2), t1), None, k - 1
     else:
-        merge, split, count = None, (s1, (min(t1, t2), max(t1, t2))), k + 1
+        merge, split, count = None, (s1, (t1, t2)), k + 1
     copies = zip([s for s in range(k) if s != s1 and s != s2],
                  [t for t in range(count) if t != t1 and t != t2])
     return Transfer(tuple(copies), merge, split, (), (), count)

@@ -8,9 +8,9 @@ only layer p's generators that layer p - 1's pivots left standing get `int`
 columns, and `reduce.eliminate` reduces them left to right in cube order,
 cancelling their +-1 entries against layer p + 1.  `integer_differential`
 reads a layer's columns as integer offsets into one label table per
-distinct edge plan, which its `CubeIndex` builds once per call by
-`cube.transfer_labels` over `algebra.INT_RINGS`, so no `TPoly` and no
-per-generator `Generator` is built.
+`diagram.edge_key`, which its `CubeIndex` builds once per call by bit
+arithmetic on labelling indices over `algebra.INT_RINGS`, so no `TPoly`, no
+per-generator `Generator` and no per-edge `Piece` is built.
 The residual complex is homotopy equivalent to the original and has only
 non-unit entries; Smith normal form over arbitrary-precision integers of
 each residual block gives ranks and invariant factors.  For the undeformed
@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 
 from .algebra import INT_RINGS, LABELS, LaurentPoly, Theory
-from .cube import CubeComplex, transfer_labels
-from .diagram import LinkDiagram, Transfer
+from .cube import CubeComplex
+from .diagram import LinkDiagram, edge_key
 from .errors import CapExceededError, KhovalError, TheoryError
 from .reduce import eliminate
 
@@ -130,10 +130,9 @@ class CubeIndex:
     the q-degree of its all-v+ generator and its circle count; a labelling
     with m v- labels sits at q = top - 2m.  Generators are numbered by their
     position in `c.generators()`: the labelling read as a binary number
-    (v+ = 0) plus the vertex's offset.  `layers[p]` lists the masks with p
-    bits set (layer n + 1 is empty).  Each distinct edge plan's label table
-    and each circle count's labelling-to-index dict are built on first use,
-    once per index.
+    (v+ = 0, circle 0 the most significant bit) plus the vertex's offset.
+    `layers[p]` lists the masks with p bits set (layer n + 1 is empty).
+    Each edge key's label table is built on first use, once per index.
     """
 
     def __init__(self, c: CubeComplex):
@@ -146,22 +145,36 @@ class CubeIndex:
             self.vertices.append((p - c.n_minus, k + p + shift, k))
             self.layers[p].append(mask)
         self.offsets = list(itertools.accumulate((1 << k for _, _, k in self.vertices), initial=0))
-        self.tables: dict[Transfer, list] = {}
-        self.local: dict[int, dict[tuple[int, ...], int]] = {}
+        self.tables: dict[tuple[int, int, int, int, int], list] = {}
 
-    def table(self, plan: Transfer, k: int) -> list[tuple[tuple[int, int], ...]]:
-        """Each labelling of k source circles (by local index) to its ((target index, coeff), ...)."""
-        table = self.tables.get(plan)
+    def table(self, key: tuple[int, int, int, int, int]) -> list[tuple[tuple[int, int], ...]]:
+        """Each labelling of the edge's k source circles (by index) to its ((target index, coeff), ...).
+
+        `key` is the edge's (k, s1, s2, t1, t2); circle c of m is bit m - 1 - c
+        of an index.  A merge reads the bits of s1 < s2 and writes their
+        product at t1, a split reads s1 and writes its coproduct at t1 < t2;
+        the other bits keep their order.  Per source index x, `index[x]` is
+        its other bits moved and `code[x]` its read bits' entry in `outs`.
+        """
+        table = self.tables.get(key)
         if table is None:
-            index = self.local.get(plan.count)
-            if index is None:
-                labellings = itertools.product(LABELS, repeat=plan.count)
-                index = self.local[plan.count] = {lbls: t for t, lbls in enumerate(labellings)}
-            ring = INT_RINGS[self.cube.theory]
-            table = self.tables[plan] = [
-                tuple((index[lbls], v) for lbls, v in transfer_labels(plan, labels, ring))
-                for labels in itertools.product(LABELS, repeat=k)
-            ]
+            k, s1, s2, t1, t2 = key
+            ring, count = INT_RINGS[self.cube.theory], k - 1 if s1 != s2 else k + 1
+            p1, p2 = count - 1 - t1, count - 1 - t2
+            if s1 != s2:  # outs[2 * label of s1 + label of s2]
+                outs = [[(l << p1, v) for l, v in ring.multiply[a][b].items()]
+                        for a in LABELS for b in LABELS]
+            else:  # outs[label of s1]
+                outs = [[(a << p1 | b << p2, v) for (a, b), v in ring.comultiply[x].items()]
+                        for x in LABELS]
+            read = {k - 1 - s1: 2, k - 1 - s2: 1}  # a split's one bit has weight 1
+            moved = iter([1 << b for b in range(count) if b != p1 and b != p2])
+            index, code = [0], [0]
+            for b in range(k):
+                m, w = (0, read[b]) if b in read else (next(moved), 0)
+                index, code = index + [x | m for x in index], code + [c + w for c in code]
+            table = self.tables[key] = [tuple([(x | o, v) for o, v in outs[c]])
+                                        for x, c in zip(index, code)]
         return table
 
 
@@ -186,16 +199,17 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> tuple[dict, dict]
     vertex's edges (ascending crossing order), each shifted by the target's
     offset; columns are inserted in cube order.
     """
-    c, offsets = index.cube, index.offsets
+    c, offsets, crossings = index.cube, index.offsets, index.cube.diagram.crossings
     degrees = layer_degrees(index, p, skip)
     diff: dict[int, dict[int, int]] = {}
     for mask in index.layers[p]:
-        k = index.vertices[mask][2]
-        rows = []
+        src, rows = c.circles(mask), []
         for j in range(c.n):
             if not (mask >> j) & 1:
-                e = c.edge(mask, j)
-                rows.append((offsets[e.mask], e.sign, index.table(e.plan, k)))
+                tgt = mask | 1 << j
+                key = edge_key(src, c.circles(tgt), crossings[j], mask)
+                sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
+                rows.append((offsets[tgt], sign, index.table(key)))
         for idx, g in enumerate(range(offsets[mask], offsets[mask + 1])):
             if g in degrees:
                 diff[g] = {off + t: sign * v for off, sign, table in rows for t, v in table[idx]}

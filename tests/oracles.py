@@ -21,16 +21,20 @@ by generator is the reference for `graded_euler`'s binomial counts.
 Eager unit-pivot elimination through a row index, each pivot cancelled at
 once in every column that hits it, is the reference for the pivots,
 residue and insertion order of `reduce.eliminate`'s column reduction.
+Each edge key's label table carried labelling by labelling through the
+key's plan with `transfer_labels`, over label tuples and a tuple-to-index
+dict, is the reference for the bit arithmetic of `CubeIndex.table`.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from khoval.algebra import MINUS, PLUS, RINGS, LaurentPoly, Theory, TPoly
+from khoval.algebra import INT_RINGS, LABELS, MINUS, PLUS, RINGS, LaurentPoly, Theory, TPoly
 from khoval.cube import CubeComplex, Generator, transfer_labels
-from khoval.diagram import ResolvedDiagram, resolve, transfer
+from khoval.diagram import ResolvedDiagram, _edge_plan, resolve, transfer
 from khoval.moves import apply_esi_info
 
 
@@ -58,6 +62,16 @@ def differential_termwise(c: CubeComplex, g: Generator) -> dict[Generator, TPoly
         for labels, poly in transfer_labels(plan, g.labels, RINGS[c.theory]):
             acc[Generator(tgt, labels)] += poly * sign
     return {h: p for h, p in acc.items() if not p.is_zero()}
+
+
+def label_table_termwise(key: tuple, th: Theory) -> list[tuple[tuple[int, int], ...]]:
+    """An edge key's label table: each source labelling, in `itertools.product`
+    order, to its ((target index, coeff), ...) carried by `transfer_labels`
+    through the key's plan over the integer tables."""
+    plan = _edge_plan(*key)
+    index = {lbls: t for t, lbls in enumerate(itertools.product(LABELS, repeat=plan.count))}
+    return [tuple((index[lbls], v) for lbls, v in transfer_labels(plan, labels, INT_RINGS[th]))
+            for labels in itertools.product(LABELS, repeat=key[0])]
 
 
 def r2_termwise(event, src: CubeComplex, tgt: CubeComplex, g: Generator) -> dict[Generator, TPoly]:

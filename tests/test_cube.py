@@ -23,6 +23,7 @@ from khoval.corpus import PD_CODES, torus2_pd
 from khoval.diagram import (LinkDiagram, ResolvedDiagram, _edge_plan, parse_pd, resolve, serialize_pd,
                             transfer)
 from khoval.errors import CapExceededError, KhovalError, MoveError
+from khoval.homology import homology
 from khoval.moves import ESI, apply_esi
 
 from oracles import differential_termwise
@@ -309,6 +310,27 @@ def test_edge_piece_refuses_a_non_planar_edge():
             build_cube(d, Theory.KHOVANOV).edge(0, 0)
         assert "crossing 1 at vertex 0" in str(refused.value)
     assert _edge_plan.cache_info().currsize == stored
+
+
+@pytest.mark.parametrize("th", [Theory.KHOVANOV, Theory.LEE])
+def test_homology_refuses_a_non_planar_edge(th):
+    # homology reads the edge key itself: the same refusal, and no plan stored
+    d = LinkDiagram([(1, (1, 2, 1, 2))])
+    stored = _edge_plan.cache_info().currsize
+    with pytest.raises(MoveError, match="not planar") as refused:
+        homology(build_cube(d, th))
+    assert "crossing 1 at vertex 0" in str(refused.value)
+    assert _edge_plan.cache_info().currsize == stored
+
+
+def test_edge_refuses_an_edge_off_the_cube():
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
+    for mask, j in [(0, 3), (0, -1), (-1, 0), (8, 0)]:
+        with pytest.raises(KhovalError, match="not on the cube of 3 crossings"):
+            c.edge(mask, j)
+    with pytest.raises(KhovalError, match="must start at a 0-bit"):
+        c.edge(1, 0)
+    assert c._edges == {}
 
 
 def test_transfer_labels_needs_a_label_for_every_new_circle():

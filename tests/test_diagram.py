@@ -1,6 +1,7 @@
 """PD parsing, orientation/sign conventions, resolutions, and circle-transfer plans."""
 
 import itertools
+import random
 
 import pytest
 
@@ -196,6 +197,12 @@ def test_resolve_matches_the_union_find_oracle(corpus):
     diagrams = {**corpus, **{f"T(2,{n})": parse_pd(torus2_pd(n)) for n in range(1, 8)}}
     for name, d in diagrams.items():
         assert_resolutions_match_the_union_find(d, name)
+    # past 64 crossings, so the walk rests on no fixed-width table
+    d = parse_pd(torus2_pd(71))
+    rng = random.Random(71)
+    for mask in [0, (1 << 71) - 1, *(rng.getrandbits(71) for _ in range(5))]:
+        got, want = resolve(d, mask), resolve_union_find(d, mask)
+        assert (got.circles, got.circle_of) == (want.circles, want.circle_of), mask
 
 
 def test_resolve_reads_a_bit_sequence_as_its_mask(corpus):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from khoval.algebra import INT_RINGS, MINUS, PLUS, RINGS, Ring, Theory, TPoly
 from khoval.corpus import PD_CODES, torus2_pd
 from khoval.cube import build_cube
-from khoval.diagram import parse_pd
+from khoval.diagram import edge_key, parse_pd
 from khoval.errors import CapExceededError, KhovalError, TheoryError
 from khoval.homology import (
     CubeIndex,
@@ -33,6 +33,7 @@ from oracles import (
     graded_euler_termwise,
     in_image,
     kernel_basis,
+    label_table_termwise,
     rank_over_field,
     snf_with_transforms,
     torus2_khovanov,
@@ -275,36 +276,51 @@ def test_integer_columns_skip_the_given_generators():
 @pytest.mark.parametrize("th", INTEGRAL)
 @pytest.mark.parametrize("diagram, plans, carried", [("T(2,7)", 27, 770), ("figure8_kinked", 27, 362)])
 def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th, diagram, plans, carried):
-    # each distinct edge plan carries each labelling of its source circles
-    # once over one whole `homology` call, its layers sharing the tables (19
-    # of the kinked figure-eight's plans sit on edges of two or more layers);
-    # the columns are offsets into those tables, with no applier of pieces
-    c = build_cube(shuffle_diagram(diagram), th)
-    sources = {c.edge(mask, j).plan: c.circles(mask).count
-               for mask in range(1 << c.n) for j in range(c.n) if not (mask >> j) & 1}
-    calls = {"transfer_labels": 0, "apply_pieces": 0}
+    # each distinct edge key gets one label table, with a row per labelling
+    # of its source circles, over one whole `homology` call, its layers
+    # sharing the tables (19 of the kinked figure-eight's keys sit on edges
+    # of two or more layers); the columns are offsets into those tables,
+    # with no applier of pieces and no edge piece kept on the cube
+    d = shuffle_diagram(diagram)
+    c = build_cube(d, th)
+    keys = {edge_key(c.circles(mask), c.circles(mask | 1 << j), d.crossings[j], mask)
+            for mask in range(1 << c.n) for j in range(c.n) if not (mask >> j) & 1}
+    indices, applied = [], []
+    cube_module = importlib.import_module("khoval.cube")
+    init, apply_pieces = CubeIndex.__init__, cube_module.apply_pieces
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def recording(self, cube):
+        init(self, cube)
+        indices.append(self)
 
-    # the package's `homology` attribute is the function, not the module
-    cube_module, homology_module = map(importlib.import_module, ("khoval.cube", "khoval.homology"))
-    wrapped = {name: counting(name, getattr(cube_module, name)) for name in calls}
-    for module in (cube_module, homology_module):
-        for name in calls:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped[name])
+    def counting(*args):
+        applied.append(args)
+        return apply_pieces(*args)
+
+    monkeypatch.setattr(CubeIndex, "__init__", recording)
+    monkeypatch.setattr(cube_module, "apply_pieces", counting)
     homology(c)
-    assert calls == {"transfer_labels": sum(2 ** k for k in sources.values()), "apply_pieces": 0}
-    assert calls["transfer_labels"] == carried
-    assert len(sources) == plans
+    [index] = indices
+    assert index.tables.keys() == keys and len(keys) == plans
+    assert sum(map(len, index.tables.values())) == sum(2 ** k for k, *_ in keys) == carried
+    assert applied == [] and c._edges == {}
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
+@pytest.mark.parametrize("name", [*PD_CODES, *(f"T(2,{n})" for n in range(1, 10)), "figure8_kinked"])
+def test_label_tables_match_the_transfer_labels_reference(th, name):
+    # row by row, in order: the column entries' insertion order picks the pivots
+    d = shuffle_diagram(name)
+    c = build_cube(d, th)
+    index = CubeIndex(c)
+    keys = {edge_key(c.circles(mask), c.circles(mask | 1 << j), d.crossings[j], mask)
+            for mask in range(1 << c.n) for j in range(c.n) if not (mask >> j) & 1}
+    for key in keys:
+        assert index.table(key) == label_table_termwise(key, th), key
 
 
 def shuffle_diagram(name):
-    """A corpus diagram, T(2,5), T(2,7), or the figure-eight with a positive and a negative kink."""
+    """A corpus diagram, T(2,n), or the figure-eight with a positive and a negative kink."""
     if name.startswith("T(2,"):
         return parse_pd(torus2_pd(int(name[4:-1])))
     if name == "figure8_kinked":
