@@ -6,7 +6,10 @@ differential go from layer p to layer p + 1.  A cancelled pair changes only
 the map out of its source's layer (Bar-Natan, math/0606318, Lemma 3.2), so
 only layer p's generators that layer p - 1's pivots left standing get `int`
 columns, and `reduce.eliminate` reduces them left to right in cube order,
-cancelling their +-1 entries against layer p + 1.  `integer_differential`
+cancelling their +-1 entries against layer p + 1.  The set it returns is
+the next layer's skip list and is struck from the residue of the layer
+below; no generator carries a degree until the end, when `CubeIndex.degree`
+reads the survivors' (i, q) off their numbers.  `integer_differential`
 reads a layer's columns as integer offsets into one label table per
 `diagram.edge_key`, which its `CubeIndex` builds once per call by bit
 arithmetic on labelling indices over `algebra.INT_RINGS`, so no `TPoly`, no
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .algebra import INT_RINGS, LABELS, LaurentPoly, Theory
@@ -131,14 +135,14 @@ class CubeIndex:
     with m v- labels sits at q = top - 2m.  Generators are numbered by their
     position in `c.generators()`: the labelling read as a binary number
     (v+ = 0, circle 0 the most significant bit) plus the vertex's offset.
-    `layers[p]` lists the masks with p bits set (layer n + 1 is empty).
+    `layers[p]` lists the masks with p bits set, for p in range(n + 1).
     Each edge key's label table is built on first use, once per index.
     """
 
     def __init__(self, c: CubeComplex):
         self.cube = c
         self.vertices: list[tuple[int, int, int]] = []
-        self.layers: list[list[int]] = [[] for _ in range(c.n + 2)]
+        self.layers: list[list[int]] = [[] for _ in range(c.n + 1)]
         shift = c.n_plus - 2 * c.n_minus
         for mask in range(1 << c.n):
             p, k = mask.bit_count(), c.circles(mask).count
@@ -146,6 +150,12 @@ class CubeIndex:
             self.layers[p].append(mask)
         self.offsets = list(itertools.accumulate((1 << k for _, _, k in self.vertices), initial=0))
         self.tables: dict[tuple[int, int, int, int, int], list] = {}
+
+    def degree(self, g: int) -> tuple[int, int]:
+        """Generator g's (i, q): its vertex by its offset, q by the v- bits of its labelling."""
+        mask = bisect_right(self.offsets, g) - 1
+        i, top, _ = self.vertices[mask]
+        return i, top - 2 * (g - self.offsets[mask]).bit_count()
 
     def table(self, key: tuple[int, int, int, int, int]) -> list[tuple[tuple[int, int], ...]]:
         """Each labelling of the edge's k source circles (by index) to its ((target index, coeff), ...).
@@ -178,29 +188,16 @@ class CubeIndex:
         return table
 
 
-def layer_degrees(index: CubeIndex, p: int, skip=()) -> dict[int, tuple[int, int]]:
-    """{g: (i, q)} for layer p's generators not in `skip`, in cube order."""
-    degrees: dict[int, tuple[int, int]] = {}
-    gradings: dict[tuple[int, int, int], list] = {}  # one list of degrees per (i, top, k)
-    for mask in index.layers[p]:
-        i, top, k = vertex = index.vertices[mask]
-        if vertex not in gradings:
-            gradings[vertex] = [(i, top - 2 * m.bit_count()) for m in range(1 << k)]
-        degrees.update(zip(range(index.offsets[mask], index.offsets[mask + 1]), gradings[vertex]))
-    for g in skip:
-        degrees.pop(g, None)
-    return degrees
-
-
-def integer_differential(index: CubeIndex, p: int, skip=()) -> tuple[dict, dict]:
-    """Layer p's degrees {g: (i, q)} and integer columns {g: {h: coeff}}, skipping `skip`.
+def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
+    """Layer p's integer columns {g: {h: coeff}}, skipping the generators in `skip`.
 
     A column is its labelling's signed images in the label tables of its
     vertex's edges (ascending crossing order), each shifted by the target's
     offset; columns are inserted in cube order.
     """
     c, offsets, crossings = index.cube, index.offsets, index.cube.diagram.crossings
-    degrees = layer_degrees(index, p, skip)
+    if p not in range(c.n + 1):
+        raise KhovalError(f"layer {p} is not in the cube's layers 0..{c.n}")
     diff: dict[int, dict[int, int]] = {}
     for mask in index.layers[p]:
         src, rows = c.circles(mask), []
@@ -211,37 +208,33 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> tuple[dict, dict]
                 sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
                 rows.append((offsets[tgt], sign, index.table(key)))
         for idx, g in enumerate(range(offsets[mask], offsets[mask + 1])):
-            if g in degrees:
+            if g not in skip:
                 diff[g] = {off + t: sign * v for off, sign, table in rows for t, v in table[idx]}
-    return degrees, diff
+    return diff
 
 
 def reduced_complex(c: CubeComplex) -> tuple[dict, dict]:
     """The cube complex with every unit entry cancelled: degrees {g: (i, q)} and columns.
 
     `eliminate` runs on each layer's columns with the next layer's
-    generators as targets.  Its pivots' sources also leave the residue of
-    the layer below, which then moves into the result.
+    generators as targets.  The targets it cancels get no column in the
+    next layer, and the sources it cancels leave the residue of the layer
+    below, which then moves into the result.  Only the survivors get degrees.
     """
     index = CubeIndex(c)
-    degrees: dict = {}
     diff: dict = {}
     residue: dict = {}  # layer p - 1's residual columns, into layer p
-    skip: set = set()  # layer p's generators cancelled as targets
+    cancelled: set = set()  # what layer p - 1's pivots cancelled: its sources, layer p's targets
     for p in range(c.n + 1):
-        sources, columns = integer_differential(index, p, skip)
-        targets = layer_degrees(index, p + 1)
-        block = sources | targets
-        eliminate(block, columns)
+        columns = integer_differential(index, p, cancelled)
+        cancelled = eliminate(columns)
         for col in residue.values():
-            for h in [h for h in col if h not in block]:
+            for h in [h for h in col if h in cancelled]:
                 del col[h]
         diff.update(residue)
         residue = columns
-        degrees.update((g, block[g]) for g in columns)
-        skip = {h for h in targets if h not in block}
     diff.update(residue)
-    return degrees, diff
+    return {g: index.degree(g) for g in diff}, diff
 
 
 def homology(c: CubeComplex) -> dict:

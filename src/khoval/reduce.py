@@ -4,9 +4,11 @@
 homology computations" (math/0606318).  Cancelling a differential entry of
 coefficient +-1 between two basis generators yields a smaller complex
 homotopy equivalent to the original.  The kernel works on column-sparse
-differentials {g: {h: c}} with `int` or `TPoly` coefficients.  A target may
-have no column: `homology` hands it one layer of the cube at a time, that
-layer's columns with the next layer's generators as targets, and passes the
+differentials {g: {h: c}} with `int` coefficients, and returns the set of
+generators it cancelled, sources and targets; a caller that needs the
+survivors' degrees reads them off its own numbering.  A target may have no
+column: `homology` hands it one layer of the cube at a time, that layer's
+columns with the next layer's generators as targets, and passes the
 non-unit residue to the Smith normal form.  Columns are reduced left to
 right, as in persistent homology, with no row index: visited in the
 caller's insertion order (cube order, for homology), each first takes the
@@ -29,13 +31,15 @@ from heapq import heappop, heappush
 __all__ = ["eliminate"]
 
 
-def eliminate(degrees: dict, diff: dict) -> None:
-    """Cancel unit entries of the complex (degrees, diff), in place, until none is left.
+def eliminate(diff: dict) -> set:
+    """Cancel unit entries of `diff`, in place, until none is left; return the cancelled generators.
 
-    `degrees` holds every generator; `diff` maps generators to their columns
-    {target: coefficient}, and a target without a column has a zero one.
+    `diff` maps generators to their columns {target: coefficient}, and a
+    target without a column has a zero one.  The returned set holds both
+    ends of every cancelled entry; `diff` keeps only the surviving columns.
     """
     order = list(diff)
+    cancelled: set = set()
     while True:
         pivots: list = []  # (g, h, -lam, rho) in the order chosen; rho = d(g) - lam*h
         number: dict = {}  # the cancelled generators, sources and targets, to their pivot's number
@@ -51,13 +55,13 @@ def eliminate(degrees: dict, diff: dict) -> None:
                     pivots.append((g, h, -c, col))
                     break
         if not pivots:
-            return
+            return cancelled
         order = [g for g in order if g not in number]
         for g in order:
             _reduce(diff[g], pivots, number)
         for g in number:
-            del degrees[g]
             diff.pop(g, None)
+        cancelled.update(number)
 
 
 def _reduce(col: dict, pivots: list, number: dict) -> None:

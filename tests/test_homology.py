@@ -189,26 +189,24 @@ INTEGRAL = [Theory.KHOVANOV, Theory.LEE]
 
 
 def whole_complex(c):
-    """The cube's degrees and integer columns, assembled from its layers."""
+    """The cube's integer columns, assembled from its layers."""
     index = CubeIndex(c)
-    degrees, diff = {}, {}
+    diff = {}
     for p in range(c.n + 1):
-        layer_degrees, columns = integer_differential(index, p)
-        degrees.update(layer_degrees)
-        diff.update(columns)
-    return degrees, diff
+        diff.update(integer_differential(index, p))
+    return diff
 
 
 @pytest.mark.parametrize("th", INTEGRAL)
 def test_integer_columns_match_the_termwise_oracle(corpus, th):
     # the constant terms of the Z[t] differential summed edge by edge,
-    # keyed by position in c.generators()
+    # keyed by position in c.generators(); the degrees are
+    # test_cube_index_degree_is_the_generators_degree's
     for name, d in corpus.items():
         c = build_cube(d, th)
         gens = list(c.generators())
         position = {g: k for k, g in enumerate(gens)}
-        degrees, diff = whole_complex(c)
-        assert degrees == {k: c.degrees(g) for k, g in enumerate(gens)}, name
+        diff = whole_complex(c)
         assert diff == {
             k: {position[h]: p.coefficient(0) for h, p in differential_termwise(c, g).items()}
             for k, g in enumerate(gens)
@@ -262,15 +260,35 @@ def test_torus_knot_homology_matches_the_closed_form(n):
 
 
 def test_integer_columns_skip_the_given_generators():
-    # a skipped generator gets neither a degree nor a column; the others are unchanged
+    # a skipped generator gets no column; the others are unchanged, and
+    # without a skip list every generator of the layer gets one
     c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
     index = CubeIndex(c)
-    degrees, diff = integer_differential(index, 1)
-    skip = set(list(degrees)[::2])
-    kept_degrees, kept = integer_differential(index, 1, skip)
-    assert kept_degrees == {g: q for g, q in degrees.items() if g not in skip}
+    diff = integer_differential(index, 1)
+    assert list(diff) == [k for k, g in enumerate(c.generators()) if g.mask.bit_count() == 1]
+    skip = set(list(diff)[::2])
+    kept = integer_differential(index, 1, skip)
     assert kept == {g: col for g, col in diff.items() if g not in skip}
     assert list(kept) == sorted(kept)
+
+
+@pytest.mark.parametrize("p", [-2, -1, 4, 5])
+def test_integer_columns_refuse_a_layer_outside_the_cube(p):
+    # a negative p would otherwise read a layer from the end of the list
+    index = CubeIndex(build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV))
+    with pytest.raises(KhovalError, match="not in the cube's layers"):
+        integer_differential(index, p)
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
+def test_cube_index_degree_is_the_generators_degree(corpus, th):
+    # the vertex found by bisecting the offsets, q by the labelling's popcount
+    names = [*(f"T(2,{n})" for n in range(1, 10)), "figure8_kinked"]
+    for name, d in [*corpus.items(), *((name, shuffle_diagram(name)) for name in names)]:
+        c = build_cube(d, th)
+        index = CubeIndex(c)
+        assert [index.degree(k) for k in range(index.offsets[-1])] == \
+            [c.degrees(g) for g in c.generators()], name
 
 
 @pytest.mark.parametrize("th", INTEGRAL)
@@ -330,7 +348,7 @@ def shuffle_diagram(name):
 
 
 def assert_reduced(degrees, diff):
-    """Every column entry is a generator of `degrees`, and none is a unit."""
+    """Every column entry is a generator of `degrees` (a dict or a set), and none is a unit."""
     for col in diff.values():
         assert set(col) <= set(degrees)
         assert all(v not in (1, -1) for v in col.values())
@@ -347,18 +365,24 @@ def test_homology_does_not_depend_on_the_elimination_order(monkeypatch, name, th
     expected = homology(c)
     rng = random.Random(f"{name} {th.value}")
     homology_module = importlib.import_module("khoval.homology")
-    blocks, residues = [], []
+    gens = list(c.generators())
+    layers, blocks, residues = [], [], []
 
     def shuffled(index, p, skip=()):
-        degrees, diff = integer_differential(index, p, skip)
+        diff = integer_differential(index, p, skip)
         order = list(diff)
         rng.shuffle(order)
-        return degrees, {g: diff[g] for g in order}
+        # the block: the layer's columns and every generator of the next layer
+        layers.append({*diff, *(k for k, g in enumerate(gens) if g.mask.bit_count() == p + 1)})
+        return {g: diff[g] for g in order}
 
-    def recording(degrees, diff):
-        eliminate(degrees, diff)
-        assert_reduced(degrees, diff)
-        blocks.append(degrees)
+    def recording(diff):
+        block = layers[-1]
+        cancelled = eliminate(diff)
+        assert cancelled <= block
+        assert_reduced(block - cancelled, diff)
+        blocks.append(block)
+        return cancelled
 
     def final(cube):
         residues.append(reduced_complex(cube))
@@ -381,16 +405,19 @@ def test_homology_streams_the_cube_by_layers(monkeypatch, th):
     # layer below cancels as a target get a column (both theories leave 14
     # of T(2,7)'s generators, so both build 2190 - (2190 - 14) / 2 columns)
     c = build_cube(parse_pd(torus2_pd(7)), th)
-    total = sum(1 for _ in c.generators())
+    gens = list(c.generators())
+    total = len(gens)
     homology_module = importlib.import_module("khoval.homology")
     built, cancelled, spans = set(), set(), []
 
-    def recording(degrees, diff):
-        targets = set(degrees) - set(diff)
-        built.update(diff)
-        spans.append({i for i, _ in degrees.values()})
-        eliminate(degrees, diff)
-        cancelled.update(targets - set(degrees))
+    def recording(diff):
+        sources = set(diff)
+        targets = {h for col in diff.values() for h in col}
+        built.update(sources)
+        spans.append({c.degrees(gens[k])[0] for k in sources | targets})
+        returned = eliminate(diff)
+        cancelled.update(returned - sources)
+        return returned
 
     monkeypatch.setattr(homology_module, "eliminate", recording)
     degrees, _ = reduced_complex(c)
@@ -402,6 +429,22 @@ def test_homology_streams_the_cube_by_layers(monkeypatch, th):
     assert built == set(range(total)) - cancelled
     assert len(built) == 1102
     assert len(degrees) == 14
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
+def test_homology_reads_degrees_for_the_survivors_only(monkeypatch, th):
+    # one `CubeIndex.degree` per residual generator, none per cancelled one
+    # (the 14 of test_homology_streams_the_cube_by_layers)
+    calls = [0]
+    degree = CubeIndex.degree
+
+    def counting(self, g):
+        calls[0] += 1
+        return degree(self, g)
+
+    monkeypatch.setattr(CubeIndex, "degree", counting)
+    homology(build_cube(parse_pd(torus2_pd(7)), th))
+    assert calls[0] == 14
 
 
 def test_homology_rejects_deformed_theory():

@@ -115,7 +115,7 @@ def test_reduction_preserves_free_rank():
         g: {h: p.coefficient(0) for h, p in cube.differential_of(g).terms.items()}
         for g in degrees
     }
-    assert_eliminates_like_the_oracle(degrees, diff)
+    degrees = assert_eliminates_like_the_oracle(degrees, diff)
     groups = homology(cube)
     free = sum(g.free_rank for g in groups.values())
     torsion_pairs = sum(len(g.torsion) for g in groups.values())
@@ -133,11 +133,16 @@ def test_eliminate_matches_the_row_index_oracle_on_every_layer_block(monkeypatch
     # each layer block that homology hands the kernel (targets without
     # columns) comes out as the oracle leaves it
     c = build_cube(diagram(name), th)
+    gens = list(c.generators())
     blocks = []
 
-    def both(degrees, diff):
-        assert_eliminates_like_the_oracle(degrees, diff)
+    def both(diff):
+        # the block: the layer's columns and every generator of the next layer
+        p = len(blocks)
+        targets = [k for k, g in enumerate(gens) if g.mask.bit_count() == p + 1]
+        degrees = {k: c.degrees(gens[k]) for k in [*diff, *targets]}
         blocks.append(degrees)
+        return set(degrees) - set(assert_eliminates_like_the_oracle(degrees, diff))
 
     # the package's `homology` attribute is the function, not the module
     monkeypatch.setattr(importlib.import_module("khoval.homology"), "eliminate", both)
@@ -157,11 +162,18 @@ def test_eliminate_matches_the_row_index_oracle_on_random_graded_matrices(seed):
     assert_eliminates_like_the_oracle(degrees, diff)
 
 
-def assert_eliminates_like_the_oracle(degrees: dict, diff: dict) -> None:
-    """Run `eliminate` in place; the row-index oracle on a copy leaves equal dicts in equal order."""
+def assert_eliminates_like_the_oracle(degrees: dict, diff: dict) -> dict:
+    """Run `eliminate` on `diff` in place and return the surviving `degrees`.
+
+    The row-index oracle, on copies, drops from its degrees exactly the
+    generators `eliminate` returns and leaves equal columns in equal order.
+    """
     want_degrees, want_diff = dict(degrees), {g: dict(col) for g, col in diff.items()}
     eliminate_row_index(want_degrees, want_diff)
-    eliminate(degrees, diff)
-    assert list(degrees.items()) == list(want_degrees.items())
+    cancelled = eliminate(diff)
+    assert cancelled == set(degrees) - set(want_degrees)
+    survivors = {g: q for g, q in degrees.items() if g not in cancelled}
+    assert list(survivors.items()) == list(want_degrees.items())
     assert [(g, list(col.items())) for g, col in diff.items()] == \
         [(g, list(col.items())) for g, col in want_diff.items()]
+    return survivors
