@@ -101,17 +101,25 @@ class TPoly:
     def coefficient(self, exp: int) -> int:
         return self._terms.get(exp, 0)
 
+    def _of(self, terms: dict[int, int]) -> "TPoly":
+        out = object.__new__(type(self))  # `terms` is clean already: no check
+        out._terms = terms
+        return out
+
     def __add__(self, other: "TPoly") -> "TPoly":
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
-            terms[exp] = terms.get(exp, 0) + coeff
-        return type(self)(terms)
+            if total := terms.get(exp, 0) + coeff:
+                terms[exp] = total
+            else:
+                del terms[exp]
+        return self._of(terms)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
         return self + (-other)
 
     def __neg__(self) -> "TPoly":
-        return type(self)({e: -c for e, c in self._terms.items()})
+        return self._of({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: "TPoly | int") -> "TPoly":
         if isinstance(other, int):
@@ -126,7 +134,8 @@ class TPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
+            terms = self._terms
+            return terms.get(0) == other and len(terms) == 1 if other else not terms
         if not isinstance(other, TPoly):
             return NotImplemented
         return type(self) is type(other) and self._terms == other._terms

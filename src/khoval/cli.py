@@ -48,6 +48,9 @@ from .homology import graded_euler, homology, kauffman_jones
 
 
 FORMATS = ("human", "csv", "json")
+# the exit code of each error class, the most specific first
+EXIT_CODES = ((ValidationError, 5), (CapExceededError, 4), (TheoryError, 3), (ParseError, 2),
+              (KhovalError, 1))
 
 
 def _format(value: str) -> str:
@@ -168,9 +171,7 @@ def _homology_rows(groups: dict, graded: bool) -> list[dict]:
 
 def _render_homology(rows: list[dict], theory: Theory, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(
-            {"theory": theory.value, "rows": rows}, sort_keys=True
-        )
+        return json.dumps({"theory": theory.value, "rows": rows}, sort_keys=True)
     if fmt == "csv":
         lines = ["i,q,free_rank,torsion"]
         for r in rows:
@@ -190,14 +191,8 @@ def _render_homology(rows: list[dict], theory: Theory, fmt: str) -> str:
 def _render_jones(euler, oracle, fmt: str) -> str:
     agree = euler == oracle
     if fmt == "json":
-        return json.dumps(
-            {
-                "graded_euler": str(euler),
-                "kauffman_jones": str(oracle),
-                "agree": agree,
-            },
-            sort_keys=True,
-        )
+        payload = {"graded_euler": str(euler), "kauffman_jones": str(oracle), "agree": agree}
+        return json.dumps(payload, sort_keys=True)
     if fmt == "csv":
         return "graded_euler,kauffman_jones,agree\n" + (
             f'"{euler}","{oracle}",{str(agree).lower()}'
@@ -293,17 +288,11 @@ def _cmd_stills(args) -> int:
         pd = serialize_pd(d)
         print(f"  pd: {pd if pd else '(empty)'}")
         if d.crossings:
-            desc = " | ".join(
-                f"{c.cid}:X{c.arcs} sign {'+' if c.sign > 0 else '-'}"
-                for c in d.crossings
-            )
-            print(f"  crossings: {desc}")
+            signs = (f"{c.cid}:X{c.arcs} sign {'+' if c.sign > 0 else '-'}" for c in d.crossings)
+            print(f"  crossings: {' | '.join(signs)}")
         if d.loops:
-            desc = " | ".join(
-                f"circle {min(lp)}: arcs {','.join(str(a) for a in lp)}"
-                for lp in d.loops
-            )
-            print(f"  free loops: {desc}")
+            loops = (f"circle {min(lp)}: arcs {','.join(map(str, lp))}" for lp in d.loops)
+            print(f"  free loops: {' | '.join(loops)}")
     if not report.ok:
         print(f"!! invalid at event {report.index}: {report.reason}")
     return 0
@@ -320,30 +309,13 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "homology": _cmd_homology,
-        "jones": _cmd_jones,
-        "movie": _cmd_movie,
-        "stills": _cmd_stills,
-        "verify": _cmd_verify,
-    }
+    handlers = {"homology": _cmd_homology, "jones": _cmd_jones, "movie": _cmd_movie,
+                "stills": _cmd_stills, "verify": _cmd_verify}
     try:
         return handlers[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except TheoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KhovalError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -21,9 +21,14 @@ between its through slice and the cube without the pair, again with the
 Koszul sign.  The R3 map is Bar-Natan's cone formula on the triangle
 crossings (`r3.triangle_map`, one op built from the same reduction); kinks
 on the triangle's sides come off by R1 ops before it and go back on by R1
-ops after.  No map resolves more of a cube than the vertices it reaches.
-`eval_movie` reuses the rewrites that `Movie.replay` recorded; the public
-`esi_chain_map` redoes the rewrite and checks it against the target cube.
+ops after.  No map resolves more of a cube than the vertices it reaches,
+and the resolutions live on the stills, shared by every theory.
+`ChainMapRep.apply` is the linear extension of the ops; `of_generator`
+memoizes single images.  One sweep (`_sweep`, over the rewrites that
+`Movie.replay` recorded) carries an element per theory: `bn_and_kj` a
+Bar-Natan and a Khovanov element, each event's Morse, R1 and R2-carry
+pieces computed once for both; `eval_movie` is the one-theory sweep.  The
+public `esi_chain_map` redoes the rewrite and checks it against the target.
 
 Evaluating a closed movie on 1 gives the endomorphism of the ground ring:
 its absolute value is the deformed invariant (a polynomial in t), whose
@@ -36,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .algebra import PLUS, TPoly, Theory
+from .algebra import LABELS, PLUS, TPoly, Theory
 from .cube import (
     CAP,
     CUP,
@@ -91,9 +96,10 @@ ESI_Q_DEGREE = {"birth": 1, "death": 1, "saddle": -1, "r1": 0, "r2": 0, "r3": 0}
 class ChainMapRep:
     """A chain map between two cube complexes: its ops (see `cube`) applied in turn.
 
-    Each generator's image is memoized, and so is every op after the first,
-    whose inputs recur across images; only the cube vertices the images
-    reach are resolved.
+    `apply` is the linear extension: an element's terms go through the ops
+    together and are summed once; `of_generator` memoizes each generator's
+    image.  Every op after the first is memoized, as its inputs recur; only
+    the cube vertices the images reach are resolved.
     """
 
     def __init__(self, source: CubeComplex, target: CubeComplex, q_degree: int, *ops):
@@ -116,9 +122,7 @@ class ChainMapRep:
     def apply(self, x: CochainElement) -> CochainElement:
         if x.cube is not self.source:
             raise KhovalError("element does not live on the map's source")
-        return CochainElement(
-            self.target, apply_linear(x.terms.items(), lambda g: self.of_generator(g).terms)
-        )
+        return CochainElement(self.target, apply_linear(x.terms.items(), self._first, *self._rest))
 
 
 # -- the chain maps: ops, most of them a table of pieces per source vertex ---------
@@ -144,11 +148,15 @@ def esi_chain_map(
     return _event_map(event, info, src, tgt)
 
 
-def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex) -> ChainMapRep:
-    """The chain map of an event whose rewrite `info` is already known."""
+def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex,
+               tables: dict | None = None) -> ChainMapRep:
+    """The chain map of an event whose rewrite `info` is already known; maps of
+    other theories between the same stills may share its piece `tables`."""
     kind = event.kind
-    if kind in ("r2", "r3"):
-        return ChainMapRep(src, tgt, 0, *(_r2_ops if kind == "r2" else _r3_ops)(src, tgt, info))
+    if kind == "r2":
+        return ChainMapRep(src, tgt, 0, *_r2_ops(src, tgt, info, tables))
+    if kind == "r3":
+        return ChainMapRep(src, tgt, 0, *_r3_ops(src, tgt, info))
     if kind in ("birth", "death", "saddle"):
         vertex = _morse(src, tgt, info)
     elif kind == "r1" and info.variant == "remove":
@@ -158,7 +166,7 @@ def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex) -
         vertex = _r1_add(src, tgt, hints, info.loop_arc, info.strand_arc, info.positive)
     else:
         raise MoveError(f"unknown ESI kind {kind!r}")
-    return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], _piece_op(tgt, vertex))
+    return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], _piece_op(tgt, vertex, tables))
 
 
 def _morse(src, tgt, info: MoveInfo):
@@ -223,7 +231,7 @@ def _r1_remove(src, tgt, info: MoveInfo):
     return vertex
 
 
-def _r2_ops(src: CubeComplex, tgt: CubeComplex, info: MoveInfo):
+def _r2_ops(src: CubeComplex, tgt: CubeComplex, info: MoveInfo, tables: dict | None = None):
     """The two ops of the R2 map, by the Gaussian elimination of the poked cube's bigon.
 
     The carry takes a vertex of the bare cube to the poked cube's through
@@ -245,7 +253,8 @@ def _r2_ops(src: CubeComplex, tgt: CubeComplex, info: MoveInfo):
             tgt_mask >>= 2
         return (Piece(tgt_mask, sign, transfer(src.circles(mask), tgt.circles(tgt_mask), hints)),)
 
-    return (_piece_op(tgt, carry), g) if add else (f, _piece_op(tgt, carry))
+    carried = _piece_op(tgt, carry, tables)
+    return (carried, g) if add else (f, carried)
 
 
 # -- the R3 map -------------------------------------------------------------------
@@ -312,9 +321,7 @@ class Movie:
         self._replay: tuple[list[LinkDiagram], list[MoveInfo], MovieReport] | None = None
 
     def initial_diagram(self) -> LinkDiagram:
-        if self.initial == "empty":
-            return LinkDiagram()
-        return LinkDiagram([], [(1, 2)])
+        return LinkDiagram() if self.initial == "empty" else LinkDiagram([], [(1, 2)])
 
     def replay(self):
         """(stills up to failure, move infos, validation report).
@@ -361,6 +368,33 @@ def validate_movie(m: Movie) -> MovieReport:
     return m.validate()
 
 
+def _sweep(m: Movie, theories: tuple[Theory, ...], start_label: int | None = None,
+           cap: int = DEFAULT_CAP):
+    """Yield one element per theory: at the start, then after each event.
+
+    Each event's pieces are computed once and applied in every theory's ring
+    (`_event_map`'s shared `tables`).  A zero element builds no more maps, but
+    every still is still checked against the cap.
+    """
+    if start_label is not None and (type(start_label) is not int or start_label not in LABELS):
+        raise KhovalError(f"start label must be PLUS (0) or MINUS (1), not {start_label!r}")
+    stills, infos = m.stills(), m.replay()[1]
+    if m.initial == "empty":
+        if start_label is not None:
+            raise KhovalError("a movie from the empty diagram starts at 1")
+        start = Generator(0, ())
+    else:
+        start = Generator(0, (PLUS if start_label is None else start_label,))
+    xs = [build_cube(stills[0], th, cap=cap).basis_element(start) for th in theories]
+    yield xs
+    for event, info, still in zip(m.events, infos, stills[1:]):
+        tables: dict = {}
+        xs = [_event_map(event, info, x.cube, cube, tables).apply(x) if x.terms
+              else CochainElement(cube, {})
+              for x, cube in zip(xs, [build_cube(still, th, cap=cap) for th in theories])]
+        yield xs
+
+
 def eval_movie(
     m: Movie,
     th: Theory = Theory.BAR_NATAN,
@@ -368,29 +402,18 @@ def eval_movie(
     cap: int = DEFAULT_CAP,
 ) -> CochainElement:
     """Thread the initial element through all ESI chain maps."""
-    stills, infos, report = m.replay()
-    if not report.ok:
-        raise ValidationError(report.index, report.reason)
-    cube = build_cube(stills[0], th, cap=cap)
-    if m.initial == "empty":
-        if start_label is not None:
-            raise KhovalError("a movie from the empty diagram starts at 1")
-        x = cube.basis_element(Generator(0, ()))
-    else:
-        label = PLUS if start_label is None else start_label
-        x = cube.basis_element(Generator(0, (label,)))
-    for event, info, still in zip(m.events, infos, stills[1:]):
-        nxt = build_cube(still, th, cap=cap)
-        x = _event_map(event, info, cube, nxt).apply(x)
-        cube = nxt
+    for (x,) in _sweep(m, (th,), start_label, cap):
+        pass
     return x
 
 
-def _closed_value(m: Movie, th: Theory, cap: int = DEFAULT_CAP) -> TPoly:
+def _closed_values(m: Movie, theories: tuple[Theory, ...], cap: int = DEFAULT_CAP) -> list[TPoly]:
+    """The closed movie's value in each theory, from one sweep."""
     if not m.is_closed() or m.initial != "empty":
         raise MoveError("movie is not a closed empty-to-empty movie")
-    x = eval_movie(m, th, cap=cap)
-    return x.terms.get(Generator(0, ()), TPoly(0))
+    for xs in _sweep(m, theories, cap=cap):
+        pass
+    return [x.terms.get(Generator(0, ()), TPoly(0)) for x in xs]
 
 
 def _abs_monomial(value: TPoly, what: str) -> TPoly:
@@ -405,16 +428,18 @@ def _abs_monomial(value: TPoly, what: str) -> TPoly:
 
 def bn_invariant(m: Movie, cap: int = DEFAULT_CAP) -> TPoly:
     """The deformed invariant: |closed-movie evaluation|, a monomial in t."""
-    return _abs_monomial(_closed_value(m, Theory.BAR_NATAN, cap), "closed movie")
+    return _abs_monomial(_closed_values(m, (Theory.BAR_NATAN,), cap)[0], "closed movie")
 
 
 def bn_and_kj(m: Movie, cap: int = DEFAULT_CAP) -> tuple[TPoly, int]:
-    """BN and KJ from one deformed and one plain evaluation.
+    """BN and KJ from one sweep that carries a deformed and a plain element.
 
-    KJ is the plain evaluation, cross-checked against BN at t = 0.
+    KJ is the plain element's value, an evaluation in the Khovanov ring of
+    its own, cross-checked against BN at t = 0.
     """
-    bn = bn_invariant(m, cap)
-    plain = abs(_closed_value(m, Theory.KHOVANOV, cap).coefficient(0))
+    deformed, undeformed = _closed_values(m, (Theory.BAR_NATAN, Theory.KHOVANOV), cap)
+    bn = _abs_monomial(deformed, "closed movie")
+    plain = abs(undeformed.coefficient(0))
     if plain != abs(bn.specialize(0)):
         raise KhovalError(
             "internal error: t=0 specialization disagrees with the plain evaluation"
@@ -429,7 +454,7 @@ def kj_number(m: Movie, cap: int = DEFAULT_CAP) -> int:
 
 def lee_value(m: Movie, cap: int = DEFAULT_CAP) -> int:
     """Closed-movie evaluation at t = 1."""
-    return _closed_value(m, Theory.LEE, cap).coefficient(0)
+    return _closed_values(m, (Theory.LEE,), cap)[0].coefficient(0)
 
 
 def _is_unknot_still(d: LinkDiagram) -> bool:
@@ -449,8 +474,7 @@ def punctured_eval(
             raise MoveError("to_empty movie must run from the unknot to the empty diagram")
         if x is None:
             raise MoveError("to_empty evaluation needs a starting label")
-        out = eval_movie(m, th, start_label=x, cap=cap)
-        return out.terms.get(Generator(0, ()), TPoly(0))
+        return eval_movie(m, th, start_label=x, cap=cap).terms.get(Generator(0, ()), TPoly(0))
     if direction == "from_empty":
         if m.initial != "empty" or not _is_unknot_still(m.stills()[-1]):
             raise MoveError("from_empty movie must run from the empty diagram to the unknot")
@@ -465,9 +489,6 @@ def connected_sum(
 ) -> TPoly:
     """Compose punctured evaluations: m1 (empty->unknot) then m2 (unknot->empty)."""
     element = punctured_eval(m1, direction="from_empty", th=th, cap=cap)
-    final = m1.stills()[-1]
-    if not _is_unknot_still(final):
-        raise MoveError("m1 must end at a trivial-knot still")
     total = TPoly(0)
     for g, coeff in element.terms.items():
         (label,) = g.labels
@@ -556,26 +577,20 @@ def punctured_to_empty(genus: int) -> Movie:
 
 def torus_with_detour_movie() -> Movie:
     """The torus movie with an R2 poke and its removal inserted in the middle."""
-    events = [ESI("birth")]
-    d = apply_esi(LinkDiagram(), events[0])
-    lp = d.loops[0]
-    split = ESI("saddle", arcs=(lp[0], lp[1]))
-    d = apply_esi(d, split)
-    events.append(split)
-    a = d.loops[-2][0]
-    b = d.loops[-1][0]
-    poke = ESI("r2", variant="add", arcs=(a, b))
-    d, info = apply_esi_info(d, poke)
-    events.append(poke)
-    unpoke = ESI("r2", variant="remove", crossings=tuple(info.created_crossings))
-    d = apply_esi(d, unpoke)
-    events.append(unpoke)
-    a = d.loops[-2][0]
-    b = d.loops[-1][0]
-    merge = ESI("saddle", arcs=(a, b))
-    d = apply_esi(d, merge)
-    events.append(merge)
-    events.append(ESI("death", circle=min(d.loops[0])))
+    events, d = [], LinkDiagram()
+
+    def step(event: ESI) -> MoveInfo:
+        nonlocal d
+        d, info = apply_esi_info(d, event)
+        events.append(event)
+        return info
+
+    step(ESI("birth"))
+    step(ESI("saddle", arcs=d.loops[0][:2]))
+    poke = step(ESI("r2", variant="add", arcs=(d.loops[-2][0], d.loops[-1][0])))
+    step(ESI("r2", variant="remove", crossings=tuple(poke.created_crossings)))
+    step(ESI("saddle", arcs=(d.loops[-2][0], d.loops[-1][0])))
+    step(ESI("death", circle=min(d.loops[0])))
     return Movie(events)
 
 

@@ -1,16 +1,18 @@
 """The cube of modules: cochain groups, gradings, and the signed differential.
 
 Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
-on first use, so a movie pays only for the vertices its element reaches.  A
-generator is a vertex together with one int label (PLUS = 0 for v+, MINUS = 1
-for v-) per circle of its resolution, circles being listed in canonical order
-(increasing smallest arc id).
+on first use and kept on the diagram (`LinkDiagram.resolutions`), so cubes of
+every theory on one still share them and a movie pays only for the vertices
+its element reaches.  A generator is a vertex together with one int label
+(PLUS = 0 for v+, MINUS = 1 for v-) per circle of its resolution, circles
+being listed in canonical order (increasing smallest arc id).
 
 A linear map on a cube is an op: a function from a generator to its summed
 image {generator: coeff}, with no zero coefficient.  Most ops are sums of
 `Piece`s, signed dotted cobordisms that carry labels along a circle-transfer
 plan with `transfer_labels`; `apply_pieces` applies them and `_piece_op`
-makes the op of a table `vertex(mask) -> pieces`, computed once per vertex.
+makes the op of a table `vertex(mask) -> pieces`, computed once per vertex
+into a dict that ops of other theories between the same stills may share.
 The differential is one such table: the edge flipping crossing j at a vertex
 is a saddle piece (its plan, one merge or one split, memoized by its
 `diagram.edge_key`: four circle ids of crossing j's arcs at both ends)
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator, NamedTuple
 
 from .algebra import LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
@@ -109,7 +110,7 @@ class CubeComplex:
         self.n = diagram.n
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
-        self._circles: dict[int, ResolvedDiagram] = {}
+        self._resolutions = diagram.resolutions
         self._edges: dict[tuple[int, int], Piece] = {}
 
     # -- structure ---------------------------------------------------------
@@ -133,10 +134,10 @@ class CubeComplex:
         return -1 if (mask >> (j + 1)).bit_count() & 1 else 1
 
     def circles(self, mask: int) -> ResolvedDiagram:
-        """The resolution at a vertex, computed on first use."""
-        res = self._circles.get(mask)
+        """The resolution at a vertex, computed on first use and kept on the diagram."""
+        res = self._resolutions.get(mask)
         if res is None:
-            res = self._circles[mask] = resolve(self.diagram, mask)
+            res = self._resolutions[mask] = resolve(self.diagram, mask)
         return res
 
     # -- generators and degrees ---------------------------------------------
@@ -174,13 +175,10 @@ class CubeComplex:
             }
             for mask in range(1 << self.n)
         ]
-        edges = []
-        for mask in range(1 << self.n):
-            for j in range(self.n):
-                if not (mask >> j) & 1:
-                    piece = self.edge(mask, j)
-                    kind = "merge" if piece.plan.merge else "split"
-                    edges.append({"from": mask, "crossing": j, "kind": kind, "sign": piece.sign})
+        edges = [{"from": mask, "crossing": j, "kind": "merge" if p.plan.merge else "split",
+                  "sign": p.sign}
+                 for mask in range(1 << self.n) for j in range(self.n) if not (mask >> j) & 1
+                 for p in (self.edge(mask, j),)]
         return {
             "theory": self.theory.value,
             "n_plus": self.n_plus,
@@ -374,10 +372,17 @@ def _times(a, b):
     return b if a == 1 else a if b == 1 else a * b
 
 
-def _piece_op(cube: CubeComplex, vertex):
-    """The op sending a generator through the pieces `vertex(mask)`, computed once per mask."""
-    vertex = cache(vertex)
-    return lambda g: apply_pieces(cube, vertex(g.mask), g.labels)
+def _piece_op(cube: CubeComplex, vertex, tables: dict | None = None):
+    """The op sending a generator through the pieces `vertex(mask)`, computed once per
+    mask into `tables`, which ops of other theories on the same stills may share."""
+    tables = {} if tables is None else tables
+
+    def op(g: Generator) -> dict[Generator, TPoly]:
+        if (pieces := tables.get(g.mask)) is None:
+            pieces = tables[g.mask] = vertex(g.mask)
+        return apply_pieces(cube, pieces, g.labels)
+
+    return op
 
 
 def _negated(terms: dict) -> list:
@@ -444,19 +449,10 @@ def _accumulate(acc: dict, key, poly: TPoly | int) -> None:
 
 def koszul_to_front(mask: int, front: tuple[int, ...], n: int) -> tuple[int, int]:
     """Reorder crossings so `front` comes first; return (new mask, Koszul sign)."""
-    order = list(front) + [j for j in range(n) if j not in front]
-    pos = {old: p for p, old in enumerate(order)}
-    new_mask = 0
-    for p, old in enumerate(order):
-        if (mask >> old) & 1:
-            new_mask |= 1 << p
-    ones = [j for j in range(n) if (mask >> j) & 1]
-    inv = 0
-    for a in range(len(ones)):
-        for b in range(a + 1, len(ones)):
-            if pos[ones[a]] > pos[ones[b]]:
-                inv += 1
-    return new_mask, (-1 if inv & 1 else 1)
+    order = [*front, *(j for j in range(n) if j not in front)]
+    ones = [(p, old) for p, old in enumerate(order) if mask >> old & 1]
+    inversions = sum(a > b for (_, a), (_, b) in itertools.combinations(ones, 2))
+    return sum(1 << p for p, _ in ones), -1 if inversions & 1 else 1
 
 
 # -- module-level operation wrappers -------------------------------------------

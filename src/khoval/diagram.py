@@ -76,10 +76,13 @@ class LinkDiagram:
     always derived, never trusted from the caller.  `far[x]` is the other
     dart of dart x's arc (darts 4 * crossing index + slot).  `ends[arc]` is a
     crossing arc's (tail, head) darts, each a (crossing index, slot): the arc
-    leaves its tail and enters its head.
+    leaves its tail and enters its head.  `resolutions` maps each vertex
+    mask resolved so far to its `ResolvedDiagram`: `CubeComplex.circles` fills
+    it on demand, so every cube on the diagram shares them, whatever its theory.
     """
 
-    __slots__ = ("crossings", "loops", "n_plus", "n_minus", "far", "ends", "_arc_ids", "_faces")
+    __slots__ = ("crossings", "loops", "n_plus", "n_minus", "far", "ends", "resolutions",
+                 "_arc_ids", "_faces")
 
     def __init__(
         self,
@@ -101,6 +104,7 @@ class LinkDiagram:
         self.n_minus = len(self.crossings) - self.n_plus
         self._arc_ids = frozenset([*darts, *(a for lp in loop_list for a in lp)])
         self._faces: Faces | None = None  # built by the first `faces()` call
+        self.resolutions: dict[int, ResolvedDiagram] = {}
 
     @staticmethod
     def _validate_ids(raw, loop_list) -> dict[int, list[int]]:

@@ -234,6 +234,32 @@ def test_tpoly_specialize_is_ring_hom(a, t):
     assert (a + b).specialize(t) == a.specialize(t) + b.specialize(t)
 
 
+laurents = st.dictionaries(st.integers(-6, 6), st.integers(-50, 50), max_size=5).map(LaurentPoly)
+
+
+@given(polys, polys, laurents, laurents)
+def test_sums_and_negations_store_no_zero_and_keep_their_class(a, b, c, d):
+    for x, y in ((a, b), (c, d)):
+        cls = type(x)
+        for r in (x + y, x - y, -x, y + x, x + (-x)):
+            assert type(r) is cls
+            assert 0 not in r.terms.values()
+            assert r == cls(r.terms) and hash(r) == hash(cls(r.terms))
+        assert (x + (-x)).is_zero() and x + (-x) == 0
+        span = range(-6 if cls.LAURENT else 0, 7)
+        assert x + y == cls({e: x.coefficient(e) + y.coefficient(e) for e in span})
+
+
+def test_tpoly_equals_int():
+    for value in (0, 1, -1, 7):
+        p = TPoly(value)
+        assert p == value
+        assert all(p != other for other in (0, 1, -1, 7, 2) if other != value)
+    for p in (TPoly({1: 1}), TPoly({0: 1, 1: 1}), TPoly({2: -1}), LaurentPoly({-1: 1})):
+        assert all(p != other for other in (0, 1, -1, 7))
+    assert LaurentPoly({0: 3}) == 3 and LaurentPoly() == 0
+
+
 def test_tpoly_str():
     assert str(TPoly(0)) == "0"
     assert str(TPoly(2)) == "2"

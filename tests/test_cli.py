@@ -93,18 +93,18 @@ def test_movie_torus_file(capsys, monkeypatch):
     import khoval.cobordism as cobordism
 
     evaluated = []
-    eval_movie = cobordism.eval_movie
+    sweep = cobordism._sweep
 
-    def counting_eval(m, th, **kwargs):
-        evaluated.append(th.value)
-        return eval_movie(m, th, **kwargs)
+    def counting_sweep(m, theories, *args, **kwargs):
+        evaluated.append([th.value for th in theories])
+        return sweep(m, theories, *args, **kwargs)
 
-    monkeypatch.setattr(cobordism, "eval_movie", counting_eval)
+    monkeypatch.setattr(cobordism, "_sweep", counting_sweep)
     code, out, _ = run(capsys, "movie", str(MOVIES_DIR / "torus.json"))
     assert code == 0
     assert out.splitlines() == ["BN = 2", "KJ = 2"]
-    # BN and KJ come from one deformed and one plain evaluation
-    assert sorted(evaluated) == ["bar_natan", "khovanov"]
+    # BN and KJ come from one sweep that carries a deformed and a plain element
+    assert evaluated == [["bar_natan", "khovanov"]]
 
 
 def test_movie_genus3(capsys):

@@ -1,12 +1,16 @@
 """ESI chain maps, their contract laws, and movie evaluation."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from khoval.algebra import MINUS, PLUS, TPoly, Theory, xmult
 from khoval.cobordism import (
     Movie,
+    _sweep,
     bn_and_kj,
     bn_invariant,
     canonical_movies,
@@ -28,7 +32,7 @@ from khoval.cobordism import (
 )
 from khoval.corpus import PD_CODES
 from khoval.cube import CochainElement, Generator, _accumulate, build_cube
-from khoval.diagram import LinkDiagram, parse_pd
+from khoval.diagram import LinkDiagram, parse_pd, resolve
 from khoval.errors import (
     CapExceededError,
     KhovalError,
@@ -46,7 +50,7 @@ from oracles import (
     kernel_basis,
     r2_termwise,
 )
-from test_hardening import TREFOIL_BRAID
+from test_hardening import TREFOIL_BRAID, random_movies
 
 P, M = PLUS, MINUS
 ALL_THEORIES = list(Theory)
@@ -680,9 +684,16 @@ def kink_to_empty() -> Movie:
 
 
 @pytest.mark.parametrize("genus,expected", [(1, TPoly(2)), (3, TPoly({1: 8}))])
-def test_sixteen_crossing_detour_resolves_only_reached_vertices(
-    resolve_calls, genus, expected
-):
+def test_sixteen_crossing_detour_resolves_only_reached_vertices(monkeypatch, genus, expected):
+    import khoval.cube
+
+    resolved = []  # (still, vertex) of every resolution a cube computes
+
+    def recording(d, v):
+        resolved.append((id(d), v))
+        return resolve(d, v)
+
+    monkeypatch.setattr(khoval.cube, "resolve", recording)
     m = kinked_detour_movie(genus, 14)
     assert max(s.n for s in m.stills()) == 16
     bn, kj = bn_and_kj(m)
@@ -690,8 +701,9 @@ def test_sixteen_crossing_detour_resolves_only_reached_vertices(
     assert bn == expected
     assert kj == bn.specialize(0)
     assert abs(lee) == bn.specialize(1)
-    # three evaluations; resolving whole stills would cost 2^16 per still
-    assert resolve_calls[0] <= 3 * 4 * len(m.events)
+    # BN, KJ and Lee share the stills' resolutions: each reached (still,
+    # vertex) is resolved once, where whole stills would cost 2^16 each
+    assert len(set(resolved)) == len(resolved) == {1: 66, 3: 70}[genus]
 
 
 @pytest.mark.parametrize("genus", [1, 3])
@@ -699,31 +711,95 @@ def test_sixteen_crossing_detour_plans_once_per_source_vertex(monkeypatch, genus
     import khoval.cobordism as cobordism
     from khoval.diagram import transfer
 
-    plans = []  # (source resolution, target resolution) of every transfer call
+    plans = []  # the source resolution of every transfer call
 
     def counting(src_res, tgt_res, hints=None):
-        plans.append((src_res, tgt_res))
+        plans.append(src_res)
         return transfer(src_res, tgt_res, hints)
 
-    applied = []  # (map, generator) of every generator a map is applied to
-    of_generator = cobordism.ChainMapRep.of_generator
+    applied = []  # (theory, still, vertex) of every generator a map is applied to
+    apply = cobordism.ChainMapRep.apply
 
-    def recording(rep, g):
-        applied.append((rep, g))
-        return of_generator(rep, g)
+    def recording(rep, x):
+        applied.extend((rep.source.theory, id(rep.source.diagram), g.mask) for g in x.terms)
+        return apply(rep, x)
 
     monkeypatch.setattr(cobordism, "transfer", counting)
-    monkeypatch.setattr(cobordism.ChainMapRep, "of_generator", recording)
+    monkeypatch.setattr(cobordism.ChainMapRep, "apply", recording)
     bn_and_kj(kinked_detour_movie(genus, 14))
-    # one plan per source vertex and target slice (two slices for an R2 addition)
-    assert len({(id(s), id(t)) for s, t in plans}) == len(plans)
-    per_source: dict[int, int] = {}
-    for s, _ in plans:
-        per_source[id(s)] = per_source.get(id(s), 0) + 1
-    assert max(per_source.values()) <= 2
-    vertices = {(id(rep.source), g.mask) for rep, g in applied}
-    assert len(per_source) <= len(vertices) < len(applied)
-    assert len(plans) < len(applied)
+    # a source resolution is one (still, vertex), shared by both theories, and
+    # a still is the source of one event: one plan per (event, source vertex)
+    # across the deformed and the plain evaluation together
+    assert len({id(s) for s in plans}) == len(plans)
+    assert {th for th, _, _ in applied} == {Theory.BAR_NATAN, Theory.KHOVANOV}
+    reached = {(d, mask) for _, d, mask in applied}
+    assert len(plans) <= len(reached) < len(set(applied)) < len(applied)
+
+
+def assert_sweep_matches_one_theory_runs(m: Movie, start_label=None):
+    """One sweep's BN and plain elements, after every event, equal `eval_movie`
+    of the movie up to that event, and each equals the event's own
+    `esi_chain_map` applied to the element before it, generator by generator."""
+    theories = (Theory.BAR_NATAN, Theory.KHOVANOV)
+    before = None
+    for k, xs in enumerate(_sweep(m, theories, start_label)):
+        prefix = Movie(m.events[:k], m.initial)
+        for th, x in zip(theories, xs):
+            assert x.cube.theory is th and x.cube.diagram is m.stills()[k]
+            assert x.terms == eval_movie(prefix, th, start_label).terms, (k, th)
+        if before is not None:
+            for x, y in zip(before, xs):
+                assert apply_termwise(esi_chain_map(m.events[k - 1], x.cube, y.cube), x) == y, k
+        before = xs
+
+
+def test_sweep_matches_one_theory_runs_on_corpus_movies():
+    movies_dir = Path(__file__).resolve().parent.parent / "movies"
+    for path in sorted(movies_dir.glob("*.json")):
+        assert_sweep_matches_one_theory_runs(movie_from_json(json.loads(path.read_text())))
+    for m in canonical_movies().values():
+        assert_sweep_matches_one_theory_runs(m)
+    assert_sweep_matches_one_theory_runs(kinked_detour_movie(1, 4))
+    for label in (P, M):
+        assert_sweep_matches_one_theory_runs(punctured_to_empty(2), label)
+        assert_sweep_matches_one_theory_runs(kink_to_empty(), label)
+
+
+@given(random_movies())
+@settings(max_examples=25, deadline=None)
+def test_sweep_matches_one_theory_runs_on_random_movies(m):
+    assert_sweep_matches_one_theory_runs(m)
+
+
+def test_zero_element_builds_no_maps_but_every_still_meets_the_cap(monkeypatch):
+    import khoval.cobordism as cobordism
+
+    # the plain element of a genus-2 tube pair is 0 (v+ -> 2v- -> 2t v+ at
+    # t = 0); a kink comes and goes after it
+    m = punctured_from_empty(2)
+    d = m.stills()[-1]
+    kink, info = ESI("r1", variant="add_pos", arc=d.loops[0][0]), None
+    d, info = apply_esi_info(d, kink)
+    unkink = ESI("r1", variant="remove", crossing=info.created_crossings[0])
+    d = apply_esi(d, unkink)
+    m = Movie([*m.events, kink, unkink, ESI("death", circle=min(d.loops[0]))])
+    built = []
+    event_map = cobordism._event_map
+
+    def counting(event, *args):
+        built.append(event.kind)
+        return event_map(event, *args)
+
+    monkeypatch.setattr(cobordism, "_event_map", counting)
+    assert eval_movie(m, Theory.KHOVANOV).is_zero()
+    assert built == ["birth", "saddle", "saddle", "saddle", "saddle"]
+    with pytest.raises(CapExceededError):
+        eval_movie(m, Theory.KHOVANOV, cap=0)
+    built.clear()
+    assert bn_and_kj(m) == (TPoly(0), 0)
+    assert built.count("r1") == 2  # the BN element is 4t v+ then, not 0
+    with pytest.raises(CapExceededError):
+        bn_and_kj(m, cap=0)
 
 
 def test_punctured_and_connected_sum_respect_the_cap():
@@ -823,6 +899,22 @@ def test_punctured_shape_checks():
         punctured_eval(trivial_surface_movie(1), M, "to_empty")
     with pytest.raises(MoveError):
         punctured_eval(punctured_to_empty(1), direction="from_empty")
+
+
+@pytest.mark.parametrize("label", [-1, 2, True, False, 1.0, "v-"])
+def test_start_label_must_be_plus_or_minus(monkeypatch, label):
+    import khoval.cobordism as cobordism
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cube was built before the label was checked")
+
+    monkeypatch.setattr(cobordism, "build_cube", unreachable)
+    for genus in (0, 1):
+        m = punctured_to_empty(genus)
+        with pytest.raises(KhovalError, match="start label"):
+            punctured_eval(m, label, "to_empty")
+        with pytest.raises(KhovalError, match="start label"):
+            eval_movie(m, Theory.KHOVANOV, start_label=label)
 
 
 def test_punctured_from_empty_refuses_a_label():

@@ -80,6 +80,17 @@ def test_circles_are_cached(resolve_calls):
     assert resolve_calls == [1]
 
 
+def test_cubes_of_every_theory_share_the_diagram_resolutions(resolve_calls):
+    d = parse_pd(PD_CODES["trefoil"])
+    cubes = [build_cube(d, th) for th in Theory]
+    for mask in range(8):
+        first = cubes[0].circles(mask)
+        assert all(c.circles(mask) is first for c in cubes[1:])
+    assert build_cube(d, Theory.LEE).circles(5) is cubes[0].circles(5)
+    assert resolve_calls == [8]
+    assert sorted(d.resolutions) == list(range(8))
+
+
 def test_build_resolves_nothing(resolve_calls, corpus):
     for d in corpus.values():
         build_cube(d, Theory.BAR_NATAN)
