@@ -13,11 +13,6 @@ from .algebra import (
     LaurentPoly,
     Theory,
     TPoly,
-    comultiply,
-    counit,
-    multiply,
-    tube,
-    unit,
 )
 from .cobordism import (
     ChainMapRep,
@@ -37,7 +32,6 @@ from .cobordism import (
     punctured_to_empty,
     torus_with_detour_movie,
     trivial_surface_movie,
-    validate_movie,
 )
 from .cube import (
     CochainElement,
@@ -46,8 +40,6 @@ from .cube import (
     build_cube,
     check_d_squared,
     check_faces,
-    degrees,
-    differential,
 )
 from .diagram import (
     Crossing,

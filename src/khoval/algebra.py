@@ -44,12 +44,6 @@ __all__ = [
     "Ring",
     "RINGS",
     "INT_RINGS",
-    "multiply",
-    "comultiply",
-    "unit",
-    "counit",
-    "tube",
-    "xmult",
 ]
 
 PLUS = 0
@@ -221,9 +215,6 @@ class Ring:
 
 
 # -- the structure tables, reduced once per theory -----------------------------
-#
-# multiply/xmult/tube map to {label: TPoly}, comultiply to {(label, label): TPoly};
-# the returned mappings are shared and read-only.
 
 _ONE = TPoly(1)
 _T = TPoly({1: 1})
@@ -243,47 +234,6 @@ def _reduced(raw: dict, th: Theory) -> Mapping:
     )
 
 
-def _tube_table(th: Theory, x: int) -> Mapping:
-    out: dict[int, TPoly] = {}  # m o Delta, summed from the reduced tables
-    for (a, b), c1 in RINGS[th].comultiply[x].items():
-        for lbl, c2 in RINGS[th].multiply[a][b].items():
-            out[lbl] = out.get(lbl, TPoly(0)) + c1 * c2
-    return _reduced(out, th)
-
-
 RINGS = {th: Ring(tuple(tuple(_reduced(raw, th) for raw in row) for row in _ZT_MULTIPLY),
                   tuple(_reduced(raw, th) for raw in _ZT_COMULTIPLY), _ONE) for th in Theory}
 INT_RINGS = {th: RINGS[th].integral() for th in (Theory.KHOVANOV, Theory.LEE)}
-_TUBE = {th: tuple(_tube_table(th, x) for x in LABELS) for th in Theory}
-_UNIT = MappingProxyType({PLUS: _ONE})
-_COUNIT = (TPoly(0), _ONE)
-
-
-def multiply(x: int, y: int, th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
-    """Product of two circle labels (the merge map)."""
-    return RINGS[th].multiply[x][y]
-
-
-def comultiply(x: int, th: Theory = Theory.BAR_NATAN) -> Mapping[tuple[int, int], TPoly]:
-    """Coproduct of a circle label (the split map)."""
-    return RINGS[th].comultiply[x]
-
-
-def unit(th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
-    """Image of 1 under the unit map (a birth)."""
-    return _UNIT
-
-
-def counit(x: int, th: Theory = Theory.BAR_NATAN) -> TPoly:
-    """Counit (a death): v+ -> 0, v- -> 1."""
-    return _COUNIT[x]
-
-
-def tube(x: int, th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
-    """The genus-adding map m o Delta: v+ -> 2v-, v- -> 2t v+."""
-    return _TUBE[th][x]
-
-
-def xmult(x: int, th: Theory = Theory.BAR_NATAN) -> Mapping[int, TPoly]:
-    """Multiplication by X = v-:  v+ -> v-,  v- -> t v+."""
-    return RINGS[th].multiply[x][MINUS]

@@ -249,13 +249,13 @@ def _cmd_movie(args) -> int:
     if args.punctured:
         if m.initial == "unknot":
             name = args.label or "v-"
-            value = punctured_eval(m, LABEL_NAMES.index(name), "to_empty", theory, cap=args.cap)
+            value = punctured_eval(m, LABEL_NAMES.index(name), theory, cap=args.cap)
             payload = {"direction": "to_empty", "label": name, "value": str(value)}
             lines = [f"psi({name}) = {value}"]
         else:
             if args.label is not None:
                 raise ParseError("--label applies only to a movie that starts at the unknot")
-            element = punctured_eval(m, direction="from_empty", th=theory, cap=args.cap)
+            element = punctured_eval(m, th=theory, cap=args.cap)
             payload = {"direction": "from_empty", "value": _render_element(element)}
             lines = [f"psi(1) = {payload['value']}"]
     elif theory is Theory.BAR_NATAN:

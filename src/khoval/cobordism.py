@@ -63,6 +63,7 @@ from .errors import (
     KhovalError,
     MoveError,
     NonMonomialError,
+    ParseError,
     ValidationError,
 )
 from .moves import ESI, MoveInfo, apply_esi, apply_esi_info
@@ -79,7 +80,6 @@ __all__ = [
     "kj_number",
     "punctured_eval",
     "connected_sum",
-    "validate_movie",
     "concatenate",
     "trivial_surface_movie",
     "punctured_from_empty",
@@ -315,7 +315,7 @@ class Movie:
 
     def __init__(self, events, initial: str = "empty"):
         if initial not in ("empty", "unknot"):
-            raise KhovalError(f"unknown initial still {initial!r}")
+            raise ParseError(f"unknown initial still {initial!r}")
         self.events: tuple[ESI, ...] = tuple(events)
         self.initial = initial
         self._replay: tuple[list[LinkDiagram], list[MoveInfo], MovieReport] | None = None
@@ -362,10 +362,6 @@ class Movie:
 
     def __repr__(self):
         return f"Movie({len(self.events)} events, initial={self.initial!r})"
-
-
-def validate_movie(m: Movie) -> MovieReport:
-    return m.validate()
 
 
 def _sweep(m: Movie, theories: tuple[Theory, ...], start_label: int | None = None,
@@ -464,35 +460,38 @@ def _is_unknot_still(d: LinkDiagram) -> bool:
 def punctured_eval(
     m: Movie,
     x: int | None = None,
-    direction: str = "to_empty",
     th: Theory = Theory.BAR_NATAN,
     cap: int = DEFAULT_CAP,
 ):
-    """Evaluate a punctured movie: unknot -> empty on a label, or empty -> unknot on 1."""
-    if direction == "to_empty":
-        if m.initial != "unknot" or not m.stills()[-1].is_empty():
+    """Evaluate a punctured movie: unknot -> empty on a label, or empty -> unknot on 1.
+
+    The movie's initial still decides which: a `TPoly` from the unknot, the
+    element on the final unknot from the empty diagram.
+    """
+    if m.initial == "unknot":
+        if not m.stills()[-1].is_empty():
             raise MoveError("to_empty movie must run from the unknot to the empty diagram")
         if x is None:
             raise MoveError("to_empty evaluation needs a starting label")
         return eval_movie(m, th, start_label=x, cap=cap).terms.get(Generator(0, ()), TPoly(0))
-    if direction == "from_empty":
-        if m.initial != "empty" or not _is_unknot_still(m.stills()[-1]):
-            raise MoveError("from_empty movie must run from the empty diagram to the unknot")
-        if x is not None:
-            raise MoveError("a from_empty movie starts at 1 and takes no label")
-        return eval_movie(m, th, cap=cap)
-    raise MoveError(f"unknown punctured direction {direction!r}")
+    if not _is_unknot_still(m.stills()[-1]):
+        raise MoveError("from_empty movie must run from the empty diagram to the unknot")
+    if x is not None:
+        raise MoveError("a from_empty movie starts at 1 and takes no label")
+    return eval_movie(m, th, cap=cap)
 
 
 def connected_sum(
     m1: Movie, m2: Movie, th: Theory = Theory.BAR_NATAN, cap: int = DEFAULT_CAP
 ) -> TPoly:
     """Compose punctured evaluations: m1 (empty->unknot) then m2 (unknot->empty)."""
-    element = punctured_eval(m1, direction="from_empty", th=th, cap=cap)
+    if m1.initial != "empty" or m2.initial != "unknot":
+        raise MoveError("a connected sum needs an empty-to-unknot movie, then unknot-to-empty")
+    element = punctured_eval(m1, th=th, cap=cap)
     total = TPoly(0)
     for g, coeff in element.terms.items():
         (label,) = g.labels
-        total = total + coeff * punctured_eval(m2, label, "to_empty", th, cap)
+        total = total + coeff * punctured_eval(m2, label, th, cap)
     return _abs_monomial(total, "connected sum")
 
 
@@ -616,12 +615,6 @@ def movie_to_json(m: Movie) -> dict:
 
 
 def movie_from_json(obj: dict) -> Movie:
-    from .errors import ParseError
-
     if not isinstance(obj, dict) or not isinstance(obj.get("movie"), list):
         raise ParseError("movie file must be an object with a 'movie' list")
-    events = [ESI.from_json(e) for e in obj["movie"]]
-    initial = obj.get("initial", "empty")
-    if initial not in ("empty", "unknot"):
-        raise ParseError(f"unknown initial still {initial!r}")
-    return Movie(events, initial)
+    return Movie([ESI.from_json(e) for e in obj["movie"]], obj.get("initial", "empty"))

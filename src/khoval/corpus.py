@@ -24,7 +24,7 @@ from .errors import KhovalError
 from .homology import graded_euler, kauffman_jones
 from .moves import ESI, apply_esi, apply_esi_info
 
-__all__ = ["PD_CODES", "torus2_pd", "corpus_diagrams", "corpus_movies", "verify_all"]
+__all__ = ["PD_CODES", "torus2_pd", "corpus_diagrams", "verify_all"]
 
 
 def torus2_pd(n: int) -> str:
@@ -65,7 +65,7 @@ PD_CODES = {
 }
 
 
-def corpus_diagrams(include_movie_stills: bool = True) -> dict[str, LinkDiagram]:
+def corpus_diagrams() -> dict[str, LinkDiagram]:
     out = {name: parse_pd(code) for name, code in PD_CODES.items()}
     out["unknot_pos_kink"] = apply_esi(
         out["unknot"], ESI("r1", variant="add_pos", arc=1)
@@ -73,19 +73,14 @@ def corpus_diagrams(include_movie_stills: bool = True) -> dict[str, LinkDiagram]
     out["unknot_neg_kink"] = apply_esi(
         out["unknot"], ESI("r1", variant="add_neg", arc=1)
     )
-    if include_movie_stills:
-        seen = {serialize_pd(d) for d in out.values()}
-        for name, movie in corpus_movies().items():
-            for k, still in enumerate(movie.stills()):
-                key = serialize_pd(still)
-                if key not in seen:
-                    seen.add(key)
-                    out[f"{name}_still{k}"] = still
+    seen = {serialize_pd(d) for d in out.values()}
+    for name, movie in canonical_movies().items():
+        for k, still in enumerate(movie.stills()):
+            key = serialize_pd(still)
+            if key not in seen:
+                seen.add(key)
+                out[f"{name}_still{k}"] = still
     return out
-
-
-def corpus_movies():
-    return canonical_movies()
 
 
 # -- runtime verification suites ---------------------------------------------------
@@ -161,7 +156,7 @@ def _suite_movies(cap: int) -> tuple[bool, str]:
     if bn_invariant(torus_with_detour_movie()) != TPoly(2):
         return False, "detour torus BN != 2"
     for m_half in range(3):
-        got = punctured_eval(punctured_to_empty(2 * m_half), MINUS, "to_empty")
+        got = punctured_eval(punctured_to_empty(2 * m_half), MINUS)
         want = TPoly({m_half: 4 ** m_half})
         if got != want and got != -want:
             return False, f"punctured genus {2*m_half}: {got}"

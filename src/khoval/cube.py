@@ -46,7 +46,7 @@ from typing import Iterator, NamedTuple
 
 from .algebra import LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
 from .diagram import LinkDiagram, ResolvedDiagram, Transfer, _edge_plan, edge_key, resolve, transfer
-from .errors import CapExceededError, KhovalError
+from .errors import CapExceededError, KhovalError, TheoryError
 
 __all__ = [
     "Generator",
@@ -62,8 +62,6 @@ __all__ = [
     "apply_pieces",
     "apply_linear",
     "build_cube",
-    "differential",
-    "degrees",
     "check_d_squared",
     "check_faces",
 ]
@@ -76,9 +74,6 @@ class Generator(NamedTuple):
 
     mask: int
     labels: tuple[int, ...]
-
-    def bits(self, n: int) -> tuple[int, ...]:
-        return tuple((self.mask >> j) & 1 for j in range(n))
 
     def __str__(self) -> str:
         lab = "(x)".join(LABEL_NAMES[l] for l in self.labels) or "1"
@@ -100,6 +95,8 @@ class CubeComplex:
         theory: Theory = Theory.KHOVANOV,
         cap: int = DEFAULT_CAP,
     ):
+        if not isinstance(theory, Theory):
+            raise TheoryError(f"unknown theory {theory!r}")
         if diagram.n > cap:
             raise CapExceededError(
                 f"diagram has {diagram.n} crossings, cap is {cap}"
@@ -164,28 +161,6 @@ class CubeComplex:
         """An element with the given Z[t] coefficients, reduced into the theory."""
         reduce = self.theory.reduce
         return CochainElement(self, _nonzero({g: reduce(p) for g, p in (terms or {}).items()}))
-
-    def debug_json(self) -> dict:
-        """A JSON-friendly dump of vertices, circle counts and edge pieces."""
-        vertices = [
-            {
-                "mask": mask,
-                "bits": list(Generator(mask, ()).bits(self.n)),
-                "circles": [list(c) for c in self.circles(mask).circles],
-            }
-            for mask in range(1 << self.n)
-        ]
-        edges = [{"from": mask, "crossing": j, "kind": "merge" if p.plan.merge else "split",
-                  "sign": p.sign}
-                 for mask in range(1 << self.n) for j in range(self.n) if not (mask >> j) & 1
-                 for p in (self.edge(mask, j),)]
-        return {
-            "theory": self.theory.value,
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "vertices": vertices,
-            "edges": edges,
-        }
 
     def basis_element(self, g: Generator) -> "CochainElement":
         return CochainElement(self, {g: TPoly(1)})
@@ -464,14 +439,6 @@ def build_cube(
     cap: int = DEFAULT_CAP,
 ) -> CubeComplex:
     return CubeComplex(d, th, cap=cap)
-
-
-def differential(c: CubeComplex, x: CochainElement) -> CochainElement:
-    return c.differential(x)
-
-
-def degrees(g: Generator, c: CubeComplex) -> tuple[int, int]:
-    return c.degrees(g)
 
 
 def check_d_squared(c: CubeComplex) -> CheckReport:

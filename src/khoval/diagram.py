@@ -371,16 +371,17 @@ def _walk(raw, far) -> tuple[list[int], dict[int, tuple[tuple[int, int], tuple[i
 
 # -- resolutions ---------------------------------------------------------------
 
-def resolve(d: LinkDiagram, v: Sequence[int] | int) -> ResolvedDiagram:
-    """Compute the circles of the complete resolution selected by `v`.
+def resolve(d: LinkDiagram, mask: int) -> ResolvedDiagram:
+    """Compute the circles of the complete resolution selected by `mask`.
 
-    `v` is an int bitmask with bit j for crossing j (or a bit per crossing in
-    crossing order).  Each circle through a crossing is an orbit that turns
-    from slot s to s ^ 3 at a 0-smoothed and s ^ 1 at a 1-smoothed crossing
-    (the rows of `SMOOTHING_PARTNER`), walked once from its first dart.  Not
-    `_orbit`: a turn table per call costs more at 2^n calls per cube.
+    `mask` is an int with bit j for crossing j.  Each circle through a
+    crossing is an orbit that turns from slot s to s ^ 3 at a 0-smoothed and
+    s ^ 1 at a 1-smoothed crossing (the rows of `SMOOTHING_PARTNER`), walked
+    once from its first dart.  Not `_orbit`: a turn table per call costs more
+    at 2^n calls per cube.
     """
-    mask = _as_mask(v, d.n)
+    if mask < 0 or mask >> d.n:
+        raise KhovalError(f"vertex {mask} is not on the cube of {d.n} crossings")
     far, arcs = d.far, [a for c in d.crossings for a in c.arcs]
     seen = [False] * len(far)
     circles = [tuple(sorted(lp)) for lp in d.loops]
@@ -396,19 +397,6 @@ def resolve(d: LinkDiagram, v: Sequence[int] | int) -> ResolvedDiagram:
     circles.sort()
     circle_of = {a: i for i, circ in enumerate(circles) for a in circ}
     return ResolvedDiagram(tuple(circles), circle_of)
-
-
-def _as_mask(v: Sequence[int] | int, n: int) -> int:
-    if isinstance(v, int):
-        if v < 0 or v >> n:
-            raise KhovalError(f"vertex {v} is not on the cube of {n} crossings")
-        return v
-    bits = tuple(int(b) for b in v)
-    if len(bits) != n:
-        raise KhovalError(f"vertex length {len(bits)} != crossing count {n}")
-    if any(b not in (0, 1) for b in bits):
-        raise KhovalError("vertex bits must be 0 or 1")
-    return sum(b << j for j, b in enumerate(bits))
 
 
 def transfer(

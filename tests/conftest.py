@@ -20,9 +20,9 @@ def resolve_calls(monkeypatch):
     """A one-element list counting the resolutions cubes compute."""
     calls = [0]
 
-    def counting(d, v):
+    def counting(d, mask):
         calls[0] += 1
-        return resolve(d, v)
+        return resolve(d, mask)
 
     monkeypatch.setattr(khoval.cube, "resolve", counting)
     return calls

@@ -23,7 +23,9 @@ once in every column that hits it, is the reference for the pivots,
 residue and insertion order of `reduce.eliminate`'s column reduction.
 Each edge key's label table carried labelling by labelling through the
 key's plan with `transfer_labels`, over label tuples and a tuple-to-index
-dict, is the reference for the bit arithmetic of `CubeIndex.table`.
+dict, is the reference for the bit arithmetic of `CubeIndex.table`.  The
+genus-adding map m o Delta, composed from a theory's multiply and
+comultiply tables, checks the tube identities.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ from khoval.algebra import INT_RINGS, LABELS, MINUS, PLUS, RINGS, LaurentPoly, T
 from khoval.cube import CubeComplex, Generator, transfer_labels
 from khoval.diagram import ResolvedDiagram, _edge_plan, resolve, transfer
 from khoval.moves import apply_esi_info
+
+
+def tube(x: int, th: Theory) -> dict[int, TPoly]:
+    """The genus-adding map m o Delta on a label, composed from the theory's tables."""
+    out: dict[int, TPoly] = {}
+    for (a, b), c1 in RINGS[th].comultiply[x].items():
+        for lbl, c2 in RINGS[th].multiply[a][b].items():
+            out[lbl] = out.get(lbl, TPoly(0)) + c1 * c2
+    return {lbl: c for lbl, c in out.items() if c}
 
 
 def apply_termwise(f, x):
@@ -301,12 +312,12 @@ def pieces_union_find(d) -> set[frozenset[int]]:
     return {frozenset(g) for g in groups.values()} | {frozenset(lp) for lp in d.loops}
 
 
-def bfs_circle_count(d, bits) -> int:
+def bfs_circle_count(d, mask: int) -> int:
     """Count circles of a resolution by BFS over arc adjacency."""
     adj: dict[int, set[int]] = defaultdict(set)
     arcs = set(d.arc_ids())
-    for c, bit in zip(d.crossings, bits):
-        for s1, s2 in SMOOTHING_JOINS[bit]:
+    for j, c in enumerate(d.crossings):
+        for s1, s2 in SMOOTHING_JOINS[(mask >> j) & 1]:
             a, b = c.arcs[s1], c.arcs[s2]
             adj[a].add(b)
             adj[b].add(a)

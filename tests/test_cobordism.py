@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from khoval.algebra import MINUS, PLUS, TPoly, Theory, xmult
+from khoval.algebra import MINUS, PLUS, RINGS, TPoly, Theory
 from khoval.cobordism import (
     Movie,
     _sweep,
@@ -28,9 +28,8 @@ from khoval.cobordism import (
     r3_equivalence,
     torus_with_detour_movie,
     trivial_surface_movie,
-    validate_movie,
 )
-from khoval.corpus import PD_CODES
+from khoval.corpus import PD_CODES, _rmove_instances
 from khoval.cube import CochainElement, Generator, _accumulate, build_cube
 from khoval.diagram import LinkDiagram, parse_pd, resolve
 from khoval.errors import (
@@ -38,6 +37,8 @@ from khoval.errors import (
     KhovalError,
     MoveError,
     NonMonomialError,
+    ParseError,
+    TheoryError,
     ValidationError,
 )
 from khoval.moves import ESI, apply_esi, apply_esi_info
@@ -448,7 +449,7 @@ def _x_action(cube, arc: int):
         acc = {}
         for gen, coeff in x.terms.items():
             k = cube.circles(gen.mask).circle_of[arc]
-            for label, poly in xmult(gen.labels[k], cube.theory).items():
+            for label, poly in RINGS[cube.theory].multiply[gen.labels[k]][M].items():
                 labels = gen.labels[:k] + (label,) + gen.labels[k + 1 :]
                 _accumulate(acc, Generator(gen.mask, labels), poly * coeff)
         return CochainElement(cube, acc)
@@ -584,7 +585,7 @@ def test_r1_remove_after_add_is_strict_identity():
 
 def test_sphere_movie():
     m = trivial_surface_movie(0)
-    assert validate_movie(m).ok
+    assert m.validate().ok
     assert bn_invariant(m) == TPoly(0)
     assert kj_number(m) == 0
 
@@ -753,22 +754,69 @@ def assert_sweep_matches_one_theory_runs(m: Movie, start_label=None):
         before = xs
 
 
-def test_sweep_matches_one_theory_runs_on_corpus_movies():
+def corpus_sweeps():
+    """(movie, start label): the movie files, the canonical movies, a kinked
+    detour, and two punctured movies on both labels."""
     movies_dir = Path(__file__).resolve().parent.parent / "movies"
     for path in sorted(movies_dir.glob("*.json")):
-        assert_sweep_matches_one_theory_runs(movie_from_json(json.loads(path.read_text())))
+        yield movie_from_json(json.loads(path.read_text())), None
     for m in canonical_movies().values():
-        assert_sweep_matches_one_theory_runs(m)
-    assert_sweep_matches_one_theory_runs(kinked_detour_movie(1, 4))
+        yield m, None
+    yield kinked_detour_movie(1, 4), None
     for label in (P, M):
-        assert_sweep_matches_one_theory_runs(punctured_to_empty(2), label)
-        assert_sweep_matches_one_theory_runs(kink_to_empty(), label)
+        yield punctured_to_empty(2), label
+        yield kink_to_empty(), label
+
+
+def test_sweep_matches_one_theory_runs_on_corpus_movies():
+    for m, label in corpus_sweeps():
+        assert_sweep_matches_one_theory_runs(m, label)
 
 
 @given(random_movies())
 @settings(max_examples=25, deadline=None)
 def test_sweep_matches_one_theory_runs_on_random_movies(m):
     assert_sweep_matches_one_theory_runs(m)
+
+
+def assert_bar_natan_is_graded_lee(bn: CochainElement, lee: CochainElement):
+    """Every Bar-Natan coefficient is one monomial c*t^e, (i, q(g) - 4e) is one
+    degree for all terms, and the Lee element is the Bar-Natan one at t = 1."""
+    for g, poly in bn.terms.items():
+        assert poly.is_monomial(), (g, poly)
+    if bn.terms:
+        bn.degree()  # raises unless every term has the same (i, q(g) - 4e)
+    assert {g: p.specialize(1) for g, p in bn.terms.items()} == {
+        g: p.coefficient(0) for g, p in lee.terms.items()
+    }
+
+
+def assert_sweep_is_graded_lee(m: Movie, start_label=None):
+    for bn, lee in _sweep(m, (Theory.BAR_NATAN, Theory.LEE), start_label):
+        assert_bar_natan_is_graded_lee(bn, lee)
+
+
+def test_bar_natan_elements_are_graded_lee_elements_on_corpus_movies():
+    # the premise of evaluating Bar-Natan's theory over Lee's integer tables
+    for m, label in corpus_sweeps():
+        assert_sweep_is_graded_lee(m, label)
+
+
+@given(random_movies())
+@settings(max_examples=25, deadline=None)
+def test_bar_natan_elements_are_graded_lee_elements_on_random_movies(m):
+    assert_sweep_is_graded_lee(m)
+
+
+def test_bar_natan_move_images_are_graded_lee_images():
+    # the R3 map is not in the movies above: every move's image of every generator
+    for _, d, event in _rmove_instances():
+        maps = []
+        for th in (Theory.BAR_NATAN, Theory.LEE):
+            src, tgt = build_cube(d, th), build_cube(apply_esi(d, event), th)
+            maps.append(esi_chain_map(event, src, tgt))
+        for g in maps[0].source.generators():
+            assert_bar_natan_is_graded_lee(*(f.of_generator(g) for f in maps))
 
 
 def test_zero_element_builds_no_maps_but_every_still_meets_the_cap(monkeypatch):
@@ -804,34 +852,34 @@ def test_zero_element_builds_no_maps_but_every_still_meets_the_cap(monkeypatch):
 
 def test_punctured_and_connected_sum_respect_the_cap():
     kinked = kink_to_empty()
-    assert punctured_eval(kinked, M, "to_empty") == TPoly(1)
+    assert punctured_eval(kinked, M) == TPoly(1)
     with pytest.raises(CapExceededError):
-        punctured_eval(kinked, M, "to_empty", cap=0)
+        punctured_eval(kinked, M, cap=0)
     with pytest.raises(CapExceededError):
         connected_sum(punctured_from_empty(1), kinked, cap=0)
 
 
 def test_punctured_sphere_counit():
     m = punctured_to_empty(0)
-    assert punctured_eval(m, M, "to_empty") == TPoly(1)
-    assert punctured_eval(m, P, "to_empty") == TPoly(0)
+    assert punctured_eval(m, M) == TPoly(1)
+    assert punctured_eval(m, P) == TPoly(0)
 
 
 @pytest.mark.parametrize("half", [0, 1, 2])
 def test_punctured_even_genus_on_minus(half):
     m = punctured_to_empty(2 * half)
-    value = punctured_eval(m, M, "to_empty")
+    value = punctured_eval(m, M)
     want = TPoly({half: 4 ** half})
     assert value == want or value == -want
 
 
 def test_punctured_even_genus_on_plus_vanishes():
     m = punctured_to_empty(2)
-    assert punctured_eval(m, P, "to_empty") == TPoly(0)
+    assert punctured_eval(m, P) == TPoly(0)
 
 
 def test_punctured_from_empty_torus():
-    element = punctured_eval(punctured_from_empty(1), direction="from_empty")
+    element = punctured_eval(punctured_from_empty(1))
     ((g, poly),) = element.terms.items()
     assert g.labels == (M,) and poly == TPoly(2)
 
@@ -845,6 +893,14 @@ def test_connected_sum_values():
     )
 
 
+def test_connected_sum_refuses_movies_in_the_wrong_order():
+    for m1, m2 in [(punctured_to_empty(1), punctured_to_empty(1)),
+                   (punctured_from_empty(1), punctured_from_empty(1)),
+                   (punctured_to_empty(1), punctured_from_empty(1))]:
+        with pytest.raises(MoveError, match="connected sum needs"):
+            connected_sum(m1, m2)
+
+
 def test_connected_sum_matches_concatenation():
     for g1, g2 in [(1, 1), (1, 2), (2, 1), (0, 3)]:
         m1 = punctured_from_empty(g1)
@@ -856,14 +912,14 @@ def test_punctured_identity_factorisations():
     # the closed value factors through either puncturing of the same surface
     for genus in (1, 2, 3):
         closed = bn_invariant(trivial_surface_movie(genus))
-        via_end = punctured_eval(punctured_from_empty(genus), direction="from_empty")
+        via_end = punctured_eval(punctured_from_empty(genus))
         total = TPoly(0)
         for g, coeff in via_end.terms.items():
             (label,) = g.labels
             if label == M:
                 total = total + coeff  # counit keeps only the v- part
         assert total == closed or total == -closed
-        via_start = punctured_eval(punctured_to_empty(genus), P, "to_empty")
+        via_start = punctured_eval(punctured_to_empty(genus), P)
         assert via_start == closed or via_start == -closed
 
 
@@ -873,13 +929,13 @@ def test_punctured_identity_factorisations():
 def test_validate_movie_reports_failure_index():
     # event indices are 1-based: a death on the empty diagram fails at event 1
     m = Movie([ESI("death", circle=1)])
-    rep = validate_movie(m)
+    rep = m.validate()
     assert not rep.ok and rep.index == 1
 
 
 def test_validate_self_saddle():
     m = Movie([ESI("birth"), ESI("saddle", arcs=(1, 1))])
-    rep = validate_movie(m)
+    rep = m.validate()
     assert not rep.ok and rep.index == 2
 
 
@@ -895,10 +951,10 @@ def test_bn_requires_closed_movie():
 
 
 def test_punctured_shape_checks():
-    with pytest.raises(MoveError):
-        punctured_eval(trivial_surface_movie(1), M, "to_empty")
-    with pytest.raises(MoveError):
-        punctured_eval(punctured_to_empty(1), direction="from_empty")
+    with pytest.raises(MoveError, match="must run from the empty diagram to the unknot"):
+        punctured_eval(trivial_surface_movie(1), M)
+    with pytest.raises(MoveError, match="needs a starting label"):
+        punctured_eval(punctured_to_empty(1))
 
 
 @pytest.mark.parametrize("label", [-1, 2, True, False, 1.0, "v-"])
@@ -912,7 +968,7 @@ def test_start_label_must_be_plus_or_minus(monkeypatch, label):
     for genus in (0, 1):
         m = punctured_to_empty(genus)
         with pytest.raises(KhovalError, match="start label"):
-            punctured_eval(m, label, "to_empty")
+            punctured_eval(m, label)
         with pytest.raises(KhovalError, match="start label"):
             eval_movie(m, Theory.KHOVANOV, start_label=label)
 
@@ -921,7 +977,22 @@ def test_punctured_from_empty_refuses_a_label():
     m = punctured_from_empty(1)
     for label in (P, M):
         with pytest.raises(MoveError, match="takes no label"):
-            punctured_eval(m, label, "from_empty")
+            punctured_eval(m, label)
+
+
+def test_an_unknown_initial_still_is_a_parse_error():
+    with pytest.raises(ParseError, match="unknown initial still 'x'"):
+        Movie([], initial="x")
+    with pytest.raises(ParseError, match="unknown initial still 'x'"):
+        movie_from_json({"movie": [], "initial": "x"})
+
+
+@pytest.mark.parametrize("theory", ["lee", None, 3])
+def test_a_theory_that_is_not_a_theory_member_is_refused(theory):
+    with pytest.raises(TheoryError, match="unknown theory"):
+        build_cube(parse_pd(PD_CODES["trefoil"]), theory)
+    with pytest.raises(TheoryError, match="unknown theory"):
+        eval_movie(trivial_surface_movie(1), theory)
 
 
 def test_movie_json_roundtrip():

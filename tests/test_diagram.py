@@ -1,6 +1,5 @@
 """PD parsing, orientation/sign conventions, resolutions, and circle-transfer plans."""
 
-import itertools
 import random
 
 import pytest
@@ -164,23 +163,23 @@ def test_sign_invariant_under_global_reversal(corpus):
 
 def test_resolve_unknot():
     d = parse_pd("L0")
-    assert resolve(d, ()).count == 1
+    assert resolve(d, 0).count == 1
 
 
 def test_resolve_trefoil_extremes():
     # frozen from the hand trace and confirmed by the BFS oracle below:
     # the all-0 resolution has 2 circles, the all-1 resolution 3
     d = parse_pd(TREFOIL)
-    assert resolve(d, (0, 0, 0)).count == 2
-    assert resolve(d, (1, 1, 1)).count == 3
+    assert resolve(d, 0b000).count == 2
+    assert resolve(d, 0b111).count == 3
 
 
 def test_resolve_against_bfs_oracle(corpus):
     for name, d in corpus.items():
-        for bits in itertools.product((0, 1), repeat=d.n):
-            got = resolve(d, bits).count
-            want = bfs_circle_count(d, bits)
-            assert got == want, (name, bits)
+        for mask in range(1 << d.n):
+            got = resolve(d, mask).count
+            want = bfs_circle_count(d, mask)
+            assert got == want, (name, mask)
 
 
 def assert_resolutions_match_the_union_find(d, name):
@@ -205,13 +204,6 @@ def test_resolve_matches_the_union_find_oracle(corpus):
         assert (got.circles, got.circle_of) == (want.circles, want.circle_of), mask
 
 
-def test_resolve_reads_a_bit_sequence_as_its_mask(corpus):
-    for name, d in corpus.items():
-        for bits in itertools.product((0, 1), repeat=d.n):
-            mask = sum(b << j for j, b in enumerate(bits))
-            assert resolve(d, bits) == resolve(d, mask), (name, bits)
-
-
 def assert_pieces_match_the_union_find(d, name):
     """The face table's pieces partition the arcs as a union-find over `ends` does."""
     groups: dict[int, set[int]] = {}
@@ -227,12 +219,6 @@ def test_face_pieces_match_the_union_find_oracle(corpus):
         assert_pieces_match_the_union_find(d, name)
 
 
-def test_resolve_vertex_length_mismatch():
-    d = parse_pd(TREFOIL)
-    with pytest.raises(Exception):
-        resolve(d, (0, 0))
-
-
 def test_resolve_refuses_an_int_vertex_off_the_cube():
     d = parse_pd(TREFOIL)
     assert resolve(d, 0b111).count == 3
@@ -246,17 +232,15 @@ def test_resolve_refuses_an_int_vertex_off_the_cube():
 
 def test_single_bit_flip_changes_circles_by_one(corpus):
     for name, d in corpus.items():
-        for bits in itertools.product((0, 1), repeat=d.n):
-            base = resolve(d, bits).count
+        for mask in range(1 << d.n):
+            base = resolve(d, mask).count
             for j in range(d.n):
-                flipped = list(bits)
-                flipped[j] ^= 1
-                assert abs(resolve(d, flipped).count - base) == 1, (name, bits, j)
+                assert abs(resolve(d, mask ^ 1 << j).count - base) == 1, (name, mask, j)
 
 
 def test_resolution_partitions_arcs(corpus):
     for name, d in corpus.items():
-        r = resolve(d, (0,) * d.n)
+        r = resolve(d, 0)
         seen = [a for circ in r.circles for a in circ]
         assert sorted(seen) == sorted(d.arc_ids())
         assert len(set(seen)) == len(seen)

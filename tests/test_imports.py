@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses, and
+every name in a module's `__all__` is bound in that module.
 
 Importing the package and its command line leaves `khoval.r3` unloaded.
 """
@@ -51,6 +52,46 @@ def test_guard_sees_an_unused_import():
         "    return sys.argv\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: apply_pieces", "line 6: triangle_map"]
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names in `__all__` that no top-level statement of the module binds."""
+    bound: set[str] = set()
+    exported: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound.add(name.id)
+                        if name.id == "__all__":
+                            exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_every_name_it_exports(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+def test_guard_sees_an_export_left_behind():
+    source = (
+        "from .cube import build_cube\n"
+        "PLUS, MINUS = 0, 1\n"
+        "LIMIT: int = 16\n"
+        "class Movie: ...\n"
+        "def eval_movie(m): ...\n"
+        "def _sweep(m):\n"
+        "    validate_movie = m.validate\n"
+        "__all__ = ['build_cube', 'PLUS', 'MINUS', 'LIMIT', 'Movie', 'eval_movie',\n"
+        "           'validate_movie']\n"
+    )
+    assert undefined_exports(source) == ["validate_movie"]
 
 
 def test_importing_the_package_and_cli_leaves_r3_unloaded():

@@ -69,7 +69,7 @@ def test_saddle_on_crossing_arcs_preserves_orientability():
     d = trefoil()
     d2 = apply_esi(d, ESI("saddle", arcs=(1, 3)))
     assert d2.n == 3  # crossings untouched, arcs respliced
-    assert resolve(d2, (0, 0, 0)).count >= 1
+    assert resolve(d2, 0).count >= 1
 
 
 def test_saddle_between_loop_and_crossing_arc():
@@ -101,15 +101,15 @@ def test_r1_add_positive_on_loop():
     assert d.n == 1 and d.free_loops == 0
     assert d.n_plus == 1 and d.n_minus == 0
     # the 0-resolution of a positive kink has the extra circle
-    assert resolve(d, (0,)).count == 2
-    assert resolve(d, (1,)).count == 1
+    assert resolve(d, 0).count == 2
+    assert resolve(d, 1).count == 1
 
 
 def test_r1_add_negative_on_loop():
     d, info = apply_esi_info(unknot(), ESI("r1", variant="add_neg", arc=1))
     assert d.n_plus == 0 and d.n_minus == 1
-    assert resolve(d, (0,)).count == 1
-    assert resolve(d, (1,)).count == 2
+    assert resolve(d, 0).count == 1
+    assert resolve(d, 1).count == 2
 
 
 def test_r1_add_then_remove_roundtrip_structure():
