@@ -21,14 +21,16 @@ between its through slice and the cube without the pair, again with the
 Koszul sign.  The R3 map is Bar-Natan's cone formula on the triangle
 crossings (`r3.triangle_map`, one op built from the same reduction); kinks
 on the triangle's sides come off by R1 ops before it and go back on by R1
-ops after.  No map resolves more of a cube than the vertices it reaches,
-and the resolutions live on the stills, shared by every theory.
-`ChainMapRep.apply` is the linear extension of the ops; `of_generator`
-memoizes single images.  One sweep (`_sweep`, over the rewrites that
-`Movie.replay` recorded) carries an element per theory: `bn_and_kj` a
-Bar-Natan and a Khovanov element, each event's Morse, R1 and R2-carry
-pieces computed once for both; `eval_movie` is the one-theory sweep.  The
-public `esi_chain_map` redoes the rewrite and checks it against the target.
+ops after.  No map resolves more of a cube than the vertices it reaches.
+
+Only the ring depends on the theory: all else a map builds is kept on the
+still it reads from, its resolutions, edge pieces and, per event, an entry
+(`_event`) with the rewrite and every piece table, so maps of every theory
+between two stills rewrite, resolve and plan once.  `ChainMapRep.apply` is
+the linear extension of the ops; `of_generator` memoizes single images.
+One sweep (`_sweep`, over the stills `Movie.replay` took from the entries)
+carries an element per theory: `bn_and_kj` a Bar-Natan and a Khovanov
+element; `eval_movie` is the one-theory sweep.
 
 Evaluating a closed movie on 1 gives the endomorphism of the ground ring:
 its absolute value is the deformed invariant (a polynomial in t), whose
@@ -64,6 +66,7 @@ from .errors import (
     MoveError,
     NonMonomialError,
     ParseError,
+    TheoryError,
     ValidationError,
 )
 from .moves import ESI, MoveInfo, apply_esi, apply_esi_info
@@ -128,6 +131,24 @@ class ChainMapRep:
 # -- the chain maps: ops, most of them a table of pieces per source vertex ---------
 
 
+class _Event(dict):
+    """An event's entry in its source still's `maps`: the rewrite (`target`, `info`),
+    and by key the piece tables of the event's maps, shared by every theory."""
+
+    __slots__ = ("target", "info")
+
+    def __init__(self, target: LinkDiagram, info: MoveInfo):  # starts with no table
+        self.target, self.info = target, info
+
+
+def _event(still: LinkDiagram, event: ESI) -> _Event:
+    """The event's entry on `still`, rewriting it on first use."""
+    entry = still.maps.get(event)
+    if entry is None:
+        entry = still.maps[event] = _Event(*apply_esi_info(still, event))
+    return entry
+
+
 def _hint_tuples(arc_map: dict[int, int]) -> dict[int, tuple[int, ...]]:
     return {a: (b,) for a, b in arc_map.items()}
 
@@ -138,35 +159,32 @@ def esi_chain_map(
     tgt: CubeComplex,
     th: Theory | None = None,
 ) -> ChainMapRep:
-    """The chain map induced by one elementary string interaction."""
+    """The chain map induced by one elementary string interaction; `th` is the cubes' theory."""
+    if th is not None and not isinstance(th, Theory):
+        raise TheoryError(f"unknown theory {th!r}")
     th = th or src.theory
     if src.theory is not th or tgt.theory is not th:
         raise KhovalError("cube theories do not match the requested theory")
-    rewritten, info = apply_esi_info(src.diagram, event)
-    if rewritten != tgt.diagram:
+    if (entry := _event(src.diagram, event)).target != tgt.diagram:
         raise MoveError("target cube was not built from the rewritten diagram")
-    return _event_map(event, info, src, tgt)
+    return _event_map(event, entry, src, tgt)
 
 
-def _event_map(event: ESI, info: MoveInfo, src: CubeComplex, tgt: CubeComplex,
-               tables: dict | None = None) -> ChainMapRep:
-    """The chain map of an event whose rewrite `info` is already known; maps of
-    other theories between the same stills may share its piece `tables`."""
-    kind = event.kind
+def _event_map(event: ESI, entry: _Event, src: CubeComplex, tgt: CubeComplex) -> ChainMapRep:
+    """The chain map of an event from `src`'s still, whose `entry` holds its rewrite and tables."""
+    kind, info = event.kind, entry.info
     if kind == "r2":
-        return ChainMapRep(src, tgt, 0, *_r2_ops(src, tgt, info, tables))
+        return ChainMapRep(src, tgt, 0, *_r2_ops(src, tgt, entry))
     if kind == "r3":
-        return ChainMapRep(src, tgt, 0, *_r3_ops(src, tgt, info))
+        return ChainMapRep(src, tgt, 0, *_r3_ops(src, tgt, entry))
     if kind in ("birth", "death", "saddle"):
         vertex = _morse(src, tgt, info)
-    elif kind == "r1" and info.variant == "remove":
+    elif info.variant == "remove":  # the rewrite knows only these kinds
         vertex = _r1_remove(src, tgt, info)
-    elif kind == "r1":
+    else:
         hints = _hint_tuples(info.arc_map)
         vertex = _r1_add(src, tgt, hints, info.loop_arc, info.strand_arc, info.positive)
-    else:
-        raise MoveError(f"unknown ESI kind {kind!r}")
-    return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], _piece_op(tgt, vertex, tables))
+    return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], _piece_op(tgt, vertex, entry, kind))
 
 
 def _morse(src, tgt, info: MoveInfo):
@@ -231,7 +249,7 @@ def _r1_remove(src, tgt, info: MoveInfo):
     return vertex
 
 
-def _r2_ops(src: CubeComplex, tgt: CubeComplex, info: MoveInfo, tables: dict | None = None):
+def _r2_ops(src: CubeComplex, tgt: CubeComplex, entry: _Event):
     """The two ops of the R2 map, by the Gaussian elimination of the poked cube's bigon.
 
     The carry takes a vertex of the bare cube to the poked cube's through
@@ -240,10 +258,12 @@ def _r2_ops(src: CubeComplex, tgt: CubeComplex, info: MoveInfo, tables: dict | N
     the front.  Addition (the pair at positions 0, 1) is g after the carry,
     removal the carry after f (`cube._bigon_reduction`).
     """
+    info = entry.info
     hints = _hint_tuples(info.arc_map)
     add = info.variant == "add"
     zi, wi = (0, 1) if add else info.positions
-    f, g, _ = _bigon_reduction(tgt if add else src, {info.pieces["u2"], info.pieces["o2"]}, zi, wi)
+    inner = {info.pieces["u2"], info.pieces["o2"]}
+    f, g, _ = _bigon_reduction(tgt if add else src, inner, zi, wi, entry, "h")
 
     def carry(mask: int) -> tuple[Piece, ...]:
         if add:
@@ -253,51 +273,55 @@ def _r2_ops(src: CubeComplex, tgt: CubeComplex, info: MoveInfo, tables: dict | N
             tgt_mask >>= 2
         return (Piece(tgt_mask, sign, transfer(src.circles(mask), tgt.circles(tgt_mask), hints)),)
 
-    carried = _piece_op(tgt, carry, tables)
+    carried = _piece_op(tgt, carry, entry, "r2")
     return (carried, g) if add else (f, carried)
 
 
 # -- the R3 map -------------------------------------------------------------------
 
 
-def _r3_ops(src: CubeComplex, tgt: CubeComplex, info: MoveInfo, back: bool = False) -> list:
-    """The ops of the R3 map of a move, or with `back` of the same rule run back.
+def _r3_ops(src: CubeComplex, tgt: CubeComplex, entry: _Event, back: bool = False) -> list:
+    """The ops of the R3 map of the event of `entry`, or with `back` of the same rule run back.
 
     Kinks on the sides come off by R1, the bare triangle moves by
     `r3.triangle_map`, and the kinks go back on by R1, the last removed first.
+    A removal is that R1 event's map, whose entry keeps the bare still; the
+    bare still keeps the table of the addition that undoes it.
     """
     from .r3 import triangle_map  # loaded with the first r3 move, as in `moves`
 
+    info = entry.info
     first = [info.pieces[k] for k in ("top", "middle", "bottom")]
     arcs = [first, [info.arc_map[a] for a in first]][::-1 if back else 1]
     removals, additions, cubes = [], [], [src, tgt]
     for side, cid in itertools.product((0, 1), info.kinks):
-        d, step = apply_esi_info(cubes[side].diagram, ESI("r1", variant="remove", crossing=cid))
-        bare = CubeComplex(d, src.theory, cap=src.n)
+        removal = ESI("r1", variant="remove", crossing=cid)
+        removed = _event(cubes[side].diagram, removal)
+        bare, step = CubeComplex(removed.target, src.theory, cap=src.n), removed.info
         arcs[side] = [step.arc_map.get(a, a) for a in arcs[side]]
         if side == 0:
-            removals.append(_piece_op(bare, _r1_remove(cubes[0], bare, step)))
+            removals.append(_piece_op(bare, _r1_remove(cubes[0], bare, step), removed, "r1"))
         else:  # the addition that undoes this removal
             hints: dict[int, list[int]] = {}
             for old, new in step.arc_map.items():
                 hints.setdefault(new, []).append(old)
-            additions.append(_piece_op(cubes[1], _r1_add(bare, cubes[1], hints, step.loop_arc,
-                                                         min(step.arc_map), step.positive,
-                                                         step.positions[0])))
+            vertex = _r1_add(bare, cubes[1], hints, step.loop_arc, min(step.arc_map),
+                             step.positive, step.positions[0])
+            additions.append(_piece_op(cubes[1], vertex, removed.target.maps, ("undo", removal)))
         cubes[side] = bare
     *positions, c = (cubes[0].diagram.crossing_by_id(src.diagram.crossings[p].cid)[0]
                      for p in (*info.positions, info.pieces["c"]))
-    triangle = triangle_map(cubes[0], cubes[1], positions, c, set(arcs[0]), set(arcs[1]))
+    triangle = triangle_map(cubes[0], cubes[1], positions, c, set(arcs[0]), set(arcs[1]),
+                            entry, back)
     return [*removals, triangle, *additions[::-1]]
 
 
 def r3_equivalence(event: ESI, src: CubeComplex, tgt: CubeComplex) -> tuple[ChainMapRep, ...]:
     """The triangle move's map and the same rule run back from the target."""
-    rewritten, info = apply_esi_info(src.diagram, event)
-    if event.kind != "r3" or rewritten != tgt.diagram:
+    if event.kind != "r3" or (entry := _event(src.diagram, event)).target != tgt.diagram:
         raise MoveError("target cube was not built from the r3-rewritten diagram")
-    return (ChainMapRep(src, tgt, 0, *_r3_ops(src, tgt, info)),
-            ChainMapRep(tgt, src, 0, *_r3_ops(tgt, src, info, back=True)))
+    return (ChainMapRep(src, tgt, 0, *_r3_ops(src, tgt, entry)),
+            ChainMapRep(tgt, src, 0, *_r3_ops(tgt, src, entry, back=True)))
 
 
 # -- movies ----------------------------------------------------------------------
@@ -318,29 +342,29 @@ class Movie:
             raise ParseError(f"unknown initial still {initial!r}")
         self.events: tuple[ESI, ...] = tuple(events)
         self.initial = initial
-        self._replay: tuple[list[LinkDiagram], list[MoveInfo], MovieReport] | None = None
+        self._replay: tuple[list[LinkDiagram], list[_Event], MovieReport] | None = None
 
     def initial_diagram(self) -> LinkDiagram:
         return LinkDiagram() if self.initial == "empty" else LinkDiagram([], [(1, 2)])
 
     def replay(self):
-        """(stills up to failure, move infos, validation report).
+        """(stills up to failure, each event's entry on its source still, validation report).
 
         Failure indices are 1-based: event 1 is the first event.
         """
         if self._replay is None:
             stills = [self.initial_diagram()]
-            infos: list[MoveInfo] = []
+            entries: list[_Event] = []
             report = MovieReport(True)
             for k, event in enumerate(self.events):
                 try:
-                    d, info = apply_esi_info(stills[-1], event)
+                    entry = _event(stills[-1], event)
                 except KhovalError as exc:
                     report = MovieReport(False, k + 1, str(exc))
                     break
-                stills.append(d)
-                infos.append(info)
-            self._replay = (stills, infos, report)
+                stills.append(entry.target)
+                entries.append(entry)
+            self._replay = (stills, entries, report)
         return self._replay
 
     def stills(self) -> list[LinkDiagram]:
@@ -368,13 +392,13 @@ def _sweep(m: Movie, theories: tuple[Theory, ...], start_label: int | None = Non
            cap: int = DEFAULT_CAP):
     """Yield one element per theory: at the start, then after each event.
 
-    Each event's pieces are computed once and applied in every theory's ring
-    (`_event_map`'s shared `tables`).  A zero element builds no more maps, but
-    every still is still checked against the cap.
+    Each event's pieces are computed once, into its entry on the source
+    still, and applied in every theory's ring.  A zero element builds no more
+    maps, but every still is still checked against the cap.
     """
     if start_label is not None and (type(start_label) is not int or start_label not in LABELS):
         raise KhovalError(f"start label must be PLUS (0) or MINUS (1), not {start_label!r}")
-    stills, infos = m.stills(), m.replay()[1]
+    stills, entries = m.stills(), m.replay()[1]
     if m.initial == "empty":
         if start_label is not None:
             raise KhovalError("a movie from the empty diagram starts at 1")
@@ -383,9 +407,8 @@ def _sweep(m: Movie, theories: tuple[Theory, ...], start_label: int | None = Non
         start = Generator(0, (PLUS if start_label is None else start_label,))
     xs = [build_cube(stills[0], th, cap=cap).basis_element(start) for th in theories]
     yield xs
-    for event, info, still in zip(m.events, infos, stills[1:]):
-        tables: dict = {}
-        xs = [_event_map(event, info, x.cube, cube, tables).apply(x) if x.terms
+    for event, entry, still in zip(m.events, entries, stills[1:]):
+        xs = [_event_map(event, entry, x.cube, cube).apply(x) if x.terms
               else CochainElement(cube, {})
               for x, cube in zip(xs, [build_cube(still, th, cap=cap) for th in theories])]
         yield xs

@@ -1,26 +1,29 @@
 """The cube of modules: cochain groups, gradings, and the signed differential.
 
 Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
-on first use and kept on the diagram (`LinkDiagram.resolutions`), so cubes of
-every theory on one still share them and a movie pays only for the vertices
-its element reaches.  A generator is a vertex together with one int label
-(PLUS = 0 for v+, MINUS = 1 for v-) per circle of its resolution, circles
-being listed in canonical order (increasing smallest arc id).
+on first use and kept on the diagram (`LinkDiagram.resolutions`), as are the
+edge pieces (`LinkDiagram.edges`), so cubes of every theory on one still
+share them and a movie pays only for the vertices its element reaches.  A
+generator is a vertex together with one int label (PLUS = 0 for v+, MINUS =
+1 for v-) per circle of its resolution, circles being listed in canonical
+order (increasing smallest arc id).
 
 A linear map on a cube is an op: a function from a generator to its summed
 image {generator: coeff}, with no zero coefficient.  Most ops are sums of
 `Piece`s, signed dotted cobordisms that carry labels along a circle-transfer
 plan with `transfer_labels`; `apply_pieces` applies them and `_piece_op`
 makes the op of a table `vertex(mask) -> pieces`, computed once per vertex
-into a dict that ops of other theories between the same stills may share.
-The differential is one such table: the edge flipping crossing j at a vertex
-is a saddle piece (its plan, one merge or one split, memoized by its
-`diagram.edge_key`: four circle ids of crossing j's arcs at both ends)
-with the sign (-1)^(number of 1-bits after the flipped position), which
-makes every square face anticommute.  The movie chain maps add births,
-deaths and dots.  `apply_linear` carries terms through ops in turn and sums
-them once at the end; `cobordism.ChainMapRep` composes a chain map's ops
-with it.  `_bigon_reduction` is Bar-Natan's Gaussian elimination lemma
+into a table kept on the source still (`cobordism` keys it by event in
+`LinkDiagram.maps`), so ops of every theory between the same stills build
+it once.  The differential is a sum of edge pieces: the edge flipping
+crossing j at a vertex is a saddle piece (its plan, one merge or one split,
+memoized by its `diagram.edge_key`: four circle ids of crossing j's arcs at
+both ends) with the sign (-1)^(number of 1-bits after the flipped position),
+which makes every square face anticommute; `_edge_op` is the op along the
+edges of one crossing.  The movie chain maps add births, deaths and dots.
+`apply_linear` carries terms through ops in turn and sums them once at the
+end; `cobordism.ChainMapRep` composes a chain map's ops with it.
+`_bigon_reduction` is Bar-Natan's Gaussian elimination lemma
 (math/0606318) on an R2 bigon's two unit edges, read off the cube's own
 edges: the R2 maps in `cobordism` and the R3 cone in `r3` are built from it.
 
@@ -108,14 +111,14 @@ class CubeComplex:
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
         self._resolutions = diagram.resolutions
-        self._edges: dict[tuple[int, int], Piece] = {}
 
     # -- structure ---------------------------------------------------------
 
     def edge(self, mask: int, j: int) -> "Piece":
-        """The signed saddle piece of the differential flipping crossing j at `mask`."""
-        key = (mask, j)
-        piece = self._edges.get(key)
+        """The signed saddle piece of the differential flipping crossing j at `mask`,
+        built on first use and kept on the diagram."""
+        edges, key = self.diagram.edges, (mask, j)
+        piece = edges.get(key)
         if piece is None:
             if not (0 <= j < self.n and 0 <= mask < 1 << self.n):
                 raise KhovalError(f"edge ({mask}, {j}) is not on the cube of {self.n} crossings")
@@ -123,7 +126,7 @@ class CubeComplex:
                 raise KhovalError("edge must start at a 0-bit")
             tgt, crossing = mask | (1 << j), self.diagram.crossings[j]
             plan = _edge_plan(*edge_key(self.circles(mask), self.circles(tgt), crossing, mask))
-            piece = self._edges[key] = Piece(tgt, self.edge_sign(mask, j), plan)
+            piece = edges[key] = Piece(tgt, self.edge_sign(mask, j), plan)
         return piece
 
     def edge_sign(self, mask: int, j: int) -> int:
@@ -347,32 +350,40 @@ def _times(a, b):
     return b if a == 1 else a if b == 1 else a * b
 
 
-def _piece_op(cube: CubeComplex, vertex, tables: dict | None = None):
-    """The op sending a generator through the pieces `vertex(mask)`, computed once per
-    mask into `tables`, which ops of other theories on the same stills may share."""
-    tables = {} if tables is None else tables
+def _piece_op(cube: CubeComplex, vertex, entry: dict, key):
+    """The op sending a generator through the pieces `vertex(mask)`, in `cube.ring`.
+
+    Each mask's pieces are computed once into the table `entry[key]`, where
+    `entry` is kept on the source still, so ops of every theory share it.
+    """
+    table = entry.setdefault(key, {})
 
     def op(g: Generator) -> dict[Generator, TPoly]:
-        if (pieces := tables.get(g.mask)) is None:
-            pieces = tables[g.mask] = vertex(g.mask)
+        if (pieces := table.get(g.mask)) is None:
+            pieces = table[g.mask] = vertex(g.mask)
         return apply_pieces(cube, pieces, g.labels)
 
     return op
+
+
+def _edge_op(cube: CubeComplex, j: int):
+    """The op along the differential's edges that flip crossing j."""
+    return lambda g: apply_pieces(cube, (cube.edge(g.mask, j),), g.labels)
 
 
 def _negated(terms: dict) -> list:
     return [(g, -p) for g, p in terms.items()]
 
 
-def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
+def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry: dict, key):
     """Gaussian elimination of an R2 bigon's two unit edges: (f, g, h).
 
     The circle slice (zi 1-smoothed, wi 0-smoothed) carries the bigon's
     circle O of `inner` arcs; the edges into and out of it are units on
     O = v- and O = v+.  h inverts both with their signs, by a cap on O and
-    by a cup giving O = v+ (one piece per vertex); f projects onto
-    the through slice (wi 1-smoothed), g includes it back: f g = 1 and
-    1 - g f = d h + h d.  Each is an op.
+    by a cup giving O = v+ (one piece per vertex, in the table `entry[key]`);
+    f projects onto the through slice (wi 1-smoothed), g includes it back:
+    f g = 1 and 1 - g f = d h + h d.  Each is an op.
     """
     hints = {a: () for a in inner}
     arc, z, w = next(iter(inner)), 1 << zi, 1 << wi
@@ -390,9 +401,8 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int):
             return (Piece(mask ^ w, sign, plan, {res.circle_of[arc]: CUP}),)
         return ()
 
-    h = _piece_op(cube, vertex)
-    into_through = _piece_op(cube, lambda mask: (cube.edge(mask, wi),))
-    out_of_through = _piece_op(cube, lambda mask: (cube.edge(mask, zi),))
+    h = _piece_op(cube, vertex, entry, key)
+    into_through, out_of_through = _edge_op(cube, wi), _edge_op(cube, zi)
 
     def f(g: Generator):
         xy = g.mask & (z | w)
@@ -453,7 +463,7 @@ def check_d_squared(c: CubeComplex) -> CheckReport:
 def check_faces(c: CubeComplex) -> CheckReport:
     """Check every 2-face: edge signs anticommute and the two signed paths cancel."""
 
-    along = [_piece_op(c, lambda mask, j=j: (c.edge(mask, j),)) for j in range(c.n)]
+    along = [_edge_op(c, j) for j in range(c.n)]
     for mask in range(1 << c.n):
         free = [j for j in range(c.n) if not (mask >> j) & 1]
         for j, k in itertools.combinations(free, 2):

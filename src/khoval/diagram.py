@@ -32,6 +32,11 @@ Faces are data: `LinkDiagram.faces()` gives every arc its right face, its
 left face and its connected piece.  `parse_pd` refuses a code whose n
 crossings in p pieces do not have n + 2p faces (Euler's formula), and the
 saddle, R2 and R3 moves read their planarity rules from the same table.
+
+A diagram also keeps what is computed from it and not from a theory: its
+resolutions, its cube edge pieces and, per event, the structure of the
+chain maps read from it (`LinkDiagram`), so cubes and maps of every theory
+on one still build each once.
 """
 
 from __future__ import annotations
@@ -76,13 +81,18 @@ class LinkDiagram:
     always derived, never trusted from the caller.  `far[x]` is the other
     dart of dart x's arc (darts 4 * crossing index + slot).  `ends[arc]` is a
     crossing arc's (tail, head) darts, each a (crossing index, slot): the arc
-    leaves its tail and enters its head.  `resolutions` maps each vertex
-    mask resolved so far to its `ResolvedDiagram`: `CubeComplex.circles` fills
-    it on demand, so every cube on the diagram shares them, whatever its theory.
+    leaves its tail and enters its head.  Three dicts keep what cubes and
+    chain maps build on the diagram, filled on demand and shared by every
+    theory: `resolutions` maps each vertex mask resolved so far to its
+    `ResolvedDiagram` (`CubeComplex.circles`), `edges` each cube edge
+    (vertex mask, crossing position) to its signed saddle piece
+    (`CubeComplex.edge`), and `maps`, keyed by event, what the chain maps
+    read from this still build: the rewrite and the piece tables
+    (`cobordism`).
     """
 
     __slots__ = ("crossings", "loops", "n_plus", "n_minus", "far", "ends", "resolutions",
-                 "_arc_ids", "_faces")
+                 "edges", "maps", "_arc_ids", "_faces")
 
     def __init__(
         self,
@@ -105,6 +115,8 @@ class LinkDiagram:
         self._arc_ids = frozenset([*darts, *(a for lp in loop_list for a in lp)])
         self._faces: Faces | None = None  # built by the first `faces()` call
         self.resolutions: dict[int, ResolvedDiagram] = {}
+        self.edges: dict[tuple[int, int], object] = {}  # of `cube.Piece`s
+        self.maps: dict = {}
 
     @staticmethod
     def _validate_ids(raw, loop_list) -> dict[int, list[int]]:

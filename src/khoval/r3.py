@@ -11,8 +11,8 @@ chains the R1 moves for kinks on the sides before and after it.
 
 from __future__ import annotations
 
-from .cube import (Generator, Piece, _bigon_reduction, _negated, _piece_op, apply_linear,
-                   koszul_to_front)
+from .cube import (Generator, Piece, _bigon_reduction, _edge_op, _negated, _piece_op,
+                   apply_linear, koszul_to_front)
 from .diagram import SMOOTHING_PARTNER, LinkDiagram, transfer
 from .errors import MoveError
 
@@ -89,7 +89,8 @@ def _closing_bits(d: LinkDiagram, positions, inner: set[int]) -> int:
     return bits
 
 
-def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[int]):
+def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[int],
+                 entry: dict, key):
     """Bar-Natan's R3 map on a bare triangle (math/0410495, section 4.3).
 
     Smoothing c, the crossing off the top strand, splits each cube into
@@ -101,7 +102,9 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     gives a -> a' - h'(Psi' a'), b -> g'(f b) when B is the 1-face, and
     a -> a', b -> g'(f b) - (Psi h b)' when it is the 0-face.  Psi moves a
     term to the other face and f, g, h and the carry keep it on its face, so
-    the two parts of an image are summed apart and never meet.
+    the two parts of an image are summed apart and never meet.  The carry
+    and both h tables go into `entry` under `key`; Psi is the cubes' own
+    edges along c.
     """
     # the target's triangle sits in the opposite quadrants: the same smoothings close it
     close = _closing_bits(src.diagram, positions, inner)
@@ -123,11 +126,10 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
             raise MoveError("the r3 rewrite changed the circles of a resolution")
         return (Piece(tgt_mask, sign, plan),)
 
-    carry = _piece_op(tgt, carry_pieces)
-    f_src, _, h_src = _bigon_reduction(src, inner, zi, wi)
-    _, g_tgt, h_tgt = _bigon_reduction(tgt, tgt_inner, zi, wi)
-    psi_src = _piece_op(src, lambda mask: (src.edge(mask, c),))
-    psi_tgt = _piece_op(tgt, lambda mask: (tgt.edge(mask, c),))
+    carry = _piece_op(tgt, carry_pieces, entry, (key, "carry"))
+    f_src, _, h_src = _bigon_reduction(src, inner, zi, wi, entry, (key, "h"))
+    _, g_tgt, h_tgt = _bigon_reduction(tgt, tgt_inner, zi, wi, entry, (key, "h'"))
+    psi_src, psi_tgt = _edge_op(src, c), _edge_op(tgt, c)
 
     def op(g: Generator) -> dict:
         if g.mask & bc != b_face:  # face A

@@ -442,6 +442,88 @@ def test_r3_kink_chain_reaches_the_triangle_once_per_bare_generator(monkeypatch)
         assert len(calls) == len(set(calls)) == 108, th
 
 
+def kink_removal():
+    """A positive kink on the unknot and the event that removes it."""
+    kinked, info = apply_esi_info(parse_pd("L0"), ESI("r1", variant="add_pos", arc=1))
+    return kinked, ESI("r1", variant="remove", crossing=info.created_crossings[0])
+
+
+# name -> (source still, event), each call on stills of its own
+SHARING_CASES = {
+    "r3 bare sides": lambda: (braid_kinked_on((1, 2), ("add_pos", "add_neg")), BRAID_R3),
+    "r3 carried kink": lambda: (braid_kinked_on((1, 4), ("add_pos", "add_neg")), BRAID_R3),
+    "r2 add": lambda: (parse_pd("L0 L1"), ESI("r2", variant="add", arcs=(1, 3))),
+    "r2 remove": removal_behind_a_kink,
+    "r1 add positive": lambda: (parse_pd(PD_CODES["trefoil"]), ESI("r1", variant="add_pos", arc=2)),
+    "r1 add negative": lambda: (parse_pd(PD_CODES["trefoil"]), ESI("r1", variant="add_neg", arc=5)),
+    "r1 remove": kink_removal,
+    "saddle": lambda: (parse_pd("L0 L1"), ESI("saddle", arcs=(1, 3))),
+}
+
+
+def _copy(d: LinkDiagram) -> LinkDiagram:
+    return LinkDiagram([(c.cid, c.arcs) for c in d.crossings], d.loops)
+
+
+@pytest.mark.parametrize("name", SHARING_CASES)
+def test_maps_of_every_theory_between_two_stills_share_their_structure(monkeypatch, name):
+    # only the ring differs between theories: after the first theory's map,
+    # a map between the same two stills rewrites, resolves, plans and builds
+    # no vertex or piece, and its images equal those of a map built afresh on
+    # content-equal copies of both stills, so no ring leaks through a table
+    import khoval.cobordism as cobordism
+    import khoval.cube as cube
+    import khoval.r3 as r3
+
+    calls = []
+
+    def count(module, fn):
+        wrapped = getattr(module, fn)
+
+        def counted(*args, **kwargs):
+            calls.append(fn)
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn, counted)
+
+    for module, fn in [(cobordism, "apply_esi_info"), (cobordism, "transfer"),
+                       (cobordism, "koszul_to_front"), (cube, "transfer"), (cube, "resolve"),
+                       (r3, "transfer"), (r3, "koszul_to_front")]:
+        count(module, fn)
+    count(cube.Piece, "__init__")
+    piece_op = cube._piece_op
+
+    def counted_vertices(c, vertex, entry, key):
+        return piece_op(c, lambda mask: calls.append("vertex") or vertex(mask), entry, key)
+
+    for module in (cobordism, cube, r3):
+        monkeypatch.setattr(module, "_piece_op", counted_vertices)
+    d, event = SHARING_CASES[name]()
+    target = apply_esi(d, event)
+    for k, th in enumerate(ALL_THEORIES):
+        calls.clear()
+        src, tgt = build_cube(d, th), build_cube(target, th)
+        f = esi_chain_map(event, src, tgt, th)
+        images = {g: f.of_generator(g).terms for g in src.generators()}
+        assert bool(calls) == (k == 0), (th, sorted(set(calls)))
+        fresh = esi_chain_map(event, build_cube(_copy(d), th), build_cube(_copy(target), th), th)
+        for g, image in images.items():
+            assert fresh.of_generator(g).terms == image, (th, g)
+
+
+def test_two_events_from_one_still_keep_tables_of_their_own():
+    # two kinks on different arcs of one still: each map reads its own
+    # event's tables, and equals its map on a fresh copy of the still
+    d = parse_pd(PD_CODES["trefoil"])
+    for th in ALL_THEORIES:
+        for event in (ESI("r1", variant="add_pos", arc=2), ESI("r1", variant="add_pos", arc=5)):
+            target = apply_esi(d, event)
+            f = esi_chain_map(event, build_cube(d, th), build_cube(target, th), th)
+            fresh = esi_chain_map(event, build_cube(_copy(d), th), build_cube(target, th), th)
+            for g in f.source.generators():
+                assert f.of_generator(g).terms == fresh.of_generator(g).terms, (th, event, g)
+
+
 def _x_action(cube, arc: int):
     """Multiplication by X on the circle through `arc`."""
 
@@ -710,12 +792,18 @@ def test_sixteen_crossing_detour_resolves_only_reached_vertices(monkeypatch, gen
 @pytest.mark.parametrize("genus", [1, 3])
 def test_sixteen_crossing_detour_plans_once_per_source_vertex(monkeypatch, genus):
     import khoval.cobordism as cobordism
+    import khoval.cube as cube
     from khoval.diagram import transfer
 
     plans = []  # the source resolution of every transfer call
+    bigon_plans = []  # (source, target) resolution of every plan of R2's bigon
 
     def counting(src_res, tgt_res, hints=None):
         plans.append(src_res)
+        return transfer(src_res, tgt_res, hints)
+
+    def bigon_counting(src_res, tgt_res, hints=None):
+        bigon_plans.append((id(src_res), id(tgt_res)))
         return transfer(src_res, tgt_res, hints)
 
     applied = []  # (theory, still, vertex) of every generator a map is applied to
@@ -726,8 +814,11 @@ def test_sixteen_crossing_detour_plans_once_per_source_vertex(monkeypatch, genus
         return apply(rep, x)
 
     monkeypatch.setattr(cobordism, "transfer", counting)
+    monkeypatch.setattr(cube, "transfer", bigon_counting)
     monkeypatch.setattr(cobordism.ChainMapRep, "apply", recording)
     bn_and_kj(kinked_detour_movie(genus, 14))
+    # the bigon's h table is shared by both theories too: one plan per pair
+    assert len(set(bigon_plans)) == len(bigon_plans) == 2
     # a source resolution is one (still, vertex), shared by both theories, and
     # a still is the source of one event: one plan per (event, source vertex)
     # across the deformed and the plain evaluation together
@@ -993,6 +1084,14 @@ def test_a_theory_that_is_not_a_theory_member_is_refused(theory):
         build_cube(parse_pd(PD_CODES["trefoil"]), theory)
     with pytest.raises(TheoryError, match="unknown theory"):
         eval_movie(trivial_surface_movie(1), theory)
+
+
+@pytest.mark.parametrize("theory", ["lee", 3])
+def test_esi_chain_map_refuses_a_theory_that_is_not_a_theory_member(theory):
+    src = build_cube(LinkDiagram(), Theory.LEE)
+    tgt = build_cube(apply_esi(src.diagram, ESI("birth")), Theory.LEE)
+    with pytest.raises(TheoryError, match=f"unknown theory {theory!r}"):
+        esi_chain_map(ESI("birth"), src, tgt, theory)
 
 
 def test_movie_json_roundtrip():

@@ -337,7 +337,7 @@ def test_edge_refuses_an_edge_off_the_cube():
             c.edge(mask, j)
     with pytest.raises(KhovalError, match="must start at a 0-bit"):
         c.edge(1, 0)
-    assert c._edges == {}
+    assert c.diagram.edges == {}
 
 
 def test_transfer_labels_needs_a_label_for_every_new_circle():

@@ -321,7 +321,7 @@ def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th, diagram,
     [index] = indices
     assert index.tables.keys() == keys and len(keys) == plans
     assert sum(map(len, index.tables.values())) == sum(2 ** k for k, *_ in keys) == carried
-    assert applied == [] and c._edges == {}
+    assert applied == [] and d.edges == {}
 
 
 @pytest.mark.parametrize("th", INTEGRAL)

@@ -44,7 +44,7 @@ def poked(name, th):
     d, info = apply_esi_info(d, add)
     cube = build_cube(d, th)
     # the finger's crossings come first; the circle slice 1-smoothes the first
-    return cube, _bigon_reduction(cube, {info.pieces["u2"], info.pieces["o2"]}, 0, 1)
+    return cube, _bigon_reduction(cube, {info.pieces["u2"], info.pieces["o2"]}, 0, 1, {}, "h")
 
 
 def element(cube, terms, *ops):
@@ -89,7 +89,7 @@ def test_bigon_reduction_is_the_r2_equivalence(name):
     back, back_info = apply_esi_info(poked_d, remove)
     for th in Theory:
         before, cube, after = (build_cube(x, th) for x in (d, poked_d, back))
-        f, g, _ = _bigon_reduction(cube, {info.pieces["u2"], info.pieces["o2"]}, 0, 1)
+        f, g, _ = _bigon_reduction(cube, {info.pieces["u2"], info.pieces["o2"]}, 0, 1, {}, "h")
 
         def carry(x, a, b, mask, arc_map):
             plan = transfer(a.circles(x.mask), b.circles(mask), {k: (v,) for k, v in arc_map.items()})
