@@ -19,10 +19,12 @@ coefficients stay reduced, and `Theory.reduce` is needed only where a caller's
 coefficient enters.
 
 A `Ring` bundles one theory's multiply and comultiply tables with the ring's
-`one`.  `RINGS[th]` holds the reduced `TPoly` tables of all three theories.
-Over Z (Khovanov and Lee) every reduced entry is a constant, so
-`INT_RINGS[th]` holds the same tables with `int` coefficients, built once at
-import by `Ring.integral`, which refuses an entry that still involves t.
+`one`, and its `negated` twin with every entry negated, built with it.
+`RINGS[th]` holds the reduced `TPoly` tables of all three theories.  Over Z
+(Khovanov and Lee) every reduced entry is a constant, so `INT_RINGS[th]`
+holds the same tables with `int` coefficients, built once at import by
+`Ring.integral`, which refuses an entry that still involves t.  Homology and
+Lee's cubes read `INT_RINGS`.
 """
 
 from __future__ import annotations
@@ -195,23 +197,41 @@ class Theory(enum.Enum):
 
 class Ring:
     """One theory's structure tables: `multiply[x][y]` maps a label, and
-    `comultiply[x]` a label pair, to its coefficient; `one` is the ring's 1."""
+    `comultiply[x]` a label pair, to its coefficient; `one` is the ring's 1.
 
-    __slots__ = ("multiply", "comultiply", "one")
+    `negated` is the twin with every entry and `one` negated, built with the
+    ring, so a piece of sign -1 reads its coefficients already signed.
+    """
 
-    def __init__(self, multiply: tuple, comultiply: tuple, one: TPoly | int):
+    __slots__ = ("multiply", "comultiply", "one", "negated")
+
+    def __init__(self, multiply: tuple, comultiply: tuple, one: TPoly | int,
+                 negated: "Ring | None" = None):
         self.multiply, self.comultiply, self.one = multiply, comultiply, one
+        self.negated = negated or self._mapped(lambda c: -c, -one, self)
+
+    @property
+    def zero(self) -> TPoly | int:
+        return type(self.one)(0)
+
+    def _mapped(self, f, one: TPoly | int, negated: "Ring | None" = None) -> "Ring":
+        """The ring whose entries are `f` of these, with the given `one`."""
+
+        def table(raw: Mapping) -> Mapping:
+            return MappingProxyType({key: f(c) for key, c in raw.items()})
+
+        return Ring(tuple(tuple(map(table, row)) for row in self.multiply),
+                    tuple(map(table, self.comultiply)), one, negated)
 
     def integral(self) -> "Ring":
         """The same tables over `int`; a coefficient that involves t is an error."""
 
-        def table(raw: Mapping) -> Mapping:
-            if bad := [p for p in raw.values() if p != p.coefficient(0)]:
-                raise KhovalError(f"coefficient {bad[0]} is not an integer")
-            return MappingProxyType({key: p.coefficient(0) for key, p in raw.items()})
+        def constant(p: TPoly) -> int:
+            if p != p.coefficient(0):
+                raise KhovalError(f"coefficient {p} is not an integer")
+            return p.coefficient(0)
 
-        return Ring(tuple(tuple(map(table, row)) for row in self.multiply),
-                    tuple(map(table, self.comultiply)), 1)
+        return self._mapped(constant, 1)
 
 
 # -- the structure tables, reduced once per theory -----------------------------

@@ -426,17 +426,24 @@ def eval_movie(
     return x
 
 
-def _closed_values(m: Movie, theories: tuple[Theory, ...], cap: int = DEFAULT_CAP) -> list[TPoly]:
-    """The closed movie's value in each theory, from one sweep."""
+def _empty_value(x: CochainElement) -> TPoly | int:
+    """The coefficient of an element on the empty diagram, in its cube's ring."""
+    return x.terms.get(Generator(0, ()), x.cube.ring.zero)
+
+
+def _closed_values(m: Movie, theories: tuple[Theory, ...], cap: int = DEFAULT_CAP) -> list:
+    """The closed movie's value in each theory, from one sweep: an `int` for Lee."""
     if not m.is_closed() or m.initial != "empty":
         raise MoveError("movie is not a closed empty-to-empty movie")
     for xs in _sweep(m, theories, cap=cap):
         pass
-    return [x.terms.get(Generator(0, ()), TPoly(0)) for x in xs]
+    return [_empty_value(x) for x in xs]
 
 
-def _abs_monomial(value: TPoly, what: str) -> TPoly:
-    """|value| of a value that must be a monomial in t (or zero)."""
+def _abs_monomial(value: TPoly | int, what: str) -> TPoly | int:
+    """|value| of a value that must be a monomial in t (or zero); Lee's values are `int`."""
+    if isinstance(value, int):
+        return abs(value)
     if value.is_zero():
         return TPoly(0)
     if not value.is_monomial():
@@ -473,7 +480,7 @@ def kj_number(m: Movie, cap: int = DEFAULT_CAP) -> int:
 
 def lee_value(m: Movie, cap: int = DEFAULT_CAP) -> int:
     """Closed-movie evaluation at t = 1."""
-    return _closed_values(m, (Theory.LEE,), cap)[0].coefficient(0)
+    return _closed_values(m, (Theory.LEE,), cap)[0]
 
 
 def _is_unknot_still(d: LinkDiagram) -> bool:
@@ -488,15 +495,16 @@ def punctured_eval(
 ):
     """Evaluate a punctured movie: unknot -> empty on a label, or empty -> unknot on 1.
 
-    The movie's initial still decides which: a `TPoly` from the unknot, the
-    element on the final unknot from the empty diagram.
+    The movie's initial still decides which: a value in the theory's ring
+    from the unknot (a `TPoly`, an `int` for Lee), the element on the final
+    unknot from the empty diagram.
     """
     if m.initial == "unknot":
         if not m.stills()[-1].is_empty():
             raise MoveError("to_empty movie must run from the unknot to the empty diagram")
         if x is None:
             raise MoveError("to_empty evaluation needs a starting label")
-        return eval_movie(m, th, start_label=x, cap=cap).terms.get(Generator(0, ()), TPoly(0))
+        return _empty_value(eval_movie(m, th, start_label=x, cap=cap))
     if not _is_unknot_still(m.stills()[-1]):
         raise MoveError("from_empty movie must run from the empty diagram to the unknot")
     if x is not None:
@@ -506,12 +514,12 @@ def punctured_eval(
 
 def connected_sum(
     m1: Movie, m2: Movie, th: Theory = Theory.BAR_NATAN, cap: int = DEFAULT_CAP
-) -> TPoly:
+) -> TPoly | int:
     """Compose punctured evaluations: m1 (empty->unknot) then m2 (unknot->empty)."""
     if m1.initial != "empty" or m2.initial != "unknot":
         raise MoveError("a connected sum needs an empty-to-unknot movie, then unknot-to-empty")
     element = punctured_eval(m1, th=th, cap=cap)
-    total = TPoly(0)
+    total = element.cube.ring.zero
     for g, coeff in element.terms.items():
         (label,) = g.labels
         total = total + coeff * punctured_eval(m2, label, th, cap)

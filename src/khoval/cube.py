@@ -27,12 +27,15 @@ end; `cobordism.ChainMapRep` composes a chain map's ops with it.
 (math/0606318) on an R2 bigon's two unit edges, read off the cube's own
 edges: the R2 maps in `cobordism` and the R3 cone in `r3` are built from it.
 
-Coefficients are kept in the cube's ring, `CubeComplex.ring =
-algebra.RINGS[theory]`: its structure tables are already reduced, and t -> 0
-and t -> 1 are ring maps, so sums and products of their entries stay
-reduced.  A caller's coefficient is reduced where it enters, in
-`CubeComplex.element` and `CochainElement.scale`.  `apply_pieces` reads the
-cube's ring; `transfer_labels` takes the ring, not the theory.  `homology`
+Coefficients are kept in the cube's ring, `CubeComplex.ring`: for Lee
+`algebra.INT_RINGS[LEE]`, so Lee's coefficients are `int`; for Khovanov and
+Bar-Natan `algebra.RINGS[theory]`, over `TPoly`.  Its structure tables are
+already reduced, and t -> 0 and t -> 1 are ring maps, so sums and products
+of their entries stay reduced.  A caller's Z[t] coefficient is reduced where
+it enters, in `CubeComplex.element` and `CochainElement.scale` (for Lee, to
+its `int` value at t = 1).  `apply_pieces` reads the cube's ring, and a
+piece of sign -1 its `negated` twin, so applying a map negates no
+coefficient; `transfer_labels` takes the ring, not the theory.  `homology`
 builds no piece: it reads each edge's `diagram.edge_key` and carries labels
 by bit arithmetic over `algebra.INT_RINGS`.
 
@@ -47,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .algebra import LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
+from .algebra import INT_RINGS, LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
 from .diagram import LinkDiagram, ResolvedDiagram, Transfer, _edge_plan, edge_key, resolve, transfer
 from .errors import CapExceededError, KhovalError, TheoryError
 
@@ -70,6 +73,10 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 16
+
+# Lee's ring is Z, as t = 1 and its tables' entries are constants
+_RINGS = {**RINGS, Theory.LEE: INT_RINGS[Theory.LEE]}
+_ONE = RINGS[Theory.BAR_NATAN].one
 
 
 class Generator(NamedTuple):
@@ -106,7 +113,7 @@ class CubeComplex:
             )
         self.diagram = diagram
         self.theory = theory
-        self.ring = RINGS[theory]
+        self.ring = _RINGS[theory]
         self.n = diagram.n
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
@@ -161,12 +168,18 @@ class CubeComplex:
         return i, q
 
     def element(self, terms: dict[Generator, TPoly] | None = None) -> "CochainElement":
-        """An element with the given Z[t] coefficients, reduced into the theory."""
-        reduce = self.theory.reduce
-        return CochainElement(self, _nonzero({g: reduce(p) for g, p in (terms or {}).items()}))
+        """An element with the given Z[t] coefficients, reduced into the cube's ring."""
+        terms = {g: self._coefficient(p) for g, p in (terms or {}).items()}
+        return CochainElement(self, _nonzero(terms))
+
+    def _coefficient(self, p: TPoly | int) -> TPoly | int:
+        """A Z[t] coefficient or an integer in the cube's ring; for Lee, its `int` at t = 1."""
+        if self.theory is Theory.LEE:
+            return p if isinstance(p, int) else p.specialize(1)
+        return self.theory.reduce(TPoly(p) if isinstance(p, int) else p)
 
     def basis_element(self, g: Generator) -> "CochainElement":
-        return CochainElement(self, {g: TPoly(1)})
+        return CochainElement(self, {g: self.ring.one})
 
     # -- differential --------------------------------------------------------
 
@@ -205,10 +218,8 @@ class CochainElement:
         return self + other.scale(-1)
 
     def scale(self, factor: TPoly | int) -> "CochainElement":
-        """The element times a Z[t] factor, reduced into the cube's theory."""
-        if isinstance(factor, int):
-            factor = TPoly(factor)
-        factor = self.cube.theory.reduce(factor)
+        """The element times a Z[t] factor, reduced into the cube's ring."""
+        factor = self.cube._coefficient(factor)
         return CochainElement(self.cube, _nonzero({g: p * factor for g, p in self.terms.items()}))
 
     def __eq__(self, other: object) -> bool:
@@ -219,12 +230,13 @@ class CochainElement:
     def degree(self) -> tuple[int, int]:
         """The common (i, q) of all terms; error if inhomogeneous or zero.
 
-        A coefficient monomial t^k contributes -4k to the q-degree.
+        A coefficient monomial t^k contributes -4k to the q-degree; an `int`
+        coefficient is t^0.
         """
         degs = set()
         for g, poly in self.terms.items():
             i, q = self.cube.degrees(g)
-            for exp, _ in poly.items():
+            for exp, _ in ((0, poly),) if isinstance(poly, int) else poly.items():
                 degs.add((i, q - 4 * exp))
         if len(degs) != 1:
             raise KhovalError(f"element is not homogeneous: degrees {sorted(degs)}")
@@ -237,9 +249,6 @@ class CochainElement:
         for g in sorted(self.terms, key=lambda g: (g.mask, g.labels)):
             bits.append(f"({self.terms[g]})*{g}")
         return " + ".join(bits)
-
-
-_ONE = TPoly(1)
 
 
 def transfer_labels(
@@ -313,17 +322,21 @@ class Piece:
 
 
 def apply_pieces(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> dict[Generator, TPoly]:
-    """The image of the labels of a source vertex under the sum of its pieces, in `cube.ring`."""
+    """The image of the labels of a source vertex under the sum of its pieces, in `cube.ring`.
+
+    A piece of sign -1 reads the ring's `negated` tables, so no coefficient is negated here.
+    """
     acc: dict[Generator, TPoly] = {}
+    ring = cube.ring
     for p in pieces:
         if p.deaths and any(labels[s] != keep for s, keep in p.deaths.items()):
             continue
-        terms = transfer_labels(p.plan, labels, cube.ring, p.births)
+        terms = transfer_labels(p.plan, labels, ring if p.sign == 1 else ring.negated, p.births)
         for c in p.dots:  # X acts by multiplication with v-
             terms = [(lbls[:c] + (x,) + lbls[c + 1:], _times(poly, extra)) for lbls, poly in terms
-                     for x, extra in cube.ring.multiply[lbls[c]][MINUS].items()]
+                     for x, extra in ring.multiply[lbls[c]][MINUS].items()]
         for lbls, poly in terms:
-            _accumulate(acc, Generator(p.mask, lbls), poly if p.sign == 1 else -poly)
+            _accumulate(acc, Generator(p.mask, lbls), poly)
     return acc
 
 
@@ -346,8 +359,11 @@ def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
 
 
 def _times(a, b):
-    """a * b; most factors are 1, whose products cost more than the test."""
-    return b if a == 1 else a if b == 1 else a * b
+    """a * b; most factors are 1, whose products cost more than the test, and
+    two -1s over Z[t] make the shared 1 of `RINGS`: a sign makes no coefficient."""
+    if a == 1:
+        return b
+    return a if b == 1 else _ONE if a == -1 == b and not isinstance(a, int) else a * b
 
 
 def _piece_op(cube: CubeComplex, vertex, entry: dict, key):
@@ -371,19 +387,18 @@ def _edge_op(cube: CubeComplex, j: int):
     return lambda g: apply_pieces(cube, (cube.edge(g.mask, j),), g.labels)
 
 
-def _negated(terms: dict) -> list:
-    return [(g, -p) for g, p in terms.items()]
-
-
 def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry: dict, key):
     """Gaussian elimination of an R2 bigon's two unit edges: (f, g, h).
 
     The circle slice (zi 1-smoothed, wi 0-smoothed) carries the bigon's
     circle O of `inner` arcs; the edges into and out of it are units on
-    O = v- and O = v+.  h inverts both with their signs, by a cap on O and
-    by a cup giving O = v+ (one piece per vertex, in the table `entry[key]`);
-    f projects onto the through slice (wi 1-smoothed), g includes it back:
-    f g = 1 and 1 - g f = d h + h d.  Each is an op.
+    O = v- and O = v+.  h inverts both, by a cap on O and by a cup giving
+    O = v+ (one piece per vertex, in the table `entry[key]`), and is stored
+    with the sign it is applied with, the lemma's -h: each piece carries the
+    opposite of its edge's sign, so f, g and the R3 cone apply h as it is and
+    negate no image.  f projects onto the through slice (wi 1-smoothed): 1
+    there, d h on the circle slice; g includes it back as 1 + h d.  So f g = 1
+    and g f = 1 + d h + h d.  Each is an op.
     """
     hints = {a: () for a in inner}
     arc, z, w = next(iter(inner)), 1 << zi, 1 << wi
@@ -392,27 +407,27 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry
         if mask & (z | w) == z:  # circle slice -> lower slice: a cap on O
             res = cube.circles(mask)
             plan = transfer(res, cube.circles(mask ^ z), hints)
-            sign = cube.edge_sign(mask ^ z, zi)
+            sign = -cube.edge_sign(mask ^ z, zi)
             return (Piece(mask ^ z, sign, plan, deaths={res.circle_of[arc]: CAP}),)
         if mask & (z | w) == z | w:  # upper slice -> circle slice: a cup on O
             res = cube.circles(mask ^ w)
             plan = transfer(cube.circles(mask), res, hints)
-            sign = cube.edge_sign(mask ^ w, wi)
+            sign = -cube.edge_sign(mask ^ w, wi)
             return (Piece(mask ^ w, sign, plan, {res.circle_of[arc]: CUP}),)
         return ()
 
     h = _piece_op(cube, vertex, entry, key)
-    into_through, out_of_through = _edge_op(cube, wi), _edge_op(cube, zi)
+    into_through, out_of_through, one = _edge_op(cube, wi), _edge_op(cube, zi), cube.ring.one
 
     def f(g: Generator):
         xy = g.mask & (z | w)
         if xy == z:
-            return apply_linear(_negated(h(g)), into_through)
-        return {g: _ONE} if xy == w else {}
+            return apply_linear(h(g).items(), into_through)
+        return {g: one} if xy == w else {}
 
     def g_(t: Generator):
-        image = apply_linear(_negated(out_of_through(t)), h)
-        image[t] = _ONE  # t is on the through slice, the rest on the circle slice
+        image = apply_linear(out_of_through(t).items(), h)
+        image[t] = one  # t is on the through slice, the rest on the circle slice
         return image
 
     return f, g_, h
@@ -474,7 +489,8 @@ def check_faces(c: CubeComplex) -> CheckReport:
                     False, f"edge signs fail to anticommute at {mask:b},{j},{k}"
                 )
             for g in c.generators_at(mask):
-                jk, kj = (apply_linear([(g, _ONE)], along[a], along[b]) for a, b in ((j, k), (k, j)))
+                jk, kj = (apply_linear([(g, c.ring.one)], along[a], along[b])
+                          for a, b in ((j, k), (k, j)))
                 if jk != {h: -p for h, p in kj.items()}:
                     return CheckReport(
                         False,

@@ -76,7 +76,8 @@ class ESI:
     """One elementary string interaction, addressing ids in the current still.
 
     Its (kind, variant) is a row of `_FORMS`, which names the one id field it
-    fills; a missing, stray or malformed id field is a `ParseError`.
+    fills; a missing, stray or malformed id field is a `ParseError`.  Its
+    hash, of (kind, variant, ids), is computed once, when it is made.
     """
 
     kind: str
@@ -88,6 +89,7 @@ class ESI:
     circle: int | None = None
     # the ids, in the order the rewrite takes them; set from the id field
     ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         form = _form(self.kind, self.variant)
@@ -105,6 +107,10 @@ class ESI:
                 f"malformed movie event {self}: it takes {form.count} integer ids{where}"
             )
         object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_hash", hash((self.kind, self.variant, ids)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def renamed(self, arc_map: dict[int, int], crossing_map: dict[int, int]) -> "ESI":
         """The same event on other ids, read through `arc_map` or `crossing_map`."""

@@ -11,8 +11,8 @@ chains the R1 moves for kinks on the sides before and after it.
 
 from __future__ import annotations
 
-from .cube import (Generator, Piece, _bigon_reduction, _edge_op, _negated, _piece_op,
-                   apply_linear, koszul_to_front)
+from .cube import (Generator, Piece, _bigon_reduction, _edge_op, _piece_op, apply_linear,
+                   koszul_to_front)
 from .diagram import SMOOTHING_PARTNER, LinkDiagram, transfer
 from .errors import MoveError
 
@@ -100,11 +100,12 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     with the exchange's Koszul sign, negated when B is the 1-face: the sign
     that makes f Psi = f' Psi', Psi the signed edge along c).  The cone lemma
     gives a -> a' - h'(Psi' a'), b -> g'(f b) when B is the 1-face, and
-    a -> a', b -> g'(f b) - (Psi h b)' when it is the 0-face.  Psi moves a
-    term to the other face and f, g, h and the carry keep it on its face, so
-    the two parts of an image are summed apart and never meet.  The carry
-    and both h tables go into `entry` under `key`; Psi is the cubes' own
-    edges along c.
+    a -> a', b -> g'(f b) - (Psi h b)' when it is the 0-face.  The
+    reduction stores h with its sign, as -h, so both correction terms apply
+    its table as it is and no image is negated.  Psi moves a term to the
+    other face and f, g, h and the carry keep it on its face, so the two
+    parts of an image are summed apart and never meet.  The carry and both h
+    tables go into `entry` under `key`; Psi is the cubes' own edges along c.
     """
     # the target's triangle sits in the opposite quadrants: the same smoothings close it
     close = _closing_bits(src.diagram, positions, inner)
@@ -135,11 +136,11 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
         if g.mask & bc != b_face:  # face A
             image = carry(g)
             if b_face:
-                image.update(apply_linear(_negated(image), psi_tgt, h_tgt))
+                image.update(apply_linear(image.items(), psi_tgt, h_tgt))
         else:  # face B: f onto the through slice, carried over, then g'
             image = apply_linear(f_src(g).items(), carry, g_tgt)
             if not b_face:
-                image.update(apply_linear(_negated(h_src(g)), psi_src, carry))
+                image.update(apply_linear(h_src(g).items(), psi_src, carry))
         return image
 
     return op

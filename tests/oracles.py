@@ -145,15 +145,20 @@ def block_basis(c: CubeComplex) -> dict:
 def block_matrix(
     c: CubeComplex, source: list[Generator], target: list[Generator]
 ) -> list[list[int]]:
-    """The dense integer matrix of the differential from `source` to `target`."""
+    """The dense integer matrix of the differential from `source` to `target`.
+
+    Lee's coefficients are `int`; Khovanov's are constant `TPoly`s.
+    """
     index = {g: r for r, g in enumerate(target)}
     dense = [[0] * len(source) for _ in range(len(target))]
     for col, g in enumerate(source):
-        for tgt, poly in c.differential_of(g).terms.items():
+        for tgt, coeff in c.differential_of(g).terms.items():
             r = index.get(tgt)
             if r is not None:
-                assert set(poly.terms) <= {0}, "non-constant coefficient"
-                dense[r][col] = poly.coefficient(0)
+                if not isinstance(coeff, int):
+                    assert set(coeff.terms) <= {0}, "non-constant coefficient"
+                    coeff = coeff.coefficient(0)
+                dense[r][col] = coeff
     return dense
 
 

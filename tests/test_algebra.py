@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from khoval.algebra import (
+    INT_RINGS,
     LABELS,
     LaurentPoly,
     MINUS,
@@ -83,6 +84,18 @@ def test_structure_tables_are_reduced(th):
     assert len(coeffs) == (6 if th is Theory.KHOVANOV else 8)
     for c in coeffs:
         assert th.reduce(c) == c, (th, c)
+
+
+@pytest.mark.parametrize("ring", [*RINGS.values(), *INT_RINGS.values()])
+def test_negated_twin_holds_every_entry_negated(ring):
+    # a piece of sign -1 reads the twin, built with the ring, in place of negating
+    twin = ring.negated
+    assert twin.negated is ring and twin.one == -ring.one and type(twin.one) is type(ring.one)
+    for a in LABELS:
+        assert twin.comultiply[a] == {key: -c for key, c in ring.comultiply[a].items()}
+        for b in LABELS:
+            assert twin.multiply[a][b] == {key: -c for key, c in ring.multiply[a][b].items()}
+    assert ring.zero == 0 and not ring.zero and type(ring.zero) is type(ring.one)
 
 
 def test_specialize():

@@ -1,5 +1,6 @@
 """ESI chain maps, their contract laws, and movie evaluation."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from khoval.algebra import MINUS, PLUS, RINGS, TPoly, Theory
 from khoval.cobordism import (
     Movie,
+    _event,
     _sweep,
     bn_and_kj,
     bn_invariant,
@@ -524,6 +526,86 @@ def test_two_events_from_one_still_keep_tables_of_their_own():
                 assert f.of_generator(g).terms == fresh.of_generator(g).terms, (th, event, g)
 
 
+def test_equal_events_hash_alike_and_a_renamed_event_is_a_key_of_its_own():
+    # an event's hash is computed once, from (kind, variant, ids); the two
+    # deaths below read the same still, so both entries live in its `maps`
+    obj = {"op": "r2", "variant": "add", "arcs": [1, 3]}
+    a, b = ESI.from_json(obj), ESI.from_json(json.loads(json.dumps(obj)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    d = parse_pd("L0 L1")
+    death = ESI("death", circle=1)
+    renamed = death.renamed({1: 3}, {})
+    assert renamed == ESI("death", circle=3) and hash(renamed) == hash(ESI("death", circle=3))
+    assert hash(renamed) != hash(death)  # the ids enter the hash
+    assert hash(dataclasses.replace(death, circle=3)) == hash(renamed)
+    first, second = _event(d, death), _event(d, renamed)
+    assert d.maps == {death: first, renamed: second}
+    assert first.target != second.target
+    assert _event(d, ESI.from_json(death.to_json())) is first
+
+
+def _integral(terms: dict) -> bool:
+    return all(type(c) is int for c in terms.values())
+
+
+def test_lee_is_integral_end_to_end():
+    # Lee's ring is Z: every element of a sweep, every image of a map and
+    # every differential on both cubes holds `int` coefficients only
+    for m, label in corpus_sweeps():
+        for (x,) in _sweep(m, (Theory.LEE,), label):
+            assert _integral(x.terms), (m, x)
+    cases = [(d, event) for _, d, event in move_instances()]
+    cases += [(braid_kinked_on(arcs, ("add_pos", "add_neg")), BRAID_R3) for arcs in ((1, 2), (1, 4))]
+    for d, event in cases:
+        src, tgt = build_cube(d, Theory.LEE), build_cube(apply_esi(d, event), Theory.LEE)
+        f = esi_chain_map(event, src, tgt)
+        for g in src.generators():
+            assert _integral(f.of_generator(g).terms), (event, g)
+            assert _integral(src.differential_of(g).terms), (event, g)
+        for h in tgt.generators():
+            assert _integral(tgt.differential_of(h).terms), (event, h)
+
+
+@pytest.mark.parametrize("name", ["r2 add", "r2 remove", "r3 bare sides"])
+def test_r2_and_r3_maps_negate_no_coefficient(monkeypatch, name):
+    # pieces of sign -1 read the ring's negated tables and the bigon's h is
+    # stored with its sign, so no image is negated; over Z (Khovanov's
+    # constant `TPoly`s, Lee's `int`s) no coefficient is made at all, and
+    # Bar-Natan makes only the t-powers of products with m(v-, v-) = t v+
+    made, negated = [], []
+    init, of, neg = TPoly.__init__, TPoly._of, TPoly.__neg__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    def counting_of(self, terms):
+        made.append(out := of(self, terms))
+        return out
+
+    def counting_neg(self):
+        negated.append(self)
+        return neg(self)
+
+    for th in ALL_THEORIES:
+        d, event = SHARING_CASES[name]()
+        target = apply_esi(d, event)
+        made.clear()
+        monkeypatch.setattr(TPoly, "__init__", counting_init)
+        monkeypatch.setattr(TPoly, "_of", counting_of)
+        monkeypatch.setattr(TPoly, "__neg__", counting_neg)
+        src = build_cube(d, th)
+        f = esi_chain_map(event, src, build_cube(target, th), th)
+        images = [f.of_generator(g) for g in src.generators()]
+        monkeypatch.undo()
+        assert images and not negated, (th, len(negated))
+        if th is not Theory.BAR_NATAN:
+            assert made == [], (th, made)
+        else:
+            assert all(p.is_monomial() and p.coefficient(0) == 0 for p in made), made
+            assert made, "the counters see what is made: each map here multiplies by t"
+
+
 def _x_action(cube, arc: int):
     """Multiplication by X on the circle through `arc`."""
 
@@ -872,14 +954,14 @@ def test_sweep_matches_one_theory_runs_on_random_movies(m):
 
 def assert_bar_natan_is_graded_lee(bn: CochainElement, lee: CochainElement):
     """Every Bar-Natan coefficient is one monomial c*t^e, (i, q(g) - 4e) is one
-    degree for all terms, and the Lee element is the Bar-Natan one at t = 1."""
+    degree for all terms, and the Lee element, over `int`, is the Bar-Natan
+    one at t = 1."""
     for g, poly in bn.terms.items():
         assert poly.is_monomial(), (g, poly)
     if bn.terms:
         bn.degree()  # raises unless every term has the same (i, q(g) - 4e)
-    assert {g: p.specialize(1) for g, p in bn.terms.items()} == {
-        g: p.coefficient(0) for g, p in lee.terms.items()
-    }
+    assert _integral(lee.terms), lee
+    assert {g: p.specialize(1) for g, p in bn.terms.items()} == lee.terms
 
 
 def assert_sweep_is_graded_lee(m: Movie, start_label=None):

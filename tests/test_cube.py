@@ -421,8 +421,8 @@ def test_caller_coefficients_are_reduced_on_entry(th):
     else:
         assert x.terms == {g: t}
     assert c.basis_element(g).scale(t) == x
-    for p in x.terms.values():
-        assert th.reduce(p) == p
+    for p in x.terms.values():  # Lee's ring is Z: its coefficients are `int`
+        assert type(p) is int if th is Theory.LEE else th.reduce(p) == p
     assert c.basis_element(g).scale(0).terms == {}
     if th is Theory.KHOVANOV:
         assert c.basis_element(g).scale(t).terms == {}
