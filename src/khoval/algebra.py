@@ -25,6 +25,12 @@ A `Ring` bundles one theory's multiply and comultiply tables with the ring's
 holds the same tables with `int` coefficients, built once at import by
 `Ring.integral`, which refuses an entry that still involves t.  Homology and
 Lee's cubes read `INT_RINGS`.
+
+The units of Z[t] are two shared objects, `RINGS[th].one` and
+`RINGS[th].negated.one` (the same for every theory): every entry of `RINGS`
+and of its negated twins, and every `Theory.reduce` result, that equals 1
+or -1 is one of them, so a caller tests a `TPoly` for a unit by identity
+and runs no `TPoly.__eq__`.
 """
 
 from __future__ import annotations
@@ -187,12 +193,12 @@ class Theory(enum.Enum):
         raise TheoryError(f"unknown theory {name!r}")
 
     def reduce(self, p: TPoly) -> TPoly:
-        """Normalize a Z[t] coefficient into this theory's ring."""
+        """Normalize a Z[t] coefficient into this theory's ring; a unit is the shared one."""
         if self is Theory.BAR_NATAN:
-            return p
+            return _shared(p)
         if self is Theory.KHOVANOV:
-            return TPoly(p.coefficient(0))
-        return TPoly(p.specialize(1))  # Lee: t = 1
+            return _shared(TPoly(p.coefficient(0)))
+        return _shared(TPoly(p.specialize(1)))  # Lee: t = 1
 
 
 class Ring:
@@ -200,7 +206,8 @@ class Ring:
     `comultiply[x]` a label pair, to its coefficient; `one` is the ring's 1.
 
     `negated` is the twin with every entry and `one` negated, built with the
-    ring, so a piece of sign -1 reads its coefficients already signed.
+    ring, so a piece of sign -1 reads its coefficients already signed; a
+    negated unit is the shared one.
     """
 
     __slots__ = ("multiply", "comultiply", "one", "negated")
@@ -208,7 +215,7 @@ class Ring:
     def __init__(self, multiply: tuple, comultiply: tuple, one: TPoly | int,
                  negated: "Ring | None" = None):
         self.multiply, self.comultiply, self.one = multiply, comultiply, one
-        self.negated = negated or self._mapped(lambda c: -c, -one, self)
+        self.negated = negated or self._mapped(lambda c: _shared(-c), _shared(-one), self)
 
     @property
     def zero(self) -> TPoly | int:
@@ -236,7 +243,17 @@ class Ring:
 
 # -- the structure tables, reduced once per theory -----------------------------
 
-_ONE = TPoly(1)
+_ONE, _MINUS_ONE = TPoly(1), TPoly(-1)
+_UNITS = {1: _ONE, -1: _MINUS_ONE}
+
+
+def _shared(p):
+    """A `TPoly` equal to 1 or -1 as the shared `_ONE` or `_MINUS_ONE`; else p itself."""
+    if type(p) is TPoly and len(terms := p._terms) == 1 and 0 in terms:
+        return _UNITS.get(terms[0], p)
+    return p
+
+
 _T = TPoly({1: 1})
 _ZT_MULTIPLY = (
     ({PLUS: _ONE}, {MINUS: _ONE}),

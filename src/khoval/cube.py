@@ -35,9 +35,20 @@ of their entries stay reduced.  A caller's Z[t] coefficient is reduced where
 it enters, in `CubeComplex.element` and `CochainElement.scale` (for Lee, to
 its `int` value at t = 1).  `apply_pieces` reads the cube's ring, and a
 piece of sign -1 its `negated` twin, so applying a map negates no
-coefficient; `transfer_labels` takes the ring, not the theory.  `homology`
-builds no piece: it reads each edge's `diagram.edge_key` and carries labels
-by bit arithmetic over `algebra.INT_RINGS`.
+coefficient; `transfer_labels` takes the ring, not the theory.  Every table
+entry, `one` and reduced coefficient that equals 1 or -1 is one of two
+shared `TPoly`s (`algebra`), so `apply_linear` and `_times` test a `TPoly`
+for a unit by identity and an `int` by value: no `TPoly.__eq__` runs while
+a map is applied.  `apply_pieces` and `apply_linear` sum each image in
+place, one dict per image, and `apply_pieces` makes each `Generator` with
+`tuple.__new__`.  A piece carries labels with `transfer_labels` on its first
+two applications; from its third on it reads its label action, compiled once
+and kept on the piece (`_label_action`: its deaths' check and one
+`operator.itemgetter` that reads the target labels off the source labels,
+the birth labels and the merge or split result), so a piece applied once or
+twice compiles nothing.  `homology` builds no piece: it reads each edge's
+`diagram.edge_key` and carries labels by bit arithmetic over
+`algebra.INT_RINGS`.
 
 Cohomological degree of a generator is |v| - n_minus; its q-degree is the sum
 of label degrees (1 - 2*l for label l) plus (|v| - n_minus) + (n_plus -
@@ -48,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .algebra import INT_RINGS, LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
@@ -76,7 +88,8 @@ DEFAULT_CAP = 16
 
 # Lee's ring is Z, as t = 1 and its tables' entries are constants
 _RINGS = {**RINGS, Theory.LEE: INT_RINGS[Theory.LEE]}
-_ONE = RINGS[Theory.BAR_NATAN].one
+# the shared units of Z[t], the same objects in every theory's tables
+_ONE, _MINUS_ONE = RINGS[Theory.BAR_NATAN].one, RINGS[Theory.BAR_NATAN].negated.one
 
 
 class Generator(NamedTuple):
@@ -202,7 +215,7 @@ class CochainElement:
     __slots__ = ("cube", "terms")
 
     def __init__(self, cube: CubeComplex, terms: dict[Generator, TPoly]):
-        """`terms` holds no zero coefficient: sums drop them in `_accumulate`."""
+        """`terms` holds no zero coefficient: `apply_pieces` and `apply_linear` drop them."""
         self.cube = cube
         self.terms = terms
 
@@ -302,9 +315,12 @@ class Piece:
     Circles move along `plan`; `births` labels its new target circles (CUP or
     DOTTED_CUP), `deaths` gives each dead source circle the label it keeps
     (CAP or DOTTED_CAP), and `dots` lists the target circles multiplied by X.
+    `action` counts the piece's first applications, which carry the labels
+    with `transfer_labels`, and from the next one on is its compiled label
+    action (`_label_action`).
     """
 
-    __slots__ = ("mask", "sign", "plan", "births", "deaths", "dots")
+    __slots__ = ("mask", "sign", "plan", "births", "deaths", "dots", "action")
 
     def __init__(
         self,
@@ -319,24 +335,96 @@ class Piece:
             raise KhovalError("a circle vanished without a death rule")
         self.mask, self.sign, self.plan = mask, sign, plan
         self.births, self.deaths, self.dots = births, deaths, dots
+        self.action = 0
+
+
+_BOTH = (PLUS, MINUS)  # appended to a labeling, so an index can read a birth's label
+# A piece applied this many times carries its labels with `transfer_labels`, then
+# compiles: compiling at the second application cost small movies more than it
+# saved, as their merges are applied twice
+_PLAIN_APPLICATIONS = 2
+
+
+def _label_action(p: Piece, k: int) -> tuple:
+    """A piece's label action on labelings of k source circles: (dead, kept, i, j, getter).
+
+    A labeling goes on when `dead(labels) == kept` (dead None: no death).
+    The target labeling is `getter(labels + (PLUS, MINUS) + result)`: a
+    copied circle reads its source's index, a new circle its birth label at
+    k or k + 1, and a merged or split circle the result of the merge (read
+    at source circles i and j in `ring.multiply`) or split (circle i, j None,
+    in `ring.comultiply`) at k + 2 on; with neither, i is None and there is
+    no result.
+    """
+    plan = p.plan
+    index = [0] * plan.count
+    for s, t in plan.copies:
+        index[t] = s
+    for t in plan.new:
+        index[t] = k + p.births[t]
+    i = j = None
+    if plan.merge is not None:
+        (i, j), t = plan.merge
+        index[t] = k + 2
+    elif plan.split is not None:
+        i, (t1, t2) = plan.split
+        index[t1], index[t2] = k + 2, k + 3
+    if len(index) > 1:
+        getter = itemgetter(*index)
+    else:  # an itemgetter of one index reads no tuple: a slice does
+        getter = itemgetter(slice(index[0], index[0] + 1) if index else slice(0))
+    dead = itemgetter(*p.deaths) if p.deaths else None
+    return dead, dead and dead(p.deaths), i, j, getter
 
 
 def apply_pieces(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> dict[Generator, TPoly]:
     """The image of the labels of a source vertex under the sum of its pieces, in `cube.ring`.
 
-    A piece of sign -1 reads the ring's `negated` tables, so no coefficient is negated here.
+    A piece of sign -1 reads the ring's `negated` tables, so no coefficient
+    is negated here.  A piece's first two applications carry the labels with
+    `transfer_labels`, and its third compiles the label action that it and
+    every later one read (`_label_action`, kept on the piece for every ring).
+    Each term is summed into the image as it comes, its `Generator` made by
+    `tuple.__new__`.
     """
     acc: dict[Generator, TPoly] = {}
-    ring = cube.ring
+    ring, new = cube.ring, tuple.__new__
     for p in pieces:
-        if p.deaths and any(labels[s] != keep for s, keep in p.deaths.items()):
-            continue
-        terms = transfer_labels(p.plan, labels, ring if p.sign == 1 else ring.negated, p.births)
+        action = p.action
+        if action.__class__ is int and action < _PLAIN_APPLICATIONS:
+            p.action = action + 1
+            if p.deaths and any(labels[s] != keep for s, keep in p.deaths.items()):
+                continue
+            terms = transfer_labels(p.plan, labels, ring if p.sign == 1 else ring.negated,
+                                    p.births)
+        else:
+            if action.__class__ is int:  # the next application compiles the label action
+                action = p.action = _label_action(p, len(labels))
+            dead, kept, i, j, getter = action
+            if dead is not None and dead(labels) != kept:
+                continue
+            signed, padded = ring if p.sign == 1 else ring.negated, labels + _BOTH
+            if i is None:
+                terms = ((getter(padded), signed.one),)
+            elif j is None:
+                terms = [(getter(padded + pair), poly)
+                         for pair, poly in signed.comultiply[labels[i]].items()]
+            else:
+                terms = [(getter(padded + (label,)), poly)
+                         for label, poly in signed.multiply[labels[i]][labels[j]].items()]
         for c in p.dots:  # X acts by multiplication with v-
             terms = [(lbls[:c] + (x,) + lbls[c + 1:], _times(poly, extra)) for lbls, poly in terms
                      for x, extra in ring.multiply[lbls[c]][MINUS].items()]
+        mask = p.mask
         for lbls, poly in terms:
-            _accumulate(acc, Generator(p.mask, lbls), poly)
+            g = new(Generator, (mask, lbls))
+            cur = acc.get(g)
+            if cur is None:
+                acc[g] = poly
+            elif total := cur + poly:
+                acc[g] = total
+            else:
+                del acc[g]
     return acc
 
 
@@ -344,26 +432,43 @@ def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
     """Terms [(generator, coeff)] carried through each op in turn, then summed.
 
     An op maps a generator to its image {generator: coeff} and acts by its
-    linear extension; with no op the terms are only summed.
+    linear extension; with no op the terms are only summed.  A coefficient 1
+    (the shared `TPoly` by identity, an `int` by value) carries an image as
+    it is, and the sum is made in place, dropping each key whose sum is zero.
     """
     for op in ops:
         carried = []
         for g, coeff in terms:
             image = op(g).items()
-            carried.extend(image if coeff == 1 else [(h, _times(poly, coeff)) for h, poly in image])
+            if coeff is _ONE or coeff.__class__ is int and coeff == 1:
+                carried.extend(image)
+            else:
+                carried.extend([(h, _times(poly, coeff)) for h, poly in image])
         terms = carried
     acc: dict[Generator, TPoly] = {}
     for g, coeff in terms:
-        _accumulate(acc, g, coeff)
+        cur = acc.get(g)
+        if cur is None:
+            acc[g] = coeff
+        elif total := cur + coeff:
+            acc[g] = total
+        else:
+            del acc[g]
     return acc
 
 
 def _times(a, b):
-    """a * b; most factors are 1, whose products cost more than the test, and
-    two -1s over Z[t] make the shared 1 of `RINGS`: a sign makes no coefficient."""
-    if a == 1:
+    """a * b in one ring.  Over Z[t] most factors are the shared units, tested
+    by identity, not by `TPoly.__eq__`: a 1 returns the other factor and two
+    -1s make the shared 1, so a sign makes no coefficient.  `int`s (Lee's
+    ring) multiply as they are."""
+    if a.__class__ is int:
+        return a * b
+    if a is _ONE:
         return b
-    return a if b == 1 else _ONE if a == -1 == b and not isinstance(a, int) else a * b
+    if b is _ONE:
+        return a
+    return _ONE if a is _MINUS_ONE and b is _MINUS_ONE else a * b
 
 
 def _piece_op(cube: CubeComplex, vertex, entry: dict, key):
@@ -435,16 +540,6 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry
 
 def _nonzero(terms: dict[Generator, TPoly]) -> dict[Generator, TPoly]:
     return {g: p for g, p in terms.items() if p}
-
-
-def _accumulate(acc: dict, key, poly: TPoly | int) -> None:
-    """acc[key] += poly, dropping the key when the sum is zero."""
-    cur = acc.get(key)
-    total = poly if cur is None else cur + poly
-    if not total:
-        acc.pop(key, None)
-    else:
-        acc[key] = total
 
 
 def koszul_to_front(mask: int, front: tuple[int, ...], n: int) -> tuple[int, int]:

@@ -33,10 +33,11 @@ left face and its connected piece.  `parse_pd` refuses a code whose n
 crossings in p pieces do not have n + 2p faces (Euler's formula), and the
 saddle, R2 and R3 moves read their planarity rules from the same table.
 
-A diagram also keeps what is computed from it and not from a theory: its
-resolutions, its cube edge pieces and, per event, the structure of the
-chain maps read from it (`LinkDiagram`), so cubes and maps of every theory
-on one still build each once.
+A diagram also keeps what is computed from it and not from a theory: the
+arc-ordered starts of its resolution walks, its resolutions, its cube edge
+pieces and, per event, the structure of the chain maps read from it
+(`LinkDiagram`), so cubes and maps of every theory on one still build each
+once.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class LinkDiagram:
     """
 
     __slots__ = ("crossings", "loops", "n_plus", "n_minus", "far", "ends", "resolutions",
-                 "edges", "maps", "_arc_ids", "_faces")
+                 "edges", "maps", "_arc_ids", "_faces", "_starts")
 
     def __init__(
         self,
@@ -114,6 +115,7 @@ class LinkDiagram:
         self.n_minus = len(self.crossings) - self.n_plus
         self._arc_ids = frozenset([*darts, *(a for lp in loop_list for a in lp)])
         self._faces: Faces | None = None  # built by the first `faces()` call
+        self._starts: tuple | None = None  # built by the first `resolve`
         self.resolutions: dict[int, ResolvedDiagram] = {}
         self.edges: dict[tuple[int, int], object] = {}  # of `cube.Piece`s
         self.maps: dict = {}
@@ -207,6 +209,24 @@ class LinkDiagram:
                 right[a], left[a], piece[a] = (~k, 0), (~k, 1), ~k
         self._faces = Faces(right, left, piece)
         return self._faces
+
+    def _circle_starts(self) -> tuple[list[int], tuple]:
+        """(each dart's arc id, where `resolve` starts its walks), built on first use and kept.
+
+        The starts follow the arc ids up: a dart of each crossing arc, or a
+        crossing-free loop as its sorted arcs at its smallest id.  So a
+        resolution's circles are met in canonical order, each at its smallest arc.
+        """
+        if self._starts is None:
+            arcs = [a for c in self.crossings for a in c.arcs]
+            if self.loops:  # merged in by smallest arc id
+                start = dict(zip(arcs, range(len(arcs))))  # each arc to one of its darts
+                start.update((lp[0], lp) for lp in map(tuple, map(sorted, self.loops)))
+                starts = list(map(start.__getitem__, sorted(start)))
+            else:  # an arc's two darts sort next to each other: keep one
+                starts = sorted(range(len(arcs)), key=arcs.__getitem__)[::2]
+            self._starts = arcs, starts
+        return self._starts
 
     def loop_of_arc(self, arc: int) -> int | None:
         for i, lp in enumerate(self.loops):
@@ -389,24 +409,30 @@ def resolve(d: LinkDiagram, mask: int) -> ResolvedDiagram:
     `mask` is an int with bit j for crossing j.  Each circle through a
     crossing is an orbit that turns from slot s to s ^ 3 at a 0-smoothed and
     s ^ 1 at a 1-smoothed crossing (the rows of `SMOOTHING_PARTNER`), walked
-    once from its first dart.  Not `_orbit`: a turn table per call costs more
-    at 2^n calls per cube.
+    once from the first of its arcs in `LinkDiagram._circle_starts`, so the
+    circles come out in canonical order.  Not `_orbit`: a turn table per
+    call costs more at 2^n calls per cube.  A crossing-free diagram has one
+    vertex, resolved once, so it keeps no starts: its loops are sorted.
     """
     if mask < 0 or mask >> d.n:
         raise KhovalError(f"vertex {mask} is not on the cube of {d.n} crossings")
-    far, arcs = d.far, [a for c in d.crossings for a in c.arcs]
-    seen = [False] * len(far)
-    circles = [tuple(sorted(lp)) for lp in d.loops]
-    for start in range(len(far)):
-        if not seen[start]:
-            circle, x = [], start
-            while not seen[x]:  # of the darts it leaves by, only start is marked before
-                y = far[x]
-                seen[x] = seen[y] = True
-                circle.append(arcs[x])
-                x = y ^ 1 if mask >> (y >> 2) & 1 else y ^ 3
-            circles.append(tuple(sorted(circle)))
-    circles.sort()
+    if not d.crossings:  # the one vertex, resolved once: its circles are the loops
+        circles = sorted(map(tuple, map(sorted, d.loops)))
+    else:
+        far, (arcs, starts) = d.far, d._starts or d._circle_starts()
+        seen = [False] * len(far)
+        circles = []
+        for start in starts:
+            if type(start) is tuple:  # a crossing-free loop
+                circles.append(start)
+            elif not seen[start]:
+                circle, x = [], start
+                while not seen[x]:  # of the darts it leaves by, only start is marked before
+                    y = far[x]
+                    seen[x] = seen[y] = True
+                    circle.append(arcs[x])
+                    x = y ^ 1 if mask >> (y >> 2) & 1 else y ^ 3
+                circles.append(tuple(sorted(circle)))
     circle_of = {a: i for i, circ in enumerate(circles) for a in circ}
     return ResolvedDiagram(tuple(circles), circle_of)
 

@@ -76,7 +76,8 @@ class ESI:
     """One elementary string interaction, addressing ids in the current still.
 
     Its (kind, variant) is a row of `_FORMS`, which names the one id field it
-    fills; a missing, stray or malformed id field is a `ParseError`.  Its
+    fills; a missing, stray or malformed id field is a `ParseError`, and so
+    is a JSON key other than `op`, `variant` and that field.  Its
     hash, of (kind, variant, ids), is computed once, when it is made.
     """
 
@@ -120,12 +121,16 @@ class ESI:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ESI":
+        """The event of a JSON object: `op`, `variant` and its form's id field, no other key."""
         if not isinstance(obj, dict) or "op" not in obj:
             raise ParseError(f"malformed movie event {obj!r}")
         kind = obj["op"]
         try:
             variant = obj.get("variant", _ONLY_VARIANT.get(kind))
             form = _form(kind, variant)
+            if len(obj) > 1 + ("variant" in obj) + (form.field in obj):
+                stray = min(obj.keys() - {"op", "variant", form.field}, key=str)
+                raise ParseError(f"malformed movie event {obj!r}: unknown key {stray!r}")
             value = obj.get(form.field)
             return cls(kind, variant, **form.keywords((value,) if form.count == 1 else value))
         except (TypeError, UnsupportedMoveError) as exc:

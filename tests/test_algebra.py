@@ -86,6 +86,29 @@ def test_structure_tables_are_reduced(th):
         assert th.reduce(c) == c, (th, c)
 
 
+def test_units_of_z_t_are_shared_objects():
+    # every 1 and -1 in the Z[t] tables, their negated twins and reduced
+    # coefficients is one of two objects, so a unit is tested by identity
+    one, minus_one = RINGS[Theory.BAR_NATAN].one, RINGS[Theory.BAR_NATAN].negated.one
+    assert (one, minus_one) == (TPoly(1), TPoly(-1))
+    seen = []
+    for ring in RINGS.values():
+        for twin in (ring, ring.negated):
+            seen.append(twin.one)
+            for a in LABELS:
+                seen.extend(twin.comultiply[a].values())
+                for b in LABELS:
+                    seen.extend(twin.multiply[a][b].values())
+    for th in ALL_THEORIES:
+        seen += [th.reduce(TPoly(1)), th.reduce(TPoly(-1)), th.reduce(TPoly({0: -1, 1: 2}))]
+    units = [c for c in seen if c in (1, -1)]
+    assert len(units) > len(ALL_THEORIES) * 2 * 6
+    assert all(c is (one if c == 1 else minus_one) for c in units), units
+    # t + 1 is no unit and stays itself; at t = 0 it is the shared 1
+    p = TPoly({0: 1, 1: 1})
+    assert Theory.BAR_NATAN.reduce(p) is p and Theory.KHOVANOV.reduce(p) is one
+
+
 @pytest.mark.parametrize("ring", [*RINGS.values(), *INT_RINGS.values()])
 def test_negated_twin_holds_every_entry_negated(ring):
     # a piece of sign -1 reads the twin, built with the ring, in place of negating

@@ -338,10 +338,13 @@ def test_saddle_without_a_shared_face_fails_validation(capsys):
     '{"movie": [{"op": "birth"}, {"op": "r1", "variant": "add_pos", "arc": true}]}',
     '{"movie": [{"op": "birth", "variant": "add"}]}',
     '{"movie": [{"op": "r3", "variant": "cyclic", "crossings": [1, 2, 3]}]}',
+    '{"movie": [{"op": "birth", "x": 1}]}',
+    '{"movie": [{"op": "birth"}, {"op": "r1", "variant": "add_pos", "arc": 1},'
+    ' {"op": "r1", "variant": "remove", "crossing": 1, "arc": 5}]}',
 ])
 def test_malformed_movie_json_is_a_parse_error(capsys, movie):
     # an id is a JSON integer: no float, string or bool is coerced into one;
-    # an event's (kind, variant) must exist
+    # an event's (kind, variant) must exist, and it has no key its form does not read
     code, out, err = run(capsys, "movie", movie)
     assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
 

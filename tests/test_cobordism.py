@@ -1,6 +1,7 @@
 """ESI chain maps, their contract laws, and movie evaluation."""
 
 import dataclasses
+import itertools
 import json
 import random
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from khoval.algebra import MINUS, PLUS, RINGS, TPoly, Theory
+from khoval.algebra import LABELS, MINUS, PLUS, RINGS, TPoly, Theory
 from khoval.cobordism import (
     Movie,
     _event,
@@ -32,7 +33,8 @@ from khoval.cobordism import (
     trivial_surface_movie,
 )
 from khoval.corpus import PD_CODES, _rmove_instances
-from khoval.cube import CochainElement, Generator, _accumulate, build_cube
+from khoval.cube import (CochainElement, Generator, Piece, _label_action, apply_linear,
+                         apply_pieces, build_cube)
 from khoval.diagram import LinkDiagram, parse_pd, resolve
 from khoval.errors import (
     CapExceededError,
@@ -606,17 +608,124 @@ def test_r2_and_r3_maps_negate_no_coefficient(monkeypatch, name):
             assert made, "the counters see what is made: each map here multiplies by t"
 
 
+@pytest.mark.parametrize("arcs, variants", [
+    ((4, 1), ("add_neg", "add_pos")),  # the r3 benchmark's input at seed 1
+    ((1, 2, 3, 7), ("add_pos", "add_neg") * 2),  # the CI report's triangle
+], ids=["5 crossings", "7 crossings"])
+def test_an_r3_map_compares_no_coefficient(monkeypatch, arcs, variants):
+    # the ring's 1 and -1 are shared objects, tested by identity, so applying
+    # an R3 map runs no `TPoly.__eq__` in any theory
+    d = braid_kinked_on(arcs, variants)
+    target = apply_esi(d, BRAID_R3)
+    compared = []
+    eq = TPoly.__eq__
+
+    def counting(self, other):
+        compared.append(other)
+        return eq(self, other)
+
+    for th in ALL_THEORIES:
+        src, tgt = build_cube(d, th), build_cube(target, th)
+        monkeypatch.setattr(TPoly, "__eq__", counting)
+        f = esi_chain_map(BRAID_R3, src, tgt, th)
+        images = [f.of_generator(g) for g in src.generators()]
+        monkeypatch.undo()
+        assert d.n == len(arcs) + 3 and images and compared == [], (th, len(compared))
+    monkeypatch.setattr(TPoly, "__eq__", counting)
+    assert TPoly(1) == 1 and compared == [1], "the counter sees a comparison"
+
+
+def _recording_pieces(monkeypatch) -> list:
+    """Every `Piece` made from now on, until the monkeypatch is undone."""
+    made, init = [], Piece.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Piece, "__init__", recording)
+    return made
+
+
+def assert_compiled_actions_match_transfer_labels(pieces):
+    """On every labeling of its source circles and in every theory's ring, a
+    piece applied through its compiled label action gives the image of a
+    plain application through `transfer_labels`."""
+    rings = [build_cube(LinkDiagram(), th) for th in ALL_THEORIES]  # apply_pieces reads the ring
+    assert pieces
+    for p in pieces:
+        plan = p.plan
+        k = len(plan.copies) + len(plan.dead) + (2 if plan.merge else 1 if plan.split else 0)
+        action = _label_action(p, k)
+        for labels in itertools.product(LABELS, repeat=k):
+            for cube in rings:
+                plain, compiled = (Piece(p.mask, p.sign, plan, p.births, p.deaths, p.dots)
+                                   for _ in range(2))
+                compiled.action = action
+                expected = apply_pieces(cube, (plain,), labels)
+                assert plain.action == 1 and compiled.action is action
+                assert apply_pieces(cube, (compiled,), labels) == expected, (p, labels, cube.theory)
+
+
+def test_compiled_label_actions_match_transfer_labels_on_the_corpus_movies(monkeypatch):
+    pieces = _recording_pieces(monkeypatch)
+    paths = sorted((Path(__file__).resolve().parent.parent / "movies").glob("*.json"))
+    assert len(paths) == 7
+    for path in paths:
+        m = movie_from_json(json.loads(path.read_text()))
+        bn_and_kj(m)
+        lee_value(m)
+    monkeypatch.undo()
+    assert_compiled_actions_match_transfer_labels(pieces)
+
+
+@pytest.mark.parametrize("name", SHARING_CASES)
+def test_compiled_label_actions_match_transfer_labels_on_every_move(monkeypatch, name):
+    pieces = _recording_pieces(monkeypatch)
+    d, event = SHARING_CASES[name]()
+    target = apply_esi(d, event)
+    for th in ALL_THEORIES:
+        src, tgt = build_cube(d, th), build_cube(target, th)
+        f = esi_chain_map(event, src, tgt, th)
+        for g in src.generators():
+            f.of_generator(g)
+            src.differential_of(g)
+    monkeypatch.undo()
+    assert_compiled_actions_match_transfer_labels(pieces)
+
+
+@given(random_movies())
+@settings(max_examples=15, deadline=None)
+def test_compiled_label_actions_match_transfer_labels_on_random_movie_stills(m):
+    # each event's map on every generator of its source still, and every edge
+    # of the stills; the monkeypatch is undone by hand, as Hypothesis runs
+    # this body many times inside one test
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        pieces = _recording_pieces(monkeypatch)
+        stills = m.stills()
+        for event, src_d, tgt_d in zip(m.events, stills, stills[1:]):
+            if src_d.n > 3 or tgt_d.n > 3:
+                continue
+            src, tgt = build_cube(src_d, Theory.BAR_NATAN), build_cube(tgt_d, Theory.BAR_NATAN)
+            f = esi_chain_map(event, src, tgt)
+            for g in src.generators():
+                f.of_generator(g)
+                src.differential_of(g)
+    if pieces:
+        assert_compiled_actions_match_transfer_labels(pieces)
+
+
 def _x_action(cube, arc: int):
     """Multiplication by X on the circle through `arc`."""
 
     def act(x):
-        acc = {}
+        terms = []
         for gen, coeff in x.terms.items():
             k = cube.circles(gen.mask).circle_of[arc]
             for label, poly in RINGS[cube.theory].multiply[gen.labels[k]][M].items():
                 labels = gen.labels[:k] + (label,) + gen.labels[k + 1 :]
-                _accumulate(acc, Generator(gen.mask, labels), poly * coeff)
-        return CochainElement(cube, acc)
+                terms.append((Generator(gen.mask, labels), poly * coeff))
+        return CochainElement(cube, apply_linear(terms))
 
     return act
 

@@ -379,6 +379,29 @@ def test_death_weights_and_dotted_births(th):
     assert dotted == {Generator(0, (l,)): c for l, c in xmult[M].items()}
 
 
+def test_a_piece_compiles_its_label_action_at_its_third_application(monkeypatch):
+    # a piece applied once or twice compiles nothing: a small movie's pieces,
+    # most applied once and its merges twice, pay no compilation
+    import khoval.cube as cube_module
+    from khoval.cobordism import lee_value, trivial_surface_movie
+
+    compiled, label_action = [], cube_module._label_action
+    monkeypatch.setattr(cube_module, "_label_action",
+                        lambda p, k: compiled.append(p) or label_action(p, k))
+    assert lee_value(trivial_surface_movie(5)) == 32 and compiled == []
+    for th in Theory:
+        c = build_cube(parse_pd(PD_CODES["hopf"]), th)
+        piece = c.edge(0, 0)
+        assert piece.plan.merge is not None and piece.action == 0
+        images = []
+        for uses in (1, 2, 3, 4):
+            images.append(apply_pieces(c, (piece,), (M, P)))
+            assert compiled == [piece] * (uses > 2), (th, uses)
+            assert piece.action == uses if uses < 3 else type(piece.action) is tuple
+        assert all(image == {Generator(1, (M,)): c.ring.one} for image in images), th
+        compiled.clear()
+
+
 def test_piece_refuses_a_circle_vanishing_without_a_death_rule():
     src = ResolvedDiagram(((1, 2), (3, 4)), {1: 0, 2: 0, 3: 1, 4: 1})
     tgt = ResolvedDiagram(((3, 4),), {3: 0, 4: 0})

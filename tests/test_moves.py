@@ -322,6 +322,17 @@ def test_malformed_events_are_parse_errors(build):
         apply_esi(parse_pd("L0 L1"), build())
 
 
+@pytest.mark.parametrize("obj, key", [
+    ({"op": "r1", "variant": "remove", "crossing": 2, "arc": 5}, "arc"),
+    ({"op": "birth", "x": 1}, "x"),
+    ({"op": "saddle", "arcs": [1, 2], "circle": 3}, "circle"),
+], ids=["r1-remove-arc", "birth-x", "saddle-circle"])
+def test_from_json_refuses_a_key_its_form_does_not_read(obj, key):
+    # a key the form does not read is refused, not ignored
+    with pytest.raises(ParseError, match=f"unknown key '{key}'"):
+        ESI.from_json(obj)
+
+
 # a Hopf link beside a kinked unknot: pokes between the pieces need no shared face
 SPLIT = PD_CODES["hopf"] + " X(5,6,6,5)"
 
