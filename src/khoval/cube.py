@@ -11,11 +11,10 @@ order (increasing smallest arc id).
 A linear map on a cube is an op: a function from a generator to its summed
 image {generator: coeff}, with no zero coefficient.  Most ops are sums of
 `Piece`s, signed dotted cobordisms that carry labels along a circle-transfer
-plan with `transfer_labels`; `apply_pieces` applies them and `_piece_op`
-makes the op of a table `vertex(mask) -> pieces`, computed once per vertex
-into a table kept on the source still (`cobordism` keys it by event in
-`LinkDiagram.maps`), so ops of every theory between the same stills build
-it once.  The differential is a sum of edge pieces: the edge flipping
+plan; `apply_pieces` applies them and `_piece_op` makes the op of a table
+`vertex(mask) -> pieces`, computed once per vertex into a table kept on the
+source still (`cobordism` keys it by event in `LinkDiagram.maps`), so ops of
+every theory between the same stills build it once.  The differential is a sum of edge pieces: the edge flipping
 crossing j at a vertex is a saddle piece (its plan, one merge or one split,
 memoized by its `diagram.edge_key`: four circle ids of crossing j's arcs at
 both ends) with the sign (-1)^(number of 1-bits after the flipped position),
@@ -35,20 +34,18 @@ of their entries stay reduced.  A caller's Z[t] coefficient is reduced where
 it enters, in `CubeComplex.element` and `CochainElement.scale` (for Lee, to
 its `int` value at t = 1).  `apply_pieces` reads the cube's ring, and a
 piece of sign -1 its `negated` twin, so applying a map negates no
-coefficient; `transfer_labels` takes the ring, not the theory.  Every table
-entry, `one` and reduced coefficient that equals 1 or -1 is one of two
-shared `TPoly`s (`algebra`), so `apply_linear` and `_times` test a `TPoly`
-for a unit by identity and an `int` by value: no `TPoly.__eq__` runs while
-a map is applied.  `apply_pieces` and `apply_linear` sum each image in
-place, one dict per image, and `apply_pieces` makes each `Generator` with
-`tuple.__new__`.  A piece carries labels with `transfer_labels` on its first
-two applications; from its third on it reads its label action, compiled once
-and kept on the piece (`_label_action`: its deaths' check and one
+coefficient.  Every table entry, `one` and reduced coefficient that equals
+1 or -1 is one of two shared `TPoly`s (`algebra`), so `apply_linear` and
+`_times` test a `TPoly` for a unit by identity and an `int` by value: no
+`TPoly.__eq__` runs while a map is applied.  `apply_pieces` and
+`apply_linear` sum each image in place, one dict per image, and
+`apply_pieces` makes each `Generator` with `tuple.__new__`.  A piece carries
+labels by its label action, compiled at its first application and kept on
+the piece for every ring (`_label_action`: its deaths' check and one
 `operator.itemgetter` that reads the target labels off the source labels,
-the birth labels and the merge or split result), so a piece applied once or
-twice compiles nothing.  `homology` builds no piece: it reads each edge's
-`diagram.edge_key` and carries labels by bit arithmetic over
-`algebra.INT_RINGS`.
+the birth labels and the merge or split result).  `homology` builds no
+piece: it reads each edge's `diagram.edge_key` and carries labels by bit
+arithmetic over `algebra.INT_RINGS`.
 
 Cohomological degree of a generator is |v| - n_minus; its q-degree is the sum
 of label degrees (1 - 2*l for label l) plus (|v| - n_minus) + (n_plus -
@@ -62,7 +59,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .algebra import INT_RINGS, LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
+from .algebra import INT_RINGS, LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, TPoly, Theory
 from .diagram import LinkDiagram, ResolvedDiagram, Transfer, _edge_plan, edge_key, resolve, transfer
 from .errors import CapExceededError, KhovalError, TheoryError
 
@@ -71,7 +68,6 @@ __all__ = [
     "CochainElement",
     "CubeComplex",
     "CheckReport",
-    "transfer_labels",
     "Piece",
     "CUP",
     "DOTTED_CUP",
@@ -264,44 +260,6 @@ class CochainElement:
         return " + ".join(bits)
 
 
-def transfer_labels(
-    plan: Transfer,
-    labels: tuple[int, ...],
-    ring: Ring,
-    fixed: dict[int, int] | None = None,
-) -> list[tuple[tuple[int, ...], TPoly | int]]:
-    """Carry a labeling along a circle-transfer plan: [(target labels, coeff)].
-
-    Copied circles keep their label, a merge multiplies and a split
-    comultiplies in `ring`.  `fixed` labels the plan's new target circles;
-    labels of dead source circles are dropped, so the caller accounts for them.
-    """
-    base: list[int | None] = [None] * plan.count
-    for s, t in plan.copies:
-        base[t] = labels[s]
-    if plan.new:
-        if fixed is None or any(t not in fixed for t in plan.new):
-            raise KhovalError("circle transfer left target circles unlabeled")
-        for t in plan.new:
-            base[t] = fixed[t]
-    if plan.merge is not None:
-        (s1, s2), t = plan.merge
-        out = []
-        for lbl, poly in ring.multiply[labels[s1]][labels[s2]].items():
-            base[t] = lbl
-            out.append((tuple(base), poly))
-        return out
-    if plan.split is not None:
-        s, (t1, t2) = plan.split
-        out = []
-        for (l1, l2), poly in ring.comultiply[labels[s]].items():
-            base[t1] = l1
-            base[t2] = l2
-            out.append((tuple(base), poly))
-        return out
-    return [(tuple(base), ring.one)]
-
-
 # A cup gives its new circle v+ and a dotted cup X.v+ = v-.  A cap weighs
 # eps(l) and a dotted cap eps(X.l); in every theory each is 1 on one label and
 # 0 on the other, so a death keeps the terms whose dying circle has that label.
@@ -315,9 +273,8 @@ class Piece:
     Circles move along `plan`; `births` labels its new target circles (CUP or
     DOTTED_CUP), `deaths` gives each dead source circle the label it keeps
     (CAP or DOTTED_CAP), and `dots` lists the target circles multiplied by X.
-    `action` counts the piece's first applications, which carry the labels
-    with `transfer_labels`, and from the next one on is its compiled label
-    action (`_label_action`).
+    `action` is its label action (`_label_action`), compiled at its first
+    application.
     """
 
     __slots__ = ("mask", "sign", "plan", "births", "deaths", "dots", "action")
@@ -333,16 +290,14 @@ class Piece:
     ):
         if plan.dead and not set(plan.dead) <= (deaths or {}).keys():
             raise KhovalError("a circle vanished without a death rule")
+        if plan.new and not set(plan.new) <= (births or {}).keys():
+            raise KhovalError("circle transfer left target circles unlabeled")
         self.mask, self.sign, self.plan = mask, sign, plan
         self.births, self.deaths, self.dots = births, deaths, dots
-        self.action = 0
+        self.action = None
 
 
 _BOTH = (PLUS, MINUS)  # appended to a labeling, so an index can read a birth's label
-# A piece applied this many times carries its labels with `transfer_labels`, then
-# compiles: compiling at the second application cost small movies more than it
-# saved, as their merges are applied twice
-_PLAIN_APPLICATIONS = 2
 
 
 def _label_action(p: Piece, k: int) -> tuple:
@@ -381,37 +336,28 @@ def apply_pieces(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> dict[Gen
     """The image of the labels of a source vertex under the sum of its pieces, in `cube.ring`.
 
     A piece of sign -1 reads the ring's `negated` tables, so no coefficient
-    is negated here.  A piece's first two applications carry the labels with
-    `transfer_labels`, and its third compiles the label action that it and
-    every later one read (`_label_action`, kept on the piece for every ring).
-    Each term is summed into the image as it comes, its `Generator` made by
-    `tuple.__new__`.
+    is negated here.  A piece's first application compiles the label action
+    that it and every later one read (`_label_action`, kept on the piece for
+    every ring).  Each term is summed into the image as it comes, its
+    `Generator` made by `tuple.__new__`.
     """
     acc: dict[Generator, TPoly] = {}
-    ring, new = cube.ring, tuple.__new__
+    ring, new, padded = cube.ring, tuple.__new__, labels + _BOTH
     for p in pieces:
-        action = p.action
-        if action.__class__ is int and action < _PLAIN_APPLICATIONS:
-            p.action = action + 1
-            if p.deaths and any(labels[s] != keep for s, keep in p.deaths.items()):
-                continue
-            terms = transfer_labels(p.plan, labels, ring if p.sign == 1 else ring.negated,
-                                    p.births)
+        if (action := p.action) is None:
+            action = p.action = _label_action(p, len(labels))
+        dead, kept, i, j, getter = action
+        if dead is not None and dead(labels) != kept:
+            continue
+        signed = ring if p.sign == 1 else ring.negated
+        if i is None:
+            terms = ((getter(padded), signed.one),)
+        elif j is None:
+            terms = [(getter(padded + pair), poly)
+                     for pair, poly in signed.comultiply[labels[i]].items()]
         else:
-            if action.__class__ is int:  # the next application compiles the label action
-                action = p.action = _label_action(p, len(labels))
-            dead, kept, i, j, getter = action
-            if dead is not None and dead(labels) != kept:
-                continue
-            signed, padded = ring if p.sign == 1 else ring.negated, labels + _BOTH
-            if i is None:
-                terms = ((getter(padded), signed.one),)
-            elif j is None:
-                terms = [(getter(padded + pair), poly)
-                         for pair, poly in signed.comultiply[labels[i]].items()]
-            else:
-                terms = [(getter(padded + (label,)), poly)
-                         for label, poly in signed.multiply[labels[i]][labels[j]].items()]
+            terms = [(getter(padded + (label,)), poly)
+                     for label, poly in signed.multiply[labels[i]][labels[j]].items()]
         for c in p.dots:  # X acts by multiplication with v-
             terms = [(lbls[:c] + (x,) + lbls[c + 1:], _times(poly, extra)) for lbls, poly in terms
                      for x, extra in ring.multiply[lbls[c]][MINUS].items()]
@@ -445,7 +391,11 @@ def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
             else:
                 carried.extend([(h, _times(poly, coeff)) for h, poly in image])
         terms = carried
-    acc: dict[Generator, TPoly] = {}
+    return _add_terms({}, terms)
+
+
+def _add_terms(acc: dict, terms) -> dict:
+    """acc summed in place with terms [(key, coeff)], dropping each key whose sum is zero."""
     for g, coeff in terms:
         cur = acc.get(g)
         if cur is None:

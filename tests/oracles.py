@@ -23,7 +23,10 @@ once in every column that hits it, is the reference for the pivots,
 residue and insertion order of `reduce.eliminate`'s column reduction.
 Each edge key's label table carried labelling by labelling through the
 key's plan with `transfer_labels`, over label tuples and a tuple-to-index
-dict, is the reference for the bit arithmetic of `CubeIndex.table`.  The
+dict, is the reference for the bit arithmetic of `CubeIndex.table`.
+`transfer_labels` builds each target labeling slot by slot from a plan;
+pieces applied through it and summed term by term (`apply_pieces_termwise`)
+are the reference for the compiled label actions of `cube.apply_pieces`.  The
 genus-adding map m o Delta, composed from a theory's multiply and
 comultiply tables, checks the tube identities.
 """
@@ -35,8 +38,9 @@ from collections import defaultdict
 from fractions import Fraction
 
 from khoval.algebra import INT_RINGS, LABELS, MINUS, PLUS, RINGS, LaurentPoly, Theory, TPoly
-from khoval.cube import CubeComplex, Generator, transfer_labels
-from khoval.diagram import ResolvedDiagram, _edge_plan, resolve, transfer
+from khoval.cube import CubeComplex, Generator
+from khoval.diagram import ResolvedDiagram, Transfer, _edge_plan, resolve, transfer
+from khoval.errors import KhovalError
 from khoval.moves import apply_esi_info
 
 
@@ -47,6 +51,65 @@ def tube(x: int, th: Theory) -> dict[int, TPoly]:
         for lbl, c2 in RINGS[th].multiply[a][b].items():
             out[lbl] = out.get(lbl, TPoly(0)) + c1 * c2
     return {lbl: c for lbl, c in out.items() if c}
+
+
+def transfer_labels(
+    plan: Transfer,
+    labels: tuple[int, ...],
+    ring,
+    fixed: dict[int, int] | None = None,
+) -> list[tuple[tuple[int, ...], TPoly | int]]:
+    """Carry a labeling along a circle-transfer plan: [(target labels, coeff)].
+
+    Copied circles keep their label, a merge multiplies and a split
+    comultiplies in `ring`.  `fixed` labels the plan's new target circles;
+    labels of dead source circles are dropped, so the caller accounts for them.
+    """
+    base: list[int | None] = [None] * plan.count
+    for s, t in plan.copies:
+        base[t] = labels[s]
+    if plan.new:
+        if fixed is None or any(t not in fixed for t in plan.new):
+            raise KhovalError("circle transfer left target circles unlabeled")
+        for t in plan.new:
+            base[t] = fixed[t]
+    if plan.merge is not None:
+        (s1, s2), t = plan.merge
+        out = []
+        for lbl, poly in ring.multiply[labels[s1]][labels[s2]].items():
+            base[t] = lbl
+            out.append((tuple(base), poly))
+        return out
+    if plan.split is not None:
+        s, (t1, t2) = plan.split
+        out = []
+        for (l1, l2), poly in ring.comultiply[labels[s]].items():
+            base[t1] = l1
+            base[t2] = l2
+            out.append((tuple(base), poly))
+        return out
+    return [(tuple(base), ring.one)]
+
+
+def apply_pieces_termwise(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> dict:
+    """The image of `cube.apply_pieces`, each piece carried by `transfer_labels`.
+
+    A piece whose dying circles do not all carry their kept labels gives
+    nothing; a sign -1 negates each coefficient, and a dot multiplies its
+    circle's label by X = v-.  The terms are summed one by one.
+    """
+    ring = cube.ring
+    acc: dict = defaultdict(lambda: ring.zero)
+    for p in pieces:
+        if p.deaths and any(labels[s] != keep for s, keep in p.deaths.items()):
+            continue
+        terms = transfer_labels(p.plan, labels, ring, p.births)
+        for c in p.dots:
+            terms = [(lbls[:c] + (x,) + lbls[c + 1:], poly * extra) for lbls, poly in terms
+                     for x, extra in ring.multiply[lbls[c]][MINUS].items()]
+        for lbls, poly in terms:
+            acc[Generator(p.mask, lbls)] += poly * p.sign
+    return {g: c for g, c in acc.items() if c}
 
 
 def apply_termwise(f, x):

@@ -48,6 +48,7 @@ from khoval.errors import (
 from khoval.moves import ESI, apply_esi, apply_esi_info
 
 from oracles import (
+    apply_pieces_termwise,
     apply_termwise,
     block_basis,
     block_matrix,
@@ -649,8 +650,8 @@ def _recording_pieces(monkeypatch) -> list:
 
 def assert_compiled_actions_match_transfer_labels(pieces):
     """On every labeling of its source circles and in every theory's ring, a
-    piece applied through its compiled label action gives the image of a
-    plain application through `transfer_labels`."""
+    piece applied through its compiled label action gives the image of the
+    piece carried by the `transfer_labels` reference."""
     rings = [build_cube(LinkDiagram(), th) for th in ALL_THEORIES]  # apply_pieces reads the ring
     assert pieces
     for p in pieces:
@@ -659,12 +660,11 @@ def assert_compiled_actions_match_transfer_labels(pieces):
         action = _label_action(p, k)
         for labels in itertools.product(LABELS, repeat=k):
             for cube in rings:
-                plain, compiled = (Piece(p.mask, p.sign, plan, p.births, p.deaths, p.dots)
-                                   for _ in range(2))
+                compiled = Piece(p.mask, p.sign, plan, p.births, p.deaths, p.dots)
                 compiled.action = action
-                expected = apply_pieces(cube, (plain,), labels)
-                assert plain.action == 1 and compiled.action is action
+                expected = apply_pieces_termwise(cube, (p,), labels)
                 assert apply_pieces(cube, (compiled,), labels) == expected, (p, labels, cube.theory)
+                assert compiled.action is action
 
 
 def test_compiled_label_actions_match_transfer_labels_on_the_corpus_movies(monkeypatch):

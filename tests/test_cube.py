@@ -16,7 +16,6 @@ from khoval.cube import (
     build_cube,
     check_d_squared,
     check_faces,
-    transfer_labels,
 )
 from khoval.corpus import PD_CODES, torus2_pd
 from khoval.diagram import (LinkDiagram, ResolvedDiagram, _edge_plan, parse_pd, resolve, serialize_pd,
@@ -340,14 +339,16 @@ def test_edge_refuses_an_edge_off_the_cube():
     assert c.diagram.edges == {}
 
 
-def test_transfer_labels_needs_a_label_for_every_new_circle():
+def test_a_piece_needs_a_label_for_every_new_circle():
     # the circle (3,4) of the target is new
     plan = transfer(resolve(parse_pd("L0"), 0), resolve(parse_pd("L0 L1"), 0))
     assert plan.new == (1,)
     for th in ALL_THEORIES:
-        assert transfer_labels(plan, (M,), RINGS[th], {1: P}) == [((M, P), TPoly(1))]
+        c = build_cube(parse_pd("L0"), th)
+        assert apply_pieces(c, (Piece(0, 1, plan, {1: P}),), (M,)) == {Generator(0, (M, P)): 1}
+    for births in (None, {0: P}):
         with pytest.raises(KhovalError, match="unlabeled"):
-            transfer_labels(plan, (M,), RINGS[th])
+            Piece(0, 1, plan, births)
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
@@ -379,27 +380,22 @@ def test_death_weights_and_dotted_births(th):
     assert dotted == {Generator(0, (l,)): c for l, c in xmult[M].items()}
 
 
-def test_a_piece_compiles_its_label_action_at_its_third_application(monkeypatch):
-    # a piece applied once or twice compiles nothing: a small movie's pieces,
-    # most applied once and its merges twice, pay no compilation
+def test_a_piece_compiles_its_label_action_once_at_its_first_application(monkeypatch):
+    # the action is kept on the piece and read by every later application, in every ring
     import khoval.cube as cube_module
-    from khoval.cobordism import lee_value, trivial_surface_movie
 
     compiled, label_action = [], cube_module._label_action
     monkeypatch.setattr(cube_module, "_label_action",
                         lambda p, k: compiled.append(p) or label_action(p, k))
-    assert lee_value(trivial_surface_movie(5)) == 32 and compiled == []
+    d = parse_pd(PD_CODES["hopf"])
+    piece = build_cube(d, Theory.LEE).edge(0, 0)
+    assert piece.plan.merge is not None and piece.action is None and compiled == []
     for th in Theory:
-        c = build_cube(parse_pd(PD_CODES["hopf"]), th)
-        piece = c.edge(0, 0)
-        assert piece.plan.merge is not None and piece.action == 0
-        images = []
-        for uses in (1, 2, 3, 4):
-            images.append(apply_pieces(c, (piece,), (M, P)))
-            assert compiled == [piece] * (uses > 2), (th, uses)
-            assert piece.action == uses if uses < 3 else type(piece.action) is tuple
-        assert all(image == {Generator(1, (M,)): c.ring.one} for image in images), th
-        compiled.clear()
+        c = build_cube(d, th)
+        assert c.edge(0, 0) is piece
+        for _ in range(3):
+            assert apply_pieces(c, (piece,), (M, P)) == {Generator(1, (M,)): c.ring.one}, th
+            assert compiled == [piece] and type(piece.action) is tuple
 
 
 def test_piece_refuses_a_circle_vanishing_without_a_death_rule():

@@ -7,14 +7,13 @@ import pytest
 
 from khoval.algebra import RINGS, Theory
 from khoval.corpus import PD_CODES, torus2_pd
-from khoval.cube import (CochainElement, Generator, _bigon_reduction, apply_linear, build_cube,
-                         transfer_labels)
+from khoval.cube import CochainElement, Generator, _bigon_reduction, apply_linear, build_cube
 from khoval.diagram import LinkDiagram, parse_pd, transfer
 from khoval.homology import homology, reduced_complex
 from khoval.moves import ESI, apply_esi, apply_esi_info
 from khoval.reduce import eliminate
 
-from oracles import eliminate_row_index, r2_termwise
+from oracles import eliminate_row_index, r2_termwise, transfer_labels
 
 
 def diagram(name):
