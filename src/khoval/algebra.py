@@ -124,13 +124,14 @@ class TPoly:
         return self._of({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: "TPoly | int") -> "TPoly":
+        # both factors are clean, so only the zero coefficients need dropping
         if isinstance(other, int):
-            return type(self)({e: c * other for e, c in self._terms.items()})
+            return self._of({e: c * other for e, c in self._terms.items()} if other else {})
         terms: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
-        return type(self)(terms)
+        return self._of({e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 

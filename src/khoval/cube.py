@@ -16,10 +16,10 @@ plan; `apply_pieces` applies them and `_piece_op` makes the op of a table
 source still (`cobordism` keys it by event in `LinkDiagram.maps`), so ops of
 every theory between the same stills build it once.  The differential is a sum of edge pieces: the edge flipping
 crossing j at a vertex is a saddle piece (its plan, one merge or one split,
-memoized by its `diagram.edge_key`: four circle ids of crossing j's arcs at
-both ends) with the sign (-1)^(number of 1-bits after the flipped position),
-which makes every square face anticommute; `_edge_op` is the op along the
-edges of one crossing.  The movie chain maps add births, deaths and dots.
+memoized by its `diagram.edge_key`: four circle ids read off both ends' dart
+arrays at crossing j) with the sign (-1)^(number of 1-bits after the flipped
+position), which makes every square face anticommute; `_edge_op` is the op
+along the edges of one crossing.  The movie chain maps add births, deaths and dots.
 `apply_linear` carries terms through ops in turn and sums them once at the
 end; `cobordism.ChainMapRep` composes a chain map's ops with it.
 `_bigon_reduction` is Bar-Natan's Gaussian elimination lemma
@@ -140,8 +140,8 @@ class CubeComplex:
                 raise KhovalError(f"edge ({mask}, {j}) is not on the cube of {self.n} crossings")
             if (mask >> j) & 1:
                 raise KhovalError("edge must start at a 0-bit")
-            tgt, crossing = mask | (1 << j), self.diagram.crossings[j]
-            plan = _edge_plan(*edge_key(self.circles(mask), self.circles(tgt), crossing, mask))
+            tgt = mask | (1 << j)
+            plan = _edge_plan(*edge_key(self.diagram, mask, j, self.circles(mask), self.circles(tgt)))
             piece = edges[key] = Piece(tgt, self.edge_sign(mask, j), plan)
         return piece
 

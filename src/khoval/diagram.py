@@ -12,7 +12,10 @@ A dart is a crossing slot, numbered 4 * crossing index + slot, and
 faces and the circles of a resolution are orbits of one rule, "go to the far
 end of the arc, then turn at that crossing": a strand turns to slot s ^ 2
 and a face to slot s + 1 (`_orbit`), a circle to slot s ^ 3 at a 0-smoothed
-and s ^ 1 at a 1-smoothed crossing (`resolve`, by the mask bit itself).
+and s ^ 1 at a 1-smoothed crossing (`resolve`, by the mask bit itself).  A
+resolution is the circle id of each dart (`ResolvedDiagram.darts`): the
+cube's differential reads a crossing's four ids from it (`edge_key`), and the
+arc views that circle transfers read are derived from it when first asked.
 
 Orientation is not stored in the code: the constructor walks every strand
 once.  Slot 0 is always entered, so walking out of every slot 2 orients each
@@ -273,20 +276,57 @@ class Faces(NamedTuple):
         return self.piece[a] != self.piece[b] or self.right[a] == self.left[b]
 
 
-@dataclass(frozen=True)
 class ResolvedDiagram:
-    """A complete resolution: the partition of arcs into circles.
+    """A complete resolution: `darts[x]` is the circle through dart x, of `count` circles.
 
-    Circles are stored as sorted arc tuples, listed in increasing order of
-    their smallest arc id (the canonical circle order used everywhere).
+    Circles are numbered in canonical order, by smallest arc id; the cube's
+    differential reads only `count` and `darts` (`edge_key`).  `circles`
+    (sorted arc tuples) and `circle_of` (arc -> circle), which `transfer` and
+    the movie maps read, are derived together on first use and kept, in one
+    pass over `starts`: `LinkDiagram._circle_starts()`, where a tuple is a
+    whole circle (a crossing-free loop) taking the next id.
     """
 
-    circles: tuple[tuple[int, ...], ...]
-    circle_of: dict[int, int]
+    __slots__ = ("count", "darts", "_starts", "_circles", "_circle_of")
+
+    def __init__(self, count: int, darts: list[int], starts: tuple | None):
+        self.count, self.darts, self._starts, self._circles = count, darts, starts, None
 
     @property
-    def count(self) -> int:
-        return len(self.circles)
+    def circles(self) -> tuple[tuple[int, ...], ...]:
+        if self._circles is None:
+            self._derive()
+        return self._circles
+
+    @property
+    def circle_of(self) -> dict[int, int]:
+        if self._circles is None:
+            self._derive()
+        return self._circle_of
+
+    def _derive(self) -> None:
+        """Both views in one pass: the starts meet the circles in id order, each arc ascending."""
+        arcs, starts = self._starts
+        darts, circles, circle_of = self.darts, [], {}
+        for start in starts:
+            if type(start) is tuple:
+                i = len(circles)
+                for a in start:
+                    circle_of[a] = i
+                circles.append(start)
+            else:
+                a, i = arcs[start], darts[start]
+                circle_of[a] = i
+                if i < len(circles):
+                    circles[i].append(a)
+                else:
+                    circles.append([a])
+        self._circles, self._circle_of = tuple(map(tuple, circles)), circle_of
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResolvedDiagram):
+            return NotImplemented
+        return (self.count, self.darts, self.circles) == (other.count, other.darts, other.circles)
 
 
 @dataclass(frozen=True)
@@ -402,39 +442,42 @@ def _walk(raw, far) -> tuple[list[int], dict[int, tuple[tuple[int, int], tuple[i
 # -- resolutions ---------------------------------------------------------------
 
 def resolve(d: LinkDiagram, mask: int) -> ResolvedDiagram:
-    """Compute the circles of the complete resolution selected by `mask`.
+    """The complete resolution selected by `mask`: the circle id of every dart.
 
     `mask` is an int with bit j for crossing j.  Each circle through a
     crossing is an orbit that turns from slot s to s ^ 3 at a 0-smoothed and
     s ^ 1 at a 1-smoothed crossing (the rows of `SMOOTHING_PARTNER`), walked
-    once from the first of its arcs in `LinkDiagram._circle_starts`, so the
-    circles come out in canonical order.  Not `_orbit`: a turn table per
-    call costs more at 2^n calls per cube.  A crossing-free diagram's one
-    vertex is its sorted loops, with no starts built: a movie of births and
-    saddles resolves many such stills once each, and building their starts
-    cost the benchmark's movie ops about 3 % (median op time).
+    once from the first of its arcs in `LinkDiagram._circle_starts` and
+    writing its id on both darts of each arc; a crossing-free loop takes its
+    id where the starts meet it.  So ids come out in canonical order, with
+    no arc list built.  Not `_orbit`: a turn table per call costs more at
+    2^n calls per cube.  A crossing-free diagram's one vertex is its sorted
+    loops, with its arc views set at once and no starts built: a movie of
+    births and saddles resolves many such stills once each, and building
+    their starts cost the benchmark's movie ops about 3 % (median op time),
+    deriving the views about 2 %.
     """
     if mask < 0 or mask >> d.n:
         raise KhovalError(f"vertex {mask} is not on the cube of {d.n} crossings")
     if not d.crossings:  # the one vertex, resolved once: its circles are the loops
-        circles = sorted(map(tuple, map(sorted, d.loops)))
-    else:
-        far, (arcs, starts) = d.far, d._starts or d._circle_starts()
-        seen = [False] * len(far)
-        circles = []
-        for start in starts:
-            if type(start) is tuple:  # a crossing-free loop
-                circles.append(start)
-            elif not seen[start]:
-                circle, x = [], start
-                while not seen[x]:  # of the darts it leaves by, only start is marked before
-                    y = far[x]
-                    seen[x] = seen[y] = True
-                    circle.append(arcs[x])
-                    x = y ^ 1 if mask >> (y >> 2) & 1 else y ^ 3
-                circles.append(tuple(sorted(circle)))
-    circle_of = {a: i for i, circ in enumerate(circles) for a in circ}
-    return ResolvedDiagram(tuple(circles), circle_of)
+        res = ResolvedDiagram(len(d.loops), [], None)
+        res._circles = circles = tuple(sorted(map(tuple, map(sorted, d.loops))))
+        res._circle_of = {a: i for i, circ in enumerate(circles) for a in circ}
+        return res
+    far, starts = d.far, d._starts or d._circle_starts()
+    darts: list = [None] * len(far)
+    count = 0
+    for start in starts[1]:
+        if type(start) is tuple:  # a crossing-free loop
+            count += 1
+        elif darts[start] is None:
+            x = start
+            while darts[x] is None:  # of the darts it leaves by, only start is marked before
+                y = far[x]
+                darts[x] = darts[y] = count
+                x = y ^ 1 if mask >> (y >> 2) & 1 else y ^ 3
+            count += 1
+    return ResolvedDiagram(count, darts, starts)
 
 
 def transfer(
@@ -488,24 +531,27 @@ def transfer(
 
 
 def edge_key(
-    src: ResolvedDiagram, tgt: ResolvedDiagram, crossing: Crossing, mask: int
+    d: LinkDiagram, mask: int, j: int, src: ResolvedDiagram, tgt: ResolvedDiagram
 ) -> tuple[int, int, int, int, int]:
-    """The key (src.count, s1, s2, t1, t2) of the cube edge from vertex `mask` that flips `crossing`.
+    """The key (src.count, s1, s2, t1, t2) of the cube edge from vertex `mask` that flips crossing j.
 
-    The 0-smoothing joins slots 0-3 and 1-2, so the source circles s1 <= s2
-    of arcs a0 and a1 merge when they differ; the 1-smoothing joins 0-1 and
-    2-3, so the target circles t1 <= t2 of a0 and a2 split off one source
-    circle when they differ.  The edge's plan, `transfer(src, tgt)`, is the
-    memoized `_edge_plan` of its key; an edge that does neither is a `MoveError`.
+    Read off the resolutions' `darts` at 4j + slot.  The 0-smoothing joins
+    slots 0-3 and 1-2, so the source circles s1 <= s2 of slots 0 and 1 merge
+    when they differ; the 1-smoothing joins 0-1 and 2-3, so the target
+    circles t1 <= t2 of slots 0 and 2 split off one source circle when they
+    differ.  The edge's plan, `transfer(src, tgt)`, is the memoized
+    `_edge_plan` of its key; an edge that does neither is a `MoveError`.
     """
-    a0, a1, a2, _ = crossing.arcs
-    s1, s2 = sorted((src.circle_of[a0], src.circle_of[a1]))
-    t1, t2 = sorted((tgt.circle_of[a0], tgt.circle_of[a2]))
+    x = 4 * j
+    s1, s2, t1, t2 = src.darts[x], src.darts[x + 1], tgt.darts[x], tgt.darts[x + 2]
     if s1 == s2 and t1 == t2:
-        raise MoveError(f"crossing {crossing.cid} at vertex {mask} neither merges two "
+        raise MoveError(f"crossing {d.crossings[j].cid} at vertex {mask} neither merges two "
                         "circles nor splits one (the PD code is not planar)")
+    if s1 > s2:
+        s1, s2 = s2, s1
+    if t1 > t2:
+        t1, t2 = t2, t1
     return src.count, s1, s2, t1, t2
-
 
 
 @cache

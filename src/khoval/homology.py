@@ -136,6 +136,8 @@ class CubeIndex:
     position in `c.generators()`: the labelling read as a binary number
     (v+ = 0, circle 0 the most significant bit) plus the vertex's offset.
     `layers[p]` lists the masks with p bits set, for p in range(n + 1).
+    It resolves every vertex (one dart walk each, kept on the diagram) for
+    its count; `integer_differential` reads their `darts` via `edge_key`.
     Each edge key's label table is built on first use, once per index.
     """
 
@@ -195,7 +197,7 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
     vertex's edges (ascending crossing order), each shifted by the target's
     offset; columns are inserted in cube order.
     """
-    c, offsets, crossings = index.cube, index.offsets, index.cube.diagram.crossings
+    c, offsets = index.cube, index.offsets
     if p not in range(c.n + 1):
         raise KhovalError(f"layer {p} is not in the cube's layers 0..{c.n}")
     diff: dict[int, dict[int, int]] = {}
@@ -204,7 +206,7 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
         for j in range(c.n):
             if not (mask >> j) & 1:
                 tgt = mask | 1 << j
-                key = edge_key(src, c.circles(tgt), crossings[j], mask)
+                key = edge_key(c.diagram, mask, j, src, c.circles(tgt))
                 sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
                 rows.append((offsets[tgt], sign, index.table(key)))
         for idx, g in enumerate(range(offsets[mask], offsets[mask + 1])):

@@ -14,9 +14,12 @@ right, as in persistent homology, with no row index: visited in the
 caller's insertion order (cube order, for homology), each first takes the
 updates of the pivots chosen before it, in pivot order, then cancels its
 first unit entry.  A pass ends by updating its survivors and dropping the
-cancelled generators; passes repeat until no unit entry is left.  Each
-column gets the updates that eager elimination gives it, in the same order,
-so the residue and its insertion order are the same.  The pivots depend on
+cancelled generators; passes repeat until no unit entry is left.  A pivot
+changes only the columns holding one of its generators, so a column with
+no generator cancelled so far skips the update (on T(2,7), 332 visits to
+Khovanov's 1,102 columns update, 510 for Lee).  Each column gets the
+updates that eager elimination gives it, in the same order, so the residue
+and its insertion order are the same.  The pivots depend on
 the visiting order, the homology of the residue does not.
 
 The same lemma, on the two unit edges of an R2 bigon
@@ -37,17 +40,20 @@ def eliminate(diff: dict) -> set:
     `diff` maps generators to their columns {target: coefficient}, and a
     target without a column has a zero one.  The returned set holds both
     ends of every cancelled entry; `diff` keeps only the surviving columns.
+    A column updates (`_reduce`) only if it holds a generator cancelled so far.
     """
     order = list(diff)
     cancelled: set = set()
     while True:
         pivots: list = []  # (g, h, -lam, rho) in the order chosen; rho = d(g) - lam*h
         number: dict = {}  # the cancelled generators, sources and targets, to their pivot's number
+        misses = number.keys().isdisjoint  # True: no pivot so far changes the column
         for g in order:
             col = diff[g]
             if not col or g in number:
                 continue
-            _reduce(col, pivots, number)
+            if not misses(col):
+                _reduce(col, pivots, number)
             for h, c in col.items():
                 if c == 1 or c == -1:  # lam = +-1 is its own inverse
                     del col[h]
@@ -58,7 +64,8 @@ def eliminate(diff: dict) -> set:
             return cancelled
         order = [g for g in order if g not in number]
         for g in order:
-            _reduce(diff[g], pivots, number)
+            if not misses(col := diff[g]):
+                _reduce(col, pivots, number)
         for g in number:
             diff.pop(g, None)
         cancelled.update(number)

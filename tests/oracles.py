@@ -361,8 +361,10 @@ def resolve_union_find(d, mask: int) -> ResolvedDiagram:
     groups: dict[int, list[int]] = {}
     for a in d.arc_ids():
         groups.setdefault(dsu.find(a), []).append(a)
-    circles = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-    return ResolvedDiagram(circles, {a: i for i, circ in enumerate(circles) for a in circ})
+    circles = sorted(tuple(sorted(g)) for g in groups.values())
+    circle_of = {a: i for i, circ in enumerate(circles) for a in circ}
+    darts = [circle_of[a] for c in d.crossings for a in c.arcs]
+    return ResolvedDiagram(len(circles), darts, ((), circles))
 
 
 def pieces_union_find(d) -> set[frozenset[int]]:

@@ -1,5 +1,7 @@
 """Structure-map tables, Frobenius laws, and gradings of the coefficient algebra."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -279,6 +281,46 @@ def test_sums_and_negations_store_no_zero_and_keep_their_class(a, b, c, d):
         assert (x + (-x)).is_zero() and x + (-x) == 0
         span = range(-6 if cls.LAURENT else 0, 7)
         assert x + y == cls({e: x.coefficient(e) + y.coefficient(e) for e in span})
+
+
+def test_products_store_no_zero_and_keep_their_class(monkeypatch):
+    one_plus_t, one_minus_t, p3, q_inv = (TPoly({0: 1, 1: 1}), TPoly({0: 1, 1: -1}),
+                                          TPoly({0: 3, 2: -1}), LaurentPoly({-1: 2}))
+    q = LaurentPoly({-1: 1, 1: 1})
+
+    def refused(self, terms=0):
+        raise AssertionError("a product went through the validating constructor")
+
+    # both factors are clean: no product runs the constructor's checks
+    monkeypatch.setattr(TPoly, "__init__", refused)
+    product = one_plus_t * one_minus_t  # (1 + t)(1 - t) = 1 - t^2
+    assert product.terms == {0: 1, 2: -1} and product.coefficient(1) == 0
+    for p in (p3, q_inv):
+        for zero in (p * 0, 0 * p):
+            assert type(zero) is type(p) and zero.terms == {} and not zero and zero == 0
+    assert type(q * q) is LaurentPoly and (q * q).terms == {-2: 1, 0: 2, 2: 1}
+    assert type(q * q_inv) is LaurentPoly and type(q * 3) is LaurentPoly
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_products_equal_the_validating_constructors(seed):
+    # products skip the constructor's checks; on random operands, cancelling
+    # ones included, each is what the constructor makes of the termwise sum
+    rng = random.Random(seed)
+    for cls, low in ((TPoly, 0), (LaurentPoly, -4)):
+        def operand():
+            return cls({rng.randrange(low, 5): rng.randrange(-3, 4) for _ in range(rng.randrange(4))})
+
+        for _ in range(60):
+            a, b, k = operand(), operand(), rng.randrange(-3, 4)
+            terms: dict = {}
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b.terms.items():
+                    terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+            for got, want in ((a * b, cls(terms)),
+                              (a * k, cls({e: c * k for e, c in a.terms.items()}))):
+                assert type(got) is cls and got == want and got.terms == want.terms, (a, b, k)
+                assert 0 not in got.terms.values() and hash(got) == hash(want)
 
 
 def test_tpoly_equals_int():

@@ -399,8 +399,8 @@ def test_a_piece_compiles_its_label_action_once_at_its_first_application(monkeyp
 
 
 def test_piece_refuses_a_circle_vanishing_without_a_death_rule():
-    src = ResolvedDiagram(((1, 2), (3, 4)), {1: 0, 2: 0, 3: 1, 4: 1})
-    tgt = ResolvedDiagram(((3, 4),), {3: 0, 4: 0})
+    src = ResolvedDiagram(2, [], ((), ((1, 2), (3, 4))))
+    tgt = ResolvedDiagram(1, [], ((), ((3, 4),)))
     plan = transfer(src, tgt)
     assert plan.dead == (0,)
     assert Piece(0, 1, plan, deaths={0: CAP}).plan is plan

@@ -14,6 +14,7 @@ from khoval.diagram import (
 )
 from khoval.errors import KhovalError, OrientationError, ParseError
 from khoval.corpus import PD_CODES, torus2_pd
+from khoval.moves import ESI, apply_esi
 
 from oracles import bfs_circle_count, is_planar, pieces_union_find, resolve_union_find
 
@@ -182,26 +183,46 @@ def test_resolve_against_bfs_oracle(corpus):
             assert got == want, (name, mask)
 
 
+def assert_resolution_matches(got, want, where):
+    """Two resolutions agree: count, every dart's circle id, circles and circle_of."""
+    assert (got.count, got.darts) == (want.count, want.darts), where
+    assert got.circles == want.circles, where
+    assert got.circle_of == want.circle_of, where
+
+
 def assert_resolutions_match_the_union_find(d, name):
     """`resolve` equals the union-find resolution on every vertex of `d`."""
     for mask in range(1 << d.n):
-        got, want = resolve(d, mask), resolve_union_find(d, mask)
-        assert got.circles == want.circles, (name, mask)
-        assert got.circle_of == want.circle_of, (name, mask)
+        assert_resolution_matches(resolve(d, mask), resolve_union_find(d, mask), (name, mask))
 
 
 def test_resolve_matches_the_union_find_oracle(corpus):
     # the kinked unknots have one arc with both darts on their one crossing
     assert {"unknot_pos_kink", "unknot_neg_kink"} <= corpus.keys()
-    diagrams = {**corpus, **{f"T(2,{n})": parse_pd(torus2_pd(n)) for n in range(1, 8)}}
+    kinked = apply_esi(parse_pd(TREFOIL), ESI("r1", variant="add_pos", arc=1))
+    diagrams = {
+        **corpus,
+        **{f"T(2,{n})": parse_pd(torus2_pd(n)) for n in range(1, 9)},
+        "kinked trefoil": apply_esi(kinked, ESI("r1", variant="add_neg", arc=4)),
+        # loops beside crossings, their arcs after every crossing arc (as parse_pd
+        # numbers them) or before, one given unsorted
+        "trefoil L1": parse_pd(f"{TREFOIL} L1"),
+        "figure8 L1 L2": parse_pd(f"{PD_CODES['figure8']} L1 L2"),
+        "trefoil, loops (5, 1) and (3,)": LinkDiagram(
+            [(i, tuple(a + 10 for a in c.arcs)) for i, c in enumerate(parse_pd(TREFOIL).crossings)],
+            [(5, 1), (3,)]),
+    }
     for name, d in diagrams.items():
         assert_resolutions_match_the_union_find(d, name)
+    # the arc views are derived on first read and kept
+    r = resolve(diagrams["trefoil, loops (5, 1) and (3,)"], 0b111)
+    assert r.circles is r.circles and r.circle_of is r.circle_of
+    assert (r.count, r.circles[0], r.circles[1]) == (5, (1, 5), (3,))
     # past 64 crossings, so the walk rests on no fixed-width table
     d = parse_pd(torus2_pd(71))
     rng = random.Random(71)
     for mask in [0, (1 << 71) - 1, *(rng.getrandbits(71) for _ in range(5))]:
-        got, want = resolve(d, mask), resolve_union_find(d, mask)
-        assert (got.circles, got.circle_of) == (want.circles, want.circle_of), mask
+        assert_resolution_matches(resolve(d, mask), resolve_union_find(d, mask), mask)
 
 
 def assert_pieces_match_the_union_find(d, name):
@@ -247,8 +268,8 @@ def test_resolution_partitions_arcs(corpus):
 
 
 def _resolved(*circles):
-    circles = tuple(sorted(tuple(sorted(c)) for c in circles))
-    return ResolvedDiagram(circles, {a: i for i, c in enumerate(circles) for a in c})
+    circles = sorted(tuple(sorted(c)) for c in circles)
+    return ResolvedDiagram(len(circles), [], ((), circles))
 
 
 def test_transfer_plan_fields():

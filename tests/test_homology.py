@@ -301,7 +301,7 @@ def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th, diagram,
     # with no applier of pieces and no edge piece kept on the cube
     d = shuffle_diagram(diagram)
     c = build_cube(d, th)
-    keys = {edge_key(c.circles(mask), c.circles(mask | 1 << j), d.crossings[j], mask)
+    keys = {edge_key(d, mask, j, c.circles(mask), c.circles(mask | 1 << j))
             for mask in range(1 << c.n) for j in range(c.n) if not (mask >> j) & 1}
     indices, applied = [], []
     cube_module = importlib.import_module("khoval.cube")
@@ -331,7 +331,7 @@ def test_label_tables_match_the_transfer_labels_reference(th, name):
     d = shuffle_diagram(name)
     c = build_cube(d, th)
     index = CubeIndex(c)
-    keys = {edge_key(c.circles(mask), c.circles(mask | 1 << j), d.crossings[j], mask)
+    keys = {edge_key(d, mask, j, c.circles(mask), c.circles(mask | 1 << j))
             for mask in range(1 << c.n) for j in range(c.n) if not (mask >> j) & 1}
     for key in keys:
         assert index.table(key) == label_table_termwise(key, th), key

@@ -11,7 +11,7 @@ from khoval.cube import CochainElement, Generator, _bigon_reduction, apply_linea
 from khoval.diagram import LinkDiagram, parse_pd, transfer
 from khoval.homology import homology, reduced_complex
 from khoval.moves import ESI, apply_esi, apply_esi_info
-from khoval.reduce import eliminate
+from khoval.reduce import _reduce, eliminate
 
 from oracles import eliminate_row_index, r2_termwise, transfer_labels
 
@@ -160,6 +160,66 @@ def test_eliminate_matches_the_row_index_oracle_on_random_graded_matrices(seed):
                 if degrees[h] == i + 1 and rng.random() < 0.3}
             for g, i in degrees.items()}
     assert_eliminates_like_the_oracle(degrees, diff)
+
+
+@pytest.mark.parametrize("th, visits", [(Theory.KHOVANOV, 332), (Theory.LEE, 510)])
+def test_eliminate_reduces_only_the_columns_a_pivot_hits(monkeypatch, th, visits):
+    # `_reduce` runs at exactly the visits where the column holds a
+    # generator already cancelled, counted here on a copy of each layer by
+    # the kernel's passes with every visited column reduced; the columns
+    # left are the same
+    reduce_module = importlib.import_module("khoval.reduce")
+    calls, counted = [0], [0]
+
+    def counting(col, pivots, number):
+        assert not number.keys().isdisjoint(col)
+        calls[0] += 1
+        _reduce(col, pivots, number)
+
+    def both(diff):
+        want = {g: dict(col) for g, col in diff.items()}
+        counted[0] += reduce_every_visit(want)
+        cancelled = eliminate(diff)
+        assert [(g, list(col.items())) for g, col in diff.items()] == \
+            [(g, list(col.items())) for g, col in want.items()]
+        return cancelled
+
+    monkeypatch.setattr(reduce_module, "_reduce", counting)
+    monkeypatch.setattr(importlib.import_module("khoval.homology"), "eliminate", both)
+    reduced_complex(build_cube(diagram("T(2,7)"), th))
+    assert calls == counted == [visits]
+
+
+def reduce_every_visit(diff: dict) -> int:
+    """The kernel's passes on `diff`, in place, reducing every column they visit.
+
+    Returns the number of visits whose column holds a generator that the
+    pass has cancelled already.
+    """
+    order, hits = list(diff), 0
+    while True:
+        pivots: list = []
+        number: dict = {}
+        for g in order:
+            col = diff[g]
+            if not col or g in number:
+                continue
+            hits += not number.keys().isdisjoint(col)
+            _reduce(col, pivots, number)
+            for h, c in col.items():
+                if c in (1, -1):
+                    del col[h]
+                    number[g] = number[h] = len(pivots)
+                    pivots.append((g, h, -c, col))
+                    break
+        if not pivots:
+            return hits
+        order = [g for g in order if g not in number]
+        for g in order:
+            hits += not number.keys().isdisjoint(diff[g])
+            _reduce(diff[g], pivots, number)
+        for g in number:
+            diff.pop(g, None)
 
 
 def assert_eliminates_like_the_oracle(degrees: dict, diff: dict) -> dict:
