@@ -124,14 +124,15 @@ class TPoly:
         return self._of({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: "TPoly | int") -> "TPoly":
-        # both factors are clean, so only the zero coefficients need dropping
+        # two clean factors of one class give a clean product once its zeros are dropped
         if isinstance(other, int):
             return self._of({e: c * other for e, c in self._terms.items()} if other else {})
         terms: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
-        return self._of({e: c for e, c in terms.items() if c})
+        terms = {e: c for e, c in terms.items() if c}
+        return self._of(terms) if type(other) is type(self) else type(self)(terms)
 
     __rmul__ = __mul__
 

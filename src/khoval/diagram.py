@@ -284,12 +284,13 @@ class ResolvedDiagram:
     (sorted arc tuples) and `circle_of` (arc -> circle), which `transfer` and
     the movie maps read, are derived together on first use and kept, in one
     pass over `starts`: `LinkDiagram._circle_starts()`, where a tuple is a
-    whole circle (a crossing-free loop) taking the next id.
+    whole circle (a crossing-free loop) taking the next id; a crossing-free
+    diagram's starts are only its loops.
     """
 
     __slots__ = ("count", "darts", "_starts", "_circles", "_circle_of")
 
-    def __init__(self, count: int, darts: list[int], starts: tuple | None):
+    def __init__(self, count: int, darts: list[int], starts: tuple):
         self.count, self.darts, self._starts, self._circles = count, darts, starts, None
 
     @property
@@ -451,19 +452,16 @@ def resolve(d: LinkDiagram, mask: int) -> ResolvedDiagram:
     writing its id on both darts of each arc; a crossing-free loop takes its
     id where the starts meet it.  So ids come out in canonical order, with
     no arc list built.  Not `_orbit`: a turn table per call costs more at
-    2^n calls per cube.  A crossing-free diagram's one vertex is its sorted
-    loops, with its arc views set at once and no starts built: a movie of
+    2^n calls per cube.  A crossing-free diagram's one vertex takes its
+    sorted loops as its starts, with no `_circle_starts` built: a movie of
     births and saddles resolves many such stills once each, and building
-    their starts cost the benchmark's movie ops about 3 % (median op time),
-    deriving the views about 2 %.
+    their starts cost the benchmark's movie ops about 3 % (median op time).
     """
     if mask < 0 or mask >> d.n:
         raise KhovalError(f"vertex {mask} is not on the cube of {d.n} crossings")
     if not d.crossings:  # the one vertex, resolved once: its circles are the loops
-        res = ResolvedDiagram(len(d.loops), [], None)
-        res._circles = circles = tuple(sorted(map(tuple, map(sorted, d.loops))))
-        res._circle_of = {a: i for i, circ in enumerate(circles) for a in circ}
-        return res
+        loops = tuple(sorted(map(tuple, map(sorted, d.loops))))
+        return ResolvedDiagram(len(loops), [], ((), loops))
     far, starts = d.far, d._starts or d._circle_starts()
     darts: list = [None] * len(far)
     count = 0

@@ -302,6 +302,16 @@ def test_products_store_no_zero_and_keep_their_class(monkeypatch):
     assert type(q * q_inv) is LaurentPoly and type(q * 3) is LaurentPoly
 
 
+def test_a_product_of_mixed_classes_is_checked_by_the_constructor():
+    # only factors of one class skip the checks: a TPoly times a Laurent
+    # polynomial with a negative exponent is refused, not stored
+    with pytest.raises(ValueError, match="negative t-exponent -1"):
+        TPoly({0: 1}) * LaurentPoly({-1: 1})
+    product = TPoly({0: 1, 1: 2}) * LaurentPoly({0: 3, 1: -6})
+    assert type(product) is TPoly and product.terms == {0: 3, 2: -12}
+    assert type(LaurentPoly({-1: 1}) * TPoly({1: 1})) is LaurentPoly
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_products_equal_the_validating_constructors(seed):
     # products skip the constructor's checks; on random operands, cancelling
