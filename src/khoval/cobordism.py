@@ -24,9 +24,10 @@ on the triangle's sides come off by R1 ops before it and go back on by R1
 ops after.  No map resolves more of a cube than the vertices it reaches.
 
 Only the ring depends on the theory: all else a map builds is kept on the
-still it reads from, its resolutions, edge pieces and, per event, an entry
-(`_event`) with the rewrite and every piece table, so maps of every theory
-between two stills rewrite, resolve and plan once.  `ChainMapRep.apply` is
+still it reads from, its resolutions, edge rows and label tables and, per
+event, an entry (`_event`) with the rewrite, its arc hints and every piece
+table, so maps of every theory between two stills rewrite, resolve and plan
+once.  `ChainMapRep.apply` is
 the linear extension of the ops; `of_generator` memoizes single images.
 One sweep (`_sweep`, over the stills `Movie.replay` took from the entries)
 carries an element per theory: `bn_and_kj` a Bar-Natan and a Khovanov
@@ -101,8 +102,9 @@ class ChainMapRep:
 
     `apply` is the linear extension: an element's terms go through the ops
     together and are summed once; `of_generator` memoizes each generator's
-    image.  Every op after the first is memoized, as its inputs recur; only
-    the cube vertices the images reach are resolved.
+    image, refusing one that does not fit its vertex of the source.  Every
+    op after the first is memoized, as its inputs recur; only the cube
+    vertices the images reach are resolved.
     """
 
     def __init__(self, source: CubeComplex, target: CubeComplex, q_degree: int, *ops):
@@ -116,6 +118,7 @@ class ChainMapRep:
     def of_generator(self, g: Generator) -> CochainElement:
         out = self._memo.get(g)
         if out is None:
+            self.source.check_generator(g)
             image = self._first(g)
             if self._rest:  # a one-op image is summed already
                 image = apply_linear(image.items(), *self._rest)
@@ -132,13 +135,15 @@ class ChainMapRep:
 
 
 class _Event(dict):
-    """An event's entry in its source still's `maps`: the rewrite (`target`, `info`),
-    and by key the piece tables of the event's maps, shared by every theory."""
+    """An event's entry in its source still's `maps`: the rewrite (`target`, `info`), its
+    arc hints for `transfer` (`hints`: each arc of the arc map to its one image), and by
+    key the piece tables of the event's maps, shared by every theory."""
 
-    __slots__ = ("target", "info")
+    __slots__ = ("target", "info", "hints")
 
     def __init__(self, target: LinkDiagram, info: MoveInfo):  # starts with no table
         self.target, self.info = target, info
+        self.hints = {a: (b,) for a, b in info.arc_map.items()}
 
 
 def _event(still: LinkDiagram, event: ESI) -> _Event:
@@ -147,10 +152,6 @@ def _event(still: LinkDiagram, event: ESI) -> _Event:
     if entry is None:
         entry = still.maps[event] = _Event(*apply_esi_info(still, event))
     return entry
-
-
-def _hint_tuples(arc_map: dict[int, int]) -> dict[int, tuple[int, ...]]:
-    return {a: (b,) for a, b in arc_map.items()}
 
 
 def esi_chain_map(
@@ -178,18 +179,17 @@ def _event_map(event: ESI, entry: _Event, src: CubeComplex, tgt: CubeComplex) ->
     if kind == "r3":
         return ChainMapRep(src, tgt, 0, *_r3_ops(src, tgt, entry))
     if kind in ("birth", "death", "saddle"):
-        vertex = _morse(src, tgt, info)
+        vertex = _morse(src, tgt, entry)
     elif info.variant == "remove":  # the rewrite knows only these kinds
-        vertex = _r1_remove(src, tgt, info)
+        vertex = _r1_remove(src, tgt, entry)
     else:
-        hints = _hint_tuples(info.arc_map)
-        vertex = _r1_add(src, tgt, hints, info.loop_arc, info.strand_arc, info.positive)
+        vertex = _r1_add(src, tgt, entry.hints, info.loop_arc, info.strand_arc, info.positive)
     return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], _piece_op(tgt, vertex, entry, kind))
 
 
-def _morse(src, tgt, info: MoveInfo):
+def _morse(src, tgt, entry: _Event):
     """Birth, death or saddle: a cup, a cap or a saddle at every vertex."""
-    hints = _hint_tuples(info.arc_map)
+    info, hints = entry.info, entry.hints
 
     def vertex(mask: int) -> tuple[Piece, ...]:
         src_res, tgt_res = src.circles(mask), tgt.circles(mask)
@@ -223,13 +223,13 @@ def _r1_add(src, tgt, hints, loop_arc: int, strand_arc: int, positive: bool, pos
     return vertex
 
 
-def _r1_remove(src, tgt, info: MoveInfo):
+def _r1_remove(src, tgt, entry: _Event):
     """The R1 removal, from the kink's 0-smoothing when positive, else its 1-smoothing.
 
     A positive kink dies by a cap; a negative one by a dotted cap minus a
     cap with a dot on the strand.
     """
-    hints = _hint_tuples(info.arc_map)
+    info, hints = entry.info, entry.hints
     positive, idx = info.positive, info.positions[0]
 
     def vertex(mask: int) -> tuple[Piece, ...]:
@@ -258,8 +258,7 @@ def _r2_ops(src: CubeComplex, tgt: CubeComplex, entry: _Event):
     the front.  Addition (the pair at positions 0, 1) is g after the carry,
     removal the carry after f (`cube._bigon_reduction`).
     """
-    info = entry.info
-    hints = _hint_tuples(info.arc_map)
+    info, hints = entry.info, entry.hints
     add = info.variant == "add"
     zi, wi = (0, 1) if add else info.positions
     inner = {info.pieces["u2"], info.pieces["o2"]}
@@ -300,7 +299,7 @@ def _r3_ops(src: CubeComplex, tgt: CubeComplex, entry: _Event, back: bool = Fals
         bare, step = CubeComplex(removed.target, src.theory, cap=src.n), removed.info
         arcs[side] = [step.arc_map.get(a, a) for a in arcs[side]]
         if side == 0:
-            removals.append(_piece_op(bare, _r1_remove(cubes[0], bare, step), removed, "r1"))
+            removals.append(_piece_op(bare, _r1_remove(cubes[0], bare, removed), removed, "r1"))
         else:  # the addition that undoes this removal
             hints: dict[int, list[int]] = {}
             for old, new in step.arc_map.items():

@@ -2,50 +2,53 @@
 
 Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
 on first use and kept on the diagram (`LinkDiagram.resolutions`), as are the
-edge pieces (`LinkDiagram.edges`), so cubes of every theory on one still
-share them and a movie pays only for the vertices its element reaches.  A
-generator is a vertex together with one int label (PLUS = 0 for v+, MINUS =
-1 for v-) per circle of its resolution, circles being listed in canonical
+differential's edge rows and label tables, so cubes of every theory on one
+still share them and a movie pays only for the vertices its element reaches.
+A generator is a vertex together with one int label (PLUS = 0 for v+, MINUS
+= 1 for v-) per circle of its resolution, circles being listed in canonical
 order (increasing smallest arc id).
 
+The differential has one description, read alike by every reader.  The edge
+flipping crossing j at a vertex has a row (`CubeComplex.edge_row`): its
+target, its `diagram.edge_key` (four circle ids read off both ends' dart
+arrays at crossing j) and the sign (-1)^(number of 1-bits after the flipped
+position), which makes every square face anticommute.  A key's label table
+over a ring (`_build_table`, kept on the still by (ring, key)) maps each
+labelling of the source circles, by its index in `itertools.product` order,
+to its image's ((target index, coeff), ...), by bit arithmetic: a merge
+multiplies, a split comultiplies.  It is a list of every row up to 8 source
+circles; past 8 it builds rows on first read, 2^8 at a time, so a map that
+reaches a vertex of many circles builds only what it reads.  An edge of
+sign -1 reads the table over the ring's `negated` twin.  `differential_of`,
+`_edge_op` (the op along one crossing's edges: the R2 bigon's unit edges,
+R3's Psi and `check_faces`) and `homology` (over `algebra.INT_RINGS`, with
+an inline `int` sign) read these tables.
+
 A linear map on a cube is an op: a function from a generator to its summed
-image {generator: coeff}, with no zero coefficient.  Most ops are sums of
-`Piece`s, signed dotted cobordisms that carry labels along a circle-transfer
-plan; `apply_pieces` applies them and `_piece_op` makes the op of a table
-`vertex(mask) -> pieces`, computed once per vertex into a table kept on the
-source still (`cobordism` keys it by event in `LinkDiagram.maps`), so ops of
-every theory between the same stills build it once.  The differential is a sum of edge pieces: the edge flipping
-crossing j at a vertex is a saddle piece (its plan, one merge or one split,
-memoized by its `diagram.edge_key`: four circle ids read off both ends' dart
-arrays at crossing j) with the sign (-1)^(number of 1-bits after the flipped
-position), which makes every square face anticommute; `_edge_op` is the op
-along the edges of one crossing.  The movie chain maps add births, deaths and dots.
-`apply_linear` carries terms through ops in turn and sums them once at the
-end; `cobordism.ChainMapRep` composes a chain map's ops with it.
+image {generator: coeff}, with no zero coefficient.  The movie maps' ops
+are sums of `Piece`s, signed dotted cobordisms that carry labels along a
+circle-transfer plan; `apply_pieces` applies them and `_piece_op` makes the
+op of a table `vertex(mask) -> pieces`, computed once per vertex into a
+table kept on the source still (`cobordism` keys it by event in
+`LinkDiagram.maps`), so ops of every theory between the same stills build
+it once.  `apply_linear` carries terms through ops in turn and sums them
+once at the end; `cobordism.ChainMapRep` composes a chain map's ops with it.
 `_bigon_reduction` is Bar-Natan's Gaussian elimination lemma
 (math/0606318) on an R2 bigon's two unit edges, read off the cube's own
 edges: the R2 maps in `cobordism` and the R3 cone in `r3` are built from it.
 
 Coefficients are kept in the cube's ring, `CubeComplex.ring`: for Lee
 `algebra.INT_RINGS[LEE]`, so Lee's coefficients are `int`; for Khovanov and
-Bar-Natan `algebra.RINGS[theory]`, over `TPoly`.  Its structure tables are
-already reduced, and t -> 0 and t -> 1 are ring maps, so sums and products
-of their entries stay reduced.  A caller's Z[t] coefficient is reduced where
-it enters, in `CubeComplex.element` and `CochainElement.scale` (for Lee, to
-its `int` value at t = 1).  `apply_pieces` reads the cube's ring, and a
-piece of sign -1 its `negated` twin, so applying a map negates no
-coefficient.  Every table entry, `one` and reduced coefficient that equals
-1 or -1 is one of two shared `TPoly`s (`algebra`), so `apply_linear` and
-`_times` test a `TPoly` for a unit by identity and an `int` by value: no
-`TPoly.__eq__` runs while a map is applied.  `apply_pieces` and
-`apply_linear` sum each image in place, one dict per image, and
-`apply_pieces` makes each `Generator` with `tuple.__new__`.  A piece carries
-labels by its label action, compiled at its first application and kept on
-the piece for every ring (`_label_action`: its deaths' check and one
-`operator.itemgetter` that reads the target labels off the source labels,
-the birth labels and the merge or split result).  `homology` builds no
-piece: it reads each edge's `diagram.edge_key` and carries labels by bit
-arithmetic over `algebra.INT_RINGS`.
+Bar-Natan `algebra.RINGS[theory]`, over `TPoly`, whose tables are already
+reduced.  A caller's Z[t] coefficient is reduced where it enters, in
+`CubeComplex.element` and `CochainElement.scale` (for Lee, to its `int` at
+t = 1), and a caller's generator whose labels do not fit its vertex is
+refused there.  A piece of sign -1 reads the `negated` twin too, so
+applying a map negates no coefficient, and every unit is one of two shared
+`TPoly`s (`algebra`), so `apply_linear` and `_times` test a `TPoly` for a
+unit by identity and an `int` by value.  Images are summed in place, their
+`Generator`s made by `tuple.__new__`; a piece's label action is compiled
+at its first application (`_label_action`).
 
 Cohomological degree of a generator is |v| - n_minus; its q-degree is the sum
 of label degrees (1 - 2*l for label l) plus (|v| - n_minus) + (n_plus -
@@ -59,8 +62,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .algebra import INT_RINGS, LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, TPoly, Theory
-from .diagram import LinkDiagram, ResolvedDiagram, Transfer, _edge_plan, edge_key, resolve, transfer
+from .algebra import INT_RINGS, LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
+from .diagram import LinkDiagram, ResolvedDiagram, Transfer, edge_key, resolve, transfer
 from .errors import CapExceededError, KhovalError, TheoryError
 
 __all__ = [
@@ -68,6 +71,7 @@ __all__ = [
     "CochainElement",
     "CubeComplex",
     "CheckReport",
+    "label_table",
     "Piece",
     "CUP",
     "DOTTED_CUP",
@@ -127,23 +131,38 @@ class CubeComplex:
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
         self._resolutions = diagram.resolutions
+        self._edges: dict[tuple[int, int], tuple] = {}  # read by `_edge_image`
 
     # -- structure ---------------------------------------------------------
 
-    def edge(self, mask: int, j: int) -> "Piece":
-        """The signed saddle piece of the differential flipping crossing j at `mask`,
-        built on first use and kept on the diagram."""
-        edges, key = self.diagram.edges, (mask, j)
-        piece = edges.get(key)
-        if piece is None:
+    def edge_row(self, mask: int, j: int) -> tuple[int, tuple[int, int, int, int, int], int]:
+        """The edge flipping crossing j at `mask`: (target mask, edge key, sign), on the diagram."""
+        edges = self.diagram.edges
+        if (row := edges.get((mask, j))) is None:
             if not (0 <= j < self.n and 0 <= mask < 1 << self.n):
                 raise KhovalError(f"edge ({mask}, {j}) is not on the cube of {self.n} crossings")
             if (mask >> j) & 1:
                 raise KhovalError("edge must start at a 0-bit")
             tgt = mask | (1 << j)
-            plan = _edge_plan(*edge_key(self.diagram, mask, j, self.circles(mask), self.circles(tgt)))
-            piece = edges[key] = Piece(tgt, self.edge_sign(mask, j), plan)
-        return piece
+            key = edge_key(self.diagram, mask, j, self.circles(mask), self.circles(tgt))
+            row = edges[mask, j] = (tgt, key, self.edge_sign(mask, j))
+        return row
+
+    def _edge_image(self, mask: int, j: int, labels: tuple[int, ...]) -> list:
+        """The image [(generator, coeff)] of a labelling along the edge flipping crossing j.
+
+        The edge's target, table (over the `negated` ring for sign -1) and
+        target labellings are kept on the cube.
+        """
+        if (edge := self._edges.get((mask, j))) is None:
+            tgt, key, sign = self.edge_row(mask, j)
+            ring = self.ring if sign == 1 else self.ring.negated
+            count = key[0] - 1 if key[1] != key[2] else key[0] + 1
+            table = label_table(self.diagram, ring, key)
+            edge = self._edges[mask, j] = (tgt, table, _labelling(count))
+        tgt, table, labelling = edge
+        new = tuple.__new__
+        return [(new(Generator, (tgt, labelling(t))), v) for t, v in table[_index(labels)]]
 
     def edge_sign(self, mask: int, j: int) -> int:
         """(-1)^(sum of vertex coordinates after position j)."""
@@ -167,19 +186,26 @@ class CubeComplex:
         for mask in range(1 << self.n):
             yield from self.generators_at(mask)
 
+    def check_generator(self, g: Generator) -> None:
+        """Refuse a generator whose labels are not one PLUS or MINUS per circle of its vertex."""
+        mask, labels = g
+        if len(labels) != self.circles(mask).count or not _LABEL_SET.issuperset(labels):
+            raise KhovalError("generator does not live on this cube")
+
     def degrees(self, g: Generator) -> tuple[int, int]:
         """(cohomological degree, q-degree) of a generator."""
+        self.check_generator(g)
         k = len(g.labels)
-        if k != self.circles(g.mask).count:
-            raise KhovalError("generator does not live on this cube")
         i = g.mask.bit_count() - self.n_minus
         q = k - 2 * sum(g.labels) + i + (self.n_plus - self.n_minus)
         return i, q
 
     def element(self, terms: dict[Generator, TPoly] | None = None) -> "CochainElement":
         """An element with the given Z[t] coefficients, reduced into the cube's ring."""
-        terms = {g: self._coefficient(p) for g, p in (terms or {}).items()}
-        return CochainElement(self, _nonzero(terms))
+        terms = terms or {}
+        for g in terms:
+            self.check_generator(g)
+        return CochainElement(self, _nonzero({g: self._coefficient(p) for g, p in terms.items()}))
 
     def _coefficient(self, p: TPoly | int) -> TPoly | int:
         """A Z[t] coefficient or an integer in the cube's ring; for Lee, its `int` at t = 1."""
@@ -188,14 +214,17 @@ class CubeComplex:
         return self.theory.reduce(TPoly(p) if isinstance(p, int) else p)
 
     def basis_element(self, g: Generator) -> "CochainElement":
+        self.check_generator(g)
         return CochainElement(self, {g: self.ring.one})
 
     # -- differential --------------------------------------------------------
 
     def differential_of(self, g: Generator) -> "CochainElement":
-        mask = g.mask
-        edges = [self.edge(mask, j) for j in range(self.n) if not (mask >> j) & 1]
-        return CochainElement(self, apply_pieces(self, edges, g.labels))
+        """d(g), edge by edge: the edges reach distinct vertices, so no two terms meet."""
+        self.check_generator(g)
+        mask, labels = g
+        return CochainElement(self, dict([term for j in range(self.n) if not (mask >> j) & 1
+                                          for term in self._edge_image(mask, j, labels)]))
 
     def differential(self, x: "CochainElement") -> "CochainElement":
         if x.cube is not self:
@@ -258,6 +287,90 @@ class CochainElement:
         for g in sorted(self.terms, key=lambda g: (g.mask, g.labels)):
             bits.append(f"({self.terms[g]})*{g}")
         return " + ".join(bits)
+
+
+# -- the differential's label tables ---------------------------------------------
+
+_BLOCK = 8  # tables build rows, and labellings convert, 8 circles at a time
+# every labelling of at most 8 circles in `itertools.product` order, and its index there
+_LABELLINGS = [list(itertools.product(LABELS, repeat=k)) for k in range(_BLOCK + 1)]
+_INDEX = {labels: x for row in _LABELLINGS for x, labels in enumerate(row)}
+_LABEL_SET = frozenset(LABELS)
+
+
+def _index(labels: tuple[int, ...]) -> int:
+    """A labelling's index: read as a binary number, circle 0 the most significant bit."""
+    if len(labels) <= _BLOCK:
+        return _INDEX[labels]
+    return _index(labels[:-_BLOCK]) << _BLOCK | _INDEX[labels[-_BLOCK:]]
+
+
+def _labelling(k: int):
+    """The labelling of k circles at an index, as a function of the index."""
+    if k <= _BLOCK:
+        return _LABELLINGS[k].__getitem__
+    high, low = _labelling(k - _BLOCK), _LABELLINGS[_BLOCK]
+    return lambda x: high(x >> _BLOCK) + low[x & (1 << _BLOCK) - 1]
+
+
+def _build_table(ring: Ring, key: tuple[int, int, int, int, int]) -> "list | _BlockTable":
+    """An edge key's label table over a ring: source index -> ((target index, coeff), ...).
+
+    `key` is (k, s1, s2, t1, t2) (`diagram.edge_key`); circle c of m is bit
+    m - 1 - c of an index.  A merge reads the bits of s1 < s2 and writes
+    their product at t1, a split reads s1 and writes its coproduct at t1 <
+    t2; the other bits keep their order.  `bits[b]` is source bit b's part
+    of a row: (its target bit, 0) if kept, (0, its weight in the code of
+    `outs`) if read; `outs[code]` is the read bits' image.  Up to 8 source
+    circles the table is a list of all its rows; past 8 a `_BlockTable`.
+    """
+    k, s1, s2, t1, t2 = key
+    count = k - 1 if s1 != s2 else k + 1
+    p1, p2 = count - 1 - t1, count - 1 - t2
+    if s1 != s2:  # outs[2 * label of s1 + label of s2]
+        outs = [[(l << p1, v) for l, v in ring.multiply[a][b].items()]
+                for a in LABELS for b in LABELS]
+    else:  # outs[label of s1]
+        outs = [[(a << p1 | b << p2, v) for (a, b), v in ring.comultiply[x].items()]
+                for x in LABELS]
+    read = {k - 1 - s1: 2, k - 1 - s2: 1}  # a split's one bit has weight 1
+    moved = iter([1 << b for b in range(count) if b != p1 and b != p2])
+    bits = [(0, read[b]) if b in read else (next(moved), 0) for b in range(k)]
+    return _block(outs, bits, 0) if k <= _BLOCK else _BlockTable(outs, bits)
+
+
+def _block(outs: list, bits: list, base: int) -> list[tuple[tuple[int, TPoly | int], ...]]:
+    """The rows ((target index, coeff), ...) of the 2^8 source indices from `base` (all of
+    them up to 8 circles), by doubling over the low bits."""
+    high = [part for b, part in enumerate(bits) if base >> b & 1]
+    index, code = [sum(m for m, _ in high)], [sum(w for _, w in high)]  # distinct moved bits
+    for m, w in bits[:_BLOCK]:
+        index, code = index + [i | m for i in index], code + [c + w for c in code]
+    return [tuple([(i | o, v) for o, v in outs[c]]) for i, c in zip(index, code)]
+
+
+class _BlockTable(dict):
+    """A label table past 8 source circles, its rows built on first read, 2^8 at a time,
+    so a map that reaches a vertex of many circles builds only the blocks it reads."""
+
+    __slots__ = ("outs", "bits")
+
+    def __init__(self, outs: list, bits: list):
+        self.outs, self.bits = outs, bits
+
+    def __missing__(self, x: int):
+        if x >> len(self.bits):  # also a negative x
+            raise KeyError(x)
+        base = x >> _BLOCK << _BLOCK
+        self.update(zip(range(base, base + (1 << _BLOCK)), _block(self.outs, self.bits, base)))
+        return self[x]
+
+
+def label_table(d: LinkDiagram, ring: Ring, key: tuple) -> "list | _BlockTable":
+    """The edge key's label table over `ring` (`_build_table`), kept on the still."""
+    if (table := d.tables.get((ring, key))) is None:
+        table = d.tables[ring, key] = _build_table(ring, key)
+    return table
 
 
 # A cup gives its new circle v+ and a dotted cup X.v+ = v-.  A cap weighs
@@ -439,7 +552,7 @@ def _piece_op(cube: CubeComplex, vertex, entry: dict, key):
 
 def _edge_op(cube: CubeComplex, j: int):
     """The op along the differential's edges that flip crossing j."""
-    return lambda g: apply_pieces(cube, (cube.edge(g.mask, j),), g.labels)
+    return lambda g: dict(cube._edge_image(g.mask, j, g.labels))
 
 
 def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry: dict, key):

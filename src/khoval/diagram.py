@@ -37,17 +37,16 @@ crossings in p pieces do not have n + 2p faces (Euler's formula), and the
 saddle, R2 and R3 moves read their planarity rules from the same table.
 
 A diagram also keeps what is computed from it and not from a theory: the
-arc-ordered starts of its resolution walks, its resolutions, its cube edge
-pieces and, per event, the structure of the chain maps read from it
-(`LinkDiagram`), so cubes and maps of every theory on one still build each
-once.
+arc-ordered starts of its resolution walks, its resolutions, the rows of its
+cube edges and their label tables (one per ring and edge key) and, per
+event, the structure of the chain maps read from it (`LinkDiagram`), so
+cubes, homology and maps of every theory on one still build each once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import KhovalError, MoveError, OrientationError, ParseError
@@ -85,18 +84,19 @@ class LinkDiagram:
     always derived, never trusted from the caller.  `far[x]` is the other
     dart of dart x's arc (darts 4 * crossing index + slot).  `ends[arc]` is a
     crossing arc's (tail, head) darts, each a (crossing index, slot): the arc
-    leaves its tail and enters its head.  Three dicts keep what cubes and
+    leaves its tail and enters its head.  Four dicts keep what cubes and
     chain maps build on the diagram, filled on demand and shared by every
     theory: `resolutions` maps each vertex mask resolved so far to its
     `ResolvedDiagram` (`CubeComplex.circles`), `edges` each cube edge
-    (vertex mask, crossing position) to its signed saddle piece
-    (`CubeComplex.edge`), and `maps`, keyed by event, what the chain maps
-    read from this still build: the rewrite and the piece tables
-    (`cobordism`).
+    (vertex mask, crossing position) to its row (target mask, edge key,
+    sign) (`CubeComplex.edge_row`), `tables` each (ring, edge key) to its
+    label table (`cube.label_table`, read by the differential and by
+    `homology`), and `maps`, keyed by event, what the chain maps read from
+    this still build: the rewrite and the piece tables (`cobordism`).
     """
 
     __slots__ = ("crossings", "loops", "n_plus", "n_minus", "far", "ends", "resolutions",
-                 "edges", "maps", "_arc_ids", "_faces", "_starts")
+                 "edges", "tables", "maps", "_arc_ids", "_faces", "_starts")
 
     def __init__(
         self,
@@ -120,7 +120,8 @@ class LinkDiagram:
         self._faces: Faces | None = None  # built by the first `faces()` call
         self._starts: tuple | None = None  # built by the first `resolve`
         self.resolutions: dict[int, ResolvedDiagram] = {}
-        self.edges: dict[tuple[int, int], object] = {}  # of `cube.Piece`s
+        self.edges: dict[tuple[int, int], tuple] = {}  # (target mask, edge key, sign)
+        self.tables: dict[tuple, object] = {}  # (ring, edge key) -> its `cube.label_table`
         self.maps: dict = {}
 
     @staticmethod
@@ -489,8 +490,8 @@ def transfer(
     arc read through `hints` (arc -> the arcs that replace it; an arc without
     a hint stands for itself).  A target reached from two source circles is
     a merge, a source reaching two targets a split; more than one of these
-    is refused.  The movie maps use this general plan; a cube edge's plan is
-    a function of four circle ids at the flipped crossing (`edge_key`).
+    is refused.  The movie maps use this general plan; a cube edge is read
+    off four circle ids at the flipped crossing instead (`edge_key`).
     """
     circle_of = tgt.circle_of
     hits: list[list[int]] = [[] for _ in range(tgt.count)]
@@ -537,8 +538,8 @@ def edge_key(
     slots 0-3 and 1-2, so the source circles s1 <= s2 of slots 0 and 1 merge
     when they differ; the 1-smoothing joins 0-1 and 2-3, so the target
     circles t1 <= t2 of slots 0 and 2 split off one source circle when they
-    differ.  The edge's plan, `transfer(src, tgt)`, is the memoized
-    `_edge_plan` of its key; an edge that does neither is a `MoveError`.
+    differ.  The edge's label table over a ring (`cube.label_table`) is a
+    function of its key; an edge that does neither is a `MoveError`.
     """
     x = 4 * j
     s1, s2, t1, t2 = src.darts[x], src.darts[x + 1], tgt.darts[x], tgt.darts[x + 2]
@@ -550,15 +551,3 @@ def edge_key(
     if t1 > t2:
         t1, t2 = t2, t1
     return src.count, s1, s2, t1, t2
-
-
-@cache
-def _edge_plan(k: int, s1: int, s2: int, t1: int, t2: int) -> Transfer:
-    """Merge s1 < s2 into t1, else split s1 into t1 < t2; the other circles keep arcs and order."""
-    if s1 != s2:
-        merge, split, count = ((s1, s2), t1), None, k - 1
-    else:
-        merge, split, count = None, (s1, (t1, t2)), k + 1
-    copies = zip([s for s in range(k) if s != s1 and s != s2],
-                 [t for t in range(count) if t != t1 and t != t2])
-    return Transfer(tuple(copies), merge, split, (), (), count)

@@ -10,10 +10,11 @@ cancelling their +-1 entries against layer p + 1.  The set it returns is
 the next layer's skip list and is struck from the residue of the layer
 below; no generator carries a degree until the end, when `CubeIndex.degree`
 reads the survivors' (i, q) off their numbers.  `integer_differential`
-reads a layer's columns as integer offsets into one label table per
-`diagram.edge_key`, which its `CubeIndex` builds once per call by bit
-arithmetic on labelling indices over `algebra.INT_RINGS`, so no `TPoly`, no
-per-generator `Generator` and no per-edge `Piece` is built.
+reads a layer's columns as integer offsets into the differential's own
+label tables (`cube.label_table`, one per `diagram.edge_key` over
+`algebra.INT_RINGS`, kept on the diagram and shared with every other reader
+of the differential), with the edge sign applied inline, so no `TPoly` and
+no per-generator `Generator` is built.
 The residual complex is homotopy equivalent to the original and has only
 non-unit entries; Smith normal form over arbitrary-precision integers of
 each residual block gives ranks and invariant factors.  For the undeformed
@@ -34,8 +35,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .algebra import INT_RINGS, LABELS, LaurentPoly, Theory
-from .cube import CubeComplex
+from .algebra import INT_RINGS, LaurentPoly, Theory
+from .cube import CubeComplex, label_table
 from .diagram import LinkDiagram, edge_key
 from .errors import CapExceededError, KhovalError, TheoryError
 from .reduce import eliminate
@@ -128,7 +129,7 @@ def smith_normal_form(dense: list[list[int]]) -> tuple[tuple[int, ...], int]:
 
 
 class CubeIndex:
-    """One cube's vertices, generator numbering and the label tables shared by all its layers.
+    """One cube's vertices and generator numbering, shared by all its layers.
 
     `vertices[mask]` is the vertex's (i, top, k): its cohomological degree,
     the q-degree of its all-v+ generator and its circle count; a labelling
@@ -138,7 +139,6 @@ class CubeIndex:
     `layers[p]` lists the masks with p bits set, for p in range(n + 1).
     It resolves every vertex (one dart walk each, kept on the diagram) for
     its count; `integer_differential` reads their `darts` via `edge_key`.
-    Each edge key's label table is built on first use, once per index.
     """
 
     def __init__(self, c: CubeComplex):
@@ -151,7 +151,6 @@ class CubeIndex:
             self.vertices.append((p - c.n_minus, k + p + shift, k))
             self.layers[p].append(mask)
         self.offsets = list(itertools.accumulate((1 << k for _, _, k in self.vertices), initial=0))
-        self.tables: dict[tuple[int, int, int, int, int], list] = {}
 
     def degree(self, g: int) -> tuple[int, int]:
         """Generator g's (i, q): its vertex by its offset, q by the v- bits of its labelling."""
@@ -159,47 +158,18 @@ class CubeIndex:
         i, top, _ = self.vertices[mask]
         return i, top - 2 * (g - self.offsets[mask]).bit_count()
 
-    def table(self, key: tuple[int, int, int, int, int]) -> list[tuple[tuple[int, int], ...]]:
-        """Each labelling of the edge's k source circles (by index) to its ((target index, coeff), ...).
-
-        `key` is the edge's (k, s1, s2, t1, t2); circle c of m is bit m - 1 - c
-        of an index.  A merge reads the bits of s1 < s2 and writes their
-        product at t1, a split reads s1 and writes its coproduct at t1 < t2;
-        the other bits keep their order.  Per source index x, `index[x]` is
-        its other bits moved and `code[x]` its read bits' entry in `outs`.
-        """
-        table = self.tables.get(key)
-        if table is None:
-            k, s1, s2, t1, t2 = key
-            ring, count = INT_RINGS[self.cube.theory], k - 1 if s1 != s2 else k + 1
-            p1, p2 = count - 1 - t1, count - 1 - t2
-            if s1 != s2:  # outs[2 * label of s1 + label of s2]
-                outs = [[(l << p1, v) for l, v in ring.multiply[a][b].items()]
-                        for a in LABELS for b in LABELS]
-            else:  # outs[label of s1]
-                outs = [[(a << p1 | b << p2, v) for (a, b), v in ring.comultiply[x].items()]
-                        for x in LABELS]
-            read = {k - 1 - s1: 2, k - 1 - s2: 1}  # a split's one bit has weight 1
-            moved = iter([1 << b for b in range(count) if b != p1 and b != p2])
-            index, code = [0], [0]
-            for b in range(k):
-                m, w = (0, read[b]) if b in read else (next(moved), 0)
-                index, code = index + [x | m for x in index], code + [c + w for c in code]
-            table = self.tables[key] = [tuple([(x | o, v) for o, v in outs[c]])
-                                        for x, c in zip(index, code)]
-        return table
-
 
 def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
     """Layer p's integer columns {g: {h: coeff}}, skipping the generators in `skip`.
 
     A column is its labelling's signed images in the label tables of its
-    vertex's edges (ascending crossing order), each shifted by the target's
-    offset; columns are inserted in cube order.
+    vertex's edges over `INT_RINGS` (ascending crossing order), each shifted
+    by the target's offset; columns are inserted in cube order.
     """
     c, offsets = index.cube, index.offsets
     if p not in range(c.n + 1):
         raise KhovalError(f"layer {p} is not in the cube's layers 0..{c.n}")
+    ring, tables = INT_RINGS[c.theory], c.diagram.tables
     diff: dict[int, dict[int, int]] = {}
     for mask in index.layers[p]:
         src, rows = c.circles(mask), []
@@ -208,7 +178,8 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
                 tgt = mask | 1 << j
                 key = edge_key(c.diagram, mask, j, src, c.circles(tgt))
                 sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
-                rows.append((offsets[tgt], sign, index.table(key)))
+                table = tables.get((ring, key)) or label_table(c.diagram, ring, key)
+                rows.append((offsets[tgt], sign, table))
         for idx, g in enumerate(range(offsets[mask], offsets[mask + 1])):
             if g not in skip:
                 diff[g] = {off + t: sign * v for off, sign, table in rows for t, v in table[idx]}

@@ -21,9 +21,10 @@ by generator is the reference for `graded_euler`'s binomial counts.
 Eager unit-pivot elimination through a row index, each pivot cancelled at
 once in every column that hits it, is the reference for the pivots,
 residue and insertion order of `reduce.eliminate`'s column reduction.
-Each edge key's label table carried labelling by labelling through the
-key's plan with `transfer_labels`, over label tuples and a tuple-to-index
-dict, is the reference for the bit arithmetic of `CubeIndex.table`.
+Each cube edge's label table carried labelling by labelling with
+`transfer_labels` through the general `transfer` plan of the edge's two
+fresh resolutions, over label tuples and a tuple-to-index dict, is the
+reference for the bit arithmetic of `cube.label_table`.
 `transfer_labels` builds each target labeling slot by slot from a plan;
 pieces applied through it and summed term by term (`apply_pieces_termwise`)
 are the reference for the compiled label actions of `cube.apply_pieces`.  The
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 from khoval.algebra import INT_RINGS, LABELS, MINUS, PLUS, RINGS, LaurentPoly, Theory, TPoly
 from khoval.cube import CubeComplex, Generator
-from khoval.diagram import ResolvedDiagram, Transfer, _edge_plan, resolve, transfer
+from khoval.diagram import ResolvedDiagram, Transfer, resolve, transfer
 from khoval.errors import KhovalError
 from khoval.moves import apply_esi_info
 
@@ -121,7 +122,7 @@ def apply_termwise(f, x):
 
 
 def differential_termwise(c: CubeComplex, g: Generator) -> dict[Generator, TPoly]:
-    """d(g) summed edge by edge, without the cube's edge pieces.
+    """d(g) summed edge by edge, without the cube's edge rows and label tables.
 
     Each crossing j that is 0-smoothed at g carries the labels along the
     plan between the two resolutions, times (-1)^(1-bits after position j).
@@ -138,14 +139,17 @@ def differential_termwise(c: CubeComplex, g: Generator) -> dict[Generator, TPoly
     return {h: p for h, p in acc.items() if not p.is_zero()}
 
 
-def label_table_termwise(key: tuple, th: Theory) -> list[tuple[tuple[int, int], ...]]:
-    """An edge key's label table: each source labelling, in `itertools.product`
-    order, to its ((target index, coeff), ...) carried by `transfer_labels`
-    through the key's plan over the integer tables."""
-    plan = _edge_plan(*key)
+def label_table_termwise(d, mask: int, j: int, ring) -> list[tuple[tuple[int, int], ...]]:
+    """The label table of the cube edge flipping crossing j at `mask`, over `ring`.
+
+    Each source labelling, in `itertools.product` order, goes to its
+    ((target index, coeff), ...) carried by `transfer_labels` through the
+    general plan between the edge's two resolutions, resolved afresh.
+    """
+    plan = transfer(resolve(d, mask), resolve(d, mask | 1 << j))
     index = {lbls: t for t, lbls in enumerate(itertools.product(LABELS, repeat=plan.count))}
-    return [tuple((index[lbls], v) for lbls, v in transfer_labels(plan, labels, INT_RINGS[th]))
-            for labels in itertools.product(LABELS, repeat=key[0])]
+    return [tuple((index[lbls], v) for lbls, v in transfer_labels(plan, labels, ring))
+            for labels in itertools.product(LABELS, repeat=resolve(d, mask).count)]
 
 
 def r2_termwise(event, src: CubeComplex, tgt: CubeComplex, g: Generator) -> dict[Generator, TPoly]:

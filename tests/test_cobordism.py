@@ -114,6 +114,21 @@ def test_chain_map_rejects_wrong_target():
         esi_chain_map(ESI("birth"), src, src)
 
 
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_of_generator_refuses_a_generator_that_does_not_fit_its_vertex(th):
+    # the unknot's one vertex has one circle; a refused generator is not memoized
+    event = ESI("r1", variant="add_pos", arc=1)
+    unknot = parse_pd("L0")
+    f = esi_chain_map(event, build_cube(unknot, th), build_cube(apply_esi(unknot, event), th), th)
+    for g in (Generator(0, (P, P, P)), Generator(0, ()), Generator(0, (2,))):
+        for _ in range(2):
+            with pytest.raises(KhovalError, match="does not live on this cube"):
+                f.of_generator(g)
+    assert not f.of_generator(Generator(0, (P,))).is_zero()
+    with pytest.raises(KhovalError, match="not on the cube"):
+        f.of_generator(Generator(1, (P,)))
+
+
 # -- the R-move contract corpus ------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Cube of modules: gradings, the signed differential, and its structural laws."""
 
-from dataclasses import replace
+import itertools
 
 import pytest
 
@@ -12,19 +12,21 @@ from khoval.cube import (
     DOTTED_CUP,
     Generator,
     Piece,
+    _index,
+    _labelling,
     apply_pieces,
     build_cube,
     check_d_squared,
     check_faces,
+    label_table,
 )
 from khoval.corpus import PD_CODES, torus2_pd
-from khoval.diagram import (LinkDiagram, ResolvedDiagram, _edge_plan, parse_pd, resolve, serialize_pd,
-                            transfer)
+from khoval.diagram import LinkDiagram, ResolvedDiagram, parse_pd, resolve, serialize_pd, transfer
 from khoval.errors import CapExceededError, KhovalError, MoveError
 from khoval.homology import homology
 from khoval.moves import ESI, apply_esi
 
-from oracles import differential_termwise
+from oracles import differential_termwise, label_table_termwise
 from test_reduce import diagram
 
 P, M = PLUS, MINUS
@@ -132,6 +134,40 @@ def test_foreign_generator_rejected():
         c.degrees(Generator(0, (P, P)))
 
 
+# the trefoil's vertex 0 has 2 circles: too many labels, too few, and labels
+# that are neither PLUS nor MINUS do not fit it
+MISFITS = [Generator(0, (P, P, P, P)), Generator(0, (P,)), Generator(0, (P, 2))]
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_element_refuses_a_generator_that_does_not_fit_its_vertex(th):
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), th)
+    assert c.element({Generator(0, (P, M)): TPoly(1)}).terms == {Generator(0, (P, M)): c.ring.one}
+    for g in MISFITS:
+        with pytest.raises(KhovalError, match="does not live on this cube"):
+            c.element({Generator(0, (P, M)): TPoly(1), g: TPoly(1)})
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_basis_element_refuses_a_generator_that_does_not_fit_its_vertex(th):
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), th)
+    assert c.basis_element(Generator(0, (M, M))).terms == {Generator(0, (M, M)): c.ring.one}
+    for g in MISFITS:
+        with pytest.raises(KhovalError, match="does not live on this cube"):
+            c.basis_element(g)
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_differential_of_refuses_a_generator_that_does_not_fit_its_vertex(th):
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), th)
+    assert len(c.differential_of(Generator(0, (P, P))).terms) == 3
+    for g in MISFITS:
+        with pytest.raises(KhovalError, match="does not live on this cube"):
+            c.differential_of(g)
+    with pytest.raises(KhovalError, match="not on the cube"):
+        c.differential_of(Generator(8, ()))
+
+
 # -- differential --------------------------------------------------------------
 
 
@@ -213,87 +249,122 @@ def test_check_faces_fails_on_a_corrupted_edge(th):
     c.edge_sign = lambda mask, j: -edge_sign(mask, j) if (mask, j) == (0, 1) else edge_sign(mask, j)
     assert "signs fail to anticommute" in check_faces(c).detail
 
-    # the same sign error inside one edge piece, and a plan that sends the
-    # copied circle where the merged one goes
-    piece = build_cube(d, th).edge(0, 0)
-    assert piece.plan.copies == ((2, 1),) and piece.plan.merge == ((0, 1), 0)
-    wrong_plan = replace(piece.plan, copies=((2, 0),), merge=((0, 1), 1))
-    for bad in (Piece(piece.mask, -piece.sign, piece.plan), Piece(piece.mask, piece.sign, wrong_plan)):
-        c = build_cube(d, th)
-        edge = c.edge
-        c.edge = lambda mask, j: bad if (mask, j) == (0, 0) else edge(mask, j)
-        rep = check_faces(c)
+    # the same sign error inside one edge's row, and a row whose key sends the
+    # copied circle where the merged one goes: merged into target circle 1,
+    # circle 2 copied to target circle 0
+    tgt, key, sign = build_cube(d, th).edge_row(0, 0)
+    assert key == (3, 0, 1, 0, 0)
+    for bad in ((tgt, key, -sign), (tgt, (3, 0, 1, 1, 1), sign)):
+        d = parse_pd(PD_CODES["figure8"])
+        d.edges[0, 0] = bad
+        rep = check_faces(build_cube(d, th))
         assert not rep.ok and "does not anticommute" in rep.detail
 
 
-def test_edge_piece_resolves_only_its_endpoints(resolve_calls):
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_an_edge_at_a_vertex_of_many_circles_builds_only_the_rows_it_reads(th):
+    # T(2,11) with crossing 0 alone 0-smoothed: 10 circles, split into 11
+    # along its one edge; reading a labelling builds its block of 2^8 rows,
+    # and every block equals the table carried through the general plan
+    d = parse_pd(torus2_pd(11))
+    c = build_cube(d, th)
+    mask = (1 << 11) - 2
+    assert c.circles(mask).count == 10
+    for labels in [(P,) * 10, (M, P) * 5]:  # indices 0 and 682: blocks 0 and 2
+        g = Generator(mask, labels)
+        assert c.differential_of(g).terms == differential_termwise(c, g)
+    ((ring, key), table), = d.tables.items()
+    assert sorted(table) == [*range(256), *range(512, 768)]
+    assert [table[x] for x in range(1 << 10)] == label_table_termwise(d, mask, 0, ring)
+
+
+def test_labelling_indices_are_product_order():
+    for k in range(12):
+        for x, labels in enumerate(itertools.product((P, M), repeat=k)):
+            assert _index(labels) == x and _labelling(k)(x) == labels
+
+
+def test_edge_row_resolves_only_its_endpoints(resolve_calls):
     c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
-    piece = c.edge(0b010, 0)
-    assert (piece.mask, piece.sign) == (0b011, -1)
-    assert c.edge(0b010, 0) is piece
+    row = c.edge_row(0b010, 0)
+    assert (row[0], row[2]) == (0b011, -1)
+    assert c.edge_row(0b010, 0) is row and c.diagram.edges == {(0b010, 0): row}
     assert resolve_calls == [2]
 
 
-# -- edge pieces: the plan of each edge ------------------------------------------
+# -- edge rows: the key of each edge -------------------------------------------
 
 
-def test_edge_piece_trefoil_first_crossing():
+def test_edge_row_trefoil_first_crossing():
     # from vertex 000, crossing 0: both circles of the oriented resolution merge into one
     d = parse_pd(PD_CODES["trefoil"])
-    eff = build_cube(d, Theory.KHOVANOV).edge(0, 0).plan
-    assert eff.merge is not None and eff.split is None
-    assert eff.merge[0] == (0, 1)
+    _, (k, s1, s2, t1, t2), _ = build_cube(d, Theory.KHOVANOV).edge_row(0, 0)
+    assert s1 != s2 and t1 == t2  # a merge, not a split
+    assert (s1, s2) == (0, 1)
     assert resolve(d, 0b001).count == 1
 
 
-def test_edge_piece_split():
+def test_edge_row_split():
     d = parse_pd(PD_CODES["trefoil"])
     # from 0b011: flipping the last crossing goes 2 -> 3 circles
     base = resolve(d, 0b011).count
     tgt = resolve(d, 0b111).count
-    eff = build_cube(d, Theory.KHOVANOV).edge(0b011, 2).plan
+    _, (_, s1, s2, t1, t2), _ = build_cube(d, Theory.KHOVANOV).edge_row(0b011, 2)
     if tgt == base + 1:
-        assert eff.split is not None and eff.merge is None
+        assert s1 == s2 and t1 != t2
     else:
-        assert eff.merge is not None and eff.split is None
+        assert s1 != s2 and t1 == t2
 
 
-def test_edge_piece_classification_matches_counts(corpus):
+def test_edge_row_classification_matches_counts(corpus):
     for name, d in corpus.items():
         c = build_cube(d, Theory.KHOVANOV)
         for mask in range(1 << d.n):
             for j in range(d.n):
                 if (mask >> j) & 1:
                     continue
-                eff = c.edge(mask, j).plan
+                _, key, _ = c.edge_row(mask, j)
+                k, s1, s2, t1, t2 = key
                 delta = resolve(d, mask | 1 << j).count - resolve(d, mask).count
-                assert (eff.split if delta == 1 else eff.merge) is not None
-                assert (eff.merge if delta == 1 else eff.split) is None
-                # untouched circles correspond bijectively
-                assert len(eff.copies) == resolve(d, mask).count - (
-                    2 if eff.merge is not None else 1
-                )
+                assert (t1 != t2) == (delta == 1)  # a split
+                assert (s1 != s2) == (delta == -1)  # a merge
+                # untouched circles correspond bijectively: with the flipped
+                # crossing's circles all v+, the labellings of the others
+                # reach as many distinct target labellings
+                table, read = label_table(d, c.ring, key), 1 << k - 1 - s1 | 1 << k - 1 - s2
+                reached = {table[x][0][0] for x in range(1 << k) if not x & read}
+                assert len(reached) == 2 ** (k - (2 if s1 != s2 else 1))
 
 
 def assert_edge_plans_match_the_general_plan(d):
-    """Every edge plan is the general plan of its two resolutions, one object per key.
+    """Every edge's label table is the table carried through its general plan, one object per key.
 
-    The key is the source circle count and the circles of the flipped
-    crossing's arcs: the source circles of slots 0 and 1, the target
-    circles of slots 0 and 2.
+    The reference (`label_table_termwise`) carries each labelling through
+    `transfer` of the edge's two fresh resolutions, once per distinct plan
+    and sign.  The key is the source circle count and the circles of the
+    flipped crossing's arcs: the source circles of slots 0 and 1, the
+    target circles of slots 0 and 2; edges of one key and one sign read one
+    table object.
     """
     c = build_cube(d, Theory.KHOVANOV)
-    plans = {}
+    tables, references, rows = {}, {}, {}
     for mask in range(1 << c.n):
         for j in range(c.n):
             if not (mask >> j) & 1:
                 src, tgt = c.circles(mask), c.circles(mask | 1 << j)
-                plan = c.edge(mask, j).plan
-                assert plan == transfer(src, tgt), (serialize_pd(d), mask, j)
+                _, edge, sign = c.edge_row(mask, j)
+                ring = c.ring if sign == 1 else c.ring.negated
+                table = label_table(d, ring, edge)
+                plan = transfer(resolve(d, mask), resolve(d, mask | 1 << j))
+                if (plan, sign) not in references:
+                    references[plan, sign] = label_table_termwise(d, mask, j, ring)
+                if id(table) not in rows:
+                    rows[id(table)] = [table[x] for x in range(1 << src.count)]
+                assert rows[id(table)] == references[plan, sign], (serialize_pd(d), mask, j)
                 a0, a1, a2, _ = d.crossings[j].arcs
                 key = (src.count, src.circle_of[a0], src.circle_of[a1],
                        tgt.circle_of[a0], tgt.circle_of[a2])
-                assert plans.setdefault(key, plan) is plan, (serialize_pd(d), mask, j)
+                assert tables.setdefault((key, sign), table) is table, (serialize_pd(d), mask, j)
 
 
 EDGE_PLAN_DIAGRAMS = [*PD_CODES, *(f"T(2,{n})" for n in range(1, 10)), "trefoil_kinked",
@@ -305,37 +376,35 @@ def test_edge_plans_match_the_general_plan(name):
     assert_edge_plans_match_the_general_plan(diagram(name))
 
 
-def test_edge_piece_refuses_a_non_planar_edge():
+def test_edge_row_refuses_a_non_planar_edge():
     # a self-crossing circle X(a,b,a,b): one circle stays one circle
     # (`parse_pd` refuses the code, so it is built directly); the edge is
-    # refused every time, before any plan is looked up or stored
+    # refused every time, before any row or table is stored
     d = LinkDiagram([(1, (1, 2, 1, 2))])
-    stored = _edge_plan.cache_info().currsize
     for _ in range(2):
         with pytest.raises(MoveError, match="not planar") as refused:
-            build_cube(d, Theory.KHOVANOV).edge(0, 0)
+            build_cube(d, Theory.KHOVANOV).edge_row(0, 0)
         assert "crossing 1 at vertex 0" in str(refused.value)
-    assert _edge_plan.cache_info().currsize == stored
+    assert d.edges == {} and d.tables == {}
 
 
 @pytest.mark.parametrize("th", [Theory.KHOVANOV, Theory.LEE])
 def test_homology_refuses_a_non_planar_edge(th):
-    # homology reads the edge key itself: the same refusal, and no plan stored
+    # homology reads the edge key itself: the same refusal, and no table stored
     d = LinkDiagram([(1, (1, 2, 1, 2))])
-    stored = _edge_plan.cache_info().currsize
     with pytest.raises(MoveError, match="not planar") as refused:
         homology(build_cube(d, th))
     assert "crossing 1 at vertex 0" in str(refused.value)
-    assert _edge_plan.cache_info().currsize == stored
+    assert d.edges == {} and d.tables == {}
 
 
-def test_edge_refuses_an_edge_off_the_cube():
+def test_edge_row_refuses_an_edge_off_the_cube():
     c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
     for mask, j in [(0, 3), (0, -1), (-1, 0), (8, 0)]:
         with pytest.raises(KhovalError, match="not on the cube of 3 crossings"):
-            c.edge(mask, j)
+            c.edge_row(mask, j)
     with pytest.raises(KhovalError, match="must start at a 0-bit"):
-        c.edge(1, 0)
+        c.edge_row(1, 0)
     assert c.diagram.edges == {}
 
 
@@ -388,11 +457,11 @@ def test_a_piece_compiles_its_label_action_once_at_its_first_application(monkeyp
     monkeypatch.setattr(cube_module, "_label_action",
                         lambda p, k: compiled.append(p) or label_action(p, k))
     d = parse_pd(PD_CODES["hopf"])
-    piece = build_cube(d, Theory.LEE).edge(0, 0)
+    piece = Piece(1, 1, transfer(resolve(d, 0), resolve(d, 1)))  # the saddle along edge (0, 0)
     assert piece.plan.merge is not None and piece.action is None and compiled == []
     for th in Theory:
         c = build_cube(d, th)
-        assert c.edge(0, 0) is piece
+        assert dict(c._edge_image(0, 0, (M, P))) == {Generator(1, (M,)): c.ring.one}, th
         for _ in range(3):
             assert apply_pieces(c, (piece,), (M, P)) == {Generator(1, (M,)): c.ring.one}, th
             assert compiled == [piece] and type(piece.action) is tuple

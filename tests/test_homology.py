@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from khoval.algebra import INT_RINGS, MINUS, PLUS, RINGS, Ring, Theory, TPoly
 from khoval.corpus import PD_CODES, torus2_pd
-from khoval.cube import build_cube
+from khoval.cube import build_cube, label_table
 from khoval.diagram import edge_key, parse_pd
 from khoval.errors import CapExceededError, KhovalError, TheoryError
 from khoval.homology import (
@@ -294,11 +294,12 @@ def test_cube_index_degree_is_the_generators_degree(corpus, th):
 @pytest.mark.parametrize("th", INTEGRAL)
 @pytest.mark.parametrize("diagram, plans, carried", [("T(2,7)", 27, 770), ("figure8_kinked", 27, 362)])
 def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th, diagram, plans, carried):
-    # each distinct edge key gets one label table, with a row per labelling
-    # of its source circles, over one whole `homology` call, its layers
-    # sharing the tables (19 of the kinked figure-eight's keys sit on edges
-    # of two or more layers); the columns are offsets into those tables,
-    # with no applier of pieces and no edge piece kept on the cube
+    # each distinct edge key gets one label table over the integer ring, with
+    # a row per labelling of its source circles, kept on the diagram over one
+    # whole `homology` call, its layers sharing the tables (19 of the kinked
+    # figure-eight's keys sit on edges of two or more layers), and a second
+    # call builds none; the columns are offsets into those tables, with no
+    # applier of pieces and no edge row kept on the diagram
     d = shuffle_diagram(diagram)
     c = build_cube(d, th)
     keys = {edge_key(d, mask, j, c.circles(mask), c.circles(mask | 1 << j))
@@ -319,22 +320,34 @@ def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th, diagram,
     monkeypatch.setattr(cube_module, "apply_pieces", counting)
     homology(c)
     [index] = indices
-    assert index.tables.keys() == keys and len(keys) == plans
-    assert sum(map(len, index.tables.values())) == sum(2 ** k for k, *_ in keys) == carried
+    assert index.cube is c and {ring for ring, _ in d.tables} == {INT_RINGS[th]}
+    assert {key for _, key in d.tables} == keys and len(d.tables) == len(keys) == plans
+    assert sum(map(len, d.tables.values())) == sum(2 ** k for k, *_ in keys) == carried
     assert applied == [] and d.edges == {}
+    tables = dict(d.tables)
+    homology(build_cube(d, th))
+    assert d.tables.keys() == tables.keys()
+    assert all(d.tables[k] is table for k, table in tables.items())
 
 
 @pytest.mark.parametrize("th", INTEGRAL)
 @pytest.mark.parametrize("name", [*PD_CODES, *(f"T(2,{n})" for n in range(1, 10)), "figure8_kinked"])
 def test_label_tables_match_the_transfer_labels_reference(th, name):
-    # row by row, in order: the column entries' insertion order picks the pivots
+    # row by row, in order: the column entries' insertion order picks the
+    # pivots; each key's table against the general plan of its first edge
     d = shuffle_diagram(name)
-    c = build_cube(d, th)
-    index = CubeIndex(c)
-    keys = {edge_key(d, mask, j, c.circles(mask), c.circles(mask | 1 << j))
-            for mask in range(1 << c.n) for j in range(c.n) if not (mask >> j) & 1}
-    for key in keys:
-        assert index.table(key) == label_table_termwise(key, th), key
+    c, ring = build_cube(d, th), INT_RINGS[th]
+    seen = set()
+    for mask in range(1 << c.n):
+        for j in range(c.n):
+            if (mask >> j) & 1:
+                continue
+            key = edge_key(d, mask, j, c.circles(mask), c.circles(mask | 1 << j))
+            if key not in seen:
+                seen.add(key)
+                table = label_table(d, ring, key)
+                assert [table[x] for x in range(1 << key[0])] == \
+                    label_table_termwise(d, mask, j, ring), key
 
 
 def shuffle_diagram(name):
