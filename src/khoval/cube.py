@@ -13,15 +13,11 @@ flipping crossing j at a vertex has a row (`CubeComplex.edge_row`): its
 target, its `diagram.edge_key` (four circle ids read off both ends' dart
 arrays at crossing j) and the sign (-1)^(number of 1-bits after the flipped
 position), which makes every square face anticommute.  A key's label table
-over a ring (`_build_table`, kept on the still by (ring, key)) maps each
-labelling of the source circles, by its index in `itertools.product` order,
-to its image's ((target index, coeff), ...), by bit arithmetic: a merge
-multiplies, a split comultiplies.  It is a list of every row up to 8 source
-circles; past 8 it builds rows on first read, 2^8 at a time, so a map that
-reaches a vertex of many circles builds only what it reads.  An edge of
-sign -1 reads the table over the ring's `negated` twin.  `differential_of`,
-`_edge_op` (the op along one crossing's edges: the R2 bigon's unit edges,
-R3's Psi and `check_faces`) and `homology` (over `algebra.INT_RINGS`, with
+over a ring (`label_table`, kept on the still) lists, for each labelling of
+the source circles by its index in `itertools.product` order, its image's
+((target index, coeff), ...); an edge of sign -1 reads the table over the
+ring's `negated` twin.  `differential_of`, `_edge_op` (the R2 bigon's unit
+edges, R3's Psi and `check_faces`) and `homology` (over `INT_RINGS`, with
 an inline `int` sign) read these tables.
 
 A linear map on a cube is an op: a function from a generator to its summed
@@ -57,6 +53,7 @@ n_minus), and a coefficient t^k lowers q by 4k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -85,6 +82,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 16
+_LABEL_SET = frozenset(LABELS)
 
 # Lee's ring is Z, as t = 1 and its tables' entries are constants
 _RINGS = {**RINGS, Theory.LEE: INT_RINGS[Theory.LEE]}
@@ -131,7 +129,7 @@ class CubeComplex:
         self.n_plus = diagram.n_plus
         self.n_minus = diagram.n_minus
         self._resolutions = diagram.resolutions
-        self._edges: dict[tuple[int, int], tuple] = {}  # read by `_edge_image`
+        self._edges: dict[tuple[int, int], tuple] = {}  # (target mask, table, target labellings)
 
     # -- structure ---------------------------------------------------------
 
@@ -148,21 +146,18 @@ class CubeComplex:
             row = edges[mask, j] = (tgt, key, self.edge_sign(mask, j))
         return row
 
-    def _edge_image(self, mask: int, j: int, labels: tuple[int, ...]) -> list:
-        """The image [(generator, coeff)] of a labelling along the edge flipping crossing j.
-
-        The edge's target, table (over the `negated` ring for sign -1) and
-        target labellings are kept on the cube.
-        """
+    def _edge_image(self, mask: int, j: int, x: int) -> list:
+        """The image [(generator, coeff)] along the edge flipping crossing j of the labelling
+        of `mask` of index x, read in the edge's table (over the `negated` ring for sign -1);
+        the edge's target, table and target labellings are kept on the cube (`_edges`)."""
         if (edge := self._edges.get((mask, j))) is None:
             tgt, key, sign = self.edge_row(mask, j)
-            ring = self.ring if sign == 1 else self.ring.negated
-            count = key[0] - 1 if key[1] != key[2] else key[0] + 1
-            table = label_table(self.diagram, ring, key)
-            edge = self._edges[mask, j] = (tgt, table, _labelling(count))
-        tgt, table, labelling = edge
+            table = label_table(self.diagram, self.ring if sign == 1 else self.ring.negated, key)
+            targets = _labellings(key[0] - 1 if key[1] != key[2] else key[0] + 1)
+            edge = self._edges[mask, j] = tgt, table, targets
+        tgt, table, targets = edge
         new = tuple.__new__
-        return [(new(Generator, (tgt, labelling(t))), v) for t, v in table[_index(labels)]]
+        return [(new(Generator, (tgt, targets[t])), v) for t, v in table[x]]
 
     def edge_sign(self, mask: int, j: int) -> int:
         """(-1)^(sum of vertex coordinates after position j)."""
@@ -222,16 +217,19 @@ class CubeComplex:
     def differential_of(self, g: Generator) -> "CochainElement":
         """d(g), edge by edge: the edges reach distinct vertices, so no two terms meet."""
         self.check_generator(g)
+        return CochainElement(self, self._differential(g))
+
+    def _differential(self, g: Generator) -> dict[Generator, TPoly]:
+        """d(g) of a generator that fits its vertex, as the op of the differential."""
         mask, labels = g
-        return CochainElement(self, dict([term for j in range(self.n) if not (mask >> j) & 1
-                                          for term in self._edge_image(mask, j, labels)]))
+        x = _INDEX[labels]
+        return dict([term for j in range(self.n) if not (mask >> j) & 1
+                     for term in self._edge_image(mask, j, x)])
 
     def differential(self, x: "CochainElement") -> "CochainElement":
         if x.cube is not self:
             raise KhovalError("cochain element lives on a different cube")
-        return CochainElement(
-            self, apply_linear(x.terms.items(), lambda g: self.differential_of(g).terms)
-        )
+        return CochainElement(self, apply_linear(x.terms.items(), self._differential))
 
 
 class CochainElement:
@@ -291,39 +289,47 @@ class CochainElement:
 
 # -- the differential's label tables ---------------------------------------------
 
-_BLOCK = 8  # tables build rows, and labellings convert, 8 circles at a time
-# every labelling of at most 8 circles in `itertools.product` order, and its index there
-_LABELLINGS = [list(itertools.product(LABELS, repeat=k)) for k in range(_BLOCK + 1)]
-_INDEX = {labels: x for row in _LABELLINGS for x, labels in enumerate(row)}
-_LABEL_SET = frozenset(LABELS)
+
+class _Labellings(dict):
+    """The labellings of k circles by index in `itertools.product` order (`_labellings(k)`),
+    each made on first read: index x's labels are its k binary digits, circle 0 the most
+    significant, so a vertex of many circles costs only the labellings its maps reach."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __missing__(self, x: int) -> tuple[int, ...]:
+        labels = self[x] = tuple([x >> b & 1 for b in range(self.k - 1, -1, -1)])
+        return labels
 
 
-def _index(labels: tuple[int, ...]) -> int:
-    """A labelling's index: read as a binary number, circle 0 the most significant bit."""
-    if len(labels) <= _BLOCK:
-        return _INDEX[labels]
-    return _index(labels[:-_BLOCK]) << _BLOCK | _INDEX[labels[-_BLOCK:]]
+class _Index(dict):
+    """Each labelling read so far -> its index in `itertools.product` order, the inverse
+    of `_Labellings`; read only with labels that fit their vertex (`check_generator`)."""
+
+    def __missing__(self, labels: tuple[int, ...]) -> int:
+        x = 0
+        for label in labels:
+            x = x << 1 | label
+        self[labels] = x
+        return x
 
 
-def _labelling(k: int):
-    """The labelling of k circles at an index, as a function of the index."""
-    if k <= _BLOCK:
-        return _LABELLINGS[k].__getitem__
-    high, low = _labelling(k - _BLOCK), _LABELLINGS[_BLOCK]
-    return lambda x: high(x >> _BLOCK) + low[x & (1 << _BLOCK) - 1]
+_labellings, _INDEX = functools.cache(_Labellings), _Index()
 
 
-def _build_table(ring: Ring, key: tuple[int, int, int, int, int]) -> "list | _BlockTable":
-    """An edge key's label table over a ring: source index -> ((target index, coeff), ...).
+def label_table(d: LinkDiagram, ring: Ring, key: tuple[int, int, int, int, int]) -> list:
+    """An edge key's label table over a ring, kept on the still: source index -> ((target
+    index, coeff), ...).
 
     `key` is (k, s1, s2, t1, t2) (`diagram.edge_key`); circle c of m is bit
     m - 1 - c of an index.  A merge reads the bits of s1 < s2 and writes
     their product at t1, a split reads s1 and writes its coproduct at t1 <
-    t2; the other bits keep their order.  `bits[b]` is source bit b's part
-    of a row: (its target bit, 0) if kept, (0, its weight in the code of
-    `outs`) if read; `outs[code]` is the read bits' image.  Up to 8 source
-    circles the table is a list of all its rows; past 8 a `_BlockTable`.
+    t2; the other bits keep their order.  Per source index x, `index[x]` is
+    its other bits moved and `code[x]` its read bits' entry in `outs`.
     """
+    if (table := d.tables.get((ring, key))) is not None:
+        return table
     k, s1, s2, t1, t2 = key
     count = k - 1 if s1 != s2 else k + 1
     p1, p2 = count - 1 - t1, count - 1 - t2
@@ -335,41 +341,12 @@ def _build_table(ring: Ring, key: tuple[int, int, int, int, int]) -> "list | _Bl
                 for x in LABELS]
     read = {k - 1 - s1: 2, k - 1 - s2: 1}  # a split's one bit has weight 1
     moved = iter([1 << b for b in range(count) if b != p1 and b != p2])
-    bits = [(0, read[b]) if b in read else (next(moved), 0) for b in range(k)]
-    return _block(outs, bits, 0) if k <= _BLOCK else _BlockTable(outs, bits)
-
-
-def _block(outs: list, bits: list, base: int) -> list[tuple[tuple[int, TPoly | int], ...]]:
-    """The rows ((target index, coeff), ...) of the 2^8 source indices from `base` (all of
-    them up to 8 circles), by doubling over the low bits."""
-    high = [part for b, part in enumerate(bits) if base >> b & 1]
-    index, code = [sum(m for m, _ in high)], [sum(w for _, w in high)]  # distinct moved bits
-    for m, w in bits[:_BLOCK]:
-        index, code = index + [i | m for i in index], code + [c + w for c in code]
-    return [tuple([(i | o, v) for o, v in outs[c]]) for i, c in zip(index, code)]
-
-
-class _BlockTable(dict):
-    """A label table past 8 source circles, its rows built on first read, 2^8 at a time,
-    so a map that reaches a vertex of many circles builds only the blocks it reads."""
-
-    __slots__ = ("outs", "bits")
-
-    def __init__(self, outs: list, bits: list):
-        self.outs, self.bits = outs, bits
-
-    def __missing__(self, x: int):
-        if x >> len(self.bits):  # also a negative x
-            raise KeyError(x)
-        base = x >> _BLOCK << _BLOCK
-        self.update(zip(range(base, base + (1 << _BLOCK)), _block(self.outs, self.bits, base)))
-        return self[x]
-
-
-def label_table(d: LinkDiagram, ring: Ring, key: tuple) -> "list | _BlockTable":
-    """The edge key's label table over `ring` (`_build_table`), kept on the still."""
-    if (table := d.tables.get((ring, key))) is None:
-        table = d.tables[ring, key] = _build_table(ring, key)
+    index, code = [0], [0]
+    for b in range(k):
+        m, w = (0, read[b]) if b in read else (next(moved), 0)
+        index, code = index + [x | m for x in index], code + [c + w for c in code]
+    table = d.tables[ring, key] = [tuple([(x | o, v) for o, v in outs[c]])
+                                   for x, c in zip(index, code)]
     return table
 
 
@@ -552,7 +529,7 @@ def _piece_op(cube: CubeComplex, vertex, entry: dict, key):
 
 def _edge_op(cube: CubeComplex, j: int):
     """The op along the differential's edges that flip crossing j."""
-    return lambda g: dict(cube._edge_image(g.mask, j, g.labels))
+    return lambda g: dict(cube._edge_image(g.mask, j, _INDEX[g.labels]))
 
 
 def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry: dict, key):

@@ -169,7 +169,7 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
     c, offsets = index.cube, index.offsets
     if p not in range(c.n + 1):
         raise KhovalError(f"layer {p} is not in the cube's layers 0..{c.n}")
-    ring, tables = INT_RINGS[c.theory], c.diagram.tables
+    ring = INT_RINGS[c.theory]
     diff: dict[int, dict[int, int]] = {}
     for mask in index.layers[p]:
         src, rows = c.circles(mask), []
@@ -178,8 +178,7 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
                 tgt = mask | 1 << j
                 key = edge_key(c.diagram, mask, j, src, c.circles(tgt))
                 sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
-                table = tables.get((ring, key)) or label_table(c.diagram, ring, key)
-                rows.append((offsets[tgt], sign, table))
+                rows.append((offsets[tgt], sign, label_table(c.diagram, ring, key)))
         for idx, g in enumerate(range(offsets[mask], offsets[mask + 1])):
             if g not in skip:
                 diff[g] = {off + t: sign * v for off, sign, table in rows for t, v in table[idx]}

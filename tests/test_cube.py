@@ -12,8 +12,9 @@ from khoval.cube import (
     DOTTED_CUP,
     Generator,
     Piece,
-    _index,
-    _labelling,
+    _INDEX,
+    _labellings,
+    apply_linear,
     apply_pieces,
     build_cube,
     check_d_squared,
@@ -168,6 +169,17 @@ def test_differential_of_refuses_a_generator_that_does_not_fit_its_vertex(th):
         c.differential_of(Generator(8, ()))
 
 
+def test_differential_checks_its_element_once_not_each_term(monkeypatch):
+    # `element` refuses misfits where they enter; d of an element then reads
+    # each term's edges with no second check, and equals d term by term
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
+    x = c.element({g: TPoly(1) for g in c.generators_at(0b010)})
+    want = apply_linear([(g, c.ring.one) for g in x.terms], lambda g: c.differential_of(g).terms)
+    checked = []
+    monkeypatch.setattr(type(c), "check_generator", lambda self, g: checked.append(g))
+    assert c.differential(x).terms == want and checked == []
+
+
 # -- differential --------------------------------------------------------------
 
 
@@ -262,26 +274,28 @@ def test_check_faces_fails_on_a_corrupted_edge(th):
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
-def test_an_edge_at_a_vertex_of_many_circles_builds_only_the_rows_it_reads(th):
+def test_an_edge_at_a_vertex_of_many_circles_reads_one_whole_table(th):
     # T(2,11) with crossing 0 alone 0-smoothed: 10 circles, split into 11
-    # along its one edge; reading a labelling builds its block of 2^8 rows,
-    # and every block equals the table carried through the general plan
+    # along its one edge; the edge's one table has a row for each of the
+    # 2^10 labellings and equals the table carried through the general plan
     d = parse_pd(torus2_pd(11))
     c = build_cube(d, th)
     mask = (1 << 11) - 2
     assert c.circles(mask).count == 10
-    for labels in [(P,) * 10, (M, P) * 5]:  # indices 0 and 682: blocks 0 and 2
+    for labels in [(P,) * 10, (M, P) * 5]:
         g = Generator(mask, labels)
         assert c.differential_of(g).terms == differential_termwise(c, g)
     ((ring, key), table), = d.tables.items()
-    assert sorted(table) == [*range(256), *range(512, 768)]
-    assert [table[x] for x in range(1 << 10)] == label_table_termwise(d, mask, 0, ring)
+    assert table == label_table_termwise(d, mask, 0, ring)
 
 
 def test_labelling_indices_are_product_order():
     for k in range(12):
         for x, labels in enumerate(itertools.product((P, M), repeat=k)):
-            assert _index(labels) == x and _labelling(k)(x) == labels
+            assert _INDEX[labels] == x and _labellings(k)[x] == labels
+    assert _labellings(11) is _labellings(11)
+    many = _labellings(20)  # made on first read: no vertex here has 20 circles
+    assert many[5] == (P,) * 17 + (M, P, M) and len(many) == 1
 
 
 def test_edge_row_resolves_only_its_endpoints(resolve_calls):
@@ -461,7 +475,7 @@ def test_a_piece_compiles_its_label_action_once_at_its_first_application(monkeyp
     assert piece.plan.merge is not None and piece.action is None and compiled == []
     for th in Theory:
         c = build_cube(d, th)
-        assert dict(c._edge_image(0, 0, (M, P))) == {Generator(1, (M,)): c.ring.one}, th
+        assert dict(c._edge_image(0, 0, 0b10)) == {Generator(1, (M,)): c.ring.one}, th
         for _ in range(3):
             assert apply_pieces(c, (piece,), (M, P)) == {Generator(1, (M,)): c.ring.one}, th
             assert compiled == [piece] and type(piece.action) is tuple
