@@ -326,7 +326,9 @@ def label_table(d: LinkDiagram, ring: Ring, key: tuple[int, int, int, int, int])
     m - 1 - c of an index.  A merge reads the bits of s1 < s2 and writes
     their product at t1, a split reads s1 and writes its coproduct at t1 <
     t2; the other bits keep their order.  Per source index x, `index[x]` is
-    its other bits moved and `code[x]` its read bits' entry in `outs`.
+    its other bits moved and `code[x]` its read bits' entry in `outs`, and
+    its row is written out as the literal of that entry's zero, one or two
+    terms; a ring entry of more terms is refused with `KhovalError`.
     """
     if (table := d.tables.get((ring, key))) is not None:
         return table
@@ -339,14 +341,26 @@ def label_table(d: LinkDiagram, ring: Ring, key: tuple[int, int, int, int, int])
     else:  # outs[label of s1]
         outs = [[(a << p1 | b << p2, v) for (a, b), v in ring.comultiply[x].items()]
                 for x in LABELS]
+    if any(len(out) > 2 for out in outs):
+        raise KhovalError("a label table's ring entry has more than two terms")
     read = {k - 1 - s1: 2, k - 1 - s2: 1}  # a split's one bit has weight 1
     moved = iter([1 << b for b in range(count) if b != p1 and b != p2])
     index, code = [0], [0]
     for b in range(k):
         m, w = (0, read[b]) if b in read else (next(moved), 0)
         index, code = index + [x | m for x in index], code + [c + w for c in code]
-    table = d.tables[ring, key] = [tuple([(x | o, v) for o, v in outs[c]])
-                                   for x, c in zip(index, code)]
+    table = d.tables[ring, key] = []
+    append = table.append
+    for x, c in zip(index, code):
+        out = outs[c]
+        if not out:
+            append(())
+        elif len(out) == 1:
+            (o1, v1), = out
+            append(((x | o1, v1),))
+        else:
+            (o1, v1), (o2, v2) = out
+            append(((x | o1, v1), (x | o2, v2)))
     return table
 
 

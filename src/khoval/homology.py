@@ -5,16 +5,20 @@ layer p is the vertices with p bits set, and both the Khovanov and the Lee
 differential go from layer p to layer p + 1.  A cancelled pair changes only
 the map out of its source's layer (Bar-Natan, math/0606318, Lemma 3.2), so
 only layer p's generators that layer p - 1's pivots left standing get `int`
-columns, and `reduce.eliminate` reduces them left to right in cube order,
-cancelling their +-1 entries against layer p + 1.  The set it returns is
-the next layer's skip list and is struck from the residue of the layer
-below; no generator carries a degree until the end, when `CubeIndex.degree`
-reads the survivors' (i, q) off their numbers.  `integer_differential`
-reads a layer's columns as integer offsets into the differential's own
-label tables (`cube.label_table`, one per `diagram.edge_key` over
-`algebra.INT_RINGS`, kept on the diagram and shared with every other reader
-of the differential), with the edge sign applied inline, so no `TPoly` and
-no per-generator `Generator` is built.
+columns, and `reduce.eliminate` reduces them left to right, cancelling
+their +-1 entries against layer p + 1.  Lee's columns come in ascending q
+(cube order within each q), so the entries that its q-raising term brings
+in land on rows that no pivot holds yet: at T(2,9) its fill falls from
+109,035 entries in cube order to 60,345.  Khovanov's come in cube order:
+its q-blocks never meet, so that order makes the pivots of ascending q.
+The set `eliminate` returns is the next layer's skip list and is struck
+from the residue of the layer below; no generator carries a degree until
+the end, when `CubeIndex.degree` reads the survivors' (i, q) off their
+numbers.  `integer_differential` reads a layer's columns as integer
+offsets into the differential's own label tables (`cube.label_table`, one
+per `diagram.edge_key` over `algebra.INT_RINGS`, kept on the diagram and
+shared with every other reader of the differential), with the edge sign
+applied inline, so no `TPoly` and no per-generator `Generator` is built.
 The residual complex is homotopy equivalent to the original and has only
 non-unit entries; Smith normal form over arbitrary-precision integers of
 each residual block gives ranks and invariant factors.  For the undeformed
@@ -30,10 +34,12 @@ with the cohomology path except the parsed diagram.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import INT_RINGS, LaurentPoly, Theory
 from .cube import CubeComplex, label_table
@@ -164,13 +170,21 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
 
     A column is its labelling's signed images in the label tables of its
     vertex's edges over `INT_RINGS` (ascending crossing order), each shifted
-    by the target's offset; columns are inserted in cube order.
+    by the target's offset.  Lee's columns are inserted in ascending q, in
+    cube order within each q: a labelling of k circles with m v- labels sits
+    at q = k - 2m plus the layer's constant, so a vertex's labellings of one
+    m (`_by_weight(k)[m]`) are one run, and a stable sort of the runs by
+    k - 2m gives the order.  Khovanov's columns are inserted in cube order,
+    one run per vertex: its q-blocks never meet, so cube order makes the
+    pivots and residue of ascending q without sweeping the layer once per q
+    (the sorted runs measured 4-8 % slower on Khovanov's T(2,11)).
     """
     c, offsets = index.cube, index.offsets
     if p not in range(c.n + 1):
         raise KhovalError(f"layer {p} is not in the cube's layers 0..{c.n}")
-    ring = INT_RINGS[c.theory]
-    diff: dict[int, dict[int, int]] = {}
+    ring = _integer_ring(c)
+    lee = c.theory is Theory.LEE
+    runs = []  # (k - 2m for Lee, offset, edge rows, labelling indices)
     for mask in index.layers[p]:
         src, rows = c.circles(mask), []
         for j in range(c.n):
@@ -179,10 +193,35 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
                 key = edge_key(c.diagram, mask, j, src, c.circles(tgt))
                 sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
                 rows.append((offsets[tgt], sign, label_table(c.diagram, ring, key)))
-        for idx, g in enumerate(range(offsets[mask], offsets[mask + 1])):
-            if g not in skip:
-                diff[g] = {off + t: sign * v for off, sign, table in rows for t, v in table[idx]}
+        k, base = src.count, offsets[mask]
+        if lee:
+            runs += [(k - 2 * m, base, rows, xs) for m, xs in enumerate(_by_weight(k))]
+        else:
+            runs.append((0, base, rows, range(1 << k)))
+    if lee:
+        runs.sort(key=itemgetter(0))
+    diff: dict[int, dict[int, int]] = {}
+    for _, base, rows, xs in runs:
+        for x in xs:
+            if (g := base + x) not in skip:
+                diff[g] = {off + t: sign * v for off, sign, table in rows for t, v in table[x]}
     return diff
+
+
+@functools.cache
+def _by_weight(k: int) -> tuple[tuple[int, ...], ...]:
+    """The labelling indices of k circles grouped by their number m of v- labels, ascending."""
+    groups: list[list[int]] = [[] for _ in range(k + 1)]
+    for x in range(1 << k):
+        groups[x.bit_count()].append(x)
+    return tuple(map(tuple, groups))
+
+
+def _integer_ring(c: CubeComplex):
+    """The cube's ring over `int`; Bar-Natan's Z[t] has none."""
+    if (ring := INT_RINGS.get(c.theory)) is None:
+        raise TheoryError("homology over Z[t] is not supported; use theory khovanov or lee")
+    return ring
 
 
 def reduced_complex(c: CubeComplex) -> tuple[dict, dict]:
@@ -192,7 +231,9 @@ def reduced_complex(c: CubeComplex) -> tuple[dict, dict]:
     generators as targets.  The targets it cancels get no column in the
     next layer, and the sources it cancels leave the residue of the layer
     below, which then moves into the result.  Only the survivors get degrees.
+    A Bar-Natan cube is refused with `TheoryError` before any vertex is resolved.
     """
+    _integer_ring(c)
     index = CubeIndex(c)
     diff: dict = {}
     residue: dict = {}  # layer p - 1's residual columns, into layer p
@@ -211,10 +252,6 @@ def reduced_complex(c: CubeComplex) -> tuple[dict, dict]:
 
 def homology(c: CubeComplex) -> dict:
     """Blockwise integral cohomology: {(i, q): group} or {i: group} for Lee."""
-    if c.theory is Theory.BAR_NATAN:
-        raise TheoryError(
-            "homology over Z[t] is not supported; use theory khovanov or lee"
-        )
     graded = c.theory is Theory.KHOVANOV
     degrees, diff = reduced_complex(c)
 

@@ -11,13 +11,18 @@ column: `homology` hands it one layer of the cube at a time, that layer's
 columns with the next layer's generators as targets, and passes the
 non-unit residue to the Smith normal form.  Columns are reduced left to
 right, as in persistent homology, with no row index: visited in the
-caller's insertion order (cube order, for homology), each first takes the
-updates of the pivots chosen before it, in pivot order, then cancels its
-first unit entry.  A pass ends by updating its survivors and dropping the
-cancelled generators; passes repeat until no unit entry is left.  A pivot
-changes only the columns holding one of its generators, so a column with
-no generator cancelled so far skips the update (on T(2,7), 332 visits to
-Khovanov's 1,102 columns update, 510 for Lee).  Each column gets the
+caller's insertion order, each first takes the updates of the pivots
+chosen before it, in pivot order, then cancels its first unit entry.
+Homology inserts Lee's columns of a layer in ascending q, cube order
+within each q: the filtration order of persistence algorithms, in which
+the entries that Lee's q-raising term brings into a column land on rows
+that no pivot holds yet.  Khovanov's q-blocks never meet, so its columns
+stay in cube order, which makes the same pivots.  A pass ends by updating
+its survivors and dropping the cancelled generators; passes repeat until
+no unit entry is left.  A pivot changes only the columns holding one of
+its generators, so a column with no generator cancelled so far skips the
+update (on T(2,7), 332 visits to Khovanov's 1,102 columns update, 360 for
+Lee).  Each column gets the
 updates that eager elimination gives it, in the same order, so the residue
 and its insertion order are the same.  The pivots depend on
 the visiting order, the homology of the residue does not.

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from khoval.algebra import MINUS, PLUS, RINGS, TPoly, Theory
+from khoval.algebra import INT_RINGS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
 from khoval.cube import (
     CAP,
     CUP,
@@ -287,6 +287,19 @@ def test_an_edge_at_a_vertex_of_many_circles_reads_one_whole_table(th):
         assert c.differential_of(g).terms == differential_termwise(c, g)
     ((ring, key), table), = d.tables.items()
     assert table == label_table_termwise(d, mask, 0, ring)
+
+
+def test_label_table_refuses_a_ring_entry_of_more_than_two_terms():
+    # every ring of the package has entries of at most two terms, each
+    # row written out as a literal of zero, one or two; a third term is
+    # refused, and no table is kept
+    ints = INT_RINGS[Theory.LEE]
+    wide = Ring(ints.multiply, ({(P, M): 1, (M, P): 1, (P, P): 1}, ints.comultiply[M]), 1)
+    d = parse_pd(PD_CODES["trefoil"])
+    with pytest.raises(KhovalError, match="more than two terms"):
+        label_table(d, wide, (1, 0, 0, 0, 1))
+    assert d.tables == {}
+    assert label_table(d, ints, (1, 0, 0, 0, 1)) == [((0b01, 1), (0b10, 1)), ((0b11, 1), (0b00, 1))]
 
 
 def test_labelling_indices_are_product_order():

@@ -272,6 +272,21 @@ def test_integer_columns_skip_the_given_generators():
     assert list(kept) == sorted(kept)
 
 
+def test_lee_columns_come_in_ascending_q():
+    # Lee's columns are inserted in ascending q and in cube order within
+    # each q (Khovanov's, whose q-blocks never meet, in cube order), with
+    # or without a skip list
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.LEE)
+    index = CubeIndex(c)
+    diff = integer_differential(index, 1)
+    layer = [(c.degrees(g)[1], k) for k, g in enumerate(c.generators()) if g.mask.bit_count() == 1]
+    assert list(diff) == [k for _, k in sorted(layer)] == [5, 7, 13, 4, 6, 12]
+    skip = set(list(diff)[::2])
+    kept = integer_differential(index, 1, skip)
+    assert kept == {g: col for g, col in diff.items() if g not in skip}
+    assert list(kept) == [g for g in diff if g not in skip]
+
+
 @pytest.mark.parametrize("p", [-2, -1, 4, 5])
 def test_integer_columns_refuse_a_layer_outside_the_cube(p):
     # a negative p would otherwise read a layer from the end of the list
@@ -409,6 +424,80 @@ def test_homology_does_not_depend_on_the_elimination_order(monkeypatch, name, th
     [(degrees, diff)] = residues
     assert set(diff) == set(degrees)
     assert_reduced(degrees, diff)
+
+
+KINKED_BASES = {"T(2,5)": ("add_pos", "add_neg"),
+                "trefoil": ("add_pos", "add_neg", "add_pos", "add_neg"),
+                "figure8": ("add_pos", "add_neg", "add_pos")}
+
+
+def kinked_base(name):
+    """A base diagram brought to 7 crossings by R1 kinks on seeded arcs."""
+    d, rng = shuffle_diagram(name), random.Random(name)
+    for variant in KINKED_BASES[name]:
+        d = apply_esi(d, ESI("r1", variant=variant, arc=rng.choice(sorted(d.arc_ids()))))
+    return d
+
+
+ORDER_CASES = [*sorted(PD_CODES), *(f"T(2,{n})" for n in range(3, 10, 2)),
+               *(f"{name}+R1" for name in KINKED_BASES)]
+
+
+def order_case(name):
+    return kinked_base(name[:-3]) if name.endswith("+R1") else shuffle_diagram(name)
+
+
+def visit_in(monkeypatch, order):
+    """Make `reduced_complex` insert each layer's columns by `order(index, g)`, stably."""
+    homology_module = importlib.import_module("khoval.homology")
+
+    def reordered(index, p, skip=()):
+        diff = integer_differential(index, p, skip)
+        return {g: diff[g] for g in sorted(diff, key=lambda g: order(index, g))}
+
+    monkeypatch.setattr(homology_module, "integer_differential", reordered)
+
+
+def ascending_q(index, g):
+    return index.degree(g)[1]
+
+
+def cube_order(index, g):
+    return g
+
+
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_khovanov_residue_does_not_depend_on_the_q_order(monkeypatch, name):
+    # Khovanov's differential keeps q, so its q-blocks never meet: its
+    # columns in ascending q (cube order within each q) make the same
+    # pivots as in cube order and leave the same residue, each column's
+    # entries in the same order; so its columns stay in cube order
+    degrees, diff = reduced_complex(build_cube(order_case(name), Theory.KHOVANOV))
+    with monkeypatch.context() as m:
+        visit_in(m, ascending_q)
+        q_degrees, q_diff = reduced_complex(build_cube(order_case(name), Theory.KHOVANOV))
+    assert degrees == q_degrees
+    assert {g: list(col.items()) for g, col in diff.items()} == \
+        {g: list(col.items()) for g, col in q_diff.items()}
+
+
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_lee_homology_does_not_depend_on_the_q_order(monkeypatch, name):
+    # Lee's pivots change with the visiting order, its groups do not: the
+    # ascending q of `integer_differential` against cube order
+    groups = homology(build_cube(order_case(name), Theory.LEE))
+    visit_in(monkeypatch, cube_order)
+    assert homology(build_cube(order_case(name), Theory.LEE)) == groups
+
+
+def test_integer_columns_refuse_a_bar_natan_cube():
+    # Z[t] has no integer ring: a TheoryError, before any vertex is resolved
+    c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.BAR_NATAN)
+    with pytest.raises(TheoryError, match="not supported"):
+        reduced_complex(c)
+    assert c.diagram.resolutions == {}
+    with pytest.raises(TheoryError, match="not supported"):
+        integer_differential(CubeIndex(c), 0)
 
 
 @pytest.mark.parametrize("th", INTEGRAL)

@@ -162,7 +162,7 @@ def test_eliminate_matches_the_row_index_oracle_on_random_graded_matrices(seed):
     assert_eliminates_like_the_oracle(degrees, diff)
 
 
-@pytest.mark.parametrize("th, visits", [(Theory.KHOVANOV, 332), (Theory.LEE, 510)])
+@pytest.mark.parametrize("th, visits", [(Theory.KHOVANOV, 332), (Theory.LEE, 360)])
 def test_eliminate_reduces_only_the_columns_a_pivot_hits(monkeypatch, th, visits):
     # `_reduce` runs at exactly the visits where the column holds a
     # generator already cancelled, counted here on a copy of each layer by
