@@ -24,11 +24,11 @@ on the triangle's sides come off by R1 ops before it and go back on by R1
 ops after.  No map resolves more of a cube than the vertices it reaches.
 
 Only the ring depends on the theory: all else a map builds is kept on the
-still it reads from, its resolutions, edge rows and label tables and, per
-event, an entry (`_event`) with the rewrite, its arc hints and every piece
-table, so maps of every theory between two stills rewrite, resolve and plan
-once.  `ChainMapRep.apply` is
-the linear extension of the ops; `of_generator` memoizes single images.
+still it reads from, its resolutions and label tables and, per event, an
+entry (`_event`) with the rewrite, its arc hints and every piece table, so
+maps of every theory between two stills rewrite, resolve and plan once.
+`ChainMapRep.apply` is the linear extension of the ops and `of_generator`
+one generator's image, computed on each call: no caller asks for one twice.
 One sweep (`_sweep`, over the stills `Movie.replay` took from the entries)
 carries an element per theory: `bn_and_kj` a Bar-Natan and a Khovanov
 element; `eval_movie` is the one-theory sweep.
@@ -101,9 +101,9 @@ class ChainMapRep:
     """A chain map between two cube complexes: its ops (see `cube`) applied in turn.
 
     `apply` is the linear extension: an element's terms go through the ops
-    together and are summed once; `of_generator` memoizes each generator's
-    image, refusing one that does not fit its vertex of the source.  Every
-    op after the first is memoized, as its inputs recur; only the cube
+    together and are summed once; `of_generator` is one generator's image,
+    refusing one that does not fit its vertex of the source.  Every op
+    after the first is memoized, as its inputs recur; only the cube
     vertices the images reach are resolved.
     """
 
@@ -113,17 +113,13 @@ class ChainMapRep:
         self.q_degree = q_degree
         self._first = ops[0]
         self._rest = list(map(cache, ops[1:]))
-        self._memo: dict[Generator, CochainElement] = {}
 
     def of_generator(self, g: Generator) -> CochainElement:
-        out = self._memo.get(g)
-        if out is None:
-            self.source.check_generator(g)
-            image = self._first(g)
-            if self._rest:  # a one-op image is summed already
-                image = apply_linear(image.items(), *self._rest)
-            out = self._memo[g] = CochainElement(self.target, image)
-        return out
+        self.source.check_generator(g)
+        image = self._first(g)
+        if self._rest:  # a one-op image is summed already
+            image = apply_linear(image.items(), *self._rest)
+        return CochainElement(self.target, image)
 
     def apply(self, x: CochainElement) -> CochainElement:
         if x.cube is not self.source:

@@ -24,7 +24,7 @@ from .errors import KhovalError
 from .homology import graded_euler, kauffman_jones
 from .moves import ESI, apply_esi, apply_esi_info
 
-__all__ = ["PD_CODES", "torus2_pd", "corpus_diagrams", "verify_all"]
+__all__ = ["PD_CODES", "MIRRORED_BRAID", "torus2_pd", "corpus_diagrams", "verify_all"]
 
 
 def torus2_pd(n: int) -> str:
@@ -63,6 +63,9 @@ PD_CODES = {
     "braid_closure": "X(2,1,4,5) X(3,5,6,3) X(6,4,1,2)",
     "torus_link_2_4": torus2_pd(4),
 }
+# the braid closure with each crossing's slots rotated by one: its mirror, whose
+# three crossings are negative, so its R3 triangle's 0-smoothed face is B (`r3`)
+MIRRORED_BRAID = "X(1,4,5,2) X(5,6,3,3) X(4,1,2,6)"
 
 
 def corpus_diagrams() -> dict[str, LinkDiagram]:
@@ -122,10 +125,10 @@ def _rmove_instances():
     yield "r2 remove", poked, ESI(
         "r2", variant="remove", crossings=tuple(info.created_crossings)
     )
-    base = parse_pd(PD_CODES["braid_closure"])
-    d1 = apply_esi(base, ESI("r1", variant="add_pos", arc=1))
-    d2 = apply_esi(d1, ESI("r1", variant="add_neg", arc=2))
-    yield "r3 braid", d2, ESI("r3", crossings=(1, 2, 3), variant="braid")
+    for name, code in (("r3 braid", PD_CODES["braid_closure"]), ("r3 mirrored", MIRRORED_BRAID)):
+        d = apply_esi(parse_pd(code), ESI("r1", variant="add_pos", arc=1))
+        d = apply_esi(d, ESI("r1", variant="add_neg", arc=2))
+        yield name, d, ESI("r3", crossings=(1, 2, 3), variant="braid")
 
 
 def _suite_chain_maps(cap: int) -> tuple[bool, str]:

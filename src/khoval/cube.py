@@ -2,23 +2,26 @@
 
 Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
 on first use and kept on the diagram (`LinkDiagram.resolutions`), as are the
-differential's edge rows and label tables, so cubes of every theory on one
-still share them and a movie pays only for the vertices its element reaches.
-A generator is a vertex together with one int label (PLUS = 0 for v+, MINUS
+differential's label tables, so cubes of every theory on one still share
+them and a movie pays only for the vertices its element reaches.  A
+generator is a vertex together with one int label (PLUS = 0 for v+, MINUS
 = 1 for v-) per circle of its resolution, circles being listed in canonical
 order (increasing smallest arc id).
 
 The differential has one description, read alike by every reader.  The edge
-flipping crossing j at a vertex has a row (`CubeComplex.edge_row`): its
-target, its `diagram.edge_key` (four circle ids read off both ends' dart
-arrays at crossing j) and the sign (-1)^(number of 1-bits after the flipped
-position), which makes every square face anticommute.  A key's label table
-over a ring (`label_table`, kept on the still) lists, for each labelling of
-the source circles by its index in `itertools.product` order, its image's
-((target index, coeff), ...); an edge of sign -1 reads the table over the
-ring's `negated` twin.  `differential_of`, `_edge_op` (the R2 bigon's unit
-edges, R3's Psi and `check_faces`) and `homology` (over `INT_RINGS`, with
-an inline `int` sign) read these tables.
+flipping crossing j at a vertex has a row (`CubeComplex.edge_row`, derived
+on each call and kept nowhere): its target, its `diagram.edge_key` (four
+circle ids read off both ends' dart arrays at crossing j) and the sign
+(-1)^(number of 1-bits after the flipped position), which makes every
+square face anticommute.  A key's label table over a ring (`label_table`,
+kept on the still) lists, for each labelling of the source circles by its
+index in `itertools.product` order, its image's ((target index, coeff),
+...); an edge of sign -1 reads the table over the ring's `negated` twin.
+Each cube keeps, per edge it reads, the target, table and target
+labellings (`_edges`): the movie and R3 maps read most edges again.
+`differential_of`, `_edge_op` (the R2 bigon's unit edges, R3's Psi and
+`check_faces`) and `homology` (over `INT_RINGS`, with an inline `int`
+sign) read these tables.
 
 A linear map on a cube is an op: a function from a generator to its summed
 image {generator: coeff}, with no zero coefficient.  The movie maps' ops
@@ -46,9 +49,10 @@ unit by identity and an `int` by value.  Images are summed in place, their
 `Generator`s made by `tuple.__new__`; a piece's label action is compiled
 at its first application (`_label_action`).
 
-Cohomological degree of a generator is |v| - n_minus; its q-degree is the sum
-of label degrees (1 - 2*l for label l) plus (|v| - n_minus) + (n_plus -
-n_minus), and a coefficient t^k lowers q by 4k.
+The gradings have one home, `CubeComplex.vertex`: a vertex's cohomological
+degree i = |v| - n_minus, the q-degree of its all-v+ labelling, i + k +
+(n_plus - n_minus) for k circles, and k.  A labelling with m v- labels sits
+at q = top - 2m, and a coefficient t^k lowers q by 4k.
 """
 
 from __future__ import annotations
@@ -134,17 +138,14 @@ class CubeComplex:
     # -- structure ---------------------------------------------------------
 
     def edge_row(self, mask: int, j: int) -> tuple[int, tuple[int, int, int, int, int], int]:
-        """The edge flipping crossing j at `mask`: (target mask, edge key, sign), on the diagram."""
-        edges = self.diagram.edges
-        if (row := edges.get((mask, j))) is None:
-            if not (0 <= j < self.n and 0 <= mask < 1 << self.n):
-                raise KhovalError(f"edge ({mask}, {j}) is not on the cube of {self.n} crossings")
-            if (mask >> j) & 1:
-                raise KhovalError("edge must start at a 0-bit")
-            tgt = mask | (1 << j)
-            key = edge_key(self.diagram, mask, j, self.circles(mask), self.circles(tgt))
-            row = edges[mask, j] = (tgt, key, self.edge_sign(mask, j))
-        return row
+        """The edge flipping crossing j at `mask`: (target mask, edge key, sign), kept nowhere."""
+        if not (0 <= j < self.n and 0 <= mask < 1 << self.n):
+            raise KhovalError(f"edge ({mask}, {j}) is not on the cube of {self.n} crossings")
+        if (mask >> j) & 1:
+            raise KhovalError("edge must start at a 0-bit")
+        tgt = mask | (1 << j)
+        key = edge_key(self.diagram, mask, j, self.circles(mask), self.circles(tgt))
+        return tgt, key, self.edge_sign(mask, j)
 
     def _edge_image(self, mask: int, j: int, x: int) -> list:
         """The image [(generator, coeff)] along the edge flipping crossing j of the labelling
@@ -187,13 +188,16 @@ class CubeComplex:
         if len(labels) != self.circles(mask).count or not _LABEL_SET.issuperset(labels):
             raise KhovalError("generator does not live on this cube")
 
+    def vertex(self, mask: int) -> tuple[int, int, int]:
+        """(i, q of the all-v+ labelling, circle count k) of a vertex: the cube's one grading."""
+        i, k = mask.bit_count() - self.n_minus, self.circles(mask).count
+        return i, k + i + self.n_plus - self.n_minus, k
+
     def degrees(self, g: Generator) -> tuple[int, int]:
-        """(cohomological degree, q-degree) of a generator."""
+        """(cohomological degree, q-degree) of a generator: m v- labels lower q by 2m."""
         self.check_generator(g)
-        k = len(g.labels)
-        i = g.mask.bit_count() - self.n_minus
-        q = k - 2 * sum(g.labels) + i + (self.n_plus - self.n_minus)
-        return i, q
+        i, top, _ = self.vertex(g.mask)
+        return i, top - 2 * sum(g.labels)
 
     def element(self, terms: dict[Generator, TPoly] | None = None) -> "CochainElement":
         """An element with the given Z[t] coefficients, reduced into the cube's ring."""

@@ -17,14 +17,16 @@ the end, when `CubeIndex.degree` reads the survivors' (i, q) off their
 numbers.  `integer_differential` reads a layer's columns as integer
 offsets into the differential's own label tables (`cube.label_table`, one
 per `diagram.edge_key` over `algebra.INT_RINGS`, kept on the diagram and
-shared with every other reader of the differential), with the edge sign
-applied inline, so no `TPoly` and no per-generator `Generator` is built.
-The residual complex is homotopy equivalent to the original and has only
-non-unit entries; Smith normal form over arbitrary-precision integers of
-each residual block gives ranks and invariant factors.  For the undeformed
-theory the blocks are keyed by (i, q); at t = 1 the q-grading collapses and
-blocks are keyed by i alone.  `graded_euler` counts each vertex's
-generators by binomials from the same per-vertex (i, top q, circle count).
+shared with every other reader of the differential: homology reads nearly
+every row of each), with the edge sign applied inline, so no `TPoly` and
+no per-generator `Generator` is built.  The residual complex is homotopy
+equivalent to the original and has only non-unit entries; Smith normal
+form over arbitrary-precision integers of each residual block gives ranks
+and invariant factors.  For the undeformed theory the blocks are keyed by
+(i, q); at t = 1 the q-grading collapses and Lee's blocks are (i, None),
+reported by i alone.  `graded_euler` counts each vertex's generators by
+binomials from the same per-vertex (i, top q, circle count), read off
+`CubeComplex.vertex`, the one home of the q formula.
 
 `kauffman_jones` is an independent computation path for the graded Euler
 characteristic: a Kauffman bracket state sum in the variable A with writhe
@@ -137,25 +139,23 @@ def smith_normal_form(dense: list[list[int]]) -> tuple[tuple[int, ...], int]:
 class CubeIndex:
     """One cube's vertices and generator numbering, shared by all its layers.
 
-    `vertices[mask]` is the vertex's (i, top, k): its cohomological degree,
-    the q-degree of its all-v+ generator and its circle count; a labelling
-    with m v- labels sits at q = top - 2m.  Generators are numbered by their
-    position in `c.generators()`: the labelling read as a binary number
-    (v+ = 0, circle 0 the most significant bit) plus the vertex's offset.
-    `layers[p]` lists the masks with p bits set, for p in range(n + 1).
-    It resolves every vertex (one dart walk each, kept on the diagram) for
-    its count; `integer_differential` reads their `darts` via `edge_key`.
+    `vertices[mask]` is the vertex's (i, top, k) (`CubeComplex.vertex`):
+    its cohomological degree, the q-degree of its all-v+ generator and its
+    circle count; a labelling with m v- labels sits at q = top - 2m.
+    Generators are numbered by their position in `c.generators()`: the
+    labelling read as a binary number (v+ = 0, circle 0 the most significant
+    bit) plus the vertex's offset.  `layers[p]` lists the masks with p bits
+    set, for p in range(n + 1).  It resolves every vertex (one dart walk
+    each, kept on the diagram); `integer_differential` reads their `darts`
+    via `edge_key`.
     """
 
     def __init__(self, c: CubeComplex):
         self.cube = c
-        self.vertices: list[tuple[int, int, int]] = []
+        self.vertices = [c.vertex(mask) for mask in range(1 << c.n)]
         self.layers: list[list[int]] = [[] for _ in range(c.n + 1)]
-        shift = c.n_plus - 2 * c.n_minus
         for mask in range(1 << c.n):
-            p, k = mask.bit_count(), c.circles(mask).count
-            self.vertices.append((p - c.n_minus, k + p + shift, k))
-            self.layers[p].append(mask)
+            self.layers[mask.bit_count()].append(mask)
         self.offsets = list(itertools.accumulate((1 << k for _, _, k in self.vertices), initial=0))
 
     def degree(self, g: int) -> tuple[int, int]:
@@ -171,10 +171,10 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
     A column is its labelling's signed images in the label tables of its
     vertex's edges over `INT_RINGS` (ascending crossing order), each shifted
     by the target's offset.  Lee's columns are inserted in ascending q, in
-    cube order within each q: a labelling of k circles with m v- labels sits
-    at q = k - 2m plus the layer's constant, so a vertex's labellings of one
-    m (`_by_weight(k)[m]`) are one run, and a stable sort of the runs by
-    k - 2m gives the order.  Khovanov's columns are inserted in cube order,
+    cube order within each q: a labelling with m v- labels sits at q = top
+    - 2m (`CubeIndex.vertices`), so a vertex's labellings of one m
+    (`_by_weight(k)[m]`) are one run, and a stable sort of the runs by
+    their q gives the order.  Khovanov's columns are inserted in cube order,
     one run per vertex: its q-blocks never meet, so cube order makes the
     pivots and residue of ascending q without sweeping the layer once per q
     (the sorted runs measured 4-8 % slower on Khovanov's T(2,11)).
@@ -184,18 +184,19 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
         raise KhovalError(f"layer {p} is not in the cube's layers 0..{c.n}")
     ring = _integer_ring(c)
     lee = c.theory is Theory.LEE
-    runs = []  # (k - 2m for Lee, offset, edge rows, labelling indices)
+    runs = []  # (q for Lee, offset, edge rows, labelling indices)
     for mask in index.layers[p]:
         src, rows = c.circles(mask), []
         for j in range(c.n):
             if not (mask >> j) & 1:
                 tgt = mask | 1 << j
                 key = edge_key(c.diagram, mask, j, src, c.circles(tgt))
+                # `CubeComplex.edge_sign` inline: through the method, homology ran 1 % slower
                 sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
                 rows.append((offsets[tgt], sign, label_table(c.diagram, ring, key)))
-        k, base = src.count, offsets[mask]
+        (_, top, k), base = index.vertices[mask], offsets[mask]
         if lee:
-            runs += [(k - 2 * m, base, rows, xs) for m, xs in enumerate(_by_weight(k))]
+            runs += [(top - 2 * m, base, rows, xs) for m, xs in enumerate(_by_weight(k))]
         else:
             runs.append((0, base, rows, range(1 << k)))
     if lee:
@@ -251,19 +252,12 @@ def reduced_complex(c: CubeComplex) -> tuple[dict, dict]:
 
 
 def homology(c: CubeComplex) -> dict:
-    """Blockwise integral cohomology: {(i, q): group} or {i: group} for Lee."""
+    """Blockwise integral cohomology: {(i, q): group}, or {i: group} from Lee's (i, None) blocks."""
     graded = c.theory is Theory.KHOVANOV
     degrees, diff = reduced_complex(c)
-
-    def succ(k):
-        return (k[0] + 1, k[1]) if graded else k + 1
-
-    def pred(k):
-        return (k[0] - 1, k[1]) if graded else k - 1
-
     blocks: dict = {}
     for g, (i, q) in degrees.items():
-        blocks.setdefault((i, q) if graded else i, []).append(g)
+        blocks.setdefault((i, q if graded else None), []).append(g)
     ranks: dict = {}
     torsions: dict = {}
     for k, basis in blocks.items():
@@ -275,14 +269,14 @@ def homology(c: CubeComplex) -> dict:
             for h, v in diff[g].items():
                 dense[targets[h]][col] = v
         factors, ranks[k] = smith_normal_form(dense)
-        torsions[succ(k)] = tuple(f for f in factors if f > 1)
+        torsions[k[0] + 1, k[1]] = tuple(f for f in factors if f > 1)
 
     out: dict = {}
-    for k, basis in blocks.items():
-        free = len(basis) - ranks.get(k, 0) - ranks.get(pred(k), 0)
-        group = HomologyGroup(free, torsions.get(k, ()))
+    for (i, q), basis in blocks.items():
+        free = len(basis) - ranks.get((i, q), 0) - ranks.get((i - 1, q), 0)
+        group = HomologyGroup(free, torsions.get((i, q), ()))
         if not group.is_zero():
-            out[k] = group
+            out[(i, q) if graded else i] = group
     return out
 
 

@@ -32,7 +32,7 @@ from khoval.cobordism import (
     torus_with_detour_movie,
     trivial_surface_movie,
 )
-from khoval.corpus import PD_CODES, _rmove_instances
+from khoval.corpus import MIRRORED_BRAID, PD_CODES, _rmove_instances
 from khoval.cube import (CochainElement, Generator, Piece, _label_action, apply_linear,
                          apply_pieces, build_cube)
 from khoval.diagram import LinkDiagram, parse_pd, resolve
@@ -116,7 +116,7 @@ def test_chain_map_rejects_wrong_target():
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
 def test_of_generator_refuses_a_generator_that_does_not_fit_its_vertex(th):
-    # the unknot's one vertex has one circle; a refused generator is not memoized
+    # the unknot's one vertex has one circle; a refused generator is refused on every call
     event = ESI("r1", variant="add_pos", arc=1)
     unknot = parse_pd("L0")
     f = esi_chain_map(event, build_cube(unknot, th), build_cube(apply_esi(unknot, event), th), th)
@@ -127,6 +127,15 @@ def test_of_generator_refuses_a_generator_that_does_not_fit_its_vertex(th):
     assert not f.of_generator(Generator(0, (P,))).is_zero()
     with pytest.raises(KhovalError, match="not on the cube"):
         f.of_generator(Generator(1, (P,)))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_apply_refuses_an_element_of_another_cube(th):
+    event = ESI("r1", variant="add_pos", arc=1)
+    unknot = parse_pd("L0")
+    f = esi_chain_map(event, build_cube(unknot, th), build_cube(apply_esi(unknot, event), th), th)
+    with pytest.raises(KhovalError, match="does not live on the map's source"):
+        f.apply(build_cube(unknot, th).basis_element(Generator(0, (P,))))
 
 
 # -- the R-move contract corpus ------------------------------------------------------
@@ -390,14 +399,15 @@ def test_r3_equivalence_mutually_inverse_on_homology():
 BRAID_R3 = ESI("r3", crossings=(1, 2, 3), variant="braid")
 
 
-def braid_kinked_on(arcs, variants, extra_loops=0) -> LinkDiagram:
+def braid_kinked_on(arcs, variants, extra_loops=0, base=PD_CODES["braid_closure"]) -> LinkDiagram:
     """The closed braid s1 s2 s1 with R1 kinks on two of its arcs from crossing 1 to 3.
 
     With the kinks on arcs 1 and 2 the triangle's sides are bare; arc 4 is
     a side, so a kink there is carried by the move (the r3 benchmark's
-    seeds give all three choices).
+    seeds give all three choices).  `base` may be its mirror,
+    `corpus.MIRRORED_BRAID`, whose triangle has B as its 0-face.
     """
-    d = parse_pd(PD_CODES["braid_closure"])
+    d = parse_pd(base)
     for arc, variant in zip(arcs, variants):
         d = apply_esi(d, ESI("r1", variant=variant, arc=arc))
     top = d.max_arc_id()
@@ -405,11 +415,17 @@ def braid_kinked_on(arcs, variants, extra_loops=0) -> LinkDiagram:
     return LinkDiagram([(c.cid, c.arcs) for c in d.crossings], [*d.loops, *loops])
 
 
-@pytest.mark.parametrize("arcs", [(1, 2), (1, 4), (2, 4)])
+# (kinked arcs, base): the braid's triangle has B as its 1-face, its mirror's as its 0-face
+R3_TRIANGLES = [pytest.param(arcs, base, id=f"{name}arcs{k}")
+                for name, base in (("", PD_CODES["braid_closure"]), ("mirrored-", MIRRORED_BRAID))
+                for k, arcs in enumerate([(1, 2), (1, 4), (2, 4)])]
+
+
+@pytest.mark.parametrize("arcs, base", R3_TRIANGLES)
 @pytest.mark.parametrize("variants", [("add_pos", "add_neg"), ("add_neg", "add_pos")])
 @pytest.mark.parametrize("th", ALL_THEORIES)
-def test_r3_benchmark_triangles_are_degree_zero_chain_maps(arcs, variants, th):
-    d = braid_kinked_on(arcs, variants)
+def test_r3_benchmark_triangles_are_degree_zero_chain_maps(arcs, base, variants, th):
+    d = braid_kinked_on(arcs, variants, base=base)
     src = build_cube(d, th)
     tgt = build_cube(apply_esi(d, BRAID_R3), th)
     f, g = r3_equivalence(BRAID_R3, src, tgt)
@@ -425,12 +441,13 @@ def test_r3_benchmark_triangles_are_degree_zero_chain_maps(arcs, variants, th):
 
 
 def test_r3_with_a_carried_kink_is_inverse_on_homology():
-    d = braid_kinked_on((1, 4), ("add_pos", "add_neg"))
-    src = build_cube(d, Theory.KHOVANOV)
-    tgt = build_cube(apply_esi(d, BRAID_R3), Theory.KHOVANOV)
-    f, g = r3_equivalence(BRAID_R3, src, tgt)
-    assert _induces_identity(lambda x: g.apply(f.apply(x)), src)
-    assert _induces_identity(lambda x: f.apply(g.apply(x)), tgt)
+    for base in (PD_CODES["braid_closure"], MIRRORED_BRAID):
+        d = braid_kinked_on((1, 4), ("add_pos", "add_neg"), base=base)
+        src = build_cube(d, Theory.KHOVANOV)
+        tgt = build_cube(apply_esi(d, BRAID_R3), Theory.KHOVANOV)
+        f, g = r3_equivalence(BRAID_R3, src, tgt)
+        assert _induces_identity(lambda x: g.apply(f.apply(x)), src), base
+        assert _induces_identity(lambda x: f.apply(g.apply(x)), tgt), base
 
 
 def test_r3_kink_chain_reaches_the_triangle_once_per_bare_generator(monkeypatch):

@@ -63,6 +63,19 @@ def test_parse_arc_count_violation():
         parse_pd("X(1,1,1,2) X(2,3,3,4)")  # arc 1 appears three times
 
 
+@pytest.mark.parametrize("crossings, loops, reason", [
+    ([(1, (1, 2, 3))], [], "crossing 1 does not have 4 arcs"),
+    ([(1, (1, 2, 2, 1)), (1, (3, 4, 4, 3))], [], "duplicate crossing id 1"),
+    ([(1, (0, 1, 1, 0))], [], "arc id 0 is not a positive integer"),
+    ([], [()], "empty loop"),
+    ([], [(0, 1)], "arc id 0 is not a positive integer"),
+], ids=["three arcs", "repeated id", "arc 0", "empty loop", "loop arc 0"])
+def test_link_diagram_refuses_bad_ids(crossings, loops, reason):
+    # the constructor's own refusals, which no `parse_pd` token reaches
+    with pytest.raises(ParseError, match=reason):
+        LinkDiagram(crossings, loops)
+
+
 def test_parse_orientation_inconsistency():
     # arc 1 is the incoming under-strand of both crossings: two heads
     with pytest.raises(OrientationError):

@@ -41,6 +41,11 @@ from oracles import (
 )
 
 
+def test_homology_group_str():
+    assert [str(HomologyGroup(0)), str(HomologyGroup(1)), str(HomologyGroup(2, (2,)))] == \
+        ["0", "Z", "Z^2 + Z/2"]
+
+
 # -- Smith normal form ------------------------------------------------------------
 
 
@@ -314,7 +319,7 @@ def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th, diagram,
     # whole `homology` call, its layers sharing the tables (19 of the kinked
     # figure-eight's keys sit on edges of two or more layers), and a second
     # call builds none; the columns are offsets into those tables, with no
-    # applier of pieces and no edge row kept on the diagram
+    # applier of pieces
     d = shuffle_diagram(diagram)
     c = build_cube(d, th)
     keys = {edge_key(d, mask, j, c.circles(mask), c.circles(mask | 1 << j))
@@ -338,7 +343,7 @@ def test_homology_builds_one_label_table_per_edge_plan(monkeypatch, th, diagram,
     assert index.cube is c and {ring for ring, _ in d.tables} == {INT_RINGS[th]}
     assert {key for _, key in d.tables} == keys and len(d.tables) == len(keys) == plans
     assert sum(map(len, d.tables.values())) == sum(2 ** k for k, *_ in keys) == carried
-    assert applied == [] and d.edges == {}
+    assert applied == []
     tables = dict(d.tables)
     homology(build_cube(d, th))
     assert d.tables.keys() == tables.keys()
