@@ -6,7 +6,7 @@ event induces a chain map between the cube complexes of consecutive stills:
 birth and death have q-degree +1, a saddle -1, and the Reidemeister moves
 are degree-0 homotopy equivalences.
 
-Every map is a chain of ops (`cube`: a generator to its summed image) that
+Every map is a chain of ops (`cube`: a generator to its image's terms) that
 `ChainMapRep` composes.  Morse and R1 maps are one op each, made by
 `cube._piece_op` from a table `vertex(mask) -> pieces`, computed once per
 source vertex: a signed sum of dotted cobordisms (`cube.Piece`: a
@@ -101,30 +101,26 @@ class ChainMapRep:
     """A chain map between two cube complexes: its ops (see `cube`) applied in turn.
 
     `apply` is the linear extension: an element's terms go through the ops
-    together and are summed once; `of_generator` is one generator's image,
-    refusing one that does not fit its vertex of the source.  Every op
-    after the first is memoized, as its inputs recur; only the cube
-    vertices the images reach are resolved.
+    together and are summed once by `cube.apply_linear`; `of_generator` is
+    one generator's image, refusing one that does not fit its vertex of the
+    source.  Every op after the first is memoized, as its inputs recur; only
+    the cube vertices the images reach are resolved.
     """
 
-    def __init__(self, source: CubeComplex, target: CubeComplex, q_degree: int, *ops):
+    def __init__(self, source: CubeComplex, target: CubeComplex, q_degree: int, first, *rest):
         self.source = source
         self.target = target
         self.q_degree = q_degree
-        self._first = ops[0]
-        self._rest = list(map(cache, ops[1:]))
+        self._ops = (first, *map(cache, rest))
 
     def of_generator(self, g: Generator) -> CochainElement:
         self.source.check_generator(g)
-        image = self._first(g)
-        if self._rest:  # a one-op image is summed already
-            image = apply_linear(image.items(), *self._rest)
-        return CochainElement(self.target, image)
+        return CochainElement(self.target, apply_linear([(g, self.source.ring.one)], *self._ops))
 
     def apply(self, x: CochainElement) -> CochainElement:
         if x.cube is not self.source:
             raise KhovalError("element does not live on the map's source")
-        return CochainElement(self.target, apply_linear(x.terms.items(), self._first, *self._rest))
+        return CochainElement(self.target, apply_linear(x.terms.items(), *self._ops))
 
 
 # -- the chain maps: ops, most of them a table of pieces per source vertex ---------

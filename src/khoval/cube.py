@@ -23,18 +23,21 @@ labellings (`_edges`): the movie and R3 maps read most edges again.
 `check_faces`) and `homology` (over `INT_RINGS`, with an inline `int`
 sign) read these tables.
 
-A linear map on a cube is an op: a function from a generator to its summed
-image {generator: coeff}, with no zero coefficient.  The movie maps' ops
-are sums of `Piece`s, signed dotted cobordisms that carry labels along a
-circle-transfer plan; `apply_pieces` applies them and `_piece_op` makes the
-op of a table `vertex(mask) -> pieces`, computed once per vertex into a
-table kept on the source still (`cobordism` keys it by event in
-`LinkDiagram.maps`), so ops of every theory between the same stills build
-it once.  `apply_linear` carries terms through ops in turn and sums them
-once at the end; `cobordism.ChainMapRep` composes a chain map's ops with it.
-`_bigon_reduction` is Bar-Natan's Gaussian elimination lemma
-(math/0606318) on an R2 bigon's two unit edges, read off the cube's own
-edges: the R2 maps in `cobordism` and the R3 cone in `r3` are built from it.
+A linear map on a cube is an op: a function from a generator to its image
+as a list of terms [(generator, coeff)], with no zero coefficient, which
+may name one generator twice.  `apply_linear` carries terms through ops in
+turn and is the one place that sums them; an op built from other ops
+carries their terms through `_carry`, unsummed, and an op's list is never
+changed once returned (`cobordism.ChainMapRep` memoizes ops and shares
+their lists).  The movie maps' ops are sums of `Piece`s, signed dotted
+cobordisms that carry labels along a circle-transfer plan; `apply_pieces`
+lists their terms and `_piece_op` makes the op of a table `vertex(mask) ->
+pieces`, computed once per vertex into a table kept on the source still
+(`cobordism` keys it by event in `LinkDiagram.maps`), so ops of every
+theory between the same stills build it once.  `_bigon_reduction` is
+Bar-Natan's Gaussian elimination lemma (math/0606318) on an R2 bigon's two
+unit edges, read off the cube's own edges: the R2 maps in `cobordism` and
+the R3 cone in `r3` are built from it.
 
 Coefficients are kept in the cube's ring, `CubeComplex.ring`: for Lee
 `algebra.INT_RINGS[LEE]`, so Lee's coefficients are `int`; for Khovanov and
@@ -44,10 +47,10 @@ reduced.  A caller's Z[t] coefficient is reduced where it enters, in
 t = 1), and a caller's generator whose labels do not fit its vertex is
 refused there.  A piece of sign -1 reads the `negated` twin too, so
 applying a map negates no coefficient, and every unit is one of two shared
-`TPoly`s (`algebra`), so `apply_linear` and `_times` test a `TPoly` for a
-unit by identity and an `int` by value.  Images are summed in place, their
-`Generator`s made by `tuple.__new__`; a piece's label action is compiled
-at its first application (`_label_action`).
+`TPoly`s (`algebra`), so `_carry` and `_times` test a `TPoly` for a unit by
+identity and an `int` by value.  Terms' `Generator`s are made by
+`tuple.__new__`; a piece's label action is compiled when the piece is made
+(`_label_action`).
 
 The gradings have one home, `CubeComplex.vertex`: a vertex's cohomological
 degree i = |v| - n_minus, the q-degree of its all-v+ labelling, i + k +
@@ -219,16 +222,16 @@ class CubeComplex:
     # -- differential --------------------------------------------------------
 
     def differential_of(self, g: Generator) -> "CochainElement":
-        """d(g), edge by edge: the edges reach distinct vertices, so no two terms meet."""
+        """d(g): the terms of its edges, summed."""
         self.check_generator(g)
-        return CochainElement(self, self._differential(g))
+        return CochainElement(self, apply_linear(self._differential(g)))
 
-    def _differential(self, g: Generator) -> dict[Generator, TPoly]:
-        """d(g) of a generator that fits its vertex, as the op of the differential."""
+    def _differential(self, g: Generator) -> list:
+        """The differential's op: a fitting generator's edge terms, in crossing order."""
         mask, labels = g
         x = _INDEX[labels]
-        return dict([term for j in range(self.n) if not (mask >> j) & 1
-                     for term in self._edge_image(mask, j, x)])
+        return [term for j in range(self.n) if not (mask >> j) & 1
+                for term in self._edge_image(mask, j, x)]
 
     def differential(self, x: "CochainElement") -> "CochainElement":
         if x.cube is not self:
@@ -242,7 +245,7 @@ class CochainElement:
     __slots__ = ("cube", "terms")
 
     def __init__(self, cube: CubeComplex, terms: dict[Generator, TPoly]):
-        """`terms` holds no zero coefficient: `apply_pieces` and `apply_linear` drop them."""
+        """`terms` holds no zero coefficient: `apply_linear` drops them."""
         self.cube = cube
         self.terms = terms
 
@@ -381,8 +384,7 @@ class Piece:
     Circles move along `plan`; `births` labels its new target circles (CUP or
     DOTTED_CUP), `deaths` gives each dead source circle the label it keeps
     (CAP or DOTTED_CAP), and `dots` lists the target circles multiplied by X.
-    `action` is its label action (`_label_action`), compiled at its first
-    application.
+    `action` is its label action (`_label_action`), compiled when it is made.
     """
 
     __slots__ = ("mask", "sign", "plan", "births", "deaths", "dots", "action")
@@ -402,14 +404,14 @@ class Piece:
             raise KhovalError("circle transfer left target circles unlabeled")
         self.mask, self.sign, self.plan = mask, sign, plan
         self.births, self.deaths, self.dots = births, deaths, dots
-        self.action = None
+        self.action = _label_action(self)
 
 
 _BOTH = (PLUS, MINUS)  # appended to a labeling, so an index can read a birth's label
 
 
-def _label_action(p: Piece, k: int) -> tuple:
-    """A piece's label action on labelings of k source circles: (dead, kept, i, j, getter).
+def _label_action(p: Piece) -> tuple:
+    """A piece's label action on labelings of its k source circles: (dead, kept, i, j, getter).
 
     A labeling goes on when `dead(labels) == kept` (dead None: no death).
     The target labeling is `getter(labels + (PLUS, MINUS) + result)`: a
@@ -417,9 +419,11 @@ def _label_action(p: Piece, k: int) -> tuple:
     k or k + 1, and a merged or split circle the result of the merge (read
     at source circles i and j in `ring.multiply`) or split (circle i, j None,
     in `ring.comultiply`) at k + 2 on; with neither, i is None and there is
-    no result.
+    no result.  The plan gives k: its copied and dead circles, and two more
+    for a merge or one for a split.
     """
     plan = p.plan
+    k = len(plan.copies) + len(plan.dead) + (2 if plan.merge else 1 if plan.split else 0)
     index = [0] * plan.count
     for s, t in plan.copies:
         index[t] = s
@@ -440,21 +444,18 @@ def _label_action(p: Piece, k: int) -> tuple:
     return dead, dead and dead(p.deaths), i, j, getter
 
 
-def apply_pieces(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> dict[Generator, TPoly]:
-    """The image of the labels of a source vertex under the sum of its pieces, in `cube.ring`.
+def apply_pieces(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> list:
+    """The terms of the labels of a source vertex under the sum of its pieces, in `cube.ring`.
 
-    A piece of sign -1 reads the ring's `negated` tables, so no coefficient
-    is negated here.  A piece's first application compiles the label action
-    that it and every later one read (`_label_action`, kept on the piece for
-    every ring).  Each term is summed into the image as it comes, its
-    `Generator` made by `tuple.__new__`.
+    Each piece reads the label action compiled when it was made
+    (`_label_action`), and one of sign -1 reads the ring's `negated` tables,
+    so no coefficient is negated here.  Each term's `Generator` is made by
+    `tuple.__new__`.
     """
-    acc: dict[Generator, TPoly] = {}
+    out = []
     ring, new, padded = cube.ring, tuple.__new__, labels + _BOTH
     for p in pieces:
-        if (action := p.action) is None:
-            action = p.action = _label_action(p, len(labels))
-        dead, kept, i, j, getter = action
+        dead, kept, i, j, getter = p.action
         if dead is not None and dead(labels) != kept:
             continue
         signed = ring if p.sign == 1 else ring.negated
@@ -470,41 +471,18 @@ def apply_pieces(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> dict[Gen
             terms = [(lbls[:c] + (x,) + lbls[c + 1:], _times(poly, extra)) for lbls, poly in terms
                      for x, extra in ring.multiply[lbls[c]][MINUS].items()]
         mask = p.mask
-        for lbls, poly in terms:
-            g = new(Generator, (mask, lbls))
-            cur = acc.get(g)
-            if cur is None:
-                acc[g] = poly
-            elif total := cur + poly:
-                acc[g] = total
-            else:
-                del acc[g]
-    return acc
+        out += [(new(Generator, (mask, lbls)), poly) for lbls, poly in terms]
+    return out
 
 
 def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
-    """Terms [(generator, coeff)] carried through each op in turn, then summed.
+    """Terms [(generator, coeff)] carried through each op in turn (`_carry`), then summed.
 
-    An op maps a generator to its image {generator: coeff} and acts by its
-    linear extension; with no op the terms are only summed.  A coefficient 1
-    (the shared `TPoly` by identity, an `int` by value) carries an image as
-    it is, and the sum is made in place, dropping each key whose sum is zero.
+    The one place that sums a map's terms: with no op the terms are only
+    summed, in place, dropping each key whose sum is zero.
     """
-    for op in ops:
-        carried = []
-        for g, coeff in terms:
-            image = op(g).items()
-            if coeff is _ONE or coeff.__class__ is int and coeff == 1:
-                carried.extend(image)
-            else:
-                carried.extend([(h, _times(poly, coeff)) for h, poly in image])
-        terms = carried
-    return _add_terms({}, terms)
-
-
-def _add_terms(acc: dict, terms) -> dict:
-    """acc summed in place with terms [(key, coeff)], dropping each key whose sum is zero."""
-    for g, coeff in terms:
+    acc: dict[Generator, TPoly] = {}
+    for g, coeff in _carry(terms, *ops):
         cur = acc.get(g)
         if cur is None:
             acc[g] = coeff
@@ -513,6 +491,21 @@ def _add_terms(acc: dict, terms) -> dict:
         else:
             del acc[g]
     return acc
+
+
+def _carry(terms, *ops) -> list:
+    """Terms [(generator, coeff)] carried through each op in turn by its linear extension,
+    unsummed: an op made of ops returns these.  A coefficient 1 (the shared `TPoly` by
+    identity, an `int` by value) carries an image as it is."""
+    for op in ops:
+        carried = []
+        for g, coeff in terms:
+            if coeff is _ONE or coeff.__class__ is int and coeff == 1:
+                carried += op(g)
+            else:
+                carried += [(h, _times(poly, coeff)) for h, poly in op(g)]
+        terms = carried
+    return terms
 
 
 def _times(a, b):
@@ -537,7 +530,7 @@ def _piece_op(cube: CubeComplex, vertex, entry: dict, key):
     """
     table = entry.setdefault(key, {})
 
-    def op(g: Generator) -> dict[Generator, TPoly]:
+    def op(g: Generator) -> list:
         if (pieces := table.get(g.mask)) is None:
             pieces = table[g.mask] = vertex(g.mask)
         return apply_pieces(cube, pieces, g.labels)
@@ -547,7 +540,7 @@ def _piece_op(cube: CubeComplex, vertex, entry: dict, key):
 
 def _edge_op(cube: CubeComplex, j: int):
     """The op along the differential's edges that flip crossing j."""
-    return lambda g: dict(cube._edge_image(g.mask, j, _INDEX[g.labels]))
+    return lambda g: cube._edge_image(g.mask, j, _INDEX[g.labels])
 
 
 def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry: dict, key):
@@ -561,7 +554,8 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry
     opposite of its edge's sign, so f, g and the R3 cone apply h as it is and
     negate no image.  f projects onto the through slice (wi 1-smoothed): 1
     there, d h on the circle slice; g includes it back as 1 + h d.  So f g = 1
-    and g f = 1 + d h + h d.  Each is an op.
+    and g f = 1 + d h + h d.  Each is an op, and f and g carry h's terms
+    unsummed (`_carry`).
     """
     hints = {a: () for a in inner}
     arc, z, w = next(iter(inner)), 1 << zi, 1 << wi
@@ -582,16 +576,14 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry
     h = _piece_op(cube, vertex, entry, key)
     into_through, out_of_through, one = _edge_op(cube, wi), _edge_op(cube, zi), cube.ring.one
 
-    def f(g: Generator):
+    def f(g: Generator) -> list:
         xy = g.mask & (z | w)
         if xy == z:
-            return apply_linear(h(g).items(), into_through)
-        return {g: one} if xy == w else {}
+            return _carry(h(g), into_through)
+        return [(g, one)] if xy == w else []
 
-    def g_(t: Generator):
-        image = apply_linear(out_of_through(t).items(), h)
-        image[t] = one  # t is on the through slice, the rest on the circle slice
-        return image
+    def g_(t: Generator) -> list:
+        return [*_carry(out_of_through(t), h), (t, one)]
 
     return f, g_, h
 

@@ -205,6 +205,7 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
     for _, base, rows, xs in runs:
         for x in xs:
             if (g := base + x) not in skip:
+                # distinct targets: each edge reaches its own vertex, a row distinct labellings
                 diff[g] = {off + t: sign * v for off, sign, table in rows for t, v in table[x]}
     return diff
 

@@ -5,14 +5,14 @@ triangle crossing and the R2 equivalence of the bigon one of its smoothings
 leaves.  That equivalence is `cube._bigon_reduction`, the Gaussian
 elimination lemma (math/0606318) on the bigon's two unit edges, which also
 gives the R2 maps.  `triangle_map` is one op (see `cube`): a generator's
-summed image.  `moves` rewrites the diagram along `triangle`; `cobordism`
-chains the R1 moves for kinks on the sides before and after it.
+image as a list of terms, its parts concatenated unsummed.  `moves`
+rewrites the diagram along `triangle`; `cobordism` chains the R1 moves for
+kinks on the sides before and after it.
 """
 
 from __future__ import annotations
 
-from .cube import (Generator, Piece, _bigon_reduction, _edge_op, _piece_op, apply_linear,
-                   koszul_to_front)
+from .cube import Generator, Piece, _bigon_reduction, _carry, _edge_op, _piece_op, koszul_to_front
 from .diagram import SMOOTHING_PARTNER, LinkDiagram, transfer
 from .errors import MoveError
 
@@ -102,10 +102,9 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     gives a -> a' - h'(Psi' a'), b -> g'(f b) when B is the 1-face, and
     a -> a', b -> g'(f b) - (Psi h b)' when it is the 0-face.  The
     reduction stores h with its sign, as -h, so both correction terms apply
-    its table as it is and no image is negated.  Psi moves a term to the
-    other face and f, g, h and the carry keep it on its face, so the two
-    parts of an image are summed apart and never meet.  The carry and both h
-    tables go into `entry` under `key`; Psi is the cubes' own edges along c.
+    its table as it is and no image is negated.  An image's two parts are
+    concatenated and left to `cube.apply_linear` to sum.  The carry and both
+    h tables go into `entry` under `key`; Psi is the cubes' own edges along c.
     """
     # the target's triangle sits in the opposite quadrants: the same smoothings close it
     close = _closing_bits(src.diagram, positions, inner)
@@ -132,15 +131,12 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     _, g_tgt, h_tgt = _bigon_reduction(tgt, tgt_inner, zi, wi, entry, (key, "h'"))
     psi_src, psi_tgt = _edge_op(src, c), _edge_op(tgt, c)
 
-    def op(g: Generator) -> dict:
+    def op(g: Generator) -> list:
         if g.mask & bc != b_face:  # face A
             image = carry(g)
-            if b_face:
-                image.update(apply_linear(image.items(), psi_tgt, h_tgt))
-        else:  # face B: f onto the through slice, carried over, then g'
-            image = apply_linear(f_src(g).items(), carry, g_tgt)
-            if not b_face:
-                image.update(apply_linear(h_src(g).items(), psi_src, carry))
-        return image
+            return image + _carry(image, psi_tgt, h_tgt) if b_face else image
+        # face B: f onto the through slice, carried over, then g'
+        image = _carry(f_src(g), carry, g_tgt)
+        return image if b_face else image + _carry(h_src(g), psi_src, carry)
 
     return op

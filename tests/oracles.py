@@ -93,7 +93,7 @@ def transfer_labels(
 
 
 def apply_pieces_termwise(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> dict:
-    """The image of `cube.apply_pieces`, each piece carried by `transfer_labels`.
+    """The summed terms of `cube.apply_pieces`, each piece carried by `transfer_labels`.
 
     A piece whose dying circles do not all carry their kept labels gives
     nothing; a sign -1 negates each coefficient, and a dot multiplies its

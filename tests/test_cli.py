@@ -349,6 +349,18 @@ def test_malformed_movie_json_is_a_parse_error(capsys, movie):
     assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("movie,code,reason", [
+    ("{not json", 2, "movie input is not valid JSON"),
+    ('{"movie": [{"op": "flip"}]}', 2, "unknown ESI kind"),
+    ('{"movie": ["birth"]}', 2, "malformed movie event"),
+    ('{"movie": [{"op": "birth"}, {"op": "saddle", "arcs": [1, 99]}]}', 5,
+     "event 2: arc 99 does not exist"),
+], ids=["not_json", "unknown_kind", "event_not_an_object", "missing_arc"])
+def test_movie_refusals_name_their_reason(capsys, movie, code, reason):
+    got, out, err = run(capsys, "movie", movie)
+    assert (got, out) == (code, "") and reason in err and "Traceback" not in err
+
+
 def _refuse_reading(*args, **kwargs):
     raise PermissionError("permission denied")
 

@@ -33,8 +33,7 @@ from khoval.cobordism import (
     trivial_surface_movie,
 )
 from khoval.corpus import MIRRORED_BRAID, PD_CODES, _rmove_instances
-from khoval.cube import (CochainElement, Generator, Piece, _label_action, apply_linear,
-                         apply_pieces, build_cube)
+from khoval.cube import CochainElement, Generator, Piece, apply_linear, apply_pieces, build_cube
 from khoval.diagram import LinkDiagram, parse_pd, resolve
 from khoval.errors import (
     CapExceededError,
@@ -112,6 +111,17 @@ def test_chain_map_rejects_wrong_target():
     src = build_cube(LinkDiagram(), Theory.BAR_NATAN)
     with pytest.raises(MoveError):
         esi_chain_map(ESI("birth"), src, src)
+
+
+def test_chain_map_refuses_cubes_of_another_theory():
+    # cubes of two theories, or of one theory other than the requested one
+    birth = ESI("birth")
+    after = apply_esi(LinkDiagram(), birth)
+    src = build_cube(LinkDiagram(), Theory.KHOVANOV)
+    for tgt, th in [(build_cube(after, Theory.LEE), None),
+                    (build_cube(after, Theory.KHOVANOV), Theory.LEE)]:
+        with pytest.raises(KhovalError, match="cube theories do not match"):
+            esi_chain_map(birth, src, tgt, th)
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
@@ -450,6 +460,17 @@ def test_r3_with_a_carried_kink_is_inverse_on_homology():
         assert _induces_identity(lambda x: f.apply(g.apply(x)), tgt), base
 
 
+def test_r3_equivalence_refuses_a_target_that_is_not_the_r3_rewrite():
+    src = build_cube(braid_kinked_on((1, 2), ("add_pos", "add_neg")), Theory.KHOVANOV)
+    with pytest.raises(MoveError, match="not built from the r3-rewritten diagram"):
+        r3_equivalence(BRAID_R3, src, src)
+    # an event of another kind is refused before any rewrite
+    kink = ESI("r1", variant="add_pos", arc=min(src.diagram.arc_ids()))
+    tgt = build_cube(apply_esi(src.diagram, kink), Theory.KHOVANOV)
+    with pytest.raises(MoveError, match="not built from the r3-rewritten diagram"):
+        r3_equivalence(kink, src, tgt)
+
+
 def test_r3_kink_chain_reaches_the_triangle_once_per_bare_generator(monkeypatch):
     # the r3 benchmark triangle with a kink carried on arc 4: images of many
     # source generators share bare generators, and the memo of each op after
@@ -689,14 +710,11 @@ def assert_compiled_actions_match_transfer_labels(pieces):
     for p in pieces:
         plan = p.plan
         k = len(plan.copies) + len(plan.dead) + (2 if plan.merge else 1 if plan.split else 0)
-        action = _label_action(p, k)
         for labels in itertools.product(LABELS, repeat=k):
             for cube in rings:
-                compiled = Piece(p.mask, p.sign, plan, p.births, p.deaths, p.dots)
-                compiled.action = action
                 expected = apply_pieces_termwise(cube, (p,), labels)
-                assert apply_pieces(cube, (compiled,), labels) == expected, (p, labels, cube.theory)
-                assert compiled.action is action
+                image = apply_linear(apply_pieces(cube, (p,), labels))
+                assert image == expected, (p, labels, cube.theory)
 
 
 def test_compiled_label_actions_match_transfer_labels_on_the_corpus_movies(monkeypatch):
@@ -1207,6 +1225,14 @@ def test_connected_sum_values():
     )
 
 
+def test_lee_connected_sum_is_bar_natan_at_t_1():
+    # Lee's value is an `int`, whose absolute value the connected sum takes as it is
+    for g1, g2, lee in [(1, 0, 2), (1, 1, 0), (2, 1, 8)]:
+        m1, m2 = punctured_from_empty(g1), punctured_to_empty(g2)
+        assert connected_sum(m1, m2, th=Theory.LEE) == lee, (g1, g2)
+        assert connected_sum(m1, m2).specialize(1) == lee, (g1, g2)
+
+
 def test_connected_sum_refuses_movies_in_the_wrong_order():
     for m1, m2 in [(punctured_to_empty(1), punctured_to_empty(1)),
                    (punctured_from_empty(1), punctured_from_empty(1)),
@@ -1269,6 +1295,26 @@ def test_punctured_shape_checks():
         punctured_eval(trivial_surface_movie(1), M)
     with pytest.raises(MoveError, match="needs a starting label"):
         punctured_eval(punctured_to_empty(1))
+    open_end = Movie(punctured_to_empty(1).events[:-1], initial="unknot")
+    with pytest.raises(MoveError, match="from the unknot to the empty diagram"):
+        punctured_eval(open_end, P)
+
+
+def test_a_movie_from_the_empty_diagram_takes_no_start_label():
+    with pytest.raises(KhovalError, match="starts at 1"):
+        eval_movie(trivial_surface_movie(1), start_label=P)
+
+
+def test_a_negative_genus_is_refused():
+    with pytest.raises(KhovalError, match="genus must be non-negative"):
+        trivial_surface_movie(-1)
+
+
+def test_concatenate_refuses_movies_that_do_not_meet_at_the_unknot():
+    with pytest.raises(MoveError, match="second movie must start at the unknot"):
+        concatenate(punctured_from_empty(1), trivial_surface_movie(0))
+    with pytest.raises(MoveError, match="first movie must end at a trivial-knot still"):
+        concatenate(trivial_surface_movie(0), punctured_to_empty(0))
 
 
 @pytest.mark.parametrize("label", [-1, 2, True, False, 1.0, "v-"])

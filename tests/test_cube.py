@@ -186,7 +186,8 @@ def test_differential_checks_its_element_once_not_each_term(monkeypatch):
     # each term's edges with no second check, and equals d term by term
     c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
     x = c.element({g: TPoly(1) for g in c.generators_at(0b010)})
-    want = apply_linear([(g, c.ring.one) for g in x.terms], lambda g: c.differential_of(g).terms)
+    want = apply_linear([(g, c.ring.one) for g in x.terms],
+                        lambda g: c.differential_of(g).terms.items())
     checked = []
     monkeypatch.setattr(type(c), "check_generator", lambda self, g: checked.append(g))
     assert c.differential(x).terms == want and checked == []
@@ -453,7 +454,7 @@ def test_a_piece_needs_a_label_for_every_new_circle():
     assert plan.new == (1,)
     for th in ALL_THEORIES:
         c = build_cube(parse_pd("L0"), th)
-        assert apply_pieces(c, (Piece(0, 1, plan, {1: P}),), (M,)) == {Generator(0, (M, P)): 1}
+        assert apply_pieces(c, (Piece(0, 1, plan, {1: P}),), (M,)) == [(Generator(0, (M, P)), 1)]
     for births in (None, {0: P}):
         with pytest.raises(KhovalError, match="unlabeled"):
             Piece(0, 1, plan, births)
@@ -476,34 +477,36 @@ def test_death_weights_and_dotted_births(th):
         assert eps(label, dotted) == weight
         cap = Piece(0, 1, death, deaths={0: DOTTED_CAP if dotted else CAP})
         image = apply_pieces(unknot, (cap,), (label,))
-        assert image == ({Generator(0, ()): TPoly(1)} if weight else {})
+        assert image == ([(Generator(0, ()), TPoly(1))] if weight else [])
     # a cup gives v+, a dotted cup X.v+ = v-, and a dot then acts by X
     birth = transfer(empty.circles(0), unknot.circles(0))
     assert xmult[P] == {M: TPoly(1)}
-    assert apply_pieces(empty, (Piece(0, 1, birth, {0: CUP}),), ()) == {Generator(0, (P,)): TPoly(1)}
-    assert apply_pieces(empty, (Piece(0, -1, birth, {0: DOTTED_CUP}),), ()) == {
-        Generator(0, (M,)): TPoly(-1)
-    }
+    cup = apply_pieces(empty, (Piece(0, 1, birth, {0: CUP}),), ())
+    assert cup == [(Generator(0, (P,)), TPoly(1))]
+    assert apply_pieces(empty, (Piece(0, -1, birth, {0: DOTTED_CUP}),), ()) == [
+        (Generator(0, (M,)), TPoly(-1))
+    ]
     dotted = apply_pieces(empty, (Piece(0, 1, birth, {0: DOTTED_CUP}, dots=(0,)),), ())
-    assert dotted == {Generator(0, (l,)): c for l, c in xmult[M].items()}
+    assert dotted == [(Generator(0, (l,)), c) for l, c in xmult[M].items()]
 
 
-def test_a_piece_compiles_its_label_action_once_at_its_first_application(monkeypatch):
-    # the action is kept on the piece and read by every later application, in every ring
+def test_a_piece_compiles_its_label_action_once_when_it_is_made(monkeypatch):
+    # the action is kept on the piece and read by every application, in every ring
     import khoval.cube as cube_module
 
     compiled, label_action = [], cube_module._label_action
     monkeypatch.setattr(cube_module, "_label_action",
-                        lambda p, k: compiled.append(p) or label_action(p, k))
+                        lambda p: compiled.append(p) or label_action(p))
     d = parse_pd(PD_CODES["hopf"])
     piece = Piece(1, 1, transfer(resolve(d, 0), resolve(d, 1)))  # the saddle along edge (0, 0)
-    assert piece.plan.merge is not None and piece.action is None and compiled == []
+    assert piece.plan.merge is not None and compiled == [piece] and type(piece.action) is tuple
+    action = piece.action
     for th in Theory:
         c = build_cube(d, th)
-        assert dict(c._edge_image(0, 0, 0b10)) == {Generator(1, (M,)): c.ring.one}, th
+        assert c._edge_image(0, 0, 0b10) == [(Generator(1, (M,)), c.ring.one)], th
         for _ in range(3):
-            assert apply_pieces(c, (piece,), (M, P)) == {Generator(1, (M,)): c.ring.one}, th
-            assert compiled == [piece] and type(piece.action) is tuple
+            assert apply_pieces(c, (piece,), (M, P)) == [(Generator(1, (M,)), c.ring.one)], th
+            assert compiled == [piece] and piece.action is action
 
 
 def test_piece_refuses_a_circle_vanishing_without_a_death_rule():

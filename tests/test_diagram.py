@@ -209,6 +209,11 @@ def assert_resolutions_match_the_union_find(d, name):
         assert_resolution_matches(resolve(d, mask), resolve_union_find(d, mask), (name, mask))
 
 
+def test_torus2_pd_refuses_zero_crossings():
+    with pytest.raises(KhovalError, match="need at least one crossing"):
+        torus2_pd(0)
+
+
 def test_resolve_matches_the_union_find_oracle(corpus):
     # the kinked unknots have one arc with both darts on their one crossing
     assert {"unknot_pos_kink", "unknot_neg_kink"} <= corpus.keys()

@@ -128,6 +128,11 @@ def test_r1_remove_rejects_non_kink():
         apply_esi(trefoil(), ESI("r1", variant="remove", crossing=1))
 
 
+def test_r1_remove_refuses_a_crossing_id_that_does_not_exist():
+    with pytest.raises(MoveError, match="no crossing with id 9"):
+        apply_esi(trefoil(), ESI("r1", variant="remove", crossing=9))
+
+
 def test_r1_remove_kinked_unknot_gives_loop():
     d, info = apply_esi_info(unknot(), ESI("r1", variant="add_neg", arc=1))
     d2, _ = apply_esi_info(
@@ -252,6 +257,11 @@ def test_r3_rejects_non_triangle():
             parse_pd(PD_CODES["braid_closure"]),
             ESI("r3", crossings=(1, 2, 3), variant="braid"),
         )
+
+
+def test_r3_refuses_a_repeated_crossing():
+    with pytest.raises(MoveError, match="three distinct crossings"):
+        apply_esi(trefoil(), ESI("r3", crossings=(1, 1, 2), variant="braid"))
 
 
 def test_r3_unknown_variant():
