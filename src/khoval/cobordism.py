@@ -24,9 +24,10 @@ on the triangle's sides come off by R1 ops before it and go back on by R1
 ops after.  No map resolves more of a cube than the vertices it reaches.
 
 Only the ring depends on the theory: all else a map builds is kept on the
-still it reads from, its resolutions and label tables and, per event, an
-entry (`_event`) with the rewrite, its arc hints and every piece table, so
-maps of every theory between two stills rewrite, resolve and plan once.
+still it reads from, its resolutions and, per event, an entry (`_event`)
+with the rewrite, its arc hints and every piece table, so maps of every
+theory between two stills rewrite, resolve and plan once; the label tables
+of the cube edges are kept once per process (`cube.label_table`).
 `ChainMapRep.apply` is the linear extension of the ops and `of_generator`
 one generator's image, computed on each call: no caller asks for one twice.
 One sweep (`_sweep`, over the stills `Movie.replay` took from the entries)

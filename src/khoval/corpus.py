@@ -151,15 +151,15 @@ def _suite_movies(cap: int) -> tuple[bool, str]:
     expected = {0: TPoly(0), 1: TPoly(2), 2: TPoly(0), 3: TPoly({1: 8}),
                 4: TPoly(0), 5: TPoly({2: 32})}
     for genus, want in expected.items():
-        got = bn_invariant(trivial_surface_movie(genus))
+        got = bn_invariant(trivial_surface_movie(genus), cap)
         if got != want:
             return False, f"genus {genus}: BN = {got}, expected {want}"
-    if kj_number(trivial_surface_movie(1)) != 2:
+    if kj_number(trivial_surface_movie(1), cap) != 2:
         return False, "torus KJ != 2"
-    if bn_invariant(torus_with_detour_movie()) != TPoly(2):
+    if bn_invariant(torus_with_detour_movie(), cap) != TPoly(2):
         return False, "detour torus BN != 2"
     for m_half in range(3):
-        got = punctured_eval(punctured_to_empty(2 * m_half), MINUS)
+        got = punctured_eval(punctured_to_empty(2 * m_half), MINUS, cap=cap)
         want = TPoly({m_half: 4 ** m_half})
         if got != want and got != -want:
             return False, f"punctured genus {2*m_half}: {got}"

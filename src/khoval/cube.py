@@ -1,22 +1,27 @@
 """The cube of modules: cochain groups, gradings, and the signed differential.
 
 Vertices of the cube are bitmasks (bit j = smoothing of crossing j), resolved
-on first use and kept on the diagram (`LinkDiagram.resolutions`), as are the
-differential's label tables, so cubes of every theory on one still share
-them and a movie pays only for the vertices its element reaches.  A
-generator is a vertex together with one int label (PLUS = 0 for v+, MINUS
-= 1 for v-) per circle of its resolution, circles being listed in canonical
-order (increasing smallest arc id).
+on first use and kept on the diagram (`LinkDiagram.resolutions`), so cubes of
+every theory on one still share them and a movie pays only for the vertices
+its element reaches.  A generator is a vertex together with one int label
+(PLUS = 0 for v+, MINUS = 1 for v-) per circle of its resolution, circles
+being listed in canonical order (increasing smallest arc id).
 
 The differential has one description, read alike by every reader.  The edge
 flipping crossing j at a vertex has a row (`CubeComplex.edge_row`, derived
 on each call and kept nowhere): its target, its `diagram.edge_key` (four
 circle ids read off both ends' dart arrays at crossing j) and the sign
 (-1)^(number of 1-bits after the flipped position), which makes every
-square face anticommute.  A key's label table over a ring (`label_table`,
-kept on the still) lists, for each labelling of the source circles by its
-index in `itertools.product` order, its image's ((target index, coeff),
-...); an edge of sign -1 reads the table over the ring's `negated` twin.
+square face anticommute.  A key's label table over a ring (`label_table`)
+lists, for each labelling of the source circles by its index in
+`itertools.product` order, its image's ((target index, coeff), ...); an
+edge of sign -1 reads the table over the ring's `negated` twin.  A key
+names circle positions, not a diagram (Bar-Natan's cobordisms are local,
+math/0606318), so the tables are kept once per process in `_TABLES`,
+keyed by (ring, key), and shared by every still, cube and reader.  A
+process keeps every table it builds, as one call on a still already did:
+T(2,11)'s 65 keys hold 3.5 MiB over Khovanov's integer ring and 4.2 MiB
+over Lee's, T(2,13)'s 90 keys 17.6 MiB and 21.9 MiB (`tracemalloc`).
 Each cube keeps, per edge it reads, the target, table and target
 labellings (`_edges`): the movie and R3 maps read most edges again.
 `differential_of`, `_edge_op` (the R2 bigon's unit edges, R3's Psi and
@@ -156,7 +161,7 @@ class CubeComplex:
         the edge's target, table and target labellings are kept on the cube (`_edges`)."""
         if (edge := self._edges.get((mask, j))) is None:
             tgt, key, sign = self.edge_row(mask, j)
-            table = label_table(self.diagram, self.ring if sign == 1 else self.ring.negated, key)
+            table = label_table(self.ring if sign == 1 else self.ring.negated, key)
             targets = _labellings(key[0] - 1 if key[1] != key[2] else key[0] + 1)
             edge = self._edges[mask, j] = tgt, table, targets
         tgt, table, targets = edge
@@ -325,9 +330,12 @@ class _Index(dict):
 _labellings, _INDEX = functools.cache(_Labellings), _Index()
 
 
-def label_table(d: LinkDiagram, ring: Ring, key: tuple[int, int, int, int, int]) -> list:
-    """An edge key's label table over a ring, kept on the still: source index -> ((target
-    index, coeff), ...).
+_TABLES: dict[tuple, tuple] = {}  # (ring, edge key) -> its label table, for the process
+
+
+def label_table(ring: Ring, key: tuple[int, int, int, int, int]) -> tuple:
+    """An edge key's label table over a ring, kept for the process (`_TABLES`): source
+    index -> ((target index, coeff), ...), a tuple, as every reader shares it.
 
     `key` is (k, s1, s2, t1, t2) (`diagram.edge_key`); circle c of m is bit
     m - 1 - c of an index.  A merge reads the bits of s1 < s2 and writes
@@ -335,9 +343,11 @@ def label_table(d: LinkDiagram, ring: Ring, key: tuple[int, int, int, int, int])
     t2; the other bits keep their order.  Per source index x, `index[x]` is
     its other bits moved and `code[x]` its read bits' entry in `outs`, and
     its row is written out as the literal of that entry's zero, one or two
-    terms; a ring entry of more terms is refused with `KhovalError`.
+    terms; a ring entry of more terms is refused with `KhovalError`, and
+    nothing is kept.  A table is keyed by the ring object, so Khovanov, Lee
+    and each ring's `negated` twin have tables of their own.
     """
-    if (table := d.tables.get((ring, key))) is not None:
+    if (table := _TABLES.get((ring, key))) is not None:
         return table
     k, s1, s2, t1, t2 = key
     count = k - 1 if s1 != s2 else k + 1
@@ -356,8 +366,8 @@ def label_table(d: LinkDiagram, ring: Ring, key: tuple[int, int, int, int, int])
     for b in range(k):
         m, w = (0, read[b]) if b in read else (next(moved), 0)
         index, code = index + [x | m for x in index], code + [c + w for c in code]
-    table = d.tables[ring, key] = []
-    append = table.append
+    rows = []
+    append = rows.append
     for x, c in zip(index, code):
         out = outs[c]
         if not out:
@@ -368,6 +378,7 @@ def label_table(d: LinkDiagram, ring: Ring, key: tuple[int, int, int, int, int])
         else:
             (o1, v1), (o2, v2) = out
             append(((x | o1, v1), (x | o2, v2)))
+    table = _TABLES[ring, key] = tuple(rows)
     return table
 
 

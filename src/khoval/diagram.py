@@ -37,11 +37,12 @@ crossings in p pieces do not have n + 2p faces (Euler's formula), and the
 saddle, R2 and R3 moves read their planarity rules from the same table.
 
 A diagram also keeps what is computed from it and not from a theory: the
-arc-ordered starts of its resolution walks, its resolutions, the label
-tables of its cube edges (one per ring and edge key) and, per event, the
-structure of the chain maps read from it (`LinkDiagram`), so cubes,
-homology and maps of every theory on one still build each once.  An edge's
-row is derived again where it is read (`CubeComplex.edge_row`).
+arc-ordered starts of its resolution walks, its resolutions and, per
+event, the structure of the chain maps read from it (`LinkDiagram`), so
+cubes, homology and maps of every theory on one still build each once.  An
+edge's row is derived again where it is read (`CubeComplex.edge_row`); its
+label table depends only on the ring and `edge_key`, not on the still, and
+is kept once per process (`cube.label_table`).
 """
 
 from __future__ import annotations
@@ -85,17 +86,18 @@ class LinkDiagram:
     always derived, never trusted from the caller.  `far[x]` is the other
     dart of dart x's arc (darts 4 * crossing index + slot).  `ends[arc]` is a
     crossing arc's (tail, head) darts, each a (crossing index, slot): the arc
-    leaves its tail and enters its head.  Three dicts keep what cubes and
+    leaves its tail and enters its head.  Two dicts keep what cubes and
     chain maps of every theory read again, filled on demand: `resolutions`
     maps each vertex mask resolved so far to its `ResolvedDiagram`
-    (`CubeComplex.circles`), `tables` each (ring, edge key) to its label
-    table (`cube.label_table`, read by the differential and by `homology`),
-    and `maps`, keyed by event, what the chain maps read from this still
-    build: the rewrite and the piece tables (`cobordism`).
+    (`CubeComplex.circles`), and `maps`, keyed by event, what the chain maps
+    read from this still build: the rewrite and the piece tables
+    (`cobordism`).  The label tables of the cube edges are not kept here:
+    they depend only on (ring, edge key), and `cube.label_table` keeps them
+    once per process for every still.
     """
 
     __slots__ = ("crossings", "loops", "n_plus", "n_minus", "far", "ends", "resolutions",
-                 "tables", "maps", "_arc_ids", "_faces", "_starts")
+                 "maps", "_arc_ids", "_faces", "_starts")
 
     def __init__(
         self,
@@ -119,7 +121,6 @@ class LinkDiagram:
         self._faces: Faces | None = None  # built by the first `faces()` call
         self._starts: tuple | None = None  # built by the first `resolve`
         self.resolutions: dict[int, ResolvedDiagram] = {}
-        self.tables: dict[tuple, object] = {}  # (ring, edge key) -> its `cube.label_table`
         self.maps: dict = {}
 
     @staticmethod

@@ -16,13 +16,13 @@ from the residue of the layer below; no generator carries a degree until
 the end, when `CubeIndex.degree` reads the survivors' (i, q) off their
 numbers.  `integer_differential` reads a layer's columns as integer
 offsets into the differential's own label tables (`cube.label_table`, one
-per `diagram.edge_key` over `algebra.INT_RINGS`, kept on the diagram and
-shared with every other reader of the differential: homology reads nearly
-every row of each), with the edge sign applied inline, so no `TPoly` and
-no per-generator `Generator` is built.  The residual complex is homotopy
-equivalent to the original and has only non-unit entries; Smith normal
-form over arbitrary-precision integers of each residual block gives ranks
-and invariant factors.  For the undeformed theory the blocks are keyed by
+per `diagram.edge_key` over `algebra.INT_RINGS`, kept once per process and
+shared with every other reader of the differential and every later call on
+any still: homology reads nearly every row of each), with the edge sign
+applied inline, so no `TPoly` and no per-generator `Generator` is built.
+The residual complex is homotopy equivalent to the original and has only
+non-unit entries; Smith normal form over arbitrary-precision integers of
+each residual block gives ranks and invariant factors.  For the undeformed theory the blocks are keyed by
 (i, q); at t = 1 the q-grading collapses and Lee's blocks are (i, None),
 reported by i alone.  `graded_euler` counts each vertex's generators by
 binomials from the same per-vertex (i, top q, circle count), read off
@@ -193,7 +193,7 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
                 key = edge_key(c.diagram, mask, j, src, c.circles(tgt))
                 # `CubeComplex.edge_sign` inline: through the method, homology ran 1 % slower
                 sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
-                rows.append((offsets[tgt], sign, label_table(c.diagram, ring, key)))
+                rows.append((offsets[tgt], sign, label_table(ring, key)))
         (_, top, k), base = index.vertices[mask], offsets[mask]
         if lee:
             runs += [(top - 2 * m, base, rows, xs) for m, xs in enumerate(_by_weight(k))]

@@ -26,3 +26,11 @@ def resolve_calls(monkeypatch):
 
     monkeypatch.setattr(khoval.cube, "resolve", counting)
     return calls
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The process's label tables (`cube._TABLES`), empty for this test alone."""
+    kept = {}
+    monkeypatch.setattr(khoval.cube, "_TABLES", kept)
+    return kept

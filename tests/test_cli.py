@@ -7,7 +7,7 @@ import pytest
 
 from khoval.cli import main
 from khoval.cobordism import canonical_movies, movie_to_json
-from khoval.corpus import PD_CODES
+from khoval.corpus import PD_CODES, verify_all
 
 MOVIES_DIR = Path(__file__).resolve().parent.parent / "movies"
 
@@ -484,3 +484,10 @@ def test_verify_command(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_surface_values_keep_to_the_cap():
+    # the movies' evaluations read the cap too: at cap 1 their 2-crossing
+    # stills are refused, as `khoval movie --cap 1` refuses them
+    results = {name: (ok, detail) for name, ok, detail in verify_all(cap=1)}
+    assert results["surface-values"] == (False, "error: diagram has 2 crossings, cap is 1")

@@ -288,10 +288,11 @@ def test_check_faces_fails_on_a_corrupted_edge(th):
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES)
-def test_an_edge_at_a_vertex_of_many_circles_reads_one_whole_table(th):
+def test_an_edge_at_a_vertex_of_many_circles_reads_one_whole_table(tables, th):
     # T(2,11) with crossing 0 alone 0-smoothed: 10 circles, split into 11
-    # along its one edge; the edge's one table has a row for each of the
-    # 2^10 labellings and equals the table carried through the general plan
+    # along its one edge; the edge's one table, the only one the process
+    # builds, has a row for each of the 2^10 labellings and equals the
+    # table carried through the general plan
     d = parse_pd(torus2_pd(11))
     c = build_cube(d, th)
     mask = (1 << 11) - 2
@@ -299,21 +300,89 @@ def test_an_edge_at_a_vertex_of_many_circles_reads_one_whole_table(th):
     for labels in [(P,) * 10, (M, P) * 5]:
         g = Generator(mask, labels)
         assert c.differential_of(g).terms == differential_termwise(c, g)
-    ((ring, key), table), = d.tables.items()
-    assert table == label_table_termwise(d, mask, 0, ring)
+    ((ring, key), table), = tables.items()
+    assert list(table) == label_table_termwise(d, mask, 0, ring)
 
 
-def test_label_table_refuses_a_ring_entry_of_more_than_two_terms():
+def test_label_table_refuses_a_ring_entry_of_more_than_two_terms(tables):
     # every ring of the package has entries of at most two terms, each
     # row written out as a literal of zero, one or two; a third term is
     # refused, and no table is kept
     ints = INT_RINGS[Theory.LEE]
     wide = Ring(ints.multiply, ({(P, M): 1, (M, P): 1, (P, P): 1}, ints.comultiply[M]), 1)
-    d = parse_pd(PD_CODES["trefoil"])
     with pytest.raises(KhovalError, match="more than two terms"):
-        label_table(d, wide, (1, 0, 0, 0, 1))
-    assert d.tables == {}
-    assert label_table(d, ints, (1, 0, 0, 0, 1)) == [((0b01, 1), (0b10, 1)), ((0b11, 1), (0b00, 1))]
+        label_table(wide, (1, 0, 0, 0, 1))
+    assert tables == {}
+    assert label_table(ints, (1, 0, 0, 0, 1)) == (((0b01, 1), (0b10, 1)), ((0b11, 1), (0b00, 1)))
+    assert list(tables) == [(ints, (1, 0, 0, 0, 1))]
+
+
+def edge_tables(c):
+    """(edge key, sign) -> the table object cube c read for it, over every edge c has read."""
+    read = {}
+    for (mask, j), (_, table, _) in c._edges.items():
+        _, key, sign = c.edge_row(mask, j)
+        assert read.setdefault((key, sign), table) is table
+    return read
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES)
+def test_two_stills_read_one_table_per_shared_key(tables, th):
+    # a key names circle positions, not a diagram: the trefoil's and the
+    # figure-eight's cubes read one table object for each key they share
+    cubes = [build_cube(parse_pd(PD_CODES[name]), th) for name in ("trefoil", "figure8")]
+    for c in cubes:
+        for g in c.generators():
+            c.differential_of(g)
+    trefoil, figure8 = map(edge_tables, cubes)
+    shared = trefoil.keys() & figure8.keys()
+    assert shared and all(trefoil[k] is figure8[k] for k in shared)
+    assert len(tables) == len(trefoil.keys() | figure8.keys())
+
+
+def test_khovanov_and_lee_never_share_a_table(tables):
+    # tables are keyed by the ring object: Khovanov's and Lee's cubes and
+    # homology each build their own, and a merge of two v- labels tells
+    # them apart (0 in Khovanov, v+ in Lee)
+    d = parse_pd(torus2_pd(5))
+    for th in (Theory.KHOVANOV, Theory.LEE):
+        c = build_cube(d, th)
+        for g in c.generators():
+            c.differential_of(g)
+        homology(build_cube(d, th))
+    assert len({id(table) for table in tables.values()}) == len(tables)
+    rings = {ring for ring, _ in tables}
+    khovanov = {RINGS[Theory.KHOVANOV], RINGS[Theory.KHOVANOV].negated, INT_RINGS[Theory.KHOVANOV]}
+    lee = {INT_RINGS[Theory.LEE], INT_RINGS[Theory.LEE].negated}
+    assert rings == khovanov | lee
+    merge = (2, 0, 1, 0, 0)
+    assert label_table(INT_RINGS[Theory.KHOVANOV], merge)[0b11] == ()
+    assert label_table(INT_RINGS[Theory.LEE], merge)[0b11] == ((0, 1),)
+
+
+@pytest.mark.parametrize("ring", [*(RINGS[th] for th in Theory), *INT_RINGS.values()])
+def test_a_negated_ring_gets_a_table_of_its_own(tables, ring):
+    # an edge of sign -1 reads the `negated` twin's table: another object,
+    # each coefficient negated
+    for key in [(2, 0, 1, 0, 0), (1, 0, 0, 0, 1), (3, 0, 2, 1, 1), (3, 1, 1, 0, 3)]:
+        table, negated = label_table(ring, key), label_table(ring.negated, key)
+        assert negated is not table and negated is label_table(ring.negated, key)
+        assert negated == tuple(tuple((t, -v) for t, v in row) for row in table)
+    assert len(tables) == 8
+
+
+def test_a_label_table_cannot_be_changed(tables):
+    # every reader in the process shares a table, so it is a tuple of
+    # tuples: no reader can change a row, add one or replace an entry
+    table = label_table(INT_RINGS[Theory.LEE], (2, 0, 1, 0, 0))
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    assert all(type(term) is tuple for row in table for term in row)
+    with pytest.raises(TypeError):
+        table[0] = ()
+    with pytest.raises(AttributeError):
+        table.append(())
+    with pytest.raises(TypeError):
+        table[1][0] = (0, 1)
 
 
 def test_labelling_indices_are_product_order():
@@ -372,7 +441,7 @@ def test_edge_row_classification_matches_counts(corpus):
                 # untouched circles correspond bijectively: with the flipped
                 # crossing's circles all v+, the labellings of the others
                 # reach as many distinct target labellings
-                table, read = label_table(d, c.ring, key), 1 << k - 1 - s1 | 1 << k - 1 - s2
+                table, read = label_table(c.ring, key), 1 << k - 1 - s1 | 1 << k - 1 - s2
                 reached = {table[x][0][0] for x in range(1 << k) if not x & read}
                 assert len(reached) == 2 ** (k - (2 if s1 != s2 else 1))
 
@@ -395,7 +464,7 @@ def assert_edge_plans_match_the_general_plan(d):
                 src, tgt = c.circles(mask), c.circles(mask | 1 << j)
                 _, edge, sign = c.edge_row(mask, j)
                 ring = c.ring if sign == 1 else c.ring.negated
-                table = label_table(d, ring, edge)
+                table = label_table(ring, edge)
                 plan = transfer(resolve(d, mask), resolve(d, mask | 1 << j))
                 if (plan, sign) not in references:
                     references[plan, sign] = label_table_termwise(d, mask, j, ring)
@@ -417,7 +486,7 @@ def test_edge_plans_match_the_general_plan(name):
     assert_edge_plans_match_the_general_plan(diagram(name))
 
 
-def test_edge_row_refuses_a_non_planar_edge():
+def test_edge_row_refuses_a_non_planar_edge(tables):
     # a self-crossing circle X(a,b,a,b): one circle stays one circle
     # (`parse_pd` refuses the code, so it is built directly); the edge is
     # refused every time, before any row or table is stored
@@ -426,17 +495,17 @@ def test_edge_row_refuses_a_non_planar_edge():
         with pytest.raises(MoveError, match="not planar") as refused:
             build_cube(d, Theory.KHOVANOV).edge_row(0, 0)
         assert "crossing 1 at vertex 0" in str(refused.value)
-    assert d.tables == {}
+    assert tables == {}
 
 
 @pytest.mark.parametrize("th", [Theory.KHOVANOV, Theory.LEE])
-def test_homology_refuses_a_non_planar_edge(th):
+def test_homology_refuses_a_non_planar_edge(tables, th):
     # homology reads the edge key itself: the same refusal, and no table stored
     d = LinkDiagram([(1, (1, 2, 1, 2))])
     with pytest.raises(MoveError, match="not planar") as refused:
         homology(build_cube(d, th))
     assert "crossing 1 at vertex 0" in str(refused.value)
-    assert d.tables == {}
+    assert tables == {}
 
 
 def test_edge_row_refuses_an_edge_off_the_cube():
