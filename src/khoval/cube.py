@@ -53,8 +53,8 @@ t = 1), and a caller's generator whose labels do not fit its vertex is
 refused there.  A piece of sign -1 reads the `negated` twin too, so
 applying a map negates no coefficient, and every unit is one of two shared
 `TPoly`s (`algebra`), so `_carry` and `_times` test a `TPoly` for a unit by
-identity and an `int` by value.  Terms' `Generator`s are made by
-`tuple.__new__`; a piece's label action is compiled when the piece is made
+identity and an `int` by value.  Terms' and `generators_at`'s `Generator`s
+are made by `tuple.__new__`; a piece's label action is compiled when made
 (`_label_action`).
 
 The gradings have one home, `CubeComplex.vertex`: a vertex's cohomological
@@ -182,9 +182,9 @@ class CubeComplex:
     # -- generators and degrees ---------------------------------------------
 
     def generators_at(self, mask: int) -> Iterator[Generator]:
-        k = self.circles(mask).count
-        for labels in itertools.product(LABELS, repeat=k):
-            yield Generator(mask, labels)
+        k, new = self.circles(mask).count, tuple.__new__
+        for labels in map(_labellings(k).__getitem__, range(1 << k)):  # itertools.product order
+            yield new(Generator, (mask, labels))
 
     def generators(self) -> Iterator[Generator]:
         for mask in range(1 << self.n):

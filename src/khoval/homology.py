@@ -5,21 +5,18 @@ layer p is the vertices with p bits set, and both the Khovanov and the Lee
 differential go from layer p to layer p + 1.  A cancelled pair changes only
 the map out of its source's layer (Bar-Natan, math/0606318, Lemma 3.2), so
 only layer p's generators that layer p - 1's pivots left standing get `int`
-columns, and `reduce.eliminate` reduces them left to right, cancelling
-their +-1 entries against layer p + 1.  Lee's columns come in ascending q
-(cube order within each q), so the entries that its q-raising term brings
-in land on rows that no pivot holds yet: at T(2,9) its fill falls from
-109,035 entries in cube order to 60,345.  Khovanov's come in cube order:
-its q-blocks never meet, so that order makes the pivots of ascending q.
-The set `eliminate` returns is the next layer's skip list and is struck
-from the residue of the layer below; no generator carries a degree until
-the end, when `CubeIndex.degree` reads the survivors' (i, q) off their
-numbers.  `integer_differential` reads a layer's columns as integer
-offsets into the differential's own label tables (`cube.label_table`, one
-per `diagram.edge_key` over `algebra.INT_RINGS`, kept once per process and
-shared with every other reader of the differential and every later call on
-any still: homology reads nearly every row of each), with the edge sign
-applied inline, so no `TPoly` and no per-generator `Generator` is built.
+columns, in one sweep per layer: `integer_differential` yields them one at
+a time and `reduce.eliminate` reduces each and cancels its first +-1 entry
+against layer p + 1 before the next is built.  Lee's columns come in
+ascending q, so the entries that its q-raising term brings in land on
+rows that no pivot holds yet: at T(2,9) its fill falls from 109,035
+entries in cube order to 60,345.  The generators `eliminate` cancels are
+the next layer's skip list and are struck from the residue of the layer
+below; only the survivors get their (i, q), read off their numbers by
+`CubeIndex.degree`.  A column is integer offsets into the label tables
+(`cube.label_table` over `algebra.INT_RINGS`, one per `diagram.edge_key`,
+kept in `cube._TABLES`), with the edge sign inline: no `TPoly`, no
+per-generator `Generator`.
 The residual complex is homotopy equivalent to the original and has only
 non-unit entries; Smith normal form over arbitrary-precision integers of
 each residual block gives ranks and invariant factors.  For the undeformed theory the blocks are keyed by
@@ -42,7 +39,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Iterator
 
+from . import cube
 from .algebra import INT_RINGS, LaurentPoly, Theory
 from .cube import CubeComplex, label_table
 from .diagram import LinkDiagram, edge_key
@@ -146,8 +145,8 @@ class CubeIndex:
     labelling read as a binary number (v+ = 0, circle 0 the most significant
     bit) plus the vertex's offset.  `layers[p]` lists the masks with p bits
     set, for p in range(n + 1).  It resolves every vertex (one dart walk
-    each, kept on the diagram); `integer_differential` reads their `darts`
-    via `edge_key`.
+    each, into `LinkDiagram.resolutions`, where `integer_differential`
+    reads both ends of each edge).
     """
 
     def __init__(self, c: CubeComplex):
@@ -165,35 +164,33 @@ class CubeIndex:
         return i, top - 2 * (g - self.offsets[mask]).bit_count()
 
 
-def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
-    """Layer p's integer columns {g: {h: coeff}}, skipping the generators in `skip`.
+def integer_differential(index: CubeIndex, p: int, skip=()) -> Iterator[tuple[int, dict]]:
+    """Layer p's integer columns, one (g, {h: coeff}) pair at a time, skipping those in `skip`.
 
     A column is its labelling's signed images in the label tables of its
-    vertex's edges over `INT_RINGS` (ascending crossing order), each shifted
-    by the target's offset.  Lee's columns are inserted in ascending q, in
-    cube order within each q: a labelling with m v- labels sits at q = top
-    - 2m (`CubeIndex.vertices`), so a vertex's labellings of one m
-    (`_by_weight(k)[m]`) are one run, and a stable sort of the runs by
-    their q gives the order.  Khovanov's columns are inserted in cube order,
-    one run per vertex: its q-blocks never meet, so cube order makes the
-    pivots and residue of ascending q without sweeping the layer once per q
-    (the sorted runs measured 4-8 % slower on Khovanov's T(2,11)).
+    vertex's edges (ascending crossing order), shifted by the target's
+    offset, and is built as it is drawn; the refusals (a Bar-Natan cube, a
+    layer off the cube, a non-planar edge) come at the call.  A vertex's
+    labellings of m v- labels (`_by_weight(k)[m]`) are one run at q = top -
+    2m; Lee's runs are sorted stably by q, Khovanov's stay in cube order, as
+    its q-blocks never meet (sorted, its T(2,11) ran 4-8 % slower).
     """
     c, offsets = index.cube, index.offsets
     if p not in range(c.n + 1):
         raise KhovalError(f"layer {p} is not in the cube's layers 0..{c.n}")
     ring = _integer_ring(c)
-    lee = c.theory is Theory.LEE
+    lee, resolutions, tables = c.theory is Theory.LEE, c.diagram.resolutions, cube._TABLES
     runs = []  # (q for Lee, offset, edge rows, labelling indices)
     for mask in index.layers[p]:
-        src, rows = c.circles(mask), []
+        src, rows = resolutions[mask], []
         for j in range(c.n):
             if not (mask >> j) & 1:
                 tgt = mask | 1 << j
-                key = edge_key(c.diagram, mask, j, src, c.circles(tgt))
+                key = edge_key(c.diagram, mask, j, src, resolutions[tgt])
+                table = tables.get((ring, key)) or label_table(ring, key)  # never empty
                 # `CubeComplex.edge_sign` inline: through the method, homology ran 1 % slower
                 sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
-                rows.append((offsets[tgt], sign, label_table(ring, key)))
+                rows.append((offsets[tgt], sign, table))
         (_, top, k), base = index.vertices[mask], offsets[mask]
         if lee:
             runs += [(top - 2 * m, base, rows, xs) for m, xs in enumerate(_by_weight(k))]
@@ -201,13 +198,18 @@ def integer_differential(index: CubeIndex, p: int, skip=()) -> dict:
             runs.append((0, base, rows, range(1 << k)))
     if lee:
         runs.sort(key=itemgetter(0))
-    diff: dict[int, dict[int, int]] = {}
-    for _, base, rows, xs in runs:
-        for x in xs:
-            if (g := base + x) not in skip:
-                # distinct targets: each edge reaches its own vertex, a row distinct labellings
-                diff[g] = {off + t: sign * v for off, sign, table in rows for t, v in table[x]}
-    return diff
+
+    def columns() -> Iterator[tuple[int, dict]]:
+        for _, base, rows, xs in runs:
+            for x in xs:
+                if (g := base + x) not in skip:
+                    # distinct targets: each edge reaches its own vertex, a row distinct labellings
+                    col = {}  # a loop, not a comprehension: 5 % faster on CPython 3.11
+                    for off, sign, table in rows:
+                        for t, v in table[x]:
+                            col[off + t] = sign * v
+                    yield g, col
+    return columns()
 
 
 @functools.cache
@@ -229,7 +231,7 @@ def _integer_ring(c: CubeComplex):
 def reduced_complex(c: CubeComplex) -> tuple[dict, dict]:
     """The cube complex with every unit entry cancelled: degrees {g: (i, q)} and columns.
 
-    `eliminate` runs on each layer's columns with the next layer's
+    `eliminate` sweeps each layer's columns with the next layer's
     generators as targets.  The targets it cancels get no column in the
     next layer, and the sources it cancels leave the residue of the layer
     below, which then moves into the result.  Only the survivors get degrees.
@@ -241,8 +243,7 @@ def reduced_complex(c: CubeComplex) -> tuple[dict, dict]:
     residue: dict = {}  # layer p - 1's residual columns, into layer p
     cancelled: set = set()  # what layer p - 1's pivots cancelled: its sources, layer p's targets
     for p in range(c.n + 1):
-        columns = integer_differential(index, p, cancelled)
-        cancelled = eliminate(columns)
+        columns, cancelled = eliminate(integer_differential(index, p, cancelled))
         for col in residue.values():
             for h in [h for h in col if h in cancelled]:
                 del col[h]

@@ -21,7 +21,10 @@ by generator is the reference for `graded_euler`'s binomial counts.
 Eager unit-pivot elimination through a row index, each pivot cancelled at
 once in every column that hits it, is the reference for the pivots,
 residue and insertion order of `reduce.eliminate`'s column reduction.
-Each cube edge's label table carried labelling by labelling with
+The two-stage layer step, every column of a layer built into one dict
+before an in-place elimination pass visits them, is the reference for the
+degrees, columns and insertion orders of `homology.reduced_complex`'s
+streamed sweep.  Each cube edge's label table carried labelling by labelling with
 `transfer_labels` through the general `transfer` plan of the edge's two
 fresh resolutions, over label tuples and a tuple-to-index dict, is the
 reference for the bit arithmetic of `cube.label_table`.
@@ -34,14 +37,16 @@ comultiply tables, checks the tube identities.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import defaultdict
 from fractions import Fraction
 
 from khoval.algebra import INT_RINGS, LABELS, MINUS, PLUS, RINGS, LaurentPoly, Theory, TPoly
-from khoval.cube import CubeComplex, Generator
-from khoval.diagram import ResolvedDiagram, Transfer, resolve, transfer
+from khoval.cube import CubeComplex, Generator, label_table
+from khoval.diagram import ResolvedDiagram, Transfer, edge_key, resolve, transfer
 from khoval.errors import KhovalError
+from khoval.homology import CubeIndex
 from khoval.moves import apply_esi_info
 
 
@@ -608,3 +613,108 @@ def eliminate_row_index(degrees: dict, diff: dict) -> None:
         if len(survivors) == len(order):
             break
         order = survivors
+
+
+def reduced_complex_two_stage(c: CubeComplex) -> tuple[dict, dict]:
+    """`homology.reduced_complex` in two stages per layer: all columns, then elimination.
+
+    The reference for the streamed layer sweep: each layer's columns are
+    first built into one dict (`layer_columns`), then eliminated in place
+    by `eliminate_in_place`, so a column is built before any pivot of its
+    layer is chosen.  Degrees are read for the survivors only.
+    """
+    index = CubeIndex(c)
+    diff: dict = {}
+    residue: dict = {}
+    cancelled: set = set()
+    for p in range(c.n + 1):
+        columns = layer_columns(index, p, cancelled)
+        cancelled = eliminate_in_place(columns)
+        for col in residue.values():
+            for h in [h for h in col if h in cancelled]:
+                del col[h]
+        diff.update(residue)
+        residue = columns
+    diff.update(residue)
+    return {g: index.degree(g) for g in diff}, diff
+
+
+def layer_columns(index, p: int, skip=()) -> dict:
+    """Layer p's integer columns {g: {h: coeff}} in one dict, skipping the generators in `skip`.
+
+    Each edge's label table over the integer ring, signed and shifted by its
+    target's offset; Lee's columns in ascending q (cube order within each
+    q), Khovanov's in cube order.
+    """
+    c, offsets = index.cube, index.offsets
+    ring = INT_RINGS[c.theory]
+    runs = []
+    for mask in index.layers[p]:
+        rows = []
+        for j in range(c.n):
+            if not (mask >> j) & 1:
+                tgt = mask | 1 << j
+                key = edge_key(c.diagram, mask, j, c.circles(mask), c.circles(tgt))
+                sign = -1 if (mask >> (j + 1)).bit_count() & 1 else 1
+                rows.append((offsets[tgt], sign, label_table(ring, key)))
+        _, top, k = index.vertices[mask]
+        for x in range(1 << k):
+            q = top - 2 * x.bit_count() if c.theory is Theory.LEE else 0
+            runs.append((q, offsets[mask] + x, rows, x))
+    runs.sort(key=lambda run: run[0])
+    return {g: {off + t: sign * v for off, sign, table in rows for t, v in table[x]}
+            for _, g, rows, x in runs if g not in skip}
+
+
+def eliminate_in_place(diff: dict) -> set:
+    """Cancel unit entries of `diff` in place, pass by pass; return the cancelled generators.
+
+    Each pass visits the columns in insertion order: a column first takes
+    the updates of the pivots chosen before it, in pivot order, then
+    cancels its first unit entry.  The pass ends by updating its survivors
+    and dropping the cancelled generators' columns.
+    """
+    order = list(diff)
+    cancelled: set = set()
+    while True:
+        pivots: list = []  # (g, h, -lam, rho) in the order chosen
+        number: dict = {}  # each cancelled generator to its pivot's number
+        for g in order:
+            col = diff[g]
+            if not col or g in number:
+                continue
+            _apply_pivots(col, pivots, number)
+            for h, c in col.items():
+                if c == 1 or c == -1:
+                    del col[h]
+                    number[g] = number[h] = len(pivots)
+                    pivots.append((g, h, -c, col))
+                    break
+        if not pivots:
+            return cancelled
+        order = [g for g in order if g not in number]
+        for g in order:
+            _apply_pivots(diff[g], pivots, number)
+        for g in number:
+            diff.pop(g, None)
+        cancelled.update(number)
+
+
+def _apply_pivots(col: dict, pivots: list, number: dict) -> None:
+    """Apply to `col` each pivot that hits it, in pivot order, through a heap of pivot numbers."""
+    heap = sorted(number[k] for k in col if k in number)
+    while heap:
+        g, h, scale, rho = pivots[heapq.heappop(heap)]
+        col.pop(g, None)
+        c = col.pop(h, None)
+        if c is None:
+            continue
+        scale *= c
+        for k, v in rho.items():
+            total = col.get(k, 0) + scale * v
+            if total:
+                if k not in col and k in number:
+                    heapq.heappush(heap, number[k])
+                col[k] = total
+            else:
+                col.pop(k, None)

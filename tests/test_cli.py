@@ -130,6 +130,44 @@ def test_movie_theory_flags(capsys):
     assert code == 0 and out.strip() == "Lee = 2"
 
 
+def kinked_torus(lobe):
+    """Six events: a birth split in two, a kink, a band from circle 4 to one lobe, closed.
+
+    Still 3 is `X(5,6,6,5) L0`: arcs 5 and 6 are the kink's two lobes, and
+    circle 4 is the crossing-free circle the first saddle split off.  One
+    birth, two saddles and one death make a torus if the band is oriented.
+    """
+    return json.dumps({"movie": [
+        {"op": "birth"},
+        {"op": "saddle", "arcs": [1, 2]},
+        {"op": "r1", "variant": "add_pos", "arc": 3},
+        {"op": "saddle", "arcs": [lobe, 4]},
+        {"op": "r1", "variant": "remove", "crossing": 1},
+        {"op": "death", "circle": 8},
+    ]})
+
+
+TORUS_VALUES = [("bar-natan", {"BN": "2", "KJ": 2}), ("lee", {"Lee": 2})]
+
+
+@pytest.mark.parametrize("theory, values", TORUS_VALUES)
+def test_kinked_torus_banded_to_lobe_5_has_the_torus_values(capsys, theory, values):
+    # the genus formula at g = 1: BN = 2^g t^((g-1)/2) = 2, KJ = 2, |Lee| = 2
+    code, out, _ = run(capsys, "movie", kinked_torus(5), "--theory", theory, "--format", "json")
+    assert code == 0 and json.loads(out) == values
+
+
+@pytest.mark.xfail(strict=True, reason="prints BN = KJ = Lee = 0: the still keeps no "
+                   "orientation, so a band that may not be oriented is evaluated (ROADMAP item 12)")
+@pytest.mark.parametrize("theory, values", TORUS_VALUES)
+def test_kinked_torus_banded_to_lobe_6_is_a_torus_or_refused(capsys, theory, values):
+    # the same movie with the band to the kink's other lobe: either an
+    # oriented torus with the genus formula's values, or a band that no
+    # orientation allows, refused at the saddle
+    code, out, err = run(capsys, "movie", kinked_torus(6), "--theory", theory, "--format", "json")
+    assert (code == 0 and json.loads(out) == values) or (code == 5 and "event 4" in err)
+
+
 def test_movie_deterministic_output(capsys):
     path = str(MOVIES_DIR / "torus_r2_detour.json")
     _, out1, _ = run(capsys, "movie", path)

@@ -35,6 +35,7 @@ from oracles import (
     kernel_basis,
     label_table_termwise,
     rank_over_field,
+    reduced_complex_two_stage,
     snf_with_transforms,
     torus2_khovanov,
     uct_dims_from_integral,
@@ -269,12 +270,12 @@ def test_integer_columns_skip_the_given_generators():
     # without a skip list every generator of the layer gets one
     c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV)
     index = CubeIndex(c)
-    diff = integer_differential(index, 1)
+    diff = dict(integer_differential(index, 1))
     assert list(diff) == [k for k, g in enumerate(c.generators()) if g.mask.bit_count() == 1]
     skip = set(list(diff)[::2])
-    kept = integer_differential(index, 1, skip)
-    assert kept == {g: col for g, col in diff.items() if g not in skip}
-    assert list(kept) == sorted(kept)
+    kept = list(integer_differential(index, 1, skip))
+    assert kept == [(g, col) for g, col in diff.items() if g not in skip]
+    assert [g for g, _ in kept] == sorted(g for g, _ in kept)
 
 
 def test_lee_columns_come_in_ascending_q():
@@ -283,18 +284,18 @@ def test_lee_columns_come_in_ascending_q():
     # or without a skip list
     c = build_cube(parse_pd(PD_CODES["trefoil"]), Theory.LEE)
     index = CubeIndex(c)
-    diff = integer_differential(index, 1)
+    diff = dict(integer_differential(index, 1))
     layer = [(c.degrees(g)[1], k) for k, g in enumerate(c.generators()) if g.mask.bit_count() == 1]
     assert list(diff) == [k for _, k in sorted(layer)] == [5, 7, 13, 4, 6, 12]
     skip = set(list(diff)[::2])
-    kept = integer_differential(index, 1, skip)
-    assert kept == {g: col for g, col in diff.items() if g not in skip}
-    assert list(kept) == [g for g in diff if g not in skip]
+    kept = list(integer_differential(index, 1, skip))
+    assert kept == [(g, col) for g, col in diff.items() if g not in skip]
 
 
 @pytest.mark.parametrize("p", [-2, -1, 4, 5])
 def test_integer_columns_refuse_a_layer_outside_the_cube(p):
-    # a negative p would otherwise read a layer from the end of the list
+    # a negative p would otherwise read a layer from the end of the list;
+    # the refusal comes at the call, before any pair is drawn
     index = CubeIndex(build_cube(parse_pd(PD_CODES["trefoil"]), Theory.KHOVANOV))
     with pytest.raises(KhovalError, match="not in the cube's layers"):
         integer_differential(index, p)
@@ -403,20 +404,22 @@ def test_homology_does_not_depend_on_the_elimination_order(monkeypatch, name, th
     layers, blocks, residues = [], [], []
 
     def shuffled(index, p, skip=()):
-        diff = integer_differential(index, p, skip)
-        order = list(diff)
-        rng.shuffle(order)
-        # the block: the layer's columns and every generator of the next layer
-        layers.append({*diff, *(k for k, g in enumerate(gens) if g.mask.bit_count() == p + 1)})
-        return {g: diff[g] for g in order}
+        pairs = list(integer_differential(index, p, skip))
+        rng.shuffle(pairs)
+        # the layer's columns, and the block: they and every generator of the next layer
+        sources = {g for g, _ in pairs}
+        layers.append((sources, {*sources, *(k for k, g in enumerate(gens)
+                                             if g.mask.bit_count() == p + 1)}))
+        return iter(pairs)
 
-    def recording(diff):
-        block = layers[-1]
-        cancelled = eliminate(diff)
+    def recording(columns):
+        sources, block = layers[-1]
+        diff, cancelled = eliminate(columns)
         assert cancelled <= block
+        assert set(diff) == sources - cancelled
         assert_reduced(block - cancelled, diff)
         blocks.append(block)
-        return cancelled
+        return diff, cancelled
 
     def final(cube):
         residues.append(reduced_complex(cube))
@@ -458,8 +461,8 @@ def visit_in(monkeypatch, order):
     homology_module = importlib.import_module("khoval.homology")
 
     def reordered(index, p, skip=()):
-        diff = integer_differential(index, p, skip)
-        return {g: diff[g] for g in sorted(diff, key=lambda g: order(index, g))}
+        pairs = integer_differential(index, p, skip)
+        return iter(sorted(pairs, key=lambda pair: order(index, pair[0])))
 
     monkeypatch.setattr(homology_module, "integer_differential", reordered)
 
@@ -507,6 +510,22 @@ def test_integer_columns_refuse_a_bar_natan_cube():
 
 
 @pytest.mark.parametrize("th", INTEGRAL)
+def test_reduced_complex_matches_the_two_stage_reference(corpus, th):
+    # the streamed sweep, each column built, reduced and pivoted on before
+    # the next is built, leaves what building each layer's columns first
+    # and then eliminating leaves: equal degrees in equal order, equal
+    # columns with their entries in equal order
+    diagrams = [*corpus.items(), *((f"T(2,{n})", shuffle_diagram(f"T(2,{n})")) for n in range(1, 10)),
+                *((f"{name}+R1", kinked_base(name)) for name in KINKED_BASES)]
+    for name, d in diagrams:
+        degrees, diff = reduced_complex(build_cube(d, th))
+        want_degrees, want_diff = reduced_complex_two_stage(build_cube(d, th))
+        assert list(degrees.items()) == list(want_degrees.items()), name
+        assert [(g, list(col.items())) for g, col in diff.items()] == \
+            [(g, list(col.items())) for g, col in want_diff.items()], name
+
+
+@pytest.mark.parametrize("th", INTEGRAL)
 def test_homology_streams_the_cube_by_layers(monkeypatch, th):
     # every block handed to `eliminate` holds one layer's columns and the
     # next layer's generators; exactly the generators that no pivot of the
@@ -518,14 +537,15 @@ def test_homology_streams_the_cube_by_layers(monkeypatch, th):
     homology_module = importlib.import_module("khoval.homology")
     built, cancelled, spans = set(), set(), []
 
-    def recording(diff):
+    def recording(columns):
+        diff = dict(columns)
         sources = set(diff)
         targets = {h for col in diff.values() for h in col}
         built.update(sources)
         spans.append({c.degrees(gens[k])[0] for k in sources | targets})
-        returned = eliminate(diff)
+        survivors, returned = eliminate(diff.items())
         cancelled.update(returned - sources)
-        return returned
+        return survivors, returned
 
     monkeypatch.setattr(homology_module, "eliminate", recording)
     degrees, _ = reduced_complex(c)

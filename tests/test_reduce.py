@@ -115,7 +115,7 @@ def test_reduction_preserves_free_rank():
         g: {h: p.coefficient(0) for h, p in cube.differential_of(g).terms.items()}
         for g in degrees
     }
-    degrees = assert_eliminates_like_the_oracle(degrees, diff)
+    degrees, diff = assert_eliminates_like_the_oracle(degrees, diff)
     groups = homology(cube)
     free = sum(g.free_rank for g in groups.values())
     torsion_pairs = sum(len(g.torsion) for g in groups.values())
@@ -136,13 +136,14 @@ def test_eliminate_matches_the_row_index_oracle_on_every_layer_block(monkeypatch
     gens = list(c.generators())
     blocks = []
 
-    def both(diff):
+    def both(columns):
         # the block: the layer's columns and every generator of the next layer
-        p = len(blocks)
+        p, diff = len(blocks), dict(columns)
         targets = [k for k, g in enumerate(gens) if g.mask.bit_count() == p + 1]
         degrees = {k: c.degrees(gens[k]) for k in [*diff, *targets]}
         blocks.append(degrees)
-        return set(degrees) - set(assert_eliminates_like_the_oracle(degrees, diff))
+        survivors, diff = assert_eliminates_like_the_oracle(degrees, diff)
+        return diff, set(degrees) - set(survivors)
 
     # the package's `homology` attribute is the function, not the module
     monkeypatch.setattr(importlib.import_module("khoval.homology"), "eliminate", both)
@@ -176,13 +177,14 @@ def test_eliminate_reduces_only_the_columns_a_pivot_hits(monkeypatch, th, visits
         calls[0] += 1
         _reduce(col, pivots, number)
 
-    def both(diff):
+    def both(columns):
+        diff = dict(columns)
         want = {g: dict(col) for g, col in diff.items()}
         counted[0] += reduce_every_visit(want)
-        cancelled = eliminate(diff)
-        assert [(g, list(col.items())) for g, col in diff.items()] == \
+        survivors, cancelled = eliminate(diff.items())
+        assert [(g, list(col.items())) for g, col in survivors.items()] == \
             [(g, list(col.items())) for g, col in want.items()]
-        return cancelled
+        return survivors, cancelled
 
     monkeypatch.setattr(reduce_module, "_reduce", counting)
     monkeypatch.setattr(importlib.import_module("khoval.homology"), "eliminate", both)
@@ -222,18 +224,19 @@ def reduce_every_visit(diff: dict) -> int:
             diff.pop(g, None)
 
 
-def assert_eliminates_like_the_oracle(degrees: dict, diff: dict) -> dict:
-    """Run `eliminate` on `diff` in place and return the surviving `degrees`.
+def assert_eliminates_like_the_oracle(degrees: dict, diff: dict) -> tuple[dict, dict]:
+    """Run `eliminate` on the pairs of `diff` and return the surviving `degrees` and columns.
 
     The row-index oracle, on copies, drops from its degrees exactly the
-    generators `eliminate` returns and leaves equal columns in equal order.
+    generators `eliminate` returns as cancelled and leaves the columns that
+    it returns, equal and in equal order.
     """
     want_degrees, want_diff = dict(degrees), {g: dict(col) for g, col in diff.items()}
     eliminate_row_index(want_degrees, want_diff)
-    cancelled = eliminate(diff)
+    columns, cancelled = eliminate(iter(diff.items()))
     assert cancelled == set(degrees) - set(want_degrees)
     survivors = {g: q for g, q in degrees.items() if g not in cancelled}
     assert list(survivors.items()) == list(want_degrees.items())
-    assert [(g, list(col.items())) for g, col in diff.items()] == \
+    assert [(g, list(col.items())) for g, col in columns.items()] == \
         [(g, list(col.items())) for g, col in want_diff.items()]
-    return survivors
+    return survivors, columns
