@@ -42,8 +42,8 @@ value at t = 0 is the undeformed integer invariant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .algebra import LABELS, PLUS, TPoly, Theory
 from .cube import (
@@ -319,8 +319,7 @@ def r3_equivalence(event: ESI, src: CubeComplex, tgt: CubeComplex) -> tuple[Chai
 # -- movies ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MovieReport:
+class MovieReport(NamedTuple):
     ok: bool
     index: int | None = None
     reason: str | None = None

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
@@ -113,8 +112,7 @@ class Generator(NamedTuple):
         return f"[{self.mask:b}|{lab}]"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     ok: bool
     detail: str = ""
 

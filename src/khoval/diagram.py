@@ -48,7 +48,6 @@ is kept once per process (`cube.label_table`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import KhovalError, MoveError, OrientationError, ParseError
@@ -70,8 +69,7 @@ __all__ = [
 SMOOTHING_PARTNER = ((3, 2, 1, 0), (1, 0, 3, 2))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """A PD crossing: id, four arc ids (slot 0 = incoming under), and sign."""
 
     cid: int
@@ -91,9 +89,7 @@ class LinkDiagram:
     maps each vertex mask resolved so far to its `ResolvedDiagram`
     (`CubeComplex.circles`), and `maps`, keyed by event, what the chain maps
     read from this still build: the rewrite and the piece tables
-    (`cobordism`).  The label tables of the cube edges are not kept here:
-    they depend only on (ring, edge key), and `cube.label_table` keeps them
-    once per process for every still.
+    (`cobordism`).  Edge label tables are kept per process, not per still.
     """
 
     __slots__ = ("crossings", "loops", "n_plus", "n_minus", "far", "ends", "resolutions",
@@ -104,18 +100,16 @@ class LinkDiagram:
         crossings: Iterable[tuple[int, tuple[int, int, int, int]]] = (),
         loops: Iterable[Sequence[int]] = (),
     ):
-        raw = [(int(cid), tuple(int(a) for a in arcs)) for cid, arcs in crossings]
-        loop_list = tuple(tuple(int(a) for a in lp) for lp in loops)
+        raw = [(int(cid), tuple(map(int, arcs))) for cid, arcs in crossings]
+        loop_list = tuple(tuple(map(int, lp)) for lp in loops)
         darts = self._validate_ids(raw, loop_list)
         self.far = far = [0] * (4 * len(raw))
         for x, y in darts.values():
             far[x], far[y] = y, x
         signs, self.ends = _walk(raw, far)
-        self.crossings: tuple[Crossing, ...] = tuple(
-            Crossing(cid, arcs, signs[idx]) for idx, (cid, arcs) in enumerate(raw)
-        )
+        self.crossings: tuple[Crossing, ...] = tuple(Crossing(*c, s) for c, s in zip(raw, signs))
         self.loops: tuple[tuple[int, ...], ...] = loop_list
-        self.n_plus = sum(1 for c in self.crossings if c.sign > 0)
+        self.n_plus = signs.count(1)
         self.n_minus = len(self.crossings) - self.n_plus
         self._arc_ids = frozenset([*darts, *(a for lp in loop_list for a in lp)])
         self._faces: Faces | None = None  # built by the first `faces()` call
@@ -330,8 +324,7 @@ class ResolvedDiagram:
         return (self.count, self.darts, self.circles) == (other.count, other.darts, other.circles)
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     """How the circles of one resolution become the circles of another.
 
     `copies` pairs each carried-over source circle with its target circle;

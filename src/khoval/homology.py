@@ -37,9 +37,8 @@ import functools
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import cube
 from .algebra import INT_RINGS, LaurentPoly, Theory
@@ -61,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """Z^free_rank plus cyclic torsion in invariant-factor order."""
 
     free_rank: int

@@ -36,7 +36,6 @@ Conventions baked into the rewrites:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
@@ -71,16 +70,7 @@ def _form(kind, variant) -> _Form:
     return form
 
 
-@dataclass(frozen=True)
-class ESI:
-    """One elementary string interaction, addressing ids in the current still.
-
-    Its (kind, variant) is a row of `_FORMS`, which names the one id field it
-    fills; a missing, stray or malformed id field is a `ParseError`, and so
-    is a JSON key other than `op`, `variant` and that field.  Its
-    hash, of (kind, variant, ids), is computed once, when it is made.
-    """
-
+class _ESIFields(NamedTuple):
     kind: str
     variant: str | None = None
     arc: int | None = None
@@ -88,14 +78,24 @@ class ESI:
     crossing: int | None = None
     crossings: tuple[int, ...] | None = None
     circle: int | None = None
-    # the ids, in the order the rewrite takes them; set from the id field
-    ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+
+class ESI(_ESIFields):
+    """One elementary string interaction, addressing ids in the current still.
+
+    Its (kind, variant) is a row of `_FORMS`, which names the one id field it
+    fills; a missing, stray or malformed id field is a `ParseError`, and so
+    is a JSON key other than `op`, `variant` and that field.  Every way of
+    making one checks this: the constructor, `from_json`, `renamed`,
+    `_replace` and `_make`.  It hashes as the tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         form = _form(self.kind, self.variant)
-        value = getattr(self, form.field) if form.field else ()
-        ids = (value,) if form.count == 1 else value
+        ids = self.ids
         filled = 5 - (self.arc, self.arcs, self.crossing, self.crossings, self.circle).count(None)
         if (
             filled != (form.field is not None)  # the form's id field, and no other
@@ -103,21 +103,26 @@ class ESI:
             or len(ids) != form.count
             or not set(map(type, ids)) <= {int}  # an id is an int, not a bool
         ):
-            where = f" in {form.field!r}" if form.field else ""
-            raise ParseError(
-                f"malformed movie event {self}: it takes {form.count} integer ids{where}"
-            )
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "_hash", hash((self.kind, self.variant, ids)))
+            raise ParseError(f"malformed movie event {self}: it takes {form.count} integer ids"
+                             + (f" in {form.field!r}" if form.field else ""))
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    @classmethod
+    def _make(cls, iterable) -> "ESI":  # and so `_replace`, which makes its copy here
+        return cls(*iterable)
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """The ids, in the order the rewrite takes them, read from the form's id field."""
+        form = _FORMS[self.kind, self.variant]
+        value = getattr(self, form.field) if form.field else ()
+        return (value,) if form.count == 1 else value
 
     def renamed(self, arc_map: dict[int, int], crossing_map: dict[int, int]) -> "ESI":
         """The same event on other ids, read through `arc_map` or `crossing_map`."""
         form = _FORMS[self.kind, self.variant]
         names = crossing_map if form.crossing_ids else arc_map
-        return replace(self, **form.keywords([names[x] for x in self.ids]))
+        return self._replace(**form.keywords([names[x] for x in self.ids]))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ESI":
@@ -147,27 +152,38 @@ class ESI:
         return out
 
 
-@dataclass
-class MoveInfo:
-    """Everything a chain map needs to know about one applied move."""
-
+class _MoveFields(NamedTuple):
     kind: str
     variant: str | None
     arc_map: dict[int, int]  # old arc -> representative new arc
-    created_arcs: list[int] = field(default_factory=list)
-    created_crossings: list[int] = field(default_factory=list)
+    created_arcs: list[int]
+    created_crossings: list[int]
     # birth: created loop arcs are in created_arcs
-    victim_arcs: tuple[int, ...] = ()  # death: arcs of the dying circle
+    victim_arcs: tuple[int, ...]  # death: arcs of the dying circle
     # r1: the kink loop arc, the strand representative in the new diagram,
     # kink sign, and (for removals) the position of the crossing.
-    loop_arc: int | None = None
-    strand_arc: int | None = None
-    positive: bool | None = None
-    positions: tuple[int, ...] = ()
+    loop_arc: int | None
+    strand_arc: int | None
+    positive: bool | None
+    positions: tuple[int, ...]
     # r2: piece arcs in template roles (aliases allowed); r3: triangle roles
     # (see `r3.triangle`) and the ids of the R1 kinks its sides carry
-    pieces: dict[str, int] = field(default_factory=dict)
-    kinks: tuple[int, ...] = ()
+    pieces: dict[str, int]
+    kinks: tuple[int, ...]
+
+
+class MoveInfo(_MoveFields):
+    """What a chain map needs to know about one applied move; each owns its lists and dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, variant, arc_map, created_arcs=None, created_crossings=None,
+                victim_arcs=(), loop_arc=None, strand_arc=None, positive=None, positions=(),
+                pieces=None, kinks=()):
+        return tuple.__new__(cls, (  # filled through `_replace`, a replay ran 17 % slower
+            kind, variant, arc_map, [] if created_arcs is None else created_arcs,
+            [] if created_crossings is None else created_crossings, victim_arcs, loop_arc,
+            strand_arc, positive, positions, {} if pieces is None else pieces, kinks))
 
 
 def apply_esi(d: LinkDiagram, event: ESI) -> LinkDiagram:
@@ -192,13 +208,6 @@ def _raw(d: LinkDiagram) -> list[tuple[int, list[int]]]:
     return [(c.cid, list(c.arcs)) for c in d.crossings]
 
 
-def _build(raw, loops) -> LinkDiagram:
-    return LinkDiagram(
-        [(cid, tuple(arcs)) for cid, arcs in raw],
-        [tuple(lp) for lp in loops],
-    )
-
-
 def _require_arc(d: LinkDiagram, a: int) -> None:
     if a not in d.arc_ids():
         raise MoveError(f"arc {a} does not exist in the current still")
@@ -209,9 +218,8 @@ def _require_arc(d: LinkDiagram, a: int) -> None:
 
 def _apply_birth(d: LinkDiagram) -> tuple[LinkDiagram, MoveInfo]:
     f1, f2 = _fresh_arcs(d, 2)
-    new = _build(_raw(d), list(d.loops) + [(f1, f2)])
     info = MoveInfo("birth", None, {}, created_arcs=[f1, f2])
-    return new, info
+    return LinkDiagram(_raw(d), [*d.loops, (f1, f2)]), info
 
 
 def _apply_death(d: LinkDiagram, circle: int) -> tuple[LinkDiagram, MoveInfo]:
@@ -221,9 +229,7 @@ def _apply_death(d: LinkDiagram, circle: int) -> tuple[LinkDiagram, MoveInfo]:
             f"death needs a crossing-free circle; id {circle} is not on one"
         )
     loops = [lp for i, lp in enumerate(d.loops) if i != li]
-    new = _build(_raw(d), loops)
-    info = MoveInfo("death", None, {}, victim_arcs=d.loops[li])
-    return new, info
+    return LinkDiagram(_raw(d), loops), MoveInfo("death", None, {}, victim_arcs=d.loops[li])
 
 
 def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo]:
@@ -265,7 +271,7 @@ def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
         raw[tx][1][sx] = raw[hx][1][shx] = w
         arc_map = dict.fromkeys((x, *d.loops[ly]), w)
         del loops[ly]
-    return _build(raw, loops), MoveInfo("saddle", None, arc_map, created_arcs=created)
+    return LinkDiagram(raw, loops), MoveInfo("saddle", None, arc_map, created_arcs=created)
 
 
 # -- Reidemeister 1 and 2: cutting arcs and fusing pieces -------------------------
@@ -329,7 +335,7 @@ def _apply_r1_add(d: LinkDiagram, a: int, positive: bool) -> tuple[LinkDiagram, 
     p, loop_arc, r, arc_map = _cut(d, raw, a, itertools.count(d.max_arc_id() + 1))
     cid = d.max_crossing_id() + 1
     raw.insert(0, (cid, [p, loop_arc, loop_arc, r] if positive else [p, r, loop_arc, loop_arc]))
-    new = _build(raw, [lp for lp in d.loops if lp[0] not in arc_map])
+    new = LinkDiagram(raw, [lp for lp in d.loops if lp[0] not in arc_map])
     info = MoveInfo(
         "r1",
         "add_pos" if positive else "add_neg",
@@ -375,7 +381,7 @@ def _apply_r1_remove(d: LinkDiagram, cid: int) -> tuple[LinkDiagram, MoveInfo]:
         positive=positive,
         positions=(idx,),
     )
-    return _build(raw, loops), info
+    return LinkDiagram(raw, loops), info
 
 
 def _apply_r2_add(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo]:
@@ -396,7 +402,7 @@ def _apply_r2_add(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo
     cid_a = d.max_crossing_id() + 1
     cid_b = cid_a + 1
     raw[:0] = [(cid_a, [u1, o1, u2, o2]), (cid_b, [u2, o3, u3, o2])]
-    new = _build(raw, [lp for lp in d.loops if lp[0] not in arc_map])
+    new = LinkDiagram(raw, [lp for lp in d.loops if lp[0] not in arc_map])
     info = MoveInfo(
         "r2",
         "add",
@@ -442,7 +448,7 @@ def _apply_r2_remove(
         positions=(ia, ib),
         pieces={"u1": u1, "u2": u2, "u3": u3, "o1": o1, "o2": o2, "o3": o3},
     )
-    return _build(raw, loops), info
+    return LinkDiagram(raw, loops), info
 
 
 # -- Reidemeister 3 ------------------------------------------------------------
@@ -471,7 +477,7 @@ def _apply_r3(d: LinkDiagram, *cids: int) -> tuple[LinkDiagram, MoveInfo]:
             new_arcs[side_kinks[-1]][d.crossings[side_kinks[-1]].arcs.index(arcs[-1])] = y
             kinks.extend(d.crossings[k].cid for k in side_kinks)
 
-    new = _build([(c.cid, arcs) for c, arcs in zip(d.crossings, new_arcs)], list(d.loops))
+    new = LinkDiagram([(c.cid, arcs) for c, arcs in zip(d.crossings, new_arcs)], list(d.loops))
     if any(a.sign != b.sign for a, b in zip(new.crossings, d.crossings)):
         raise MoveError("r3 rewiring changed a crossing sign; not a valid move")
     positions = tuple(d.crossing_by_id(cid)[0] for cid in cids)

@@ -15,13 +15,15 @@ the filtration order of persistence algorithms), each takes the updates of
 the pivots chosen before it, in pivot order, and cancels its first unit
 entry before the next is drawn.  The first pass ends by updating its
 survivors and dropping the cancelled generators; passes over the
-survivors repeat until no unit entry is left.  A pivot changes only the
-columns holding one of its generators, so a column with no generator
-cancelled so far skips the update (on T(2,7), 332 visits to Khovanov's
-1,102 columns update, 360 for Lee).  Each column gets the updates that
-eager elimination gives it, in the same order, so the residue and its
-insertion order are the same.  The pivots depend on the visiting order,
-the homology of the residue does not.
+survivors repeat until no unit entry is left: a pass whose update
+changed no survivor is the last, as each survivor was scanned for a unit
+as it is.  A pivot changes only the columns holding one of its
+generators, so a column with no generator cancelled so far skips the
+update (on T(2,7), 332 visits to Khovanov's 1,102 columns update, 360
+for Lee).  Each column gets the updates that eager elimination gives it,
+in the same order, so the residue and its insertion order are the same.
+The pivots depend on the visiting order, the homology of the residue
+does not.
 
 The same lemma, on the two unit edges of an R2 bigon
 (`cube._bigon_reduction`), gives the R2 chain maps and the R3 cone in
@@ -66,10 +68,12 @@ def eliminate(columns) -> tuple[dict, set]:
         if not pivots:
             return diff, cancelled
         diff = {g: col for g, col in diff.items() if g not in number}
-        for col in diff.values():
-            if not misses(col):
-                _reduce(col, pivots, number)
+        stale = [col for col in diff.values() if not misses(col)]
+        for col in stale:
+            _reduce(col, pivots, number)
         cancelled.update(number)
+        if not stale:  # every survivor was scanned for a unit as it is now
+            return diff, cancelled
         columns = list(diff.items())
 
 

@@ -21,7 +21,6 @@ rewrites are meant to change, regenerate it with
 and say why in the change.
 """
 
-import dataclasses
 import itertools
 import json
 import sys
@@ -82,9 +81,7 @@ def rewrite_lines():
     for name, d, events in instances():
         for k, event in enumerate(events):
             d, info = apply_esi_info(d, event)
-            fields = " ".join(
-                f"{f.name}={_sorted(getattr(info, f.name))!r}" for f in dataclasses.fields(info)
-            )
+            fields = " ".join(f"{f}={_sorted(getattr(info, f))!r}" for f in info._fields)
             signs = [c.sign for c in d.crossings]
             yield (f"{name} | event {k + 1} | {serialize_pd(d)} | {d.loops} | {signs}"
                    f" | {_faces(d)} | {fields}")

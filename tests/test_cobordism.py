@@ -1,6 +1,5 @@
 """ESI chain maps, their contract laws, and movie evaluation."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -583,8 +582,8 @@ def test_two_events_from_one_still_keep_tables_of_their_own():
 
 
 def test_equal_events_hash_alike_and_a_renamed_event_is_a_key_of_its_own():
-    # an event's hash is computed once, from (kind, variant, ids); the two
-    # deaths below read the same still, so both entries live in its `maps`
+    # an event hashes as the tuple of its fields, so the ids enter it; the
+    # two deaths below read the same still, so both entries live in its `maps`
     obj = {"op": "r2", "variant": "add", "arcs": [1, 3]}
     a, b = ESI.from_json(obj), ESI.from_json(json.loads(json.dumps(obj)))
     assert a is not b and a == b and hash(a) == hash(b)
@@ -593,7 +592,7 @@ def test_equal_events_hash_alike_and_a_renamed_event_is_a_key_of_its_own():
     renamed = death.renamed({1: 3}, {})
     assert renamed == ESI("death", circle=3) and hash(renamed) == hash(ESI("death", circle=3))
     assert hash(renamed) != hash(death)  # the ids enter the hash
-    assert hash(dataclasses.replace(death, circle=3)) == hash(renamed)
+    assert hash(death._replace(circle=3)) == hash(renamed)  # the checked replace
     first, second = _event(d, death), _event(d, renamed)
     assert d.maps == {death: first, renamed: second}
     assert first.target != second.target

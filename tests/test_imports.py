@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses, and
 every name in a module's `__all__` is bound in that module.
 
-Importing the package and its command line leaves `khoval.r3` unloaded.
+Importing the package and its command line leaves `khoval.r3`, `dataclasses`
+and `inspect` unloaded.
 """
 
 import ast
@@ -94,11 +95,25 @@ def test_guard_sees_an_export_left_behind():
     assert undefined_exports(source) == ["validate_movie"]
 
 
+def loaded_after(statement: str, module: str) -> bool:
+    """Whether `module` is in `sys.modules` after `statement` runs in a fresh interpreter."""
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    code = f"import sys; {statement}; print({module!r} in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    return run.stdout.strip() == "True"
+
+
 def test_importing_the_package_and_cli_leaves_r3_unloaded():
     # `khoval.r3` loads with the first triangle move, so a command without
     # one does not pay its import
-    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    code = "import sys, khoval, khoval.cli; print('khoval.r3' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert run.stdout.strip() == "False"
+    assert not loaded_after("import khoval, khoval.cli", "khoval.r3")
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_importing_the_package_and_cli_loads_no_dataclasses(module):
+    # the value types are named tuples: the `dataclasses` -> `inspect` chain
+    # and the dataclass-generated methods were half of `import khoval.cli`
+    if loaded_after("pass", module):
+        pytest.skip(f"this interpreter loads {module} at start-up")
+    assert not loaded_after("import khoval, khoval.cli", module)

@@ -163,6 +163,27 @@ def test_eliminate_matches_the_row_index_oracle_on_random_graded_matrices(seed):
     assert_eliminates_like_the_oracle(degrees, diff)
 
 
+def test_a_later_pivot_that_brings_a_unit_into_a_survivor_makes_another_pass(monkeypatch):
+    # 1 -> {3: 2, 4: 3} has no unit when visited; 2 -> {3: 1, 4: 1} cancels
+    # (2, 3) after it, and the end-of-pass update turns column 1 into {4: 1}
+    # (3 - 2 * 1), which the second pass cancels; that update empties column
+    # 0, so a third pass runs, finds no unit and ends the kernel
+    reduce_module = importlib.import_module("khoval.reduce")
+    updated = []
+
+    def recording(col, pivots, number):
+        before = dict(col)
+        _reduce(col, pivots, number)
+        updated.append((before, dict(col)))
+
+    monkeypatch.setattr(reduce_module, "_reduce", recording)
+    degrees = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
+    diff = {0: {4: 2}, 1: {3: 2, 4: 3}, 2: {3: 1, 4: 1}}
+    survivors, columns = assert_eliminates_like_the_oracle(degrees, diff)
+    assert updated == [({3: 2, 4: 3}, {4: 1}), ({4: 2}, {})]
+    assert survivors == {0: 0} and columns == {0: {}}
+
+
 @pytest.mark.parametrize("th, visits", [(Theory.KHOVANOV, 332), (Theory.LEE, 360)])
 def test_eliminate_reduces_only_the_columns_a_pivot_hits(monkeypatch, th, visits):
     # `_reduce` runs at exactly the visits where the column holds a
