@@ -10,29 +10,28 @@ Every map is a chain of ops (`cube`: a generator to its image's terms) that
 `ChainMapRep` composes.  Morse and R1 maps are one op each, made by
 `cube._piece_op` from a table `vertex(mask) -> pieces`, computed once per
 source vertex: a signed sum of dotted cobordisms (`cube.Piece`: a
-circle-transfer plan read through the move's arc hints, with cups, caps and
-dots).  Birth, death and saddle share one Morse table.  The R1 tables act
-on a crossing moved to the front of the crossing order, so they carry the
-Koszul sign of that reordering: positive R1 addition is a dotted cup minus
-a cup with a dot on the strand, negative R1 removal a dotted cap minus a
-cap with a dot on the strand.  R2 is two ops: the Gaussian elimination of
-the poked cube's bigon (`cube._bigon_reduction`) and one carry table
-between its through slice and the cube without the pair, again with the
-Koszul sign.  The R3 map is Bar-Natan's cone formula on the triangle
-crossings (`r3.triangle_map`, one op built from the same reduction); kinks
-on the triangle's sides come off by R1 ops before it and go back on by R1
-ops after.  No map resolves more of a cube than the vertices it reaches.
+circle-transfer plan read through the rewrite's arc map, with cups, caps and
+dots).  Birth, death and saddle share one Morse table, and one R1 rule
+(`_r1`) serves additions and removals, of R1 events and of R3's side kinks,
+with the Koszul sign of moving the kink to the front of the crossing order.
+R2 is two ops: the Gaussian elimination of the poked cube's bigon
+(`cube._bigon_reduction`) and one carry table between its through slice and
+the cube without the pair, again with the Koszul sign.  The R3 map is
+Bar-Natan's cone formula on the triangle crossings (`r3.triangle_map`, one
+op built from the same reduction); kinks on the triangle's sides come off by
+R1 ops before it and go back on by R1 ops after.  No map resolves more of a
+cube than the vertices it reaches.
 
 Only the ring depends on the theory: all else a map builds is kept on the
 still it reads from, its resolutions and, per event, an entry (`_event`)
-with the rewrite, its arc hints and every piece table, so maps of every
-theory between two stills rewrite, resolve and plan once; the label tables
-of the cube edges are kept once per process (`cube.label_table`).
-`ChainMapRep.apply` is the linear extension of the ops and `of_generator`
-one generator's image, computed on each call: no caller asks for one twice.
-One sweep (`_sweep`, over the stills `Movie.replay` took from the entries)
-carries an element per theory: `bn_and_kj` a Bar-Natan and a Khovanov
-element; `eval_movie` is the one-theory sweep.
+with the rewrite and every piece table, so maps of every theory between two
+stills rewrite, resolve and plan once; the label tables of the cube edges
+are kept once per process (`cube.label_table`).  `ChainMapRep.apply` is the
+linear extension of the ops and `of_generator` one generator's image,
+computed on each call: no caller asks for one twice.  One sweep (`_sweep`,
+over the stills `Movie.replay` took from the entries) carries an element per
+theory: `bn_and_kj` a Bar-Natan and a Khovanov element; `eval_movie` is the
+one-theory sweep.
 
 Evaluating a closed movie on 1 gives the endomorphism of the ground ring:
 its absolute value is the deformed invariant (a polynomial in t), whose
@@ -128,15 +127,14 @@ class ChainMapRep:
 
 
 class _Event(dict):
-    """An event's entry in its source still's `maps`: the rewrite (`target`, `info`), its
-    arc hints for `transfer` (`hints`: each arc of the arc map to its one image), and by
-    key the piece tables of the event's maps, shared by every theory."""
+    """An event's entry in its source still's `maps`: the rewrite (`target`, `info`, whose
+    arc map is the hints for `transfer`), and by key the piece tables of the event's maps,
+    shared by every theory."""
 
-    __slots__ = ("target", "info", "hints")
+    __slots__ = ("target", "info")
 
     def __init__(self, target: LinkDiagram, info: MoveInfo):  # starts with no table
         self.target, self.info = target, info
-        self.hints = {a: (b,) for a, b in info.arc_map.items()}
 
 
 def _event(still: LinkDiagram, event: ESI) -> _Event:
@@ -161,83 +159,71 @@ def esi_chain_map(
         raise KhovalError("cube theories do not match the requested theory")
     if (entry := _event(src.diagram, event)).target != tgt.diagram:
         raise MoveError("target cube was not built from the rewritten diagram")
-    return _event_map(event, entry, src, tgt)
+    return _event_map(entry, src, tgt)
 
 
-def _event_map(event: ESI, entry: _Event, src: CubeComplex, tgt: CubeComplex) -> ChainMapRep:
-    """The chain map of an event from `src`'s still, whose `entry` holds its rewrite and tables."""
-    kind, info = event.kind, entry.info
+def _event_map(entry: _Event, src: CubeComplex, tgt: CubeComplex) -> ChainMapRep:
+    """The chain map of the event whose `entry` on `src`'s still holds its rewrite and tables."""
+    info, kind = entry.info, entry.info.kind
     if kind == "r2":
         return ChainMapRep(src, tgt, 0, *_r2_ops(src, tgt, entry))
     if kind == "r3":
         return ChainMapRep(src, tgt, 0, *_r3_ops(src, tgt, entry))
-    if kind in ("birth", "death", "saddle"):
-        vertex = _morse(src, tgt, entry)
-    elif info.variant == "remove":  # the rewrite knows only these kinds
-        vertex = _r1_remove(src, tgt, entry)
+    if kind == "r1":
+        add = info.variant != "remove"
+        vertex = _r1(src, tgt, info.arc_map, info.loop_arc, info.strand_arc, info.positive,
+                     0 if add else info.positions[0], add)
     else:
-        vertex = _r1_add(src, tgt, entry.hints, info.loop_arc, info.strand_arc, info.positive)
+        vertex = _morse(src, tgt, info)
     return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], _piece_op(tgt, vertex, entry, kind))
 
 
-def _morse(src, tgt, entry: _Event):
+def _morse(src, tgt, info: MoveInfo):
     """Birth, death or saddle: a cup, a cap or a saddle at every vertex."""
-    info, hints = entry.info, entry.hints
 
     def vertex(mask: int) -> tuple[Piece, ...]:
         src_res, tgt_res = src.circles(mask), tgt.circles(mask)
         births = {tgt_res.circle_of[info.created_arcs[0]]: CUP} if info.kind == "birth" else None
         deaths = {src_res.circle_of[info.victim_arcs[0]]: CAP} if info.kind == "death" else None
-        return (Piece(mask, 1, transfer(src_res, tgt_res, hints), births, deaths),)
+        return (Piece(mask, 1, transfer(src_res, tgt_res, info.arc_map), births, deaths),)
 
     return vertex
 
 
-def _r1_add(src, tgt, hints, loop_arc: int, strand_arc: int, positive: bool, position: int = 0):
-    """The R1 addition of a kink that becomes crossing `position` of the target.
+def _r1(src, tgt, arc_map: dict, kink_arc: int, strand_arc: int, positive: bool,
+        position: int, add: bool):
+    """R1 at the kink that is crossing `position` of the kinked still: added to the bare
+    still `src` when `add`, else removed from the kinked still `src`.
 
-    A negative kink is 1-smoothed and born by a cup; a positive one is
-    0-smoothed: a dotted cup minus a cup with a dot on the strand.
+    The map runs through the kink's 0-smoothing when it is positive, else its
+    1-smoothing (a removal sends the other to 0).  The kink is born by a cup or
+    dies by a cap, but a positive addition is a dotted cup minus a cup with a
+    dot on the strand, and a negative removal a dotted cap minus a cap with a
+    dot on the strand.  The Koszul sign of moving the kink to the front is -1
+    when it is 1-smoothed after an odd number of 1-smoothed crossings.
     """
+    bit, low = (not positive) << position, (1 << position) - 1
+    plain, dotted = (CUP, DOTTED_CUP) if add else (CAP, DOTTED_CAP)
 
     def vertex(mask: int) -> tuple[Piece, ...]:
-        low = mask & ((1 << position) - 1)
-        tgt_mask = low | (0 if positive else 1 << position) | (mask ^ low) << 1
-        sign = koszul_to_front(tgt_mask, (position,), tgt.n)[1] if position else 1
-        tgt_res = tgt.circles(tgt_mask)
-        plan = transfer(src.circles(mask), tgt_res, hints)
-        kink = tgt_res.circle_of[loop_arc]
-        if not positive:
-            return (Piece(tgt_mask, sign, plan, {kink: CUP}),)
-        strand = tgt_res.circle_of[strand_arc]
-        return (Piece(tgt_mask, sign, plan, {kink: DOTTED_CUP}),
-                Piece(tgt_mask, -sign, plan, {kink: CUP}, dots=(strand,)))
-
-    return vertex
-
-
-def _r1_remove(src, tgt, entry: _Event):
-    """The R1 removal, from the kink's 0-smoothing when positive, else its 1-smoothing.
-
-    A positive kink dies by a cap; a negative one by a dotted cap minus a
-    cap with a dot on the strand.
-    """
-    info, hints = entry.info, entry.hints
-    positive, idx = info.positive, info.positions[0]
-
-    def vertex(mask: int) -> tuple[Piece, ...]:
-        rmask, sign = koszul_to_front(mask, (idx,), src.n)
-        if rmask & 1 != (0 if positive else 1):
+        if add:
+            kinked = tgt_mask = mask & low | bit | (mask & ~low) << 1
+        elif mask & 1 << position != bit:
             return ()
-        tgt_mask = rmask >> 1
+        else:
+            kinked, tgt_mask = mask, mask & low | mask >> 1 & ~low
+        sign = -1 if bit and (kinked & low).bit_count() & 1 else 1
         src_res, tgt_res = src.circles(mask), tgt.circles(tgt_mask)
-        plan = transfer(src_res, tgt_res, hints)
-        kink = src_res.circle_of[info.loop_arc]
-        if positive:
-            return (Piece(tgt_mask, sign, plan, deaths={kink: CAP}),)
-        strand = tgt_res.circle_of[info.strand_arc]
-        return (Piece(tgt_mask, sign, plan, deaths={kink: DOTTED_CAP}),
-                Piece(tgt_mask, -sign, plan, deaths={kink: CAP}, dots=(strand,)))
+        plan = transfer(src_res, tgt_res, arc_map)
+        kink = (tgt_res if add else src_res).circle_of[kink_arc]
+
+        def piece(sign: int, label: int, dots=()) -> Piece:  # the kink born or dying on `label`
+            ends = {kink: label}
+            return Piece(tgt_mask, sign, plan, ends if add else None, None if add else ends, dots)
+
+        if positive != add:
+            return (piece(sign, plain),)
+        return (piece(sign, dotted), piece(-sign, plain, (tgt_res.circle_of[strand_arc],)))
 
     return vertex
 
@@ -247,11 +233,11 @@ def _r2_ops(src: CubeComplex, tgt: CubeComplex, entry: _Event):
 
     The carry takes a vertex of the bare cube to the poked cube's through
     slice (the pair's first crossing 0-smoothed, its second 1-smoothed) or
-    back, along the arc hints, with the Koszul sign of moving the pair to
+    back, along the arc map, with the Koszul sign of moving the pair to
     the front.  Addition (the pair at positions 0, 1) is g after the carry,
     removal the carry after f (`cube._bigon_reduction`).
     """
-    info, hints = entry.info, entry.hints
+    info = entry.info
     add = info.variant == "add"
     zi, wi = (0, 1) if add else info.positions
     inner = {info.pieces["u2"], info.pieces["o2"]}
@@ -263,7 +249,8 @@ def _r2_ops(src: CubeComplex, tgt: CubeComplex, entry: _Event):
         else:
             tgt_mask, sign = koszul_to_front(mask, info.positions, src.n)
             tgt_mask >>= 2
-        return (Piece(tgt_mask, sign, transfer(src.circles(mask), tgt.circles(tgt_mask), hints)),)
+        plan = transfer(src.circles(mask), tgt.circles(tgt_mask), info.arc_map)
+        return (Piece(tgt_mask, sign, plan),)
 
     carried = _piece_op(tgt, carry, entry, "r2")
     return (carried, g) if add else (f, carried)
@@ -292,13 +279,14 @@ def _r3_ops(src: CubeComplex, tgt: CubeComplex, entry: _Event, back: bool = Fals
         bare, step = CubeComplex(removed.target, src.theory, cap=src.n), removed.info
         arcs[side] = [step.arc_map.get(a, a) for a in arcs[side]]
         if side == 0:
-            removals.append(_piece_op(bare, _r1_remove(cubes[0], bare, removed), removed, "r1"))
-        else:  # the addition that undoes this removal
-            hints: dict[int, list[int]] = {}
-            for old, new in step.arc_map.items():
-                hints.setdefault(new, []).append(old)
-            vertex = _r1_add(bare, cubes[1], hints, step.loop_arc, min(step.arc_map),
-                             step.positive, step.positions[0])
+            vertex = _r1(cubes[0], bare, step.arc_map, step.loop_arc, step.strand_arc,
+                         step.positive, step.positions[0], False)
+            removals.append(_piece_op(bare, vertex, removed, "r1"))
+        else:  # the addition that undoes this removal: the fused kink's ends p and r
+            # lie on one circle in every smoothing, so either one is the fused arc's image
+            undo = {new: old for old, new in step.arc_map.items()}
+            vertex = _r1(bare, cubes[1], undo, step.loop_arc, min(step.arc_map),
+                         step.positive, step.positions[0], True)
             additions.append(_piece_op(cubes[1], vertex, removed.target.maps, ("undo", removal)))
         cubes[side] = bare
     *positions, c = (cubes[0].diagram.crossing_by_id(src.diagram.crossings[p].cid)[0]
@@ -398,8 +386,8 @@ def _sweep(m: Movie, theories: tuple[Theory, ...], start_label: int | None = Non
         start = Generator(0, (PLUS if start_label is None else start_label,))
     xs = [build_cube(stills[0], th, cap=cap).basis_element(start) for th in theories]
     yield xs
-    for event, entry, still in zip(m.events, entries, stills[1:]):
-        xs = [_event_map(event, entry, x.cube, cube).apply(x) if x.terms
+    for entry, still in zip(entries, stills[1:]):
+        xs = [_event_map(entry, x.cube, cube).apply(x) if x.terms
               else CochainElement(cube, {})
               for x, cube in zip(xs, [build_cube(still, th, cap=cap) for th in theories])]
         yield xs

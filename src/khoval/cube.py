@@ -566,7 +566,7 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry
     and g f = 1 + d h + h d.  Each is an op, and f and g carry h's terms
     unsummed (`_carry`).
     """
-    hints = {a: () for a in inner}
+    hints = dict.fromkeys(inner)  # the inner arcs die
     arc, z, w = next(iter(inner)), 1 << zi, 1 << wi
 
     def vertex(mask: int) -> tuple[Piece, ...]:

@@ -15,7 +15,8 @@ and a face to slot s + 1 (`_orbit`), a circle to slot s ^ 3 at a 0-smoothed
 and s ^ 1 at a 1-smoothed crossing (`resolve`, by the mask bit itself).  A
 resolution is the circle id of each dart (`ResolvedDiagram.darts`): the
 cube's differential reads a crossing's four ids from it (`edge_key`), and the
-arc views that circle transfers read are derived from it when first asked.
+one arc view that circle transfers read, each arc's circle (`circle_of`), is
+derived from it when first asked.
 
 Orientation is not stored in the code: the constructor walks every strand
 once.  Slot 0 is always entered, so walking out of every slot 2 orients each
@@ -274,54 +275,38 @@ class ResolvedDiagram:
     """A complete resolution: `darts[x]` is the circle through dart x, of `count` circles.
 
     Circles are numbered in canonical order, by smallest arc id; the cube's
-    differential reads only `count` and `darts` (`edge_key`).  `circles`
-    (sorted arc tuples) and `circle_of` (arc -> circle), which `transfer` and
-    the movie maps read, are derived together on first use and kept, in one
-    pass over `starts`: `LinkDiagram._circle_starts()`, where a tuple is a
-    whole circle (a crossing-free loop) taking the next id; a crossing-free
-    diagram's starts are only its loops.
+    differential reads only `count` and `darts` (`edge_key`).  `circle_of`
+    (arc -> circle), which `transfer` and the movie maps read, is derived on
+    first use and kept, in one pass over `starts`:
+    `LinkDiagram._circle_starts()`, where a tuple is a whole circle (a
+    crossing-free loop) taking the next id; a crossing-free diagram's starts
+    are only its loops.
     """
 
-    __slots__ = ("count", "darts", "_starts", "_circles", "_circle_of")
+    __slots__ = ("count", "darts", "_starts", "_circle_of")
 
     def __init__(self, count: int, darts: list[int], starts: tuple):
-        self.count, self.darts, self._starts, self._circles = count, darts, starts, None
-
-    @property
-    def circles(self) -> tuple[tuple[int, ...], ...]:
-        if self._circles is None:
-            self._derive()
-        return self._circles
+        self.count, self.darts, self._starts, self._circle_of = count, darts, starts, None
 
     @property
     def circle_of(self) -> dict[int, int]:
-        if self._circles is None:
-            self._derive()
-        return self._circle_of
-
-    def _derive(self) -> None:
-        """Both views in one pass: the starts meet the circles in id order, each arc ascending."""
-        arcs, starts = self._starts
-        darts, circles, circle_of = self.darts, [], {}
-        for start in starts:
-            if type(start) is tuple:
-                i = len(circles)
-                for a in start:
-                    circle_of[a] = i
-                circles.append(start)
-            else:
-                a, i = arcs[start], darts[start]
-                circle_of[a] = i
-                if i < len(circles):
-                    circles[i].append(a)
+        if self._circle_of is None:
+            arcs, starts = self._starts
+            darts, circle_of, count = self.darts, {}, 0
+            for start in starts:  # they meet the circles in id order
+                if type(start) is tuple:
+                    circle_of.update(dict.fromkeys(start, count))
+                    count += 1
                 else:
-                    circles.append([a])
-        self._circles, self._circle_of = tuple(map(tuple, circles)), circle_of
+                    circle_of[arcs[start]] = i = darts[start]
+                    count = max(count, i + 1)
+            self._circle_of = circle_of
+        return self._circle_of
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResolvedDiagram):
             return NotImplemented
-        return (self.count, self.darts, self.circles) == (other.count, other.darts, other.circles)
+        return (self.count, self.darts, self.circle_of) == (other.count, other.darts, other.circle_of)
 
 
 class Transfer(NamedTuple):
@@ -474,35 +459,35 @@ def resolve(d: LinkDiagram, mask: int) -> ResolvedDiagram:
 def transfer(
     src: ResolvedDiagram,
     tgt: ResolvedDiagram,
-    hints: dict[int, tuple[int, ...]] | None = None,
+    hints: dict[int, int | None] | None = None,
 ) -> Transfer:
     """The circle-transfer plan from `src` to `tgt`.
 
     A source circle reaches the target circles that contain its arcs, each
-    arc read through `hints` (arc -> the arcs that replace it; an arc without
-    a hint stands for itself).  A target reached from two source circles is
-    a merge, a source reaching two targets a split; more than one of these
-    is refused.  The movie maps use this general plan; a cube edge is read
-    off four circle ids at the flipped crossing instead (`edge_key`).
+    arc read through `hints`, the rewrite's arc map (arc -> its one image,
+    None for an arc that dies; an arc without a hint stands for itself).  A
+    target reached from two source circles is a merge, a source reaching two
+    targets a split; more than one of these is refused.  The movie maps use
+    this general plan; a cube edge is read off four circle ids at the
+    flipped crossing instead (`edge_key`).
     """
-    circle_of = tgt.circle_of
+    circle_of, image = tgt.circle_of, (hints or {}).get
+    reached: list[set] = [set() for _ in range(src.count)]
+    for a, s in src.circle_of.items():
+        reached[s].add(circle_of.get(image(a, a)))
     hits: list[list[int]] = [[] for _ in range(tgt.count)]
     dead = []
     split = None
-    for s, circ in enumerate(src.circles):
-        if hints:
-            reached = {circle_of.get(b) for a in circ for b in hints.get(a, (a,))}
-        else:
-            reached = {circle_of.get(a) for a in circ}
-        reached.discard(None)
-        if not reached:
+    for s, targets in enumerate(reached):
+        targets.discard(None)
+        if not targets:
             dead.append(s)
             continue
-        if len(reached) > 2 or (len(reached) == 2 and split is not None):
+        if len(targets) > 2 or (len(targets) == 2 and split is not None):
             raise KhovalError("circle transfer is not a single merge or split")
-        if len(reached) == 2:
-            split = (s, tuple(sorted(reached)))
-        for t in reached:
+        if len(targets) == 2:
+            split = (s, tuple(sorted(targets)))
+        for t in targets:
             hits[t].append(s)
     copies = []
     merge = None

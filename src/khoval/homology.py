@@ -288,7 +288,7 @@ def graded_euler(c: CubeComplex) -> LaurentPoly:
     if c.theory is not Theory.KHOVANOV:
         raise TheoryError("graded Euler characteristic needs theory khovanov")
     terms: dict[int, int] = {}
-    for i, top, k in CubeIndex(c).vertices:
+    for i, top, k in map(c.vertex, range(1 << c.n)):
         sign = -1 if i % 2 else 1
         for m in range(k + 1):
             terms[top - 2 * m] = terms.get(top - 2 * m, 0) + sign * math.comb(k, m)

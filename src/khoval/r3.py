@@ -113,7 +113,7 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     z = close & ~bc  # the bigon crossing 1-smoothed on the circle slice
     w = sum(1 << p for p in positions) & ~bc & ~z
     zi, wi = z.bit_length() - 1, w.bit_length() - 1
-    hints = {a: () for a in inner}
+    hints = dict.fromkeys(inner)  # the inner arcs die
 
     def carry_pieces(mask: int) -> tuple[Piece, ...]:
         tgt_mask, sign = mask, 1

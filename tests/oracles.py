@@ -24,8 +24,13 @@ residue and insertion order of `reduce.eliminate`'s column reduction.
 The two-stage layer step, every column of a layer built into one dict
 before an in-place elimination pass visits them, is the reference for the
 degrees, columns and insertion orders of `homology.reduced_complex`'s
-streamed sweep.  Each cube edge's label table carried labelling by labelling with
-`transfer_labels` through the general `transfer` plan of the edge's two
+streamed sweep.  A circle-transfer plan read through multi-image hints
+(`transfer_multi`: each arc to every arc that replaces it, each circle's
+arcs gathered from `circle_of`) is the reference for `diagram.transfer`,
+which reads the rewrite's arc map, one image per arc; the R2 closed form,
+the edge-by-edge differential and the edge label tables read it too.  Each
+cube edge's label table carried labelling by labelling with
+`transfer_labels` through the `transfer_multi` plan of the edge's two
 fresh resolutions, over label tuples and a tuple-to-index dict, is the
 reference for the bit arithmetic of `cube.label_table`.
 `transfer_labels` builds each target labeling slot by slot from a plan;
@@ -44,7 +49,7 @@ from fractions import Fraction
 
 from khoval.algebra import INT_RINGS, LABELS, MINUS, PLUS, RINGS, LaurentPoly, Theory, TPoly
 from khoval.cube import CubeComplex, Generator, label_table
-from khoval.diagram import ResolvedDiagram, Transfer, edge_key, resolve, transfer
+from khoval.diagram import ResolvedDiagram, Transfer, edge_key, resolve
 from khoval.errors import KhovalError
 from khoval.homology import CubeIndex
 from khoval.moves import apply_esi_info
@@ -57,6 +62,56 @@ def tube(x: int, th: Theory) -> dict[int, TPoly]:
         for lbl, c2 in RINGS[th].multiply[a][b].items():
             out[lbl] = out.get(lbl, TPoly(0)) + c1 * c2
     return {lbl: c for lbl, c in out.items() if c}
+
+
+def transfer_multi(
+    src: ResolvedDiagram,
+    tgt: ResolvedDiagram,
+    hints: dict[int, tuple[int, ...]] | None = None,
+) -> Transfer:
+    """The circle-transfer plan from `src` to `tgt` under multi-image hints.
+
+    Each source circle, its arcs gathered from `circle_of`, reaches the
+    target circles of its arcs, each arc read through `hints` (arc -> the
+    arcs that replace it, () for an arc that dies; an arc without a hint
+    stands for itself).  A target reached from two source circles is a
+    merge, a source reaching two targets a split; more than one of these is
+    refused.  The library's `transfer` takes one image per arc.
+    """
+    circles: list[list[int]] = [[] for _ in range(src.count)]
+    for a, s in src.circle_of.items():
+        circles[s].append(a)
+    circle_of = tgt.circle_of
+    hits: list[list[int]] = [[] for _ in range(tgt.count)]
+    dead = []
+    split = None
+    for s, circ in enumerate(circles):
+        reached = {circle_of.get(b) for a in circ for b in (hints or {}).get(a, (a,))}
+        reached.discard(None)
+        if not reached:
+            dead.append(s)
+            continue
+        if len(reached) > 2 or (len(reached) == 2 and split is not None):
+            raise KhovalError("circle transfer is not a single merge or split")
+        if len(reached) == 2:
+            split = (s, tuple(sorted(reached)))
+        for t in reached:
+            hits[t].append(s)
+    copies = []
+    merge = None
+    new = []
+    for t, srcs in enumerate(hits):
+        if not srcs:
+            new.append(t)
+        elif len(srcs) > 2:
+            raise KhovalError("more than two circles merged at once")
+        elif len(srcs) == 2:
+            if merge is not None or split is not None:
+                raise KhovalError("circle transfer is not a single merge or split")
+            merge = ((srcs[0], srcs[1]), t)
+        elif split is None or srcs[0] != split[0]:
+            copies.append((srcs[0], t))
+    return Transfer(tuple(copies), merge, split, tuple(dead), tuple(new), tgt.count)
 
 
 def transfer_labels(
@@ -137,7 +192,7 @@ def differential_termwise(c: CubeComplex, g: Generator) -> dict[Generator, TPoly
         if (g.mask >> j) & 1:
             continue
         tgt = g.mask | (1 << j)
-        plan = transfer(resolve(c.diagram, g.mask), resolve(c.diagram, tgt))
+        plan = transfer_multi(resolve(c.diagram, g.mask), resolve(c.diagram, tgt))
         sign = (-1) ** bin(g.mask >> (j + 1)).count("1")
         for labels, poly in transfer_labels(plan, g.labels, RINGS[c.theory]):
             acc[Generator(tgt, labels)] += poly * sign
@@ -151,7 +206,7 @@ def label_table_termwise(d, mask: int, j: int, ring) -> list[tuple[tuple[int, in
     ((target index, coeff), ...) carried by `transfer_labels` through the
     general plan between the edge's two resolutions, resolved afresh.
     """
-    plan = transfer(resolve(d, mask), resolve(d, mask | 1 << j))
+    plan = transfer_multi(resolve(d, mask), resolve(d, mask | 1 << j))
     index = {lbls: t for t, lbls in enumerate(itertools.product(LABELS, repeat=plan.count))}
     return [tuple((index[lbls], v) for lbls, v in transfer_labels(plan, labels, ring))
             for labels in itertools.product(LABELS, repeat=resolve(d, mask).count)]
@@ -180,7 +235,7 @@ def r2_termwise(event, src: CubeComplex, tgt: CubeComplex, g: Generator) -> dict
             mask = g.mask << 2 | bits
             tgt_res = resolve(tgt.diagram, mask)
             cup = {tgt_res.circle_of[p["u2"]]: PLUS} if bits == 0b01 else None
-            plan = transfer(src_res, tgt_res, slice_hints)
+            plan = transfer_multi(src_res, tgt_res, slice_hints)
             for labels, poly in transfer_labels(plan, g.labels, RINGS[th], cup):
                 acc[Generator(mask, labels)] += poly
     else:
@@ -196,7 +251,7 @@ def r2_termwise(event, src: CubeComplex, tgt: CubeComplex, g: Generator) -> dict
         sign *= (-1) ** bin(g.mask & ((1 << one) - 1)).count("1")
         rest = [j for j in range(src.n) if j not in (ia, ib)]
         mask = sum(((g.mask >> j) & 1) << k for k, j in enumerate(rest))
-        plan = transfer(src_res, resolve(tgt.diagram, mask), hints)
+        plan = transfer_multi(src_res, resolve(tgt.diagram, mask), hints)
         for labels, poly in transfer_labels(plan, g.labels, RINGS[th]):
             acc[Generator(mask, labels)] += poly * sign
     return {h: q for h, q in acc.items() if not q.is_zero()}

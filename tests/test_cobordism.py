@@ -1165,9 +1165,9 @@ def test_zero_element_builds_no_maps_but_every_still_meets_the_cap(monkeypatch):
     built = []
     event_map = cobordism._event_map
 
-    def counting(event, *args):
-        built.append(event.kind)
-        return event_map(event, *args)
+    def counting(entry, *args):
+        built.append(entry.info.kind)
+        return event_map(entry, *args)
 
     monkeypatch.setattr(cobordism, "_event_map", counting)
     assert eval_movie(m, Theory.KHOVANOV).is_zero()

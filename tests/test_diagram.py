@@ -16,7 +16,13 @@ from khoval.errors import KhovalError, OrientationError, ParseError
 from khoval.corpus import PD_CODES, torus2_pd
 from khoval.moves import ESI, apply_esi
 
-from oracles import bfs_circle_count, is_planar, pieces_union_find, resolve_union_find
+from oracles import (
+    bfs_circle_count,
+    is_planar,
+    pieces_union_find,
+    resolve_union_find,
+    transfer_multi,
+)
 
 TREFOIL = PD_CODES["trefoil"]
 
@@ -196,10 +202,18 @@ def test_resolve_against_bfs_oracle(corpus):
             assert got == want, (name, mask)
 
 
+def arc_sets(r) -> list[set[int]]:
+    """Each circle's arcs, by circle id, read from `circle_of`."""
+    circles: list[set[int]] = [set() for _ in range(r.count)]
+    for a, i in r.circle_of.items():
+        circles[i].add(a)
+    return circles
+
+
 def assert_resolution_matches(got, want, where):
-    """Two resolutions agree: count, every dart's circle id, circles and circle_of."""
+    """Two resolutions agree: count, every dart's circle id, each circle's arcs and circle_of."""
     assert (got.count, got.darts) == (want.count, want.darts), where
-    assert got.circles == want.circles, where
+    assert arc_sets(got) == arc_sets(want), where
     assert got.circle_of == want.circle_of, where
 
 
@@ -232,10 +246,10 @@ def test_resolve_matches_the_union_find_oracle(corpus):
     }
     for name, d in diagrams.items():
         assert_resolutions_match_the_union_find(d, name)
-    # the arc views are derived on first read and kept
+    # the arc view is derived on first read and kept
     r = resolve(diagrams["trefoil, loops (5, 1) and (3,)"], 0b111)
-    assert r.circles is r.circles and r.circle_of is r.circle_of
-    assert (r.count, r.circles[0], r.circles[1]) == (5, (1, 5), (3,))
+    assert r.circle_of is r.circle_of
+    assert (r.count, *arc_sets(r)[:2]) == (5, {1, 5}, {3})
     # past 64 crossings, so the walk rests on no fixed-width table
     d = parse_pd(torus2_pd(71))
     rng = random.Random(71)
@@ -279,10 +293,11 @@ def test_single_bit_flip_changes_circles_by_one(corpus):
 
 def test_resolution_partitions_arcs(corpus):
     for name, d in corpus.items():
-        r = resolve(d, 0)
-        seen = [a for circ in r.circles for a in circ]
+        # every arc on one circle, and every circle id holding an arc
+        circles = arc_sets(resolve(d, 0))
+        seen = [a for circ in circles for a in circ]
         assert sorted(seen) == sorted(d.arc_ids())
-        assert len(set(seen)) == len(seen)
+        assert len(set(seen)) == len(seen) and all(circles), name
 
 
 def _resolved(*circles):
@@ -295,7 +310,7 @@ def test_transfer_plan_fields():
     plan = transfer(
         _resolved((1, 2), (3, 4), (5, 6), (7, 8)),
         _resolved((13, 14), (5, 6, 7, 8), (9, 10)),
-        {3: (13,), 4: (14,)},
+        {3: 13, 4: 14},
     )
     # target order: (5,6,7,8), (9,10), (13,14)
     assert plan.copies == ((1, 2),)
@@ -304,8 +319,11 @@ def test_transfer_plan_fields():
     assert plan.dead == (0,)
     assert plan.new == (1,)
     assert plan.count == 3
-    # a hint naming two arcs on different target circles is a split
-    plan = transfer(_resolved((1, 2)), _resolved((3,), (4,)), {1: (3, 4)})
+    # an arc hinted to None dies with its circle, whatever id the target reuses
+    plan = transfer(_resolved((1, 2), (3,)), _resolved((1, 3)), {1: None, 2: None})
+    assert (plan.copies, plan.dead, plan.new) == (((1, 0),), (0,), ())
+    # the oracle's multi-image hint naming two arcs on different target circles is a split
+    plan = transfer_multi(_resolved((1, 2)), _resolved((3,), (4,)), {1: (3, 4)})
     assert plan.split == (0, (0, 1)) and plan.copies == () and plan.merge is None
 
 

@@ -92,7 +92,7 @@ def test_bigon_reduction_is_the_r2_equivalence(name):
         f, g, _ = _bigon_reduction(cube, {info.pieces["u2"], info.pieces["o2"]}, 0, 1, {}, "h")
 
         def carry(x, a, b, mask, arc_map):
-            plan = transfer(a.circles(x.mask), b.circles(mask), {k: (v,) for k, v in arc_map.items()})
+            plan = transfer(a.circles(x.mask), b.circles(mask), arc_map)
             return [(Generator(mask, lab), p) for lab, p in transfer_labels(plan, x.labels, RINGS[th])]
 
         for x in cube.generators():
