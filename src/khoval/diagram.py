@@ -11,9 +11,9 @@ A dart is a crossing slot, numbered 4 * crossing index + slot, and
 `LinkDiagram.far` maps each dart to the other dart of its arc.  Strands,
 faces and the circles of a resolution are orbits of one rule, "go to the far
 end of the arc, then turn at that crossing": a strand turns to slot s ^ 2
-and a face to slot s + 1 (`_orbit`), a circle to slot s ^ 3 at a 0-smoothed
-and s ^ 1 at a 1-smoothed crossing (`resolve`, by the mask bit itself).  A
-resolution is the circle id of each dart (`ResolvedDiagram.darts`): the
+(walked by the constructor) and a face to slot s + 1 (`_orbit`), a circle
+to slot s ^ 3 at a 0-smoothed and s ^ 1 at a 1-smoothed crossing
+(`resolve`, by the mask bit itself).  A resolution is the circle id of each dart (`ResolvedDiagram.darts`): the
 cube's differential reads a crossing's four ids from it (`edge_key`), and the
 one arc view that circle transfers read, each arc's circle (`circle_of`), is
 derived from it when first asked.
@@ -49,6 +49,7 @@ is kept once per process (`cube.label_table`).
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import KhovalError, MoveError, OrientationError, ParseError
@@ -81,11 +82,16 @@ class Crossing(NamedTuple):
 class LinkDiagram:
     """An oriented link diagram: crossings plus crossing-free loops.
 
-    Construction validates arc incidences and walks every strand; signs are
-    always derived, never trusted from the caller.  `far[x]` is the other
-    dart of dart x's arc (darts 4 * crossing index + slot).  `ends[arc]` is a
-    crossing arc's (tail, head) darts, each a (crossing index, slot): the arc
-    leaves its tail and enters its head.  Two dicts keep what cubes and
+    Construction is one pass over the crossings, then one walk of every
+    strand; signs are always derived, never trusted from the caller.  The
+    pass checks every id (one that is not an `int`, a bool included, is a
+    `ParseError`), pairs the darts of each arc and fills the tables that the
+    rewrites read in place of scanning the still: the largest arc and
+    crossing ids, and where each crossing id and loop arc is
+    (`crossing_by_id`, `loop_of_arc`).  `far[x]` is the other dart of dart
+    x's arc (darts 4 * crossing index + slot).  `ends[arc]` is a crossing
+    arc's (tail, head) darts, each a (crossing index, slot): the arc leaves
+    its tail and enters its head.  Two dicts keep what cubes and
     chain maps of every theory read again, filled on demand: `resolutions`
     maps each vertex mask resolved so far to its `ResolvedDiagram`
     (`CubeComplex.circles`), and `maps`, keyed by event, what the chain maps
@@ -94,59 +100,76 @@ class LinkDiagram:
     """
 
     __slots__ = ("crossings", "loops", "n_plus", "n_minus", "far", "ends", "resolutions",
-                 "maps", "_arc_ids", "_faces", "_starts")
+                 "maps", "_max_arc", "_max_cid", "_position", "_loop_of", "_faces", "_starts")
 
-    def __init__(
-        self,
-        crossings: Iterable[tuple[int, tuple[int, int, int, int]]] = (),
-        loops: Iterable[Sequence[int]] = (),
-    ):
-        raw = [(int(cid), tuple(map(int, arcs))) for cid, arcs in crossings]
-        loop_list = tuple(tuple(map(int, lp)) for lp in loops)
-        darts = self._validate_ids(raw, loop_list)
-        self.far = far = [0] * (4 * len(raw))
-        for x, y in darts.values():
-            far[x], far[y] = y, x
-        signs, self.ends = _walk(raw, far)
-        self.crossings: tuple[Crossing, ...] = tuple(Crossing(*c, s) for c, s in zip(raw, signs))
-        self.loops: tuple[tuple[int, ...], ...] = loop_list
+    def __init__(self, crossings: Iterable[tuple[int, Sequence[int]]] = (),
+                 loops: Iterable[Sequence[int]] = ()):
+        position: dict[int, int] = {}  # crossing id -> position, in crossing order
+        first: dict[int, int] = {}  # crossing arc -> its first dart
+        arcs_of, flat, far = [], [], []  # flat[x] is dart x's arc
+        for cid, arcs in crossings:
+            if type(cid) is not int:
+                raise ParseError(f"crossing id {cid!r} is not an integer")
+            arcs = tuple(arcs)
+            if len(arcs) != 4:
+                raise ParseError(f"crossing {cid} does not have 4 arcs")
+            if cid in position:
+                raise ParseError(f"duplicate crossing id {cid}")
+            position[cid] = len(arcs_of)
+            arcs_of.append(arcs)
+            for a in arcs:
+                if type(a) is not int or a < 1:
+                    raise ParseError(f"arc id {a!r} is not a positive integer")
+                x = len(far)
+                y = first.setdefault(a, x)
+                far.append(y)  # a first end is its own far end until the second comes
+                if y != x:  # a third end spoils the pair, and the count below refuses it
+                    far[y] = x if far[y] == y else -1
+            flat += arcs
+        if 2 * len(first) != len(far) or -1 in far:
+            a = next(a for a in first if flat.count(a) != 2)
+            raise ParseError(f"arc {a} appears {flat.count(a)} times (expected 2)")
+        loop_of: dict[int, int] = {}  # loop arc -> its loop's index
+        self.loops: tuple[tuple[int, ...], ...] = tuple(map(tuple, loops))
+        for k, lp in enumerate(self.loops):
+            if not lp:
+                raise ParseError("empty loop")
+            for a in lp:
+                if type(a) is not int or a < 1:
+                    raise ParseError(f"arc id {a!r} is not a positive integer")
+                if a in first or a in loop_of:
+                    raise ParseError(f"loop arc {a} reused")
+                loop_of[a] = k
+        # every strand walked once, as the module docstring orders the walks:
+        # it leaves dart x, enters far[x] and leaves again by far[x] ^ 2; not
+        # `_orbit`, whose turn table and dart list made the constructor 10 % slower
+        signs, ends = [0] * len(arcs_of), {}
+        for start in [*range(2, len(far), 4), *range(len(far) - 1, 0, -4)]:
+            if flat[start] in ends:
+                continue
+            x = start
+            while True:
+                if (t := (y := far[x]) & 3) == 2:
+                    raise OrientationError(f"arc {flat[x]} oriented inconsistently: its strand "
+                                           f"enters crossing {[*position][y >> 2]} by slot 2")
+                ends[flat[x]] = (x >> 2, x & 3), (y >> 2, t)
+                if t & 1:
+                    signs[y >> 2] = 2 - t  # the over-strand enters by slot 1: +1, by slot 3: -1
+                if (x := y ^ 2) == start:
+                    break
+        self.ends: dict[int, tuple[tuple[int, int], tuple[int, int]]] = ends
+        self.crossings: tuple[Crossing, ...] = tuple(
+            map(tuple.__new__, repeat(Crossing), zip(position, arcs_of, signs)))
+        self.far = far
         self.n_plus = signs.count(1)
-        self.n_minus = len(self.crossings) - self.n_plus
-        self._arc_ids = frozenset([*darts, *(a for lp in loop_list for a in lp)])
+        self.n_minus = len(arcs_of) - self.n_plus
+        self._position, self._loop_of = position, loop_of
+        self._max_arc = max(max(first, default=0), max(loop_of, default=0))
+        self._max_cid = max(position, default=0)
         self._faces: Faces | None = None  # built by the first `faces()` call
         self._starts: tuple | None = None  # built by the first `resolve`
         self.resolutions: dict[int, ResolvedDiagram] = {}
         self.maps: dict = {}
-
-    @staticmethod
-    def _validate_ids(raw, loop_list) -> dict[int, list[int]]:
-        """Check the ids; return each crossing arc's two darts."""
-        darts: dict[int, list[int]] = {}
-        cids = set()
-        for i, (cid, arcs) in enumerate(raw):
-            if len(arcs) != 4:
-                raise ParseError(f"crossing {cid} does not have 4 arcs")
-            if cid in cids:
-                raise ParseError(f"duplicate crossing id {cid}")
-            cids.add(cid)
-            for s, a in enumerate(arcs):
-                if a < 1:
-                    raise ParseError(f"arc id {a} is not a positive integer")
-                darts.setdefault(a, []).append(4 * i + s)
-        for a, at in darts.items():
-            if len(at) != 2:
-                raise ParseError(f"arc {a} appears {len(at)} times (expected 2)")
-        seen_loop_arcs = set()
-        for lp in loop_list:
-            if not lp:
-                raise ParseError("empty loop")
-            for a in lp:
-                if a < 1:
-                    raise ParseError(f"arc id {a} is not a positive integer")
-                if a in darts or a in seen_loop_arcs:
-                    raise ParseError(f"loop arc {a} reused")
-                seen_loop_arcs.add(a)
-        return darts
 
     # -- basic queries ---------------------------------------------------
 
@@ -162,19 +185,18 @@ class LinkDiagram:
         return not self.crossings and not self.loops
 
     def arc_ids(self) -> frozenset[int]:
-        return self._arc_ids
+        return frozenset([*self.ends, *self._loop_of])
 
     def max_arc_id(self) -> int:
-        return max(self._arc_ids, default=0)
+        return self._max_arc
 
     def max_crossing_id(self) -> int:
-        return max((c.cid for c in self.crossings), default=0)
+        return self._max_cid
 
     def crossing_by_id(self, cid: int) -> tuple[int, Crossing]:
-        for idx, c in enumerate(self.crossings):
-            if c.cid == cid:
-                return idx, c
-        raise MoveError(f"no crossing with id {cid}")
+        if (idx := self._position.get(cid)) is None:
+            raise MoveError(f"no crossing with id {cid}")
+        return idx, self.crossings[idx]
 
     def faces(self) -> Faces:
         """The face table (see `Faces`), built on first request and kept."""
@@ -225,24 +247,16 @@ class LinkDiagram:
         return self._starts
 
     def loop_of_arc(self, arc: int) -> int | None:
-        for i, lp in enumerate(self.loops):
-            if arc in lp:
-                return i
-        return None
+        return self._loop_of.get(arc)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkDiagram):
             return NotImplemented
-        return (
-            tuple((c.cid, c.arcs) for c in self.crossings)
-            == tuple((c.cid, c.arcs) for c in other.crossings)
-            and self.loops == other.loops
-        )
+        # the signs follow from the ids and arcs, so whole crossings can be compared
+        return self.crossings == other.crossings and self.loops == other.loops
 
     def __hash__(self) -> int:
-        return hash(
-            (tuple((c.cid, c.arcs) for c in self.crossings), self.loops)
-        )
+        return hash((self.crossings, self.loops))
 
     def __repr__(self) -> str:
         return f"LinkDiagram({serialize_pd(self)!r})"
@@ -388,34 +402,6 @@ def _orbit(far: list[int], turn: list[int], start: int) -> list[int]:
     while (x := turn[far[out[-1]]]) != start:
         out.append(x)
     return out
-
-
-def _walk(raw, far) -> tuple[list[int], dict[int, tuple[tuple[int, int], tuple[int, int]]]]:
-    """Orient every strand by walking it: (crossing signs, arc -> (tail, head) darts).
-
-    A strand is an orbit that turns from slot s to slot s ^ 2.  Every strand
-    through a slot 2 is walked out of it first; a strand that only passes
-    over is walked out of the slot 3 of its last crossing.  A strand that
-    would enter a crossing by slot 2 is an `OrientationError`.
-    """
-    n = len(raw)
-    signs = [0] * n
-    ends: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    turn = [x ^ 2 for x in range(4 * n)]
-    for start in [4 * i + 2 for i in range(n)] + [4 * i + 3 for i in reversed(range(n))]:
-        if raw[start >> 2][1][start & 3] in ends:
-            continue
-        for x in _orbit(far, turn, start):
-            i, s, j, t = x >> 2, x & 3, far[x] >> 2, far[x] & 3
-            if t == 2:
-                raise OrientationError(
-                    f"arc {raw[i][1][s]} oriented inconsistently: its strand enters "
-                    f"crossing {raw[j][0]} by slot 2"
-                )
-            ends[raw[i][1][s]] = (i, s), (j, t)
-            if t & 1:
-                signs[j] = 2 - t  # the over-strand enters by slot 1: +1, by slot 3: -1
-    return signs, ends
 
 
 # -- resolutions ---------------------------------------------------------------

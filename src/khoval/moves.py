@@ -53,6 +53,11 @@ class _Form(NamedTuple):
     count: int  # one id is an int in its field, more are a tuple
     rewrite: Callable[..., tuple[LinkDiagram, "MoveInfo"]]  # (still, *ids)
 
+    def ids(self, event: "ESI") -> tuple[int, ...]:
+        """The event's ids, in the order the rewrite takes them, read from this form's field."""
+        value = getattr(event, self.field) if self.field else ()
+        return (value,) if self.count == 1 else value
+
     def keywords(self, ids) -> dict[str, Any]:
         """The `ESI` keyword that holds these ids."""
         if self.field is None:
@@ -94,8 +99,11 @@ class ESI(_ESIFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        form = _form(self.kind, self.variant)
-        ids = self.ids
+        return self._checked(_form(self.kind, self.variant))
+
+    def _checked(self, form: _Form) -> "ESI":
+        """This event, if it fills its form's id field, and no other, with integer ids."""
+        ids = form.ids(self)
         filled = 5 - (self.arc, self.arcs, self.crossing, self.crossings, self.circle).count(None)
         if (
             filled != (form.field is not None)  # the form's id field, and no other
@@ -114,15 +122,13 @@ class ESI(_ESIFields):
     @property
     def ids(self) -> tuple[int, ...]:
         """The ids, in the order the rewrite takes them, read from the form's id field."""
-        form = _FORMS[self.kind, self.variant]
-        value = getattr(self, form.field) if form.field else ()
-        return (value,) if form.count == 1 else value
+        return _FORMS[self.kind, self.variant].ids(self)
 
     def renamed(self, arc_map: dict[int, int], crossing_map: dict[int, int]) -> "ESI":
         """The same event on other ids, read through `arc_map` or `crossing_map`."""
         form = _FORMS[self.kind, self.variant]
         names = crossing_map if form.crossing_ids else arc_map
-        return self._replace(**form.keywords([names[x] for x in self.ids]))
+        return self._replace(**form.keywords([names[x] for x in form.ids(self)]))
 
     @classmethod
     def from_json(cls, obj: dict) -> "ESI":
@@ -137,7 +143,8 @@ class ESI(_ESIFields):
                 stray = min(obj.keys() - {"op", "variant", form.field}, key=str)
                 raise ParseError(f"malformed movie event {obj!r}: unknown key {stray!r}")
             value = obj.get(form.field)
-            return cls(kind, variant, **form.keywords((value,) if form.count == 1 else value))
+            ids = (value,) if form.count == 1 else value
+            return _ESIFields.__new__(cls, kind, variant, **form.keywords(ids))._checked(form)
         except (TypeError, UnsupportedMoveError) as exc:
             raise ParseError(f"malformed movie event {obj!r}: {exc}") from exc
 
@@ -147,7 +154,7 @@ class ESI(_ESIFields):
         if self.variant is not None:
             out["variant"] = self.variant
         if form.field:
-            ids = self.ids
+            ids = form.ids(self)
             out[form.field] = list(ids) if form.count > 1 else ids[0]
         return out
 
@@ -193,7 +200,8 @@ def apply_esi(d: LinkDiagram, event: ESI) -> LinkDiagram:
 
 def apply_esi_info(d: LinkDiagram, event: ESI) -> tuple[LinkDiagram, MoveInfo]:
     """The rewritten diagram and what a chain map needs to know about the move."""
-    return _FORMS[event.kind, event.variant].rewrite(d, *event.ids)
+    form = _FORMS[event.kind, event.variant]
+    return form.rewrite(d, *form.ids(event))
 
 
 # -- helpers -------------------------------------------------------------------
@@ -208,9 +216,11 @@ def _raw(d: LinkDiagram) -> list[tuple[int, list[int]]]:
     return [(c.cid, list(c.arcs)) for c in d.crossings]
 
 
-def _require_arc(d: LinkDiagram, a: int) -> None:
-    if a not in d.arc_ids():
+def _require_arc(d: LinkDiagram, a: int) -> int | None:
+    """The index of arc a's crossing-free loop, None for a crossing arc; no arc a is a `MoveError`."""
+    if (li := d.loop_of_arc(a)) is None and a not in d.ends:
         raise MoveError(f"arc {a} does not exist in the current still")
+    return li
 
 
 # -- Morse moves ---------------------------------------------------------------
@@ -223,11 +233,8 @@ def _apply_birth(d: LinkDiagram) -> tuple[LinkDiagram, MoveInfo]:
 
 
 def _apply_death(d: LinkDiagram, circle: int) -> tuple[LinkDiagram, MoveInfo]:
-    li = d.loop_of_arc(circle)
-    if li is None:
-        raise MoveError(
-            f"death needs a crossing-free circle; id {circle} is not on one"
-        )
+    if (li := d.loop_of_arc(circle)) is None:
+        raise MoveError(f"death needs a crossing-free circle; id {circle} is not on one")
     loops = [lp for i, lp in enumerate(d.loops) if i != li]
     return LinkDiagram(_raw(d), loops), MoveInfo("death", None, {}, victim_arcs=d.loops[li])
 
@@ -235,9 +242,7 @@ def _apply_death(d: LinkDiagram, circle: int) -> tuple[LinkDiagram, MoveInfo]:
 def _apply_saddle(d: LinkDiagram, a: int, b: int) -> tuple[LinkDiagram, MoveInfo]:
     if a == b:
         raise MoveError("saddle arcs must be distinct")
-    _require_arc(d, a)
-    _require_arc(d, b)
-    la, lb = d.loop_of_arc(a), d.loop_of_arc(b)
+    la, lb = _require_arc(d, a), _require_arc(d, b)
     raw, loops = _raw(d), list(d.loops)
     if la is None and lb is None:
         # a band from a crossing-free circle can always be drawn: only here is a face needed
@@ -288,8 +293,7 @@ def _cut(d: LinkDiagram, raw, arc: int, fresh, done=()) -> tuple[int, int, int, 
     """
     if arc in done:
         raise MoveError(f"arc {arc} was already cut by this move: a circle is cut once")
-    li = d.loop_of_arc(arc)
-    if li is None:
+    if (li := d.loop_of_arc(arc)) is None:
         p, m, r = next(fresh), next(fresh), next(fresh)
         (t, st), (h, sh) = d.ends[arc]
         raw[t][1][st], raw[h][1][sh] = p, r

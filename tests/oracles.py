@@ -37,7 +37,10 @@ reference for the bit arithmetic of `cube.label_table`.
 pieces applied through it and summed term by term (`apply_pieces_termwise`)
 are the reference for the compiled label actions of `cube.apply_pieces`.  The
 genus-adding map m o Delta, composed from a theory's multiply and
-comultiply tables, checks the tube identities.
+comultiply tables, checks the tube identities.  The two-pass constructor
+(`two_pass_diagram`: each arc's dart list built first, `far` filled from it
+in a second loop, every strand walked as an orbit under a turn table) is
+the reference for the tables and refusals of `LinkDiagram`'s one pass.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from fractions import Fraction
 from khoval.algebra import INT_RINGS, LABELS, MINUS, PLUS, RINGS, LaurentPoly, Theory, TPoly
 from khoval.cube import CubeComplex, Generator, label_table
 from khoval.diagram import ResolvedDiagram, Transfer, edge_key, resolve
-from khoval.errors import KhovalError
+from khoval.errors import KhovalError, OrientationError, ParseError
 from khoval.homology import CubeIndex
 from khoval.moves import apply_esi_info
 
@@ -773,3 +776,65 @@ def _apply_pivots(col: dict, pivots: list, number: dict) -> None:
                 col[k] = total
             else:
                 col.pop(k, None)
+
+
+def two_pass_diagram(crossings, loops=()) -> tuple:
+    """(far, ends, signs, crossings as (id, arcs) pairs, arc ids) of a diagram, in two passes.
+
+    The ids are checked and each crossing arc's two darts listed first, then
+    `far` is filled from the lists; each strand is an orbit under the turn
+    s -> s ^ 2, walked out of every slot 2 and then out of the slot 3 of the
+    last crossing of a strand that only passes over.  Refusals are those of
+    `LinkDiagram`, with its messages, for ids that are ints.
+    """
+    raw = [(cid, tuple(arcs)) for cid, arcs in crossings]
+    loops = [tuple(lp) for lp in loops]
+    darts: dict[int, list[int]] = {}
+    cids = set()
+    for i, (cid, arcs) in enumerate(raw):
+        if len(arcs) != 4:
+            raise ParseError(f"crossing {cid} does not have 4 arcs")
+        if cid in cids:
+            raise ParseError(f"duplicate crossing id {cid}")
+        cids.add(cid)
+        for s, a in enumerate(arcs):
+            if a < 1:
+                raise ParseError(f"arc id {a} is not a positive integer")
+            darts.setdefault(a, []).append(4 * i + s)
+    for a, at in darts.items():
+        if len(at) != 2:
+            raise ParseError(f"arc {a} appears {len(at)} times (expected 2)")
+    seen = set()
+    for lp in loops:
+        if not lp:
+            raise ParseError("empty loop")
+        for a in lp:
+            if a < 1:
+                raise ParseError(f"arc id {a} is not a positive integer")
+            if a in darts or a in seen:
+                raise ParseError(f"loop arc {a} reused")
+            seen.add(a)
+    far = [0] * (4 * len(raw))
+    for x, y in darts.values():
+        far[x], far[y] = y, x
+    n = len(raw)
+    signs = [0] * n
+    ends: dict = {}
+    turn = [x ^ 2 for x in range(4 * n)]
+    for start in [4 * i + 2 for i in range(n)] + [4 * i + 3 for i in reversed(range(n))]:
+        if raw[start >> 2][1][start & 3] in ends:
+            continue
+        orbit = [start]
+        while (x := turn[far[orbit[-1]]]) != start:
+            orbit.append(x)
+        for x in orbit:
+            i, s, j, t = x >> 2, x & 3, far[x] >> 2, far[x] & 3
+            if t == 2:
+                raise OrientationError(
+                    f"arc {raw[i][1][s]} oriented inconsistently: its strand enters "
+                    f"crossing {raw[j][0]} by slot 2"
+                )
+            ends[raw[i][1][s]] = (i, s), (j, t)
+            if t & 1:
+                signs[j] = 2 - t
+    return far, ends, signs, raw, frozenset([*darts, *seen])

@@ -75,9 +75,24 @@ def test_parse_arc_count_violation():
     ([(1, (0, 1, 1, 0))], [], "arc id 0 is not a positive integer"),
     ([], [()], "empty loop"),
     ([], [(0, 1)], "arc id 0 is not a positive integer"),
-], ids=["three arcs", "repeated id", "arc 0", "empty loop", "loop arc 0"])
+    ([(1, (1.9, 4, 2, 5)), (2, (3, 6, 4, 1)), (3.7, (5, 2, 6, 3))], [],
+     "arc id 1.9 is not a positive integer"),
+    ([(1, (1, 4, 2, 5)), (2, (3, 6, 4, 1)), (3.7, (5, 2, 6, 3))], [],
+     "crossing id 3.7 is not an integer"),
+    ([(True, (1, 2, 2, 1))], [], "crossing id True is not an integer"),
+    ([("1", (1, 2, 2, 1))], [], "crossing id '1' is not an integer"),
+    ([(1, (True, 2, 2, True))], [], "arc id True is not a positive integer"),
+    ([(1, ("1", 2, 2, "1"))], [], "arc id '1' is not a positive integer"),
+    ([(1, ("a", 2, 2, "a"))], [], "arc id 'a' is not a positive integer"),
+    ([], [(1.0, 2)], "arc id 1.0 is not a positive integer"),
+    ([], [(1, False)], "arc id False is not a positive integer"),
+    ([], [("2", 3)], "arc id '2' is not a positive integer"),
+], ids=["three arcs", "repeated id", "arc 0", "empty loop", "loop arc 0", "float arc",
+        "float crossing id", "bool crossing id", "string crossing id", "bool arc",
+        "numeric string arc", "letter arc", "float loop arc", "bool loop arc", "string loop arc"])
 def test_link_diagram_refuses_bad_ids(crossings, loops, reason):
-    # the constructor's own refusals, which no `parse_pd` token reaches
+    # the constructor's own refusals, which no `parse_pd` token reaches: an
+    # id is an int, not a float, bool or string, as in `ESI`
     with pytest.raises(ParseError, match=reason):
         LinkDiagram(crossings, loops)
 
