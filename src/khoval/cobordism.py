@@ -31,7 +31,11 @@ linear extension of the ops and `of_generator` one generator's image,
 computed on each call: no caller asks for one twice.  One sweep (`_sweep`,
 over the stills `Movie.replay` took from the entries) carries an element per
 theory: `bn_and_kj` a Bar-Natan and a Khovanov element; `eval_movie` is the
-one-theory sweep.
+one-theory sweep.  The sweep builds an R2 or R3 map per theory, but for a
+Morse or R1 event it builds the rule `vertex(mask) -> pieces` once (`_vertex`)
+and maps every theory's element through the event's table in one pass
+(`cube._apply_table`), making no `ChainMapRep` or op: per-term work, not
+planning, dominates a movie.
 
 Evaluating a closed movie on 1 gives the endomorphism of the ground ring:
 its absolute value is the deformed invariant (a polynomial in t), whose
@@ -55,6 +59,7 @@ from .cube import (
     CubeComplex,
     Generator,
     Piece,
+    _apply_table,
     _bigon_reduction,
     _piece_op,
     apply_linear,
@@ -164,18 +169,24 @@ def esi_chain_map(
 
 def _event_map(entry: _Event, src: CubeComplex, tgt: CubeComplex) -> ChainMapRep:
     """The chain map of the event whose `entry` on `src`'s still holds its rewrite and tables."""
-    info, kind = entry.info, entry.info.kind
+    kind = entry.info.kind
     if kind == "r2":
         return ChainMapRep(src, tgt, 0, *_r2_ops(src, tgt, entry))
     if kind == "r3":
         return ChainMapRep(src, tgt, 0, *_r3_ops(src, tgt, entry))
-    if kind == "r1":
-        add = info.variant != "remove"
-        vertex = _r1(src, tgt, info.arc_map, info.loop_arc, info.strand_arc, info.positive,
-                     0 if add else info.positions[0], add)
-    else:
-        vertex = _morse(src, tgt, info)
-    return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind], _piece_op(tgt, vertex, entry, kind))
+    return ChainMapRep(src, tgt, ESI_Q_DEGREE[kind],
+                       _piece_op(tgt, _vertex(entry, src, tgt), entry, kind))
+
+
+def _vertex(entry: _Event, src: CubeComplex, tgt: CubeComplex):
+    """The rule `vertex(mask) -> pieces` of a Morse or R1 event, whose table is `entry[kind]`;
+    it reads only the stills' resolutions, so the cubes of any one theory serve all."""
+    info = entry.info
+    if info.kind != "r1":
+        return _morse(src, tgt, info)
+    add = info.variant != "remove"
+    return _r1(src, tgt, info.arc_map, info.loop_arc, info.strand_arc, info.positive,
+               0 if add else info.positions[0], add)
 
 
 def _morse(src, tgt, info: MoveInfo):
@@ -372,8 +383,10 @@ def _sweep(m: Movie, theories: tuple[Theory, ...], start_label: int | None = Non
     """Yield one element per theory: at the start, then after each event.
 
     Each event's pieces are computed once, into its entry on the source
-    still, and applied in every theory's ring.  A zero element builds no more
-    maps, but every still is still checked against the cap.
+    still, and applied in every theory's ring: a Morse or R1 event's by one
+    rule for all theories and one pass per element, an R2 or R3 event's by
+    each theory's `ChainMapRep`.  A zero element builds no more maps, but
+    every still is still checked against the cap.
     """
     if start_label is not None and (type(start_label) is not int or start_label not in LABELS):
         raise KhovalError(f"start label must be PLUS (0) or MINUS (1), not {start_label!r}")
@@ -387,9 +400,14 @@ def _sweep(m: Movie, theories: tuple[Theory, ...], start_label: int | None = Non
     xs = [build_cube(stills[0], th, cap=cap).basis_element(start) for th in theories]
     yield xs
     for entry, still in zip(entries, stills[1:]):
-        xs = [_event_map(entry, x.cube, cube).apply(x) if x.terms
-              else CochainElement(cube, {})
-              for x, cube in zip(xs, [build_cube(still, th, cap=cap) for th in theories])]
+        cubes = [build_cube(still, th, cap=cap) for th in theories]
+        if (kind := entry.info.kind) in ("r2", "r3") or not any(x.terms for x in xs):
+            xs = [_event_map(entry, x.cube, cube).apply(x) if x.terms
+                  else CochainElement(cube, {}) for x, cube in zip(xs, cubes)]
+        else:
+            vertex, table = _vertex(entry, xs[0].cube, cubes[0]), entry.setdefault(kind, {})
+            xs = [CochainElement(cube, _apply_table(cube, table, vertex, x.terms.items()))
+                  for x, cube in zip(xs, cubes)]
         yield xs
 
 
@@ -625,6 +643,9 @@ def movie_to_json(m: Movie) -> dict:
 
 
 def movie_from_json(obj: dict) -> Movie:
+    """The movie of a JSON object: a `movie` list and an optional `initial`, no other key."""
     if not isinstance(obj, dict) or not isinstance(obj.get("movie"), list):
         raise ParseError("movie file must be an object with a 'movie' list")
+    if stray := obj.keys() - {"movie", "initial"}:
+        raise ParseError(f"movie file has an unknown key {min(stray, key=str)!r}")
     return Movie([ESI.from_json(e) for e in obj["movie"]], obj.get("initial", "empty"))

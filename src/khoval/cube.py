@@ -31,7 +31,7 @@ sign) read these tables.
 A linear map on a cube is an op: a function from a generator to its image
 as a list of terms [(generator, coeff)], with no zero coefficient, which
 may name one generator twice.  `apply_linear` carries terms through ops in
-turn and is the one place that sums them; an op built from other ops
+turn and is the one place that sums an op's terms; an op built from other ops
 carries their terms through `_carry`, unsummed, and an op's list is never
 changed once returned (`cobordism.ChainMapRep` memoizes ops and shares
 their lists).  The movie maps' ops are sums of `Piece`s, signed dotted
@@ -39,10 +39,18 @@ cobordisms that carry labels along a circle-transfer plan; `apply_pieces`
 lists their terms and `_piece_op` makes the op of a table `vertex(mask) ->
 pieces`, computed once per vertex into a table kept on the source still
 (`cobordism` keys it by event in `LinkDiagram.maps`), so ops of every
-theory between the same stills build it once.  `_bigon_reduction` is
-Bar-Natan's Gaussian elimination lemma (math/0606318) on an R2 bigon's two
-unit edges, read off the cube's own edges: the R2 maps in `cobordism` and
-the R3 cone in `r3` are built from it.
+theory between the same stills build it once.  So a table is applied on
+two paths.  Composite maps (R2, R3) and `ChainMapRep.of_generator` use the
+op, each generator's image listed once and memoized where it recurs.  The
+movie sweep maps a whole element through a Morse or R1 table in one pass
+(`_apply_table`): each term's pieces act, scaled and summed as they come,
+with no op call, term list or `_carry` pass per term, into the same dict.
+Routing `_piece_op` through that pass made the R3 benchmark 6-7 % slower,
+so the two stay apart, and the tests check each against the other.
+
+`_bigon_reduction` is Bar-Natan's Gaussian elimination lemma
+(math/0606318) on an R2 bigon's two unit edges, read off the cube's own
+edges: the R2 maps in `cobordism` and the R3 cone in `r3` are built from it.
 
 Coefficients are kept in the cube's ring, `CubeComplex.ring`: for Lee
 `algebra.INT_RINGS[LEE]`, so Lee's coefficients are `int`; for Khovanov and
@@ -484,11 +492,57 @@ def apply_pieces(cube: CubeComplex, pieces, labels: tuple[int, ...]) -> list:
     return out
 
 
+def _apply_table(cube: CubeComplex, table: dict, vertex, terms) -> dict[Generator, TPoly]:
+    """Terms [(generator, coeff)] carried through the pieces `vertex(mask)` and summed
+    as they come, in `cube.ring`: `apply_linear` of `_piece_op`'s op, in one pass.
+
+    Each mask's pieces are computed once into `table`, as `_piece_op` keeps
+    them; each piece acts as in `apply_pieces`, each image is scaled as in
+    `_carry` and summed in the same order, so the result is the same dict,
+    term order included, without an op call, a term list or `_carry` per term.
+    """
+    acc: dict[Generator, TPoly] = {}
+    ring, new, get = cube.ring, tuple.__new__, acc.get
+    for (mask, labels), coeff in terms:
+        if (pieces := table.get(mask)) is None:
+            pieces = table[mask] = vertex(mask)
+        unit = coeff is _ONE or coeff.__class__ is int and coeff == 1
+        padded = labels + _BOTH
+        for p in pieces:
+            dead, kept, i, j, getter = p.action
+            if dead is not None and dead(labels) != kept:
+                continue
+            signed = ring if p.sign == 1 else ring.negated
+            if i is None:
+                images = ((getter(padded), signed.one),)
+            elif j is None:
+                images = [(getter(padded + pair), poly)
+                          for pair, poly in signed.comultiply[labels[i]].items()]
+            else:
+                images = [(getter(padded + (label,)), poly)
+                          for label, poly in signed.multiply[labels[i]][labels[j]].items()]
+            for c in p.dots:
+                images = [(lbls[:c] + (x,) + lbls[c + 1:], _times(poly, extra))
+                          for lbls, poly in images
+                          for x, extra in ring.multiply[lbls[c]][MINUS].items()]
+            for lbls, poly in images:
+                g = new(Generator, (p.mask, lbls))
+                if not unit:
+                    poly = _times(poly, coeff)
+                if (cur := get(g)) is None:
+                    acc[g] = poly
+                elif total := cur + poly:
+                    acc[g] = total
+                else:
+                    del acc[g]
+    return acc
+
+
 def apply_linear(terms, *ops) -> dict[Generator, TPoly]:
     """Terms [(generator, coeff)] carried through each op in turn (`_carry`), then summed.
 
-    The one place that sums a map's terms: with no op the terms are only
-    summed, in place, dropping each key whose sum is zero.
+    The one place that sums ops' terms (`_apply_table` sums a piece table's
+    own): with no op the terms are only summed, dropping each key whose sum is zero.
     """
     acc: dict[Generator, TPoly] = {}
     for g, coeff in _carry(terms, *ops):

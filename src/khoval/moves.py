@@ -302,13 +302,16 @@ def _cut(d: LinkDiagram, raw, arc: int, fresh, done=()) -> tuple[int, int, int, 
     return p, m, p, dict.fromkeys(d.loops[li], p)
 
 
-def _fuse(d: LinkDiagram, raw, loops: list, relations) -> tuple[dict[int, int], list[int]]:
+def _fuse(d: LinkDiagram, raw, removed: tuple[int, ...], loops: list,
+          relations) -> tuple[dict[int, int], list[int]]:
     """Fuse the pieces that a removed local picture left open; returns (arc map, fresh arcs).
 
     Each relation (x, y) makes pieces x and y one arc.  A chain of related
-    pieces becomes one fresh arc in the remaining crossings `raw`; a chain
-    that none of them holds closes into a crossing-free circle of two fresh
-    arcs, appended to `loops`.
+    pieces becomes one fresh arc in the remaining crossings `raw`, `d`'s
+    crossings without the positions `removed`: it is written at each piece's
+    darts (`d.ends`) that a remaining crossing holds.  A chain that none of
+    them holds closes into a crossing-free circle of two fresh arcs,
+    appended to `loops`.
     """
     fresh = itertools.count(d.max_arc_id() + 1)
     chains: list[set[int]] = []
@@ -320,10 +323,10 @@ def _fuse(d: LinkDiagram, raw, loops: list, relations) -> tuple[dict[int, int], 
     for chain in sorted(chains, key=min):
         f = next(fresh)
         held = False
-        for _, arcs in raw:
-            for s, x in enumerate(arcs):
-                if x in chain:
-                    arcs[s], held = f, True
+        for x in chain:
+            for p, s in d.ends[x]:
+                if p not in removed:
+                    raw[p - sum(r < p for r in removed)][1][s], held = f, True
         if held:
             created.append(f)
         else:
@@ -374,7 +377,7 @@ def _apply_r1_remove(d: LinkDiagram, cid: int) -> tuple[LinkDiagram, MoveInfo]:
     raw = [(ci, arcs) for ci, arcs in _raw(d) if ci != cid]
     loops = list(d.loops)
     # on a kinked unknot p = r, and the strand closes into a circle
-    arc_map, created = _fuse(d, raw, loops, [(c.arcs[p_slot], c.arcs[r_slot])])
+    arc_map, created = _fuse(d, raw, (idx,), loops, [(c.arcs[p_slot], c.arcs[r_slot])])
     info = MoveInfo(
         "r1",
         "remove",
@@ -443,7 +446,7 @@ def _apply_r2_remove(
     raw = [(ci, arcs) for ci, arcs in _raw(d) if ci not in (ca.cid, cb.cid)]
     loops = list(d.loops)
     # a piece aliased across the two relations sits in the middle of a chain
-    arc_map, created = _fuse(d, raw, loops, [(u1, u3), (o1, o3)])
+    arc_map, created = _fuse(d, raw, (ia, ib), loops, [(u1, u3), (o1, o3)])
     info = MoveInfo(
         "r2",
         "remove",

@@ -319,6 +319,13 @@ def test_exit_movie_validation(capsys, tmp_path):
     assert code == 5 and "event 1" in err
 
 
+def test_exit_movie_with_an_unknown_key(capsys):
+    # a misspelt "initial" is refused, not read as a movie from the empty diagram
+    movie = {"movie": [{"op": "death", "circle": 1}], "intial": "unknot"}
+    code, out, err = run(capsys, "movie", json.dumps(movie))
+    assert (code, out) == (2, "") and "unknown key 'intial'" in err
+
+
 def test_same_circle_poke_fails_validation(capsys):
     # both feet of the poke on one crossing-free circle: no planar diagram
     movie = {"movie": [

@@ -1046,16 +1046,25 @@ def test_sixteen_crossing_detour_plans_once_per_source_vertex(monkeypatch, genus
         bigon_plans.append((id(src_res), id(tgt_res)))
         return transfer(src_res, tgt_res, hints)
 
-    applied = []  # (theory, still, vertex) of every generator a map is applied to
-    apply = cobordism.ChainMapRep.apply
+    # (theory, event, vertex) of every generator a map is applied to: the sweep
+    # maps Morse and R1 events through their piece table, one per event, and
+    # R2 events through `ChainMapRep.apply`, whose source still is the source
+    # of one event
+    applied = []
+    apply, apply_table = cobordism.ChainMapRep.apply, cobordism._apply_table
 
     def recording(rep, x):
         applied.extend((rep.source.theory, id(rep.source.diagram), g.mask) for g in x.terms)
         return apply(rep, x)
 
+    def recording_table(c, table, vertex, terms):
+        applied.extend((c.theory, id(table), g.mask) for g, _ in terms)
+        return apply_table(c, table, vertex, terms)
+
     monkeypatch.setattr(cobordism, "transfer", counting)
     monkeypatch.setattr(cube, "transfer", bigon_counting)
     monkeypatch.setattr(cobordism.ChainMapRep, "apply", recording)
+    monkeypatch.setattr(cobordism, "_apply_table", recording_table)
     bn_and_kj(kinked_detour_movie(genus, 14))
     # the bigon's h table is shared by both theories too: one plan per pair
     assert len(set(bigon_plans)) == len(bigon_plans) == 2
@@ -1110,6 +1119,35 @@ def test_sweep_matches_one_theory_runs_on_random_movies(m):
     assert_sweep_matches_one_theory_runs(m)
 
 
+def assert_sweep_matches_chain_map_apply(m: Movie, start_label=None):
+    """After every event, each theory's swept element is the event's
+    `esi_chain_map` applied to the element before it: the same terms and
+    coefficients in the same dict order.  The sweep maps Morse and R1 events
+    in one pass through their piece tables (`cube._apply_table`), the chain
+    map through its memoized per-generator op, so each checks the other."""
+    before = None
+    for k, xs in enumerate(_sweep(m, ALL_THEORIES, start_label)):
+        if before is not None:
+            for x, y in zip(before, xs):
+                th = x.cube.theory
+                image = esi_chain_map(m.events[k - 1], x.cube, y.cube, th).apply(x)
+                assert list(image.terms.items()) == list(y.terms.items()), (k, th)
+        before = xs
+
+
+def test_sweep_matches_chain_map_apply_on_corpus_movies():
+    for m, label in corpus_sweeps():
+        assert_sweep_matches_chain_map_apply(m, label)
+    for genus, kinks in ((2, 7), (3, 14)):
+        assert_sweep_matches_chain_map_apply(kinked_detour_movie(genus, kinks))
+
+
+@given(random_movies())
+@settings(max_examples=25, deadline=None)
+def test_sweep_matches_chain_map_apply_on_random_movies(m):
+    assert_sweep_matches_chain_map_apply(m)
+
+
 def assert_bar_natan_is_graded_lee(bn: CochainElement, lee: CochainElement):
     """Every Bar-Natan coefficient is one monomial c*t^e, (i, q(g) - 4e) is one
     degree for all terms, and the Lee element, over `int`, is the Bar-Natan
@@ -1162,14 +1200,19 @@ def test_zero_element_builds_no_maps_but_every_still_meets_the_cap(monkeypatch):
     unkink = ESI("r1", variant="remove", crossing=info.created_crossings[0])
     d = apply_esi(d, unkink)
     m = Movie([*m.events, kink, unkink, ESI("death", circle=min(d.loops[0]))])
-    built = []
-    event_map = cobordism._event_map
+    built = []  # the kind of every map built: an R2 or R3 map, or a Morse or R1 rule
+    event_map, vertex = cobordism._event_map, cobordism._vertex
 
     def counting(entry, *args):
         built.append(entry.info.kind)
         return event_map(entry, *args)
 
+    def counting_vertex(entry, *args):
+        built.append(entry.info.kind)
+        return vertex(entry, *args)
+
     monkeypatch.setattr(cobordism, "_event_map", counting)
+    monkeypatch.setattr(cobordism, "_vertex", counting_vertex)
     assert eval_movie(m, Theory.KHOVANOV).is_zero()
     assert built == ["birth", "saddle", "saddle", "saddle", "saddle"]
     with pytest.raises(CapExceededError):
@@ -1344,6 +1387,17 @@ def test_an_unknown_initial_still_is_a_parse_error():
         Movie([], initial="x")
     with pytest.raises(ParseError, match="unknown initial still 'x'"):
         movie_from_json({"movie": [], "initial": "x"})
+
+
+@pytest.mark.parametrize("extra,stray", [
+    ({"extra": 5}, "extra"),
+    ({"intial": "unknot"}, "intial"),  # a typo would evaluate from the empty diagram
+    ({"initial": "unknot", "events": [], "Movie": []}, "Movie"),
+])
+def test_a_movie_key_other_than_movie_and_initial_is_a_parse_error(extra, stray):
+    with pytest.raises(ParseError, match=f"unknown key {stray!r}"):
+        movie_from_json({"movie": [], **extra})
+    assert movie_from_json({"movie": [], "initial": "unknot"}) == Movie([], "unknot")
 
 
 @pytest.mark.parametrize("theory", ["lee", None, 3])
