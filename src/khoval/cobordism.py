@@ -15,12 +15,13 @@ dots).  Birth, death and saddle share one Morse table, and one R1 rule
 (`_r1`) serves additions and removals, of R1 events and of R3's side kinks,
 with the Koszul sign of moving the kink to the front of the crossing order.
 R2 is two ops: the Gaussian elimination of the poked cube's bigon
-(`cube._bigon_reduction`) and one carry table between its through slice and
-the cube without the pair, again with the Koszul sign.  The R3 map is
-Bar-Natan's cone formula on the triangle crossings (`r3.triangle_map`, one
-op built from the same reduction); kinks on the triangle's sides come off by
-R1 ops before it and go back on by R1 ops after.  No map resolves more of a
-cube than the vertices it reaches.
+(`cube._bigon_reduction`) and one carry table (`cube._carry_rule`) between
+its through slice and the cube without the pair, again with the Koszul
+sign.  The R3 map is Bar-Natan's cone formula on the triangle crossings
+(`r3.triangle_map`, one op built from the same reduction and carry rule);
+kinks on the triangle's sides come off by R1 ops before it and go back on
+by R1 ops after.  No map resolves more of a cube than the vertices it
+reaches.
 
 Only the ring depends on the theory: all else a map builds is kept on the
 still it reads from, its resolutions and, per event, an entry (`_event`)
@@ -61,6 +62,7 @@ from .cube import (
     Piece,
     _apply_table,
     _bigon_reduction,
+    _carry_rule,
     _piece_op,
     apply_linear,
     build_cube,
@@ -254,16 +256,13 @@ def _r2_ops(src: CubeComplex, tgt: CubeComplex, entry: _Event):
     inner = {info.pieces["u2"], info.pieces["o2"]}
     f, g, _ = _bigon_reduction(tgt if add else src, inner, zi, wi, entry, "h")
 
-    def carry(mask: int) -> tuple[Piece, ...]:
+    def target(mask: int) -> tuple[int, int]:
         if add:
-            tgt_mask, sign = mask << 2 | 0b10, 1
-        else:
-            tgt_mask, sign = koszul_to_front(mask, info.positions, src.n)
-            tgt_mask >>= 2
-        plan = transfer(src.circles(mask), tgt.circles(tgt_mask), info.arc_map)
-        return (Piece(tgt_mask, sign, plan),)
+            return mask << 2 | 0b10, 1
+        tgt_mask, sign = koszul_to_front(mask, info.positions, src.n)
+        return tgt_mask >> 2, sign
 
-    carried = _piece_op(tgt, carry, entry, "r2")
+    carried = _piece_op(tgt, _carry_rule(src, tgt, info.arc_map, target), entry, "r2")
     return (carried, g) if add else (f, carried)
 
 
@@ -290,9 +289,7 @@ def _r3_ops(src: CubeComplex, tgt: CubeComplex, entry: _Event, back: bool = Fals
         bare, step = CubeComplex(removed.target, src.theory, cap=src.n), removed.info
         arcs[side] = [step.arc_map.get(a, a) for a in arcs[side]]
         if side == 0:
-            vertex = _r1(cubes[0], bare, step.arc_map, step.loop_arc, step.strand_arc,
-                         step.positive, step.positions[0], False)
-            removals.append(_piece_op(bare, vertex, removed, "r1"))
+            removals.append(_piece_op(bare, _vertex(removed, cubes[0], bare), removed, "r1"))
         else:  # the addition that undoes this removal: the fused kink's ends p and r
             # lie on one circle in every smoothing, so either one is the fused arc's image
             undo = {new: old for old, new in step.arc_map.items()}

@@ -51,6 +51,8 @@ so the two stay apart, and the tests check each against the other.
 `_bigon_reduction` is Bar-Natan's Gaussian elimination lemma
 (math/0606318) on an R2 bigon's two unit edges, read off the cube's own
 edges: the R2 maps in `cobordism` and the R3 cone in `r3` are built from it.
+Both also carry vertices one to one along the arc map by one rule,
+`_carry_rule`, which refuses a plan that merges, splits, births or kills.
 
 Coefficients are kept in the cube's ring, `CubeComplex.ring`: for Lee
 `algebra.INT_RINGS[LEE]`, so Lee's coefficients are `int`; for Khovanov and
@@ -80,7 +82,7 @@ from typing import Iterator, NamedTuple
 
 from .algebra import INT_RINGS, LABEL_NAMES, LABELS, MINUS, PLUS, RINGS, Ring, TPoly, Theory
 from .diagram import LinkDiagram, ResolvedDiagram, Transfer, edge_key, resolve, transfer
-from .errors import CapExceededError, KhovalError, TheoryError
+from .errors import CapExceededError, KhovalError, MoveError, TheoryError
 
 __all__ = [
     "Generator",
@@ -649,6 +651,21 @@ def _bigon_reduction(cube: CubeComplex, inner: set[int], zi: int, wi: int, entry
         return [*_carry(out_of_through(t), h), (t, one)]
 
     return f, g_, h
+
+
+def _carry_rule(src: CubeComplex, tgt: CubeComplex, hints: dict, target):
+    """The rule `vertex(mask) -> pieces` of a carry: each vertex of `src` goes to the one
+    vertex and sign `target(mask)` of `tgt`, its circles carried one to one along the arc
+    map `hints`.  A plan with a merge, split, birth or death is refused."""
+
+    def vertex(mask: int) -> tuple[Piece, ...]:
+        tgt_mask, sign = target(mask)
+        plan = transfer(src.circles(mask), tgt.circles(tgt_mask), hints)
+        if plan.merge is not None or plan.split is not None or plan.new or plan.dead:
+            raise MoveError("the rewrite changed the circles of a resolution")
+        return (Piece(tgt_mask, sign, plan),)
+
+    return vertex
 
 
 def _nonzero(terms: dict[Generator, TPoly]) -> dict[Generator, TPoly]:

@@ -313,34 +313,22 @@ def kauffman_jones(d: LinkDiagram, cap: int = 12) -> LaurentPoly:
     arcs = sorted(d.arc_ids())
     index = {a: i for i, a in enumerate(arcs)}
 
-    delta = {2: -1, -2: -1}  # -A^2 - A^-2
-    delta_pows: list[dict[int, int]] = [{0: 1}]
-
-    def delta_pow(k: int) -> dict[int, int]:
-        while len(delta_pows) <= k:
-            prev = delta_pows[-1]
-            nxt: dict[int, int] = {}
-            for e1, c1 in prev.items():
-                for e2, c2 in delta.items():
-                    nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
-            delta_pows.append(nxt)
-        return delta_pows[k]
-
     bracket: dict[int, int] = {}
+    parent = list(range(len(arcs)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(index[x]), find(index[y])
+        if rx != ry:
+            parent[rx] = ry
+
     for state in range(1 << n):
-        parent = list(range(len(arcs)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(index[x]), find(index[y])
-            if rx != ry:
-                parent[rx] = ry
-
+        parent[:] = range(len(arcs))
         for j, (a0, a1, a2, a3) in enumerate(crossings):
             if (state >> j) & 1:  # B-smoothing
                 union(a0, a1)
@@ -351,12 +339,12 @@ def kauffman_jones(d: LinkDiagram, cap: int = 12) -> LaurentPoly:
         for lp in d.loops:
             for i in range(len(lp) - 1):
                 union(lp[i], lp[i + 1])
-        components = {find(i) for i in range(len(arcs))}
-        k = len(components)
-        sigma = n - 2 * ((state).bit_count())
-        for e, coeff in delta_pow(k).items():
-            exp = sigma + e
-            bracket[exp] = bracket.get(exp, 0) + coeff
+        k = len({find(i) for i in range(len(arcs))})
+        sigma = n - 2 * state.bit_count()
+        # delta^k = (-A^2 - A^-2)^k = (-1)^k sum_m C(k, m) A^(2k - 4m)
+        for m in range(k + 1):
+            exp = sigma + 2 * k - 4 * m
+            bracket[exp] = bracket.get(exp, 0) + (-1) ** k * math.comb(k, m)
 
     sign = -1 if writhe % 2 else 1
     result: dict[int, int] = {}

@@ -12,8 +12,9 @@ kinks on the sides before and after it.
 
 from __future__ import annotations
 
-from .cube import Generator, Piece, _bigon_reduction, _carry, _edge_op, _piece_op, koszul_to_front
-from .diagram import SMOOTHING_PARTNER, LinkDiagram, transfer
+from .cube import (Generator, _bigon_reduction, _carry, _carry_rule, _edge_op, _piece_op,
+                   koszul_to_front)
+from .diagram import SMOOTHING_PARTNER, LinkDiagram
 from .errors import MoveError
 
 
@@ -115,18 +116,14 @@ def triangle_map(src, tgt, positions, c: int, inner: set[int], tgt_inner: set[in
     zi, wi = z.bit_length() - 1, w.bit_length() - 1
     hints = dict.fromkeys(inner)  # the inner arcs die
 
-    def carry_pieces(mask: int) -> tuple[Piece, ...]:
-        tgt_mask, sign = mask, 1
-        if mask & bc != b_face:
-            tgt_mask = mask & ~(z | w) | (z if mask & w else 0) | (w if mask & z else 0)
-            sign = koszul_to_front(mask, (zi, wi), src.n)[1]
-            sign *= koszul_to_front(tgt_mask, (wi, zi), src.n)[1] * (-1 if b_face else 1)
-        plan = transfer(src.circles(mask), tgt.circles(tgt_mask), hints)
-        if plan.merge is not None or plan.split is not None or plan.new or plan.dead:
-            raise MoveError("the r3 rewrite changed the circles of a resolution")
-        return (Piece(tgt_mask, sign, plan),)
+    def target(mask: int) -> tuple[int, int]:
+        if mask & bc == b_face:
+            return mask, 1
+        tgt_mask = mask & ~(z | w) | (z if mask & w else 0) | (w if mask & z else 0)
+        sign = koszul_to_front(mask, (zi, wi), src.n)[1] * (-1 if b_face else 1)
+        return tgt_mask, sign * koszul_to_front(tgt_mask, (wi, zi), src.n)[1]
 
-    carry = _piece_op(tgt, carry_pieces, entry, (key, "carry"))
+    carry = _piece_op(tgt, _carry_rule(src, tgt, hints, target), entry, (key, "carry"))
     f_src, _, h_src = _bigon_reduction(src, inner, zi, wi, entry, (key, "h"))
     _, g_tgt, h_tgt = _bigon_reduction(tgt, tgt_inner, zi, wi, entry, (key, "h'"))
     psi_src, psi_tgt = _edge_op(src, c), _edge_op(tgt, c)

@@ -341,6 +341,7 @@ def test_tpoly_equals_int():
     for p in (TPoly({1: 1}), TPoly({0: 1, 1: 1}), TPoly({2: -1}), LaurentPoly({-1: 1})):
         assert all(p != other for other in (0, 1, -1, 7))
     assert LaurentPoly({0: 3}) == 3 and LaurentPoly() == 0
+    assert TPoly(1) != "1" and TPoly(1) != 1.0  # only an int or a TPoly can equal one
 
 
 def test_tpoly_str():

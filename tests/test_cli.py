@@ -84,6 +84,9 @@ def test_jones_trefoil_agreement(capsys):
     payload = json.loads(out)
     assert payload["agree"] is True
     assert payload["graded_euler"] == payload["kauffman_jones"]
+    code, out, _ = run(capsys, "jones", PD_CODES["trefoil"], "--format", "csv")
+    row = f'"{payload["graded_euler"]}","{payload["kauffman_jones"]}",true'
+    assert code == 0 and out.strip().splitlines() == ["graded_euler,kauffman_jones,agree", row]
 
 
 # -- movie ------------------------------------------------------------------------

@@ -545,7 +545,7 @@ def test_maps_of_every_theory_between_two_stills_share_their_structure(monkeypat
 
     for module, fn in [(cobordism, "apply_esi_info"), (cobordism, "transfer"),
                        (cobordism, "koszul_to_front"), (cube, "transfer"), (cube, "resolve"),
-                       (r3, "transfer"), (r3, "koszul_to_front")]:
+                       (r3, "koszul_to_front")]:
         count(module, fn)
     count(cube.Piece, "__init__")
     piece_op = cube._piece_op
@@ -1035,15 +1035,18 @@ def test_sixteen_crossing_detour_plans_once_per_source_vertex(monkeypatch, genus
     import khoval.cube as cube
     from khoval.diagram import transfer
 
-    plans = []  # the source resolution of every transfer call
+    plans = []  # the source resolution of every transfer call but the bigon's
     bigon_plans = []  # (source, target) resolution of every plan of R2's bigon
 
     def counting(src_res, tgt_res, hints=None):
         plans.append(src_res)
         return transfer(src_res, tgt_res, hints)
 
-    def bigon_counting(src_res, tgt_res, hints=None):
-        bigon_plans.append((id(src_res), id(tgt_res)))
+    def cube_counting(src_res, tgt_res, hints=None):  # the bigon's plans, or R2's carry
+        if all(image is None for image in hints.values()):  # the bigon's inner arcs die
+            bigon_plans.append((id(src_res), id(tgt_res)))
+        else:
+            plans.append(src_res)
         return transfer(src_res, tgt_res, hints)
 
     # (theory, event, vertex) of every generator a map is applied to: the sweep
@@ -1062,7 +1065,7 @@ def test_sixteen_crossing_detour_plans_once_per_source_vertex(monkeypatch, genus
         return apply_table(c, table, vertex, terms)
 
     monkeypatch.setattr(cobordism, "transfer", counting)
-    monkeypatch.setattr(cube, "transfer", bigon_counting)
+    monkeypatch.setattr(cube, "transfer", cube_counting)
     monkeypatch.setattr(cobordism.ChainMapRep, "apply", recording)
     monkeypatch.setattr(cobordism, "_apply_table", recording_table)
     bn_and_kj(kinked_detour_movie(genus, 14))
@@ -1421,6 +1424,7 @@ def test_movie_json_roundtrip():
         assert movie_from_json(movie_to_json(m)) == m
     m2 = punctured_to_empty(2)
     assert movie_from_json(movie_to_json(m2)) == m2
+    assert m2 != movie_to_json(m2) and repr(m2) == "Movie(5 events, initial='unknot')"
 
 
 def test_eval_deterministic():

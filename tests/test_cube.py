@@ -13,6 +13,7 @@ from khoval.cube import (
     Generator,
     Piece,
     _INDEX,
+    _carry_rule,
     _labellings,
     apply_linear,
     apply_pieces,
@@ -72,6 +73,7 @@ def test_circles_equal_resolve_on_corpus(corpus):
         c = build_cube(d, Theory.KHOVANOV)
         for mask in range(1 << c.n):
             assert c.circles(mask) == resolve(d, mask), (name, mask)
+        assert c.circles(0) != c.circles(0).circle_of  # only a resolution equals one
 
 
 def test_circles_are_cached(resolve_calls):
@@ -588,6 +590,16 @@ def test_piece_refuses_a_circle_vanishing_without_a_death_rule():
         Piece(0, 1, plan)
 
 
+def test_a_carry_refuses_hints_that_merge_two_circles():
+    # R2's and R3's carry take each circle to one circle: hints that send both
+    # circles of L0 L1 onto the one circle of L0 merge them, and are refused
+    src, tgt = (build_cube(parse_pd(code), Theory.KHOVANOV) for code in ("L0 L1", "L0"))
+    (piece,) = _carry_rule(src, src, {}, lambda mask: (mask, -1))(0)
+    assert piece.sign == -1 and piece.plan.copies == ((0, 0), (1, 1))
+    with pytest.raises(MoveError, match="changed the circles of a resolution"):
+        _carry_rule(src, tgt, {3: 1, 4: 2}, lambda mask: (mask, 1))(0)
+
+
 # -- elements --------------------------------------------------------------------
 
 
@@ -613,6 +625,7 @@ def test_caller_coefficients_are_reduced_on_entry(th):
     g = Generator(0, (M,))
     t = TPoly({1: 1})
     x = c.element({g: t})
+    assert x != x.terms  # only an element equals one
     if th is Theory.KHOVANOV:
         assert x.is_zero()
     elif th is Theory.LEE:

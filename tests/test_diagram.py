@@ -178,6 +178,9 @@ def test_roundtrip_serialization(corpus):
         assert [c.sign for c in d2.crossings] == [c.sign for c in d.crossings]
         # same incidence structure up to loop-arc renumbering
         assert [c.arcs for c in d2.crossings] == [c.arcs for c in d.crossings]
+        assert repr(d) == f"LinkDiagram({serialize_pd(d)!r})" and d != serialize_pd(d)
+        twin = LinkDiagram([(c.cid, c.arcs) for c in d.crossings], d.loops)
+        assert twin == d and hash(twin) == hash(d), name
 
 
 def test_sign_invariant_under_global_reversal(corpus):

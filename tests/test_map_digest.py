@@ -6,7 +6,6 @@ from pathlib import Path
 
 import khoval.cobordism as cobordism
 import khoval.cube as cube
-import khoval.r3 as r3
 from khoval.diagram import transfer
 from khoval.moves import ESI
 
@@ -62,7 +61,7 @@ def test_single_image_hints_give_the_multi_image_plans(monkeypatch):
         return plan
 
     monkeypatch.setattr(cobordism, "_r1", recording_r1)
-    for module in (cobordism, cube, r3):
+    for module in (cobordism, cube):
         monkeypatch.setattr(module, "transfer", checking)
     for _ in map_lines():
         pass
